@@ -11,25 +11,19 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .corpus import build_corpus, load_corpus, save_corpus
+from .corpus import load_corpus
 from .errors import DataError, ForumPulseError, StageError, UsageError
-from .fileio import write_csv
 from .fixture import generate_fixture
-from .ingest import (author_activity_table, load_dataset, parse_dump,
-                     response_time_table, save_dataset, score_relations)
-from .interaction import (build_graph, compute_user_metrics,
-                          contribution_and_influence, dot_text, graphml_text,
-                          spread_influence_rows, top_influencers_subgraph,
-                          user_classes)
-from .lda import LdaConfig, fit, load_model, save_model
-from .lexicon import (DEFAULT_COMPONENTS, categorize, demo_lexicon,
-                      load_lexicon, pca, topicwise_profile)
-from .pipeline import resolve_threads, run_pipeline
-from .topics import (cooccurrence, count_nonpositive, dominant_topics,
-                     monthly_distribution, select_k)
+from .ingest import load_dataset
+from .interaction import build_graph, user_classes
+from .lda import save_model
+from .lexicon import DEFAULT_COMPONENTS
+from .pipeline import (StageContext, corpus_stage, cooccur_stage, dominance_stage,
+                       fit_topics, ingest_stage, lexicon_stage, resolve_threads,
+                       run_pipeline, stats_stage, timeline_stage, user_metrics,
+                       write_graph, write_scan, write_top_influencers,
+                       write_user_metrics)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -191,19 +185,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_model_rich(path: Path):
-    model = load_model(path)
-    return model, dominant_topics(model)
-
-
 def _cmd_ingest(args) -> int:
     for path in (args.posts, args.comments):
         if not path.exists():
             raise DataError(f"missing dump file: {path}")
-    with args.posts.open("r", encoding="utf-8") as ps, \
-            args.comments.open("r", encoding="utf-8") as cs:
-        dataset = parse_dump(ps, cs, (args.from_epoch, args.to_epoch))
-    save_dataset(dataset, args.out)
+    dataset = ingest_stage(StageContext(
+        {"posts": args.posts, "comments": args.comments, "dataset.json": args.out},
+        {"from": args.from_epoch, "to": args.to_epoch}))
     print(f"dataset: {len(dataset.posts)} posts, {len(dataset.comments)} comments, "
           f"{len(dataset.authors)} authors "
           f"(parse errors {dataset.parse_errors}, duplicates {dataset.duplicate_ids}, "
@@ -212,173 +200,105 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    dataset = load_dataset(args.dataset)
-    out = args.out
-    rows = author_activity_table(dataset)
-    write_csv(out / "activity_table.csv",
-              ("category", "authors", "authors_pct", "posts", "posts_pct",
-               "comments", "comments_pct"),
-              ((r.category.value, r.authors, r.authors_pct, r.posts, r.posts_pct,
-                r.comments, r.comments_pct) for r in rows))
-    relations = score_relations(dataset)
-    write_csv(out / "score_relations.csv",
-              ("post_id", "post_score", "max_comment_score"), relations.pairs)
-    lapse_rows, anomalies = response_time_table(dataset)
-    write_csv(out / "response_times.csv",
-              ("comment_id", "response_time_s", "comment_score"), lapse_rows)
-    print(f"stats written to {out} (response-time anomalies: {anomalies})")
+    summary = stats_stage(StageContext({"dataset.json": args.dataset}, out_dir=args.out))
+    print(f"stats written to {args.out} "
+          f"(response-time anomalies: {summary['response_time_anomalies']})")
     return 0
 
 
 def _cmd_corpus_build(args) -> int:
-    dataset = load_dataset(args.dataset)
-    corpus = build_corpus(dataset, min_df=args.min_df,
-                          max_df_fraction=args.max_df_fraction,
-                          phrase_min_count=args.phrase_min_count)
-    save_corpus(corpus, args.out)
+    corpus = corpus_stage(StageContext(
+        {"dataset.json": args.dataset, "corpus": args.out},
+        {"corpus.min_df": args.min_df, "corpus.max_df_fraction": args.max_df_fraction,
+         "corpus.phrase_min_count": args.phrase_min_count}))
     print(f"corpus: {len(corpus)} documents, {len(corpus.vocabulary)} terms, "
           f"{corpus.total_tokens} tokens -> {args.out}")
     return 0
 
 
-def _lda_config(args, k: int) -> LdaConfig:
-    return LdaConfig(k=k, alpha=args.alpha, beta=args.beta,
-                     iterations=args.iters, burn_in=args.burn_in, seed=args.seed)
+def _lda_params(args, **scan) -> dict:
+    """The topics stage's params, from the topics subcommands' flags."""
+    return {"lda.alpha": args.alpha, "lda.beta": args.beta,
+            "lda.iterations": args.iters, "lda.burn_in": args.burn_in,
+            **{f"lda.{key}": value for key, value in scan.items()}}
 
 
 def _cmd_topics_fit(args) -> int:
     corpus = load_corpus(args.corpus)
-    model = fit(corpus, _lda_config(args, args.k))
+    model, scan = fit_topics(corpus, _lda_params(args, k=args.k), args.seed)
     save_model(model, args.out)
-    report = count_nonpositive(model)
-    print(f"fitted k={args.k}: W_k={report.w_k} over {len(corpus)} documents "
+    print(f"fitted k={args.k}: W_k={scan[0][1]} over {len(corpus)} documents "
           f"-> {args.out}")
     return 0
 
 
 def _cmd_topics_select(args) -> int:
-    corpus = load_corpus(args.corpus)
-    workers = resolve_threads(args.threads)
-    result = select_k(corpus, args.kmin, args.kmax, _lda_config(args, max(args.kmin, 2)),
-                      patience=args.patience, workers=workers,
-                      progress=lambda k, w: print(f"k={k} W_k={w}"))
-    save_model(result.model, args.out)
-    write_csv(args.scan_csv, ("k", "w_k", "selected"),
-              ((r.k, r.w_k, 1 if r.k == result.k else 0) for r in result.reports))
-    print(f"selected k={result.k} -> {args.out}")
+    params = _lda_params(args, k=None, k_min=args.kmin, k_max=args.kmax,
+                         patience=args.patience)
+    model, scan = fit_topics(load_corpus(args.corpus), params, args.seed,
+                             resolve_threads(args.threads),
+                             progress=lambda k, w: print(f"k={k} W_k={w}"))
+    save_model(model, args.out)
+    write_scan(args.scan_csv, scan)
+    print(f"selected k={model.k} -> {args.out}")
     return 0
 
 
 def _cmd_topics_dominance(args) -> int:
-    model, assignment = _load_model_rich(args.model)
-    out = args.out
-    write_csv(out / "dominance.csv", ("post_id", "dominant_topics"),
-              ((doc_id, "|".join(str(t) for t in sorted(topics)))
-               for doc_id, topics in zip(assignment.doc_ids, assignment.dominant)))
-    write_csv(out / "dominance_thresholds.csv", ("topic", "mu", "sigma"),
-              ((t, mu, sigma) for t, (mu, sigma) in enumerate(assignment.thresholds)))
-    write_csv(out / "topic_presence.csv", ("topic", "presence_fraction"),
-              enumerate(assignment.topic_presence))
+    assignment = dominance_stage(
+        StageContext({"model.json": args.model}, out_dir=args.out))
     unassigned = sum(1 for topics in assignment.dominant if not topics)
-    print(f"dominance written to {out} "
+    print(f"dominance written to {args.out} "
           f"({unassigned} posts with no dominant topic)")
     return 0
 
 
 def _cmd_topics_cooccur(args) -> int:
-    _, assignment = _load_model_rich(args.model)
-    matrix = cooccurrence(assignment)
-    write_csv(args.out, ("topic_i", "topic_j", "count"),
-              ((i, j, int(matrix.counts[i, j]))
-               for i in range(matrix.k) for j in range(i, matrix.k)))
+    cooccur_stage(StageContext({"model.json": args.model, "cooccurrence.csv": args.out}))
     print(f"co-occurrence counts -> {args.out}")
     return 0
 
 
 def _cmd_topics_timeline(args) -> int:
-    _, assignment = _load_model_rich(args.model)
-    dataset = load_dataset(args.dataset)
-    counts = monthly_distribution(assignment, dataset)
-    write_csv(args.out, ("topic", "month", "count"),
-              ((t, month, n) for (t, month), n in sorted(counts.items())))
+    timeline_stage(StageContext({"model.json": args.model, "dataset.json": args.dataset,
+                                 "monthly_topics.csv": args.out}))
     print(f"monthly topic counts -> {args.out}")
     return 0
 
 
 def _cmd_lexicon_profile(args) -> int:
-    corpus = load_corpus(args.corpus)
-    model, assignment = _load_model_rich(args.model)
-    lex = load_lexicon(args.lexicon) if args.lexicon else demo_lexicon()
-    docs = [corpus.document_tokens(i) for i in range(len(corpus))]
-    matrix = categorize(docs, lex, doc_ids=corpus.doc_ids)
-    out = args.out
-    write_csv(out / "category_matrix.csv", ("post_id",) + matrix.categories,
-              ((doc_id,) + tuple(float(x) for x in row)
-               for doc_id, row in zip(matrix.doc_ids, matrix.rows)))
-    n_comp = min(args.components, len(matrix.doc_ids), len(matrix.categories))
-    result = pca(matrix, n_comp)
-    write_csv(out / "pca_components.csv", ("component",) + matrix.categories,
-              ((i,) + tuple(float(x) for x in row)
-               for i, row in enumerate(result.components)))
-    write_csv(out / "pca_variance.csv",
-              ("component", "explained_variance", "negligible"),
-              ((i, float(v), 1 if i in result.negligible else 0)
-               for i, v in enumerate(result.explained_variance)))
-    profiles = topicwise_profile(result, assignment)
-    write_csv(out / "topic_profiles.csv",
-              ("topic",) + tuple(f"component_{i}" for i in range(n_comp)),
-              ((t,) + tuple("" if np.isnan(x) else float(x) for x in row)
-               for t, row in enumerate(profiles.profiles)))
-    print(f"lexicon profile ({len(lex)} categories, {n_comp} components) -> {out}")
+    result = lexicon_stage(StageContext(
+        {"corpus": args.corpus, "model.json": args.model},
+        {"lexicon.path": args.lexicon, "lexicon.components": args.components}, args.out))
+    n_comp, n_cat = result.components.shape
+    print(f"lexicon profile ({n_cat} categories, {n_comp} components) -> {args.out}")
     return 0
 
 
-def _user_metrics_for(args):
-    dataset = load_dataset(args.dataset)
-    graph = build_graph(dataset)
-    assignment = None
-    if args.model is not None:
-        _, assignment = _load_model_rich(args.model)
-    metrics = compute_user_metrics(dataset, graph, assignment)
-    return graph, contribution_and_influence(metrics)
+def _users_context(args, **params) -> StageContext:
+    return StageContext({"dataset.json": args.dataset, "model.json": args.model},
+                        params, args.out)
 
 
 def _cmd_users_metrics(args) -> int:
-    _, metrics = _user_metrics_for(args)
-    out = args.out
-    write_csv(out / "user_metrics.csv",
-              ("user", "C", "out_degree", "in_degree", "tau", "R", "alpha", "I",
-               "agg_score"),
-              ((m.user, m.comment_count, m.out_degree, m.in_degree, m.tau,
-                m.reach, m.alpha, m.influence, m.aggregate_comment_score)
-               for m in metrics))
-    write_csv(out / "spread_influence.csv",
-              ("user", "tau", "influence", "log10_comments", "log10_agg_score"),
-              spread_influence_rows(metrics))
-    print(f"metrics for {len(metrics)} commenters -> {out}")
+    ctx = _users_context(args)
+    _, metrics = user_metrics(ctx)
+    write_user_metrics(ctx, metrics)
+    print(f"metrics for {len(metrics)} commenters -> {args.out}")
     return 0
 
 
 def _cmd_users_top(args) -> int:
-    graph, metrics = _user_metrics_for(args)
-    subgraph = top_influencers_subgraph(graph, metrics, args.k)
-    by_user = {m.user: m for m in metrics}
-    out = args.out
-    write_csv(out / "top_influencers.csv", ("rank", "user", "influence", "C"),
-              ((i + 1, u, by_user[u].influence, by_user[u].comment_count)
-               for i, u in enumerate(subgraph.selected)))
-    (out / "influencer_subgraph.graphml").parent.mkdir(parents=True, exist_ok=True)
-    (out / "influencer_subgraph.graphml").write_text(
-        graphml_text(subgraph.nodes, subgraph.edges), encoding="utf-8")
+    ctx = _users_context(args, **{"graph.top_k": args.k})
+    subgraph = write_top_influencers(ctx, *user_metrics(ctx))
     print(f"top {len(subgraph.selected)} influencers with "
-          f"{len(subgraph.nodes)} egonet users -> {out}")
+          f"{len(subgraph.nodes)} egonet users -> {args.out}")
     return 0
 
 
 def _cmd_graph_build(args) -> int:
-    dataset = load_dataset(args.dataset)
-    graph = build_graph(dataset)
-    write_csv(args.out, ("from", "to", "weight"), graph.edges)
+    graph = build_graph(load_dataset(args.dataset))
+    write_graph(args.out, "csv", graph.nodes, graph.edges)
     classes = user_classes(graph)
     print(f"graph: {classes.nodes} nodes, {len(graph.edges)} edges, "
           f"{classes.passive} passive ({classes.passive_pct:.2f}%), "
@@ -387,15 +307,8 @@ def _cmd_graph_build(args) -> int:
 
 
 def _cmd_graph_export(args) -> int:
-    dataset = load_dataset(args.dataset)
-    graph = build_graph(dataset)
-    if args.format == "csv":
-        write_csv(args.out, ("from", "to", "weight"), graph.edges)
-    else:
-        text = (graphml_text if args.format == "graphml" else dot_text)(
-            graph.nodes, graph.edges)
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text, encoding="utf-8")
+    graph = build_graph(load_dataset(args.dataset))
+    write_graph(args.out, args.format, graph.nodes, graph.edges)
     print(f"graph ({args.format}) -> {args.out}")
     return 0
 

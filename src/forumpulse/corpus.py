@@ -104,10 +104,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    @property
-    def index(self) -> dict[str, int]:
-        return {term: i for i, term in enumerate(self.terms)}
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -134,9 +130,6 @@ class Corpus:
         for term_id, count in self.documents[i]:
             out.extend([terms[term_id]] * count)
         return out
-
-    def document_total(self, i: int) -> int:
-        return sum(count for _, count in self.documents[i])
 
 
 def tokenize_posts(dataset: Dataset,
@@ -278,7 +271,9 @@ def load_corpus(directory: Path) -> Corpus:
         next(fh)
         for line in fh:
             idx, post_id = line.rstrip("\n").split(",", 1)
-            assert int(idx) == len(doc_ids)
+            if int(idx) != len(doc_ids):
+                raise DataError(f"{directory / 'docs.csv'}: doc_idx {idx} where "
+                                f"{len(doc_ids)} was expected")
             doc_ids.append(post_id)
 
     documents = tuple(tuple(vectors.get(i, ())) for i in range(len(doc_ids)))

@@ -3,13 +3,16 @@
 Every artifact the toolkit emits goes through these functions so that two
 runs with identical inputs produce byte-identical files: UTF-8, "\n" line
 endings, sorted JSON keys, and floats rendered with repr (shortest value
-that round-trips).
+that round-trips). Every file is written whole through ``write_text``, so a
+run killed mid-write leaves the previous file or the new one, never a
+truncated one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -22,19 +25,31 @@ def fmt_cell(value: Any) -> str:
     return str(value)
 
 
+def write_text(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a temporary file beside ``path``, then
+    move it over ``path`` with ``os.replace``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]],
               delimiter: str = ",") -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [delimiter.join(header)]
     for row in rows:
         lines.append(delimiter.join(fmt_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path: Path, payload: Any, indent: int | None = 2) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, sort_keys=True, indent=indent, ensure_ascii=False)
-    path.write_text(text + "\n", encoding="utf-8")
+    write_text(path, text + "\n")
 
 
 def read_json(path: Path) -> Any:
@@ -48,7 +63,3 @@ def sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -13,6 +13,8 @@ import json
 import random
 from pathlib import Path
 
+from .fileio import write_text
+
 # Disjoint word pools; overlap with the demo lexicon is intentional so the
 # category-profiling stage produces non-trivial scores on synthetic data.
 TOPIC_WORD_POOLS: tuple[tuple[str, ...], ...] = (
@@ -104,14 +106,8 @@ def generate_fixture(seed: int, n_posts: int, n_users: int, k_true: int,
         comments.append(comment)
         thread.append(comment)
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    posts_path = out_dir / "posts.jsonl"
-    comments_path = out_dir / "comments.jsonl"
-    with posts_path.open("w", encoding="utf-8", newline="\n") as fh:
-        for record in posts:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    with comments_path.open("w", encoding="utf-8", newline="\n") as fh:
-        for record in comments:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    posts_path = Path(out_dir) / "posts.jsonl"
+    comments_path = Path(out_dir) / "comments.jsonl"
+    for path, records in ((posts_path, posts), (comments_path, comments)):
+        write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
     return posts_path, comments_path

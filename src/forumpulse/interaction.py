@@ -33,13 +33,6 @@ class InteractionGraph:
     out_degree: Mapping[str, int]             # distinct reply targets
     in_degree: Mapping[str, int]              # distinct responders
 
-    @property
-    def node_set(self) -> frozenset[str]:
-        return frozenset(self.nodes)
-
-    def total_weight(self) -> int:
-        return sum(w for _, _, w in self.edges)
-
 
 def build_graph(dataset: Dataset) -> InteractionGraph:
     """Reply edges between non-sentinel users; dangling parents are skipped."""
@@ -167,7 +160,7 @@ def compute_user_metrics(dataset: Dataset, graph: InteractionGraph,
             in_degree=graph.in_degree.get(user, 0),
             tau=spread[0] if spread else None,
             topic_fractions=spread[1] if spread else {},
-            reach=out_deg / count,
+            reach=reach(out_deg, count),
             alpha=None,
             influence=None,
             aggregate_comment_score=record.aggregate_comment_score if record else 0,

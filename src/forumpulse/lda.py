@@ -36,6 +36,7 @@ import numpy as np
 
 from .corpus import Corpus, vocabulary_digest
 from .errors import DataError
+from .fileio import write_text
 
 SNAPSHOT_INTERVAL = 10
 
@@ -290,9 +291,7 @@ def save_model(model: TopicModel, path: Path) -> None:
         "log_likelihood_trace": [float(x) for x in model.log_likelihood_trace],
         "vocabulary_sha256": model.vocabulary_sha256,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_model(path: Path) -> TopicModel:

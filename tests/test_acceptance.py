@@ -301,7 +301,7 @@ def test_criterion_6_graph_fidelity():
     resolved_non_self = sum(
         1 for c in dataset.comments
         if not c.parent_dangling and dataset.resolve_parent(c).author != c.author)
-    checks.append((graph.total_weight() == resolved_non_self == 6,
+    checks.append((sum(w for _, _, w in graph.edges) == resolved_non_self == 6,
                    "edge weights must sum to the resolved non-self comment count"))
     checks.append((all(s != t for s, t, _ in graph.edges),
                    "self-reply produced an edge"))

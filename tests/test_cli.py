@@ -5,8 +5,9 @@ import json
 import pytest
 
 from forumpulse.cli import main
-from forumpulse.fileio import write_json
+from forumpulse.fileio import sha256_file, write_json
 from forumpulse.fixture import generate_fixture
+from forumpulse.pipeline import stage_seed
 
 
 @pytest.fixture
@@ -16,8 +17,34 @@ def dump(tmp_path):
     return tmp_path
 
 
+RUN_CONFIG = {
+    "posts": "dump/posts.jsonl",
+    "comments": "dump/comments.jsonl",
+    "out_dir": "artifacts",
+    "seed": 11,
+    "corpus.min_df": 2,
+    "corpus.max_df_fraction": 0.9,
+    "lda.k": 3,
+    "lda.iterations": 30,
+    "lda.burn_in": 10,
+    "lexicon.components": 5,
+    "graph.top_k": 3,
+}
+
+
+@pytest.fixture
+def config(dump):
+    write_json(dump / "config.json", RUN_CONFIG)
+    return dump / "config.json"
+
+
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def artifact_digests(directory):
+    return {str(p.relative_to(directory)): sha256_file(p)
+            for p in directory.rglob("*") if p.is_file() and p.name != "manifest.json"}
 
 
 def test_help_exits_zero(capsys):
@@ -102,30 +129,79 @@ def test_subcommand_chain(dump, capsys):
     capsys.readouterr()
 
 
-def test_run_and_report(dump, capsys):
+def test_run_and_report(dump, config, capsys):
     t = dump
-    write_json(t / "config.json", {
-        "posts": "dump/posts.jsonl",
-        "comments": "dump/comments.jsonl",
-        "out_dir": "artifacts",
-        "seed": 11,
-        "corpus.min_df": 2,
-        "corpus.max_df_fraction": 0.9,
-        "lda.k": 3,
-        "lda.iterations": 30,
-        "lda.burn_in": 10,
-        "lexicon.components": 5,
-        "graph.top_k": 3,
-    })
-    assert run_cli("run", "--config", t / "config.json") == 0
+    assert run_cli("run", "--config", config) == 0
     assert run_cli("report", "--artifacts", t / "artifacts") == 0
     payload = json.loads(capsys.readouterr().out.split("pipeline complete")[-1]
                          .split("\n", 1)[1])
     assert payload["model"]["k"] == 3
     assert payload["dataset"]["posts"] == 30
 
-    assert run_cli("run", "--config", t / "config.json") == 0
+    assert run_cli("run", "--config", config) == 0
     assert "up to date" in capsys.readouterr().out
+
+
+def test_subcommands_write_the_run_artifacts(dump, config, capsys):
+    """Each standalone subcommand, fed the run's own inputs, writes the same
+    bytes as the matching `run` artifact."""
+    t, a, s = dump, dump / "artifacts", dump / "standalone"
+    assert run_cli("run", "--config", config) == 0
+    dataset, model = a / "dataset.json", a / "model.json"
+    commands = [
+        ("ingest", "--posts", t / "dump/posts.jsonl",
+         "--comments", t / "dump/comments.jsonl", "--out", s / "dataset.json"),
+        ("stats", "--dataset", dataset, "--out", s),
+        ("corpus", "build", "--dataset", dataset, "--min-df", 2,
+         "--max-df-fraction", 0.9, "--out", s / "corpus"),
+        ("topics", "fit", "--corpus", a / "corpus", "--k", 3,
+         "--seed", stage_seed(RUN_CONFIG["seed"], "lda"), "--iters", 30,
+         "--burn-in", 10, "--out", s / "model.json"),
+        ("topics", "dominance", "--model", model, "--out", s),
+        ("topics", "cooccur", "--model", model, "--out", s / "cooccurrence.csv"),
+        ("topics", "timeline", "--model", model, "--dataset", dataset,
+         "--out", s / "monthly_topics.csv"),
+        ("lexicon", "profile", "--corpus", a / "corpus", "--model", model,
+         "--components", 5, "--out", s),
+        ("users", "metrics", "--dataset", dataset, "--model", model, "--out", s),
+        ("users", "top", "--dataset", dataset, "--model", model, "--k", 3,
+         "--out", s),
+        ("graph", "build", "--dataset", dataset, "--out", s / "edges.csv"),
+        ("graph", "export", "--dataset", dataset, "--format", "graphml",
+         "--out", s / "graph.graphml"),
+        ("graph", "export", "--dataset", dataset, "--format", "dot",
+         "--out", s / "graph.dot"),
+    ]
+    for argv in commands:
+        assert run_cli(*argv) == 0, argv
+    written = artifact_digests(s)
+    assert len(written) == 26      # the 25 subcommand outputs + stats_summary.json
+    assert written == {name: sha256_file(a / name) for name in written}
+    capsys.readouterr()
+
+
+def test_truncated_manifest_reruns_every_stage(dump, config, capsys):
+    assert run_cli("run", "--config", config) == 0
+    clean = artifact_digests(dump / "artifacts")
+    manifest = dump / "artifacts" / "manifest.json"
+    text = manifest.read_bytes()
+    manifest.write_bytes(text[:len(text) // 2])
+    capsys.readouterr()
+
+    assert run_cli("run", "--config", config) == 0
+    out = capsys.readouterr().out
+    assert "unreadable" in out and "up to date" not in out
+    assert artifact_digests(dump / "artifacts") == clean
+
+
+@pytest.mark.parametrize("override", [
+    'lda.iterations="abc"', "lda.iterations=abc", "corpus.min_df=0",
+    "lda.beta=0", "lda.alpha=-1", "lda.k=1.5", "seed=true", "posts=3",
+    "out_dir=null",
+])
+def test_bad_config_value_exits_one_before_ingest(dump, config, override):
+    assert run_cli("run", "--config", config, "--set", override) == 1
+    assert not (dump / "artifacts" / "dataset.json").exists()
 
 
 def test_run_stage_failure_exit_codes(dump):

@@ -175,6 +175,18 @@ def test_corpus_roundtrip(tmp_path):
     assert load_corpus(tmp_path / "corpus") == corpus
 
 
+def test_load_corpus_rejects_a_gap_in_doc_indices(tmp_path):
+    corpus = build_corpus(_five_post_dataset(), min_df=1, max_df_fraction=1.0,
+                          phrase_min_count=2)
+    save_corpus(corpus, tmp_path / "corpus")
+    docs = tmp_path / "corpus" / "docs.csv"
+    lines = docs.read_text(encoding="utf-8").splitlines()
+    del lines[2]                                   # drops doc_idx 1
+    docs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match="doc_idx 2"):
+        load_corpus(tmp_path / "corpus")
+
+
 def test_document_tokens_roundtrip():
     corpus = build_corpus(_five_post_dataset(), min_df=1, max_df_fraction=1.0,
                           phrase_min_count=99)

@@ -54,7 +54,7 @@ def test_hand_fixture_graph_exact():
     assert graph.out_degree == {"u1": 1, "u2": 1, "u3": 2, "u4": 1}
     assert graph.in_degree == {"u1": 3, "u2": 1, "u3": 1, "u4": 0}
     # 7 comments, 1 self-reply: total edge weight equals the other 6.
-    assert graph.total_weight() == 6
+    assert sum(w for _, _, w in graph.edges) == 6
 
 
 def test_weight_vs_degree_distinction():
@@ -283,7 +283,7 @@ def test_metric_bounds_and_weight_invariant():
     resolved_non_self = sum(
         1 for c in d.comments
         if not c.parent_dangling and d.resolve_parent(c).author != c.author)
-    assert graph.total_weight() == resolved_non_self
+    assert sum(w for _, _, w in graph.edges) == resolved_non_self
     for m in metrics:
         assert 0.0 <= m.reach <= 1.0
         assert 0.0 < m.alpha <= 1.0

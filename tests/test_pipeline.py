@@ -8,8 +8,8 @@ import pytest
 from forumpulse.errors import StageError, UsageError
 from forumpulse.fileio import read_json, sha256_file, write_json
 from forumpulse.fixture import TOPIC_WORD_POOLS, generate_fixture
-from forumpulse.pipeline import (CONFIG_DEFAULTS, load_config, resolve_threads,
-                                 run_pipeline, stage_seed)
+from forumpulse.pipeline import (CONFIG_DEFAULTS, STAGES, load_config,
+                                 resolve_threads, run_pipeline, stage_seed)
 
 EXPECTED_FILES = [
     "manifest.json", "dataset.json", "activity_table.csv", "score_relations.csv",
@@ -84,6 +84,14 @@ def test_full_run_writes_every_artifact(tmp_path):
     for name in EXPECTED_FILES:
         assert (result.out_dir / name).exists(), name
     assert all(status == "ran" for status in result.stage_status.values())
+
+
+def test_stage_table_declares_every_artifact():
+    assert [s.name for s in STAGES] == [
+        "ingest", "stats", "corpus", "topics", "dominance", "cooccur",
+        "timeline", "lexicon", "graph", "metrics", "report"]
+    declared = [name for stage in STAGES for name in stage.outputs]
+    assert sorted(declared + ["manifest.json"]) == sorted(EXPECTED_FILES)
 
 
 def test_rerun_skips_all_stages(tmp_path):
