@@ -14,9 +14,8 @@ from .topics import (CooccurrenceMatrix, DominantTopicAssignment,
 from .lexicon import (CategoryMatrix, Lexicon, PcaResult, categorize,
                       demo_lexicon, load_lexicon, pca, topicwise_profile)
 from .interaction import (InteractionGraph, UserMetrics, build_graph,
-                          contribution_and_influence, compute_user_metrics,
-                          reach, top_influencers_subgraph, topic_spread,
-                          user_classes)
+                          compute_user_metrics, reach,
+                          top_influencers_subgraph, topic_spread, user_classes)
 from .fixture import generate_fixture
 from .pipeline import run_pipeline
 

@@ -18,12 +18,11 @@ from .fixture import generate_fixture
 from .ingest import load_dataset
 from .interaction import build_graph, user_classes
 from .lda import save_model
-from .lexicon import DEFAULT_COMPONENTS
-from .pipeline import (StageContext, corpus_stage, cooccur_stage, dominance_stage,
-                       fit_topics, ingest_stage, lexicon_stage, resolve_threads,
-                       run_pipeline, stats_stage, timeline_stage, user_metrics,
-                       write_graph, write_scan, write_top_influencers,
-                       write_user_metrics)
+from .pipeline import (CONFIG_DEFAULTS as DEFAULTS, StageContext, check_config,
+                       corpus_stage, cooccur_stage, dominance_stage, fit_topics,
+                       ingest_stage, lexicon_stage, resolve_threads, run_pipeline,
+                       stats_stage, timeline_stage, user_metrics, write_graph,
+                       write_scan, write_top_influencers, write_user_metrics)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,9 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = csub.add_parser("build", help="Tokenize posts into a corpus directory")
     p.add_argument("--dataset", required=True, type=Path)
-    p.add_argument("--min-df", type=int, default=5)
-    p.add_argument("--max-df-fraction", type=float, default=0.5)
-    p.add_argument("--phrase-min-count", type=int, default=20)
+    p.add_argument("--min-df", type=int, default=DEFAULTS["corpus.min_df"])
+    p.add_argument("--max-df-fraction", type=float,
+                   default=DEFAULTS["corpus.max_df_fraction"])
+    p.add_argument("--phrase-min-count", type=int,
+                   default=DEFAULTS["corpus.phrase_min_count"])
     p.add_argument("--out", required=True, type=Path, help="output directory")
     p.set_defaults(func=_cmd_corpus_build)
 
@@ -66,11 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = tsub.add_parser("fit", help="Fit one topic model and write it as JSON")
     p.add_argument("--corpus", required=True, type=Path, help="corpus directory")
     p.add_argument("--k", required=True, type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--burn-in", type=int, default=500)
+    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    p.add_argument("--iters", type=int, default=DEFAULTS["lda.iterations"])
+    p.add_argument("--burn-in", type=int, default=DEFAULTS["lda.burn_in"])
     p.add_argument("--alpha", type=float, default=None, help="default 50/k")
-    p.add_argument("--beta", type=float, default=0.01)
+    p.add_argument("--beta", type=float, default=DEFAULTS["lda.beta"])
     p.add_argument("--out", required=True, type=Path, help="output model.json")
     p.set_defaults(func=_cmd_topics_fit)
 
@@ -78,15 +79,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Scan k and keep the model minimizing W_k "
                              "(scan CSV columns: k, w_k, selected)")
     p.add_argument("--corpus", required=True, type=Path)
-    p.add_argument("--kmin", type=int, default=2)
+    p.add_argument("--kmin", type=int, default=DEFAULTS["lda.k_min"])
     p.add_argument("--kmax", required=True, type=int)
     p.add_argument("--patience", type=int, default=None,
                    help="stop after this many non-improving k values")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--burn-in", type=int, default=500)
+    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    p.add_argument("--iters", type=int, default=DEFAULTS["lda.iterations"])
+    p.add_argument("--burn-in", type=int, default=DEFAULTS["lda.burn_in"])
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=0.01)
+    p.add_argument("--beta", type=float, default=DEFAULTS["lda.beta"])
     p.add_argument("--threads", type=int, default=None,
                    help="parallel fits; FORUM_PULSE_THREADS honored")
     p.add_argument("--out", required=True, type=Path, help="output model.json")
@@ -123,9 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Category matrix, PCA components and topicwise profile")
     p.add_argument("--corpus", required=True, type=Path)
     p.add_argument("--model", required=True, type=Path)
-    p.add_argument("--lexicon", type=Path, default=None,
+    p.add_argument("--lexicon", default=None,
                    help="JSON category->words file; bundled demo lexicon by default")
-    p.add_argument("--components", type=int, default=DEFAULT_COMPONENTS)
+    p.add_argument("--components", type=int, default=DEFAULTS["lexicon.components"])
     p.add_argument("--out", required=True, type=Path, help="output directory")
     p.set_defaults(func=_cmd_lexicon_profile)
 
@@ -144,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = usub.add_parser("top", help="Top influencers and their egonet subgraph")
     p.add_argument("--dataset", required=True, type=Path)
     p.add_argument("--model", type=Path, default=None)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=DEFAULTS["graph.top_k"])
     p.add_argument("--out", required=True, type=Path, help="output directory")
     p.set_defaults(func=_cmd_users_top)
 
@@ -209,8 +210,9 @@ def _cmd_stats(args) -> int:
 def _cmd_corpus_build(args) -> int:
     corpus = corpus_stage(StageContext(
         {"dataset.json": args.dataset, "corpus": args.out},
-        {"corpus.min_df": args.min_df, "corpus.max_df_fraction": args.max_df_fraction,
-         "corpus.phrase_min_count": args.phrase_min_count}))
+        check_config({"corpus.min_df": args.min_df,
+                      "corpus.max_df_fraction": args.max_df_fraction,
+                      "corpus.phrase_min_count": args.phrase_min_count})))
     print(f"corpus: {len(corpus)} documents, {len(corpus.vocabulary)} terms, "
           f"{corpus.total_tokens} tokens -> {args.out}")
     return 0
@@ -218,16 +220,16 @@ def _cmd_corpus_build(args) -> int:
 
 def _lda_params(args, **scan) -> dict:
     """The topics stage's params, from the topics subcommands' flags."""
-    return {"lda.alpha": args.alpha, "lda.beta": args.beta,
-            "lda.iterations": args.iters, "lda.burn_in": args.burn_in,
-            **{f"lda.{key}": value for key, value in scan.items()}}
+    return check_config({"lda.alpha": args.alpha, "lda.beta": args.beta,
+                         "lda.iterations": args.iters, "lda.burn_in": args.burn_in,
+                         **{f"lda.{key}": value for key, value in scan.items()}})
 
 
 def _cmd_topics_fit(args) -> int:
-    corpus = load_corpus(args.corpus)
-    model, scan = fit_topics(corpus, _lda_params(args, k=args.k), args.seed)
+    params = _lda_params(args, k=args.k, patience=None)
+    model, scan = fit_topics(load_corpus(args.corpus), params, args.seed)
     save_model(model, args.out)
-    print(f"fitted k={args.k}: W_k={scan[0][1]} over {len(corpus)} documents "
+    print(f"fitted k={args.k}: W_k={scan[0][1]} over {model.n_documents} documents "
           f"-> {args.out}")
     return 0
 
@@ -269,7 +271,8 @@ def _cmd_topics_timeline(args) -> int:
 def _cmd_lexicon_profile(args) -> int:
     result = lexicon_stage(StageContext(
         {"corpus": args.corpus, "model.json": args.model},
-        {"lexicon.path": args.lexicon, "lexicon.components": args.components}, args.out))
+        check_config({"lexicon.path": args.lexicon,
+                      "lexicon.components": args.components}), args.out))
     n_comp, n_cat = result.components.shape
     print(f"lexicon profile ({n_cat} categories, {n_comp} components) -> {args.out}")
     return 0
@@ -277,7 +280,7 @@ def _cmd_lexicon_profile(args) -> int:
 
 def _users_context(args, **params) -> StageContext:
     return StageContext({"dataset.json": args.dataset, "model.json": args.model},
-                        params, args.out)
+                        check_config(params), args.out)
 
 
 def _cmd_users_metrics(args) -> int:

@@ -17,11 +17,12 @@ posts where topic i is dominant (a post with m dominant topics credits
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import log10
 from typing import Iterable, Mapping, Optional, Sequence
 from xml.sax.saxutils import quoteattr
 
+from .errors import DataError
 from .ingest import SENTINEL_AUTHORS, Comment, Dataset
 from .topics import DominantTopicAssignment
 
@@ -90,15 +91,15 @@ def user_classes(graph: InteractionGraph) -> UserClassCounts:
 
 
 def topic_spread(comments: Iterable[Comment],
-                 assignment: DominantTopicAssignment,
+                 dominant_by_post: Mapping[str, frozenset[int]],
                  ) -> Optional[tuple[float, dict[int, float]]]:
     """(tau, per-topic fractions) for one user's comments, or None.
 
-    Only comments whose root post has at least one dominant topic count.
-    None means the user made no such comment, which is distinct from any
-    numeric spread value.
+    ``dominant_by_post`` maps a post id to its dominant topics, as
+    ``DominantTopicAssignment.by_doc()`` returns. Only comments whose root
+    post has at least one dominant topic count. None means the user made no
+    such comment, which is distinct from any numeric spread value.
     """
-    dominant_by_post = assignment.by_doc()
     credit: dict[int, float] = defaultdict(float)
     counted = 0
     for comment in comments:
@@ -132,26 +133,32 @@ class UserMetrics:
     tau: Optional[float]
     topic_fractions: dict[int, float]
     reach: float
-    alpha: Optional[float]
-    influence: Optional[float]
+    alpha: float
+    influence: float
     aggregate_comment_score: int
 
 
 def compute_user_metrics(dataset: Dataset, graph: InteractionGraph,
                          assignment: Optional[DominantTopicAssignment] = None,
                          ) -> list[UserMetrics]:
-    """One record per non-sentinel commenter; alpha and influence unfilled."""
+    """One complete record per non-sentinel commenter, in user order; tau
+    is None without ``assignment``. DataError when there is no commenter."""
     comments_by_user: dict[str, list[Comment]] = defaultdict(list)
     for comment in dataset.comments:
         if comment.author not in SENTINEL_AUTHORS:
             comments_by_user[comment.author].append(comment)
+    if not comments_by_user:
+        raise DataError("no commenters to score")
+    max_count = max(len(c) for c in comments_by_user.values())
+    dominant_by_post = assignment.by_doc() if assignment is not None else {}
 
     metrics = []
     for user in sorted(comments_by_user):
         user_comments = comments_by_user[user]
         count = len(user_comments)
         out_deg = graph.out_degree.get(user, 0)
-        spread = topic_spread(user_comments, assignment) if assignment else None
+        user_reach = reach(out_deg, count)
+        spread = topic_spread(user_comments, dominant_by_post)
         record = dataset.author_by_name.get(user)
         metrics.append(UserMetrics(
             user=user,
@@ -160,24 +167,12 @@ def compute_user_metrics(dataset: Dataset, graph: InteractionGraph,
             in_degree=graph.in_degree.get(user, 0),
             tau=spread[0] if spread else None,
             topic_fractions=spread[1] if spread else {},
-            reach=reach(out_deg, count),
-            alpha=None,
-            influence=None,
+            reach=user_reach,
+            alpha=count / max_count,
+            influence=(count / max_count) * user_reach,
             aggregate_comment_score=record.aggregate_comment_score if record else 0,
         ))
     return metrics
-
-
-def contribution_and_influence(metrics: Sequence[UserMetrics]) -> list[UserMetrics]:
-    """Fill alpha = C/max(C) and influence = alpha * reach for every user."""
-    if not metrics:
-        raise ValueError("no commenters to score")
-    max_count = max(m.comment_count for m in metrics)
-    return [
-        replace(m, alpha=m.comment_count / max_count,
-                influence=(m.comment_count / max_count) * m.reach)
-        for m in metrics
-    ]
 
 
 def spread_influence_rows(metrics: Sequence[UserMetrics]
@@ -189,8 +184,6 @@ def spread_influence_rows(metrics: Sequence[UserMetrics]
     """
     rows = []
     for m in metrics:
-        if m.influence is None:
-            raise ValueError("influence not filled; call contribution_and_influence first")
         log_score = log10(m.aggregate_comment_score) if m.aggregate_comment_score > 0 else None
         rows.append((m.user, m.tau, m.influence, log10(m.comment_count), log_score))
     return rows
@@ -213,9 +206,6 @@ def top_influencers_subgraph(graph: InteractionGraph,
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    for m in metrics:
-        if m.influence is None:
-            raise ValueError("influence not filled; call contribution_and_influence first")
     ranked = sorted(metrics, key=lambda m: (-m.influence, -m.comment_count, m.user))
     selected = tuple(m.user for m in ranked[:top_k])
     anchor = frozenset(selected)

@@ -24,8 +24,6 @@ PCA_MAX_ITER = 10_000
 _PCA_SEED = 20_240_601
 _NEGLIGIBLE_VARIANCE = 1e-12
 
-DEFAULT_COMPONENTS = 15
-
 
 @dataclass(frozen=True)
 class Lexicon:

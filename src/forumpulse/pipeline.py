@@ -34,11 +34,10 @@ from .errors import DataError, StageError, UsageError
 from .fileio import read_json, sha256_file, write_csv, write_json, write_text
 from .ingest import (author_activity_table, load_dataset, parse_dump,
                      response_time_table, save_dataset, score_relations)
-from .interaction import (build_graph, compute_user_metrics,
-                          contribution_and_influence, dot_text, graphml_text,
-                          spread_influence_rows, top_influencers_subgraph,
-                          user_classes)
-from .lda import LdaConfig, fit, load_model, save_model, top_words
+from .interaction import (build_graph, compute_user_metrics, dot_text,
+                          graphml_text, spread_influence_rows,
+                          top_influencers_subgraph, user_classes)
+from .lda import LdaConfig, load_model, save_model, top_words
 from .lexicon import categorize, demo_lexicon, load_lexicon, pca, topicwise_profile
 from .topics import (cooccurrence, count_nonpositive, dominant_topics,
                      monthly_distribution, select_k)
@@ -73,6 +72,12 @@ CONFIG_SCHEMA: dict[str, tuple[Any, type, Optional[int]]] = {
 }
 CONFIG_DEFAULTS: dict[str, Any] = {
     key: default for key, (default, _, _) in CONFIG_SCHEMA.items()}
+# Rules between keys, and maxima: the keys, a test of their values, the rule.
+_CONFIG_RULES = (
+    (("lda.burn_in", "lda.iterations"), lambda b, n: b < n, "burn_in < iterations"),
+    (("lda.k_min", "lda.k_max"), lambda lo, hi: lo <= hi, "k_min <= k_max"),
+    (("corpus.max_df_fraction",), lambda f: f <= 1, "max_df_fraction <= 1"),
+)
 
 
 def resolve_threads(flag: Optional[int] = None,
@@ -92,9 +97,11 @@ def stage_seed(seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _check_types(config: Mapping[str, Any]) -> None:
-    for key, (default, kind, bound) in CONFIG_SCHEMA.items():
-        value = config[key]
+def check_config(config: Mapping[str, Any]) -> Mapping[str, Any]:
+    """``config`` itself, if each given key's value has its schema type and
+    bound and every rule whose keys are all given holds; else UsageError."""
+    for key, value in config.items():
+        default, kind, bound = CONFIG_SCHEMA[key]
         if value is None and default is None:
             continue
         allowed = (int, float) if kind is float else kind
@@ -103,6 +110,11 @@ def _check_types(config: Mapping[str, Any]) -> None:
         if bound is not None and not (value >= bound if kind is int else value > bound):
             raise UsageError(f"config key {key!r} must be "
                              f"{'>=' if kind is int else '>'} {bound}, got {value!r}")
+    for keys, holds, rule in _CONFIG_RULES:
+        if all(key in config for key in keys) and not holds(*(config[k] for k in keys)):
+            raise UsageError(f"config must satisfy {rule}, got "
+                             + ", ".join(f"{k}={config[k]!r}" for k in keys))
+    return config
 
 
 def load_config(path: Path, overrides: Optional[Mapping[str, str]] = None
@@ -128,7 +140,7 @@ def load_config(path: Path, overrides: Optional[Mapping[str, str]] = None
         except json.JSONDecodeError:
             config[key] = text
 
-    _check_types(config)
+    check_config(config)
     if not config["posts"] or not config["comments"]:
         raise UsageError("config must name 'posts' and 'comments' dump files")
 
@@ -255,22 +267,22 @@ class Stage:
 
 def fit_topics(corpus, params: Mapping[str, Any], seed: int, workers: int = 1,
                progress=None) -> tuple[Any, list[tuple[int, int, int]]]:
-    """One model at ``lda.k``, or the W_k-minimal one over [k_min, k_max].
+    """The W_k-minimal model over [k_min, k_max]; a fixed ``lda.k`` is the
+    scan [k, k].
 
     Returns the model and the scan rows (k, W_k, selected)."""
-    fixed_k = params["lda.k"]
+    k = params["lda.k"]
+    k_min = k if k is not None else params["lda.k_min"]
+    k_max = k if k is not None else params["lda.k_max"]
     base = LdaConfig(
-        k=fixed_k if fixed_k is not None else max(params["lda.k_min"], 2),
+        k=k_min,
         alpha=params["lda.alpha"],
         beta=params["lda.beta"],
         iterations=params["lda.iterations"],
         burn_in=params["lda.burn_in"],
         seed=seed,
     )
-    if fixed_k is not None:
-        model = fit(corpus, base)
-        return model, [(base.k, count_nonpositive(model).w_k, 1)]
-    result = select_k(corpus, params["lda.k_min"], params["lda.k_max"], base,
+    result = select_k(corpus, k_min, k_max, base,
                       patience=params["lda.patience"], workers=workers,
                       progress=progress)
     return result.model, [(r.k, r.w_k, 1 if r.k == result.k else 0)
@@ -297,8 +309,7 @@ def user_metrics(ctx: StageContext):
     model = load_model(model_file) if model_file is not None else None
     graph = build_graph(dataset)
     assignment = dominant_topics(model) if model is not None else None
-    return graph, contribution_and_influence(
-        compute_user_metrics(dataset, graph, assignment))
+    return graph, compute_user_metrics(dataset, graph, assignment)
 
 
 def write_user_metrics(ctx: StageContext, metrics) -> None:

@@ -11,8 +11,10 @@ coarsest model that leaves the fewest documents topicless.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -94,25 +96,18 @@ def select_k(corpus: Corpus, k_min: int, k_max: int, base: LdaConfig,
     if patience is not None and patience < 1:
         raise ValueError("patience must be >= 1 when set")
 
-    ks = list(range(k_min, k_max + 1))
+    ks = range(k_min, k_max + 1)
+    pooled = workers > 1 and patience is None and len(ks) > 1
     reports: list[SkewnessReport] = []
     best: tuple[int, TopicModel] | None = None
     best_w = None
-
-    if workers > 1 and patience is None and len(ks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(ks))) as pool:
-            fitted = list(pool.map(_fit_and_report, [corpus] * len(ks),
-                                   [base] * len(ks), ks))
+    stale = 0
+    with (ProcessPoolExecutor(max_workers=min(workers, len(ks))) if pooled
+          else nullcontext()) as pool:
+        # The built-in map is lazy, so an early stop fits no further k.
+        fitted = (pool.map if pooled else map)(
+            partial(_fit_and_report, corpus, base), ks)
         for k, (model, report) in zip(ks, fitted):
-            reports.append(report)
-            if progress is not None:
-                progress(k, report.w_k)
-            if best_w is None or report.w_k < best_w:
-                best_w, best = report.w_k, (k, model)
-    else:
-        stale = 0
-        for k in ks:
-            model, report = _fit_and_report(corpus, base, k)
             reports.append(report)
             if progress is not None:
                 progress(k, report.w_k)

@@ -19,8 +19,7 @@ import pytest
 from forumpulse.corpus import build_corpus
 from forumpulse.fileio import read_json, sha256_file
 from forumpulse.ingest import parse_dump
-from forumpulse.interaction import (build_graph, compute_user_metrics,
-                                    contribution_and_influence)
+from forumpulse.interaction import build_graph, compute_user_metrics
 from forumpulse.lda import LdaConfig, fit
 from forumpulse.lexicon import pca
 from forumpulse.pipeline import run_pipeline, stage_seed
@@ -212,8 +211,7 @@ def test_criterion_5_metric_oracle_equivalence():
         topic_presence=(0.0,) * 3,
     )
     graph = build_graph(dataset)
-    metrics = contribution_and_influence(
-        compute_user_metrics(dataset, graph, assignment))
+    metrics = compute_user_metrics(dataset, graph, assignment)
 
     checks = []
     own = defaultdict(list)
@@ -253,8 +251,7 @@ def test_criterion_5_metric_oracle_equivalence():
                          [comment_record("c1", "t3_p1", "p1", author="me")])
     a1 = DominantTopicAssignment(doc_ids=("p1",), thresholds=((0.0, 0.0),),
                                  dominant=(frozenset({0}),), topic_presence=(0.0,))
-    m1 = contribution_and_influence(
-        compute_user_metrics(spot1, build_graph(spot1), a1))
+    m1 = compute_user_metrics(spot1, build_graph(spot1), a1)
     me1 = {m.user: m for m in m1}["me"]
     checks.append((me1.tau == 1.0, "single-topic commenter must have tau = 1"))
 
@@ -265,8 +262,8 @@ def test_criterion_5_metric_oracle_equivalence():
     a2 = DominantTopicAssignment(
         doc_ids=("p1", "p2"), thresholds=((0.0, 0.0), (0.0, 0.0)),
         dominant=(frozenset({0}), frozenset({1})), topic_presence=(0.0, 0.0))
-    me2 = {m.user: m for m in contribution_and_influence(
-        compute_user_metrics(spot2, build_graph(spot2), a2))}["me"]
+    me2 = {m.user: m for m in
+           compute_user_metrics(spot2, build_graph(spot2), a2)}["me"]
     checks.append((me2.tau == 8.0, "even two-way split must have tau = 8"))
     checks.append((me2.reach == 1.0, "all-unique targets must have R = 1"))
 

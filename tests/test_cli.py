@@ -197,11 +197,32 @@ def test_truncated_manifest_reruns_every_stage(dump, config, capsys):
 @pytest.mark.parametrize("override", [
     'lda.iterations="abc"', "lda.iterations=abc", "corpus.min_df=0",
     "lda.beta=0", "lda.alpha=-1", "lda.k=1.5", "seed=true", "posts=3",
-    "out_dir=null",
+    "out_dir=null", "lda.burn_in=50", "lda.k_min=11", "corpus.max_df_fraction=1.5",
 ])
 def test_bad_config_value_exits_one_before_ingest(dump, config, override):
     assert run_cli("run", "--config", config, "--set", override) == 1
     assert not (dump / "artifacts" / "dataset.json").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("corpus build --dataset {a}/dataset.json --min-df 0", "corpus.min_df"),
+    ("topics fit --corpus {a}/corpus --k 1", "lda.k"),
+    ("topics fit --corpus {a}/corpus --k 3 --iters 10 --burn-in 20", "lda.burn_in"),
+    ("topics select-k --corpus {a}/corpus --kmin 1 --kmax 3 --scan-csv {out}.csv",
+     "lda.k_min"),
+    ("users top --dataset {a}/dataset.json --model {a}/model.json --k 0",
+     "graph.top_k"),
+    ("lexicon profile --corpus {a}/corpus --model {a}/model.json --components 0",
+     "lexicon.components"),
+])
+def test_bad_subcommand_flag_exits_one(tmp_path, capsys, command, key):
+    """The flag is rejected before any input is read: the inputs are missing,
+    which would exit 2."""
+    out = tmp_path / "out"
+    argv = command.format(a=tmp_path / "missing", out=out).split() + ["--out", out]
+    assert run_cli(*argv) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists() and not tmp_path.joinpath("out.csv").exists()
 
 
 def test_run_stage_failure_exit_codes(dump):

@@ -5,8 +5,8 @@ from collections import defaultdict
 
 import pytest
 
-from forumpulse.interaction import (build_graph, compute_user_metrics,
-                                    contribution_and_influence, dot_text,
+from forumpulse.errors import DataError
+from forumpulse.interaction import (build_graph, compute_user_metrics, dot_text,
                                     graphml_text, reach, spread_influence_rows,
                                     top_influencers_subgraph, topic_spread,
                                     user_classes)
@@ -120,7 +120,7 @@ def test_topic_spread_single_topic_is_one():
     assignment = _assignment({"p1": {0}, "p2": {0}}, k=2)
     d = make_dataset([post_record("p1"), post_record("p2")],
                      _comments_on(["p1", "p2", "p1"]))
-    tau, fractions = topic_spread(d.comments, assignment)
+    tau, fractions = topic_spread(d.comments, assignment.by_doc())
     assert tau == 1.0
     assert fractions == {0: 1.0}
 
@@ -129,7 +129,7 @@ def test_topic_spread_even_two_way_split_is_eight():
     assignment = _assignment({"p1": {0}, "p2": {1}}, k=2)
     d = make_dataset([post_record("p1"), post_record("p2")],
                      _comments_on(["p1", "p2", "p1", "p2"]))
-    tau, fractions = topic_spread(d.comments, assignment)
+    tau, fractions = topic_spread(d.comments, assignment.by_doc())
     assert tau == 8.0
     assert fractions == {0: 0.5, 1: 0.5}
 
@@ -138,7 +138,7 @@ def test_topic_spread_three_way_split_is_twenty_seven():
     assignment = _assignment({"p1": {0}, "p2": {1}, "p3": {2}}, k=3)
     d = make_dataset([post_record(p) for p in ("p1", "p2", "p3")],
                      _comments_on(["p1", "p2", "p3"]))
-    tau, _ = topic_spread(d.comments, assignment)
+    tau, _ = topic_spread(d.comments, assignment.by_doc())
     assert tau == pytest.approx(27.0, rel=1e-12)
 
 
@@ -146,7 +146,7 @@ def test_topic_spread_multi_dominant_fractional_credit():
     # One comment on a post with two dominant topics: each gets credit 1/2.
     assignment = _assignment({"p1": {0, 1}}, k=2)
     d = make_dataset([post_record("p1")], _comments_on(["p1"]))
-    tau, fractions = topic_spread(d.comments, assignment)
+    tau, fractions = topic_spread(d.comments, assignment.by_doc())
     assert fractions == {0: 0.5, 1: 0.5}
     assert sum(fractions.values()) == 1.0
     assert tau == 8.0
@@ -155,7 +155,7 @@ def test_topic_spread_multi_dominant_fractional_credit():
 def test_topic_spread_undefined_when_no_dominant_roots():
     assignment = _assignment({"p1": set()}, k=2)
     d = make_dataset([post_record("p1")], _comments_on(["p1"]))
-    assert topic_spread(d.comments, assignment) is None
+    assert topic_spread(d.comments, assignment.by_doc()) is None
 
 
 def test_reach_values():
@@ -164,10 +164,10 @@ def test_reach_values():
     assert reach(0, 0) is None
 
 
-def test_contribution_and_influence_fills():
+def test_compute_user_metrics_fills_alpha_and_influence():
     d = hand_fixture()
     graph = build_graph(d)
-    metrics = contribution_and_influence(compute_user_metrics(d, graph))
+    metrics = compute_user_metrics(d, graph)
     by_user = {m.user: m for m in metrics}
     # C: u1=2 (c4 + self-reply c7), u2=2, u3=2, u4=1; max C = 2.
     assert by_user["u1"].comment_count == 2
@@ -178,6 +178,13 @@ def test_contribution_and_influence_fills():
     assert by_user["u3"].influence == 1.0
     assert by_user["u4"].alpha == 0.5
     assert by_user["u4"].influence == 0.5
+
+
+def test_no_scorable_commenters_is_a_data_error():
+    d = make_dataset([post_record("p1")],
+                     [comment_record("c1", "t3_p1", "p1", author="[deleted]")])
+    with pytest.raises(DataError, match="no commenters"):
+        compute_user_metrics(d, build_graph(d))
 
 
 def test_half_max_commenter_influence():
@@ -192,8 +199,7 @@ def test_half_max_commenter_influence():
          comment_record("c4", "t3_p4", "p4", author="small"),
          comment_record("c5", "t1_gone", "p4", author="small")],
     )
-    metrics = contribution_and_influence(
-        compute_user_metrics(d, build_graph(d)))
+    metrics = compute_user_metrics(d, build_graph(d))
     by_user = {m.user: m for m in metrics}
     assert by_user["big"].influence == 1.0
     assert by_user["small"].alpha == 0.5
@@ -207,13 +213,13 @@ def test_all_identical_users_all_influence_one():
         [comment_record("c1", "t3_p2", "p2", author="x1"),
          comment_record("c2", "t3_p1", "p1", author="x2")],
     )
-    metrics = contribution_and_influence(compute_user_metrics(d, build_graph(d)))
+    metrics = compute_user_metrics(d, build_graph(d))
     assert all(m.influence == 1.0 for m in metrics)
 
 
 def test_spread_influence_rows_contract():
     d = hand_fixture()
-    metrics = contribution_and_influence(compute_user_metrics(d, build_graph(d)))
+    metrics = compute_user_metrics(d, build_graph(d))
     rows = spread_influence_rows(metrics)
     assert [r[0] for r in rows] == ["u1", "u2", "u3", "u4"]
     for _, tau, influence, log_c, log_score in rows:
@@ -232,10 +238,10 @@ def _dataset_with_comment_counts(counts: dict[str, int], factor: int = 1):
 
 def test_alpha_ranking_invariant_under_comment_scaling():
     counts = {"ann": 3, "bob": 7, "cat": 1, "dee": 7, "eve": 2}
-    base = contribution_and_influence(compute_user_metrics(
-        d := _dataset_with_comment_counts(counts), build_graph(d)))
-    tripled = contribution_and_influence(compute_user_metrics(
-        d3 := _dataset_with_comment_counts(counts, factor=3), build_graph(d3)))
+    base = compute_user_metrics(
+        d := _dataset_with_comment_counts(counts), build_graph(d))
+    tripled = compute_user_metrics(
+        d3 := _dataset_with_comment_counts(counts, factor=3), build_graph(d3))
     rank = lambda ms: [m.user for m in
                        sorted(ms, key=lambda m: (-m.alpha, m.user))]
     assert rank(base) == rank(tripled)
@@ -251,7 +257,7 @@ def test_top_influencers_star_egonet():
         [comment_record("cx", "t3_p1", "p1", author="s0", created=300)],
     )
     graph = build_graph(d)
-    metrics = contribution_and_influence(compute_user_metrics(d, graph))
+    metrics = compute_user_metrics(d, graph)
     sub = top_influencers_subgraph(graph, metrics, 1)
     assert sub.selected == ("hub",)
     assert set(sub.nodes) == {"hub", "s0", "s1", "s2"}
@@ -261,7 +267,7 @@ def test_top_influencers_star_egonet():
 def test_top_influencers_k_larger_than_population():
     d = hand_fixture()
     graph = build_graph(d)
-    metrics = contribution_and_influence(compute_user_metrics(d, graph))
+    metrics = compute_user_metrics(d, graph)
     sub = top_influencers_subgraph(graph, metrics, 99)
     assert set(sub.selected) == {"u1", "u2", "u3", "u4"}
     assert sub.edges == graph.edges
@@ -270,7 +276,7 @@ def test_top_influencers_k_larger_than_population():
 def test_top_influencers_ranking_ties():
     d = hand_fixture()
     graph = build_graph(d)
-    metrics = contribution_and_influence(compute_user_metrics(d, graph))
+    metrics = compute_user_metrics(d, graph)
     sub = top_influencers_subgraph(graph, metrics, 2)
     # I: u3=1.0; u1=u4=0.5 tie broken by C (u1 has 2 > 1), then id.
     assert sub.selected == ("u3", "u1")
@@ -279,7 +285,7 @@ def test_top_influencers_ranking_ties():
 def test_metric_bounds_and_weight_invariant():
     d = hand_fixture()
     graph = build_graph(d)
-    metrics = contribution_and_influence(compute_user_metrics(d, graph))
+    metrics = compute_user_metrics(d, graph)
     resolved_non_self = sum(
         1 for c in d.comments
         if not c.parent_dangling and d.resolve_parent(c).author != c.author)
@@ -359,8 +365,7 @@ def test_fifty_user_fixture_matches_bruteforce():
     )
 
     graph = build_graph(d)
-    metrics = contribution_and_influence(
-        compute_user_metrics(d, graph, assignment))
+    metrics = compute_user_metrics(d, graph, assignment)
     oracle = brute_force_metrics(d, dominant_by_post)
 
     assert {m.user for m in metrics} == set(oracle)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from forumpulse.errors import StageError, UsageError
+from forumpulse.errors import DataError, StageError, UsageError
 from forumpulse.fileio import read_json, sha256_file, write_json
 from forumpulse.fixture import TOPIC_WORD_POOLS, generate_fixture
 from forumpulse.pipeline import (CONFIG_DEFAULTS, STAGES, load_config,
@@ -154,6 +154,16 @@ def test_prior_artifacts_survive_a_failing_stage(tmp_path):
     assert err.value.stage == "corpus"
     assert (tmp_path / "artifacts" / "dataset.json").exists()
     assert (tmp_path / "artifacts" / "activity_table.csv").exists()
+
+
+def test_dump_without_commenters_is_a_data_error(tmp_path):
+    config = small_config(tmp_path)
+    (tmp_path / "dump" / "comments.jsonl").write_text("", encoding="utf-8")
+    with pytest.raises(StageError) as err:
+        run_pipeline(config, echo=lambda *_: None)
+    assert err.value.stage == "metrics"
+    assert isinstance(err.value.cause, DataError)
+    assert "no commenters" in str(err.value)
 
 
 def test_config_validation(tmp_path):

@@ -180,6 +180,20 @@ def test_select_k_patience_stops_early():
     assert len(patient.reports) == expected_len
 
 
+def test_select_k_pooled_matches_serial():
+    base = LdaConfig(k=2, alpha=0.2, iterations=20, burn_in=5, seed=7)
+    seen = {1: [], 2: []}
+    results = {workers: select_k(three_topic_corpus(), 2, 4, base, workers=workers,
+                                 progress=lambda k, w, n=workers: seen[n].append((k, w)))
+               for workers in (1, 2)}
+    serial, pooled = results[1], results[2]
+    assert pooled.k == serial.k
+    assert pooled.reports == serial.reports
+    assert seen[2] == seen[1] == [(r.k, r.w_k) for r in serial.reports]
+    assert pooled.model.theta.tobytes() == serial.model.theta.tobytes()
+    assert pooled.model.phi.tobytes() == serial.model.phi.tobytes()
+
+
 def test_select_k_validation():
     base = LdaConfig(k=2, iterations=5, burn_in=0)
     with pytest.raises(ValueError):
