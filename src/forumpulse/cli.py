@@ -187,12 +187,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> int:
+    params = check_config({"from": args.from_epoch, "to": args.to_epoch})
     for path in (args.posts, args.comments):
         if not path.exists():
             raise DataError(f"missing dump file: {path}")
     dataset = ingest_stage(StageContext(
-        {"posts": args.posts, "comments": args.comments, "dataset.json": args.out},
-        {"from": args.from_epoch, "to": args.to_epoch}))
+        {"posts": args.posts, "comments": args.comments, "dataset.json": args.out}, params))
     print(f"dataset: {len(dataset.posts)} posts, {len(dataset.comments)} comments, "
           f"{len(dataset.authors)} authors "
           f"(parse errors {dataset.parse_errors}, duplicates {dataset.duplicate_ids}, "

@@ -18,18 +18,20 @@ random numbers.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 
 from . import __version__
-from .corpus import build_corpus, load_corpus, save_corpus
+from .corpus import (DEFAULT_MAX_DF_FRACTION, DEFAULT_MIN_DF, DEFAULT_PHRASE_MIN_COUNT,
+                     build_corpus, load_corpus, save_corpus)
 from .errors import DataError, StageError, UsageError
 from .fileio import read_json, sha256_file, write_csv, write_json, write_text
 from .ingest import (author_activity_table, load_dataset, parse_dump,
@@ -37,10 +39,10 @@ from .ingest import (author_activity_table, load_dataset, parse_dump,
 from .interaction import (build_graph, compute_user_metrics, dot_text,
                           graphml_text, spread_influence_rows,
                           top_influencers_subgraph, user_classes)
-from .lda import LdaConfig, load_model, save_model, top_words
+from .lda import (DEFAULT_BETA, DEFAULT_BURN_IN, DEFAULT_ITERATIONS, LdaConfig,
+                  load_model, save_model, top_words)
 from .lexicon import categorize, demo_lexicon, load_lexicon, pca, topicwise_profile
-from .topics import (cooccurrence, count_nonpositive, dominant_topics,
-                     monthly_distribution, select_k)
+from .topics import cooccurrence, dominant_topics, monthly_distribution, select_k
 
 _MANIFEST_FORMAT = "forumpulse-manifest-v1"
 
@@ -55,16 +57,16 @@ CONFIG_SCHEMA: dict[str, tuple[Any, type, Optional[int]]] = {
     "out_dir": ("artifacts", str, None),
     "seed": (0, int, None),
     "threads": (None, int, 1),
-    "corpus.min_df": (5, int, 1),
-    "corpus.max_df_fraction": (0.5, float, 0),
-    "corpus.phrase_min_count": (20, int, 1),
+    "corpus.min_df": (DEFAULT_MIN_DF, int, 1),
+    "corpus.max_df_fraction": (DEFAULT_MAX_DF_FRACTION, float, 0),
+    "corpus.phrase_min_count": (DEFAULT_PHRASE_MIN_COUNT, int, 1),
     "lda.k": (None, int, 2),
     "lda.k_min": (2, int, 2),
     "lda.k_max": (10, int, 2),
     "lda.alpha": (None, float, 0),
-    "lda.beta": (0.01, float, 0),
-    "lda.iterations": (1000, int, 1),
-    "lda.burn_in": (500, int, 0),
+    "lda.beta": (DEFAULT_BETA, float, 0),
+    "lda.iterations": (DEFAULT_ITERATIONS, int, 1),
+    "lda.burn_in": (DEFAULT_BURN_IN, int, 0),
     "lda.patience": (None, int, 1),
     "lexicon.path": (None, str, None),
     "lexicon.components": (15, int, 1),
@@ -74,6 +76,7 @@ CONFIG_DEFAULTS: dict[str, Any] = {
     key: default for key, (default, _, _) in CONFIG_SCHEMA.items()}
 # Rules between keys, and maxima: the keys, a test of their values, the rule.
 _CONFIG_RULES = (
+    (("from", "to"), lambda lo, hi: lo <= hi, "from <= to"),
     (("lda.burn_in", "lda.iterations"), lambda b, n: b < n, "burn_in < iterations"),
     (("lda.k_min", "lda.k_max"), lambda lo, hi: lo <= hi, "k_min <= k_max"),
     (("corpus.max_df_fraction",), lambda f: f <= 1, "max_df_fraction <= 1"),
@@ -99,7 +102,8 @@ def stage_seed(seed: int, stage: str) -> int:
 
 def check_config(config: Mapping[str, Any]) -> Mapping[str, Any]:
     """``config`` itself, if each given key's value has its schema type and
-    bound and every rule whose keys are all given holds; else UsageError."""
+    bound and every rule whose keys are all given and not null holds; else
+    UsageError."""
     for key, value in config.items():
         default, kind, bound = CONFIG_SCHEMA[key]
         if value is None and default is None:
@@ -111,7 +115,8 @@ def check_config(config: Mapping[str, Any]) -> Mapping[str, Any]:
             raise UsageError(f"config key {key!r} must be "
                              f"{'>=' if kind is int else '>'} {bound}, got {value!r}")
     for keys, holds, rule in _CONFIG_RULES:
-        if all(key in config for key in keys) and not holds(*(config[k] for k in keys)):
+        values = [config.get(key) for key in keys]
+        if None not in values and not holds(*values):
             raise UsageError(f"config must satisfy {rule}, got "
                              + ", ".join(f"{k}={config[k]!r}" for k in keys))
     return config
@@ -170,90 +175,45 @@ class RunResult:
         return all(s == "skipped" for s in self.stage_status.values())
 
 
-class _Runner:
-    def __init__(self, out_dir: Path, config: Mapping[str, Any], echo):
-        self.out_dir = out_dir
-        self.echo = echo
-        self.manifest_path = out_dir / "manifest.json"
-        self.manifest = {"format": _MANIFEST_FORMAT, "stages": {}}
-        if self.manifest_path.exists():
-            try:
-                prior = read_json(self.manifest_path)
-            except ValueError as exc:      # truncated or not UTF-8 JSON
-                echo(f"warning: unreadable {self.manifest_path} ({exc}); "
-                     f"every stage reruns")
-            else:
-                if not isinstance(prior, dict) or prior.get("format") != _MANIFEST_FORMAT:
-                    raise DataError(f"{self.manifest_path}: unrecognized manifest format")
-                self.manifest = prior
-        self.manifest["tool_version"] = __version__
-        self.manifest["seed"] = config["seed"]
-        self.manifest["config"] = dict(config)
-        self.manifest["config_sha256"] = _params_digest(config)
-        self.status: dict[str, str] = {}
-
-    def _rel(self, path: Path) -> str:
-        path = Path(path)
+def _read_manifest(path: Path, echo) -> dict[str, Any]:
+    """The manifest at ``path``; an empty one if there is none, or if it
+    cannot be read, which is reported through ``echo``."""
+    if path.exists():
         try:
-            return str(path.relative_to(self.out_dir))
-        except ValueError:
-            return str(path)
-
-    def run(self, name: str, params: Mapping[str, Any],
-            inputs: Sequence[Path], outputs: Sequence[Path],
-            action: Callable[[], None]) -> None:
-        for p in inputs:
-            if not Path(p).exists():
-                raise StageError(name, DataError(f"missing input file: {p}"))
-        digest = _params_digest(params)
-        input_digests = {self._rel(p): sha256_file(p) for p in inputs}
-
-        prior = self.manifest["stages"].get(name)
-        if (prior and prior.get("params_sha256") == digest
-                and prior.get("inputs") == input_digests
-                and all(Path(self.out_dir / rel).exists()
-                        and sha256_file(self.out_dir / rel) == want
-                        for rel, want in prior.get("outputs", {}).items())
-                and set(prior.get("outputs", {})) == {self._rel(p) for p in outputs}):
-            self.status[name] = "skipped"
-            self.echo(f"[{name}] up to date, skipped")
-            return
-
-        started = _utcnow()
-        try:
-            action()
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, exc) from exc
-
-        record = {
-            "params": dict(params),
-            "params_sha256": digest,
-            "inputs": input_digests,
-            "outputs": {self._rel(p): sha256_file(p) for p in outputs},
-            "started_at": started,
-            "finished_at": _utcnow(),
-        }
-        self.manifest["stages"][name] = record
-        write_json(self.manifest_path, self.manifest)
-        self.status[name] = "ran"
-        self.echo(f"[{name}] done: {', '.join(sorted(record['outputs']))}")
+            prior = read_json(path)
+        except ValueError as exc:      # truncated or not UTF-8 JSON
+            echo(f"warning: unreadable {path} ({exc}); every stage reruns")
+        else:
+            if not isinstance(prior, dict) or prior.get("format") != _MANIFEST_FORMAT:
+                raise DataError(f"{path}: unrecognized manifest format")
+            return prior
+    return {"format": _MANIFEST_FORMAT, "stages": {}}
 
 
 @dataclass
 class StageContext:
     """What a stage function reads: its files by name, and its params by
-    config key. A name missing from ``paths`` is a file under ``out_dir``."""
+    config key. A name missing from ``paths`` is a file under ``out_dir``.
+    ``parsed`` holds the files already parsed, by name."""
 
     paths: Mapping[str, Optional[Path]]
     params: Mapping[str, Any] = field(default_factory=dict)
     out_dir: Optional[Path] = None
     workers: int = 1
     echo: Callable[[str], None] = print
+    parsed: dict[str, Any] = field(default_factory=dict)
 
     def path(self, name: str) -> Optional[Path]:
         return self.paths[name] if name in self.paths else self.out_dir / name
+
+    def load(self, name: str) -> Any:
+        """The parsed ``dataset.json``, ``corpus`` or ``model.json``, read
+        from ``path(name)`` at most once."""
+        if name not in self.parsed:
+            parse = {"dataset.json": load_dataset, "corpus": load_corpus,
+                     "model.json": load_model}[name]
+            self.parsed[name] = parse(self.path(name))
+        return self.parsed[name]
 
 
 @dataclass(frozen=True)
@@ -304,9 +264,8 @@ def write_graph(path: Path, fmt: str, nodes, edges) -> None:
 def user_metrics(ctx: StageContext):
     """The reply graph and every commenter's metrics; tau is blank when the
     ``model.json`` path is None."""
-    dataset = load_dataset(ctx.path("dataset.json"))
-    model_file = ctx.path("model.json")
-    model = load_model(model_file) if model_file is not None else None
+    dataset = ctx.load("dataset.json")
+    model = ctx.load("model.json") if ctx.path("model.json") is not None else None
     graph = build_graph(dataset)
     assignment = dominant_topics(model) if model is not None else None
     return graph, compute_user_metrics(dataset, graph, assignment)
@@ -344,7 +303,7 @@ def ingest_stage(ctx: StageContext):
 
 
 def stats_stage(ctx: StageContext) -> dict[str, Any]:
-    dataset = load_dataset(ctx.path("dataset.json"))
+    dataset = ctx.load("dataset.json")
     write_csv(ctx.path("activity_table.csv"),
               ("category", "authors", "authors_pct", "posts", "posts_pct",
                "comments", "comments_pct"),
@@ -375,7 +334,7 @@ def stats_stage(ctx: StageContext) -> dict[str, Any]:
 
 def corpus_stage(ctx: StageContext):
     p = ctx.params
-    corpus = build_corpus(load_dataset(ctx.path("dataset.json")),
+    corpus = build_corpus(ctx.load("dataset.json"),
                           min_df=p["corpus.min_df"],
                           max_df_fraction=p["corpus.max_df_fraction"],
                           phrase_min_count=p["corpus.phrase_min_count"])
@@ -385,7 +344,7 @@ def corpus_stage(ctx: StageContext):
 
 def topics_stage(ctx: StageContext) -> None:
     model, scan = fit_topics(
-        load_corpus(ctx.path("corpus")), ctx.params,
+        ctx.load("corpus"), ctx.params,
         stage_seed(ctx.params["seed"], "lda"), ctx.workers,
         progress=lambda k, w: ctx.echo(f"[topics] k={k} W_k={w}"))
     save_model(model, ctx.path("model.json"))
@@ -393,7 +352,7 @@ def topics_stage(ctx: StageContext) -> None:
 
 
 def dominance_stage(ctx: StageContext):
-    assignment = dominant_topics(load_model(ctx.path("model.json")))
+    assignment = dominant_topics(ctx.load("model.json"))
     write_csv(ctx.path("dominance.csv"), ("post_id", "dominant_topics"),
               ((doc_id, "|".join(str(t) for t in sorted(topics)))
                for doc_id, topics in zip(assignment.doc_ids, assignment.dominant)))
@@ -405,23 +364,21 @@ def dominance_stage(ctx: StageContext):
 
 
 def cooccur_stage(ctx: StageContext) -> None:
-    matrix = cooccurrence(dominant_topics(load_model(ctx.path("model.json"))))
+    matrix = cooccurrence(dominant_topics(ctx.load("model.json")))
     write_csv(ctx.path("cooccurrence.csv"), ("topic_i", "topic_j", "count"),
               ((i, j, int(matrix.counts[i, j]))
                for i in range(matrix.k) for j in range(i, matrix.k)))
 
 
 def timeline_stage(ctx: StageContext) -> None:
-    model = load_model(ctx.path("model.json"))
-    dataset = load_dataset(ctx.path("dataset.json"))
-    counts = monthly_distribution(dominant_topics(model), dataset)
+    counts = monthly_distribution(dominant_topics(ctx.load("model.json")),
+                                  ctx.load("dataset.json"))
     write_csv(ctx.path("monthly_topics.csv"), ("topic", "month", "count"),
               ((t, month, n) for (t, month), n in sorted(counts.items())))
 
 
 def lexicon_stage(ctx: StageContext):
-    corpus = load_corpus(ctx.path("corpus"))
-    model = load_model(ctx.path("model.json"))
+    corpus = ctx.load("corpus")
     lexicon_path = ctx.params["lexicon.path"]
     lex = load_lexicon(Path(lexicon_path)) if lexicon_path is not None else demo_lexicon()
     docs = [corpus.document_tokens(i) for i in range(len(corpus))]
@@ -439,7 +396,7 @@ def lexicon_stage(ctx: StageContext):
               ("component", "explained_variance", "negligible"),
               ((i, float(v), 1 if i in result.negligible else 0)
                for i, v in enumerate(result.explained_variance)))
-    profiles = topicwise_profile(result, dominant_topics(model))
+    profiles = topicwise_profile(result, dominant_topics(ctx.load("model.json")))
     write_csv(ctx.path("topic_profiles.csv"),
               ("topic",) + tuple(f"component_{i}" for i in range(n_comp)),
               ((t,) + tuple("" if np.isnan(x) else float(x) for x in row)
@@ -448,7 +405,7 @@ def lexicon_stage(ctx: StageContext):
 
 
 def graph_stage(ctx: StageContext) -> None:
-    graph = build_graph(load_dataset(ctx.path("dataset.json")))
+    graph = build_graph(ctx.load("dataset.json"))
     for name, fmt in (("edges.csv", "csv"), ("graph.graphml", "graphml"),
                       ("graph.dot", "dot")):
         write_graph(ctx.path(name), fmt, graph.nodes, graph.edges)
@@ -469,10 +426,11 @@ def metrics_stage(ctx: StageContext) -> None:
 
 
 def report_stage(ctx: StageContext) -> None:
-    dataset = load_dataset(ctx.path("dataset.json"))
-    model = load_model(ctx.path("model.json"))
+    dataset = ctx.load("dataset.json")
+    model = ctx.load("model.json")
     assignment = dominant_topics(model)
-    report = count_nonpositive(model)
+    with ctx.path("skewness_scan.csv").open("r", encoding="utf-8", newline="") as fh:
+        w_k = next(int(row["w_k"]) for row in csv.DictReader(fh) if row["selected"] == "1")
     classes = read_json(ctx.path("user_classes.json"))
     write_json(ctx.path("report.json"), {
         "dataset": {
@@ -482,7 +440,7 @@ def report_stage(ctx: StageContext) -> None:
         },
         "model": {
             "k": model.k,
-            "w_k": report.w_k,
+            "w_k": w_k,
             "documents": model.n_documents,
             "top_words": {str(t): top_words(model, t, 10) for t in range(model.k)},
         },
@@ -546,17 +504,58 @@ def run_pipeline(config_path: Path,
     target.mkdir(parents=True, exist_ok=True)
     workers = resolve_threads(threads, config["threads"])
 
-    runner = _Runner(target, config, echo)
+    manifest_path = target / "manifest.json"
+    manifest = _read_manifest(manifest_path, echo)
+    manifest.update(tool_version=__version__, seed=config["seed"], config=dict(config),
+                    config_sha256=_params_digest(config))
+
+    def rel(path: Path) -> str:
+        return str(path.relative_to(target) if path.is_relative_to(target) else path)
+
+    status: dict[str, str] = {}
+    parsed: dict[str, Any] = {}
     for stage in STAGES:
         # A config key names an input file; a null one names none.
         paths = {key: Path(config[key]) for key in stage.inputs
                  if key in CONFIG_DEFAULTS and config[key] is not None}
+        # Hand on a file the stage before parsed only if this stage reads it
+        # too, so no parsed file outlives the run of stages that read it.
+        reads = {name.split("/")[0] for name in stage.inputs}
+        parsed = {name: value for name, value in parsed.items() if name in reads}
         ctx = StageContext(paths, {key: config[key] for key in stage.params},
-                           target, workers, echo)
+                           target, workers, echo, parsed)
         inputs = [ctx.path(name) for name in stage.inputs
                   if name in paths or name not in CONFIG_DEFAULTS]
-        runner.run(stage.name, ctx.params, inputs,
-                   [ctx.path(name) for name in stage.outputs],
-                   lambda: stage.run(ctx))
+        for p in inputs:
+            if not p.exists():
+                raise StageError(stage.name, DataError(f"missing input file: {p}"))
+        digest = _params_digest(ctx.params)
+        input_digests = {rel(p): sha256_file(p) for p in inputs}
 
-    return RunResult(out_dir=target, stage_status=runner.status)
+        prior = manifest["stages"].get(stage.name, {})
+        if (prior.get("params_sha256") == digest and prior.get("inputs") == input_digests
+                and prior.get("outputs") == {
+                    name: sha256_file(target / name) if (target / name).exists() else None
+                    for name in stage.outputs}):
+            status[stage.name] = "skipped"
+            echo(f"[{stage.name}] up to date, skipped")
+            continue
+
+        started = _utcnow()
+        try:
+            stage.run(ctx)
+        except Exception as exc:
+            raise StageError(stage.name, exc) from exc
+        manifest["stages"][stage.name] = {
+            "params": dict(ctx.params),
+            "params_sha256": digest,
+            "inputs": input_digests,
+            "outputs": {name: sha256_file(target / name) for name in stage.outputs},
+            "started_at": started,
+            "finished_at": _utcnow(),
+        }
+        write_json(manifest_path, manifest)
+        status[stage.name] = "ran"
+        echo(f"[{stage.name}] done: {', '.join(sorted(stage.outputs))}")
+
+    return RunResult(out_dir=target, stage_status=status)

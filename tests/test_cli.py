@@ -198,13 +198,17 @@ def test_truncated_manifest_reruns_every_stage(dump, config, capsys):
     'lda.iterations="abc"', "lda.iterations=abc", "corpus.min_df=0",
     "lda.beta=0", "lda.alpha=-1", "lda.k=1.5", "seed=true", "posts=3",
     "out_dir=null", "lda.burn_in=50", "lda.k_min=11", "corpus.max_df_fraction=1.5",
+    "from=2000000000 to=1000",
 ])
 def test_bad_config_value_exits_one_before_ingest(dump, config, override):
-    assert run_cli("run", "--config", config, "--set", override) == 1
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    assert run_cli("run", "--config", config, *sets) == 1
     assert not (dump / "artifacts" / "dataset.json").exists()
 
 
 @pytest.mark.parametrize("command, key", [
+    ("ingest --posts {a}/posts.jsonl --comments {a}/comments.jsonl "
+     "--from 2000000000 --to 1000", "from"),
     ("corpus build --dataset {a}/dataset.json --min-df 0", "corpus.min_df"),
     ("topics fit --corpus {a}/corpus --k 1", "lda.k"),
     ("topics fit --corpus {a}/corpus --k 3 --iters 10 --burn-in 20", "lda.burn_in"),

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import forumpulse.pipeline as pipeline
 from forumpulse.errors import DataError, StageError, UsageError
 from forumpulse.fileio import read_json, sha256_file, write_json
 from forumpulse.fixture import TOPIC_WORD_POOLS, generate_fixture
@@ -116,6 +118,10 @@ def test_fixed_k_bypasses_scan_and_stale_stage_reruns(tmp_path):
     assert again.stage_status["ingest"] == "skipped"
 
 
+def ran(result) -> list[str]:
+    return [name for name, status in result.stage_status.items() if status == "ran"]
+
+
 def test_interrupted_outputs_recomputed(tmp_path):
     config = small_config(tmp_path)
     run_pipeline(config, echo=lambda *_: None)
@@ -125,6 +131,42 @@ def test_interrupted_outputs_recomputed(tmp_path):
     result = run_pipeline(config, echo=lambda *_: None)
     assert result.stage_status["cooccur"] == "ran"
     assert sha256_file(target) == before
+
+    # A deleted output reruns only its stage; the stage writes the same
+    # bytes again, so the report's input digests still match.
+    target = tmp_path / "artifacts" / "graph.dot"
+    before = sha256_file(target)
+    target.unlink()
+    result = run_pipeline(config, echo=lambda *_: None)
+    assert ran(result) == ["graph"]
+    assert sha256_file(target) == before
+
+
+def test_edited_input_reruns_every_stage(tmp_path):
+    config = small_config(tmp_path)
+    run_pipeline(config, echo=lambda *_: None)
+    posts = tmp_path / "dump" / "posts.jsonl"
+    posts.write_text("".join(posts.read_text().splitlines(keepends=True)[:-1]),
+                     encoding="utf-8")
+    result = run_pipeline(config, echo=lambda *_: None)
+    assert ran(result) == [stage.name for stage in STAGES]
+
+
+def test_each_intermediate_parsed_once_while_stages_read_it(tmp_path, monkeypatch):
+    parses = Counter()
+    for name in ("load_dataset", "load_model", "load_corpus"):
+        def counted(path, parse=getattr(pipeline, name), name=name):
+            parses[name] += 1
+            return parse(path)
+        monkeypatch.setattr(pipeline, name, counted)
+    config = small_config(tmp_path)
+    run_pipeline(config, echo=lambda *_: None)
+    assert parses == {"load_dataset": 3, "load_model": 2, "load_corpus": 2}
+
+    parses.clear()
+    again = run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
+    assert parses == {"load_dataset": 1, "load_model": 1}
+    assert ran(again) == ["metrics", "report"]
 
 
 def test_two_fresh_runs_byte_identical(tmp_path):
