@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DataError
-from .fileio import read_json, write_csv, write_json
+from .fileio import read_json, reading, write_csv, write_json
 from .ingest import Dataset
 
 DEFAULT_MIN_DF = 5
@@ -245,14 +245,22 @@ def save_corpus(corpus: Corpus, directory: Path) -> None:
 
 
 def load_corpus(directory: Path) -> Corpus:
+    """The corpus saved under ``directory``; DataError when a file is not
+    complete or the files do not agree with ``meta.json``."""
     directory = Path(directory)
-    meta = read_json(directory / "meta.json")
-    if meta.get("format") != _CORPUS_META_FORMAT:
-        raise DataError(f"{directory}: not a {_CORPUS_META_FORMAT} directory")
+    with reading(directory / "meta.json", f"{_CORPUS_META_FORMAT} meta file"):
+        meta = read_json(directory / "meta.json")
+        if meta.get("format") != _CORPUS_META_FORMAT:
+            raise DataError(f"{directory}: not a {_CORPUS_META_FORMAT} directory")
+        total_tokens = int(meta["total_tokens"])
+        n_documents = int(meta["n_documents"])
+        vocabulary_size = int(meta["vocabulary_size"])
+        excluded = tuple(meta["excluded_doc_ids"])
 
     terms: list[str] = []
     freq: list[int] = []
-    with (directory / "vocabulary.tsv").open("r", encoding="utf-8") as fh:
+    path = directory / "vocabulary.tsv"
+    with reading(path, "vocabulary file"), path.open("r", encoding="utf-8") as fh:
         next(fh)
         for line in fh:
             _, term, df = line.rstrip("\n").split("\t")
@@ -260,27 +268,40 @@ def load_corpus(directory: Path) -> Corpus:
             freq.append(int(df))
 
     vectors: dict[int, list[tuple[int, int]]] = {}
-    with (directory / "documents.csv").open("r", encoding="utf-8") as fh:
+    tokens = 0
+    path = directory / "documents.csv"
+    with reading(path, "document triplets file"), path.open("r", encoding="utf-8") as fh:
         next(fh)
         for line in fh:
             doc_idx, term_id, count = (int(x) for x in line.rstrip("\n").split(","))
+            if not (0 <= doc_idx < n_documents and 0 <= term_id < vocabulary_size):
+                raise DataError(f"{path}: index out of range in {line.strip()!r}")
             vectors.setdefault(doc_idx, []).append((term_id, count))
+            tokens += count
 
     doc_ids: list[str] = []
-    with (directory / "docs.csv").open("r", encoding="utf-8") as fh:
+    path = directory / "docs.csv"
+    with reading(path, "document id file"), path.open("r", encoding="utf-8") as fh:
         next(fh)
         for line in fh:
             idx, post_id = line.rstrip("\n").split(",", 1)
             if int(idx) != len(doc_ids):
-                raise DataError(f"{directory / 'docs.csv'}: doc_idx {idx} where "
+                raise DataError(f"{path}: doc_idx {idx} where "
                                 f"{len(doc_ids)} was expected")
             doc_ids.append(post_id)
 
+    for name, what, found, recorded in (
+            ("vocabulary.tsv", "terms", len(terms), vocabulary_size),
+            ("docs.csv", "documents", len(doc_ids), n_documents),
+            ("documents.csv", "tokens", tokens, total_tokens)):
+        if found != recorded:
+            raise DataError(f"{directory / name}: {found} {what} where meta.json "
+                            f"records {recorded}")
     documents = tuple(tuple(vectors.get(i, ())) for i in range(len(doc_ids)))
     return Corpus(
         documents=documents,
         doc_ids=tuple(doc_ids),
         vocabulary=Vocabulary(terms=tuple(terms), document_frequency=tuple(freq)),
-        total_tokens=meta["total_tokens"],
-        excluded_doc_ids=tuple(meta["excluded_doc_ids"]),
+        total_tokens=total_tokens,
+        excluded_doc_ids=excluded,
     )

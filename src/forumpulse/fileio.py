@@ -13,8 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterable, Sequence
+
+from .errors import DataError
 
 
 def fmt_cell(value: Any) -> str:
@@ -50,6 +53,17 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]],
 def write_json(path: Path, payload: Any, indent: int | None = 2) -> None:
     text = json.dumps(payload, sort_keys=True, indent=indent, ensure_ascii=False)
     write_text(path, text + "\n")
+
+
+@contextmanager
+def reading(path: Path, kind: str):
+    """Report a file that fails to parse inside the block (truncated,
+    garbled, or missing a key) as a DataError naming the file and its kind."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError,
+            StopIteration) as exc:
+        raise DataError(f"{path}: corrupt {kind} ({type(exc).__name__}: {exc})") from exc
 
 
 def read_json(path: Path) -> Any:

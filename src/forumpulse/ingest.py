@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .errors import DataError
-from .fileio import read_json, write_json
+from .fileio import read_json, reading, write_json
 
 SENTINEL_AUTHORS = frozenset({"[deleted]", "[removed]"})
 POST_PREFIX = "t3_"
@@ -414,16 +414,19 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    payload = read_json(path)
-    if payload.get("format") != _DATASET_FORMAT:
-        raise DataError(f"{path}: not a {_DATASET_FORMAT} file")
-    return Dataset(
-        posts=tuple(Post(**p) for p in payload["posts"]),
-        comments=tuple(Comment(**c) for c in payload["comments"]),
-        authors=tuple(
-            AuthorRecord(**{**a, "category": AuthorCategory(a["category"])})
-            for a in payload["authors"]),
-        dangling_refs=payload["dangling_refs"],
-        parse_errors=payload["parse_errors"],
-        duplicate_ids=payload["duplicate_ids"],
-    )
+    """The dataset saved at ``path``; DataError when it is not a complete
+    dataset file."""
+    with reading(path, f"{_DATASET_FORMAT} file"):
+        payload = read_json(path)
+        if payload.get("format") != _DATASET_FORMAT:
+            raise DataError(f"{path}: not a {_DATASET_FORMAT} file")
+        return Dataset(
+            posts=tuple(Post(**p) for p in payload["posts"]),
+            comments=tuple(Comment(**c) for c in payload["comments"]),
+            authors=tuple(
+                AuthorRecord(**{**a, "category": AuthorCategory(a["category"])})
+                for a in payload["authors"]),
+            dangling_refs=payload["dangling_refs"],
+            parse_errors=payload["parse_errors"],
+            duplicate_ids=payload["duplicate_ids"],
+        )

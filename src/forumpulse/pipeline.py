@@ -40,7 +40,7 @@ from .interaction import (build_graph, compute_user_metrics, dot_text,
                           graphml_text, spread_influence_rows,
                           top_influencers_subgraph, user_classes)
 from .lda import (DEFAULT_BETA, DEFAULT_BURN_IN, DEFAULT_ITERATIONS, LdaConfig,
-                  load_model, save_model, top_words)
+                  kernel_name, load_model, save_model, top_words)
 from .lexicon import categorize, demo_lexicon, load_lexicon, pca, topicwise_profile
 from .topics import cooccurrence, dominant_topics, monthly_distribution, select_k
 
@@ -194,7 +194,8 @@ def _read_manifest(path: Path, echo) -> dict[str, Any]:
 class StageContext:
     """What a stage function reads: its files by name, and its params by
     config key. A name missing from ``paths`` is a file under ``out_dir``.
-    ``parsed`` holds the files already parsed, by name."""
+    ``parsed`` holds the files already parsed, by name; ``record`` takes
+    extra fields for the stage's manifest record."""
 
     paths: Mapping[str, Optional[Path]]
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -202,6 +203,7 @@ class StageContext:
     workers: int = 1
     echo: Callable[[str], None] = print
     parsed: dict[str, Any] = field(default_factory=dict)
+    record: dict[str, Any] = field(default_factory=dict)
 
     def path(self, name: str) -> Optional[Path]:
         return self.paths[name] if name in self.paths else self.out_dir / name
@@ -349,6 +351,7 @@ def topics_stage(ctx: StageContext) -> None:
         progress=lambda k, w: ctx.echo(f"[topics] k={k} W_k={w}"))
     save_model(model, ctx.path("model.json"))
     write_scan(ctx.path("skewness_scan.csv"), scan)
+    ctx.record["kernel"] = kernel_name()
 
 
 def dominance_stage(ctx: StageContext):
@@ -553,6 +556,7 @@ def run_pipeline(config_path: Path,
             "outputs": {name: sha256_file(target / name) for name in stage.outputs},
             "started_at": started,
             "finished_at": _utcnow(),
+            **ctx.record,
         }
         write_json(manifest_path, manifest)
         status[stage.name] = "ran"

@@ -10,7 +10,7 @@ coarsest model that leaves the fewest documents topicless.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -59,8 +59,22 @@ class SkewnessReport:
 
 
 def count_nonpositive(model: TopicModel) -> SkewnessReport:
-    """W_k: documents whose skewness is <= 0 or undefined."""
-    per_doc = tuple(skewness(row) for row in model.theta)
+    """W_k: documents whose skewness is <= 0 or undefined.
+
+    Computes ``skewness`` of every row of theta at once, with the same
+    operations per row, so each value equals the per-row result."""
+    theta = model.theta
+    if theta.ndim != 2 or theta.shape[1] < 2:
+        raise ValueError("skewness needs a vector of at least 2 entries")
+    if bool(np.any(np.abs(theta.sum(axis=1) - 1.0) > _SUM_TOLERANCE)):
+        raise ValueError("entries must sum to 1")
+    mean = theta.mean(axis=1)
+    sigma = np.sqrt(np.mean((theta - mean[:, None]) ** 2, axis=1))
+    undefined = np.all(theta == theta[:, :1], axis=1) | (sigma == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        skews = 3.0 * (mean - np.median(theta, axis=1)) / sigma
+    per_doc = tuple(None if none else s
+                    for none, s in zip(undefined.tolist(), skews.tolist()))
     w_k = sum(1 for s in per_doc if s is None or s <= 0)
     return SkewnessReport(k=model.k, per_doc_skewness=per_doc, w_k=w_k)
 
@@ -86,7 +100,8 @@ def select_k(corpus: Corpus, k_min: int, k_max: int, base: LdaConfig,
     Every fit reuses the seed policy of ``base`` so only k varies. Ties go
     to the smallest k. With ``patience`` set, the scan stops early after
     that many consecutive k values without improvement; ``workers`` > 1
-    fits the models in parallel (only when patience is off, since early
+    fits the models in that many threads, which run in parallel while they
+    are inside the compiled sweep (only when patience is off, since early
     stopping is inherently sequential).
     """
     if k_min < 2:
@@ -102,7 +117,7 @@ def select_k(corpus: Corpus, k_min: int, k_max: int, base: LdaConfig,
     best: tuple[int, TopicModel] | None = None
     best_w = None
     stale = 0
-    with (ProcessPoolExecutor(max_workers=min(workers, len(ks))) if pooled
+    with (ThreadPoolExecutor(max_workers=min(workers, len(ks))) if pooled
           else nullcontext()) as pool:
         # The built-in map is lazy, so an early stop fits no further k.
         fitted = (pool.map if pooled else map)(

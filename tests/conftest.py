@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from forumpulse.corpus import Corpus, Vocabulary
+from forumpulse.corpus import Corpus, Vocabulary, build_corpus
 from forumpulse.ingest import parse_dump
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "synthetic-200"
 
 
 def corpus_from_counts(docs: list[dict[str, int]], doc_ids=None) -> Corpus:
@@ -68,3 +71,12 @@ def two_posts_three_comments():
         comment_record("c3", "t3_p2", "p2", author="alice", created=260),
     ]
     return make_dataset(posts, comments)
+
+
+@pytest.fixture(scope="session")
+def fixture_corpus():
+    """The shipped fixture's corpus, as its config builds it."""
+    with (FIXTURE_DIR / "posts.jsonl").open() as ps, \
+            (FIXTURE_DIR / "comments.jsonl").open() as cs:
+        dataset = parse_dump(ps, cs)
+    return build_corpus(dataset, min_df=3, max_df_fraction=0.6, phrase_min_count=20)

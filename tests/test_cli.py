@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -227,6 +228,88 @@ def test_bad_subcommand_flag_exits_one(tmp_path, capsys, command, key):
     assert run_cli(*argv) == 1
     assert key in capsys.readouterr().err
     assert not out.exists() and not tmp_path.joinpath("out.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def intermediates(tmp_path_factory):
+    """``dataset.json``, ``model.json`` and ``corpus/`` of one small run."""
+    base = tmp_path_factory.mktemp("run")
+    generate_fixture(seed=11, n_posts=30, n_users=8, k_true=3, out_dir=base / "dump")
+    write_json(base / "config.json", RUN_CONFIG)
+    assert run_cli("run", "--config", base / "config.json") == 0
+    return base / "artifacts"
+
+
+# Each subcommand that reads an intermediate, with paths relative to a
+# directory holding the intermediates.
+READERS = {
+    "stats": "stats --dataset dataset.json --out out",
+    "corpus build": "corpus build --dataset dataset.json --out out",
+    "topics fit": "topics fit --corpus corpus --k 3 --iters 5 --burn-in 1 "
+                  "--out out/model.json",
+    "topics select-k": "topics select-k --corpus corpus --kmax 3 --iters 5 "
+                       "--burn-in 1 --out out/model.json --scan-csv out/scan.csv",
+    "topics dominance": "topics dominance --model model.json --out out",
+    "topics cooccur": "topics cooccur --model model.json --out out/c.csv",
+    "topics timeline": "topics timeline --model model.json --dataset dataset.json "
+                       "--out out/t.csv",
+    "lexicon profile": "lexicon profile --corpus corpus --model model.json --out out",
+    "users metrics": "users metrics --dataset dataset.json --model model.json --out out",
+    "users top": "users top --dataset dataset.json --model model.json --out out",
+    "graph build": "graph build --dataset dataset.json --out out/e.csv",
+    "graph export": "graph export --dataset dataset.json --format dot --out out/g.dot",
+}
+READS = {"dataset.json": "--dataset dataset.json", "model.json": "--model model.json",
+         "corpus": "--corpus corpus"}
+FORMATS = {"dataset.json": "forumpulse-dataset-v1", "model.json": "forumpulse-model-v1",
+           "corpus/meta.json": "forumpulse-corpus-v1"}
+
+
+def _json_with(data: bytes, name: str, fill) -> bytes:
+    payload = json.loads(data)
+    payload = {key: value if key == "format" else fill(key, value)
+               for key, value in payload.items()}
+    return json.dumps(payload).encode()
+
+
+CORRUPTIONS = {
+    "half": lambda data, name: data[:len(data) // 2],
+    "empty": lambda data, name: b"",
+    "binary": lambda data, name: b"\xff\xfe\x00" + data[3:],
+    "types": lambda data, name: (
+        _json_with(data, name, lambda key, value: "x") if name in FORMATS
+        else bytes(ord("x") if chr(b).isdigit() else b for b in data)),
+    "keys": lambda data, name: json.dumps({"format": FORMATS[name]}).encode(),
+    "short-theta": lambda data, name: _json_with(
+        data, name, lambda key, value: value[:-1] if key == "theta" else value),
+}
+CASES = [
+    (name, corruption, command)
+    for name in ("dataset.json", "model.json", "corpus/meta.json",
+                 "corpus/vocabulary.tsv", "corpus/documents.csv", "corpus/docs.csv")
+    for corruption in CORRUPTIONS
+    if (corruption != "keys" or name in FORMATS)
+    and (corruption != "short-theta" or name == "model.json")
+    for command in READERS
+    if READS[name.split("/")[0]] in READERS[command]
+]
+
+
+@pytest.mark.parametrize("name, corruption, command", CASES)
+def test_corrupt_intermediate_is_a_data_error(intermediates, tmp_path, monkeypatch,
+                                              capsys, name, corruption, command):
+    """A truncated, garbled or incomplete intermediate exits 2 and is named."""
+    for part in ("dataset.json", "model.json", "corpus"):
+        src = intermediates / part
+        if src.is_dir():
+            shutil.copytree(src, tmp_path / part)
+        else:
+            shutil.copy(src, tmp_path / part)
+    target = tmp_path / name
+    target.write_bytes(CORRUPTIONS[corruption](target.read_bytes(), name))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*READERS[command].split()) == 2
+    assert name.split("/")[-1] in capsys.readouterr().err
 
 
 def test_run_stage_failure_exit_codes(dump):

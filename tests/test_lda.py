@@ -1,14 +1,24 @@
 from __future__ import annotations
 
 import math
+import shutil
+import subprocess
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from forumpulse import lda
 from forumpulse.corpus import Corpus
 from forumpulse.errors import DataError
 from forumpulse.lda import (LdaConfig, TopicModel, fit, load_model,
                             log_likelihood, save_model, top_words)
+from forumpulse.pipeline import stage_seed
 
 from conftest import corpus_from_counts
 
@@ -196,3 +206,144 @@ def test_model_roundtrip_bit_identical(tmp_path):
     assert loaded.config == model.config
     assert loaded.terms == model.terms
     assert loaded.vocabulary_sha256 == model.vocabulary_sha256
+
+
+# --- the compiled kernel against the Python sampler -------------------------
+
+@pytest.fixture(scope="module")
+def kernel():
+    if lda._kernel() is None:
+        pytest.skip("the compiled kernel cannot be built or loaded here")
+
+
+def python_fit(corpus, config):
+    with mock.patch.object(lda, "_kernel", lambda: None):
+        return fit(corpus, config)
+
+
+def assert_bit_equal(a: TopicModel, b: TopicModel) -> None:
+    assert a.theta.tobytes() == b.theta.tobytes()
+    assert a.phi.tobytes() == b.phi.tobytes()
+    assert a.assignments == b.assignments
+    assert (np.asarray(a.log_likelihood_trace).tobytes()
+            == np.asarray(b.log_likelihood_trace).tobytes())
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+def test_kernel_bit_equal_on_fixture(kernel, fixture_corpus, k):
+    config = LdaConfig(k=k, iterations=30, burn_in=10,
+                       seed=stage_seed(20240704, "lda"))
+    assert_bit_equal(fit(fixture_corpus, config), python_fit(fixture_corpus, config))
+
+
+_TERMS = st.sampled_from(["aa", "bb", "cc", "dd", "ee"])
+_DOCUMENTS = st.one_of(
+    st.dictionaries(_TERMS, st.integers(1, 6), max_size=5),
+    _TERMS.map(lambda term: {term: 1}),                              # one token
+    st.tuples(_TERMS, st.integers(2, 9)).map(lambda p: {p[0]: p[1]}),  # one word
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(docs=st.lists(_DOCUMENTS, min_size=1, max_size=8).filter(any), k=st.integers(2, 9),
+       seed=st.integers(0, 2**64 - 1))
+def test_kernel_bit_equal_on_generated_corpora(kernel, docs, k, seed):
+    """Includes k above the vocabulary size, one-token documents, documents
+    of one repeated word and documents with no tokens."""
+    corpus = corpus_from_counts(docs)
+    config = LdaConfig(k=k, iterations=12, burn_in=3, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # vocabulary smaller than k
+        assert_bit_equal(fit(corpus, config), python_fit(corpus, config))
+
+
+def test_kernel_bit_equal_with_short_seeds(kernel, fixture_corpus, monkeypatch):
+    """Seeds below 2**32, 0 included, seed the generator from one word."""
+    first = fixture_corpus.doc_ids[0]
+    long_seed = lda._doc_seed
+    monkeypatch.setattr(lda, "_doc_seed", lambda seed, doc_id: (
+        0 if doc_id == first else long_seed(seed, doc_id) >> 32))
+    config = LdaConfig(k=4, iterations=20, burn_in=5, seed=1)
+    assert_bit_equal(fit(fixture_corpus, config), python_fit(fixture_corpus, config))
+
+
+@pytest.fixture
+def fresh_kernel(tmp_path, monkeypatch):
+    """The kernel loader with nothing loaded, building into ``tmp_path``."""
+    monkeypatch.setattr(lda, "_KERNEL_CACHE", tmp_path)
+    lda._kernel.cache_clear()
+    yield tmp_path
+    lda._kernel.cache_clear()
+
+
+def test_missing_compiler_falls_back_to_python(fresh_kernel, monkeypatch):
+    corpus = disjoint_corpus(5)
+    config = LdaConfig(k=3, iterations=15, burn_in=5, seed=4)
+    expected = python_fit(corpus, config)
+    monkeypatch.setattr(lda, "_CC", str(fresh_kernel / "no-such-cc"))
+    assert lda.kernel_name() == "python"
+    assert_bit_equal(fit(corpus, config), expected)
+    assert not lda._kernel_path().exists()
+
+
+def test_truncated_library_is_rebuilt(fresh_kernel):
+    if shutil.which(lda._CC) is None:
+        pytest.skip("no C compiler")
+    path = lda._kernel_path()
+    assert lda._build_kernel(path)
+    whole = path.stat().st_size
+    path.write_bytes(path.read_bytes()[: whole // 2])
+    corpus = disjoint_corpus(5)
+    config = LdaConfig(k=3, iterations=15, burn_in=5, seed=4)
+    expected = python_fit(corpus, config)
+    assert lda.kernel_name() == "c"
+    assert_bit_equal(fit(corpus, config), expected)
+    assert path.stat().st_size == whole
+
+
+def test_concurrent_first_use_builds_once(fresh_kernel, monkeypatch):
+    """Threads fitting at once on an empty cache share one build, and each
+    gets the model of the Python sampler."""
+    if shutil.which(lda._CC) is None:
+        pytest.skip("no C compiler")
+    corpus = disjoint_corpus(5)
+    config = LdaConfig(k=3, iterations=15, burn_in=5, seed=4)
+    expected = python_fit(corpus, config)
+    builds = []
+    run = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *a, **kw: builds.append(a) or run(*a, **kw))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(fit, corpus, config) for _ in range(6)]
+            models = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for model in models:
+        assert_bit_equal(model, expected)
+    assert len(builds) == 1
+    assert lda.kernel_name() == "c"
+
+
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    if shutil.which(lda._CC) is None:
+        pytest.skip("no C compiler")
+    result = subprocess.run(
+        [lda._CC, *lda._CFLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "gibbs.so"), str(lda._KERNEL_SOURCE)],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_corpus_without_tokens_rejected():
+    with pytest.raises(DataError):
+        fit(corpus_from_counts([{}, {}]), LdaConfig(k=2, iterations=2, burn_in=0))
+
+
+def test_term_id_outside_vocabulary_rejected():
+    corpus = disjoint_corpus(2)
+    broken = Corpus(documents=(((0, 1), (99, 1)),), doc_ids=("d000",),
+                    vocabulary=corpus.vocabulary, total_tokens=2, excluded_doc_ids=())
+    with pytest.raises(DataError):
+        fit(broken, LdaConfig(k=2, iterations=2, burn_in=0))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import forumpulse.lda as lda
 import forumpulse.pipeline as pipeline
 from forumpulse.errors import DataError, StageError, UsageError
 from forumpulse.fileio import read_json, sha256_file, write_json
@@ -179,6 +180,25 @@ def test_two_fresh_runs_byte_identical(tmp_path):
     ma, mb = read_json(a.out_dir / "manifest.json"), read_json(b.out_dir / "manifest.json")
     assert {s: r["outputs"] for s, r in ma["stages"].items()} == \
         {s: r["outputs"] for s, r in mb["stages"].items()}
+
+
+def test_both_kernels_write_the_same_bytes_and_are_named(tmp_path, monkeypatch):
+    """A run on the Python sampler writes what a run on the compiled one
+    writes, and each run's topics record names its kernel; a directory
+    written with one kernel is up to date for the other."""
+    config = small_config(tmp_path)
+    compiled = run_pipeline(config, out_dir=tmp_path / "a", echo=lambda *_: None)
+    monkeypatch.setattr(lda, "_kernel", lambda: None)
+    python = run_pipeline(config, out_dir=tmp_path / "b", echo=lambda *_: None)
+    for name in EXPECTED_FILES[1:]:
+        assert ((compiled.out_dir / name).read_bytes()
+                == (python.out_dir / name).read_bytes()), name
+    assert read_json(python.out_dir / "manifest.json")["stages"]["topics"]["kernel"] \
+        == "python"
+    monkeypatch.undo()
+    assert read_json(compiled.out_dir / "manifest.json")["stages"]["topics"]["kernel"] \
+        == lda.kernel_name()
+    assert run_pipeline(config, out_dir=tmp_path / "b", echo=lambda *_: None).all_skipped
 
 
 def test_missing_input_fails_with_stage_name(tmp_path):

@@ -113,6 +113,42 @@ def test_count_nonpositive_mixed_rows():
     assert report.per_doc_skewness[2] == 0.0
 
 
+def assert_matches_row_oracle(model) -> None:
+    """W_k and every per-document value equal ``skewness`` row by row, to
+    the bit (repr tells -0.0 from 0.0)."""
+    report = count_nonpositive(model)
+    oracle = [skewness(row) for row in model.theta]
+    assert [repr(s) for s in report.per_doc_skewness] == [repr(s) for s in oracle]
+    assert all(s is None or type(s) is float for s in report.per_doc_skewness)
+    assert report.w_k == sum(1 for s in oracle if s is None or s <= 0)
+
+
+def test_count_nonpositive_matches_row_oracle_on_fixture_models(fixture_corpus):
+    for k in range(2, 7):
+        model = fit(fixture_corpus, LdaConfig(k=k, iterations=30, burn_in=10, seed=k))
+        assert_matches_row_oracle(model)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 16])
+def test_count_nonpositive_matches_row_oracle_on_ties(k):
+    """Symmetric rows (skewness 0 up to rounding, either sign), uniform rows
+    and rows of few distinct values."""
+    rng = np.random.default_rng(k)
+    base = rng.dirichlet(np.ones(k), size=30)
+    symmetric = (base + base[:, ::-1]) / 2
+    uniform = np.full((3, k), 1.0 / k)
+    steps = rng.integers(1, 3, size=(30, k)).astype(np.float64)
+    stepped = steps / steps.sum(axis=1, keepdims=True)
+    assert_matches_row_oracle(_model_with_theta(
+        np.vstack([symmetric, uniform, stepped, base]).tolist()))
+
+
+def test_count_nonpositive_rejects_rows_not_summing_to_one():
+    model = _model_with_theta([[0.5, 0.5], [0.9, 0.3]])
+    with pytest.raises(ValueError):
+        count_nonpositive(model)
+
+
 def test_w_k_matches_brute_recount():
     rng = np.random.default_rng(4)
     rows = rng.dirichlet(np.ones(5), size=40).tolist()
