@@ -7,7 +7,7 @@ from .ingest import (AuthorCategory, AuthorRecord, Comment, Dataset, Post,
                      author_activity_table, parse_dump, response_time,
                      score_relations)
 from .corpus import Corpus, Vocabulary, build_corpus, merge_phrases, tokenize
-from .lda import LdaConfig, TopicModel, fit, log_likelihood, top_words
+from .lda import LdaConfig, TopicModel, fit, top_words
 from .topics import (CooccurrenceMatrix, DominantTopicAssignment,
                      SkewnessReport, cooccurrence, count_nonpositive,
                      dominant_topics, monthly_distribution, select_k, skewness)

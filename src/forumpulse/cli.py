@@ -24,6 +24,8 @@ from .pipeline import (CONFIG_DEFAULTS as DEFAULTS, StageContext, check_config,
                        stats_stage, timeline_stage, user_metrics, write_graph,
                        write_scan, write_top_influencers, write_user_metrics)
 
+_DOMINANCE_HELP = "the dominance.csv of `topics dominance`, its two sibling files beside it"
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -65,34 +67,28 @@ def _build_parser() -> argparse.ArgumentParser:
     tsub = topics.add_subparsers(dest="subcommand", required=True)
 
     p = tsub.add_parser("fit", help="Fit one topic model and write it as JSON")
-    p.add_argument("--corpus", required=True, type=Path, help="corpus directory")
     p.add_argument("--k", required=True, type=int)
-    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    p.add_argument("--iters", type=int, default=DEFAULTS["lda.iterations"])
-    p.add_argument("--burn-in", type=int, default=DEFAULTS["lda.burn_in"])
-    p.add_argument("--alpha", type=float, default=None, help="default 50/k")
-    p.add_argument("--beta", type=float, default=DEFAULTS["lda.beta"])
-    p.add_argument("--out", required=True, type=Path, help="output model.json")
     p.set_defaults(func=_cmd_topics_fit)
-
     p = tsub.add_parser("select-k",
                         help="Scan k and keep the model minimizing W_k "
                              "(scan CSV columns: k, w_k, selected)")
-    p.add_argument("--corpus", required=True, type=Path)
     p.add_argument("--kmin", type=int, default=DEFAULTS["lda.k_min"])
     p.add_argument("--kmax", required=True, type=int)
     p.add_argument("--patience", type=int, default=None,
                    help="stop after this many non-improving k values")
-    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-    p.add_argument("--iters", type=int, default=DEFAULTS["lda.iterations"])
-    p.add_argument("--burn-in", type=int, default=DEFAULTS["lda.burn_in"])
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=DEFAULTS["lda.beta"])
     p.add_argument("--threads", type=int, default=None,
                    help="parallel fits; FORUM_PULSE_THREADS honored")
-    p.add_argument("--out", required=True, type=Path, help="output model.json")
     p.add_argument("--scan-csv", required=True, type=Path)
     p.set_defaults(func=_cmd_topics_select)
+    for name in ("fit", "select-k"):
+        p = tsub.choices[name]
+        p.add_argument("--corpus", required=True, type=Path, help="corpus directory")
+        p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+        p.add_argument("--iters", type=int, default=DEFAULTS["lda.iterations"])
+        p.add_argument("--burn-in", type=int, default=DEFAULTS["lda.burn_in"])
+        p.add_argument("--alpha", type=float, default=None, help="default 50/k")
+        p.add_argument("--beta", type=float, default=DEFAULTS["lda.beta"])
+        p.add_argument("--out", required=True, type=Path, help="output model.json")
 
     p = tsub.add_parser("dominance",
                         help="Dominant topics per post (columns: post_id, "
@@ -105,14 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Dominant-topic co-occurrence counts "
                              "(columns: topic_i, topic_j, count; "
                              "diagonal = sole-dominant posts)")
-    p.add_argument("--model", required=True, type=Path)
+    p.add_argument("--dominance", required=True, type=Path, help=_DOMINANCE_HELP)
     p.add_argument("--out", required=True, type=Path, help="output CSV")
     p.set_defaults(func=_cmd_topics_cooccur)
 
     p = tsub.add_parser("timeline",
                         help="Dominant posts per topic per month "
                              "(columns: topic, month, count)")
-    p.add_argument("--model", required=True, type=Path)
+    p.add_argument("--dominance", required=True, type=Path, help=_DOMINANCE_HELP)
     p.add_argument("--dataset", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path, help="output CSV")
     p.set_defaults(func=_cmd_topics_timeline)
@@ -123,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = lsub.add_parser("profile",
                         help="Category matrix, PCA components and topicwise profile")
     p.add_argument("--corpus", required=True, type=Path)
-    p.add_argument("--model", required=True, type=Path)
+    p.add_argument("--dominance", required=True, type=Path, help=_DOMINANCE_HELP)
     p.add_argument("--lexicon", default=None,
                    help="JSON category->words file; bundled demo lexicon by default")
     p.add_argument("--components", type=int, default=DEFAULTS["lexicon.components"])
@@ -136,32 +132,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p = usub.add_parser("metrics",
                         help="Metrics CSV (user, C, out_degree, in_degree, tau, "
                              "R, alpha, I, agg_score) plus spread/influence export")
-    p.add_argument("--dataset", required=True, type=Path)
-    p.add_argument("--model", type=Path, default=None,
-                   help="model.json; tau columns are blank without it")
-    p.add_argument("--out", required=True, type=Path, help="output directory")
     p.set_defaults(func=_cmd_users_metrics)
-
     p = usub.add_parser("top", help="Top influencers and their egonet subgraph")
-    p.add_argument("--dataset", required=True, type=Path)
-    p.add_argument("--model", type=Path, default=None)
     p.add_argument("--k", type=int, default=DEFAULTS["graph.top_k"])
-    p.add_argument("--out", required=True, type=Path, help="output directory")
     p.set_defaults(func=_cmd_users_top)
+    for p in usub.choices.values():
+        p.add_argument("--dataset", required=True, type=Path)
+        p.add_argument("--edges", required=True, type=Path,
+                       help="the edges.csv that `graph build` wrote")
+        p.add_argument("--dominance", type=Path, default=None,
+                       help=_DOMINANCE_HELP + "; tau is blank without it")
+        p.add_argument("--out", required=True, type=Path, help="output directory")
 
     graph = sub.add_parser("graph", help="Interaction graph commands")
     gsub = graph.add_subparsers(dest="subcommand", required=True)
 
     p = gsub.add_parser("build", help="Edge list CSV (from, to, weight)")
-    p.add_argument("--dataset", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path, help="output CSV")
-    p.set_defaults(func=_cmd_graph_build)
-
+    p.set_defaults(format="csv")
     p = gsub.add_parser("export", help="Export the graph as csv, graphml or dot")
-    p.add_argument("--dataset", required=True, type=Path)
     p.add_argument("--format", required=True, choices=("csv", "graphml", "dot"))
-    p.add_argument("--out", required=True, type=Path)
-    p.set_defaults(func=_cmd_graph_export)
+    for p in gsub.choices.values():
+        p.add_argument("--dataset", required=True, type=Path)
+        p.add_argument("--out", required=True, type=Path)
+        p.set_defaults(func=_cmd_graph_export)
 
     p = sub.add_parser("report", help="Summarize a pipeline artifacts directory")
     p.add_argument("--artifacts", required=True, type=Path)
@@ -256,13 +249,13 @@ def _cmd_topics_dominance(args) -> int:
 
 
 def _cmd_topics_cooccur(args) -> int:
-    cooccur_stage(StageContext({"model.json": args.model, "cooccurrence.csv": args.out}))
+    cooccur_stage(StageContext({"dominance.csv": args.dominance, "cooccurrence.csv": args.out}))
     print(f"co-occurrence counts -> {args.out}")
     return 0
 
 
 def _cmd_topics_timeline(args) -> int:
-    timeline_stage(StageContext({"model.json": args.model, "dataset.json": args.dataset,
+    timeline_stage(StageContext({"dominance.csv": args.dominance, "dataset.json": args.dataset,
                                  "monthly_topics.csv": args.out}))
     print(f"monthly topic counts -> {args.out}")
     return 0
@@ -270,7 +263,7 @@ def _cmd_topics_timeline(args) -> int:
 
 def _cmd_lexicon_profile(args) -> int:
     result = lexicon_stage(StageContext(
-        {"corpus": args.corpus, "model.json": args.model},
+        {"corpus": args.corpus, "dominance.csv": args.dominance},
         check_config({"lexicon.path": args.lexicon,
                       "lexicon.components": args.components}), args.out))
     n_comp, n_cat = result.components.shape
@@ -279,8 +272,8 @@ def _cmd_lexicon_profile(args) -> int:
 
 
 def _users_context(args, **params) -> StageContext:
-    return StageContext({"dataset.json": args.dataset, "model.json": args.model},
-                        check_config(params), args.out)
+    return StageContext({"dataset.json": args.dataset, "edges.csv": args.edges,
+                         "dominance.csv": args.dominance}, check_config(params), args.out)
 
 
 def _cmd_users_metrics(args) -> int:
@@ -299,20 +292,14 @@ def _cmd_users_top(args) -> int:
     return 0
 
 
-def _cmd_graph_build(args) -> int:
-    graph = build_graph(load_dataset(args.dataset))
-    write_graph(args.out, "csv", graph.nodes, graph.edges)
-    classes = user_classes(graph)
-    print(f"graph: {classes.nodes} nodes, {len(graph.edges)} edges, "
-          f"{classes.passive} passive ({classes.passive_pct:.2f}%), "
-          f"{classes.unanswered} with in-degree 0 ({classes.unanswered_pct:.2f}%)")
-    return 0
-
-
 def _cmd_graph_export(args) -> int:
     graph = build_graph(load_dataset(args.dataset))
     write_graph(args.out, args.format, graph.nodes, graph.edges)
-    print(f"graph ({args.format}) -> {args.out}")
+    classes = user_classes(graph)
+    print(f"graph: {classes.nodes} nodes, {len(graph.edges)} edges, "
+          f"{classes.passive} passive ({classes.passive_pct:.2f}%), "
+          f"{classes.unanswered} with in-degree 0 ({classes.unanswered_pct:.2f}%) "
+          f"-> {args.out} ({args.format})")
     return 0
 
 

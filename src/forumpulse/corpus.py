@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import DataError
-from .fileio import read_json, reading, write_csv, write_json
+from .fileio import read_csv, read_json, reading, write_csv, write_json
 from .ingest import Dataset
 
 DEFAULT_MIN_DF = 5
@@ -260,31 +260,26 @@ def load_corpus(directory: Path) -> Corpus:
     terms: list[str] = []
     freq: list[int] = []
     path = directory / "vocabulary.tsv"
-    with reading(path, "vocabulary file"), path.open("r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            _, term, df = line.rstrip("\n").split("\t")
+    with reading(path, "vocabulary file"):
+        for _, term, df in read_csv(path, 3, "\t"):
             terms.append(term)
             freq.append(int(df))
 
     vectors: dict[int, list[tuple[int, int]]] = {}
     tokens = 0
     path = directory / "documents.csv"
-    with reading(path, "document triplets file"), path.open("r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            doc_idx, term_id, count = (int(x) for x in line.rstrip("\n").split(","))
+    with reading(path, "document triplets file"):
+        for row in read_csv(path, 3):
+            doc_idx, term_id, count = map(int, row)
             if not (0 <= doc_idx < n_documents and 0 <= term_id < vocabulary_size):
-                raise DataError(f"{path}: index out of range in {line.strip()!r}")
+                raise DataError(f"{path}: index out of range in {','.join(row)!r}")
             vectors.setdefault(doc_idx, []).append((term_id, count))
             tokens += count
 
     doc_ids: list[str] = []
     path = directory / "docs.csv"
-    with reading(path, "document id file"), path.open("r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            idx, post_id = line.rstrip("\n").split(",", 1)
+    with reading(path, "document id file"):
+        for idx, post_id in read_csv(path, 2):
             if int(idx) != len(doc_ids):
                 raise DataError(f"{path}: doc_idx {idx} where "
                                 f"{len(doc_ids)} was expected")

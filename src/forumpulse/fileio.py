@@ -15,7 +15,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import DataError
 
@@ -50,6 +50,22 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]],
     write_text(path, "\n".join(lines) + "\n")
 
 
+def read_csv(path: Path, width: int, delimiter: str = ",") -> Iterator[list[str]]:
+    """The rows after the header of a file ``write_csv`` wrote, as lists of
+    ``width`` cells; ValueError on an empty file, a line of any other width
+    or a last line without its newline (a truncated file)."""
+    n = 0
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            cells = line[:-1].split(delimiter)
+            if line[-1] != "\n" or len(cells) != width:
+                raise ValueError(f"line {n} is not {width} cells and a newline: {line!r}")
+            if n > 1:
+                yield cells
+    if not n:
+        raise ValueError("empty file, no header")
+
+
 def write_json(path: Path, payload: Any, indent: int | None = 2) -> None:
     text = json.dumps(payload, sort_keys=True, indent=indent, ensure_ascii=False)
     write_text(path, text + "\n")
@@ -61,8 +77,7 @@ def reading(path: Path, kind: str):
     garbled, or missing a key) as a DataError naming the file and its kind."""
     try:
         yield
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError,
-            StopIteration) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
         raise DataError(f"{path}: corrupt {kind} ({type(exc).__name__}: {exc})") from exc
 
 

@@ -10,8 +10,10 @@ fatal; duplicate ids keep the first record seen.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from collections import defaultdict
+import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -25,6 +27,9 @@ POST_PREFIX = "t3_"
 COMMENT_PREFIX = "t1_"
 
 _DATASET_FORMAT = "forumpulse-dataset-v1"
+# write_csv joins cells unquoted, so an id or author holding one of these
+# would write rows that cannot be read back.
+_CSV_SEPARATOR = re.compile("[,\n\r]")
 
 
 class AuthorCategory(str, Enum):
@@ -115,30 +120,26 @@ def _coerce_int(value) -> int:
     raise ValueError(f"not an integer: {value!r}")
 
 
-def _parse_post(record: dict) -> Post:
-    post_id = record["id"]
-    if not isinstance(post_id, str) or not post_id:
-        raise ValueError("missing post id")
+def _record_fields(record: dict, kind: str) -> dict:
+    """The id, author, created_at and score of a post or comment record."""
+    record_id, author = record["id"], str(record["author"])
+    if not isinstance(record_id, str) or not record_id:
+        raise ValueError(f"missing {kind} id")
+    if _CSV_SEPARATOR.search(record_id + author):
+        raise ValueError(f"{kind} id or author holds a CSV separator")
     created = _coerce_int(record["created_utc"])
     if created <= 0:
         raise ValueError("created_utc must be positive")
-    return Post(
-        id=post_id,
-        author=str(record["author"]),
-        created_at=created,
-        score=_coerce_int(record["score"]),
-        title=str(record.get("title") or ""),
-        body=str(record.get("selftext") or ""),
-    )
+    return dict(id=record_id, author=author, created_at=created,
+                score=_coerce_int(record["score"]))
 
 
-def _parse_comment_fields(record: dict) -> dict:
-    comment_id = record["id"]
-    if not isinstance(comment_id, str) or not comment_id:
-        raise ValueError("missing comment id")
-    created = _coerce_int(record["created_utc"])
-    if created <= 0:
-        raise ValueError("created_utc must be positive")
+def _post_fields(record: dict) -> dict:
+    return dict(_record_fields(record, "post"), title=str(record.get("title") or ""),
+                body=str(record.get("selftext") or ""))
+
+
+def _comment_fields(record: dict) -> dict:
     parent_id = record["parent_id"]
     link_id = record["link_id"]
     if not isinstance(parent_id, str) or not parent_id:
@@ -146,15 +147,8 @@ def _parse_comment_fields(record: dict) -> dict:
     if not isinstance(link_id, str) or not link_id:
         raise ValueError("missing link_id")
     root = link_id[len(POST_PREFIX):] if link_id.startswith(POST_PREFIX) else link_id
-    return dict(
-        id=comment_id,
-        author=str(record["author"]),
-        created_at=created,
-        score=_coerce_int(record["score"]),
-        body=str(record.get("body") or ""),
-        parent_id=parent_id,
-        root_post_id=root,
-    )
+    return dict(_record_fields(record, "comment"), body=str(record.get("body") or ""),
+                parent_id=parent_id, root_post_id=root)
 
 
 def _in_window(created: int, window: tuple[int | None, int | None] | None) -> bool:
@@ -168,6 +162,33 @@ def _in_window(created: int, window: tuple[int | None, int | None] | None) -> bo
     return True
 
 
+def _read_records(stream: Iterable[str], parse, window, tallies: Counter[str]
+                  ) -> dict[str, dict]:
+    """The fields ``parse`` takes from each record of ``stream`` created
+    inside ``window``, by id, the first record of each id kept; lines that
+    fail to parse and repeated ids are counted in ``tallies``."""
+    records: dict[str, dict] = {}
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("record is not an object")
+            fields = parse(record)
+        except (ValueError, KeyError, TypeError):
+            tallies["parse_errors"] += 1
+            continue
+        if not _in_window(fields["created_at"], window):
+            continue
+        if fields["id"] in records:
+            tallies["duplicate_ids"] += 1
+            continue
+        records[fields["id"]] = fields
+    return records
+
+
 def parse_dump(post_stream: Iterable[str], comment_stream: Iterable[str],
                window: tuple[int | None, int | None] | None = None) -> Dataset:
     """Build a Dataset from two line-delimited JSON streams.
@@ -178,48 +199,10 @@ def parse_dump(post_stream: Iterable[str], comment_stream: Iterable[str],
     ("[deleted]", "[removed]") are excluded from the author table but their
     posts and comments are kept as content.
     """
-    parse_errors = 0
-    duplicates = 0
-
-    posts: dict[str, Post] = {}
-    for line in post_stream:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("record is not an object")
-            post = _parse_post(record)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-            parse_errors += 1
-            continue
-        if not _in_window(post.created_at, window):
-            continue
-        if post.id in posts:
-            duplicates += 1
-            continue
-        posts[post.id] = post
-
-    raw_comments: dict[str, dict] = {}
-    for line in comment_stream:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("record is not an object")
-            fields = _parse_comment_fields(record)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-            parse_errors += 1
-            continue
-        if not _in_window(fields["created_at"], window):
-            continue
-        if fields["id"] in raw_comments:
-            duplicates += 1
-            continue
-        raw_comments[fields["id"]] = fields
+    tallies: Counter[str] = Counter()
+    posts = {post_id: Post(**fields) for post_id, fields in
+             _read_records(post_stream, _post_fields, window, tallies).items()}
+    raw_comments = _read_records(comment_stream, _comment_fields, window, tallies)
 
     comments: list[Comment] = []
     dangling = 0
@@ -272,8 +255,8 @@ def parse_dump(post_stream: Iterable[str], comment_stream: Iterable[str],
         comments=tuple(sorted(comments, key=lambda c: c.id)),
         authors=tuple(authors),
         dangling_refs=dangling,
-        parse_errors=parse_errors,
-        duplicate_ids=duplicates,
+        parse_errors=tallies["parse_errors"],
+        duplicate_ids=tallies["duplicate_ids"],
     )
 
 
@@ -413,6 +396,17 @@ def save_dataset(dataset: Dataset, path) -> None:
     write_json(path, payload, indent=None)
 
 
+def _typed(cls, rows: list[dict], path) -> list[dict]:
+    """``rows``, if each of the str, int and bool fields of ``cls`` has
+    exactly that type in every row; else DataError."""
+    for f in dataclasses.fields(cls):
+        kind = {"str": str, "int": int, "bool": bool}.get(f.type)
+        if kind is not None and {type(row[f.name]) for row in rows} - {kind}:
+            raise DataError(f"{path}: a {cls.__name__} record's {f.name!r} "
+                            f"is not of type {f.type}")
+    return rows
+
+
 def load_dataset(path) -> Dataset:
     """The dataset saved at ``path``; DataError when it is not a complete
     dataset file."""
@@ -421,11 +415,11 @@ def load_dataset(path) -> Dataset:
         if payload.get("format") != _DATASET_FORMAT:
             raise DataError(f"{path}: not a {_DATASET_FORMAT} file")
         return Dataset(
-            posts=tuple(Post(**p) for p in payload["posts"]),
-            comments=tuple(Comment(**c) for c in payload["comments"]),
+            posts=tuple(Post(**p) for p in _typed(Post, payload["posts"], path)),
+            comments=tuple(Comment(**c) for c in _typed(Comment, payload["comments"], path)),
             authors=tuple(
                 AuthorRecord(**{**a, "category": AuthorCategory(a["category"])})
-                for a in payload["authors"]),
+                for a in _typed(AuthorRecord, payload["authors"], path)),
             dangling_refs=payload["dangling_refs"],
             parse_errors=payload["parse_errors"],
             duplicate_ids=payload["duplicate_ids"],

@@ -16,13 +16,15 @@ posts where topic i is dominant (a post with m dominant topics credits
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from math import log10
+from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 from xml.sax.saxutils import quoteattr
 
 from .errors import DataError
+from .fileio import read_csv, reading
 from .ingest import SENTINEL_AUTHORS, Comment, Dataset
 from .topics import DominantTopicAssignment
 
@@ -49,23 +51,27 @@ def build_graph(dataset: Dataset) -> InteractionGraph:
         if target in SENTINEL_AUTHORS or target == source:
             continue
         weights[(source, target)] += 1
+    return graph_from_edges(tuple((s, t, weights[(s, t)]) for s, t in sorted(weights)))
 
-    out_neighbors: dict[str, set[str]] = defaultdict(set)
-    in_neighbors: dict[str, set[str]] = defaultdict(set)
-    nodes: set[str] = set()
-    for (source, target), _ in weights.items():
-        nodes.add(source)
-        nodes.add(target)
-        out_neighbors[source].add(target)
-        in_neighbors[target].add(source)
 
-    ordered = tuple(sorted(nodes))
-    return InteractionGraph(
-        nodes=ordered,
-        edges=tuple((s, t, weights[(s, t)]) for s, t in sorted(weights)),
-        out_degree={n: len(out_neighbors.get(n, ())) for n in ordered},
-        in_degree={n: len(in_neighbors.get(n, ())) for n in ordered},
-    )
+def graph_from_edges(edges: tuple[tuple[str, str, int], ...]) -> InteractionGraph:
+    """The graph of sorted, distinct ``edges``: its nodes are their endpoints,
+    and a degree counts a node's edges, which is its distinct neighbors."""
+    out_degree = Counter(source for source, _, _ in edges)
+    in_degree = Counter(target for _, target, _ in edges)
+    nodes = tuple(sorted(out_degree.keys() | in_degree.keys()))
+    return InteractionGraph(nodes, edges, {n: out_degree[n] for n in nodes},
+                            {n: in_degree[n] for n in nodes})
+
+
+def load_graph(path: Path) -> InteractionGraph:
+    """The graph whose edge list the graph stage wrote to ``path``
+    (``edges.csv``); DataError when the file is not complete."""
+    names: dict[str, str] = {}    # one str per user, not one per edge endpoint
+    with reading(path, "edge list file"):
+        edges = tuple((names.setdefault(s, s), names.setdefault(t, t), int(w))
+                      for s, t, w in read_csv(path, 3))
+    return graph_from_edges(edges)
 
 
 @dataclass(frozen=True)

@@ -397,20 +397,6 @@ def top_words(model: TopicModel, topic: int, n: int) -> list[str]:
     return [model.terms[w] for w in ranked[:n]]
 
 
-def log_likelihood(model: TopicModel, corpus: Corpus) -> float:
-    """Log probability of the corpus tokens under the fitted estimates."""
-    if model.vocabulary_sha256 != vocabulary_digest(corpus.vocabulary):
-        raise ValueError("model was not fitted on this corpus (vocabulary differs)")
-    if model.doc_ids != corpus.doc_ids:
-        raise ValueError("model was not fitted on this corpus (documents differ)")
-    total = 0.0
-    for i, vector in enumerate(corpus.documents):
-        theta_row = model.theta[i]
-        for word_id, count in vector:
-            total += count * float(np.log(theta_row @ model.phi[:, word_id]))
-    return total
-
-
 _MODEL_FORMAT = "forumpulse-model-v1"
 
 

@@ -18,7 +18,6 @@ random numbers.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -33,16 +32,17 @@ from . import __version__
 from .corpus import (DEFAULT_MAX_DF_FRACTION, DEFAULT_MIN_DF, DEFAULT_PHRASE_MIN_COUNT,
                      build_corpus, load_corpus, save_corpus)
 from .errors import DataError, StageError, UsageError
-from .fileio import read_json, sha256_file, write_csv, write_json, write_text
+from .fileio import read_csv, read_json, sha256_file, write_csv, write_json, write_text
 from .ingest import (author_activity_table, load_dataset, parse_dump,
                      response_time_table, save_dataset, score_relations)
 from .interaction import (build_graph, compute_user_metrics, dot_text,
-                          graphml_text, spread_influence_rows,
+                          graphml_text, load_graph, spread_influence_rows,
                           top_influencers_subgraph, user_classes)
 from .lda import (DEFAULT_BETA, DEFAULT_BURN_IN, DEFAULT_ITERATIONS, LdaConfig,
                   kernel_name, load_model, save_model, top_words)
 from .lexicon import categorize, demo_lexicon, load_lexicon, pca, topicwise_profile
-from .topics import cooccurrence, dominant_topics, monthly_distribution, select_k
+from .topics import (cooccurrence, dominant_topics, load_assignment,
+                     monthly_distribution, select_k)
 
 _MANIFEST_FORMAT = "forumpulse-manifest-v1"
 
@@ -209,11 +209,13 @@ class StageContext:
         return self.paths[name] if name in self.paths else self.out_dir / name
 
     def load(self, name: str) -> Any:
-        """The parsed ``dataset.json``, ``corpus`` or ``model.json``, read
-        from ``path(name)`` at most once."""
+        """The parsed ``dataset.json``, ``corpus``, ``model.json``,
+        ``dominance.csv`` (with its two siblings) or ``edges.csv``, read from
+        ``path(name)`` at most once."""
         if name not in self.parsed:
             parse = {"dataset.json": load_dataset, "corpus": load_corpus,
-                     "model.json": load_model}[name]
+                     "model.json": load_model, "dominance.csv": load_assignment,
+                     "edges.csv": load_graph}[name]
             self.parsed[name] = parse(self.path(name))
         return self.parsed[name]
 
@@ -265,11 +267,9 @@ def write_graph(path: Path, fmt: str, nodes, edges) -> None:
 
 def user_metrics(ctx: StageContext):
     """The reply graph and every commenter's metrics; tau is blank when the
-    ``model.json`` path is None."""
-    dataset = ctx.load("dataset.json")
-    model = ctx.load("model.json") if ctx.path("model.json") is not None else None
-    graph = build_graph(dataset)
-    assignment = dominant_topics(model) if model is not None else None
+    ``dominance.csv`` path is None."""
+    dataset, graph = ctx.load("dataset.json"), ctx.load("edges.csv")
+    assignment = ctx.load("dominance.csv") if ctx.path("dominance.csv") is not None else None
     return graph, compute_user_metrics(dataset, graph, assignment)
 
 
@@ -367,15 +367,14 @@ def dominance_stage(ctx: StageContext):
 
 
 def cooccur_stage(ctx: StageContext) -> None:
-    matrix = cooccurrence(dominant_topics(ctx.load("model.json")))
+    matrix = cooccurrence(ctx.load("dominance.csv"))
     write_csv(ctx.path("cooccurrence.csv"), ("topic_i", "topic_j", "count"),
               ((i, j, int(matrix.counts[i, j]))
                for i in range(matrix.k) for j in range(i, matrix.k)))
 
 
 def timeline_stage(ctx: StageContext) -> None:
-    counts = monthly_distribution(dominant_topics(ctx.load("model.json")),
-                                  ctx.load("dataset.json"))
+    counts = monthly_distribution(ctx.load("dominance.csv"), ctx.load("dataset.json"))
     write_csv(ctx.path("monthly_topics.csv"), ("topic", "month", "count"),
               ((t, month, n) for (t, month), n in sorted(counts.items())))
 
@@ -399,7 +398,7 @@ def lexicon_stage(ctx: StageContext):
               ("component", "explained_variance", "negligible"),
               ((i, float(v), 1 if i in result.negligible else 0)
                for i, v in enumerate(result.explained_variance)))
-    profiles = topicwise_profile(result, dominant_topics(ctx.load("model.json")))
+    profiles = topicwise_profile(result, ctx.load("dominance.csv"))
     write_csv(ctx.path("topic_profiles.csv"),
               ("topic",) + tuple(f"component_{i}" for i in range(n_comp)),
               ((t,) + tuple("" if np.isnan(x) else float(x) for x in row)
@@ -429,25 +428,20 @@ def metrics_stage(ctx: StageContext) -> None:
 
 
 def report_stage(ctx: StageContext) -> None:
-    dataset = ctx.load("dataset.json")
     model = ctx.load("model.json")
-    assignment = dominant_topics(model)
-    with ctx.path("skewness_scan.csv").open("r", encoding="utf-8", newline="") as fh:
-        w_k = next(int(row["w_k"]) for row in csv.DictReader(fh) if row["selected"] == "1")
+    w_k = next(int(w_k) for _, w_k, selected in read_csv(ctx.path("skewness_scan.csv"), 3)
+               if selected == "1")
+    summary = read_json(ctx.path("stats_summary.json"))
     classes = read_json(ctx.path("user_classes.json"))
     write_json(ctx.path("report.json"), {
-        "dataset": {
-            "posts": len(dataset.posts),
-            "comments": len(dataset.comments),
-            "authors": len(dataset.authors),
-        },
+        "dataset": {key: summary[key] for key in ("posts", "comments", "authors")},
         "model": {
             "k": model.k,
             "w_k": w_k,
             "documents": model.n_documents,
             "top_words": {str(t): top_words(model, t, 10) for t in range(model.k)},
         },
-        "topic_presence": list(assignment.topic_presence),
+        "topic_presence": list(ctx.load("dominance.csv").topic_presence),
         "user_classes": classes,
         "artifacts": {name: sha256_file(ctx.path(name)) for name in _ARTIFACTS},
     })
@@ -456,6 +450,8 @@ def report_stage(ctx: StageContext) -> None:
 # save_corpus writes these into the directory named "corpus".
 _CORPUS = tuple(f"corpus/{n}" for n in
                 ("vocabulary.tsv", "documents.csv", "docs.csv", "meta.json"))
+# load_assignment reads all three.
+_DOMINANCE = ("dominance.csv", "dominance_thresholds.csv", "topic_presence.csv")
 
 STAGES: tuple[Stage, ...] = (
     Stage("ingest", ("from", "to"), ("posts", "comments"), ("dataset.json",),
@@ -470,20 +466,18 @@ STAGES: tuple[Stage, ...] = (
           ("lda.k", "lda.k_min", "lda.k_max", "lda.alpha", "lda.beta",
            "lda.iterations", "lda.burn_in", "lda.patience", "seed"),
           _CORPUS, ("model.json", "skewness_scan.csv"), topics_stage),
-    Stage("dominance", (), ("model.json",),
-          ("dominance.csv", "dominance_thresholds.csv", "topic_presence.csv"),
-          dominance_stage),
-    Stage("cooccur", (), ("model.json",), ("cooccurrence.csv",), cooccur_stage),
-    Stage("timeline", (), ("model.json", "dataset.json"), ("monthly_topics.csv",),
+    Stage("dominance", (), ("model.json",), _DOMINANCE, dominance_stage),
+    Stage("cooccur", (), _DOMINANCE, ("cooccurrence.csv",), cooccur_stage),
+    Stage("timeline", (), _DOMINANCE + ("dataset.json",), ("monthly_topics.csv",),
           timeline_stage),
     Stage("lexicon", ("lexicon.path", "lexicon.components"),
-          _CORPUS + ("model.json", "lexicon.path"),
+          _CORPUS + _DOMINANCE + ("lexicon.path",),
           ("category_matrix.csv", "pca_components.csv", "pca_variance.csv",
            "topic_profiles.csv"), lexicon_stage),
     Stage("graph", (), ("dataset.json",),
           ("edges.csv", "graph.graphml", "graph.dot", "user_classes.json"),
           graph_stage),
-    Stage("metrics", ("graph.top_k",), ("dataset.json", "model.json"),
+    Stage("metrics", ("graph.top_k",), ("dataset.json", "edges.csv") + _DOMINANCE,
           ("user_metrics.csv", "spread_influence.csv", "top_influencers.csv",
            "influencer_subgraph.graphml"), metrics_stage),
 )

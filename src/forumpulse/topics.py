@@ -15,11 +15,14 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .corpus import Corpus
+from .errors import DataError
+from .fileio import read_csv, reading
 from .ingest import Dataset
 from .lda import LdaConfig, TopicModel, fit
 
@@ -170,15 +173,44 @@ def dominant_topics(model: TopicModel) -> DominantTopicAssignment:
         frozenset(int(t) for t in np.flatnonzero(row > cutoff))
         for row in theta
     )
-    n_docs = len(dominant)
-    presence = tuple(
-        sum(1 for s in dominant if t in s) / n_docs for t in range(model.k))
     return DominantTopicAssignment(
         doc_ids=model.doc_ids,
         thresholds=tuple((float(m), float(s)) for m, s in zip(mu, sigma)),
         dominant=dominant,
-        topic_presence=presence,
+        topic_presence=_presence(dominant, model.k),
     )
+
+
+def _presence(dominant: Sequence[frozenset[int]], k: int) -> tuple[float, ...]:
+    """Per topic, the fraction of posts where it is dominant."""
+    return tuple(sum(1 for s in dominant if t in s) / len(dominant) for t in range(k))
+
+
+def _topic_table(path: Path, width: int) -> tuple[tuple[float, ...], ...]:
+    """The float cells after the topic column of each row of a per-topic
+    CSV; its topics must be numbered 0, 1, ... in order."""
+    with reading(path, "per-topic file"):
+        rows = list(read_csv(path, width))
+        if [int(row[0]) for row in rows] != list(range(len(rows))):
+            raise ValueError("topics are not numbered 0, 1, ...")
+        return tuple(tuple(float(x) for x in row[1:]) for row in rows)
+
+
+def load_assignment(path: Path) -> DominantTopicAssignment:
+    """The assignment the dominance stage wrote to ``path`` (``dominance.csv``)
+    and to ``dominance_thresholds.csv`` and ``topic_presence.csv`` beside it;
+    DataError when a file is not complete or the three do not agree."""
+    path = Path(path)
+    thresholds = _topic_table(path.parent / "dominance_thresholds.csv", 3)
+    with reading(path, "dominance file"):
+        doc_ids, dominant = zip(*((doc_id, frozenset(int(t) for t in topics.split("|") if t))
+                                  for doc_id, topics in read_csv(path, 2)))
+        if any(not 0 <= t < len(thresholds) for s in dominant for t in s):
+            raise ValueError(f"a topic outside the {len(thresholds)} thresholds")
+    presence = _presence(dominant, len(thresholds))
+    if presence != tuple(p for (p,) in _topic_table(path.parent / "topic_presence.csv", 2)):
+        raise DataError(f"{path}: dominant topics disagree with topic_presence.csv")
+    return DominantTopicAssignment(doc_ids, thresholds, dominant, presence)
 
 
 @dataclass(frozen=True)

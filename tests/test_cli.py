@@ -94,32 +94,32 @@ def test_subcommand_chain(dump, capsys):
                    "--out", t / "dom") == 0
     assert (t / "dom/dominance.csv").exists()
 
-    assert run_cli("topics", "cooccur", "--model", t / "model.json",
+    assert run_cli("topics", "cooccur", "--dominance", t / "dom/dominance.csv",
                    "--out", t / "cooc.csv") == 0
-    assert run_cli("topics", "timeline", "--model", t / "model.json",
+    assert run_cli("topics", "timeline", "--dominance", t / "dom/dominance.csv",
                    "--dataset", t / "dataset.json",
                    "--out", t / "monthly.csv") == 0
 
     assert run_cli("lexicon", "profile", "--corpus", t / "corpus",
-                   "--model", t / "model.json", "--components", 5,
+                   "--dominance", t / "dom/dominance.csv", "--components", 5,
                    "--out", t / "lex") == 0
     assert (t / "lex/category_matrix.csv").exists()
     assert (t / "lex/topic_profiles.csv").exists()
 
+    assert run_cli("graph", "build", "--dataset", t / "dataset.json",
+                   "--out", t / "edges.csv") == 0
+    assert (t / "edges.csv").read_text().splitlines()[0] == "from,to,weight"
+
     assert run_cli("users", "metrics", "--dataset", t / "dataset.json",
-                   "--model", t / "model.json", "--out", t / "users") == 0
+                   "--edges", t / "edges.csv", "--dominance", t / "dom/dominance.csv",
+                   "--out", t / "users") == 0
     header = (t / "users/user_metrics.csv").read_text().splitlines()[0]
     assert header == "user,C,out_degree,in_degree,tau,R,alpha,I,agg_score"
 
     assert run_cli("users", "top", "--dataset", t / "dataset.json",
-                   "--model", t / "model.json", "--k", 3,
-                   "--out", t / "top") == 0
+                   "--edges", t / "edges.csv", "--k", 3, "--out", t / "top") == 0
     assert (t / "top/top_influencers.csv").exists()
     assert (t / "top/influencer_subgraph.graphml").exists()
-
-    assert run_cli("graph", "build", "--dataset", t / "dataset.json",
-                   "--out", t / "edges.csv") == 0
-    assert (t / "edges.csv").read_text().splitlines()[0] == "from,to,weight"
 
     for fmt, name in (("graphml", "g.graphml"), ("dot", "g.dot"),
                       ("csv", "g.csv")):
@@ -149,6 +149,7 @@ def test_subcommands_write_the_run_artifacts(dump, config, capsys):
     t, a, s = dump, dump / "artifacts", dump / "standalone"
     assert run_cli("run", "--config", config) == 0
     dataset, model = a / "dataset.json", a / "model.json"
+    dominance, edges = a / "dominance.csv", a / "edges.csv"
     commands = [
         ("ingest", "--posts", t / "dump/posts.jsonl",
          "--comments", t / "dump/comments.jsonl", "--out", s / "dataset.json"),
@@ -159,14 +160,15 @@ def test_subcommands_write_the_run_artifacts(dump, config, capsys):
          "--seed", stage_seed(RUN_CONFIG["seed"], "lda"), "--iters", 30,
          "--burn-in", 10, "--out", s / "model.json"),
         ("topics", "dominance", "--model", model, "--out", s),
-        ("topics", "cooccur", "--model", model, "--out", s / "cooccurrence.csv"),
-        ("topics", "timeline", "--model", model, "--dataset", dataset,
+        ("topics", "cooccur", "--dominance", dominance, "--out", s / "cooccurrence.csv"),
+        ("topics", "timeline", "--dominance", dominance, "--dataset", dataset,
          "--out", s / "monthly_topics.csv"),
-        ("lexicon", "profile", "--corpus", a / "corpus", "--model", model,
+        ("lexicon", "profile", "--corpus", a / "corpus", "--dominance", dominance,
          "--components", 5, "--out", s),
-        ("users", "metrics", "--dataset", dataset, "--model", model, "--out", s),
-        ("users", "top", "--dataset", dataset, "--model", model, "--k", 3,
-         "--out", s),
+        ("users", "metrics", "--dataset", dataset, "--edges", edges,
+         "--dominance", dominance, "--out", s),
+        ("users", "top", "--dataset", dataset, "--edges", edges,
+         "--dominance", dominance, "--k", 3, "--out", s),
         ("graph", "build", "--dataset", dataset, "--out", s / "edges.csv"),
         ("graph", "export", "--dataset", dataset, "--format", "graphml",
          "--out", s / "graph.graphml"),
@@ -215,9 +217,9 @@ def test_bad_config_value_exits_one_before_ingest(dump, config, override):
     ("topics fit --corpus {a}/corpus --k 3 --iters 10 --burn-in 20", "lda.burn_in"),
     ("topics select-k --corpus {a}/corpus --kmin 1 --kmax 3 --scan-csv {out}.csv",
      "lda.k_min"),
-    ("users top --dataset {a}/dataset.json --model {a}/model.json --k 0",
+    ("users top --dataset {a}/dataset.json --edges {a}/edges.csv --k 0",
      "graph.top_k"),
-    ("lexicon profile --corpus {a}/corpus --model {a}/model.json --components 0",
+    ("lexicon profile --corpus {a}/corpus --dominance {a}/dominance.csv --components 0",
      "lexicon.components"),
 ])
 def test_bad_subcommand_flag_exits_one(tmp_path, capsys, command, key):
@@ -232,7 +234,7 @@ def test_bad_subcommand_flag_exits_one(tmp_path, capsys, command, key):
 
 @pytest.fixture(scope="module")
 def intermediates(tmp_path_factory):
-    """``dataset.json``, ``model.json`` and ``corpus/`` of one small run."""
+    """The artifacts of one small run."""
     base = tmp_path_factory.mktemp("run")
     generate_fixture(seed=11, n_posts=30, n_users=8, k_true=3, out_dir=base / "dump")
     write_json(base / "config.json", RUN_CONFIG)
@@ -250,17 +252,26 @@ READERS = {
     "topics select-k": "topics select-k --corpus corpus --kmax 3 --iters 5 "
                        "--burn-in 1 --out out/model.json --scan-csv out/scan.csv",
     "topics dominance": "topics dominance --model model.json --out out",
-    "topics cooccur": "topics cooccur --model model.json --out out/c.csv",
-    "topics timeline": "topics timeline --model model.json --dataset dataset.json "
+    "topics cooccur": "topics cooccur --dominance dominance.csv --out out/c.csv",
+    "topics timeline": "topics timeline --dominance dominance.csv --dataset dataset.json "
                        "--out out/t.csv",
-    "lexicon profile": "lexicon profile --corpus corpus --model model.json --out out",
-    "users metrics": "users metrics --dataset dataset.json --model model.json --out out",
-    "users top": "users top --dataset dataset.json --model model.json --out out",
+    "lexicon profile": "lexicon profile --corpus corpus --dominance dominance.csv "
+                       "--out out",
+    "users metrics": "users metrics --dataset dataset.json --edges edges.csv "
+                     "--dominance dominance.csv --out out",
+    "users top": "users top --dataset dataset.json --edges edges.csv "
+                 "--dominance dominance.csv --out out",
     "graph build": "graph build --dataset dataset.json --out out/e.csv",
     "graph export": "graph export --dataset dataset.json --format dot --out out/g.dot",
 }
+# The flag through which a command reads each intermediate; load_assignment
+# reads the two dominance siblings from beside dominance.csv.
 READS = {"dataset.json": "--dataset dataset.json", "model.json": "--model model.json",
-         "corpus": "--corpus corpus"}
+         "corpus": "--corpus corpus", "edges.csv": "--edges edges.csv",
+         **dict.fromkeys(("dominance.csv", "dominance_thresholds.csv",
+                          "topic_presence.csv"), "--dominance dominance.csv")}
+INTERMEDIATES = ("dataset.json", "model.json", "corpus", "edges.csv", "dominance.csv",
+                 "dominance_thresholds.csv", "topic_presence.csv")
 FORMATS = {"dataset.json": "forumpulse-dataset-v1", "model.json": "forumpulse-model-v1",
            "corpus/meta.json": "forumpulse-corpus-v1"}
 
@@ -282,14 +293,21 @@ CORRUPTIONS = {
     "keys": lambda data, name: json.dumps({"format": FORMATS[name]}).encode(),
     "short-theta": lambda data, name: _json_with(
         data, name, lambda key, value: value[:-1] if key == "theta" else value),
+    "yesterday": lambda data, name: _json_with(
+        data, name, lambda key, value: (
+            [{**value[0], "created_at": "yesterday"}] + value[1:] if key == "posts"
+            else value)),
 }
+# The files each corruption that does not apply to every file applies to.
+ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "yesterday": ("dataset.json",)}
 CASES = [
     (name, corruption, command)
     for name in ("dataset.json", "model.json", "corpus/meta.json",
-                 "corpus/vocabulary.tsv", "corpus/documents.csv", "corpus/docs.csv")
+                 "corpus/vocabulary.tsv", "corpus/documents.csv", "corpus/docs.csv",
+                 "dominance.csv", "dominance_thresholds.csv", "topic_presence.csv",
+                 "edges.csv")
     for corruption in CORRUPTIONS
-    if (corruption != "keys" or name in FORMATS)
-    and (corruption != "short-theta" or name == "model.json")
+    if name in ONLY.get(corruption, (name,))
     for command in READERS
     if READS[name.split("/")[0]] in READERS[command]
 ]
@@ -299,7 +317,7 @@ CASES = [
 def test_corrupt_intermediate_is_a_data_error(intermediates, tmp_path, monkeypatch,
                                               capsys, name, corruption, command):
     """A truncated, garbled or incomplete intermediate exits 2 and is named."""
-    for part in ("dataset.json", "model.json", "corpus"):
+    for part in INTERMEDIATES:
         src = intermediates / part
         if src.is_dir():
             shutil.copytree(src, tmp_path / part)

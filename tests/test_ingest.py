@@ -51,6 +51,19 @@ def test_malformed_lines_skipped_and_counted():
     assert len(d.posts) == 1 and len(d.comments) == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("id", "p,2"), ("author", "ma,lory"), ("author", "ma\nlory"), ("id", "p\r2")])
+def test_csv_separator_in_id_or_author_is_a_parse_error(field, value):
+    """write_csv joins cells unquoted, so such a record would write rows
+    that cannot be read back."""
+    posts = jsonl([post_record("p1"), {**post_record("p2"), field: value}])
+    comments = jsonl([comment_record("c1", "t3_p1", "p1"),
+                      {**comment_record("c2", "t3_p1", "p1"), field: value}])
+    d = parse_dump(posts, comments)
+    assert d.parse_errors == 2
+    assert [p.id for p in d.posts] == ["p1"] and [c.id for c in d.comments] == ["c1"]
+
+
 def test_duplicate_ids_first_wins():
     posts = jsonl([
         post_record("p1", title="first"),

@@ -6,13 +6,16 @@ from collections import defaultdict
 import pytest
 
 from forumpulse.errors import DataError
+from forumpulse.fixture import generate_fixture
+from forumpulse.ingest import parse_dump
 from forumpulse.interaction import (build_graph, compute_user_metrics, dot_text,
-                                    graphml_text, reach, spread_influence_rows,
-                                    top_influencers_subgraph, topic_spread,
-                                    user_classes)
+                                    graphml_text, load_graph, reach,
+                                    spread_influence_rows, top_influencers_subgraph,
+                                    topic_spread, user_classes)
+from forumpulse.pipeline import write_graph
 from forumpulse.topics import DominantTopicAssignment
 
-from conftest import comment_record, make_dataset, post_record
+from conftest import FIXTURE_DIR, comment_record, make_dataset, post_record
 
 
 def _assignment(pairs: dict[str, set[int]], k: int) -> DominantTopicAssignment:
@@ -23,6 +26,22 @@ def _assignment(pairs: dict[str, set[int]], k: int) -> DominantTopicAssignment:
         dominant=tuple(frozenset(pairs[i]) for i in ids),
         topic_presence=tuple(0.0 for _ in range(k)),
     )
+
+
+@pytest.mark.parametrize("users", [40, 1])
+def test_load_graph_reads_back_build_graph(tmp_path, users):
+    """edges.csv parses back to the graph it was written from, on the
+    shipped fixture and on a single-user dump, whose graph has no edge."""
+    if users == 40:
+        posts, comments = FIXTURE_DIR / "posts.jsonl", FIXTURE_DIR / "comments.jsonl"
+    else:
+        posts, comments = generate_fixture(seed=3, n_posts=10, n_users=1, k_true=2,
+                                           out_dir=tmp_path)
+    with posts.open() as ps, comments.open() as cs:
+        graph = build_graph(parse_dump(ps, cs))
+    assert (graph.edges == ()) == (users == 1)
+    write_graph(tmp_path / "edges.csv", "csv", graph.nodes, graph.edges)
+    assert load_graph(tmp_path / "edges.csv") == graph
 
 
 def hand_fixture():

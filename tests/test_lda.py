@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from forumpulse import lda
 from forumpulse.corpus import Corpus
 from forumpulse.errors import DataError
-from forumpulse.lda import (LdaConfig, TopicModel, fit, load_model,
-                            log_likelihood, save_model, top_words)
+from forumpulse.lda import LdaConfig, TopicModel, fit, load_model, save_model, top_words
 from forumpulse.pipeline import stage_seed
 
 from conftest import corpus_from_counts
@@ -169,16 +168,7 @@ def test_log_likelihood_matches_hand_formula():
     phi_hot = (1 + beta) / (1 + 2 * beta)
     phi_cold = beta / (2 * beta)
     expected = math.log(theta[hot] * phi_hot + theta[1 - hot] * phi_cold)
-    assert log_likelihood(model, corpus) == pytest.approx(expected, abs=1e-12)
     assert model.log_likelihood_trace[-1] == pytest.approx(expected, abs=1e-12)
-
-
-def test_log_likelihood_rejects_other_corpus():
-    corpus = disjoint_corpus(3)
-    other = corpus_from_counts([{"qq": 2}])
-    model = fit(corpus, LdaConfig(k=2, iterations=10, burn_in=0, seed=1))
-    with pytest.raises(ValueError):
-        log_likelihood(model, other)
 
 
 def test_trace_length_equals_iterations():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import forumpulse.pipeline as pipeline
 from forumpulse.errors import DataError, StageError, UsageError
 from forumpulse.fileio import read_json, sha256_file, write_json
 from forumpulse.fixture import TOPIC_WORD_POOLS, generate_fixture
-from forumpulse.pipeline import (CONFIG_DEFAULTS, STAGES, load_config,
+from forumpulse.pipeline import (CONFIG_DEFAULTS, STAGES, StageContext, load_config,
                                  resolve_threads, run_pipeline, stage_seed)
 
 EXPECTED_FILES = [
@@ -154,20 +155,53 @@ def test_edited_input_reruns_every_stage(tmp_path):
 
 
 def test_each_intermediate_parsed_once_while_stages_read_it(tmp_path, monkeypatch):
-    parses = Counter()
-    for name in ("load_dataset", "load_model", "load_corpus"):
-        def counted(path, parse=getattr(pipeline, name), name=name):
-            parses[name] += 1
-            return parse(path)
+    """A run parses each intermediate once while consecutive stages read it,
+    and derives the dominant topics and the reply graph once, in the stages
+    that write them."""
+    calls = Counter()
+    for name in ("load_dataset", "load_model", "load_corpus", "load_assignment",
+                 "load_graph", "dominant_topics", "build_graph"):
+        def counted(arg, call=getattr(pipeline, name), name=name):
+            calls[name] += 1
+            return call(arg)
         monkeypatch.setattr(pipeline, name, counted)
     config = small_config(tmp_path)
     run_pipeline(config, echo=lambda *_: None)
-    assert parses == {"load_dataset": 3, "load_model": 2, "load_corpus": 2}
+    assert calls == {"load_dataset": 3, "load_model": 2, "load_corpus": 2,
+                     "load_assignment": 2, "load_graph": 1,
+                     "dominant_topics": 1, "build_graph": 1}
 
-    parses.clear()
+    calls.clear()
     again = run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
-    assert parses == {"load_dataset": 1, "load_model": 1}
+    assert calls == {"load_dataset": 1, "load_model": 1, "load_assignment": 1,
+                     "load_graph": 1}
     assert ran(again) == ["metrics", "report"]
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """The config and artifacts directory of one complete small run."""
+    base = tmp_path_factory.mktemp("full")
+    config = small_config(base)
+    return load_config(config), run_pipeline(config, echo=lambda *_: None).out_dir
+
+
+@pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage.name)
+def test_stage_reads_only_its_declared_inputs(full_run, tmp_path, stage):
+    """Given only its declared inputs, copied into an empty directory, a
+    stage writes the bytes the full run wrote: a stage that read an
+    undeclared file would escape its skip key."""
+    config, run_dir = full_run
+    for name in stage.inputs:
+        if name not in CONFIG_DEFAULTS:
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(run_dir / name, tmp_path / name)
+    paths = {key: Path(config[key]) for key in stage.inputs
+             if key in CONFIG_DEFAULTS and config[key] is not None}
+    stage.run(StageContext(paths, {key: config[key] for key in stage.params},
+                           tmp_path, echo=lambda *_: None))
+    for name in stage.outputs:
+        assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 def test_two_fresh_runs_byte_identical(tmp_path):

@@ -11,8 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from forumpulse.lda import LdaConfig, fit
+from forumpulse.pipeline import StageContext, dominance_stage
 from forumpulse.topics import (DominantTopicAssignment, cooccurrence,
-                               count_nonpositive, dominant_topics,
+                               count_nonpositive, dominant_topics, load_assignment,
                                monthly_distribution, select_k, skewness)
 
 from conftest import corpus_from_counts, make_dataset, post_record
@@ -273,6 +274,20 @@ def test_dominant_topics_independent_recomputation():
         sigma = statistics.pstdev(column)
         for i, value in enumerate(column):
             assert (t in assignment.dominant[i]) == (value > mu + sigma)
+
+
+def test_load_assignment_reads_back_dominant_topics(fixture_corpus, tmp_path):
+    """The dominance files parse back to the assignment they were written
+    from, at k = 2..6, posts with no dominant topic included."""
+    unassigned = 0
+    for k in range(2, 7):
+        model = fit(fixture_corpus, LdaConfig(k=k, iterations=20, burn_in=5, seed=k))
+        written = dominance_stage(StageContext({}, out_dir=tmp_path / str(k),
+                                               parsed={"model.json": model}))
+        assert written == dominant_topics(model)
+        assert load_assignment(tmp_path / str(k) / "dominance.csv") == written
+        unassigned += written.dominant.count(frozenset())
+    assert unassigned > 0
 
 
 def _assignment(dominant_sets, k):
