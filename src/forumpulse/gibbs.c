@@ -4,9 +4,12 @@
  * random.Random: the same seeding (init_by_array over the 32-bit words of
  * the seed, least significant first), the same genrand_uint32, randrange(k)
  * as getrandbits(k.bit_length()) redrawn while >= k, and random() in its
- * 53-bit form. The sweep keeps the Python operation order, so it must be
- * compiled without floating-point contraction (-ffp-contract=off).
+ * 53-bit form. The sweep and the likelihood trace keep the Python operation
+ * order, so they must be compiled without floating-point contraction
+ * (-ffp-contract=off), and the trace's log must be the C library's, which
+ * Python's math.log calls too (link with -lm after this file).
  */
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
@@ -129,4 +132,38 @@ void fp_gibbs_sweep(int64_t n_docs, int64_t k, const int64_t *order,
             drow[t]++; wrow[t]++; nt[t]++;
         }
     }
+}
+
+/* The log-likelihood of the corpus under the point estimates of the current
+ * counts, in one fixed order: phi for every topic (into phi, laid out
+ * word-major), then for each document its theta row (into theta) and, over
+ * its (word, count) triplets trip_words/trip_counts[trip_offsets[d]:
+ * trip_offsets[d+1]] in corpus order, count * log(p) added left to right,
+ * where p sums theta[t] * phi[t][w] over the topics in turn. Each estimate
+ * takes numpy's operations in fit's `_estimates` (the count sums are exact
+ * in doubles), so the Python fallback gets the same bits. */
+double fp_gibbs_trace(int64_t n_docs, int64_t k, int64_t n_words,
+                      const int64_t *trip_offsets, const int64_t *trip_words,
+                      const double *trip_counts, const int64_t *ndt,
+                      const int64_t *nwt, const int64_t *nt,
+                      const int64_t *doc_totals, double alpha, double beta,
+                      double kalpha, double vbeta, double *phi, double *theta)
+{
+    double total = 0.0;
+    for (int64_t w = 0; w < n_words; w++)
+        for (int64_t t = 0; t < k; t++)
+            phi[w * k + t] = ((double)nwt[w * k + t] + beta) / ((double)nt[t] + vbeta);
+    for (int64_t d = 0; d < n_docs; d++) {
+        double denom = (double)doc_totals[d] + kalpha;
+        for (int64_t t = 0; t < k; t++)
+            theta[t] = ((double)ndt[d * k + t] + alpha) / denom;
+        for (int64_t j = trip_offsets[d]; j < trip_offsets[d + 1]; j++) {
+            const double *prow = phi + trip_words[j] * k;
+            double p = 0.0;
+            for (int64_t t = 0; t < k; t++)
+                p += theta[t] * prow[t];
+            total += trip_counts[j] * log(p);
+        }
+    }
+    return total;
 }

@@ -21,12 +21,23 @@ produce bit-identical models on any platform, and permuting document order
 only permutes the rows of the result. The sweeps run in a compiled kernel
 (gibbs.c) when one can be built and loaded, else in Python; both draw the
 same numbers in the same order and give bit-identical models.
+
+The log-likelihood trace holds one value per sweep,
+
+    sum over (d, w) of count(d, w) * log(sum over t of theta[d][t] * phi[t][w])
+
+of the current counts' estimates, summed in one fixed order: p over the
+topics in turn, then the terms left to right over the (doc, word) pairs in
+corpus order, with the C library's log. Both kernels sum it that way, so
+the trace depends on neither BLAS nor the number of CPUs. The estimates
+themselves are taken only at the snapshot sweeps.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import threading
@@ -116,19 +127,27 @@ def _doc_seed(seed: int, doc_id: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# The compiled sweep: gibbs.c, built on first use into the package's
-# __pycache__ under a name keyed by the source and the flags, beside a
-# digest of the built library. dlopen of a damaged library can kill the
+# The compiled kernel: gibbs.c, built on first use into the package's
+# __pycache__ under a name keyed by the source and the build command, beside
+# a digest of the built library. dlopen of a damaged library can kill the
 # process, so a library whose digest does not match is built again.
 _KERNEL_SOURCE = Path(__file__).with_name("gibbs.c")
 _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 _CC = "cc"
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_LDLIBS = ("-lm",)
+
+
+def _kernel_argv(output: Path, *extra: str) -> list[str]:
+    """The command that compiles the kernel to ``output``, with ``extra``
+    flags. The libraries follow the source: placed before it, the linker
+    drops them and the library resolves ``log`` only through its host."""
+    return [_CC, *_CFLAGS, *extra, "-o", str(output), str(_KERNEL_SOURCE), *_LDLIBS]
 
 
 def _kernel_path() -> Path:
-    key = hashlib.sha256(_KERNEL_SOURCE.read_bytes()
-                         + "\0".join((_CC,) + _CFLAGS).encode("utf-8")).hexdigest()
+    command = "\0".join((_CC,) + _CFLAGS + _LDLIBS).encode("utf-8")
+    key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + command).hexdigest()
     return _KERNEL_CACHE / f"gibbs-{key[:16]}.so"
 
 
@@ -152,8 +171,7 @@ def _build_kernel(path: Path) -> bool:
         with path.with_suffix(".lock").open("w") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
             if not _library_intact(path):
-                subprocess.run([_CC, *_CFLAGS, "-o", str(tmp), str(_KERNEL_SOURCE)],
-                               check=True, capture_output=True)
+                subprocess.run(_kernel_argv(tmp), check=True, capture_output=True)
                 digest = sha256_file(tmp)
                 os.replace(tmp, path)
                 write_text(path.with_suffix(".sha256"), digest)
@@ -167,7 +185,8 @@ def _build_kernel(path: Path) -> bool:
 @cache
 def _kernel():
     """The loaded kernel library, or None when it can be neither built nor
-    loaded."""
+    loaded. Its pointer arguments are raw addresses: ``_address`` checks
+    each array once per fit instead of on every call."""
     import ctypes
 
     path = _kernel_path()
@@ -177,51 +196,99 @@ def _kernel():
         lib = ctypes.CDLL(str(path))
     except OSError:
         return None
-
-    def array(dtype, ndim=1):
-        return np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
-
-    shared = [array(np.int64), array(np.int32), array(np.int32),
-              array(np.int64, 2), array(np.int64, 2), array(np.int64),
-              array(np.uint32, 2)]
-    lib.fp_gibbs_init.argtypes = [ctypes.c_int64, ctypes.c_int64,
-                                  array(np.uint64)] + shared
-    lib.fp_gibbs_sweep.argtypes = ([ctypes.c_int64, ctypes.c_int64, array(np.int64)]
-                                   + shared + [ctypes.c_double] * 3
-                                   + [array(np.float64)])
+    i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    lib.fp_gibbs_init.argtypes = [i64, i64] + [ptr] * 8
+    lib.fp_gibbs_sweep.argtypes = [i64, i64] + [ptr] * 8 + [dbl] * 3 + [ptr]
+    lib.fp_gibbs_trace.argtypes = [i64] * 3 + [ptr] * 7 + [dbl] * 4 + [ptr] * 2
     lib.fp_gibbs_init.restype = lib.fp_gibbs_sweep.restype = None
+    lib.fp_gibbs_trace.restype = dbl
     return lib
 
 
 def kernel_name() -> str:
-    """"c" when ``fit`` runs the compiled sweep, "python" when it falls back."""
+    """"c" when ``fit`` runs the compiled kernel, "python" when it falls back."""
     return "python" if _kernel() is None else "c"
 
 
-# Sampler state shared by both kernels: sweep order, per-document token
-# offsets, word ids and labels (flat), and the three count tables.
-_Tables = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-                np.ndarray, np.ndarray, np.ndarray]
+@dataclass(frozen=True)
+class _Tables:
+    """Sampler state shared by both kernels. Document d's tokens are
+    ``words[offsets[d]:offsets[d + 1]]``, word ids repeated by count in
+    ascending word id, with their labels at the same positions of ``z``;
+    its (word, count) pairs, in corpus order, are ``trip_words`` and
+    ``trip_counts[trip_offsets[d]:trip_offsets[d + 1]]``."""
+
+    order: np.ndarray          # documents in the order sweeps visit them
+    offsets: np.ndarray
+    words: np.ndarray          # int32
+    z: np.ndarray              # int32
+    ndt: np.ndarray            # (D, k) document-topic counts
+    nwt: np.ndarray            # (V, k) word-topic counts
+    nt: np.ndarray             # (k,) tokens per topic
+    doc_totals: np.ndarray     # (D,) tokens per document
+    trip_offsets: np.ndarray
+    trip_words: np.ndarray
+    trip_counts: np.ndarray    # float64
+
+
+def _estimates(tables: _Tables, alpha: float, beta: float,
+               vbeta: float) -> tuple[np.ndarray, np.ndarray]:
+    """theta (D, k) and phi (k, V) of the current counts."""
+    k = tables.ndt.shape[1]
+    ndt_arr = tables.ndt.astype(np.float64)
+    theta = (ndt_arr + alpha) / (ndt_arr.sum(axis=1, keepdims=True) + k * alpha)
+    nwt_arr = tables.nwt.astype(np.float64).T
+    phi = (nwt_arr + beta) / (nwt_arr.sum(axis=1, keepdims=True) + vbeta)
+    return theta, phi
+
+
+def _address(array: np.ndarray, dtype) -> "ctypes.c_void_p":
+    """The address of ``array``'s data, as a pointer that keeps the array
+    alive, once the array is C-contiguous and of ``dtype``."""
+    import ctypes
+
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise TypeError(f"kernel argument must be a C-contiguous {np.dtype(dtype)} "
+                        f"array, got {array.dtype}")
+    return array.ctypes.data_as(ctypes.c_void_p)
+
+
+# One sweep, and the log-likelihood trace value of the current counts.
+_Sampler = tuple[Callable[[], None], Callable[[], float]]
 
 
 def _compiled_sampler(lib, seeds: list[int], tables: _Tables, alpha: float,
-                      beta: float, vbeta: float) -> Callable[[], None]:
-    """Seed the streams and draw the initial labels in C; returns one sweep."""
-    order, offsets, words, z, ndt, nwt, nt = tables
-    n_docs, k = ndt.shape
-    rngs = np.empty((n_docs, 625), dtype=np.uint32)   # MT19937 state + index
-    lib.fp_gibbs_init(n_docs, k, np.asarray(seeds, dtype=np.uint64),
+                      beta: float, vbeta: float) -> _Sampler:
+    """Seed the streams and draw the initial labels in C. The sweep and the
+    trace run on the tables and on scratch this call allocates, so fits in
+    several threads share no memory."""
+    n_docs, k = tables.ndt.shape
+    n_words = len(tables.nwt)
+    order, offsets, ndt, nwt, nt, totals, trip_offsets, trip_words = (
+        _address(a, np.int64) for a in (
+            tables.order, tables.offsets, tables.ndt, tables.nwt, tables.nt,
+            tables.doc_totals, tables.trip_offsets, tables.trip_words))
+    words, z = (_address(a, np.int32) for a in (tables.words, tables.z))
+    trip_counts, cum, phi, theta = (
+        _address(a, np.float64)
+        for a in (tables.trip_counts, np.empty(k), np.empty((n_words, k)), np.empty(k)))
+    rngs = _address(np.empty((n_docs, 625), dtype=np.uint32), np.uint32)  # MT19937 + index
+    lib.fp_gibbs_init(n_docs, k, _address(np.asarray(seeds, dtype=np.uint64), np.uint64),
                       offsets, words, z, ndt, nwt, nt, rngs)
-    return partial(lib.fp_gibbs_sweep, n_docs, k, order, offsets, words, z,
-                   ndt, nwt, nt, rngs, alpha, beta, vbeta, np.empty(k))
+    return (partial(lib.fp_gibbs_sweep, n_docs, k, order, offsets, words, z,
+                    ndt, nwt, nt, rngs, alpha, beta, vbeta, cum),
+            partial(lib.fp_gibbs_trace, n_docs, k, n_words, trip_offsets, trip_words,
+                    trip_counts, ndt, nwt, nt, totals, alpha, beta, k * alpha, vbeta,
+                    phi, theta))
 
 
 def _python_sampler(seeds: list[int], tables: _Tables, alpha: float,
-                    beta: float, vbeta: float) -> Callable[[], None]:
+                    beta: float, vbeta: float) -> _Sampler:
     """The pure-Python sampler: the fallback when the kernel is unavailable
     and the oracle it is tested against. Works on lists and copies them
     into the tables after the initial draws and after every sweep."""
-    order, offsets, words, z, ndt, nwt, nt = tables
+    order, offsets, words, z = tables.order, tables.offsets, tables.words, tables.z
+    ndt, nwt, nt = tables.ndt, tables.nwt, tables.nt
     n_docs, k = ndt.shape
     bounds = offsets.tolist()
     tokens = [words[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
@@ -269,16 +336,33 @@ def _python_sampler(seeds: list[int], tables: _Tables, alpha: float,
                 nt_l[t] += 1
         publish()
 
+    trip_docs = np.repeat(np.arange(n_docs), np.diff(tables.trip_offsets))
+    trip_words = tables.trip_words
+    trip_counts = tables.trip_counts.tolist()
+
+    def trace() -> float:
+        # gibbs.c's order: p over the topics in turn, then count * log(p)
+        # added left to right; sum() would differ, as it compensates on 3.12.
+        theta, phi = _estimates(tables, alpha, beta, vbeta)
+        p = theta[trip_docs, 0] * phi[0, trip_words]
+        for t in range(1, k):
+            p += theta[trip_docs, t] * phi[t, trip_words]
+        log = math.log
+        total = 0.0
+        for count, pv in zip(trip_counts, p.tolist()):
+            total += count * log(pv)
+        return total
+
     publish()
-    return sweep
+    return sweep, trace
 
 
 def fit(corpus: Corpus, config: LdaConfig,
         sweep_hook: Optional[Callable[[int, GibbsState], None]] = None) -> TopicModel:
     """Run the collapsed Gibbs sampler and return the fitted model.
 
-    The sweeps run in the compiled kernel when it can be built and loaded,
-    else in Python; both give bit-identical models.
+    The sweeps and the likelihood trace run in the compiled kernel when it
+    can be built and loaded, else in Python; both give bit-identical models.
 
     Args:
         corpus: non-empty corpus to fit.
@@ -299,13 +383,10 @@ def fit(corpus: Corpus, config: LdaConfig,
 
     # Sparse (doc, word, count) triplets, for the tokens and the per-sweep
     # likelihood trace.
-    d_idx = np.asarray([i for i, vec in enumerate(corpus.documents) for _ in vec],
-                       dtype=np.intp)
     w_idx = np.asarray([word_id for vec in corpus.documents for word_id, _ in vec],
-                       dtype=np.intp)
+                       dtype=np.int64)
     counts = np.asarray([count for vec in corpus.documents for _, count in vec],
                         dtype=np.int64)
-    cnt = counts.astype(np.float64)
     if not counts.sum():
         raise DataError("cannot fit a topic model on a corpus without tokens")
     if not (0 <= w_idx.min() and w_idx.max() < v_size):
@@ -314,39 +395,33 @@ def fit(corpus: Corpus, config: LdaConfig,
         warnings.warn(f"vocabulary size {v_size} is smaller than k={k}",
                       stacklevel=2)
 
-    # Document d's tokens are words[offsets[d]:offsets[d + 1]]: word ids
-    # repeated by count, ascending word id.
     words = np.repeat(w_idx, counts).astype(np.int32)
     doc_totals = np.asarray([sum(count for _, count in vec) for vec in corpus.documents],
                             dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(doc_totals)))
-    # Sweeps visit documents in doc-id order regardless of presentation order.
-    order = np.asarray(sorted(range(n_docs), key=lambda i: corpus.doc_ids[i]),
-                       dtype=np.int64)
-    z = np.zeros(len(words), dtype=np.int32)
-    ndt = np.zeros((n_docs, k), dtype=np.int64)   # document-topic counts
-    nwt = np.zeros((v_size, k), dtype=np.int64)   # word-topic counts
-    nt = np.zeros(k, dtype=np.int64)              # tokens per topic
-    tables = (order, offsets, words, z, ndt, nwt, nt)
+    tables = _Tables(
+        # Sweeps visit documents in doc-id order regardless of presentation order.
+        order=np.asarray(sorted(range(n_docs), key=lambda i: corpus.doc_ids[i]),
+                         dtype=np.int64),
+        offsets=np.concatenate(([0], np.cumsum(doc_totals))),
+        words=words,
+        z=np.zeros(len(words), dtype=np.int32),
+        ndt=np.zeros((n_docs, k), dtype=np.int64),
+        nwt=np.zeros((v_size, k), dtype=np.int64),
+        nt=np.zeros(k, dtype=np.int64),
+        doc_totals=doc_totals,
+        trip_offsets=np.concatenate(
+            ([0], np.cumsum([len(vec) for vec in corpus.documents], dtype=np.int64))),
+        trip_words=w_idx,
+        trip_counts=counts.astype(np.float64),
+    )
     seeds = [_doc_seed(config.seed, doc_id) for doc_id in corpus.doc_ids]
     lib = _kernel()
     if lib is not None:
-        sweep_once = _compiled_sampler(lib, seeds, tables, alpha, beta, vbeta)
+        sweep_once, likelihood = _compiled_sampler(lib, seeds, tables, alpha, beta, vbeta)
     else:
-        sweep_once = _python_sampler(seeds, tables, alpha, beta, vbeta)
+        sweep_once, likelihood = _python_sampler(seeds, tables, alpha, beta, vbeta)
 
-    state = GibbsState(ndt, nwt, nt, doc_totals)
-
-    def estimates() -> tuple[np.ndarray, np.ndarray]:
-        ndt_arr = ndt.astype(np.float64)
-        theta = (ndt_arr + alpha) / (ndt_arr.sum(axis=1, keepdims=True) + k * alpha)
-        nwt_arr = nwt.astype(np.float64).T
-        phi = (nwt_arr + beta) / (nwt_arr.sum(axis=1, keepdims=True) + vbeta)
-        return theta, phi
-
-    def trace_value(theta: np.ndarray, phi: np.ndarray) -> float:
-        p = np.einsum("nk,nk->n", theta[d_idx], phi[:, w_idx].T)
-        return float(cnt @ np.log(p))
+    state = GibbsState(tables.ndt, tables.nwt, tables.nt, doc_totals)
 
     snapshot_sweeps = {
         s for s in range(config.burn_in + 1, config.iterations + 1)
@@ -360,9 +435,9 @@ def fit(corpus: Corpus, config: LdaConfig,
 
     for sweep in range(1, config.iterations + 1):
         sweep_once()
-        theta_now, phi_now = estimates()
-        trace.append(trace_value(theta_now, phi_now))
+        trace.append(likelihood())
         if sweep in snapshot_sweeps:
+            theta_now, phi_now = _estimates(tables, alpha, beta, vbeta)
             theta_acc += theta_now
             phi_acc += phi_now
             n_snapshots += 1
@@ -374,8 +449,8 @@ def fit(corpus: Corpus, config: LdaConfig,
     theta.setflags(write=False)
     phi.setflags(write=False)
 
-    labels = z.tolist()
-    bounds = offsets.tolist()
+    labels = tables.z.tolist()
+    bounds = tables.offsets.tolist()
     return TopicModel(
         config=config,
         doc_ids=corpus.doc_ids,

@@ -6,10 +6,11 @@ stages are the entries of ``STAGES``, executed in table order. Each reads
 only its declared inputs (files written by earlier stages, or dump and
 lexicon files named by the config) and only its declared params, and
 records the digests of its inputs and outputs in ``manifest.json``. A
-stage whose parameters, input digests and recorded outputs all match the
-manifest is skipped, which makes interrupted or repeated runs cheap and
-every artifact reproducible from the manifest plus the original dumps.
-The standalone subcommands call the same stage functions and writers.
+stage whose version, parameters, input digests and recorded outputs all
+match the manifest is skipped, which makes interrupted or repeated runs
+cheap and every artifact reproducible from the manifest plus the original
+dumps. The standalone subcommands call the same stage functions and
+writers.
 
 All randomness flows from the top-level ``seed``: the topic-model stage
 derives its sampler seed as SHA-256(seed, "lda"), and nothing else draws
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -227,6 +229,9 @@ class Stage:
     inputs: tuple[str, ...]    # artifact names, or config keys naming a file
     outputs: tuple[str, ...]   # artifact names under the run directory
     run: Callable[[StageContext], Any]
+    # Part of the skip key: raised by hand whenever the stage's outputs change
+    # in format or meaning for the same inputs. A record without one is 1.
+    version: int = 1
 
 
 def fit_topics(corpus, params: Mapping[str, Any], seed: int, workers: int = 1,
@@ -345,13 +350,21 @@ def corpus_stage(ctx: StageContext):
 
 
 def topics_stage(ctx: StageContext) -> None:
+    started = time.perf_counter()
     model, scan = fit_topics(
         ctx.load("corpus"), ctx.params,
         stage_seed(ctx.params["seed"], "lda"), ctx.workers,
         progress=lambda k, w: ctx.echo(f"[topics] k={k} W_k={w}"))
+    sweeps = len(scan) * ctx.params["lda.iterations"]
+    ll = model.log_likelihood_trace
+    ctx.record.update(
+        kernel=kernel_name(),
+        sweeps=sweeps,
+        sweeps_per_s=sweeps / (time.perf_counter() - started),
+        trace_rel_change=(abs(ll[-1] - ll[-2]) / abs(ll[-2])
+                          if len(ll) > 1 and ll[-2] != 0 else None))
     save_model(model, ctx.path("model.json"))
     write_scan(ctx.path("skewness_scan.csv"), scan)
-    ctx.record["kernel"] = kernel_name()
 
 
 def dominance_stage(ctx: StageContext):
@@ -465,7 +478,8 @@ STAGES: tuple[Stage, ...] = (
     Stage("topics",
           ("lda.k", "lda.k_min", "lda.k_max", "lda.alpha", "lda.beta",
            "lda.iterations", "lda.burn_in", "lda.patience", "seed"),
-          _CORPUS, ("model.json", "skewness_scan.csv"), topics_stage),
+          _CORPUS, ("model.json", "skewness_scan.csv"), topics_stage,
+          version=2),   # 2: the trace is summed in one fixed order
     Stage("dominance", (), ("model.json",), _DOMINANCE, dominance_stage),
     Stage("cooccur", (), _DOMINANCE, ("cooccurrence.csv",), cooccur_stage),
     Stage("timeline", (), _DOMINANCE + ("dataset.json",), ("monthly_topics.csv",),
@@ -530,7 +544,9 @@ def run_pipeline(config_path: Path,
         input_digests = {rel(p): sha256_file(p) for p in inputs}
 
         prior = manifest["stages"].get(stage.name, {})
-        if (prior.get("params_sha256") == digest and prior.get("inputs") == input_digests
+        if (prior.get("version", 1) == stage.version
+                and prior.get("params_sha256") == digest
+                and prior.get("inputs") == input_digests
                 and prior.get("outputs") == {
                     name: sha256_file(target / name) if (target / name).exists() else None
                     for name in stage.outputs}):
@@ -544,6 +560,7 @@ def run_pipeline(config_path: Path,
         except Exception as exc:
             raise StageError(stage.name, exc) from exc
         manifest["stages"][stage.name] = {
+            "version": stage.version,
             "params": dict(ctx.params),
             "params_sha256": digest,
             "inputs": input_digests,

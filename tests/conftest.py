@@ -1,15 +1,25 @@
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import forumpulse
 from forumpulse.corpus import Corpus, Vocabulary, build_corpus
 from forumpulse.ingest import parse_dump
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "synthetic-200"
+
+
+def child_env(**variables: str) -> dict[str, str]:
+    """The environment for a child Python process that imports the
+    ``forumpulse`` these tests import, with ``variables`` set."""
+    path = os.pathsep.join(filter(None, (str(Path(forumpulse.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **variables}
 
 
 def corpus_from_counts(docs: list[dict[str, int]], doc_ids=None) -> Corpus:

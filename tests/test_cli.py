@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,8 @@ from forumpulse.cli import main
 from forumpulse.fileio import sha256_file, write_json
 from forumpulse.fixture import generate_fixture
 from forumpulse.pipeline import stage_seed
+
+from conftest import child_env
 
 
 @pytest.fixture
@@ -51,6 +55,17 @@ def artifact_digests(directory):
 def test_help_exits_zero(capsys):
     assert run_cli("--help") == 0
     assert "forumpulse" in capsys.readouterr().out
+
+
+def test_import_pulls_in_no_network_modules():
+    """Importing the command line loads none of the modules that
+    ``xml.sax.saxutils`` pulls in, which slow every start-up."""
+    heavy = ("urllib.request", "http.client", "email")
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, forumpulse.cli; "
+         f"print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, check=True, env=child_env())
+    assert child.stdout.strip() == "[]"
 
 
 def test_usage_error_exits_one(capsys):

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from xml.sax.saxutils import quoteattr
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from forumpulse import interaction
 from forumpulse.errors import DataError
 from forumpulse.fixture import generate_fixture
 from forumpulse.ingest import parse_dump
@@ -413,6 +417,11 @@ def test_graphml_and_dot_exports():
     assert dot.splitlines()[0] == "digraph interactions {"
     assert '  "u2" -> "u1" [weight=2];' in dot
     assert dot.rstrip().endswith("}")
+
+
+@given(st.text(alphabet=st.sampled_from("ab &<>\"'\n\r\t\u00e9;#")) | st.text())
+def test_quoteattr_follows_the_standard_library(text):
+    assert interaction._quoteattr(text) == quoteattr(text)
 
 
 def test_dot_escapes_quotes():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import os
 import shutil
 import subprocess
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,7 @@ from forumpulse.errors import DataError
 from forumpulse.lda import LdaConfig, TopicModel, fit, load_model, save_model, top_words
 from forumpulse.pipeline import stage_seed
 
-from conftest import corpus_from_counts
+from conftest import child_env, corpus_from_counts
 
 
 def disjoint_corpus(repeats: int = 20) -> Corpus:
@@ -226,6 +228,76 @@ def test_kernel_bit_equal_on_fixture(kernel, fixture_corpus, k):
     assert_bit_equal(fit(fixture_corpus, config), python_fit(fixture_corpus, config))
 
 
+def recounting_hook(corpus: Corpus, config: LdaConfig):
+    """A sweep hook that recounts each sweep's trace in pure Python from the
+    count tables, in the order that defines it: theta and phi from the
+    counts, p summed over the topics in turn, and count * log(p) added left
+    to right over the (doc, word) triplets in corpus order."""
+    k, alpha, beta = config.k, config.effective_alpha, config.beta
+    vbeta = len(corpus.vocabulary) * beta
+    recounted: list[float] = []
+
+    def hook(sweep, state):
+        ndt = state.doc_topic_counts.tolist()
+        nwt = state.word_topic_counts.tolist()
+        nt = state.topic_totals.tolist()
+        total = 0.0
+        for d, vec in enumerate(corpus.documents):
+            theta = [(n + alpha) / (sum(ndt[d]) + k * alpha) for n in ndt[d]]
+            for w, count in vec:
+                p = 0.0
+                for t in range(k):
+                    p += theta[t] * ((nwt[w][t] + beta) / (nt[t] + vbeta))
+                total += count * math.log(p)
+        recounted.append(total)
+
+    return hook, recounted
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+@pytest.mark.parametrize("python", [False, True], ids=["c", "python"])
+def test_trace_equals_a_pure_python_recount(request, fixture_corpus, k, python):
+    if not python:
+        request.getfixturevalue("kernel")
+    config = LdaConfig(k=k, iterations=20, burn_in=5, seed=stage_seed(20240704, "lda"))
+    hook, recounted = recounting_hook(fixture_corpus, config)
+    with mock.patch.object(lda, "_kernel", lambda: None) if python else nullcontext():
+        model = fit(fixture_corpus, config, sweep_hook=hook)
+    assert list(model.log_likelihood_trace) == recounted
+
+
+# Fits a corpus of 50,000 (doc, word, count) triplets, past the length at
+# which OpenBLAS splits a dot product across its threads, and prints the
+# trace's bytes.
+_TRACE_CHILD = """
+import random, sys
+from array import array
+from forumpulse.corpus import Corpus, Vocabulary
+from forumpulse.lda import LdaConfig, fit
+rng = random.Random(5)
+n_docs, v_size = 2500, 3000
+docs = tuple(tuple(sorted((w, rng.randint(1, 3)) for w in rng.sample(range(v_size), 20)))
+             for _ in range(n_docs))
+corpus = Corpus(documents=docs, doc_ids=tuple(f"d{i:05d}" for i in range(n_docs)),
+                vocabulary=Vocabulary(terms=tuple(f"t{w}" for w in range(v_size)),
+                                      document_frequency=(1,) * v_size),
+                total_tokens=sum(c for doc in docs for _, c in doc), excluded_doc_ids=())
+model = fit(corpus, LdaConfig(k=6, iterations=2, burn_in=0, seed=1))
+sys.stdout.write(array("d", model.log_likelihood_trace).tobytes().hex())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="the process may use fewer than 2 CPUs")
+def test_trace_does_not_depend_on_the_blas_thread_count():
+    traces = [subprocess.run([sys.executable, "-c", _TRACE_CHILD], capture_output=True,
+                             text=True, check=True,
+                             env=child_env(OPENBLAS_NUM_THREADS=threads)).stdout
+              for threads in ("1", "2")]
+    assert len(traces[0]) == 2 * 16
+    assert traces[0] == traces[1]
+
+
 _TERMS = st.sampled_from(["aa", "bb", "cc", "dd", "ee"])
 _DOCUMENTS = st.one_of(
     st.dictionaries(_TERMS, st.integers(1, 6), max_size=5),
@@ -317,13 +389,18 @@ def test_concurrent_first_use_builds_once(fresh_kernel, monkeypatch):
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
+    """The command that builds the shipped library, with warnings as errors;
+    the library it builds names the math library it calls ``log`` from."""
     if shutil.which(lda._CC) is None:
         pytest.skip("no C compiler")
-    result = subprocess.run(
-        [lda._CC, *lda._CFLAGS, "-Wall", "-Wextra", "-Werror",
-         "-o", str(tmp_path / "gibbs.so"), str(lda._KERNEL_SOURCE)],
-        capture_output=True, text=True)
+    library = tmp_path / "gibbs.so"
+    result = subprocess.run(lda._kernel_argv(library, "-Wall", "-Wextra", "-Werror"),
+                            capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    if shutil.which("readelf") is not None:
+        dynamic = subprocess.run(["readelf", "-d", str(library)], capture_output=True,
+                                 text=True, check=True).stdout
+        assert "libm.so" in dynamic
 
 
 def test_corpus_without_tokens_rejected():

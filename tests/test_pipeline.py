@@ -1,19 +1,25 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import shutil
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import forumpulse.lda as lda
 import forumpulse.pipeline as pipeline
+import forumpulse.topics as topics
 from forumpulse.errors import DataError, StageError, UsageError
 from forumpulse.fileio import read_json, sha256_file, write_json
 from forumpulse.fixture import TOPIC_WORD_POOLS, generate_fixture
 from forumpulse.pipeline import (CONFIG_DEFAULTS, STAGES, StageContext, load_config,
                                  resolve_threads, run_pipeline, stage_seed)
+
+from conftest import FIXTURE_DIR
 
 EXPECTED_FILES = [
     "manifest.json", "dataset.json", "activity_table.csv", "score_relations.csv",
@@ -233,6 +239,63 @@ def test_both_kernels_write_the_same_bytes_and_are_named(tmp_path, monkeypatch):
     assert read_json(compiled.out_dir / "manifest.json")["stages"]["topics"]["kernel"] \
         == lda.kernel_name()
     assert run_pipeline(config, out_dir=tmp_path / "b", echo=lambda *_: None).all_skipped
+
+
+def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch):
+    """A directory written before stages had versions, when the trace was
+    summed in another order, reruns exactly ``topics``, whose version is 2,
+    and the stages whose inputs that changes, and then holds what a fresh
+    run writes; a record without a version counts as version 1."""
+    config = small_config(tmp_path)
+    fresh = run_pipeline(config, out_dir=tmp_path / "fresh", echo=lambda *_: None)
+    fit = topics.fit
+
+    def older_fit(corpus, lda_config):   # the same model, the trace off by one ulp
+        model = fit(corpus, lda_config)
+        return dataclasses.replace(model, log_likelihood_trace=tuple(
+            np.nextafter(model.log_likelihood_trace, 0).tolist()))
+
+    monkeypatch.setattr(topics, "fit", older_fit)
+    run_pipeline(config, out_dir=tmp_path / "old", echo=lambda *_: None)
+    monkeypatch.undo()
+    manifest_path = tmp_path / "old" / "manifest.json"
+    manifest = read_json(manifest_path)
+    for record in manifest["stages"].values():
+        del record["version"]
+    write_json(manifest_path, manifest)
+    assert (tmp_path / "old" / "model.json").read_bytes() \
+        != (fresh.out_dir / "model.json").read_bytes()
+
+    rerun = run_pipeline(config, out_dir=tmp_path / "old", echo=lambda *_: None)
+    assert [name for name, status in rerun.stage_status.items() if status == "ran"] \
+        == ["topics", "dominance", "report"]
+    for name in EXPECTED_FILES[1:]:
+        assert ((tmp_path / "old" / name).read_bytes()
+                == (fresh.out_dir / name).read_bytes()), name
+
+
+def test_manifest_records_versions_and_sampler_telemetry(tmp_path):
+    """On the shipped fixture, every record names its stage's version, and
+    the topics record the sweeps of the whole scan, their rate and the last
+    relative change of the selected model's trace."""
+    result = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path / "fixture",
+                          echo=lambda *_: None)
+    records = read_json(result.out_dir / "manifest.json")["stages"]
+    assert {name: record["version"] for name, record in records.items()} \
+        == {stage.name: 2 if stage.name == "topics" else 1 for stage in STAGES}
+    record = records["topics"]
+    config = read_json(FIXTURE_DIR / "config.json")
+    assert record["sweeps"] == (config["lda.k_max"] - config["lda.k_min"] + 1) \
+        * config["lda.iterations"]
+    assert math.isfinite(record["sweeps_per_s"]) and record["sweeps_per_s"] > 0
+    trace = read_json(result.out_dir / "model.json")["log_likelihood_trace"]
+    assert record["trace_rel_change"] == abs(trace[-1] - trace[-2]) / abs(trace[-2])
+    assert 0 <= record["trace_rel_change"] < 0.01
+
+    one_sweep = small_config(tmp_path, **{"lda.iterations": 1, "lda.burn_in": 0})
+    result = run_pipeline(one_sweep, echo=lambda *_: None)
+    record = read_json(result.out_dir / "manifest.json")["stages"]["topics"]
+    assert record["sweeps"] == 1 and record["trace_rel_change"] is None
 
 
 def test_missing_input_fails_with_stage_name(tmp_path):
