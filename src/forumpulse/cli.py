@@ -16,13 +16,13 @@ from .corpus import load_corpus
 from .errors import DataError, ForumPulseError, StageError, UsageError
 from .fixture import generate_fixture
 from .ingest import load_dataset
-from .interaction import build_graph, user_classes
+from .interaction import build_graph, save_graph, user_classes
 from .lda import save_model
 from .pipeline import (CONFIG_DEFAULTS as DEFAULTS, StageContext, check_config,
                        corpus_stage, cooccur_stage, dominance_stage, fit_topics,
                        ingest_stage, lexicon_stage, resolve_threads, run_pipeline,
-                       stats_stage, timeline_stage, user_metrics, write_graph,
-                       write_scan, write_top_influencers, write_user_metrics)
+                       stats_stage, timeline_stage, user_metrics, write_scan,
+                       write_top_influencers, write_user_metrics)
 
 _DOMINANCE_HELP = "the dominance.csv of `topics dominance`, its two sibling files beside it"
 
@@ -294,7 +294,7 @@ def _cmd_users_top(args) -> int:
 
 def _cmd_graph_export(args) -> int:
     graph = build_graph(load_dataset(args.dataset))
-    write_graph(args.out, args.format, graph.nodes, graph.edges)
+    save_graph(args.out, args.format, graph.nodes, graph.edges)
     classes = user_classes(graph)
     print(f"graph: {classes.nodes} nodes, {len(graph.edges)} edges, "
           f"{classes.passive} passive ({classes.passive_pct:.2f}%), "

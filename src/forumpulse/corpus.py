@@ -10,16 +10,20 @@ bigram tokens joined with an underscore ("credit_card").
 
 from __future__ import annotations
 
+import io
 import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DataError
-from .fileio import read_csv, read_json, reading, write_csv, write_json
+from .fileio import read_csv, read_json, reading, write_csv, write_json, write_text
 from .ingest import Dataset
 
 DEFAULT_MIN_DF = 5
@@ -28,9 +32,9 @@ DEFAULT_PHRASE_MIN_COUNT = 20
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
-_HAS_LETTER_RE = re.compile(r"[a-z]")
 
 _CORPUS_META_FORMAT = "forumpulse-corpus-v1"
+_TRIPLETS_HEADER = "doc_idx,term_id,count"
 
 
 @lru_cache(maxsize=1)
@@ -51,15 +55,10 @@ def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
         return []
     if stopwords is None:
         stopwords = default_stopwords()
-    text = _URL_RE.sub(" ", text.lower())
-    out = []
-    for token in _TOKEN_RE.findall(text):
-        if len(token) < 2 or token in stopwords:
-            continue
-        if not _HAS_LETTER_RE.search(token):
-            continue  # bare numbers are noise; "401k" survives
-        out.append(token)
-    return out
+    # A token of [a-z0-9] has a letter exactly when it is not all digits:
+    # bare numbers are noise, "401k" survives.
+    return [token for token in _TOKEN_RE.findall(_URL_RE.sub(" ", text.lower()))
+            if len(token) > 1 and token not in stopwords and not token.isdigit()]
 
 
 def merge_phrases(documents: Sequence[Sequence[str]], min_count: int) -> list[list[str]]:
@@ -71,14 +70,14 @@ def merge_phrases(documents: Sequence[Sequence[str]], min_count: int) -> list[li
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    pair_counts: Counter[tuple[str, str]] = Counter()
-    for doc in documents:
-        for i in range(len(doc) - 1):
-            pair_counts[(doc[i], doc[i + 1])] += 1
+    pair_counts = Counter(chain.from_iterable(zip(doc, doc[1:]) for doc in documents))
     phrases = {pair for pair, n in pair_counts.items() if n >= min_count}
 
     merged_docs = []
     for doc in documents:
+        if phrases.isdisjoint(zip(doc, doc[1:])):
+            merged_docs.append(list(doc))
+            continue
         merged: list[str] = []
         i = 0
         while i < len(doc):
@@ -105,41 +104,62 @@ class Vocabulary:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """Sparse term-count vectors over a fixed vocabulary.
+_ARRAYS = ("offsets", "term_ids", "counts")
 
-    ``documents[i]`` is a tuple of (term_id, count) pairs sorted by term id,
-    aligned with ``doc_ids[i]``. Posts whose vector came out empty are not
-    documents; their ids are kept in ``excluded_doc_ids``.
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Sparse term-count vectors over a fixed vocabulary, in CSR form.
+
+    Document i, aligned with ``doc_ids[i]``, holds the terms
+    ``term_ids[offsets[i]:offsets[i + 1]]``, ascending, with their counts at
+    the same positions of ``counts``. The three arrays are read-only int64.
+    Posts whose vector came out empty are not documents; their ids are kept
+    in ``excluded_doc_ids``.
     """
 
-    documents: tuple[tuple[tuple[int, int], ...], ...]
+    offsets: np.ndarray      # (n_docs + 1,), offsets[0] == 0
+    term_ids: np.ndarray
+    counts: np.ndarray
     doc_ids: tuple[str, ...]
     vocabulary: Vocabulary
     total_tokens: int
     excluded_doc_ids: tuple[str, ...]
 
+    def __post_init__(self):
+        for name in _ARRAYS:
+            array = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        if (len(self.offsets) != len(self.doc_ids) + 1 or self.offsets[0] != 0
+                or self.offsets[-1] != len(self.term_ids)
+                or len(self.counts) != len(self.term_ids)):
+            raise ValueError(f"offsets of length {len(self.offsets)} do not fit "
+                             f"{len(self.doc_ids)} documents and {len(self.term_ids)} "
+                             f"term ids with {len(self.counts)} counts")
+
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.doc_ids)
 
-    def document_tokens(self, i: int) -> list[str]:
-        """Token multiset of document i (term-id order, repeats by count)."""
-        terms = self.vocabulary.terms
-        out: list[str] = []
-        for term_id, count in self.documents[i]:
-            out.extend([terms[term_id]] * count)
-        return out
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (all(np.array_equal(getattr(self, name), getattr(other, name))
+                    for name in _ARRAYS)
+                and (self.doc_ids, self.vocabulary, self.total_tokens,
+                     self.excluded_doc_ids)
+                == (other.doc_ids, other.vocabulary, other.total_tokens,
+                    other.excluded_doc_ids))
 
+    __hash__ = None
 
-def tokenize_posts(dataset: Dataset,
-                   phrase_min_count: int = DEFAULT_PHRASE_MIN_COUNT,
-                   stopwords: frozenset[str] | None = None,
-                   ) -> tuple[list[str], list[list[str]]]:
-    """Tokenized title+body per post, phrase pass applied, aligned to post ids."""
-    doc_ids = [post.id for post in dataset.posts]
-    raw = [tokenize(post.title + " " + post.body, stopwords) for post in dataset.posts]
-    return doc_ids, merge_phrases(raw, phrase_min_count)
+    @property
+    def documents(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each document's (term_id, count) pairs, as tuples built from the
+        arrays on every access."""
+        pairs = tuple(zip(self.term_ids.tolist(), self.counts.tolist()))
+        bounds = self.offsets.tolist()
+        return tuple(pairs[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 def build_corpus(dataset: Dataset,
@@ -147,7 +167,7 @@ def build_corpus(dataset: Dataset,
                  max_df_fraction: float = DEFAULT_MAX_DF_FRACTION,
                  phrase_min_count: int = DEFAULT_PHRASE_MIN_COUNT,
                  stopwords: frozenset[str] | None = None) -> Corpus:
-    """Build the corpus from post text.
+    """Build the corpus from post text, the phrase pass applied.
 
     A term enters the vocabulary when it appears in at least ``min_df``
     posts and in at most ``max_df_fraction`` of the non-empty posts (both
@@ -159,54 +179,51 @@ def build_corpus(dataset: Dataset,
         raise ValueError("min_df must be >= 1")
     if not 0 < max_df_fraction <= 1:
         raise ValueError("max_df_fraction must be in (0, 1]")
+    if stopwords is None:
+        stopwords = default_stopwords()
 
-    doc_ids, token_docs = tokenize_posts(dataset, phrase_min_count, stopwords)
-
+    token_docs = merge_phrases(
+        [tokenize(post.title + " " + post.body, stopwords) for post in dataset.posts],
+        phrase_min_count)
+    n_posts = len(token_docs)
     n_docs = sum(1 for doc in token_docs if doc)
-    df: Counter[str] = Counter()
-    for doc in token_docs:
-        df.update(set(doc))
 
-    max_df = max_df_fraction * n_docs
-    keep: dict[str, int] = {}
-    freq: list[int] = []
-    for doc in token_docs:
-        for token in doc:
-            if token in keep:
-                continue
-            if min_df <= df[token] <= max_df:
-                keep[token] = len(keep)
-                freq.append(df[token])
-
-    if not keep:
-        distinct = len(df)
+    # Every distinct token, numbered in first-occurrence order, and one
+    # (post, token) key per token: their distinct keys are the posts' sparse
+    # vectors over all tokens, sorted by post and then by token.
+    first = dict.fromkeys(chain.from_iterable(token_docs))
+    n_all = len(first)
+    keys = np.repeat(np.arange(n_posts), list(map(len, token_docs)))
+    keys *= n_all
+    keys += np.fromiter(map(dict(zip(first, range(n_all))).__getitem__,
+                            chain.from_iterable(token_docs)),
+                        dtype=np.int64, count=len(keys))
+    del token_docs    # freed before the sort, which sets the stage's peak memory
+    keys, counts = np.unique(keys, return_counts=True)
+    posts, tokens = np.divmod(keys, n_all)
+    df = np.bincount(tokens, minlength=n_all)
+    keep = (min_df <= df) & (df <= max_df_fraction * n_docs)
+    if not keep.any():
         raise DataError(
-            f"empty vocabulary: {distinct} distinct terms over {n_docs} non-empty posts, "
+            f"empty vocabulary: {n_all} distinct terms over {n_docs} non-empty posts, "
             f"none satisfied min_df={min_df} and max_df={max_df_fraction:g} "
             f"(phrase_min_count={phrase_min_count})")
 
-    vocabulary = Vocabulary(terms=tuple(keep), document_frequency=tuple(freq))
-
-    documents = []
-    kept_ids = []
-    excluded = []
-    total_tokens = 0
-    for doc_id, doc in zip(doc_ids, token_docs):
-        counts = Counter(keep[t] for t in doc if t in keep)
-        if not counts:
-            excluded.append(doc_id)
-            continue
-        vector = tuple(sorted(counts.items()))
-        documents.append(vector)
-        kept_ids.append(doc_id)
-        total_tokens += sum(counts.values())
-
+    kept = keep[tokens]
+    counts = counts[kept]
+    per_post = np.bincount(posts[kept], minlength=n_posts)
+    nonempty = (per_post > 0).tolist()
+    post_ids = [post.id for post in dataset.posts]
     return Corpus(
-        documents=tuple(documents),
-        doc_ids=tuple(kept_ids),
-        vocabulary=vocabulary,
-        total_tokens=total_tokens,
-        excluded_doc_ids=tuple(excluded),
+        offsets=np.concatenate(([0], np.cumsum(per_post[per_post > 0]))),
+        term_ids=(np.cumsum(keep) - 1)[tokens[kept]],
+        counts=counts,
+        doc_ids=tuple(i for i, d in zip(post_ids, nonempty) if d),
+        vocabulary=Vocabulary(
+            terms=tuple(t for t, k in zip(first, keep.tolist()) if k),
+            document_frequency=tuple(df[keep].tolist())),
+        total_tokens=int(counts.sum()),
+        excluded_doc_ids=tuple(i for i, d in zip(post_ids, nonempty) if not d),
     )
 
 
@@ -220,28 +237,60 @@ def save_corpus(corpus: Corpus, directory: Path) -> None:
     """Write the documented on-disk layout.
 
     vocabulary.tsv holds (id, term, df); documents.csv holds sparse triplets
-    (doc_idx, term_id, count); docs.csv maps doc_idx to post id; meta.json
-    carries totals and the excluded post ids.
+    (doc_idx, term_id, count), in doc_idx and then term id order; docs.csv
+    maps doc_idx to post id; meta.json carries totals and the excluded post
+    ids.
     """
     directory = Path(directory)
     write_csv(directory / "vocabulary.tsv", ("id", "term", "df"),
               ((i, t, d) for i, (t, d) in
                enumerate(zip(corpus.vocabulary.terms, corpus.vocabulary.document_frequency))),
               delimiter="\t")
-    write_csv(directory / "documents.csv", ("doc_idx", "term_id", "count"),
-              ((i, term_id, count)
-               for i, vector in enumerate(corpus.documents)
-               for term_id, count in vector))
+    doc_idx = np.repeat(np.arange(len(corpus)), np.diff(corpus.offsets))
+    triplets = np.column_stack((doc_idx, corpus.term_ids, corpus.counts))
+    write_text(directory / "documents.csv", f"{_TRIPLETS_HEADER}\n"
+               + "%d,%d,%d\n" * len(triplets) % tuple(triplets.ravel().tolist()))
     write_csv(directory / "docs.csv", ("doc_idx", "post_id"),
               enumerate(corpus.doc_ids))
     write_json(directory / "meta.json", {
         "format": _CORPUS_META_FORMAT,
         "total_tokens": corpus.total_tokens,
-        "n_documents": len(corpus.documents),
+        "n_documents": len(corpus),
         "vocabulary_size": len(corpus.vocabulary),
         "excluded_doc_ids": list(corpus.excluded_doc_ids),
         "vocabulary_sha256": vocabulary_digest(corpus.vocabulary),
     })
+
+
+def _read_triplets(path: Path, n_documents: int, vocabulary_size: int) -> np.ndarray:
+    """The (doc_idx, term_id, count) rows of ``documents.csv``; DataError
+    unless every line is three integers, a doc_idx and a term id in range
+    and a count >= 1, in doc_idx order with ascending, distinct term ids
+    within a document."""
+    with reading(path, "document triplets file"):
+        text = path.read_text(encoding="utf-8")
+        header, _, body = text.partition("\n")
+        if header != _TRIPLETS_HEADER or not text.endswith("\n"):
+            raise ValueError(f"not a {_TRIPLETS_HEADER!r} header and whole lines")
+        rows = (np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",",
+                           comments=None, ndmin=2)
+                if body else np.empty((0, 3), dtype=np.int64))
+        if rows.shape[1:] != (3,) or len(rows) != body.count("\n"):
+            raise ValueError("a line is not three cells")
+
+    doc_idx, term_ids, counts = rows.T
+    step = np.diff(doc_idx, prepend=0)
+    for what, bad in (
+            ("doc_idx, term_id or count out of range",
+             (doc_idx < 0) | (doc_idx >= n_documents) | (term_ids < 0)
+             | (term_ids >= vocabulary_size) | (counts < 1)),
+            ("doc_idx decreases or a term id does not increase",
+             (step < 0) | ((step == 0) & (np.diff(term_ids, prepend=-1) <= 0)))):
+        if bad.any():
+            line = int(np.argmax(bad))
+            raise DataError(f"{path}: {what} on line {line + 2}: "
+                            f"{','.join(map(str, rows[line]))!r}")
+    return rows
 
 
 def load_corpus(directory: Path) -> Corpus:
@@ -265,16 +314,7 @@ def load_corpus(directory: Path) -> Corpus:
             terms.append(term)
             freq.append(int(df))
 
-    vectors: dict[int, list[tuple[int, int]]] = {}
-    tokens = 0
-    path = directory / "documents.csv"
-    with reading(path, "document triplets file"):
-        for row in read_csv(path, 3):
-            doc_idx, term_id, count = map(int, row)
-            if not (0 <= doc_idx < n_documents and 0 <= term_id < vocabulary_size):
-                raise DataError(f"{path}: index out of range in {','.join(row)!r}")
-            vectors.setdefault(doc_idx, []).append((term_id, count))
-            tokens += count
+    triplets = _read_triplets(directory / "documents.csv", n_documents, vocabulary_size)
 
     doc_ids: list[str] = []
     path = directory / "docs.csv"
@@ -288,13 +328,15 @@ def load_corpus(directory: Path) -> Corpus:
     for name, what, found, recorded in (
             ("vocabulary.tsv", "terms", len(terms), vocabulary_size),
             ("docs.csv", "documents", len(doc_ids), n_documents),
-            ("documents.csv", "tokens", tokens, total_tokens)):
+            ("documents.csv", "tokens", int(triplets[:, 2].sum()), total_tokens)):
         if found != recorded:
             raise DataError(f"{directory / name}: {found} {what} where meta.json "
                             f"records {recorded}")
-    documents = tuple(tuple(vectors.get(i, ())) for i in range(len(doc_ids)))
     return Corpus(
-        documents=documents,
+        offsets=np.concatenate(
+            ([0], np.cumsum(np.bincount(triplets[:, 0], minlength=n_documents)))),
+        term_ids=triplets[:, 1],
+        counts=triplets[:, 2],
         doc_ids=tuple(doc_ids),
         vocabulary=Vocabulary(terms=tuple(terms), document_frequency=tuple(freq)),
         total_tokens=total_tokens,

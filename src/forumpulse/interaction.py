@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DataError
-from .fileio import read_csv, reading
+from .fileio import read_csv, reading, write_csv, write_text
 from .ingest import SENTINEL_AUTHORS, Comment, Dataset
 from .topics import DominantTopicAssignment
 
@@ -71,6 +71,16 @@ def load_graph(path: Path) -> InteractionGraph:
         edges = tuple((names.setdefault(s, s), names.setdefault(t, t), int(w))
                       for s, t, w in read_csv(path, 3))
     return graph_from_edges(edges)
+
+
+def save_graph(path: Path, fmt: str, nodes: Sequence[str],
+               edges: Sequence[tuple[str, str, int]]) -> None:
+    """A reply graph as an edge-list CSV (``edges.csv``, which ``load_graph``
+    reads), GraphML or DOT file."""
+    if fmt == "csv":
+        write_csv(path, ("from", "to", "weight"), edges)
+    else:
+        write_text(path, (graphml_text if fmt == "graphml" else dot_text)(nodes, edges))
 
 
 @dataclass(frozen=True)

@@ -371,7 +371,7 @@ def fit(corpus: Corpus, config: LdaConfig,
         sweep_hook: optional callable invoked as hook(sweep_number, state)
             after every sweep (1-based), for diagnostics and testing.
     """
-    n_docs = len(corpus.documents)
+    n_docs = len(corpus)
     if n_docs == 0:
         raise DataError("cannot fit a topic model on an empty corpus")
     k = config.k
@@ -381,12 +381,9 @@ def fit(corpus: Corpus, config: LdaConfig,
     beta = config.beta
     vbeta = v_size * beta
 
-    # Sparse (doc, word, count) triplets, for the tokens and the per-sweep
-    # likelihood trace.
-    w_idx = np.asarray([word_id for vec in corpus.documents for word_id, _ in vec],
-                       dtype=np.int64)
-    counts = np.asarray([count for vec in corpus.documents for _, count in vec],
-                        dtype=np.int64)
+    # The corpus's (doc, word, count) triplets give the tokens and the
+    # per-sweep likelihood trace.
+    w_idx, counts = corpus.term_ids, corpus.counts
     if not counts.sum():
         raise DataError("cannot fit a topic model on a corpus without tokens")
     if not (0 <= w_idx.min() and w_idx.max() < v_size):
@@ -396,21 +393,20 @@ def fit(corpus: Corpus, config: LdaConfig,
                       stacklevel=2)
 
     words = np.repeat(w_idx, counts).astype(np.int32)
-    doc_totals = np.asarray([sum(count for _, count in vec) for vec in corpus.documents],
-                            dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(counts)))[corpus.offsets]
+    doc_totals = np.diff(offsets)
     tables = _Tables(
         # Sweeps visit documents in doc-id order regardless of presentation order.
         order=np.asarray(sorted(range(n_docs), key=lambda i: corpus.doc_ids[i]),
                          dtype=np.int64),
-        offsets=np.concatenate(([0], np.cumsum(doc_totals))),
+        offsets=offsets,
         words=words,
         z=np.zeros(len(words), dtype=np.int32),
         ndt=np.zeros((n_docs, k), dtype=np.int64),
         nwt=np.zeros((v_size, k), dtype=np.int64),
         nt=np.zeros(k, dtype=np.int64),
         doc_totals=doc_totals,
-        trip_offsets=np.concatenate(
-            ([0], np.cumsum([len(vec) for vec in corpus.documents], dtype=np.int64))),
+        trip_offsets=corpus.offsets,
         trip_words=w_idx,
         trip_counts=counts.astype(np.float64),
     )

@@ -13,10 +13,10 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
 
 import numpy as np
 
+from .corpus import Corpus
 from .errors import DataError
 
 PCA_RESIDUAL_TOL = 1e-10
@@ -72,25 +72,34 @@ class CategoryMatrix:
     doc_ids: tuple[str, ...]
 
 
-def categorize(documents: Sequence[Sequence[str]], lexicon: Lexicon,
-               doc_ids: Optional[Sequence[str]] = None) -> CategoryMatrix:
-    """Score each tokenized document against every lexicon category."""
+def categorize(corpus: Corpus, lexicon: Lexicon) -> CategoryMatrix:
+    """Score each document of ``corpus`` against every lexicon category.
+
+    A document's hits in a category are an exact integer: the counts of its
+    terms that are category words. Its row is those hits times the
+    reciprocal of its token total, and zero for a document without tokens.
+    """
     if len(lexicon) == 0:
         raise DataError("lexicon has no categories")
-    if doc_ids is None:
-        doc_ids = tuple(str(i) for i in range(len(documents)))
-    rows = np.zeros((len(documents), len(lexicon)))
-    for i, doc in enumerate(documents):
-        if not doc:
-            continue
-        inv_total = 1.0 / len(doc)
-        for j, wordset in enumerate(lexicon.words):
-            hits = sum(1 for token in doc if token in wordset)
-            if hits:
-                rows[i, j] = hits * inv_total
+    running = np.zeros(len(corpus.counts) + 1, dtype=np.int64)
+
+    def per_document(values: np.ndarray) -> np.ndarray:
+        # Per-document sums of per-pair values: running sums at the offsets.
+        np.cumsum(values, out=running[1:])
+        return np.diff(running[corpus.offsets])
+
+    index = {term: i for i, term in enumerate(corpus.vocabulary.terms)}
+    hits = np.zeros((len(corpus), len(lexicon)), dtype=np.int64)
+    for j, wordset in enumerate(lexicon.words):
+        member = np.zeros(len(index), dtype=bool)
+        member[[index[w] for w in wordset if w in index]] = True
+        hits[:, j] = per_document(np.where(member[corpus.term_ids], corpus.counts, 0))
+    totals = per_document(corpus.counts)
+    inv_totals = np.divide(1.0, totals, out=np.zeros(len(totals)), where=totals > 0)
+    rows = hits * inv_totals[:, None]
     rows.setflags(write=False)
     return CategoryMatrix(rows=rows, categories=lexicon.categories,
-                          doc_ids=tuple(doc_ids))
+                          doc_ids=corpus.doc_ids)
 
 
 @dataclass(frozen=True)

@@ -34,17 +34,17 @@ from . import __version__
 from .corpus import (DEFAULT_MAX_DF_FRACTION, DEFAULT_MIN_DF, DEFAULT_PHRASE_MIN_COUNT,
                      build_corpus, load_corpus, save_corpus)
 from .errors import DataError, StageError, UsageError
-from .fileio import read_csv, read_json, sha256_file, write_csv, write_json, write_text
+from .fileio import read_csv, read_json, sha256_file, write_csv, write_json
 from .ingest import (author_activity_table, load_dataset, parse_dump,
                      response_time_table, save_dataset, score_relations)
-from .interaction import (build_graph, compute_user_metrics, dot_text,
-                          graphml_text, load_graph, spread_influence_rows,
-                          top_influencers_subgraph, user_classes)
+from .interaction import (build_graph, compute_user_metrics, load_graph, save_graph,
+                          spread_influence_rows, top_influencers_subgraph,
+                          user_classes)
 from .lda import (DEFAULT_BETA, DEFAULT_BURN_IN, DEFAULT_ITERATIONS, LdaConfig,
                   kernel_name, load_model, save_model, top_words)
 from .lexicon import categorize, demo_lexicon, load_lexicon, pca, topicwise_profile
 from .topics import (cooccurrence, dominant_topics, load_assignment,
-                     monthly_distribution, select_k)
+                     monthly_distribution, save_assignment, select_k)
 
 _MANIFEST_FORMAT = "forumpulse-manifest-v1"
 
@@ -232,6 +232,9 @@ class Stage:
     # Part of the skip key: raised by hand whenever the stage's outputs change
     # in format or meaning for the same inputs. A record without one is 1.
     version: int = 1
+    # Artifacts whose digests the stage records without parsing them: part of
+    # the skip key, but never handed on parsed from the stage before.
+    recorded: tuple[str, ...] = ()
 
 
 def fit_topics(corpus, params: Mapping[str, Any], seed: int, workers: int = 1,
@@ -262,14 +265,6 @@ def write_scan(path: Path, rows) -> None:
     write_csv(path, ("k", "w_k", "selected"), rows)
 
 
-def write_graph(path: Path, fmt: str, nodes, edges) -> None:
-    """A reply graph as an edge-list CSV, GraphML or DOT file."""
-    if fmt == "csv":
-        write_csv(path, ("from", "to", "weight"), edges)
-    else:
-        write_text(path, (graphml_text if fmt == "graphml" else dot_text)(nodes, edges))
-
-
 def user_metrics(ctx: StageContext):
     """The reply graph and every commenter's metrics; tau is blank when the
     ``dominance.csv`` path is None."""
@@ -296,8 +291,8 @@ def write_top_influencers(ctx: StageContext, graph, metrics):
     write_csv(ctx.path("top_influencers.csv"), ("rank", "user", "influence", "C"),
               ((i + 1, u, by_user[u].influence, by_user[u].comment_count)
                for i, u in enumerate(subgraph.selected)))
-    write_graph(ctx.path("influencer_subgraph.graphml"), "graphml",
-                subgraph.nodes, subgraph.edges)
+    save_graph(ctx.path("influencer_subgraph.graphml"), "graphml",
+               subgraph.nodes, subgraph.edges)
     return subgraph
 
 
@@ -369,13 +364,7 @@ def topics_stage(ctx: StageContext) -> None:
 
 def dominance_stage(ctx: StageContext):
     assignment = dominant_topics(ctx.load("model.json"))
-    write_csv(ctx.path("dominance.csv"), ("post_id", "dominant_topics"),
-              ((doc_id, "|".join(str(t) for t in sorted(topics)))
-               for doc_id, topics in zip(assignment.doc_ids, assignment.dominant)))
-    write_csv(ctx.path("dominance_thresholds.csv"), ("topic", "mu", "sigma"),
-              ((t, mu, sigma) for t, (mu, sigma) in enumerate(assignment.thresholds)))
-    write_csv(ctx.path("topic_presence.csv"), ("topic", "presence_fraction"),
-              enumerate(assignment.topic_presence))
+    save_assignment(ctx.path("dominance.csv"), assignment)
     return assignment
 
 
@@ -396,8 +385,7 @@ def lexicon_stage(ctx: StageContext):
     corpus = ctx.load("corpus")
     lexicon_path = ctx.params["lexicon.path"]
     lex = load_lexicon(Path(lexicon_path)) if lexicon_path is not None else demo_lexicon()
-    docs = [corpus.document_tokens(i) for i in range(len(corpus))]
-    matrix = categorize(docs, lex, doc_ids=corpus.doc_ids)
+    matrix = categorize(corpus, lex)
     write_csv(ctx.path("category_matrix.csv"), ("post_id",) + matrix.categories,
               ((doc_id,) + tuple(float(x) for x in row)
                for doc_id, row in zip(matrix.doc_ids, matrix.rows)))
@@ -423,7 +411,7 @@ def graph_stage(ctx: StageContext) -> None:
     graph = build_graph(ctx.load("dataset.json"))
     for name, fmt in (("edges.csv", "csv"), ("graph.graphml", "graphml"),
                       ("graph.dot", "dot")):
-        write_graph(ctx.path(name), fmt, graph.nodes, graph.edges)
+        save_graph(ctx.path(name), fmt, graph.nodes, graph.edges)
     classes = user_classes(graph)
     write_json(ctx.path("user_classes.json"), {
         "nodes": classes.nodes,
@@ -495,9 +483,12 @@ STAGES: tuple[Stage, ...] = (
           ("user_metrics.csv", "spread_influence.csv", "top_influencers.csv",
            "influencer_subgraph.graphml"), metrics_stage),
 )
-# The report consumes, and records the digest of, every artifact above.
+# The report records the digest of every artifact above.
 _ARTIFACTS = tuple(name for stage in STAGES for name in stage.outputs)
-STAGES += (Stage("report", (), _ARTIFACTS, ("report.json",), report_stage),)
+STAGES += (Stage("report", (),
+                 ("model.json", "skewness_scan.csv", "stats_summary.json",
+                  "user_classes.json") + _DOMINANCE,
+                 ("report.json",), report_stage, recorded=_ARTIFACTS),)
 
 
 def run_pipeline(config_path: Path,
@@ -520,9 +511,6 @@ def run_pipeline(config_path: Path,
     manifest.update(tool_version=__version__, seed=config["seed"], config=dict(config),
                     config_sha256=_params_digest(config))
 
-    def rel(path: Path) -> str:
-        return str(path.relative_to(target) if path.is_relative_to(target) else path)
-
     status: dict[str, str] = {}
     parsed: dict[str, Any] = {}
     for stage in STAGES:
@@ -535,13 +523,18 @@ def run_pipeline(config_path: Path,
         parsed = {name: value for name, value in parsed.items() if name in reads}
         ctx = StageContext(paths, {key: config[key] for key in stage.params},
                            target, workers, echo, parsed)
-        inputs = [ctx.path(name) for name in stage.inputs
-                  if name in paths or name not in CONFIG_DEFAULTS]
-        for p in inputs:
+        # An input is keyed by its name: a dump or lexicon file by its config
+        # key, so the same bytes reached through another path match.
+        inputs = {name: ctx.path(name) for name in stage.inputs + stage.recorded
+                  if name in paths or name not in CONFIG_DEFAULTS}
+        for p in inputs.values():
             if not p.exists():
                 raise StageError(stage.name, DataError(f"missing input file: {p}"))
-        digest = _params_digest(ctx.params)
-        input_digests = {rel(p): sha256_file(p) for p in inputs}
+        # A param that names an input file is in the skip key by its config
+        # key too; the file's bytes are in it through its digest.
+        digest = _params_digest({key: key if key in paths else value
+                                 for key, value in ctx.params.items()})
+        input_digests = {name: sha256_file(p) for name, p in inputs.items()}
 
         prior = manifest["stages"].get(stage.name, {})
         if (prior.get("version", 1) == stage.version

@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError
-from .fileio import read_csv, reading
+from .fileio import read_csv, reading, write_csv
 from .ingest import Dataset
 from .lda import LdaConfig, TopicModel, fit
 
@@ -194,6 +194,20 @@ def _topic_table(path: Path, width: int) -> tuple[tuple[float, ...], ...]:
         if [int(row[0]) for row in rows] != list(range(len(rows))):
             raise ValueError("topics are not numbered 0, 1, ...")
         return tuple(tuple(float(x) for x in row[1:]) for row in rows)
+
+
+def save_assignment(path: Path, assignment: DominantTopicAssignment) -> None:
+    """Write ``assignment`` to ``path`` (``dominance.csv``) and its thresholds
+    and topic presence to ``dominance_thresholds.csv`` and
+    ``topic_presence.csv`` beside it, where ``load_assignment`` reads them."""
+    path = Path(path)
+    write_csv(path, ("post_id", "dominant_topics"),
+              ((doc_id, "|".join(str(t) for t in sorted(topics)))
+               for doc_id, topics in zip(assignment.doc_ids, assignment.dominant)))
+    write_csv(path.parent / "dominance_thresholds.csv", ("topic", "mu", "sigma"),
+              ((t, mu, sigma) for t, (mu, sigma) in enumerate(assignment.thresholds)))
+    write_csv(path.parent / "topic_presence.csv", ("topic", "presence_fraction"),
+              enumerate(assignment.topic_presence))
 
 
 def load_assignment(path: Path) -> DominantTopicAssignment:

@@ -5,6 +5,7 @@ import os
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import forumpulse
@@ -22,6 +23,15 @@ def child_env(**variables: str) -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": path, **variables}
 
 
+def csr(vectors) -> dict[str, np.ndarray]:
+    """The ``offsets``, ``term_ids`` and ``counts`` arrays of a corpus whose
+    documents hold the (term_id, count) pairs of ``vectors``."""
+    pairs = [pair for vector in vectors for pair in vector]
+    return {"offsets": np.cumsum([0] + [len(vector) for vector in vectors]),
+            "term_ids": np.array([t for t, _ in pairs], dtype=np.int64),
+            "counts": np.array([n for _, n in pairs], dtype=np.int64)}
+
+
 def corpus_from_counts(docs: list[dict[str, int]], doc_ids=None) -> Corpus:
     """Corpus built straight from token->count maps, bypassing tokenization."""
     terms: list[str] = []
@@ -35,16 +45,19 @@ def corpus_from_counts(docs: list[dict[str, int]], doc_ids=None) -> Corpus:
         df.update(doc.keys())
     if doc_ids is None:
         doc_ids = [f"d{i:03d}" for i in range(len(docs))]
-    documents = tuple(
-        tuple(sorted((index[t], n) for t, n in doc.items())) for doc in docs)
     return Corpus(
-        documents=documents,
+        **csr([sorted((index[t], n) for t, n in doc.items()) for doc in docs]),
         doc_ids=tuple(doc_ids),
         vocabulary=Vocabulary(terms=tuple(terms),
                               document_frequency=tuple(df[t] for t in terms)),
         total_tokens=sum(n for doc in docs for n in doc.values()),
         excluded_doc_ids=(),
     )
+
+
+def corpus_from_tokens(docs: list[list[str]]) -> Corpus:
+    """Corpus whose documents hold the tokens of ``docs``."""
+    return corpus_from_counts([Counter(doc) for doc in docs])
 
 
 def post_record(pid: str, author: str = "alice", created: int = 1000,

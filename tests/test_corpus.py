@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import tempfile
+import warnings
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,8 +13,10 @@ from hypothesis import strategies as st
 from forumpulse.corpus import (build_corpus, default_stopwords, load_corpus,
                                merge_phrases, save_corpus, tokenize)
 from forumpulse.errors import DataError
+from forumpulse.lda import LdaConfig, fit
+from forumpulse.lexicon import Lexicon, categorize
 
-from conftest import make_dataset, post_record
+from conftest import corpus_from_counts, make_dataset, post_record
 
 
 def test_tokenize_normalization():
@@ -187,13 +193,6 @@ def test_load_corpus_rejects_a_gap_in_doc_indices(tmp_path):
         load_corpus(tmp_path / "corpus")
 
 
-def test_document_tokens_roundtrip():
-    corpus = build_corpus(_five_post_dataset(), min_df=1, max_df_fraction=1.0,
-                          phrase_min_count=99)
-    tokens = corpus.document_tokens(0)   # pa: loan x2, advice, payment, month
-    assert tokens == ["loan", "loan", "advice", "payment", "month"]
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.text(max_size=200))
 def test_tokenize_output_properties(text):
@@ -203,3 +202,140 @@ def test_tokenize_output_properties(text):
         assert len(token) >= 2
         assert token not in stop
         assert any(ch.isalpha() for ch in token)
+
+
+def _reference_vectors(token_docs, min_df, max_df_fraction):
+    """The vocabulary and the (term_id, count) vectors of the non-empty
+    documents, counted one token at a time."""
+    n_docs = sum(1 for doc in token_docs if doc)
+    df = Counter()
+    for doc in token_docs:
+        df.update(set(doc))
+    keep: dict[str, int] = {}
+    for doc in token_docs:
+        for token in doc:
+            if token not in keep and min_df <= df[token] <= max_df_fraction * n_docs:
+                keep[token] = len(keep)
+    vectors = []
+    for doc in token_docs:
+        counts = Counter(keep[t] for t in doc if t in keep)
+        if counts:
+            vectors.append(tuple(sorted(counts.items())))
+    return tuple(keep), tuple(df[t] for t in keep), tuple(vectors)
+
+
+_WORDS = st.sampled_from(["loan", "debt", "card", "rent", "pay", "401k", "2021", "tax"])
+_POSTS = st.lists(st.lists(_WORDS, max_size=12), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(posts=_POSTS, min_df=st.integers(1, 3), max_df=st.sampled_from([0.5, 0.75, 1.0]),
+       phrase_min_count=st.integers(1, 4))
+def test_build_save_load_round_trips_the_arrays(posts, min_df, max_df, phrase_min_count):
+    """The arrays hold what a token-at-a-time count gives, and
+    ``documents.csv`` and its siblings load back to the same arrays."""
+    dataset = make_dataset([post_record(f"p{i:02d}", title=" ".join(words))
+                            for i, words in enumerate(posts)], [])
+    token_docs = merge_phrases([tokenize(p.title + " " + p.body) for p in dataset.posts],
+                               phrase_min_count)
+    terms, df, vectors = _reference_vectors(token_docs, min_df, max_df)
+    if not terms:
+        with pytest.raises(DataError):
+            build_corpus(dataset, min_df, max_df, phrase_min_count)
+        return
+    corpus = build_corpus(dataset, min_df, max_df, phrase_min_count)
+    assert (corpus.vocabulary.terms, corpus.vocabulary.document_frequency,
+            corpus.documents) == (terms, df, vectors)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_corpus(corpus, Path(tmp))
+        loaded = load_corpus(Path(tmp))
+    assert loaded == corpus
+    for array in (loaded.offsets, loaded.term_ids, loaded.counts):
+        assert array.dtype == np.int64 and not array.flags.writeable
+
+
+def _token_tally(corpus, lexicon):
+    """Category rows counted over each document's tokens, one at a time."""
+    terms = corpus.vocabulary.terms
+    rows = np.zeros((len(corpus), len(lexicon)))
+    for i, vector in enumerate(corpus.documents):
+        doc = [terms[term_id] for term_id, count in vector for _ in range(count)]
+        if not doc:
+            continue
+        inv_total = 1.0 / len(doc)
+        for j, wordset in enumerate(lexicon.words):
+            hits = sum(1 for token in doc if token in wordset)
+            if hits:
+                rows[i, j] = hits * inv_total
+    return rows
+
+
+_TERMS = [f"w{i}" for i in range(12)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(docs=st.lists(st.dictionaries(st.sampled_from(_TERMS), st.integers(1, 9), max_size=8),
+                     min_size=1, max_size=10),
+       wordsets=st.lists(st.sets(st.sampled_from(_TERMS + ["absent"]), min_size=1),
+                         min_size=1, max_size=5))
+def test_categorize_equals_the_token_tally(docs, wordsets):
+    corpus = corpus_from_counts(docs)
+    lexicon = Lexicon(categories=tuple(f"c{j}" for j in range(len(wordsets))),
+                      words=tuple(frozenset(w) for w in wordsets))
+    matrix = categorize(corpus, lexicon)
+    assert matrix.rows.tobytes() == _token_tally(corpus, lexicon).tobytes()
+    assert matrix.doc_ids == corpus.doc_ids
+
+
+@settings(max_examples=15, deadline=None)
+@given(posts=_POSTS.filter(lambda posts: sum(map(len, posts)) > 4), k=st.integers(2, 4),
+       seed=st.integers(0, 2**32))
+def test_fit_on_a_loaded_corpus_equals_fit_on_the_built_one(posts, k, seed):
+    dataset = make_dataset([post_record(f"p{i:02d}", title=" ".join(words))
+                            for i, words in enumerate(posts)], [])
+    try:
+        corpus = build_corpus(dataset, min_df=1, max_df_fraction=1.0, phrase_min_count=3)
+    except DataError:       # every word a number
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        save_corpus(corpus, Path(tmp))
+        loaded = load_corpus(Path(tmp))
+    config = LdaConfig(k=k, iterations=6, burn_in=2, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # vocabulary smaller than k
+        built, again = fit(corpus, config), fit(loaded, config)
+    assert built.theta.tobytes() == again.theta.tobytes()
+    assert built.phi.tobytes() == again.phi.tobytes()
+    assert built.assignments == again.assignments
+    assert np.array(built.log_likelihood_trace).tobytes() \
+        == np.array(again.log_likelihood_trace).tobytes()
+
+
+# documents.csv of the five-post corpus (min_df=1, max_df_fraction=1.0,
+# phrase_min_count=99) starts "doc_idx,term_id,count\n0,0,2\n0,1,1\n0,2,1\n0,3,1\n1,4,2".
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("0,1,1\n0,2,1", "0,2,1\n0,1,1"), "does not increase"),
+    (lambda text: text.replace("0,1,1\n", "0,0,1\n"), "does not increase"),
+    (lambda text: text.replace("0,3,1\n1,4,2\n", "1,4,2\n0,3,1\n"), "decreases"),
+    (lambda text: text.replace("0,1,1\n", "0,1,0\n"), "out of range"),
+    (lambda text: text.replace("0,1,1\n", "0,12,1\n"), "out of range"),
+    (lambda text: text.replace("0,1,1\n", "5,1,1\n"), "out of range"),
+    (lambda text: text.replace("0,1,1\n", "0,1,1\n\n"), "three cells"),
+    (lambda text: text.replace("0,1,1\n", "0,1\n"), "corrupt"),
+    (lambda text: text.replace("0,1,1\n", "0,1,1,\n"), "corrupt"),
+    (lambda text: text.replace("doc_idx", "doc"), "header"),
+    (lambda text: text[:-1], "whole lines"),
+    (lambda text: text.replace("0,1,1\n", "0,1,2\n"), "tokens where meta.json"),
+], ids=["swapped-terms", "repeated-term", "swapped-docs", "zero-count", "term-range",
+        "doc-range", "blank-line", "short-line", "long-line", "header", "no-newline",
+        "total"])
+def test_load_corpus_rejects_a_damaged_triplets_file(tmp_path, edit, message):
+    corpus = build_corpus(_five_post_dataset(), min_df=1, max_df_fraction=1.0,
+                          phrase_min_count=99)
+    save_corpus(corpus, tmp_path)
+    path = tmp_path / "documents.csv"
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("doc_idx,term_id,count\n0,0,2\n0,1,1\n0,2,1\n0,3,1\n1,4,2\n")
+    path.write_text(edit(text), encoding="utf-8")
+    with pytest.raises(DataError, match=message):
+        load_corpus(tmp_path)

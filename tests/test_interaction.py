@@ -13,10 +13,9 @@ from forumpulse.errors import DataError
 from forumpulse.fixture import generate_fixture
 from forumpulse.ingest import parse_dump
 from forumpulse.interaction import (build_graph, compute_user_metrics, dot_text,
-                                    graphml_text, load_graph, reach,
+                                    graphml_text, load_graph, reach, save_graph,
                                     spread_influence_rows, top_influencers_subgraph,
                                     topic_spread, user_classes)
-from forumpulse.pipeline import write_graph
 from forumpulse.topics import DominantTopicAssignment
 
 from conftest import FIXTURE_DIR, comment_record, make_dataset, post_record
@@ -44,7 +43,7 @@ def test_load_graph_reads_back_build_graph(tmp_path, users):
     with posts.open() as ps, comments.open() as cs:
         graph = build_graph(parse_dump(ps, cs))
     assert (graph.edges == ()) == (users == 1)
-    write_graph(tmp_path / "edges.csv", "csv", graph.nodes, graph.edges)
+    save_graph(tmp_path / "edges.csv", "csv", graph.nodes, graph.edges)
     assert load_graph(tmp_path / "edges.csv") == graph
 
 

@@ -21,7 +21,7 @@ from forumpulse.errors import DataError
 from forumpulse.lda import LdaConfig, TopicModel, fit, load_model, save_model, top_words
 from forumpulse.pipeline import stage_seed
 
-from conftest import child_env, corpus_from_counts
+from conftest import child_env, corpus_from_counts, csr
 
 
 def disjoint_corpus(repeats: int = 20) -> Corpus:
@@ -117,7 +117,7 @@ def test_theta_phi_are_distributions():
 def test_document_permutation_only_permutes_rows():
     corpus = disjoint_corpus(6)
     permuted = Corpus(
-        documents=(corpus.documents[1], corpus.documents[0]),
+        **csr((corpus.documents[1], corpus.documents[0])),
         doc_ids=(corpus.doc_ids[1], corpus.doc_ids[0]),
         vocabulary=corpus.vocabulary,
         total_tokens=corpus.total_tokens,
@@ -155,7 +155,7 @@ def test_log_likelihood_matches_hand_formula():
     corpus = corpus_from_counts([{"aa": 1, "bb": 0}])
     # Drop the zero-count entry that corpus_from_counts kept.
     corpus = Corpus(
-        documents=(((0, 1),),),
+        **csr([[(0, 1)]]),
         doc_ids=corpus.doc_ids,
         vocabulary=corpus.vocabulary,
         total_tokens=1,
@@ -276,9 +276,12 @@ from forumpulse.corpus import Corpus, Vocabulary
 from forumpulse.lda import LdaConfig, fit
 rng = random.Random(5)
 n_docs, v_size = 2500, 3000
-docs = tuple(tuple(sorted((w, rng.randint(1, 3)) for w in rng.sample(range(v_size), 20)))
-             for _ in range(n_docs))
-corpus = Corpus(documents=docs, doc_ids=tuple(f"d{i:05d}" for i in range(n_docs)),
+docs = [sorted((w, rng.randint(1, 3)) for w in rng.sample(range(v_size), 20))
+        for _ in range(n_docs)]
+corpus = Corpus(offsets=range(0, 20 * n_docs + 1, 20),
+                term_ids=[w for doc in docs for w, _ in doc],
+                counts=[c for doc in docs for _, c in doc],
+                doc_ids=tuple(f"d{i:05d}" for i in range(n_docs)),
                 vocabulary=Vocabulary(terms=tuple(f"t{w}" for w in range(v_size)),
                                       document_frequency=(1,) * v_size),
                 total_tokens=sum(c for doc in docs for _, c in doc), excluded_doc_ids=())
@@ -410,7 +413,7 @@ def test_corpus_without_tokens_rejected():
 
 def test_term_id_outside_vocabulary_rejected():
     corpus = disjoint_corpus(2)
-    broken = Corpus(documents=(((0, 1), (99, 1)),), doc_ids=("d000",),
+    broken = Corpus(**csr([[(0, 1), (99, 1)]]), doc_ids=("d000",),
                     vocabulary=corpus.vocabulary, total_tokens=2, excluded_doc_ids=())
     with pytest.raises(DataError):
         fit(broken, LdaConfig(k=2, iterations=2, burn_in=0))

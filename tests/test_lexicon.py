@@ -10,6 +10,8 @@ from forumpulse.lexicon import (Lexicon, categorize, demo_lexicon,
                                 load_lexicon, pca, topicwise_profile)
 from forumpulse.topics import DominantTopicAssignment
 
+from conftest import corpus_from_tokens
+
 
 def lex(**categories) -> Lexicon:
     return Lexicon(categories=tuple(categories),
@@ -17,12 +19,14 @@ def lex(**categories) -> Lexicon:
 
 
 def test_categorize_all_tokens_match():
-    matrix = categorize([["pay", "debt", "debt"]], lex(economics={"pay", "debt"}))
+    matrix = categorize(corpus_from_tokens([["pay", "debt", "debt"]]),
+                        lex(economics={"pay", "debt"}))
     assert matrix.rows[0, 0] == 1.0
 
 
 def test_categorize_no_match_is_zero():
-    matrix = categorize([["car", "lease"]], lex(economics={"pay", "debt"}))
+    matrix = categorize(corpus_from_tokens([["car", "lease"]]),
+                        lex(economics={"pay", "debt"}))
     assert matrix.rows[0, 0] == 0.0
 
 
@@ -32,19 +36,19 @@ def test_categorize_mixed_hand_tally():
         ["car", "car", "insurance", "pay"],    # economics 1/4, vehicles 3/4
         [],                                    # empty post scores 0
     ]
-    matrix = categorize(documents, lex(economics={"pay", "debt", "loan"},
-                                       vehicles={"car", "insurance"}))
+    matrix = categorize(corpus_from_tokens(documents),
+                        lex(economics={"pay", "debt", "loan"}, vehicles={"car", "insurance"}))
     assert matrix.rows.tolist() == [[0.75, 0.25], [0.25, 0.75], [0.0, 0.0]]
 
 
 def test_categorize_rows_bounded_by_one():
-    matrix = categorize([["pay"] * 7], lex(a={"pay"}, b={"pay"}))
+    matrix = categorize(corpus_from_tokens([["pay"] * 7]), lex(a={"pay"}, b={"pay"}))
     assert (matrix.rows <= 1.0).all() and (matrix.rows >= 0.0).all()
 
 
 def test_categorize_empty_lexicon_rejected():
     with pytest.raises(DataError):
-        categorize([["pay"]], Lexicon(categories=(), words=()))
+        categorize(corpus_from_tokens([["pay"]]), Lexicon(categories=(), words=()))
 
 
 def test_load_lexicon_roundtrip_and_validation(tmp_path):

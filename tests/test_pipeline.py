@@ -184,6 +184,54 @@ def test_each_intermediate_parsed_once_while_stages_read_it(tmp_path, monkeypatc
     assert ran(again) == ["metrics", "report"]
 
 
+def test_same_dump_through_another_path_is_up_to_date(tmp_path):
+    """Dump and lexicon files are keyed by their config keys, so the same
+    files copied to another directory with their config leave every stage
+    up to date; a manifest that keys them by path, as older code wrote it,
+    reruns ``ingest`` alone, which writes the same dataset.json."""
+    write_json(tmp_path / "a" / "lexicon.json", {"money": ["loan", "debt"], "cars": ["car"]})
+    config = small_config(tmp_path / "a", **{"lexicon.path": "lexicon.json"})
+    run_pipeline(config, out_dir=tmp_path / "artifacts", echo=lambda *_: None)
+    shutil.copytree(tmp_path / "a", tmp_path / "b")
+    lines: list[str] = []
+    again = run_pipeline(tmp_path / "b" / "config.json", out_dir=tmp_path / "artifacts",
+                         echo=lines.append)
+    assert again.all_skipped
+    assert lines[0] == "[ingest] up to date, skipped"
+
+    manifest_path = tmp_path / "artifacts" / "manifest.json"
+    manifest = read_json(manifest_path)
+    inputs = manifest["stages"]["ingest"]["inputs"]
+    manifest["stages"]["ingest"]["inputs"] = {
+        str(tmp_path / "a" / "dump" / f"{key}.jsonl"): digest
+        for key, digest in inputs.items()}
+    write_json(manifest_path, manifest)
+    before = sha256_file(tmp_path / "artifacts" / "dataset.json")
+    upgraded = run_pipeline(tmp_path / "b" / "config.json",
+                            out_dir=tmp_path / "artifacts", echo=lambda *_: None)
+    assert ran(upgraded) == ["ingest"]
+    assert sha256_file(tmp_path / "artifacts" / "dataset.json") == before
+    assert read_json(manifest_path)["stages"]["ingest"]["inputs"] == inputs
+
+
+def test_report_is_handed_only_the_assignment(tmp_path, monkeypatch):
+    """``report`` parses model.json itself and is handed only the parsed
+    dominance.csv, not the dataset and graph that ``metrics`` parsed."""
+    handed: list[list[str]] = []
+
+    def report(ctx, run=STAGES[-1].run):
+        handed.append(sorted(ctx.parsed))
+        return run(ctx)
+
+    assert STAGES[-1].name == "report"
+    monkeypatch.setattr(pipeline, "STAGES",
+                        STAGES[:-1] + (dataclasses.replace(STAGES[-1], run=report),))
+    config = small_config(tmp_path)
+    run_pipeline(config, echo=lambda *_: None)
+    run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
+    assert handed == [["dominance.csv"], ["dominance.csv"]]
+
+
 @pytest.fixture(scope="module")
 def full_run(tmp_path_factory):
     """The config and artifacts directory of one complete small run."""
@@ -198,7 +246,7 @@ def test_stage_reads_only_its_declared_inputs(full_run, tmp_path, stage):
     stage writes the bytes the full run wrote: a stage that read an
     undeclared file would escape its skip key."""
     config, run_dir = full_run
-    for name in stage.inputs:
+    for name in stage.inputs + stage.recorded:
         if name not in CONFIG_DEFAULTS:
             (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy(run_dir / name, tmp_path / name)
