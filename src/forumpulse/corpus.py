@@ -32,6 +32,7 @@ DEFAULT_PHRASE_MIN_COUNT = 20
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_TRIPLETS_BODY_RE = re.compile(r"[0-9,\-\n]*")
 
 _CORPUS_META_FORMAT = "forumpulse-corpus-v1"
 _TRIPLETS_HEADER = "doc_idx,term_id,count"
@@ -75,9 +76,6 @@ def merge_phrases(documents: Sequence[Sequence[str]], min_count: int) -> list[li
 
     merged_docs = []
     for doc in documents:
-        if phrases.isdisjoint(zip(doc, doc[1:])):
-            merged_docs.append(list(doc))
-            continue
         merged: list[str] = []
         i = 0
         while i < len(doc):
@@ -272,6 +270,10 @@ def _read_triplets(path: Path, n_documents: int, vocabulary_size: int) -> np.nda
         header, _, body = text.partition("\n")
         if header != _TRIPLETS_HEADER or not text.endswith("\n"):
             raise ValueError(f"not a {_TRIPLETS_HEADER!r} header and whole lines")
+        # np.loadtxt would parse "1.0" or "1e0" in an int64 column as a
+        # truncated float on some NumPy versions.
+        if not _TRIPLETS_BODY_RE.fullmatch(body):
+            raise ValueError("a cell is not an integer")
         rows = (np.loadtxt(io.StringIO(body), dtype=np.int64, delimiter=",",
                            comments=None, ndmin=2)
                 if body else np.empty((0, 3), dtype=np.int64))

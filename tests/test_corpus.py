@@ -323,11 +323,15 @@ def test_fit_on_a_loaded_corpus_equals_fit_on_the_built_one(posts, k, seed):
     (lambda text: text.replace("0,1,1\n", "0,1,1\n\n"), "three cells"),
     (lambda text: text.replace("0,1,1\n", "0,1\n"), "corrupt"),
     (lambda text: text.replace("0,1,1\n", "0,1,1,\n"), "corrupt"),
+    (lambda text: text.replace("0,1,1\n", "0,1,1.0\n"), "not an integer"),
+    (lambda text: text.replace("0,1,1\n", "0,1,1e0\n"), "not an integer"),
+    (lambda text: text.replace("0,1,1\n", "0,1, 1\n"), "not an integer"),
     (lambda text: text.replace("doc_idx", "doc"), "header"),
     (lambda text: text[:-1], "whole lines"),
     (lambda text: text.replace("0,1,1\n", "0,1,2\n"), "tokens where meta.json"),
 ], ids=["swapped-terms", "repeated-term", "swapped-docs", "zero-count", "term-range",
-        "doc-range", "blank-line", "short-line", "long-line", "header", "no-newline",
+        "doc-range", "blank-line", "short-line", "long-line", "float-count",
+        "exponent-count", "space", "header", "no-newline",
         "total"])
 def test_load_corpus_rejects_a_damaged_triplets_file(tmp_path, edit, message):
     corpus = build_corpus(_five_post_dataset(), min_df=1, max_df_fraction=1.0,
