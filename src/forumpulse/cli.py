@@ -12,19 +12,21 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import load_corpus
 from .errors import DataError, ForumPulseError, StageError, UsageError
 from .fixture import generate_fixture
-from .ingest import load_dataset
-from .interaction import build_graph, save_graph, user_classes
-from .lda import save_model
-from .pipeline import (CONFIG_DEFAULTS as DEFAULTS, StageContext, check_config,
-                       corpus_stage, cooccur_stage, dominance_stage, fit_topics,
-                       ingest_stage, lexicon_stage, resolve_threads, run_pipeline,
-                       stats_stage, timeline_stage, user_metrics, write_scan,
-                       write_top_influencers, write_user_metrics)
+from .pipeline import (CONFIG_SCHEMA, STAGES, StageContext, check_config, corpus_stage,
+                       cooccur_stage, dominance_stage, graph_stage, ingest_stage,
+                       lexicon_stage, metrics_stage, resolve_threads, run_pipeline,
+                       stats_stage, timeline_stage, topics_stage)
 
 _DOMINANCE_HELP = "the dominance.csv of `topics dominance`, its two sibling files beside it"
+_OUT_FILE, _OUT_DIR = "output file", "output directory"
+
+
+def _param(p: argparse.ArgumentParser, flag: str, key: str, help=None) -> None:
+    """A flag that sets the config key ``key``, with that key's type and default."""
+    default, kind, _ = CONFIG_SCHEMA[key]
+    p.add_argument(flag, dest=key, type=kind, default=default, help=help)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,16 +40,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="Parse post/comment dumps into a dataset file")
     p.add_argument("--posts", required=True, type=Path, help="posts JSONL dump")
     p.add_argument("--comments", required=True, type=Path, help="comments JSONL dump")
-    p.add_argument("--from", dest="from_epoch", type=int, default=None,
-                   help="drop records created before this epoch second")
-    p.add_argument("--to", dest="to_epoch", type=int, default=None,
-                   help="drop records created after this epoch second")
+    _param(p, "--from", "from", "drop records created before this epoch second")
+    _param(p, "--to", "to", "drop records created after this epoch second")
     p.add_argument("--out", required=True, type=Path, help="output dataset.json")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("stats", help="Activity table, score relations, response times")
     p.add_argument("--dataset", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path, help="output directory")
+    p.add_argument("--out", required=True, type=Path, help=_OUT_DIR)
     p.set_defaults(func=_cmd_stats)
 
     corpus_cmd = sub.add_parser("corpus", help="Corpus construction commands")
@@ -55,46 +55,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = csub.add_parser("build", help="Tokenize posts into a corpus directory")
     p.add_argument("--dataset", required=True, type=Path)
-    p.add_argument("--min-df", type=int, default=DEFAULTS["corpus.min_df"])
-    p.add_argument("--max-df-fraction", type=float,
-                   default=DEFAULTS["corpus.max_df_fraction"])
-    p.add_argument("--phrase-min-count", type=int,
-                   default=DEFAULTS["corpus.phrase_min_count"])
-    p.add_argument("--out", required=True, type=Path, help="output directory")
+    _param(p, "--min-df", "corpus.min_df")
+    _param(p, "--max-df-fraction", "corpus.max_df_fraction")
+    _param(p, "--phrase-min-count", "corpus.phrase_min_count")
+    p.add_argument("--out", required=True, type=Path, help="output corpus directory")
     p.set_defaults(func=_cmd_corpus_build)
 
     topics = sub.add_parser("topics", help="Topic modeling commands")
     tsub = topics.add_subparsers(dest="subcommand", required=True)
 
-    p = tsub.add_parser("fit", help="Fit one topic model and write it as JSON")
-    p.add_argument("--k", required=True, type=int)
-    p.set_defaults(func=_cmd_topics_fit)
-    p = tsub.add_parser("select-k",
-                        help="Scan k and keep the model minimizing W_k "
-                             "(scan CSV columns: k, w_k, selected)")
-    p.add_argument("--kmin", type=int, default=DEFAULTS["lda.k_min"])
-    p.add_argument("--kmax", required=True, type=int)
-    p.add_argument("--patience", type=int, default=None,
-                   help="stop after this many non-improving k values")
+    p = tsub.add_parser("fit",
+                        help="Fit the topic model at --k, or keep the one minimizing "
+                             "W_k over [--kmin, --kmax] (model.json, and "
+                             "skewness_scan.csv with columns k, w_k, selected)")
+    p.add_argument("--corpus", required=True, type=Path, help="corpus directory")
+    _param(p, "--k", "lda.k", "a fixed k: the scan [k, k]")
+    _param(p, "--kmin", "lda.k_min")
+    _param(p, "--kmax", "lda.k_max")
+    _param(p, "--patience", "lda.patience",
+           "stop after this many non-improving k values")
     p.add_argument("--threads", type=int, default=None,
                    help="parallel fits; FORUM_PULSE_THREADS honored")
-    p.add_argument("--scan-csv", required=True, type=Path)
-    p.set_defaults(func=_cmd_topics_select)
-    for name in ("fit", "select-k"):
-        p = tsub.choices[name]
-        p.add_argument("--corpus", required=True, type=Path, help="corpus directory")
-        p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
-        p.add_argument("--iters", type=int, default=DEFAULTS["lda.iterations"])
-        p.add_argument("--burn-in", type=int, default=DEFAULTS["lda.burn_in"])
-        p.add_argument("--alpha", type=float, default=None, help="default 50/k")
-        p.add_argument("--beta", type=float, default=DEFAULTS["lda.beta"])
-        p.add_argument("--out", required=True, type=Path, help="output model.json")
+    _param(p, "--seed", "seed", "the run seed; the sampler seed is derived from it")
+    _param(p, "--iters", "lda.iterations")
+    _param(p, "--burn-in", "lda.burn_in")
+    _param(p, "--alpha", "lda.alpha", "default 50/k")
+    _param(p, "--beta", "lda.beta")
+    p.add_argument("--out", required=True, type=Path, help=_OUT_DIR)
+    p.set_defaults(func=_cmd_topics_fit)
 
     p = tsub.add_parser("dominance",
                         help="Dominant topics per post (columns: post_id, "
                              "dominant_topics pipe-joined)")
     p.add_argument("--model", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path, help="output directory")
+    p.add_argument("--out", required=True, type=Path, help=_OUT_DIR)
     p.set_defaults(func=_cmd_topics_dominance)
 
     p = tsub.add_parser("cooccur",
@@ -102,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(columns: topic_i, topic_j, count; "
                              "diagonal = sole-dominant posts)")
     p.add_argument("--dominance", required=True, type=Path, help=_DOMINANCE_HELP)
-    p.add_argument("--out", required=True, type=Path, help="output CSV")
+    p.add_argument("--out", required=True, type=Path, help=_OUT_FILE)
     p.set_defaults(func=_cmd_topics_cooccur)
 
     p = tsub.add_parser("timeline",
@@ -110,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(columns: topic, month, count)")
     p.add_argument("--dominance", required=True, type=Path, help=_DOMINANCE_HELP)
     p.add_argument("--dataset", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path, help="output CSV")
+    p.add_argument("--out", required=True, type=Path, help=_OUT_FILE)
     p.set_defaults(func=_cmd_topics_timeline)
 
     lexicon = sub.add_parser("lexicon", help="Lexical category profiling")
@@ -120,10 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Category matrix, PCA components and topicwise profile")
     p.add_argument("--corpus", required=True, type=Path)
     p.add_argument("--dominance", required=True, type=Path, help=_DOMINANCE_HELP)
-    p.add_argument("--lexicon", default=None,
-                   help="JSON category->words file; bundled demo lexicon by default")
-    p.add_argument("--components", type=int, default=DEFAULTS["lexicon.components"])
-    p.add_argument("--out", required=True, type=Path, help="output directory")
+    _param(p, "--lexicon", "lexicon.path",
+           "JSON category->words file; bundled demo lexicon by default")
+    _param(p, "--components", "lexicon.components")
+    p.add_argument("--out", required=True, type=Path, help=_OUT_DIR)
     p.set_defaults(func=_cmd_lexicon_profile)
 
     users = sub.add_parser("users", help="Per-user interaction metrics")
@@ -131,30 +125,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = usub.add_parser("metrics",
                         help="Metrics CSV (user, C, out_degree, in_degree, tau, "
-                             "R, alpha, I, agg_score) plus spread/influence export")
+                             "R, alpha, I, agg_score), spread/influence export, "
+                             "top influencers and their egonet subgraph")
+    p.add_argument("--dataset", required=True, type=Path)
+    p.add_argument("--edges", required=True, type=Path,
+                   help="the edges.csv that `graph build` wrote")
+    p.add_argument("--dominance", type=Path, default=None,
+                   help=_DOMINANCE_HELP + "; tau is blank without it")
+    _param(p, "--k", "graph.top_k", "top influencers to rank")
+    p.add_argument("--out", required=True, type=Path, help=_OUT_DIR)
     p.set_defaults(func=_cmd_users_metrics)
-    p = usub.add_parser("top", help="Top influencers and their egonet subgraph")
-    p.add_argument("--k", type=int, default=DEFAULTS["graph.top_k"])
-    p.set_defaults(func=_cmd_users_top)
-    for p in usub.choices.values():
-        p.add_argument("--dataset", required=True, type=Path)
-        p.add_argument("--edges", required=True, type=Path,
-                       help="the edges.csv that `graph build` wrote")
-        p.add_argument("--dominance", type=Path, default=None,
-                       help=_DOMINANCE_HELP + "; tau is blank without it")
-        p.add_argument("--out", required=True, type=Path, help="output directory")
 
     graph = sub.add_parser("graph", help="Interaction graph commands")
     gsub = graph.add_subparsers(dest="subcommand", required=True)
 
-    p = gsub.add_parser("build", help="Edge list CSV (from, to, weight)")
-    p.set_defaults(format="csv")
-    p = gsub.add_parser("export", help="Export the graph as csv, graphml or dot")
-    p.add_argument("--format", required=True, choices=("csv", "graphml", "dot"))
-    for p in gsub.choices.values():
-        p.add_argument("--dataset", required=True, type=Path)
-        p.add_argument("--out", required=True, type=Path)
-        p.set_defaults(func=_cmd_graph_export)
+    p = gsub.add_parser("build", help="Reply graph as edges.csv (from, to, weight), "
+                                      "graph.graphml and graph.dot, with user_classes.json")
+    p.add_argument("--dataset", required=True, type=Path)
+    p.add_argument("--out", required=True, type=Path, help=_OUT_DIR)
+    p.set_defaults(func=_cmd_graph_build)
 
     p = sub.add_parser("report", help="Summarize a pipeline artifacts directory")
     p.add_argument("--artifacts", required=True, type=Path)
@@ -179,13 +168,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _context(args, stage: str, paths, workers: int = 1) -> StageContext:
+    """The ``StageContext`` of the ``STAGES`` entry named ``stage``: its
+    params from the flags named by their config keys, and ``--out`` as its
+    output file if it has one, else as its output directory."""
+    entry = next(s for s in STAGES if s.name == stage)
+    params = check_config({key: getattr(args, key) for key in entry.params})
+    if len(entry.outputs) == 1:
+        return StageContext({**paths, entry.outputs[0]: args.out}, params, None, workers)
+    return StageContext(paths, params, args.out, workers)
+
+
 def _cmd_ingest(args) -> int:
-    params = check_config({"from": args.from_epoch, "to": args.to_epoch})
+    ctx = _context(args, "ingest", {"posts": args.posts, "comments": args.comments})
     for path in (args.posts, args.comments):
         if not path.exists():
             raise DataError(f"missing dump file: {path}")
-    dataset = ingest_stage(StageContext(
-        {"posts": args.posts, "comments": args.comments, "dataset.json": args.out}, params))
+    dataset = ingest_stage(ctx)
     print(f"dataset: {len(dataset.posts)} posts, {len(dataset.comments)} comments, "
           f"{len(dataset.authors)} authors "
           f"(parse errors {dataset.parse_errors}, duplicates {dataset.duplicate_ids}, "
@@ -194,54 +193,29 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    summary = stats_stage(StageContext({"dataset.json": args.dataset}, out_dir=args.out))
+    summary = stats_stage(_context(args, "stats", {"dataset.json": args.dataset}))
     print(f"stats written to {args.out} "
           f"(response-time anomalies: {summary['response_time_anomalies']})")
     return 0
 
 
 def _cmd_corpus_build(args) -> int:
-    corpus = corpus_stage(StageContext(
-        {"dataset.json": args.dataset, "corpus": args.out},
-        check_config({"corpus.min_df": args.min_df,
-                      "corpus.max_df_fraction": args.max_df_fraction,
-                      "corpus.phrase_min_count": args.phrase_min_count})))
+    corpus = corpus_stage(_context(args, "corpus",
+                                   {"dataset.json": args.dataset, "corpus": args.out}))
     print(f"corpus: {len(corpus)} documents, {len(corpus.vocabulary)} terms, "
           f"{corpus.total_tokens} tokens -> {args.out}")
     return 0
 
 
-def _lda_params(args, **scan) -> dict:
-    """The topics stage's params, from the topics subcommands' flags."""
-    return check_config({"lda.alpha": args.alpha, "lda.beta": args.beta,
-                         "lda.iterations": args.iters, "lda.burn_in": args.burn_in,
-                         **{f"lda.{key}": value for key, value in scan.items()}})
-
-
 def _cmd_topics_fit(args) -> int:
-    params = _lda_params(args, k=args.k, patience=None)
-    model, scan = fit_topics(load_corpus(args.corpus), params, args.seed)
-    save_model(model, args.out)
-    print(f"fitted k={args.k}: W_k={scan[0][1]} over {model.n_documents} documents "
-          f"-> {args.out}")
-    return 0
-
-
-def _cmd_topics_select(args) -> int:
-    params = _lda_params(args, k=None, k_min=args.kmin, k_max=args.kmax,
-                         patience=args.patience)
-    model, scan = fit_topics(load_corpus(args.corpus), params, args.seed,
-                             resolve_threads(args.threads),
-                             progress=lambda k, w: print(f"k={k} W_k={w}"))
-    save_model(model, args.out)
-    write_scan(args.scan_csv, scan)
-    print(f"selected k={model.k} -> {args.out}")
+    model = topics_stage(_context(args, "topics", {"corpus": args.corpus},
+                                  resolve_threads(args.threads)))
+    print(f"selected k={model.k} over {model.n_documents} documents -> {args.out}")
     return 0
 
 
 def _cmd_topics_dominance(args) -> int:
-    assignment = dominance_stage(
-        StageContext({"model.json": args.model}, out_dir=args.out))
+    assignment = dominance_stage(_context(args, "dominance", {"model.json": args.model}))
     unassigned = sum(1 for topics in assignment.dominant if not topics)
     print(f"dominance written to {args.out} "
           f"({unassigned} posts with no dominant topic)")
@@ -249,57 +223,41 @@ def _cmd_topics_dominance(args) -> int:
 
 
 def _cmd_topics_cooccur(args) -> int:
-    cooccur_stage(StageContext({"dominance.csv": args.dominance, "cooccurrence.csv": args.out}))
+    cooccur_stage(_context(args, "cooccur", {"dominance.csv": args.dominance}))
     print(f"co-occurrence counts -> {args.out}")
     return 0
 
 
 def _cmd_topics_timeline(args) -> int:
-    timeline_stage(StageContext({"dominance.csv": args.dominance, "dataset.json": args.dataset,
-                                 "monthly_topics.csv": args.out}))
+    timeline_stage(_context(args, "timeline", {"dominance.csv": args.dominance,
+                                               "dataset.json": args.dataset}))
     print(f"monthly topic counts -> {args.out}")
     return 0
 
 
 def _cmd_lexicon_profile(args) -> int:
-    result = lexicon_stage(StageContext(
-        {"corpus": args.corpus, "dominance.csv": args.dominance},
-        check_config({"lexicon.path": args.lexicon,
-                      "lexicon.components": args.components}), args.out))
+    result = lexicon_stage(_context(args, "lexicon", {"corpus": args.corpus,
+                                                      "dominance.csv": args.dominance}))
     n_comp, n_cat = result.components.shape
     print(f"lexicon profile ({n_cat} categories, {n_comp} components) -> {args.out}")
     return 0
 
 
-def _users_context(args, **params) -> StageContext:
-    return StageContext({"dataset.json": args.dataset, "edges.csv": args.edges,
-                         "dominance.csv": args.dominance}, check_config(params), args.out)
-
-
 def _cmd_users_metrics(args) -> int:
-    ctx = _users_context(args)
-    _, metrics = user_metrics(ctx)
-    write_user_metrics(ctx, metrics)
-    print(f"metrics for {len(metrics)} commenters -> {args.out}")
+    metrics, subgraph = metrics_stage(_context(args, "metrics", {
+        "dataset.json": args.dataset, "edges.csv": args.edges,
+        "dominance.csv": args.dominance}))
+    print(f"metrics for {len(metrics)} commenters; top {len(subgraph.selected)} "
+          f"influencers with {len(subgraph.nodes)} egonet users -> {args.out}")
     return 0
 
 
-def _cmd_users_top(args) -> int:
-    ctx = _users_context(args, **{"graph.top_k": args.k})
-    subgraph = write_top_influencers(ctx, *user_metrics(ctx))
-    print(f"top {len(subgraph.selected)} influencers with "
-          f"{len(subgraph.nodes)} egonet users -> {args.out}")
-    return 0
-
-
-def _cmd_graph_export(args) -> int:
-    graph = build_graph(load_dataset(args.dataset))
-    save_graph(args.out, args.format, graph.nodes, graph.edges)
-    classes = user_classes(graph)
+def _cmd_graph_build(args) -> int:
+    graph, classes = graph_stage(_context(args, "graph", {"dataset.json": args.dataset}))
     print(f"graph: {classes.nodes} nodes, {len(graph.edges)} edges, "
           f"{classes.passive} passive ({classes.passive_pct:.2f}%), "
           f"{classes.unanswered} with in-degree 0 ({classes.unanswered_pct:.2f}%) "
-          f"-> {args.out} ({args.format})")
+          f"-> {args.out}")
     return 0
 
 

@@ -9,7 +9,6 @@ time by power iteration with deflation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError
+from .fileio import read_json, reading
 
 PCA_RESIDUAL_TOL = 1e-10
 PCA_MAX_ITER = 10_000
@@ -40,8 +40,8 @@ def load_lexicon(path: Path) -> Lexicon:
     Category order follows the file. Duplicate names and empty word lists
     are rejected.
     """
-    with Path(path).open("r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    with reading(path, "lexicon"):
+        payload = read_json(path)
     if not isinstance(payload, dict) or not payload:
         raise DataError(f"{path}: lexicon must be a non-empty JSON object")
     categories = []

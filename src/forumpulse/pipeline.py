@@ -9,8 +9,9 @@ records the digests of its inputs and outputs in ``manifest.json``. A
 stage whose version, parameters, input digests and recorded outputs all
 match the manifest is skipped, which makes interrupted or repeated runs
 cheap and every artifact reproducible from the manifest plus the original
-dumps. The standalone subcommands call the same stage functions and
-writers.
+dumps. Each stage but the report also has one standalone subcommand,
+which runs the stage's function through a ``StageContext`` and so writes
+every output of the stage.
 
 All randomness flows from the top-level ``seed``: the topic-model stage
 derives its sampler seed as SHA-256(seed, "lda"), and nothing else draws
@@ -88,11 +89,15 @@ _CONFIG_RULES = (
 def resolve_threads(flag: Optional[int] = None,
                     config_value: Optional[int] = None) -> int:
     """Worker cap: CLI flag beats the config file beats FORUM_PULSE_THREADS."""
-    for value in (flag, config_value, os.environ.get("FORUM_PULSE_THREADS")):
+    for value, source in ((flag, "--threads"), (config_value, "config key 'threads'"),
+                          (os.environ.get("FORUM_PULSE_THREADS"), "FORUM_PULSE_THREADS")):
         if value is not None:
-            n = int(value)
+            try:
+                n = int(value)
+            except ValueError:
+                raise UsageError(f"{source} must be an integer, got {value!r}") from None
             if n < 1:
-                raise UsageError("thread count must be >= 1")
+                raise UsageError(f"{source}: thread count must be >= 1, got {value!r}")
             return n
     return 1
 
@@ -179,7 +184,8 @@ class RunResult:
 
 def _read_manifest(path: Path, echo) -> dict[str, Any]:
     """The manifest at ``path``; an empty one if there is none, or if it
-    cannot be read, which is reported through ``echo``."""
+    cannot be read or its ``stages`` is not an object of records, which is
+    reported through ``echo``."""
     if path.exists():
         try:
             prior = read_json(path)
@@ -188,7 +194,10 @@ def _read_manifest(path: Path, echo) -> dict[str, Any]:
         else:
             if not isinstance(prior, dict) or prior.get("format") != _MANIFEST_FORMAT:
                 raise DataError(f"{path}: unrecognized manifest format")
-            return prior
+            stages = prior.get("stages")
+            if isinstance(stages, dict) and all(isinstance(r, dict) for r in stages.values()):
+                return prior
+            echo(f"warning: {path} holds no object of stage records; every stage reruns")
     return {"format": _MANIFEST_FORMAT, "stages": {}}
 
 
@@ -235,65 +244,6 @@ class Stage:
     # Artifacts whose digests the stage records without parsing them: part of
     # the skip key, but never handed on parsed from the stage before.
     recorded: tuple[str, ...] = ()
-
-
-def fit_topics(corpus, params: Mapping[str, Any], seed: int, workers: int = 1,
-               progress=None) -> tuple[Any, list[tuple[int, int, int]]]:
-    """The W_k-minimal model over [k_min, k_max]; a fixed ``lda.k`` is the
-    scan [k, k].
-
-    Returns the model and the scan rows (k, W_k, selected)."""
-    k = params["lda.k"]
-    k_min = k if k is not None else params["lda.k_min"]
-    k_max = k if k is not None else params["lda.k_max"]
-    base = LdaConfig(
-        k=k_min,
-        alpha=params["lda.alpha"],
-        beta=params["lda.beta"],
-        iterations=params["lda.iterations"],
-        burn_in=params["lda.burn_in"],
-        seed=seed,
-    )
-    result = select_k(corpus, k_min, k_max, base,
-                      patience=params["lda.patience"], workers=workers,
-                      progress=progress)
-    return result.model, [(r.k, r.w_k, 1 if r.k == result.k else 0)
-                          for r in result.reports]
-
-
-def write_scan(path: Path, rows) -> None:
-    write_csv(path, ("k", "w_k", "selected"), rows)
-
-
-def user_metrics(ctx: StageContext):
-    """The reply graph and every commenter's metrics; tau is blank when the
-    ``dominance.csv`` path is None."""
-    dataset, graph = ctx.load("dataset.json"), ctx.load("edges.csv")
-    assignment = ctx.load("dominance.csv") if ctx.path("dominance.csv") is not None else None
-    return graph, compute_user_metrics(dataset, graph, assignment)
-
-
-def write_user_metrics(ctx: StageContext, metrics) -> None:
-    write_csv(ctx.path("user_metrics.csv"),
-              ("user", "C", "out_degree", "in_degree", "tau", "R",
-               "alpha", "I", "agg_score"),
-              ((m.user, m.comment_count, m.out_degree, m.in_degree, m.tau,
-                m.reach, m.alpha, m.influence, m.aggregate_comment_score)
-               for m in metrics))
-    write_csv(ctx.path("spread_influence.csv"),
-              ("user", "tau", "influence", "log10_comments", "log10_agg_score"),
-              spread_influence_rows(metrics))
-
-
-def write_top_influencers(ctx: StageContext, graph, metrics):
-    subgraph = top_influencers_subgraph(graph, metrics, ctx.params["graph.top_k"])
-    by_user = {m.user: m for m in metrics}
-    write_csv(ctx.path("top_influencers.csv"), ("rank", "user", "influence", "C"),
-              ((i + 1, u, by_user[u].influence, by_user[u].comment_count)
-               for i, u in enumerate(subgraph.selected)))
-    save_graph(ctx.path("influencer_subgraph.graphml"), "graphml",
-               subgraph.nodes, subgraph.edges)
-    return subgraph
 
 
 def ingest_stage(ctx: StageContext):
@@ -344,13 +294,21 @@ def corpus_stage(ctx: StageContext):
     return corpus
 
 
-def topics_stage(ctx: StageContext) -> None:
+def topics_stage(ctx: StageContext):
+    """The W_k-minimal model over [k_min, k_max], and the scan's rows; a
+    fixed ``lda.k`` is the scan [k, k]."""
     started = time.perf_counter()
-    model, scan = fit_topics(
-        ctx.load("corpus"), ctx.params,
-        stage_seed(ctx.params["seed"], "lda"), ctx.workers,
-        progress=lambda k, w: ctx.echo(f"[topics] k={k} W_k={w}"))
-    sweeps = len(scan) * ctx.params["lda.iterations"]
+    p = ctx.params
+    k_min = p["lda.k"] if p["lda.k"] is not None else p["lda.k_min"]
+    k_max = p["lda.k"] if p["lda.k"] is not None else p["lda.k_max"]
+    base = LdaConfig(k=k_min, alpha=p["lda.alpha"], beta=p["lda.beta"],
+                     iterations=p["lda.iterations"], burn_in=p["lda.burn_in"],
+                     seed=stage_seed(p["seed"], "lda"))
+    result = select_k(ctx.load("corpus"), k_min, k_max, base,
+                      patience=p["lda.patience"], workers=ctx.workers,
+                      progress=lambda k, w: ctx.echo(f"[topics] k={k} W_k={w}"))
+    model = result.model
+    sweeps = len(result.reports) * p["lda.iterations"]
     ll = model.log_likelihood_trace
     ctx.record.update(
         kernel=kernel_name(),
@@ -359,7 +317,9 @@ def topics_stage(ctx: StageContext) -> None:
         trace_rel_change=(abs(ll[-1] - ll[-2]) / abs(ll[-2])
                           if len(ll) > 1 and ll[-2] != 0 else None))
     save_model(model, ctx.path("model.json"))
-    write_scan(ctx.path("skewness_scan.csv"), scan)
+    write_csv(ctx.path("skewness_scan.csv"), ("k", "w_k", "selected"),
+              ((r.k, r.w_k, 1 if r.k == result.k else 0) for r in result.reports))
+    return model
 
 
 def dominance_stage(ctx: StageContext):
@@ -407,7 +367,7 @@ def lexicon_stage(ctx: StageContext):
     return result
 
 
-def graph_stage(ctx: StageContext) -> None:
+def graph_stage(ctx: StageContext):
     graph = build_graph(ctx.load("dataset.json"))
     for name, fmt in (("edges.csv", "csv"), ("graph.graphml", "graphml"),
                       ("graph.dot", "dot")):
@@ -420,12 +380,32 @@ def graph_stage(ctx: StageContext) -> None:
         "unanswered": classes.unanswered,
         "unanswered_pct": classes.unanswered_pct,
     })
+    return graph, classes
 
 
-def metrics_stage(ctx: StageContext) -> None:
-    graph, metrics = user_metrics(ctx)
-    write_user_metrics(ctx, metrics)
-    write_top_influencers(ctx, graph, metrics)
+def metrics_stage(ctx: StageContext):
+    """Every commenter's metrics and the top influencers' egonet subgraph;
+    tau is blank when the ``dominance.csv`` path is None."""
+    dataset, graph = ctx.load("dataset.json"), ctx.load("edges.csv")
+    assignment = ctx.load("dominance.csv") if ctx.path("dominance.csv") is not None else None
+    metrics = compute_user_metrics(dataset, graph, assignment)
+    write_csv(ctx.path("user_metrics.csv"),
+              ("user", "C", "out_degree", "in_degree", "tau", "R",
+               "alpha", "I", "agg_score"),
+              ((m.user, m.comment_count, m.out_degree, m.in_degree, m.tau,
+                m.reach, m.alpha, m.influence, m.aggregate_comment_score)
+               for m in metrics))
+    write_csv(ctx.path("spread_influence.csv"),
+              ("user", "tau", "influence", "log10_comments", "log10_agg_score"),
+              spread_influence_rows(metrics))
+    subgraph = top_influencers_subgraph(graph, metrics, ctx.params["graph.top_k"])
+    by_user = {m.user: m for m in metrics}
+    write_csv(ctx.path("top_influencers.csv"), ("rank", "user", "influence", "C"),
+              ((i + 1, u, by_user[u].influence, by_user[u].comment_count)
+               for i, u in enumerate(subgraph.selected)))
+    save_graph(ctx.path("influencer_subgraph.graphml"), "graphml",
+               subgraph.nodes, subgraph.edges)
+    return metrics, subgraph
 
 
 def report_stage(ctx: StageContext) -> None:
@@ -502,9 +482,9 @@ def run_pipeline(config_path: Path,
     written by earlier stages stay intact.
     """
     config = load_config(config_path, overrides)
+    workers = resolve_threads(threads, config["threads"])
     target = Path(out_dir) if out_dir is not None else Path(config["out_dir"])
     target.mkdir(parents=True, exist_ok=True)
-    workers = resolve_threads(threads, config["threads"])
 
     manifest_path = target / "manifest.json"
     manifest = _read_manifest(manifest_path, echo)

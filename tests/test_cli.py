@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from forumpulse.cli import main
+from forumpulse.cli import _build_parser, main
 from forumpulse.fileio import sha256_file, write_json
 from forumpulse.fixture import generate_fixture
-from forumpulse.pipeline import stage_seed
+from forumpulse.pipeline import STAGES
 
 from conftest import child_env
 
@@ -68,6 +71,26 @@ def test_import_pulls_in_no_network_modules():
     assert child.stdout.strip() == "[]"
 
 
+def _subcommands(parser, prefix=()):
+    """Each command path the parser runs, such as ``topics fit``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _subcommands(child, prefix + (name,))
+            return
+    yield " ".join(prefix)
+
+
+def test_readme_lists_the_parsers_subcommands():
+    """The README's subcommand table names exactly the subcommands the
+    parser registers, and each stage but the report in exactly one row."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `forumpulse ([a-z -]+)` \| ([^|]*) \|", readme, re.M)
+    assert sorted(name for name, _ in rows) == sorted(_subcommands(_build_parser()))
+    stages = [stage.strip("`") for _, stage in rows if stage.startswith("`")]
+    assert sorted(stages) == sorted(s.name for s in STAGES if s.name != "report")
+
+
 def test_usage_error_exits_one(capsys):
     assert run_cli("topics", "fit") == 1          # missing required flags
     assert run_cli("no-such-command") == 1
@@ -95,17 +118,18 @@ def test_subcommand_chain(dump, capsys):
 
     assert run_cli("topics", "fit", "--corpus", t / "corpus", "--k", 3,
                    "--seed", 4, "--iters", 30, "--burn-in", 10,
-                   "--out", t / "model.json") == 0
+                   "--out", t / "fit") == 0
+    assert (t / "fit/skewness_scan.csv").read_text().splitlines()[1].startswith("3,")
 
-    assert run_cli("topics", "select-k", "--corpus", t / "corpus",
+    assert run_cli("topics", "fit", "--corpus", t / "corpus",
                    "--kmin", 2, "--kmax", 4, "--seed", 4, "--iters", 25,
-                   "--burn-in", 5, "--out", t / "best.json",
-                   "--scan-csv", t / "scan.csv") == 0
-    scan = (t / "scan.csv").read_text().splitlines()
+                   "--burn-in", 5, "--out", t / "best") == 0
+    assert (t / "best/model.json").exists()
+    scan = (t / "best/skewness_scan.csv").read_text().splitlines()
     assert scan[0] == "k,w_k,selected"
     assert len(scan) == 4
 
-    assert run_cli("topics", "dominance", "--model", t / "model.json",
+    assert run_cli("topics", "dominance", "--model", t / "fit/model.json",
                    "--out", t / "dom") == 0
     assert (t / "dom/dominance.csv").exists()
 
@@ -122,25 +146,21 @@ def test_subcommand_chain(dump, capsys):
     assert (t / "lex/topic_profiles.csv").exists()
 
     assert run_cli("graph", "build", "--dataset", t / "dataset.json",
-                   "--out", t / "edges.csv") == 0
-    assert (t / "edges.csv").read_text().splitlines()[0] == "from,to,weight"
+                   "--out", t / "graph") == 0
+    assert (t / "graph/edges.csv").read_text().splitlines()[0] == "from,to,weight"
+    for name in ("graph.graphml", "graph.dot", "user_classes.json"):
+        assert (t / "graph" / name).exists()
 
     assert run_cli("users", "metrics", "--dataset", t / "dataset.json",
-                   "--edges", t / "edges.csv", "--dominance", t / "dom/dominance.csv",
-                   "--out", t / "users") == 0
+                   "--edges", t / "graph/edges.csv",
+                   "--dominance", t / "dom/dominance.csv", "--out", t / "users") == 0
     header = (t / "users/user_metrics.csv").read_text().splitlines()[0]
     assert header == "user,C,out_degree,in_degree,tau,R,alpha,I,agg_score"
 
-    assert run_cli("users", "top", "--dataset", t / "dataset.json",
-                   "--edges", t / "edges.csv", "--k", 3, "--out", t / "top") == 0
-    assert (t / "top/top_influencers.csv").exists()
+    assert run_cli("users", "metrics", "--dataset", t / "dataset.json",
+                   "--edges", t / "graph/edges.csv", "--k", 3, "--out", t / "top") == 0
+    assert len((t / "top/top_influencers.csv").read_text().splitlines()) <= 4
     assert (t / "top/influencer_subgraph.graphml").exists()
-
-    for fmt, name in (("graphml", "g.graphml"), ("dot", "g.dot"),
-                      ("csv", "g.csv")):
-        assert run_cli("graph", "export", "--dataset", t / "dataset.json",
-                       "--format", fmt, "--out", t / name) == 0
-        assert (t / name).exists()
 
     capsys.readouterr()
 
@@ -159,8 +179,9 @@ def test_run_and_report(dump, config, capsys):
 
 
 def test_subcommands_write_the_run_artifacts(dump, config, capsys):
-    """Each standalone subcommand, fed the run's own inputs, writes the same
-    bytes as the matching `run` artifact."""
+    """The standalone subcommands, fed the run's own inputs and params, write
+    every output of every stage but the report, with the same bytes as
+    `run`."""
     t, a, s = dump, dump / "artifacts", dump / "standalone"
     assert run_cli("run", "--config", config) == 0
     dataset, model = a / "dataset.json", a / "model.json"
@@ -171,29 +192,23 @@ def test_subcommands_write_the_run_artifacts(dump, config, capsys):
         ("stats", "--dataset", dataset, "--out", s),
         ("corpus", "build", "--dataset", dataset, "--min-df", 2,
          "--max-df-fraction", 0.9, "--out", s / "corpus"),
-        ("topics", "fit", "--corpus", a / "corpus", "--k", 3,
-         "--seed", stage_seed(RUN_CONFIG["seed"], "lda"), "--iters", 30,
-         "--burn-in", 10, "--out", s / "model.json"),
+        ("topics", "fit", "--corpus", a / "corpus", "--k", 3, "--seed", RUN_CONFIG["seed"],
+         "--iters", 30, "--burn-in", 10, "--out", s),
         ("topics", "dominance", "--model", model, "--out", s),
         ("topics", "cooccur", "--dominance", dominance, "--out", s / "cooccurrence.csv"),
         ("topics", "timeline", "--dominance", dominance, "--dataset", dataset,
          "--out", s / "monthly_topics.csv"),
         ("lexicon", "profile", "--corpus", a / "corpus", "--dominance", dominance,
          "--components", 5, "--out", s),
+        ("graph", "build", "--dataset", dataset, "--out", s),
         ("users", "metrics", "--dataset", dataset, "--edges", edges,
-         "--dominance", dominance, "--out", s),
-        ("users", "top", "--dataset", dataset, "--edges", edges,
          "--dominance", dominance, "--k", 3, "--out", s),
-        ("graph", "build", "--dataset", dataset, "--out", s / "edges.csv"),
-        ("graph", "export", "--dataset", dataset, "--format", "graphml",
-         "--out", s / "graph.graphml"),
-        ("graph", "export", "--dataset", dataset, "--format", "dot",
-         "--out", s / "graph.dot"),
     ]
     for argv in commands:
         assert run_cli(*argv) == 0, argv
     written = artifact_digests(s)
-    assert len(written) == 26      # the 25 subcommand outputs + stats_summary.json
+    outputs = {name for stage in STAGES if stage.name != "report" for name in stage.outputs}
+    assert set(written) == outputs and len(written) == 28
     assert written == {name: sha256_file(a / name) for name in written}
     capsys.readouterr()
 
@@ -210,6 +225,26 @@ def test_truncated_manifest_reruns_every_stage(dump, config, capsys):
     out = capsys.readouterr().out
     assert "unreadable" in out and "up to date" not in out
     assert artifact_digests(dump / "artifacts") == clean
+
+
+@pytest.mark.parametrize("stages", [[], "x", None, {"stats": "x"}, {"stats": []}],
+                         ids=["list", "string", "null", "string-record", "list-record"])
+def test_manifest_without_stage_records_reruns_every_stage(dump, config, capsys, stages):
+    """A manifest of the right format whose ``stages`` is not an object of
+    objects is reported and treated as empty, like a truncated one."""
+    assert run_cli("run", "--config", config) == 0
+    clean = artifact_digests(dump / "artifacts")
+    manifest = dump / "artifacts" / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    write_json(manifest, {**payload, "stages": stages})
+    capsys.readouterr()
+
+    assert run_cli("run", "--config", config) == 0
+    out = capsys.readouterr().out
+    assert "no object of stage records" in out and "up to date" not in out
+    assert artifact_digests(dump / "artifacts") == clean
+    assert run_cli("run", "--config", config) == 0
+    assert "all stages up to date" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("override", [
@@ -230,9 +265,9 @@ def test_bad_config_value_exits_one_before_ingest(dump, config, override):
     ("corpus build --dataset {a}/dataset.json --min-df 0", "corpus.min_df"),
     ("topics fit --corpus {a}/corpus --k 1", "lda.k"),
     ("topics fit --corpus {a}/corpus --k 3 --iters 10 --burn-in 20", "lda.burn_in"),
-    ("topics select-k --corpus {a}/corpus --kmin 1 --kmax 3 --scan-csv {out}.csv",
-     "lda.k_min"),
-    ("users top --dataset {a}/dataset.json --edges {a}/edges.csv --k 0",
+    ("topics fit --corpus {a}/corpus --kmin 1 --kmax 3", "lda.k_min"),
+    ("topics fit --corpus {a}/corpus --k 3 --threads 0", "--threads"),
+    ("users metrics --dataset {a}/dataset.json --edges {a}/edges.csv --k 0",
      "graph.top_k"),
     ("lexicon profile --corpus {a}/corpus --dominance {a}/dominance.csv --components 0",
      "lexicon.components"),
@@ -241,10 +276,10 @@ def test_bad_subcommand_flag_exits_one(tmp_path, capsys, command, key):
     """The flag is rejected before any input is read: the inputs are missing,
     which would exit 2."""
     out = tmp_path / "out"
-    argv = command.format(a=tmp_path / "missing", out=out).split() + ["--out", out]
+    argv = command.format(a=tmp_path / "missing").split() + ["--out", out]
     assert run_cli(*argv) == 1
     assert key in capsys.readouterr().err
-    assert not out.exists() and not tmp_path.joinpath("out.csv").exists()
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -258,14 +293,16 @@ def intermediates(tmp_path_factory):
 
 
 # Each subcommand that reads an intermediate, with paths relative to a
-# directory holding the intermediates.
+# directory holding the intermediates, keyed by case: `topics select-k` is
+# the k scan of `topics fit`, `users top` ranks the top influencers of
+# `users metrics` at a given `--k`, and `graph export` writes the graph
+# files of `graph build` into a nested directory.
 READERS = {
     "stats": "stats --dataset dataset.json --out out",
     "corpus build": "corpus build --dataset dataset.json --out out",
-    "topics fit": "topics fit --corpus corpus --k 3 --iters 5 --burn-in 1 "
-                  "--out out/model.json",
-    "topics select-k": "topics select-k --corpus corpus --kmax 3 --iters 5 "
-                       "--burn-in 1 --out out/model.json --scan-csv out/scan.csv",
+    "topics fit": "topics fit --corpus corpus --k 3 --iters 5 --burn-in 1 --out out",
+    "topics select-k": "topics fit --corpus corpus --kmax 3 --iters 5 --burn-in 1 "
+                       "--out out",
     "topics dominance": "topics dominance --model model.json --out out",
     "topics cooccur": "topics cooccur --dominance dominance.csv --out out/c.csv",
     "topics timeline": "topics timeline --dominance dominance.csv --dataset dataset.json "
@@ -274,10 +311,10 @@ READERS = {
                        "--out out",
     "users metrics": "users metrics --dataset dataset.json --edges edges.csv "
                      "--dominance dominance.csv --out out",
-    "users top": "users top --dataset dataset.json --edges edges.csv "
-                 "--dominance dominance.csv --out out",
-    "graph build": "graph build --dataset dataset.json --out out/e.csv",
-    "graph export": "graph export --dataset dataset.json --format dot --out out/g.dot",
+    "users top": "users metrics --dataset dataset.json --edges edges.csv "
+                 "--dominance dominance.csv --k 3 --out out",
+    "graph build": "graph build --dataset dataset.json --out out",
+    "graph export": "graph build --dataset dataset.json --out out/graph",
 }
 # The flag through which a command reads each intermediate; load_assignment
 # reads the two dominance siblings from beside dominance.csv.
@@ -343,6 +380,30 @@ def test_corrupt_intermediate_is_a_data_error(intermediates, tmp_path, monkeypat
     monkeypatch.chdir(tmp_path)
     assert run_cli(*READERS[command].split()) == 2
     assert name.split("/")[-1] in capsys.readouterr().err
+
+
+LEXICONS = {
+    "truncated": b'{"a": ["x"',
+    "binary": b'\xff\xfe{"a": ["x"]}',
+    "not-json": b"money: pay, debt\n",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("lexicon", LEXICONS)
+def test_corrupt_lexicon_is_a_data_error(intermediates, dump, config, tmp_path,
+                                         capsys, lexicon):
+    """A lexicon file that is not UTF-8 JSON exits 2 and is named, from
+    `lexicon profile` and from `run` at its `lexicon` stage."""
+    path = tmp_path / "lexicon.json"
+    path.write_bytes(LEXICONS[lexicon])
+    assert run_cli("lexicon", "profile", "--corpus", intermediates / "corpus",
+                   "--dominance", intermediates / "dominance.csv",
+                   "--lexicon", path, "--out", tmp_path / "out") == 2
+    assert "lexicon.json" in capsys.readouterr().err
+    assert run_cli("run", "--config", config, "--set", f"lexicon.path={path}") == 2
+    err = capsys.readouterr().err
+    assert "stage 'lexicon' failed" in err and "lexicon.json" in err
 
 
 def test_run_stage_failure_exit_codes(dump):

@@ -398,7 +398,7 @@ def test_config_overrides_and_relative_paths(tmp_path):
     assert set(config) == set(CONFIG_DEFAULTS)
 
 
-def test_resolve_threads_precedence(monkeypatch):
+def test_resolve_threads_precedence(monkeypatch, tmp_path):
     monkeypatch.delenv("FORUM_PULSE_THREADS", raising=False)
     assert resolve_threads() == 1
     monkeypatch.setenv("FORUM_PULSE_THREADS", "3")
@@ -407,6 +407,15 @@ def test_resolve_threads_precedence(monkeypatch):
     assert resolve_threads(flag=5, config_value=2) == 5
     with pytest.raises(UsageError):
         resolve_threads(flag=0)
+    for bad in ("abc", "1.5", "", "0"):
+        monkeypatch.setenv("FORUM_PULSE_THREADS", bad)
+        with pytest.raises(UsageError, match="FORUM_PULSE_THREADS"):
+            resolve_threads()
+        assert resolve_threads(flag=2) == 2      # a flag wins over a bad variable
+    # A run rejects the variable before it makes its output directory.
+    with pytest.raises(UsageError, match="FORUM_PULSE_THREADS"):
+        run_pipeline(small_config(tmp_path), echo=lambda *_: None)
+    assert not (tmp_path / "artifacts").exists()
 
 
 def test_stage_seed_is_stable():
