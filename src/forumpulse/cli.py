@@ -16,8 +16,8 @@ from .errors import DataError, ForumPulseError, StageError, UsageError
 from .fixture import generate_fixture
 from .pipeline import (CONFIG_SCHEMA, STAGES, StageContext, check_config, corpus_stage,
                        cooccur_stage, dominance_stage, graph_stage, ingest_stage,
-                       lexicon_stage, metrics_stage, resolve_threads, run_pipeline,
-                       stats_stage, timeline_stage, topics_stage)
+                       lexicon_stage, metrics_stage, run_pipeline, stats_stage,
+                       timeline_stage, topics_stage)
 
 _DOMINANCE_HELP = "the dominance.csv of `topics dominance`, its two sibling files beside it"
 _OUT_FILE, _OUT_DIR = "output file", "output directory"
@@ -74,8 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _param(p, "--kmax", "lda.k_max")
     _param(p, "--patience", "lda.patience",
            "stop after this many non-improving k values")
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallel fits; FORUM_PULSE_THREADS honored")
     _param(p, "--seed", "seed", "the run seed; the sampler seed is derived from it")
     _param(p, "--iters", "lda.iterations")
     _param(p, "--burn-in", "lda.burn_in")
@@ -162,28 +160,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override a config key")
     p.add_argument("--out-dir", type=Path, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_run)
 
     return parser
 
 
-def _context(args, stage: str, paths, workers: int = 1) -> StageContext:
+def _context(args, stage: str, paths) -> StageContext:
     """The ``StageContext`` of the ``STAGES`` entry named ``stage``: its
     params from the flags named by their config keys, and ``--out`` as its
     output file if it has one, else as its output directory."""
     entry = next(s for s in STAGES if s.name == stage)
     params = check_config({key: getattr(args, key) for key in entry.params})
     if len(entry.outputs) == 1:
-        return StageContext({**paths, entry.outputs[0]: args.out}, params, None, workers)
-    return StageContext(paths, params, args.out, workers)
+        return StageContext({**paths, entry.outputs[0]: args.out}, params)
+    return StageContext(paths, params, args.out)
 
 
 def _cmd_ingest(args) -> int:
     ctx = _context(args, "ingest", {"posts": args.posts, "comments": args.comments})
     for path in (args.posts, args.comments):
-        if not path.exists():
-            raise DataError(f"missing dump file: {path}")
+        if not path.is_file():
+            raise DataError(f"dump {path} is not a file")
     dataset = ingest_stage(ctx)
     print(f"dataset: {len(dataset.posts)} posts, {len(dataset.comments)} comments, "
           f"{len(dataset.authors)} authors "
@@ -208,8 +205,7 @@ def _cmd_corpus_build(args) -> int:
 
 
 def _cmd_topics_fit(args) -> int:
-    model = topics_stage(_context(args, "topics", {"corpus": args.corpus},
-                                  resolve_threads(args.threads)))
+    model = topics_stage(_context(args, "topics", {"corpus": args.corpus}))
     print(f"selected k={model.k} over {model.n_documents} documents -> {args.out}")
     return 0
 
@@ -284,8 +280,7 @@ def _cmd_run(args) -> int:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key] = value
-    result = run_pipeline(args.config, overrides=overrides,
-                          out_dir=args.out_dir, threads=args.threads)
+    result = run_pipeline(args.config, overrides=overrides, out_dir=args.out_dir)
     if result.all_skipped:
         print(f"all stages up to date in {result.out_dir}")
     else:

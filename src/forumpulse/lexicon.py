@@ -40,6 +40,8 @@ def load_lexicon(path: Path) -> Lexicon:
     Category order follows the file. Duplicate names and empty word lists
     are rejected.
     """
+    if not path.is_file():
+        raise DataError(f"lexicon {path} is not a file")
     with reading(path, "lexicon"):
         payload = read_json(path)
     if not isinstance(payload, dict) or not payload:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -59,7 +58,6 @@ CONFIG_SCHEMA: dict[str, tuple[Any, type, Optional[int]]] = {
     "to": (None, int, None),
     "out_dir": ("artifacts", str, None),
     "seed": (0, int, None),
-    "threads": (None, int, 1),
     "corpus.min_df": (DEFAULT_MIN_DF, int, 1),
     "corpus.max_df_fraction": (DEFAULT_MAX_DF_FRACTION, float, 0),
     "corpus.phrase_min_count": (DEFAULT_PHRASE_MIN_COUNT, int, 1),
@@ -84,22 +82,6 @@ _CONFIG_RULES = (
     (("lda.k_min", "lda.k_max"), lambda lo, hi: lo <= hi, "k_min <= k_max"),
     (("corpus.max_df_fraction",), lambda f: f <= 1, "max_df_fraction <= 1"),
 )
-
-
-def resolve_threads(flag: Optional[int] = None,
-                    config_value: Optional[int] = None) -> int:
-    """Worker cap: CLI flag beats the config file beats FORUM_PULSE_THREADS."""
-    for value, source in ((flag, "--threads"), (config_value, "config key 'threads'"),
-                          (os.environ.get("FORUM_PULSE_THREADS"), "FORUM_PULSE_THREADS")):
-        if value is not None:
-            try:
-                n = int(value)
-            except ValueError:
-                raise UsageError(f"{source} must be an integer, got {value!r}") from None
-            if n < 1:
-                raise UsageError(f"{source}: thread count must be >= 1, got {value!r}")
-            return n
-    return 1
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -211,7 +193,6 @@ class StageContext:
     paths: Mapping[str, Optional[Path]]
     params: Mapping[str, Any] = field(default_factory=dict)
     out_dir: Optional[Path] = None
-    workers: int = 1
     echo: Callable[[str], None] = print
     parsed: dict[str, Any] = field(default_factory=dict)
     record: dict[str, Any] = field(default_factory=dict)
@@ -304,8 +285,7 @@ def topics_stage(ctx: StageContext):
     base = LdaConfig(k=k_min, alpha=p["lda.alpha"], beta=p["lda.beta"],
                      iterations=p["lda.iterations"], burn_in=p["lda.burn_in"],
                      seed=stage_seed(p["seed"], "lda"))
-    result = select_k(ctx.load("corpus"), k_min, k_max, base,
-                      patience=p["lda.patience"], workers=ctx.workers,
+    result = select_k(ctx.load("corpus"), k_min, k_max, base, patience=p["lda.patience"],
                       progress=lambda k, w: ctx.echo(f"[topics] k={k} W_k={w}"))
     model = result.model
     sweeps = len(result.reports) * p["lda.iterations"]
@@ -474,15 +454,19 @@ STAGES += (Stage("report", (),
 def run_pipeline(config_path: Path,
                  overrides: Optional[Mapping[str, str]] = None,
                  out_dir: Optional[Path] = None,
-                 threads: Optional[int] = None,
                  echo=print) -> RunResult:
     """Execute every stage; returns the artifacts directory and statuses.
 
     Raises StageError (wrapping the cause) when a stage fails; artifacts
-    written by earlier stages stay intact.
+    written by earlier stages stay intact. A dump or lexicon file the config
+    names that is not a regular file fails its stage before any stage runs.
     """
     config = load_config(config_path, overrides)
-    workers = resolve_threads(threads, config["threads"])
+    for stage in STAGES:
+        for key in stage.inputs:
+            if config.get(key) is not None and not Path(config[key]).is_file():
+                raise StageError(stage.name, DataError(
+                    f"config key {key!r}: {config[key]} is not a file"))
     target = Path(out_dir) if out_dir is not None else Path(config["out_dir"])
     target.mkdir(parents=True, exist_ok=True)
 
@@ -502,14 +486,11 @@ def run_pipeline(config_path: Path,
         reads = {name.split("/")[0] for name in stage.inputs}
         parsed = {name: value for name, value in parsed.items() if name in reads}
         ctx = StageContext(paths, {key: config[key] for key in stage.params},
-                           target, workers, echo, parsed)
+                           target, echo, parsed)
         # An input is keyed by its name: a dump or lexicon file by its config
         # key, so the same bytes reached through another path match.
         inputs = {name: ctx.path(name) for name in stage.inputs + stage.recorded
                   if name in paths or name not in CONFIG_DEFAULTS}
-        for p in inputs.values():
-            if not p.exists():
-                raise StageError(stage.name, DataError(f"missing input file: {p}"))
         # A param that names an input file is in the skip key by its config
         # key too; the file's bytes are in it through its digest.
         digest = _params_digest({key: key if key in paths else value

@@ -10,11 +10,8 @@ coarsest model that leaves the fewest documents topicless.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -89,23 +86,13 @@ class SelectKResult:
     reports: tuple[SkewnessReport, ...]
 
 
-def _fit_and_report(corpus: Corpus, base: LdaConfig, k: int
-                    ) -> tuple[TopicModel, SkewnessReport]:
-    model = fit(corpus, replace(base, k=k))
-    return model, count_nonpositive(model)
-
-
 def select_k(corpus: Corpus, k_min: int, k_max: int, base: LdaConfig,
-             patience: Optional[int] = None, workers: int = 1,
-             progress=None) -> SelectKResult:
+             patience: Optional[int] = None, progress=None) -> SelectKResult:
     """Scan k in [k_min, k_max], fit a model per k, keep the minimal-W_k one.
 
     Every fit reuses the seed policy of ``base`` so only k varies. Ties go
     to the smallest k. With ``patience`` set, the scan stops early after
-    that many consecutive k values without improvement; ``workers`` > 1
-    fits the models in that many threads, which run in parallel while they
-    are inside the compiled sweep (only when patience is off, since early
-    stopping is inherently sequential).
+    that many consecutive k values without improvement.
     """
     if k_min < 2:
         raise ValueError("k_min must be >= 2")
@@ -114,28 +101,23 @@ def select_k(corpus: Corpus, k_min: int, k_max: int, base: LdaConfig,
     if patience is not None and patience < 1:
         raise ValueError("patience must be >= 1 when set")
 
-    ks = range(k_min, k_max + 1)
-    pooled = workers > 1 and patience is None and len(ks) > 1
     reports: list[SkewnessReport] = []
     best: tuple[int, TopicModel] | None = None
     best_w = None
     stale = 0
-    with (ThreadPoolExecutor(max_workers=min(workers, len(ks))) if pooled
-          else nullcontext()) as pool:
-        # The built-in map is lazy, so an early stop fits no further k.
-        fitted = (pool.map if pooled else map)(
-            partial(_fit_and_report, corpus, base), ks)
-        for k, (model, report) in zip(ks, fitted):
-            reports.append(report)
-            if progress is not None:
-                progress(k, report.w_k)
-            if best_w is None or report.w_k < best_w:
-                best_w, best = report.w_k, (k, model)
-                stale = 0
-            else:
-                stale += 1
-                if patience is not None and stale >= patience:
-                    break
+    for k in range(k_min, k_max + 1):
+        model = fit(corpus, replace(base, k=k))
+        report = count_nonpositive(model)
+        reports.append(report)
+        if progress is not None:
+            progress(k, report.w_k)
+        if best_w is None or report.w_k < best_w:
+            best_w, best = report.w_k, (k, model)
+            stale = 0
+        else:
+            stale += 1
+            if patience is not None and stale >= patience:
+                break
 
     assert best is not None
     return SelectKResult(k=best[0], model=best[1], reports=tuple(reports))
@@ -263,7 +245,7 @@ def monthly_distribution(assignment: DominantTopicAssignment,
     for doc_id, topics in zip(assignment.doc_ids, assignment.dominant):
         post = dataset.post_by_id.get(doc_id)
         if post is None:
-            raise ValueError(f"post {doc_id!r} not present in dataset")
+            raise DataError(f"post {doc_id!r} not present in dataset")
         month = datetime.fromtimestamp(post.created_at, tz=timezone.utc).strftime("%Y-%m")
         for t in topics:
             key = (t, month)

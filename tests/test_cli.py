@@ -103,6 +103,22 @@ def test_missing_dump_is_data_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [
+    "run --config {t}/config.json --set lexicon.path={t}/dump",
+    "run --config {t}/config.json --set posts={t}/dump",
+    "ingest --posts {t}/dump --comments {t}/dump/comments.jsonl "
+    "--out {t}/artifacts/dataset.json",
+    "lexicon profile --corpus {a}/corpus --dominance {a}/dominance.csv --lexicon= "
+    "--out {t}/artifacts",
+])
+def test_directory_input_is_data_error(intermediates, dump, config, capsys, command):
+    """A directory where a dump or lexicon file belongs exits 2, named,
+    before anything is written."""
+    assert run_cli(*command.format(t=dump, a=intermediates).split()) == 2
+    assert "is not a file" in capsys.readouterr().err
+    assert not (dump / "artifacts").exists()
+
+
 def test_subcommand_chain(dump, capsys):
     t = dump
     assert run_cli("ingest", "--posts", t / "dump/posts.jsonl",
@@ -251,7 +267,7 @@ def test_manifest_without_stage_records_reruns_every_stage(dump, config, capsys,
     'lda.iterations="abc"', "lda.iterations=abc", "corpus.min_df=0",
     "lda.beta=0", "lda.alpha=-1", "lda.k=1.5", "seed=true", "posts=3",
     "out_dir=null", "lda.burn_in=50", "lda.k_min=11", "corpus.max_df_fraction=1.5",
-    "from=2000000000 to=1000",
+    "from=2000000000 to=1000", "threads=2",
 ])
 def test_bad_config_value_exits_one_before_ingest(dump, config, override):
     sets = [arg for item in override.split() for arg in ("--set", item)]

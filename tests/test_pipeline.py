@@ -16,8 +16,8 @@ import forumpulse.topics as topics
 from forumpulse.errors import DataError, StageError, UsageError
 from forumpulse.fileio import read_json, sha256_file, write_json
 from forumpulse.fixture import TOPIC_WORD_POOLS, generate_fixture
-from forumpulse.pipeline import (CONFIG_DEFAULTS, STAGES, StageContext, load_config,
-                                 resolve_threads, run_pipeline, stage_seed)
+from forumpulse.pipeline import (CONFIG_DEFAULTS, CONFIG_SCHEMA, STAGES, StageContext,
+                                 load_config, run_pipeline, stage_seed)
 
 from conftest import FIXTURE_DIR
 
@@ -398,24 +398,11 @@ def test_config_overrides_and_relative_paths(tmp_path):
     assert set(config) == set(CONFIG_DEFAULTS)
 
 
-def test_resolve_threads_precedence(monkeypatch, tmp_path):
-    monkeypatch.delenv("FORUM_PULSE_THREADS", raising=False)
-    assert resolve_threads() == 1
-    monkeypatch.setenv("FORUM_PULSE_THREADS", "3")
-    assert resolve_threads() == 3
-    assert resolve_threads(config_value=2) == 2
-    assert resolve_threads(flag=5, config_value=2) == 5
-    with pytest.raises(UsageError):
-        resolve_threads(flag=0)
-    for bad in ("abc", "1.5", "", "0"):
-        monkeypatch.setenv("FORUM_PULSE_THREADS", bad)
-        with pytest.raises(UsageError, match="FORUM_PULSE_THREADS"):
-            resolve_threads()
-        assert resolve_threads(flag=2) == 2      # a flag wins over a bad variable
-    # A run rejects the variable before it makes its output directory.
-    with pytest.raises(UsageError, match="FORUM_PULSE_THREADS"):
-        run_pipeline(small_config(tmp_path), echo=lambda *_: None)
-    assert not (tmp_path / "artifacts").exists()
+def test_every_config_key_is_read_by_a_stage():
+    """A config key no stage reads as a param or an input file would be a
+    knob that changes nothing; ``out_dir`` names where the stages write."""
+    read = {key for stage in STAGES for key in stage.params + stage.inputs}
+    assert set(CONFIG_SCHEMA) - read == {"out_dir"}
 
 
 def test_stage_seed_is_stable():

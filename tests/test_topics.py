@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from forumpulse.errors import DataError
 from forumpulse.lda import LdaConfig, fit
 from forumpulse.pipeline import StageContext, dominance_stage
 from forumpulse.topics import (DominantTopicAssignment, cooccurrence,
@@ -217,18 +218,13 @@ def test_select_k_patience_stops_early():
     assert len(patient.reports) == expected_len
 
 
-def test_select_k_pooled_matches_serial():
+def test_select_k_reports_progress_in_k_order():
     base = LdaConfig(k=2, alpha=0.2, iterations=20, burn_in=5, seed=7)
-    seen = {1: [], 2: []}
-    results = {workers: select_k(three_topic_corpus(), 2, 4, base, workers=workers,
-                                 progress=lambda k, w, n=workers: seen[n].append((k, w)))
-               for workers in (1, 2)}
-    serial, pooled = results[1], results[2]
-    assert pooled.k == serial.k
-    assert pooled.reports == serial.reports
-    assert seen[2] == seen[1] == [(r.k, r.w_k) for r in serial.reports]
-    assert pooled.model.theta.tobytes() == serial.model.theta.tobytes()
-    assert pooled.model.phi.tobytes() == serial.model.phi.tobytes()
+    seen = []
+    result = select_k(three_topic_corpus(), 2, 4, base,
+                      progress=lambda k, w: seen.append((k, w)))
+    assert seen == [(r.k, r.w_k) for r in result.reports]
+    assert [k for k, _ in seen] == [2, 3, 4]
 
 
 def test_select_k_validation():
@@ -348,5 +344,5 @@ def test_monthly_distribution_hand_tally():
 def test_monthly_distribution_missing_post_rejected():
     d = make_dataset([post_record("p0")], [])
     a = _assignment([{0}, {1}], k=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         monthly_distribution(a, d)
