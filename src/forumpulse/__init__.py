@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .errors import DataError, ForumPulseError, StageError, UsageError
-from .ingest import (AuthorCategory, AuthorRecord, Comment, Dataset, Post,
-                     author_activity_table, parse_dump, response_time,
+from .ingest import (AuthorCategory, Comments, Dataset, Posts,
+                     author_activity_table, parse_dump, response_time_table,
                      score_relations)
 from .corpus import Corpus, Vocabulary, build_corpus, merge_phrases, tokenize
 from .lda import LdaConfig, TopicModel, fit, top_words

@@ -181,7 +181,8 @@ def build_corpus(dataset: Dataset,
         stopwords = default_stopwords()
 
     token_docs = merge_phrases(
-        [tokenize(post.title + " " + post.body, stopwords) for post in dataset.posts],
+        [tokenize(title + " " + body, stopwords)
+         for title, body in zip(dataset.posts.title, dataset.posts.body)],
         phrase_min_count)
     n_posts = len(token_docs)
     n_docs = sum(1 for doc in token_docs if doc)
@@ -211,7 +212,7 @@ def build_corpus(dataset: Dataset,
     counts = counts[kept]
     per_post = np.bincount(posts[kept], minlength=n_posts)
     nonempty = (per_post > 0).tolist()
-    post_ids = [post.id for post in dataset.posts]
+    post_ids = dataset.posts.id
     return Corpus(
         offsets=np.concatenate(([0], np.cumsum(per_post[per_post > 0]))),
         term_ids=(np.cumsum(keep) - 1)[tokens[kept]],

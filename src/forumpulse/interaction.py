@@ -16,15 +16,17 @@ posts where topic i is dominant (a post with m dominant topics credits
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from math import log10
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import DataError
 from .fileio import read_csv, reading, write_csv, write_text
-from .ingest import SENTINEL_AUTHORS, Comment, Dataset
+from .ingest import Dataset
 from .topics import DominantTopicAssignment
 
 
@@ -38,19 +40,17 @@ class InteractionGraph:
 
 def build_graph(dataset: Dataset) -> InteractionGraph:
     """Reply edges between non-sentinel users; dangling parents are skipped."""
-    weights: dict[tuple[str, str], int] = defaultdict(int)
-    for comment in dataset.comments:
-        source = comment.author
-        if source in SENTINEL_AUTHORS:
-            continue
-        parent = dataset.resolve_parent(comment)
-        if parent is None:
-            continue
-        target = parent.author
-        if target in SENTINEL_AUTHORS or target == source:
-            continue
-        weights[(source, target)] += 1
-    return graph_from_edges(tuple((s, t, weights[(s, t)]) for s, t in sorted(weights)))
+    names, author = dataset.authors, dataset.author_index
+    parent = dataset.comments.parent
+    replied = parent >= 0
+    source = author[len(dataset.posts):][replied]
+    target = author[parent[replied]]
+    edge = (source >= 0) & (target >= 0) & (source != target)
+    # An author's index follows name order, so the keys sort as the edges do.
+    keys, weights = np.unique(source[edge] * len(names) + target[edge], return_counts=True)
+    sources, targets = np.divmod(keys, max(len(names), 1))
+    return graph_from_edges(tuple((names[s], names[t], w) for s, t, w in zip(
+        sources.tolist(), targets.tolist(), weights.tolist())))
 
 
 def graph_from_edges(edges: tuple[tuple[str, str, int], ...]) -> InteractionGraph:
@@ -105,31 +105,39 @@ def user_classes(graph: InteractionGraph) -> UserClassCounts:
     )
 
 
-def topic_spread(comments: Iterable[Comment],
-                 dominant_by_post: Mapping[str, frozenset[int]],
-                 ) -> Optional[tuple[float, dict[int, float]]]:
-    """(tau, per-topic fractions) for one user's comments, or None.
+def topic_spread(dataset: Dataset, assignment: DominantTopicAssignment,
+                 ) -> dict[str, tuple[float, dict[int, float]]]:
+    """(tau, per-topic fractions) of each user, by name.
 
-    ``dominant_by_post`` maps a post id to its dominant topics, as
-    ``DominantTopicAssignment.by_doc()`` returns. Only comments whose root
-    post has at least one dominant topic count. None means the user made no
-    such comment, which is distinct from any numeric spread value.
+    Only comments by non-sentinel authors whose root post has at least one
+    dominant topic under ``assignment`` count. A user without such a comment
+    is absent, which is distinct from any numeric spread value.
     """
-    credit: dict[int, float] = defaultdict(float)
-    counted = 0
-    for comment in comments:
-        topics = dominant_by_post.get(comment.root_post_id)
-        if not topics:
-            continue
-        counted += 1
-        share = 1.0 / len(topics)
-        for t in topics:
-            credit[t] += share
-    if counted == 0:
-        return None
-    fractions = {t: c / counted for t, c in sorted(credit.items())}
-    tau = sum(1.0 / (s * s) for s in fractions.values() if s > 0)
-    return tau, fractions
+    n_posts, k = len(dataset.posts), assignment.k
+    row = dict(zip(dataset.posts.id, range(n_posts)))
+    # One row per post and a last one, with no topic, for a dangling root (-1).
+    dominant = np.zeros((n_posts + 1, k), dtype=bool)
+    cells = [(row[doc_id], t)
+             for doc_id, topics in zip(assignment.doc_ids, assignment.dominant)
+             if doc_id in row for t in topics]
+    if cells:
+        dominant[tuple(zip(*cells))] = True
+    hits = dominant[dataset.comments.root]
+    n_topics = hits.sum(axis=1)
+    user = dataset.author_index[n_posts:]
+    scored = (user >= 0) & (n_topics > 0)
+    user, hits, share = user[scored], hits[scored], 1.0 / n_topics[scored]
+    n_users = len(dataset.authors)
+    # bincount adds each user's shares in comment order, as a loop over them would.
+    credit = np.stack([np.bincount(user[hits[:, t]], weights=share[hits[:, t]],
+                                   minlength=n_users) for t in range(k)], axis=1)
+    counted = np.bincount(user, minlength=n_users)
+    spreads = {}
+    for u in np.flatnonzero(counted).tolist():
+        fractions = {t: c / int(counted[u]) for t, c in enumerate(credit[u].tolist()) if c}
+        tau = sum(1.0 / (s * s) for s in fractions.values() if s > 0)
+        spreads[dataset.authors[u]] = tau, fractions
+    return spreads
 
 
 def reach(out_degree: int, comment_count: int) -> Optional[float]:
@@ -158,23 +166,24 @@ def compute_user_metrics(dataset: Dataset, graph: InteractionGraph,
                          ) -> list[UserMetrics]:
     """One complete record per non-sentinel commenter, in user order; tau
     is None without ``assignment``. DataError when there is no commenter."""
-    comments_by_user: dict[str, list[Comment]] = defaultdict(list)
-    for comment in dataset.comments:
-        if comment.author not in SENTINEL_AUTHORS:
-            comments_by_user[comment.author].append(comment)
-    if not comments_by_user:
+    _, counts = dataset.activity()
+    if not counts.any():
         raise DataError("no commenters to score")
-    max_count = max(len(c) for c in comments_by_user.values())
-    dominant_by_post = assignment.by_doc() if assignment is not None else {}
+    max_count = int(counts.max())
+    # Summed as Python ints, which cannot wrap as an int64 sum can.
+    scores = [0] * len(dataset.authors)
+    for a, score in zip(dataset.author_index[len(dataset.posts):].tolist(),
+                        dataset.comments.score.tolist()):
+        if a >= 0:
+            scores[a] += score
+    spreads = topic_spread(dataset, assignment) if assignment is not None else {}
 
     metrics = []
-    for user in sorted(comments_by_user):
-        user_comments = comments_by_user[user]
-        count = len(user_comments)
+    for u in np.flatnonzero(counts).tolist():
+        user, count = dataset.authors[u], int(counts[u])
         out_deg = graph.out_degree.get(user, 0)
         user_reach = reach(out_deg, count)
-        spread = topic_spread(user_comments, dominant_by_post)
-        record = dataset.author_by_name.get(user)
+        spread = spreads.get(user)
         metrics.append(UserMetrics(
             user=user,
             comment_count=count,
@@ -185,7 +194,7 @@ def compute_user_metrics(dataset: Dataset, graph: InteractionGraph,
             reach=user_reach,
             alpha=count / max_count,
             influence=(count / max_count) * user_reach,
-            aggregate_comment_score=record.aggregate_comment_score if record else 0,
+            aggregate_comment_score=scores[u],
         ))
     return metrics
 

@@ -416,7 +416,7 @@ _DOMINANCE = ("dominance.csv", "dominance_thresholds.csv", "topic_presence.csv")
 
 STAGES: tuple[Stage, ...] = (
     Stage("ingest", ("from", "to"), ("posts", "comments"), ("dataset.json",),
-          ingest_stage),
+          ingest_stage, version=2),   # 2: dataset.json holds columns
     Stage("stats", (), ("dataset.json",),
           ("activity_table.csv", "score_relations.csv", "response_times.csv",
            "stats_summary.json"), stats_stage),
@@ -459,16 +459,27 @@ def run_pipeline(config_path: Path,
 
     Raises StageError (wrapping the cause) when a stage fails; artifacts
     written by earlier stages stay intact. A dump or lexicon file the config
-    names that is not a regular file fails its stage before any stage runs.
+    names that is not a regular file, or a lexicon that does not parse, fails
+    its stage before any stage runs.
     """
     config = load_config(config_path, overrides)
     for stage in STAGES:
         for key in stage.inputs:
-            if config.get(key) is not None and not Path(config[key]).is_file():
-                raise StageError(stage.name, DataError(
-                    f"config key {key!r}: {config[key]} is not a file"))
+            if config.get(key) is None:
+                continue
+            try:
+                if not Path(config[key]).is_file():
+                    raise DataError(f"config key {key!r}: {config[key]} is not a file")
+                if key == "lexicon.path":
+                    load_lexicon(Path(config[key]))
+            except DataError as exc:
+                raise StageError(stage.name, exc) from exc
     target = Path(out_dir) if out_dir is not None else Path(config["out_dir"])
     target.mkdir(parents=True, exist_ok=True)
+    # A run killed inside write_text leaves its temporary file beside the output.
+    for name in ("manifest.json",) + tuple(n for stage in STAGES for n in stage.outputs):
+        for stale in (target / name).parent.glob(f".{Path(name).name}.*.tmp"):
+            stale.unlink()
 
     manifest_path = target / "manifest.json"
     manifest = _read_manifest(manifest_path, echo)

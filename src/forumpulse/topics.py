@@ -10,6 +10,7 @@ coarsest model that leaves the fewest documents topicless.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -142,9 +143,6 @@ class DominantTopicAssignment:
     def k(self) -> int:
         return len(self.thresholds)
 
-    def by_doc(self) -> dict[str, frozenset[int]]:
-        return dict(zip(self.doc_ids, self.dominant))
-
 
 def dominant_topics(model: TopicModel) -> DominantTopicAssignment:
     theta = model.theta
@@ -241,13 +239,16 @@ def monthly_distribution(assignment: DominantTopicAssignment,
                          dataset: Dataset) -> dict[tuple[int, str], int]:
     """Posts per (topic, calendar month), UTC; multi-dominant posts count once
     per dominant topic."""
-    counts: dict[tuple[int, str], int] = {}
-    for doc_id, topics in zip(assignment.doc_ids, assignment.dominant):
-        post = dataset.post_by_id.get(doc_id)
-        if post is None:
-            raise DataError(f"post {doc_id!r} not present in dataset")
-        month = datetime.fromtimestamp(post.created_at, tz=timezone.utc).strftime("%Y-%m")
-        for t in topics:
-            key = (t, month)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    row = dict(zip(dataset.posts.id, range(len(dataset.posts))))
+    missing = next((doc_id for doc_id in assignment.doc_ids if doc_id not in row), None)
+    if missing is not None:
+        raise DataError(f"post {missing!r} not present in dataset")
+    created = dataset.posts.created_at[[row[doc_id] for doc_id in assignment.doc_ids]]
+    months = created.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
+    # Each month named once, from the time of its first post.
+    distinct, first = np.unique(months, return_index=True)
+    names = {month: datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m")
+             for month, t in zip(distinct.tolist(), created[first].tolist())}
+    counts = Counter((t, month) for month, topics in zip(months.tolist(), assignment.dominant)
+                     for t in topics)
+    return {(t, names[month]): n for (t, month), n in counts.items()}

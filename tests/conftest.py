@@ -4,6 +4,7 @@ import json
 import os
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,6 +80,29 @@ def jsonl(records) -> list[str]:
 
 def make_dataset(posts, comments, window=None):
     return parse_dump(jsonl(posts), jsonl(comments), window)
+
+
+def as_format_1(payload: dict) -> dict:
+    """A ``dataset.json`` payload in the layout of format 1: one object per
+    record."""
+    records = lambda table: [dict(zip(table, row)) for row in zip(*table.values())]
+    return {**payload, "format": "forumpulse-dataset-v1",
+            "posts": records(payload["posts"]), "comments": records(payload["comments"])}
+
+
+def comment_views(dataset) -> list[SimpleNamespace]:
+    """Each comment of ``dataset`` as a record: its ``id`` and ``author``,
+    its ``root_post_id`` (None when the root post is not in the dataset) and
+    the ``parent_author`` of the record it replies to (None when the
+    reference dangles)."""
+    posts, comments = dataset.posts, dataset.comments
+    authors = posts.author + comments.author
+    return [SimpleNamespace(id=cid, author=author,
+                            root_post_id=posts.id[root] if root >= 0 else None,
+                            parent_author=authors[parent] if parent >= 0 else None)
+            for cid, author, root, parent in zip(comments.id, comments.author,
+                                                 comments.root.tolist(),
+                                                 comments.parent.tolist())]
 
 
 @pytest.fixture

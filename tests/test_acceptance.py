@@ -25,7 +25,8 @@ from forumpulse.lexicon import pca
 from forumpulse.pipeline import run_pipeline, stage_seed
 from forumpulse.topics import dominant_topics, select_k, skewness
 
-from conftest import comment_record, corpus_from_counts, make_dataset, post_record
+from conftest import (comment_record, comment_views, corpus_from_counts, make_dataset,
+                      post_record)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "synthetic-200"
 
@@ -200,8 +201,8 @@ def test_criterion_5_metric_oracle_equivalence():
         comments.append(comment_record(f"c{j:03d}", ref, root,
                                        author=rng.choice(users), created=500 + j))
     dataset = make_dataset(posts, comments)
-    dominant_by_post = {p.id: frozenset(t for t in range(3) if rng.random() < 0.5)
-                        for p in dataset.posts}
+    dominant_by_post = {p: frozenset(t for t in range(3) if rng.random() < 0.5)
+                        for p in dataset.posts.id}
 
     from forumpulse.topics import DominantTopicAssignment
     assignment = DominantTopicAssignment(
@@ -215,18 +216,15 @@ def test_criterion_5_metric_oracle_equivalence():
 
     checks = []
     own = defaultdict(list)
-    for c in dataset.comments:
+    for c in comment_views(dataset):
         own[c.author].append(c)
     max_c = max(len(v) for v in own.values())
     for m in metrics:
         mine = own[m.user]
         targets = set()
         for c in mine:
-            if c.parent_dangling:
-                continue
-            parent = dataset.resolve_parent(c)
-            if parent.author != m.user:
-                targets.add(parent.author)
+            if c.parent_author not in (None, m.user):
+                targets.add(c.parent_author)
         counted = [c for c in mine if dominant_by_post.get(c.root_post_id)]
         tau = None
         if counted:
@@ -296,8 +294,7 @@ def test_criterion_6_graph_fidelity():
          f"in degrees {graph.in_degree}"),
     ]
     resolved_non_self = sum(
-        1 for c in dataset.comments
-        if not c.parent_dangling and dataset.resolve_parent(c).author != c.author)
+        1 for c in comment_views(dataset) if c.parent_author not in (None, c.author))
     checks.append((sum(w for _, _, w in graph.edges) == resolved_non_self == 6,
                    "edge weights must sum to the resolved non-self comment count"))
     checks.append((all(s != t for s, t, _ in graph.edges),

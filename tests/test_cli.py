@@ -15,7 +15,7 @@ from forumpulse.fileio import sha256_file, write_json
 from forumpulse.fixture import generate_fixture
 from forumpulse.pipeline import STAGES
 
-from conftest import child_env
+from conftest import as_format_1, child_env
 
 
 @pytest.fixture
@@ -340,7 +340,7 @@ READS = {"dataset.json": "--dataset dataset.json", "model.json": "--model model.
                           "topic_presence.csv"), "--dominance dominance.csv")}
 INTERMEDIATES = ("dataset.json", "model.json", "corpus", "edges.csv", "dominance.csv",
                  "dominance_thresholds.csv", "topic_presence.csv")
-FORMATS = {"dataset.json": "forumpulse-dataset-v1", "model.json": "forumpulse-model-v1",
+FORMATS = {"dataset.json": "forumpulse-dataset-v2", "model.json": "forumpulse-model-v1",
            "corpus/meta.json": "forumpulse-corpus-v1"}
 
 
@@ -349,6 +349,19 @@ def _json_with(data: bytes, name: str, fill) -> bytes:
     payload = {key: value if key == "format" else fill(key, value)
                for key, value in payload.items()}
     return json.dumps(payload).encode()
+
+
+def _dataset_column(table: str, column: str, change):
+    """A corruption that replaces a column of dataset.json with
+    ``change(cells, n_posts, n_records)``, where the records are the posts
+    followed by the comments."""
+    def corrupt(data: bytes, name: str) -> bytes:
+        payload = json.loads(data)
+        n_posts = len(payload["posts"]["id"])
+        n_records = n_posts + len(payload["comments"]["id"])
+        payload[table][column] = change(payload[table][column], n_posts, n_records)
+        return json.dumps(payload).encode()
+    return corrupt
 
 
 CORRUPTIONS = {
@@ -361,13 +374,22 @@ CORRUPTIONS = {
     "keys": lambda data, name: json.dumps({"format": FORMATS[name]}).encode(),
     "short-theta": lambda data, name: _json_with(
         data, name, lambda key, value: value[:-1] if key == "theta" else value),
-    "yesterday": lambda data, name: _json_with(
-        data, name, lambda key, value: (
-            [{**value[0], "created_at": "yesterday"}] + value[1:] if key == "posts"
-            else value)),
+    "yesterday": _dataset_column("posts", "created_at",
+                                 lambda cells, *_: ["yesterday"] + cells[1:]),
+    "short-column": _dataset_column("comments", "score", lambda cells, *_: cells[:-1]),
+    "bool-int": _dataset_column("comments", "score", lambda cells, *_: [True] + cells[1:]),
+    "parent-range": _dataset_column("comments", "parent",
+                                    lambda cells, n_posts, n_records: [n_records] + cells[1:]),
+    "root-range": _dataset_column("comments", "root",
+                                  lambda cells, n_posts, n_records: [n_posts] + cells[1:]),
+    "created-zero": _dataset_column("posts", "created_at", lambda cells, *_: [0] + cells[1:]),
+    "outside-int64": _dataset_column("comments", "score", lambda cells, *_: [2**63] + cells[1:]),
+    "format-1": lambda data, name: json.dumps(as_format_1(json.loads(data))).encode(),
 }
 # The files each corruption that does not apply to every file applies to.
-ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "yesterday": ("dataset.json",)}
+ONLY = {"keys": FORMATS, "short-theta": ("model.json",),
+        **dict.fromkeys(("yesterday", "short-column", "bool-int", "parent-range", "root-range",
+                         "created-zero", "outside-int64", "format-1"), ("dataset.json",))}
 CASES = [
     (name, corruption, command)
     for name in ("dataset.json", "model.json", "corpus/meta.json",
@@ -410,7 +432,8 @@ LEXICONS = {
 def test_corrupt_lexicon_is_a_data_error(intermediates, dump, config, tmp_path,
                                          capsys, lexicon):
     """A lexicon file that is not UTF-8 JSON exits 2 and is named, from
-    `lexicon profile` and from `run` at its `lexicon` stage."""
+    `lexicon profile`, and from `run` for its `lexicon` stage before any
+    stage runs."""
     path = tmp_path / "lexicon.json"
     path.write_bytes(LEXICONS[lexicon])
     assert run_cli("lexicon", "profile", "--corpus", intermediates / "corpus",
@@ -420,6 +443,7 @@ def test_corrupt_lexicon_is_a_data_error(intermediates, dump, config, tmp_path,
     assert run_cli("run", "--config", config, "--set", f"lexicon.path={path}") == 2
     err = capsys.readouterr().err
     assert "stage 'lexicon' failed" in err and "lexicon.json" in err
+    assert not (dump / "artifacts" / "dataset.json").exists()
 
 
 def test_run_stage_failure_exit_codes(dump):

@@ -236,7 +236,8 @@ def test_build_save_load_round_trips_the_arrays(posts, min_df, max_df, phrase_mi
     ``documents.csv`` and its siblings load back to the same arrays."""
     dataset = make_dataset([post_record(f"p{i:02d}", title=" ".join(words))
                             for i, words in enumerate(posts)], [])
-    token_docs = merge_phrases([tokenize(p.title + " " + p.body) for p in dataset.posts],
+    token_docs = merge_phrases([tokenize(title + " " + body) for title, body
+                                in zip(dataset.posts.title, dataset.posts.body)],
                                phrase_min_count)
     terms, df, vectors = _reference_vectors(token_docs, min_df, max_df)
     if not terms:

@@ -11,10 +11,10 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumpulse.fileio import sha256_file
+from forumpulse.fileio import read_json, sha256_file, write_json
 from forumpulse.pipeline import STAGES, run_pipeline
 
-from conftest import FIXTURE_DIR, child_env
+from conftest import FIXTURE_DIR, as_format_1, child_env
 
 # sha256 of every file `forumpulse run` writes on the shipped fixture, but
 # manifest.json, which records times.
@@ -26,7 +26,7 @@ FIXTURE_DIGESTS = {
     "corpus/documents.csv": "dfe1b0bb8d3ed279195ba22e3c50b28d5602aa5f671fefac3541a456c9e98c15",
     "corpus/meta.json": "988b10143cbbdb60bc636e1fb1446a9534a59b1083648053a2386b7e7b290cb3",
     "corpus/vocabulary.tsv": "ff2bd5423da6a630f0d7d8a76d0298659587acb745390c5584a0a33c1586e90c",
-    "dataset.json": "a5dae4ebb4cae4dd0214bc62020a53981e258f283910f26511f9c485613f9ebe",
+    "dataset.json": "938d712b0ec2b4336a8e49ae59e7f4b7784d6fe562841dd018317fc83097e0f1",
     "dominance.csv": "4796c3c9ecde25302ddc9db7d5afc525f2ff7e901313ed04f56ee44893a4f23e",
     "dominance_thresholds.csv":
         "5ef2dc559389bbbc318925bef7999793bc09fabaa7effaf0910a783771ec2f3c",
@@ -39,7 +39,7 @@ FIXTURE_DIGESTS = {
     "monthly_topics.csv": "1e7599c461d885df0559071a4e0c12b868bbbe5a792bc49b8bba2d7c28053126",
     "pca_components.csv": "5601f66473bd5ee86e96d65b9338c85f7e5ccda82b4efa7b89245da036adea99",
     "pca_variance.csv": "4cfd062dec0cf2003cbc3497fefc2d48c8930d10edc24442464d5b39747c7dba",
-    "report.json": "1e52a2550fb3b67fb04093824814da2b964a15156e52dd48784a7f077c55c006",
+    "report.json": "4a86ff1dc0bfbebc4dfd3863d5c0a878528a1bd276325bd3ec74b0c74321ee17",
     "response_times.csv": "4f5de0887aecf754a618e82f5900e6702a84eb88edd8e81b5b0a16ccf3e5977c",
     "score_relations.csv": "86fad629568bc2ee87ca67718d57bfdf0ab15172da499081ab2c2acb5bb436b4",
     "skewness_scan.csv": "d3dfd622e49c7252462724473953c8d76d1e8abc3bf959bb03515ddf7ae53b17",
@@ -52,7 +52,7 @@ FIXTURE_DIGESTS = {
     "user_metrics.csv": "5ec783bf5a965bbc8b790c8f1eb62f211850a0452d73fd50fd9cd7033e8e8495",
 }
 # The listing: sha256 of the `sha256sum` lines of those files, by path.
-FIXTURE_LISTING = "3d64eaa8df229dddff595c1c506f269244e65bf471422d279a96c4fe717acfad"
+FIXTURE_LISTING = "d91db0dbcde2ad921f3e1bedd90a6a8a504ac5882ef0a32f47e4b1c53aa41677"
 
 
 def artifact_digests(directory: Path) -> dict[str, str]:
@@ -68,6 +68,29 @@ def test_fixture_run_writes_the_pinned_bytes(tmp_path):
     assert digests == FIXTURE_DIGESTS
     listing = "".join(f"{digest}  ./{name}\n" for name, digest in sorted(digests.items()))
     assert hashlib.sha256(listing.encode("utf-8")).hexdigest() == FIXTURE_LISTING
+
+
+def test_directory_of_format_1_reruns_ingest_and_its_readers(tmp_path):
+    """A directory whose ``ingest`` record is at version 1 and whose
+    dataset.json holds one object per record, as format 1 did, reruns
+    ``ingest`` and every stage that reads the dataset, and ends with the
+    pinned bytes."""
+    run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
+    write_json(tmp_path / "dataset.json", as_format_1(read_json(tmp_path / "dataset.json")),
+               indent=None)
+    format_1 = sha256_file(tmp_path / "dataset.json")
+    manifest = read_json(tmp_path / "manifest.json")
+    for record in manifest["stages"].values():
+        for files in (record["inputs"], record["outputs"]):
+            if "dataset.json" in files:
+                files["dataset.json"] = format_1
+    manifest["stages"]["ingest"]["version"] = 1
+    write_json(tmp_path / "manifest.json", manifest)
+
+    rerun = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
+    assert [name for name, status in rerun.stage_status.items() if status == "ran"] \
+        == ["ingest", "stats", "corpus", "timeline", "graph", "metrics", "report"]
+    assert artifact_digests(tmp_path) == FIXTURE_DIGESTS
 
 
 @settings(max_examples=3, deadline=None)

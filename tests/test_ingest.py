@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from forumpulse.errors import DataError
 from forumpulse.ingest import (AuthorCategory, author_activity_table,
-                               load_dataset, parse_dump, response_time,
-                               response_time_table, save_dataset,
-                               score_relations)
+                               load_dataset, parse_dump, response_time_table,
+                               save_dataset, score_relations)
 
 from conftest import comment_record, jsonl, make_dataset, post_record
 
@@ -20,15 +19,14 @@ def test_parse_small_fixture_resolves_chain(two_posts_three_comments):
     assert len(d.posts) == 2
     assert len(d.comments) == 3
     assert d.dangling_refs == 0
-    c2 = d.comment_by_id["c2"]
-    assert not c2.parent_dangling
-    assert d.resolve_parent(c2).id == "c1"
-    assert d.resolve_parent(d.comment_by_id["c1"]).id == "p1"
+    # Rows: p1, p2, then c1, c2, c3. c2 replies to c1, c1 to p1, c3 to p2.
+    assert d.comments.parent.tolist() == [0, 2, 1]
+    assert d.comments.root.tolist() == [0, 0, 1]
 
 
 def test_parse_empty_streams():
     d = parse_dump([], [])
-    assert d.posts == () and d.comments == () and d.authors == ()
+    assert len(d.posts) == len(d.comments) == 0 and d.authors == []
     assert d.parse_errors == 0
 
 
@@ -39,8 +37,8 @@ def test_dangling_parent_counted_and_comment_retained():
     )
     assert d.dangling_refs == 1
     assert len(d.comments) == 1
-    assert d.comments[0].parent_dangling
-    assert not d.comments[0].root_dangling
+    assert d.comments.parent.tolist() == [-1]
+    assert d.comments.root.tolist() == [0]
 
 
 def test_malformed_lines_skipped_and_counted():
@@ -61,7 +59,7 @@ def test_csv_separator_in_id_or_author_is_a_parse_error(field, value):
                       {**comment_record("c2", "t3_p1", "p1"), field: value}])
     d = parse_dump(posts, comments)
     assert d.parse_errors == 2
-    assert [p.id for p in d.posts] == ["p1"] and [c.id for c in d.comments] == ["c1"]
+    assert d.posts.id == ["p1"] and d.comments.id == ["c1"]
 
 
 def test_duplicate_ids_first_wins():
@@ -71,14 +69,14 @@ def test_duplicate_ids_first_wins():
     ])
     d = parse_dump(posts, [])
     assert d.duplicate_ids == 1
-    assert d.posts[0].title == "first"
+    assert d.posts.title == ["first"]
 
 
 def test_time_window_is_closed_interval():
     posts = [post_record("p1", created=100), post_record("p2", created=200),
              post_record("p3", created=300)]
     d = make_dataset(posts, [], window=(100, 200))
-    assert [p.id for p in d.posts] == ["p1", "p2"]
+    assert d.posts.id == ["p1", "p2"]
 
 
 def test_sentinel_authors_excluded_from_author_table_but_content_kept():
@@ -87,7 +85,7 @@ def test_sentinel_authors_excluded_from_author_table_but_content_kept():
         [comment_record("c1", "t3_p1", "p1", author="[removed]")],
     )
     assert len(d.posts) == 2 and len(d.comments) == 1
-    assert [a.author for a in d.authors] == ["alice"]
+    assert d.authors == ["alice"]
 
 
 def test_parse_is_idempotent():
@@ -104,12 +102,11 @@ def test_author_categories():
          comment_record("c2", "t3_p1", "p1", author="both1"),
          comment_record("c3", "t3_p2", "p2", author="both2")],
     )
-    categories = {a.author: a.category for a in d.authors}
-    assert categories == {
-        "poster": AuthorCategory.ONLY_POSTING,
-        "commenter": AuthorCategory.ONLY_COMMENTING,
-        "both1": AuthorCategory.BOTH,
-        "both2": AuthorCategory.BOTH,
+    rows = {r.category: (r.authors, r.posts, r.comments) for r in author_activity_table(d)}
+    assert rows == {
+        AuthorCategory.ONLY_POSTING: (1, 1, 0),      # poster
+        AuthorCategory.ONLY_COMMENTING: (1, 0, 1),   # commenter
+        AuthorCategory.BOTH: (2, 2, 2),              # both1, both2
     }
 
 
@@ -151,13 +148,13 @@ def test_activity_table_empty_dataset_signals():
 def test_response_time_simple():
     d = make_dataset([post_record("p1", created=900)],
                      [comment_record("c1", "t3_p1", "p1", created=1000)])
-    assert response_time(d.comment_by_id["c1"], d) == 100
+    assert response_time_table(d) == ([("c1", 100, 1)], 0)
 
 
 def test_response_time_dangling_parent_undefined():
     d = make_dataset([post_record("p1")],
                      [comment_record("c1", "t1_gone", "p1", created=1000)])
-    assert response_time(d.comment_by_id["c1"], d) is None
+    assert response_time_table(d) == ([], 0)
 
 
 def test_response_time_chain():
@@ -166,7 +163,7 @@ def test_response_time_chain():
         [comment_record("c1", "t3_p1", "p1", created=50),
          comment_record("c2", "t1_c1", "p1", created=60)],
     )
-    assert response_time(d.comment_by_id["c2"], d) == 10
+    assert {cid: lapse for cid, lapse, _ in response_time_table(d)[0]}["c2"] == 10
 
 
 def test_response_time_table_counts_anomalies():
@@ -179,7 +176,7 @@ def test_response_time_table_counts_anomalies():
     rows, anomalies = response_time_table(d)
     assert [r[0] for r in rows] == ["c1"]
     assert anomalies == 1
-    resolved = sum(1 for c in d.comments if not c.parent_dangling)
+    resolved = int((d.comments.parent >= 0).sum())
     assert len(rows) + anomalies == resolved
 
 
@@ -223,6 +220,8 @@ def test_dataset_roundtrip(tmp_path, two_posts_three_comments):
 
 @st.composite
 def dump_records(draw):
+    """Posts and comments with sentinel authors, parents that dangle or
+    carry an unknown prefix, roots outside the dump and repeated ids."""
     n_posts = draw(st.integers(1, 6))
     n_comments = draw(st.integers(0, 8))
     authors = ["a", "b", "c", "[deleted]"]
@@ -232,15 +231,36 @@ def dump_records(draw):
              for i in range(n_posts)]
     comments = []
     for j in range(n_comments):
-        root = draw(st.integers(0, n_posts - 1))
-        if comments and draw(st.booleans()):
+        root = draw(st.integers(0, n_posts))     # p{n_posts} is not in the dump
+        kind = draw(st.sampled_from(["post", "comment", "missing", "unknown"]))
+        if kind == "comment" and comments:
             parent = "t1_" + draw(st.sampled_from([c["id"] for c in comments]))
+        elif kind == "missing":
+            parent = "t1_gone"
+        elif kind == "unknown":
+            parent = f"t9_p{root}"
         else:
             parent = f"t3_p{root}"
         comments.append(comment_record(
             f"c{j}", parent, f"p{root}", author=draw(st.sampled_from(authors)),
             created=draw(st.integers(1, 10_000)), score=draw(st.integers(-5, 50))))
+    # A repeated id: the first record of each id is kept.
+    for records in (posts, comments):
+        if records and draw(st.booleans()):
+            records.append({**draw(st.sampled_from(records)), "score": 99})
     return posts, comments
+
+
+def _expected_parent_rows(posts, comments) -> list[int]:
+    """Each kept comment's parent row, resolved by hand from the records."""
+    post_ids = sorted({p["id"] for p in posts})
+    comment_ids = sorted({c["id"] for c in comments})
+    first = {}
+    for c in comments:
+        first.setdefault(c["id"], c)
+    rows = {"t3_" + i: n for n, i in enumerate(post_ids)}
+    rows.update({"t1_" + i: len(post_ids) + n for n, i in enumerate(comment_ids)})
+    return [rows.get(first[i]["parent_id"], -1) for i in comment_ids]
 
 
 @settings(max_examples=30, deadline=None)
@@ -248,13 +268,69 @@ def dump_records(draw):
 def test_every_comment_resolved_xor_dangling_and_parse_idempotent(records):
     posts, comments = records
     d = make_dataset(posts, comments)
-    for comment in d.comments:
-        resolved = d.resolve_parent(comment)
-        assert (resolved is None) == comment.parent_dangling
-    assert d.dangling_refs == sum(1 for c in d.comments if c.parent_dangling)
+    assert d.comments.parent.tolist() == _expected_parent_rows(posts, comments)
+    assert d.dangling_refs == sum(1 for row in d.comments.parent.tolist() if row < 0)
     assert make_dataset(posts, comments) == d
     if d.authors:
         rows = author_activity_table(d)
         assert sum(r.authors for r in rows) == len(d.authors)
         if any(r.posts for r in rows):
             assert sum(r.posts_pct for r in rows) == pytest.approx(100.0, abs=0.01)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dump_records())
+def test_stats_tables_match_a_loop_over_the_records(records):
+    """Response times and best comment scores, worked out record by record
+    from the dump lines, as the per-record code did."""
+    posts, comments = records
+    d = make_dataset(posts, comments)
+    # Built from the last record back, so the first record of an id wins.
+    kept_posts = {p["id"]: p for p in reversed(posts)}
+    kept_comments = {c["id"]: c for c in reversed(comments)}
+    created = {"t3_" + i: p["created_utc"] for i, p in kept_posts.items()}
+    created.update({"t1_" + i: c["created_utc"] for i, c in kept_comments.items()})
+    rows, anomalies, best = [], 0, {}
+    for cid in sorted(kept_comments):
+        c = kept_comments[cid]
+        if c["parent_id"] in created:
+            lapse = c["created_utc"] - created[c["parent_id"]]
+            if lapse < 0:
+                anomalies += 1
+            else:
+                rows.append((cid, lapse, c["score"]))
+        root = c["link_id"][3:]
+        if root in kept_posts:
+            best[root] = max(best.get(root, c["score"]), c["score"])
+    assert response_time_table(d) == (rows, anomalies)
+    assert score_relations(d).pairs == tuple(
+        (i, kept_posts[i]["score"], best[i]) for i in sorted(kept_posts) if i in best)
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=dump_records())
+def test_save_load_round_trips_the_columns(tmp_path_factory, records):
+    """``dataset.json`` loads back to the dataset it was written from."""
+    d = make_dataset(*records)
+    path = tmp_path_factory.mktemp("dataset") / "dataset.json"
+    save_dataset(d, path)
+    assert load_dataset(path) == d
+
+
+@pytest.mark.parametrize("value", [
+    "Infinity", "-Infinity", "NaN", '"1.5"', "1.5", str(2**63), str(-2**63 - 1),
+    '"9223372036854775808"', "1e19", "true"])
+def test_a_score_that_is_not_an_int64_is_a_parse_error(value):
+    """Non-finite numbers, fractions (as numbers or strings) and values
+    outside int64 are counted, never truncated or fatal."""
+    line = json.dumps(post_record("p2")).replace('"score": 1', f'"score": {value}')
+    d = parse_dump(jsonl([post_record("p1")]) + [line], [])
+    assert d.parse_errors == 1 and d.posts.id == ["p1"]
+
+
+@pytest.mark.parametrize("value, want", [
+    ("7", 7), ('"7"', 7), ("7.0", 7), ('"7.0"', 7), (str(2**63 - 1), 2**63 - 1),
+    (str(-2**63), -2**63)])
+def test_an_integral_score_is_kept(value, want):
+    line = json.dumps(post_record("p1")).replace('"score": 1', f'"score": {value}')
+    assert parse_dump([line], []).posts.score.tolist() == [want]

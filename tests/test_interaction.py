@@ -18,7 +18,7 @@ from forumpulse.interaction import (build_graph, compute_user_metrics, dot_text,
                                     topic_spread, user_classes)
 from forumpulse.topics import DominantTopicAssignment
 
-from conftest import FIXTURE_DIR, comment_record, make_dataset, post_record
+from conftest import FIXTURE_DIR, comment_record, comment_views, make_dataset, post_record
 
 
 def _assignment(pairs: dict[str, set[int]], k: int) -> DominantTopicAssignment:
@@ -142,7 +142,7 @@ def test_topic_spread_single_topic_is_one():
     assignment = _assignment({"p1": {0}, "p2": {0}}, k=2)
     d = make_dataset([post_record("p1"), post_record("p2")],
                      _comments_on(["p1", "p2", "p1"]))
-    tau, fractions = topic_spread(d.comments, assignment.by_doc())
+    tau, fractions = topic_spread(d, assignment)["me"]
     assert tau == 1.0
     assert fractions == {0: 1.0}
 
@@ -151,7 +151,7 @@ def test_topic_spread_even_two_way_split_is_eight():
     assignment = _assignment({"p1": {0}, "p2": {1}}, k=2)
     d = make_dataset([post_record("p1"), post_record("p2")],
                      _comments_on(["p1", "p2", "p1", "p2"]))
-    tau, fractions = topic_spread(d.comments, assignment.by_doc())
+    tau, fractions = topic_spread(d, assignment)["me"]
     assert tau == 8.0
     assert fractions == {0: 0.5, 1: 0.5}
 
@@ -160,7 +160,7 @@ def test_topic_spread_three_way_split_is_twenty_seven():
     assignment = _assignment({"p1": {0}, "p2": {1}, "p3": {2}}, k=3)
     d = make_dataset([post_record(p) for p in ("p1", "p2", "p3")],
                      _comments_on(["p1", "p2", "p3"]))
-    tau, _ = topic_spread(d.comments, assignment.by_doc())
+    tau, _ = topic_spread(d, assignment)["me"]
     assert tau == pytest.approx(27.0, rel=1e-12)
 
 
@@ -168,7 +168,7 @@ def test_topic_spread_multi_dominant_fractional_credit():
     # One comment on a post with two dominant topics: each gets credit 1/2.
     assignment = _assignment({"p1": {0, 1}}, k=2)
     d = make_dataset([post_record("p1")], _comments_on(["p1"]))
-    tau, fractions = topic_spread(d.comments, assignment.by_doc())
+    tau, fractions = topic_spread(d, assignment)["me"]
     assert fractions == {0: 0.5, 1: 0.5}
     assert sum(fractions.values()) == 1.0
     assert tau == 8.0
@@ -177,7 +177,7 @@ def test_topic_spread_multi_dominant_fractional_credit():
 def test_topic_spread_undefined_when_no_dominant_roots():
     assignment = _assignment({"p1": set()}, k=2)
     d = make_dataset([post_record("p1")], _comments_on(["p1"]))
-    assert topic_spread(d.comments, assignment.by_doc()) is None
+    assert topic_spread(d, assignment) == {}
 
 
 def test_reach_values():
@@ -309,8 +309,7 @@ def test_metric_bounds_and_weight_invariant():
     graph = build_graph(d)
     metrics = compute_user_metrics(d, graph)
     resolved_non_self = sum(
-        1 for c in d.comments
-        if not c.parent_dangling and d.resolve_parent(c).author != c.author)
+        1 for c in comment_views(d) if c.parent_author not in (None, c.author))
     assert sum(w for _, _, w in graph.edges) == resolved_non_self
     for m in metrics:
         assert 0.0 <= m.reach <= 1.0
@@ -321,7 +320,7 @@ def test_metric_bounds_and_weight_invariant():
 
 def brute_force_metrics(dataset, dominant_by_post):
     """Naive reference: direct loops, no shared code with the library."""
-    comments = [c for c in dataset.comments
+    comments = [c for c in comment_views(dataset)
                 if c.author not in ("[deleted]", "[removed]")]
     users = sorted({c.author for c in comments})
     result = {}
@@ -330,12 +329,11 @@ def brute_force_metrics(dataset, dominant_by_post):
         c_total = len(mine)
         targets = set()
         for c in mine:
-            if c.parent_dangling:
+            if c.parent_author is None:
                 continue
-            parent = dataset.resolve_parent(c)
-            if parent.author in ("[deleted]", "[removed]") or parent.author == user:
+            if c.parent_author in ("[deleted]", "[removed]") or c.parent_author == user:
                 continue
-            targets.add(parent.author)
+            targets.add(c.parent_author)
         counted = [c for c in mine if dominant_by_post.get(c.root_post_id)]
         tau = None
         if counted:
@@ -377,8 +375,8 @@ def test_fifty_user_fixture_matches_bruteforce():
     d = make_dataset(posts, comments)
 
     k = 3
-    dominant_by_post = {p.id: frozenset(
-        t for t in range(k) if rng.random() < 0.4) for p in d.posts}
+    dominant_by_post = {p: frozenset(
+        t for t in range(k) if rng.random() < 0.4) for p in d.posts.id}
     assignment = DominantTopicAssignment(
         doc_ids=tuple(sorted(dominant_by_post)),
         thresholds=tuple((0.0, 0.0) for _ in range(k)),

@@ -184,6 +184,23 @@ def test_each_intermediate_parsed_once_while_stages_read_it(tmp_path, monkeypatc
     assert ran(again) == ["metrics", "report"]
 
 
+def test_next_run_removes_the_temporary_files_of_a_killed_write(tmp_path):
+    """A run killed inside ``write_text`` leaves a temporary file beside the
+    output; the next run removes it, and no file the pipeline does not
+    write, though every stage is up to date."""
+    config = small_config(tmp_path)
+    out = tmp_path / "artifacts"
+    run_pipeline(config, out_dir=out, echo=lambda *_: None)
+    stale = [out / ".activity_table.csv.4242.tmp", out / "corpus" / ".meta.json.17.tmp",
+             out / ".manifest.json.99.tmp"]
+    for path in stale:
+        path.write_text("")
+    (out / ".notes.tmp").write_text("not ours")
+    assert run_pipeline(config, out_dir=out, echo=lambda *_: None).all_skipped
+    assert not any(path.exists() for path in stale)
+    assert (out / ".notes.tmp").read_text() == "not ours"
+
+
 def test_same_dump_through_another_path_is_up_to_date(tmp_path):
     """Dump and lexicon files are keyed by their config keys, so the same
     files copied to another directory with their config leave every stage
@@ -291,9 +308,10 @@ def test_both_kernels_write_the_same_bytes_and_are_named(tmp_path, monkeypatch):
 
 def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch):
     """A directory written before stages had versions, when the trace was
-    summed in another order, reruns exactly ``topics``, whose version is 2,
-    and the stages whose inputs that changes, and then holds what a fresh
-    run writes; a record without a version counts as version 1."""
+    summed in another order, reruns exactly ``ingest`` and ``topics``, whose
+    versions are 2, and the stages whose inputs that changes, and then holds
+    what a fresh run writes; a record without a version counts as version
+    1."""
     config = small_config(tmp_path)
     fresh = run_pipeline(config, out_dir=tmp_path / "fresh", echo=lambda *_: None)
     fit = topics.fit
@@ -316,7 +334,7 @@ def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch)
 
     rerun = run_pipeline(config, out_dir=tmp_path / "old", echo=lambda *_: None)
     assert [name for name, status in rerun.stage_status.items() if status == "ran"] \
-        == ["topics", "dominance", "report"]
+        == ["ingest", "topics", "dominance", "report"]
     for name in EXPECTED_FILES[1:]:
         assert ((tmp_path / "old" / name).read_bytes()
                 == (fresh.out_dir / name).read_bytes()), name
@@ -330,7 +348,7 @@ def test_manifest_records_versions_and_sampler_telemetry(tmp_path):
                           echo=lambda *_: None)
     records = read_json(result.out_dir / "manifest.json")["stages"]
     assert {name: record["version"] for name, record in records.items()} \
-        == {stage.name: 2 if stage.name == "topics" else 1 for stage in STAGES}
+        == {stage.name: 2 if stage.name in ("ingest", "topics") else 1 for stage in STAGES}
     record = records["topics"]
     config = read_json(FIXTURE_DIR / "config.json")
     assert record["sweeps"] == (config["lda.k_max"] - config["lda.k_min"] + 1) \
