@@ -6,7 +6,7 @@ from .errors import DataError, ForumPulseError, StageError, UsageError
 from .ingest import (AuthorCategory, Comments, Dataset, Posts,
                      author_activity_table, parse_dump, response_time_table,
                      score_relations)
-from .corpus import Corpus, Vocabulary, build_corpus, merge_phrases, tokenize
+from .corpus import Corpus, Vocabulary, build_corpus
 from .lda import LdaConfig, TopicModel, fit, top_words
 from .topics import (CooccurrenceMatrix, DominantTopicAssignment,
                      SkewnessReport, cooccurrence, count_nonpositive,

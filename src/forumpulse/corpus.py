@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import io
 import re
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import chain
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -48,45 +46,6 @@ def default_stopwords() -> frozenset[str]:
         if line and not line.startswith("#"):
             words.add(line)
     return frozenset(words)
-
-
-def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
-    """Normalize one text into unigram tokens (no phrase merging here)."""
-    if not text:
-        return []
-    if stopwords is None:
-        stopwords = default_stopwords()
-    # A token of [a-z0-9] has a letter exactly when it is not all digits:
-    # bare numbers are noise, "401k" survives.
-    return [token for token in _TOKEN_RE.findall(_URL_RE.sub(" ", text.lower()))
-            if len(token) > 1 and token not in stopwords and not token.isdigit()]
-
-
-def merge_phrases(documents: Sequence[Sequence[str]], min_count: int) -> list[list[str]]:
-    """Merge adjacent pairs occurring at least min_count times corpus-wide.
-
-    The scan is greedy left to right and a token participates in at most one
-    merge, so the pass emits plain bigrams and never recurses into longer
-    phrases.
-    """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
-    pair_counts = Counter(chain.from_iterable(zip(doc, doc[1:]) for doc in documents))
-    phrases = {pair for pair, n in pair_counts.items() if n >= min_count}
-
-    merged_docs = []
-    for doc in documents:
-        merged: list[str] = []
-        i = 0
-        while i < len(doc):
-            if i + 1 < len(doc) and (doc[i], doc[i + 1]) in phrases:
-                merged.append(doc[i] + "_" + doc[i + 1])
-                i += 2
-            else:
-                merged.append(doc[i])
-                i += 1
-        merged_docs.append(merged)
-    return merged_docs
 
 
 @dataclass(frozen=True)
@@ -160,6 +119,80 @@ class Corpus:
         return tuple(pairs[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
+def _token_ids(dataset: Dataset, stopwords: frozenset[str]
+               ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Every distinct run of [a-z0-9] in the posts' lowercased titles and
+    bodies with URLs removed, in first-occurrence order, and the tokens of
+    the posts as indices into them, each with its post row, in post and
+    then text order. A run shorter than two characters, a stopword or a
+    run of digits is not a token: bare numbers are noise, "401k"
+    survives."""
+    # Each token is numbered as its post is read, so that only one post's
+    # token strings are alive at a time.
+    number = defaultdict()
+    number.default_factory = number.__len__
+    ids, lengths = [], []
+    for title, body in zip(dataset.posts.title, dataset.posts.body):
+        tokens = _TOKEN_RE.findall(_URL_RE.sub(" ", (title + " " + body).lower()))
+        ids.extend(map(number.__getitem__, tokens))
+        lengths.append(len(tokens))
+    terms = list(number)
+    kept = np.fromiter((len(t) > 1 and t not in stopwords and not t.isdigit() for t in terms),
+                       dtype=bool, count=len(terms))
+    ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
+    posts = np.repeat(np.arange(len(lengths)), lengths)
+    keep = kept[ids]
+    return terms, ids[keep], posts[keep]
+
+
+def _after(mask: np.ndarray) -> np.ndarray:
+    """Where the position before holds in ``mask``."""
+    after = np.zeros_like(mask)
+    after[1:] = mask[:-1]
+    return after
+
+
+def _merge_phrases(terms: list[str], ids: np.ndarray, posts: np.ndarray, min_count: int
+                   ) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The terms and the id and post row of each token after adjacent
+    pairs within a post that occur at least ``min_count`` times in all
+    are merged into one "a_b" term, the terms numbered in first-occurrence
+    order.
+
+    The scan is greedy left to right and a token takes part in at most one
+    merge, so within a run of frequent pairs starting at position s the
+    merges fall at s, s + 2, ...: the pass emits plain bigrams and never
+    longer phrases.
+    """
+    n = len(terms)
+    # Pair i, of tokens i and i + 1 with ids a and b, is keyed a * n + b;
+    # it counts when the two are of one post.
+    keys = ids * n
+    keys[:-1] += ids[1:]
+    within = np.zeros(len(ids), dtype=bool)
+    within[:-1] = posts[1:] == posts[:-1]
+    pairs, counts = np.unique(keys[within], return_counts=True)
+    frequent = np.zeros(len(ids), dtype=bool)
+    frequent[within] = counts[np.searchsorted(pairs, keys[within])] >= min_count
+    position = np.arange(len(ids))
+    starts = frequent & ~_after(frequent)
+    run_start = np.maximum.accumulate(np.where(starts, position, 0))
+    merged = frequent & ((position - run_start) % 2 == 0)
+    # A term's code: a token's id, or n + the key of a merged pair.
+    codes = np.where(merged, n + keys, ids)
+    kept = ~_after(merged)
+    codes, posts = codes[kept], posts[kept]
+    # The codes ranked by their first occurrence: the codes at those
+    # positions, in order, are the distinct codes in rank order.
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    is_first = np.zeros(len(codes), dtype=bool)
+    is_first[first] = True
+    rank = np.cumsum(is_first)[first] - 1
+    names = [terms[c] if c < n else "_".join(map(terms.__getitem__, divmod(c - n, n)))
+             for c in codes[is_first].tolist()]
+    return names, rank[inverse], posts
+
+
 def build_corpus(dataset: Dataset,
                  min_df: int = DEFAULT_MIN_DF,
                  max_df_fraction: float = DEFAULT_MAX_DF_FRACTION,
@@ -177,29 +210,19 @@ def build_corpus(dataset: Dataset,
         raise ValueError("min_df must be >= 1")
     if not 0 < max_df_fraction <= 1:
         raise ValueError("max_df_fraction must be in (0, 1]")
+    if phrase_min_count < 1:
+        raise ValueError("phrase_min_count must be >= 1")
     if stopwords is None:
         stopwords = default_stopwords()
 
-    token_docs = merge_phrases(
-        [tokenize(title + " " + body, stopwords)
-         for title, body in zip(dataset.posts.title, dataset.posts.body)],
-        phrase_min_count)
-    n_posts = len(token_docs)
-    n_docs = sum(1 for doc in token_docs if doc)
-
-    # Every distinct token, numbered in first-occurrence order, and one
-    # (post, token) key per token: their distinct keys are the posts' sparse
-    # vectors over all tokens, sorted by post and then by token.
-    first = dict.fromkeys(chain.from_iterable(token_docs))
-    n_all = len(first)
-    keys = np.repeat(np.arange(n_posts), list(map(len, token_docs)))
-    keys *= n_all
-    keys += np.fromiter(map(dict(zip(first, range(n_all))).__getitem__,
-                            chain.from_iterable(token_docs)),
-                        dtype=np.int64, count=len(keys))
-    del token_docs    # freed before the sort, which sets the stage's peak memory
-    keys, counts = np.unique(keys, return_counts=True)
+    terms, tokens, posts = _merge_phrases(*_token_ids(dataset, stopwords), phrase_min_count)
+    n_posts = len(dataset.posts)
+    n_all = len(terms)
+    # One (post, term) key per token: their distinct keys are the posts'
+    # sparse vectors, sorted by post and then by term.
+    keys, counts = np.unique(posts * n_all + tokens, return_counts=True)
     posts, tokens = np.divmod(keys, n_all)
+    n_docs = len(np.unique(posts))
     df = np.bincount(tokens, minlength=n_all)
     keep = (min_df <= df) & (df <= max_df_fraction * n_docs)
     if not keep.any():
@@ -219,7 +242,7 @@ def build_corpus(dataset: Dataset,
         counts=counts,
         doc_ids=tuple(i for i, d in zip(post_ids, nonempty) if d),
         vocabulary=Vocabulary(
-            terms=tuple(t for t, k in zip(first, keep.tolist()) if k),
+            terms=tuple(t for t, k in zip(terms, keep.tolist()) if k),
             document_frequency=tuple(df[keep].tolist())),
         total_tokens=int(counts.sum()),
         excluded_doc_ids=tuple(i for i, d in zip(post_ids, nonempty) if not d),

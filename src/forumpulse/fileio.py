@@ -46,7 +46,7 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]],
               delimiter: str = ",") -> None:
     lines = [delimiter.join(header)]
     for row in rows:
-        lines.append(delimiter.join(fmt_cell(v) for v in row))
+        lines.append(delimiter.join(map(fmt_cell, row)))
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -6,7 +6,7 @@ Field mapping follows the Pushshift export conventions: posts carry
 ``body`` is not kept: no stage reads it). Parent references are prefixed:
 ``t3_<id>`` points at a post, ``t1_<id>`` at a comment. Records that cannot
 be mapped are skipped and tallied, never fatal; duplicate ids keep the
-first record seen.
+first valid record seen.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from itertools import chain, count
-from typing import Iterable
+from itertools import chain, compress, count, repeat
+from operator import is_not, itemgetter, ne
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,9 +33,18 @@ COMMENT_PREFIX = "t1_"
 
 _DATASET_FORMAT = "forumpulse-dataset-v2"
 _INT64 = (-2**63, 2**63 - 1)
-# write_csv joins cells unquoted, so an id or author holding one of these
-# would write rows that cannot be read back.
+# A record's created_utc: from one second after the epoch to
+# 9999-12-31T23:59:59Z, the last second whose month a datetime can name.
+_CREATED_AT = (1, 253402300799)
+# write_csv joins cells unquoted, so an id or author holding a comma or a
+# line break would write rows that cannot be read back.
 _CSV_SEPARATOR = re.compile("[,\n\r]")
+_SCAN = json.JSONDecoder().scan_once
+_RECORD_KEYS = ("id", "author", "created_utc", "score")
+# A comment's fields as a record line holds them, in the order of Comments;
+# KeyError when one is missing.
+_take_comment = itemgetter(*_RECORD_KEYS, "parent_id", "link_id")
+_take_record = itemgetter(*_RECORD_KEYS)
 
 
 class AuthorCategory(str, Enum):
@@ -143,87 +153,108 @@ class Dataset:
                          chain(self.posts.author, self.comments.author)], dtype=np.int64)
 
 
-def _coerce_int(value) -> int:
-    """``value`` as an int64: an int, or a float or string of an integral
-    value; ValueError for a bool, a fraction, an infinity, a NaN or a value
-    outside int64."""
-    if isinstance(value, str):
-        value = float(value) if "." in value else int(value)
-    if type(value) is float and value.is_integer():
-        value = int(value)
-    if type(value) is not int or not _INT64[0] <= value <= _INT64[1]:
-        raise ValueError(f"not an int64: {value!r}")
-    return value
+def _int64(value) -> int | None:
+    """``value`` if it is an int64; the int64 a float or a string of an
+    integral value stands for; else None (a bool, a fraction, an infinity,
+    a NaN, a value outside int64 or any other value)."""
+    try:
+        if type(value) is str:
+            value = float(value) if "." in value else int(value)
+        if type(value) is float and value.is_integer():
+            value = int(value)
+    except ValueError:
+        return None
+    return value if type(value) is int and _INT64[0] <= value <= _INT64[1] else None
 
 
-def _record_fields(record: dict, kind: str) -> tuple:
-    """The id, author, created_at and score of a post or comment record."""
-    record_id, author = record["id"], str(record["author"])
-    if not isinstance(record_id, str) or not record_id:
-        raise ValueError(f"missing {kind} id")
-    if _CSV_SEPARATOR.search(record_id + author):
-        raise ValueError(f"{kind} id or author holds a CSV separator")
-    created = _coerce_int(record["created_utc"])
-    if created <= 0:
-        raise ValueError("created_utc must be positive")
-    return record_id, author, created, _coerce_int(record["score"])
+def _int64_column(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """``_int64`` of each item of ``values`` as int64, and where it is not
+    None. An item that is not an int64 reads 0."""
+    values = list(map(_int64, values))
+    return (np.array([v or 0 for v in values], dtype=np.int64),
+            np.fromiter(map(is_not, values, repeat(None)), dtype=bool, count=len(values)))
 
 
-def _post_fields(record: dict) -> tuple:
-    """The fields of ``Posts`` in order."""
-    return _record_fields(record, "post") + (str(record.get("title") or ""),
-                                             str(record.get("selftext") or ""))
+def _nonempty_strings(column: Sequence) -> np.ndarray:
+    """Where ``column`` holds a str that is not empty."""
+    return np.fromiter((type(x) is str and x != "" for x in column), dtype=bool,
+                       count=len(column))
 
 
-def _comment_fields(record: dict) -> tuple:
-    """The fields of ``Comments`` in order, with the prefixed parent
-    reference and the bare root post id in place of their rows."""
-    parent_id = record["parent_id"]
-    link_id = record["link_id"]
-    if not isinstance(parent_id, str) or not parent_id:
-        raise ValueError("missing parent_id")
-    if not isinstance(link_id, str) or not link_id:
-        raise ValueError("missing link_id")
-    root = link_id[len(POST_PREFIX):] if link_id.startswith(POST_PREFIX) else link_id
-    return _record_fields(record, "comment") + (parent_id, root)
+def _separator_free(ids: Sequence, authors: list[str]) -> np.ndarray:
+    """Where neither ``str`` of an id nor the author holds a CSV separator."""
+    return np.fromiter((_CSV_SEPARATOR.search(str(i) + a) is None
+                        for i, a in zip(ids, authors)), dtype=bool, count=len(ids))
 
 
-def _in_window(created: int, window: tuple[int | None, int | None] | None) -> bool:
-    lo, hi = window or (None, None)
-    return (lo is None or lo <= created) and (hi is None or created <= hi)
+def _take_post(record: dict) -> tuple:
+    """A post's fields as a record line holds them, in the order of Posts:
+    None for a missing title or selftext, KeyError for any other."""
+    return _take_record(record) + (record.get("title"), record.get("selftext"))
 
 
-def _read_records(stream: Iterable[str], parse, window, tallies: Counter[str]
-                  ) -> dict[str, tuple]:
-    """The fields ``parse`` takes from each record of ``stream`` created
-    inside ``window``, by id, the first record of each id kept; lines that
-    fail to parse and repeated ids are counted in ``tallies``."""
-    records: dict[str, tuple] = {}
+def _scan(stream: Iterable[str], take, tallies: Counter[str]) -> list[tuple]:
+    """``take`` of each record of ``stream``, one tuple per record; a line
+    that is not blank and is not one JSON object of which ``take`` finds
+    every key it asks for, or is nested too deep to decode, is counted in
+    ``tallies``."""
+    rows = []
     for line in stream:
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("record is not an object")
-            row = parse(record)
-        except (ValueError, KeyError, TypeError):
+            record, end = _SCAN(line, 0)
+            if end != len(line) or type(record) is not dict:
+                raise ValueError("not one JSON object")
+            rows.append(take(record))
+        except (StopIteration, ValueError, KeyError, RecursionError):
             tallies["parse_errors"] += 1
-            continue
-        if not _in_window(row[2], window):
-            continue
-        if row[0] in records:
-            tallies["duplicate_ids"] += 1
-            continue
-        records[row[0]] = row
-    return records
+    return rows
 
 
-def _columns(records: dict[str, tuple], width: int) -> list[list]:
-    """The fields of ``records`` in ascending id order, one list per field."""
-    rows = [records[i] for i in sorted(records)]
-    return [list(column) for column in zip(*rows)] if rows else [[] for _ in range(width)]
+def _read_records(stream: Iterable[str], take, width: int, n_strings: int,
+                  window: tuple[int | None, int | None] | None, tallies: Counter[str]
+                  ) -> list:
+    """The ``width`` columns that ``take`` gives of the records of
+    ``stream`` (``_scan``) that are valid and created inside ``window``,
+    the first record of each id kept, in ascending id order: ids, authors
+    (as str), ``created_utc`` and ``score`` as int64 arrays, then one list
+    per further field.
+
+    A record is valid when its id and the ``n_strings`` fields after its
+    score are non-empty strs, its id and author hold no CSV separator, its
+    score is an int64 and its ``created_utc`` one within ``_CREATED_AT``;
+    the others, and repeated ids, are counted in ``tallies``.
+    """
+    rows = _scan(stream, take, tallies)
+    columns = [list(map(itemgetter(j), rows)) for j in range(width)]
+    del rows
+    ids, authors = columns[0], list(map(str, columns[1]))
+    created, valid = _int64_column(columns[2])
+    scores, valid_score = _int64_column(columns[3])
+    valid &= valid_score & (_CREATED_AT[0] <= created) & (created <= _CREATED_AT[1])
+    valid &= _separator_free(ids, authors)
+    for column in [ids] + columns[4:4 + n_strings]:
+        valid &= _nonempty_strings(column)
+    tallies["parse_errors"] += len(valid) - int(np.count_nonzero(valid))
+
+    # A valid time lies in _CREATED_AT, so a bound moved to just outside it
+    # selects the same records, and fits int64.
+    for bound, holds in zip(window or (None, None), (np.greater_equal, np.less_equal)):
+        if bound is not None:
+            valid &= holds(created, min(max(bound, _CREATED_AT[0] - 1), _CREATED_AT[1] + 1))
+    # Sorted by id, the records of an id in the order read (the sort is
+    # stable): each but the first of an id is a repeat.
+    kept = sorted(np.flatnonzero(valid).tolist(), key=ids.__getitem__)
+    sorted_ids = list(map(ids.__getitem__, kept))
+    first = [True] + list(map(ne, sorted_ids[1:], sorted_ids))
+    tallies["duplicate_ids"] += first.count(False)
+    kept = list(compress(kept, first))
+    rows = np.array(kept, dtype=np.int64)
+    return [list(map(column.__getitem__, kept)) for column in (ids, authors)] \
+        + [created[rows], scores[rows]] \
+        + [list(map(column.__getitem__, kept)) for column in columns[4:]]
 
 
 def parse_dump(post_stream: Iterable[str], comment_stream: Iterable[str],
@@ -232,22 +263,29 @@ def parse_dump(post_stream: Iterable[str], comment_stream: Iterable[str],
 
     ``window`` is an optional closed interval ``(from_epoch, to_epoch)``;
     records created outside it are dropped. Malformed lines are skipped and
-    counted, duplicate ids keep the first occurrence. Sentinel authors
-    ("[deleted]", "[removed]") are excluded from ``authors`` but their
-    posts and comments are kept as content.
+    counted, duplicate ids keep the first valid record inside the window.
+    Sentinel authors ("[deleted]", "[removed]") are excluded from
+    ``authors`` but their posts and comments are kept as content.
     """
     tallies: Counter[str] = Counter()
-    posts = _columns(_read_records(post_stream, _post_fields, window, tallies),
-                     len(fields(Posts)))
-    comments = _columns(_read_records(comment_stream, _comment_fields, window, tallies),
-                        len(fields(Comments)))
+    posts = _read_records(post_stream, _take_post, len(fields(Posts)), 0, window, tallies)
+    posts[4:] = [[str(text or "") for text in column] for column in posts[4:]]
+    comments = _read_records(comment_stream, _take_comment, len(fields(Comments)), 2,
+                             window, tallies)
+    # The row of each record by its prefixed id. An unknown prefix keeps
+    # the comment and leaves its reference dangling.
+    refs = dict(zip(map(POST_PREFIX.__add__, posts[0]), count()))
+    refs.update(zip(map(COMMENT_PREFIX.__add__, comments[0]), count(len(posts[0]))))
+    # A link_id names its root post by the bare id, with or without the
+    # post prefix.
     post_rows = dict(zip(posts[0], count()))
-    rows = {POST_PREFIX: post_rows,
-            COMMENT_PREFIX: dict(zip(comments[0], count(len(post_rows))))}
-    # Both prefixes are three characters. An unknown prefix keeps the
-    # comment and leaves its reference dangling.
-    comments[4] = [rows.get(ref[:3], {}).get(ref[3:], -1) for ref in comments[4]]
-    comments[5] = [post_rows.get(root, -1) for root in comments[5]]
+    parents, links = comments[4:]
+    roots = [link[len(POST_PREFIX):] if link.startswith(POST_PREFIX) else link
+             for link in links]
+    comments[4:] = (np.fromiter(map(refs.get, parents, repeat(-1)), dtype=np.int64,
+                                count=len(parents)),
+                    np.fromiter(map(post_rows.get, roots, repeat(-1)), dtype=np.int64,
+                                count=len(roots)))
     return Dataset(Posts(*posts), Comments(*comments),
                    tallies["parse_errors"], tallies["duplicate_ids"])
 
@@ -395,9 +433,9 @@ def load_dataset(path) -> Dataset:
         payload = read_json(path)
         if payload.get("format") != _DATASET_FORMAT:
             raise DataError(f"{path}: not a {_DATASET_FORMAT} file (rerun ingest)")
-        posts = _table(Posts, payload["posts"], path, created_at=(1, _INT64[1]))
+        posts = _table(Posts, payload["posts"], path, created_at=_CREATED_AT)
         n_records = len(posts) + len(payload["comments"]["id"])
-        comments = _table(Comments, payload["comments"], path, created_at=(1, _INT64[1]),
+        comments = _table(Comments, payload["comments"], path, created_at=_CREATED_AT,
                           parent=(-1, n_records - 1), root=(-1, len(posts) - 1))
         tallies = [payload[key] for key in ("parse_errors", "duplicate_ids")]
         if any(type(n) is not int or n < 0 for n in tallies):

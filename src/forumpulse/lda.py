@@ -484,8 +484,8 @@ def save_model(model: TopicModel, path: Path) -> None:
         },
         "doc_ids": list(model.doc_ids),
         "terms": list(model.terms),
-        "theta": [[float(x) for x in row] for row in model.theta],
-        "phi": [[float(x) for x in row] for row in model.phi],
+        "theta": model.theta.tolist(),
+        "phi": model.phi.tolist(),
         "assignments": [list(row) for row in model.assignments],
         "log_likelihood_trace": [float(x) for x in model.log_likelihood_trace],
         "vocabulary_sha256": model.vocabulary_sha256,

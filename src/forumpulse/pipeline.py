@@ -154,6 +154,12 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _peak_rss_kb() -> int:
+    """The peak resident set size of this process so far, in KiB (Linux)."""
+    import resource     # here, so that starting the command line does not load it
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 @dataclass
 class RunResult:
     out_dir: Path
@@ -327,8 +333,7 @@ def lexicon_stage(ctx: StageContext):
     lex = load_lexicon(Path(lexicon_path)) if lexicon_path is not None else demo_lexicon()
     matrix = categorize(corpus, lex)
     write_csv(ctx.path("category_matrix.csv"), ("post_id",) + matrix.categories,
-              ((doc_id,) + tuple(float(x) for x in row)
-               for doc_id, row in zip(matrix.doc_ids, matrix.rows)))
+              ((doc_id, *row) for doc_id, row in zip(matrix.doc_ids, matrix.rows.tolist())))
     n_comp = min(ctx.params["lexicon.components"],
                  len(matrix.doc_ids), len(matrix.categories))
     result = pca(matrix, n_comp)
@@ -415,8 +420,10 @@ _CORPUS = tuple(f"corpus/{n}" for n in
 _DOMINANCE = ("dominance.csv", "dominance_thresholds.csv", "topic_presence.csv")
 
 STAGES: tuple[Stage, ...] = (
+    # ingest 2: dataset.json holds columns; 3: a created_utc after 9999 is a
+    # parse error.
     Stage("ingest", ("from", "to"), ("posts", "comments"), ("dataset.json",),
-          ingest_stage, version=2),   # 2: dataset.json holds columns
+          ingest_stage, version=3),
     Stage("stats", (), ("dataset.json",),
           ("activity_table.csv", "score_relations.csv", "response_times.csv",
            "stats_summary.json"), stats_stage),
@@ -520,10 +527,12 @@ def run_pipeline(config_path: Path,
             continue
 
         started = _utcnow()
+        wall, cpu = time.perf_counter(), time.process_time()
         try:
             stage.run(ctx)
         except Exception as exc:
             raise StageError(stage.name, exc) from exc
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
         manifest["stages"][stage.name] = {
             "version": stage.version,
             "params": dict(ctx.params),
@@ -532,6 +541,9 @@ def run_pipeline(config_path: Path,
             "outputs": {name: sha256_file(target / name) for name in stage.outputs},
             "started_at": started,
             "finished_at": _utcnow(),
+            "wall_s": wall,
+            "cpu_s": cpu,
+            "peak_rss_kb": _peak_rss_kb(),
             **ctx.record,
         }
         write_json(manifest_path, manifest)

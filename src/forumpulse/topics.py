@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -148,11 +149,14 @@ def dominant_topics(model: TopicModel) -> DominantTopicAssignment:
     theta = model.theta
     mu = theta.mean(axis=0)
     sigma = np.sqrt(np.mean((theta - mu) ** 2, axis=0))
-    cutoff = mu + sigma
-    dominant = tuple(
-        frozenset(int(t) for t in np.flatnonzero(row > cutoff))
-        for row in theta
-    )
+    mask = theta > mu + sigma
+    # One set per distinct row of the mask, the rows told apart by their
+    # bits packed into bytes.
+    packed = np.packbits(mask, axis=1)
+    _, first, rows = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                               return_index=True, return_inverse=True)
+    sets = [frozenset(np.flatnonzero(mask[i]).tolist()) for i in first.tolist()]
+    dominant = tuple(map(sets.__getitem__, rows.tolist()))
     return DominantTopicAssignment(
         doc_ids=model.doc_ids,
         thresholds=tuple((float(m), float(s)) for m, s in zip(mu, sigma)),
@@ -163,7 +167,8 @@ def dominant_topics(model: TopicModel) -> DominantTopicAssignment:
 
 def _presence(dominant: Sequence[frozenset[int]], k: int) -> tuple[float, ...]:
     """Per topic, the fraction of posts where it is dominant."""
-    return tuple(sum(1 for s in dominant if t in s) / len(dominant) for t in range(k))
+    posts = Counter(chain.from_iterable(dominant))
+    return tuple(posts[t] / len(dominant) for t in range(k))
 
 
 def _topic_table(path: Path, width: int) -> tuple[tuple[float, ...], ...]:
@@ -197,10 +202,12 @@ def load_assignment(path: Path) -> DominantTopicAssignment:
     path = Path(path)
     thresholds = _topic_table(path.parent / "dominance_thresholds.csv", 3)
     with reading(path, "dominance file"):
-        doc_ids, dominant = zip(*((doc_id, frozenset(int(t) for t in topics.split("|") if t))
-                                  for doc_id, topics in read_csv(path, 2)))
-        if any(not 0 <= t < len(thresholds) for s in dominant for t in s):
+        doc_ids, cells = zip(*read_csv(path, 2))
+        # Each distinct cell parsed once: the posts share a few topic sets.
+        sets = {cell: frozenset(int(t) for t in cell.split("|") if t) for cell in set(cells)}
+        if any(not 0 <= t < len(thresholds) for s in sets.values() for t in s):
             raise ValueError(f"a topic outside the {len(thresholds)} thresholds")
+        dominant = tuple(map(sets.__getitem__, cells))
     presence = _presence(dominant, len(thresholds))
     if presence != tuple(p for (p,) in _topic_table(path.parent / "topic_presence.csv", 2)):
         raise DataError(f"{path}: dominant topics disagree with topic_presence.csv")

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import Counter
+from dataclasses import fields
+from itertools import chain, count
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,8 +13,8 @@ import numpy as np
 import pytest
 
 import forumpulse
-from forumpulse.corpus import Corpus, Vocabulary, build_corpus
-from forumpulse.ingest import parse_dump
+from forumpulse.corpus import Corpus, Vocabulary, build_corpus, default_stopwords
+from forumpulse.ingest import Comments, Dataset, Posts, parse_dump
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "synthetic-200"
 
@@ -127,3 +130,125 @@ def fixture_corpus():
             (FIXTURE_DIR / "comments.jsonl").open() as cs:
         dataset = parse_dump(ps, cs)
     return build_corpus(dataset, min_df=3, max_df_fraction=0.6, phrase_min_count=20)
+
+
+# Oracles that the tests compare the package's array and column code with:
+# a tokenizer and phrase pass on strings, and a dump parser that checks one
+# line and one record at a time.
+
+def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
+    """Normalize one text into unigram tokens (no phrase merging here)."""
+    if not text:
+        return []
+    if stopwords is None:
+        stopwords = default_stopwords()
+    return [token for token in
+            re.findall(r"[a-z0-9]+", re.sub(r"(?:https?://|www\.)\S+", " ", text.lower()))
+            if len(token) > 1 and token not in stopwords and not token.isdigit()]
+
+
+def merge_phrases(documents, min_count: int) -> list[list[str]]:
+    """Merge adjacent pairs occurring at least min_count times corpus-wide,
+    greedy left to right, a token in at most one merge."""
+    if min_count < 1:
+        raise ValueError("min_count must be >= 1")
+    pair_counts = Counter(chain.from_iterable(zip(doc, doc[1:]) for doc in documents))
+    phrases = {pair for pair, n in pair_counts.items() if n >= min_count}
+    merged_docs = []
+    for doc in documents:
+        merged: list[str] = []
+        i = 0
+        while i < len(doc):
+            if i + 1 < len(doc) and (doc[i], doc[i + 1]) in phrases:
+                merged.append(doc[i] + "_" + doc[i + 1])
+                i += 2
+            else:
+                merged.append(doc[i])
+                i += 1
+        merged_docs.append(merged)
+    return merged_docs
+
+
+_SEPARATOR = re.compile("[,\n\r]")
+_LAST_SECOND = 253402300799      # 9999-12-31T23:59:59Z
+
+
+def _coerce_int(value) -> int:
+    if isinstance(value, str):
+        value = float(value) if "." in value else int(value)
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int or not -2**63 <= value <= 2**63 - 1:
+        raise ValueError(f"not an int64: {value!r}")
+    return value
+
+
+def _record_fields(record: dict) -> tuple:
+    record_id, author = record["id"], str(record["author"])
+    if not isinstance(record_id, str) or not record_id:
+        raise ValueError("missing id")
+    if _SEPARATOR.search(record_id + author):
+        raise ValueError("id or author holds a CSV separator")
+    created = _coerce_int(record["created_utc"])
+    if not 1 <= created <= _LAST_SECOND:
+        raise ValueError("created_utc out of range")
+    return record_id, author, created, _coerce_int(record["score"])
+
+
+def _post_fields(record: dict) -> tuple:
+    return _record_fields(record) + (str(record.get("title") or ""),
+                                     str(record.get("selftext") or ""))
+
+
+def _comment_fields(record: dict) -> tuple:
+    parent_id, link_id = record["parent_id"], record["link_id"]
+    if not isinstance(parent_id, str) or not parent_id:
+        raise ValueError("missing parent_id")
+    if not isinstance(link_id, str) or not link_id:
+        raise ValueError("missing link_id")
+    root = link_id[3:] if link_id.startswith("t3_") else link_id
+    return _record_fields(record) + (parent_id, root)
+
+
+def _read_records(stream, parse, window, tallies: Counter) -> dict[str, tuple]:
+    lo, hi = window or (None, None)
+    records: dict[str, tuple] = {}
+    for line in stream:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("record is not an object")
+            row = parse(record)
+        except (ValueError, KeyError, TypeError, RecursionError):
+            tallies["parse_errors"] += 1
+            continue
+        if (lo is not None and row[2] < lo) or (hi is not None and row[2] > hi):
+            continue
+        if row[0] in records:
+            tallies["duplicate_ids"] += 1
+            continue
+        records[row[0]] = row
+    return records
+
+
+def parse_dump_per_line(post_stream, comment_stream, window=None) -> Dataset:
+    """``parse_dump`` one line and one record at a time: ``json.loads``, a
+    check per field, the window, then the first record of each id."""
+    tallies: Counter = Counter()
+    columns = []
+    for stream, parse, table in ((post_stream, _post_fields, Posts),
+                                 (comment_stream, _comment_fields, Comments)):
+        records = _read_records(stream, parse, window, tallies)
+        rows = [records[i] for i in sorted(records)]
+        columns.append([list(c) for c in zip(*rows)] if rows
+                       else [[] for _ in fields(table)])
+    posts, comments = columns
+    post_rows = dict(zip(posts[0], count()))
+    rows = {"t3_": post_rows, "t1_": dict(zip(comments[0], count(len(post_rows))))}
+    comments[4] = [rows.get(ref[:3], {}).get(ref[3:], -1) for ref in comments[4]]
+    comments[5] = [post_rows.get(root, -1) for root in comments[5]]
+    return Dataset(Posts(*posts), Comments(*comments),
+                   tallies["parse_errors"], tallies["duplicate_ids"])

@@ -194,6 +194,23 @@ def test_run_and_report(dump, config, capsys):
     assert "up to date" in capsys.readouterr().out
 
 
+def test_a_post_after_year_9999_is_a_parse_error(dump, config, capsys):
+    """A post created after 9999-12-31T23:59:59Z, which has no calendar
+    month for the timeline, is a malformed line: the run exits 0 and
+    counts one more parse error."""
+    assert run_cli("run", "--config", config) == 0
+    summary = json.loads((dump / "artifacts" / "stats_summary.json").read_text())
+    posts = dump / "dump" / "posts.jsonl"
+    lines = posts.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[0] = json.dumps({**json.loads(lines[0]), "created_utc": 10**12}) + "\n"
+    posts.write_text("".join(lines), encoding="utf-8")
+    assert run_cli("run", "--config", config) == 0
+    after = json.loads((dump / "artifacts" / "stats_summary.json").read_text())
+    assert after["parse_errors"] == summary["parse_errors"] + 1
+    assert after["posts"] == summary["posts"] - 1 == 29
+    capsys.readouterr()
+
+
 def test_subcommands_write_the_run_artifacts(dump, config, capsys):
     """The standalone subcommands, fed the run's own inputs and params, write
     every output of every stage but the report, with the same bytes as
@@ -259,6 +276,21 @@ def test_manifest_without_stage_records_reruns_every_stage(dump, config, capsys,
     out = capsys.readouterr().out
     assert "no object of stage records" in out and "up to date" not in out
     assert artifact_digests(dump / "artifacts") == clean
+    assert run_cli("run", "--config", config) == 0
+    assert "all stages up to date" in capsys.readouterr().out
+
+
+def test_records_without_timings_are_up_to_date(dump, config, capsys):
+    """The wall time, CPU time and peak RSS of a stage are not part of its
+    skip key: a directory whose records lack them is up to date."""
+    assert run_cli("run", "--config", config) == 0
+    manifest = dump / "artifacts" / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    for record in payload["stages"].values():
+        for key in ("wall_s", "cpu_s", "peak_rss_kb"):
+            del record[key]
+    write_json(manifest, payload)
+    capsys.readouterr()
     assert run_cli("run", "--config", config) == 0
     assert "all stages up to date" in capsys.readouterr().out
 
@@ -383,13 +415,16 @@ CORRUPTIONS = {
     "root-range": _dataset_column("comments", "root",
                                   lambda cells, n_posts, n_records: [n_posts] + cells[1:]),
     "created-zero": _dataset_column("posts", "created_at", lambda cells, *_: [0] + cells[1:]),
+    "created-after-9999": _dataset_column("comments", "created_at",
+                                          lambda cells, *_: [253402300800] + cells[1:]),
     "outside-int64": _dataset_column("comments", "score", lambda cells, *_: [2**63] + cells[1:]),
     "format-1": lambda data, name: json.dumps(as_format_1(json.loads(data))).encode(),
 }
 # The files each corruption that does not apply to every file applies to.
 ONLY = {"keys": FORMATS, "short-theta": ("model.json",),
         **dict.fromkeys(("yesterday", "short-column", "bool-int", "parent-range", "root-range",
-                         "created-zero", "outside-int64", "format-1"), ("dataset.json",))}
+                         "created-zero", "created-after-9999", "outside-int64", "format-1"),
+                        ("dataset.json",))}
 CASES = [
     (name, corruption, command)
     for name in ("dataset.json", "model.json", "corpus/meta.json",

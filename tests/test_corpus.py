@@ -10,41 +10,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumpulse.corpus import (build_corpus, default_stopwords, load_corpus,
-                               merge_phrases, save_corpus, tokenize)
+from forumpulse.corpus import build_corpus, default_stopwords, load_corpus, save_corpus
 from forumpulse.errors import DataError
 from forumpulse.lda import LdaConfig, fit
 from forumpulse.lexicon import Lexicon, categorize
 
-from conftest import corpus_from_counts, make_dataset, post_record
+from conftest import (corpus_from_counts, make_dataset, merge_phrases, post_record,
+                      tokenize)
+
+
+def _corpus_of(*titles: str, phrase_min_count: int = 99):
+    """The corpus of posts with these titles, every term kept."""
+    dataset = make_dataset([post_record(f"p{i}", title=title)
+                            for i, title in enumerate(titles)], [])
+    return build_corpus(dataset, min_df=1, max_df_fraction=1.0,
+                        phrase_min_count=phrase_min_count)
 
 
 def test_tokenize_normalization():
-    assert tokenize("Pay my Credit CARD bill!") == ["pay", "credit", "card", "bill"]
+    corpus = _corpus_of("Pay my Credit CARD bill!")
+    assert corpus.vocabulary.terms == ("pay", "credit", "card", "bill")
 
 
 def test_tokenize_empty():
-    assert tokenize("") == []
+    """A post without text has no tokens, so it is not a document."""
+    assert _corpus_of("", "loan").excluded_doc_ids == ("p0",)
 
 
 def test_tokenize_strips_urls_short_tokens_and_numbers():
     text = "Go to https://example.com/offers?q=1 now, I owe $12 at 3.5% APR in 2021"
-    assert tokenize(text) == ["owe", "apr"]
+    assert _corpus_of(text).vocabulary.terms == ("owe", "apr")
 
 
 def test_phrase_merge_triggers_at_threshold():
     # (credit, card) occurs exactly 6 times across the corpus.
-    docs = [["credit", "card", "credit", "card"] for _ in range(3)]
-    merged = merge_phrases(docs, min_count=6)
-    assert merged == [["credit_card", "credit_card"]] * 3
-    not_merged = merge_phrases(docs, min_count=7)
-    assert not_merged == docs
+    merged = _corpus_of(*["credit card credit card"] * 3, phrase_min_count=6)
+    assert merged.vocabulary.terms == ("credit_card",)
+    assert merged.documents == (((0, 2),),) * 3
+    not_merged = _corpus_of(*["credit card credit card"] * 3, phrase_min_count=7)
+    assert not_merged.vocabulary.terms == ("credit", "card")
+    assert not_merged.documents == (((0, 2), (1, 2)),) * 3
 
 
 def test_phrase_merge_is_non_overlapping():
     # "pay pay pay" has the pair (pay, pay) twice; greedy scan merges once.
-    merged = merge_phrases([["pay", "pay", "pay"]] * 10, min_count=20)
-    assert merged == [["pay_pay", "pay"]] * 10
+    merged = _corpus_of(*["pay pay pay"] * 10, phrase_min_count=20)
+    assert merged.vocabulary.terms == ("pay_pay", "pay")
+    assert merged.documents == (((0, 1), (1, 1)),) * 10
 
 
 def test_phrase_pass_end_to_end_through_build_corpus():
@@ -197,7 +209,12 @@ def test_load_corpus_rejects_a_gap_in_doc_indices(tmp_path):
 @given(st.text(max_size=200))
 def test_tokenize_output_properties(text):
     stop = default_stopwords()
-    for token in tokenize(text):
+    try:
+        terms = _corpus_of(text).vocabulary.terms
+    except DataError:       # no token at all
+        terms = ()
+    assert terms == tuple(dict.fromkeys(tokenize(text)))
+    for token in terms:
         assert token == token.lower()
         assert len(token) >= 2
         assert token not in stop
@@ -253,6 +270,39 @@ def test_build_save_load_round_trips_the_arrays(posts, min_df, max_df, phrase_mi
     assert loaded == corpus
     for array in (loaded.offsets, loaded.term_ids, loaded.counts):
         assert array.dtype == np.int64 and not array.flags.writeable
+
+
+# Words the tokenizer keeps, drops or splits: stopwords, numbers, one-letter
+# words, URLs, capitals and punctuation, and runs of one repeated pair.
+_TEXT = st.lists(st.sampled_from([
+    "pay", "Pay", "PAY", "card", "credit", "loan", "the", "and", "my", "a", "x",
+    "2021", "12", "401k", "https://bank.example/pay", "www.loan.example", "pay,card",
+    "pay-pay", "3.5%", "pay pay pay", "credit card", "card credit"]), max_size=14).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=st.lists(st.tuples(_TEXT, _TEXT), min_size=1, max_size=10),
+       min_df=st.integers(1, 3), max_df=st.sampled_from([0.5, 0.75, 1.0]),
+       phrase_min_count=st.integers(1, 5))
+def test_build_corpus_equals_the_string_oracle(texts, min_df, max_df, phrase_min_count):
+    """Tokenizing to ids and merging phrases on ids give the vocabulary,
+    the vectors and the documents that the string tokenizer and the string
+    phrase pass give."""
+    dataset = make_dataset([post_record(f"p{i:02d}", title=title, selftext=body)
+                            for i, (title, body) in enumerate(texts)], [])
+    token_docs = merge_phrases([tokenize(title + " " + body) for title, body in texts],
+                               phrase_min_count)
+    terms, df, vectors = _reference_vectors(token_docs, min_df, max_df)
+    if not terms:
+        with pytest.raises(DataError):
+            build_corpus(dataset, min_df, max_df, phrase_min_count)
+        return
+    corpus = build_corpus(dataset, min_df, max_df, phrase_min_count)
+    assert (corpus.vocabulary.terms, corpus.vocabulary.document_frequency,
+            corpus.documents) == (terms, df, vectors)
+    assert corpus.doc_ids == tuple(f"p{i:02d}" for i, doc in enumerate(token_docs)
+                                   if set(doc) & set(terms))
+    assert corpus.total_tokens == sum(n for vector in vectors for _, n in vector)
 
 
 def _token_tally(corpus, lexicon):

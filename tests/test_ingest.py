@@ -11,7 +11,7 @@ from forumpulse.ingest import (AuthorCategory, author_activity_table,
                                load_dataset, parse_dump, response_time_table,
                                save_dataset, score_relations)
 
-from conftest import comment_record, jsonl, make_dataset, post_record
+from conftest import comment_record, jsonl, make_dataset, parse_dump_per_line, post_record
 
 
 def test_parse_small_fixture_resolves_chain(two_posts_three_comments):
@@ -41,11 +41,22 @@ def test_dangling_parent_counted_and_comment_retained():
     assert d.comments.root.tolist() == [0]
 
 
+def test_link_id_names_the_root_post_with_or_without_the_post_prefix():
+    posts = jsonl([post_record("p1"), post_record("p2")])
+    comments = jsonl([{**comment_record("c1", "t3_p1", "p1"), "link_id": "p1"},
+                      comment_record("c2", "t3_p2", "p2"),
+                      {**comment_record("c3", "t3_p2", "p2"), "link_id": "t1_p2"}])
+    assert parse_dump(posts, comments).comments.root.tolist() == [0, 1, -1]
+
+
 def test_malformed_lines_skipped_and_counted():
-    posts = jsonl([post_record("p1")]) + ["{not json", json.dumps({"id": "p2"})]
-    comments = jsonl([comment_record("c1", "t3_p1", "p1")]) + ['["array"]']
+    # The last line of each is nested deeper than the JSON decoder can follow.
+    posts = jsonl([post_record("p1")]) + ["{not json", json.dumps({"id": "p2"}),
+                                          "[" * 100_000]
+    comments = jsonl([comment_record("c1", "t3_p1", "p1")]) + ['["array"]',
+                                                                 '{"a": ' * 100_000]
     d = parse_dump(posts, comments)
-    assert d.parse_errors == 3
+    assert d.parse_errors == 5
     assert len(d.posts) == 1 and len(d.comments) == 1
 
 
@@ -334,3 +345,68 @@ def test_a_score_that_is_not_an_int64_is_a_parse_error(value):
 def test_an_integral_score_is_kept(value, want):
     line = json.dumps(post_record("p1")).replace('"score": 1', f'"score": {value}')
     assert parse_dump([line], []).posts.score.tolist() == [want]
+
+
+@pytest.mark.parametrize("created, kept", [
+    (1, True), (253402300799, True), (0, False), (253402300800, False), (10**12, False)])
+def test_created_utc_runs_from_one_to_the_end_of_year_9999(created, kept):
+    """A time after 9999-12-31T23:59:59Z has no calendar month, so it is
+    counted as malformed at ingest."""
+    d = parse_dump(jsonl([post_record("p1"), post_record("p2", created=created)]), [])
+    assert d.posts.id == (["p1", "p2"] if kept else ["p1"])
+    assert d.parse_errors == (0 if kept else 1)
+
+
+# Values that are not int64 in every field, and values that the per-line
+# parser takes or turns to str.
+_ODD_VALUES = [True, False, None, [], {}, "", "abc", 1.5, "1.5", float("inf"),
+               float("-inf"), float("nan"), 2**63, -2**63 - 1, "9223372036854775808",
+               1e19, 0, -3, 7.0, "7", "7.0", " 7", "1_000", 2**63 - 1, -2**63,
+               253402300799, 253402300800, 10**12, "a,b", "x\ny", "t3_p0", "t1_c0",
+               "t9_p1", "t3_", "p0", "[deleted]"]
+_BAD_LINES = ["{not json", '{"id": "p9"', "[1, 2]", '"text"', "42", "null", "NaN",
+              '{"id": "x"} trailing', '{"id": "x"}{"id": "y"}', "\ufeff{}", "{}",
+              "[" * 100_000]     # nested deeper than the interpreter's recursion limit
+
+
+@st.composite
+def hostile_dump(draw):
+    """The lines of ``dump_records`` with records whose fields are odd or
+    missing, lines that are not one JSON object, trailing data, blank lines,
+    a record repeated before itself with an odd value or outside the
+    window, and a window."""
+    posts, comments = draw(dump_records())
+    bound = st.one_of(st.none(), st.integers(0, 10_001))
+    window = draw(st.one_of(st.none(), st.tuples(bound, bound)))
+    streams = []
+    for records in (posts, comments):
+        lines = []
+        for record in records:
+            key = draw(st.sampled_from(sorted(record)))
+            change = draw(st.integers(0, 9))
+            if change == 0:        # a first record of the id that is not kept
+                lines.append(json.dumps({**record, key: draw(st.sampled_from(_ODD_VALUES))}
+                                        if draw(st.booleans())
+                                        else {**record, "created_utc": 10_002}))
+            if change == 1:
+                record = {**record, key: draw(st.sampled_from(_ODD_VALUES))}
+            elif change == 2:
+                record = {k: v for k, v in record.items() if k != key}
+            line = json.dumps(record)
+            if change == 3:
+                line += draw(st.sampled_from([" x", "]", "{}", ",", " 1"]))
+            lines.append(line)
+        for _ in range(draw(st.integers(0, 3))):
+            lines.insert(draw(st.integers(0, len(lines))),
+                         draw(st.sampled_from(_BAD_LINES + ["", "  "])))
+        streams.append(lines)
+    return streams[0], streams[1], window
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_dump())
+def test_parse_dump_equals_the_per_line_parser(dump):
+    """Checking whole columns gives the dataset and the tallies that
+    checking one record at a time gives."""
+    posts, comments, window = dump
+    assert parse_dump(posts, comments, window) == parse_dump_per_line(posts, comments, window)

@@ -309,9 +309,9 @@ def test_both_kernels_write_the_same_bytes_and_are_named(tmp_path, monkeypatch):
 def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch):
     """A directory written before stages had versions, when the trace was
     summed in another order, reruns exactly ``ingest`` and ``topics``, whose
-    versions are 2, and the stages whose inputs that changes, and then holds
-    what a fresh run writes; a record without a version counts as version
-    1."""
+    versions are above 1, and the stages whose inputs that changes, and
+    then holds what a fresh run writes; a record without a version counts
+    as version 1."""
     config = small_config(tmp_path)
     fresh = run_pipeline(config, out_dir=tmp_path / "fresh", echo=lambda *_: None)
     fit = topics.fit
@@ -340,15 +340,35 @@ def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch)
                 == (fresh.out_dir / name).read_bytes()), name
 
 
+def test_directory_at_ingest_version_2_reruns_only_ingest(tmp_path):
+    """A directory whose ingest record is at version 2 reruns ingest, which
+    writes the same ``dataset.json`` from a dump without a time after 9999,
+    so every later stage is skipped."""
+    config = small_config(tmp_path)
+    run_pipeline(config, echo=lambda *_: None)
+    manifest_path = tmp_path / "artifacts" / "manifest.json"
+    manifest = read_json(manifest_path)
+    manifest["stages"]["ingest"]["version"] = 2
+    write_json(manifest_path, manifest)
+    rerun = run_pipeline(config, echo=lambda *_: None)
+    assert [name for name, status in rerun.stage_status.items() if status == "ran"] \
+        == ["ingest"]
+
+
 def test_manifest_records_versions_and_sampler_telemetry(tmp_path):
-    """On the shipped fixture, every record names its stage's version, and
-    the topics record the sweeps of the whole scan, their rate and the last
-    relative change of the selected model's trace."""
+    """On the shipped fixture, every record names its stage's version and
+    its wall time, CPU time and the peak RSS so far, and the topics record
+    the sweeps of the whole scan, their rate and the last relative change
+    of the selected model's trace."""
     result = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path / "fixture",
                           echo=lambda *_: None)
     records = read_json(result.out_dir / "manifest.json")["stages"]
     assert {name: record["version"] for name, record in records.items()} \
-        == {stage.name: 2 if stage.name in ("ingest", "topics") else 1 for stage in STAGES}
+        == {stage.name: {"ingest": 3, "topics": 2}.get(stage.name, 1) for stage in STAGES}
+    peaks = [records[stage.name]["peak_rss_kb"] for stage in STAGES]
+    assert peaks == sorted(peaks) and peaks[0] > 0
+    for record in records.values():
+        assert record["wall_s"] > 0 and record["cpu_s"] >= 0
     record = records["topics"]
     config = read_json(FIXTURE_DIR / "config.json")
     assert record["sweeps"] == (config["lda.k_max"] - config["lda.k_min"] + 1) \

@@ -272,6 +272,24 @@ def test_dominant_topics_independent_recomputation():
             assert (t in assignment.dominant[i]) == (value > mu + sigma)
 
 
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 19), n=st.integers(1, 30), repeats=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_dominant_topics_equal_a_row_at_a_time(k, n, repeats, seed):
+    """One set per distinct mask row gives each row the set of its own
+    mask, over k that packs into one byte and into several."""
+    rows = np.random.default_rng(seed).dirichlet(np.ones(k), size=n)
+    model = _model_with_theta(np.repeat(rows, repeats, axis=0).tolist())
+    theta = model.theta
+    mu = theta.mean(axis=0)
+    cutoff = mu + np.sqrt(np.mean((theta - mu) ** 2, axis=0))
+    assignment = dominant_topics(model)
+    assert assignment.dominant == tuple(
+        frozenset(int(t) for t in np.flatnonzero(row > cutoff)) for row in theta)
+    assert assignment.topic_presence == tuple(
+        sum(1 for s in assignment.dominant if t in s) / len(theta) for t in range(k))
+
+
 def test_load_assignment_reads_back_dominant_topics(fixture_corpus, tmp_path):
     """The dominance files parse back to the assignment they were written
     from, at k = 2..6, posts with no dominant topic included."""
