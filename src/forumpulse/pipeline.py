@@ -9,7 +9,8 @@ records the digests of its inputs and outputs in ``manifest.json``. A
 stage whose version, parameters, input digests and recorded outputs all
 match the manifest is skipped, which makes interrupted or repeated runs
 cheap and every artifact reproducible from the manifest plus the original
-dumps. Each stage but the report also has one standalone subcommand,
+dumps. A run hands each stage the parsed files it reads that an earlier
+stage parsed or wrote, and hashes each file once. Each stage but the report also has one standalone subcommand,
 which runs the stage's function through a ``StageContext`` and so writes
 every output of the stage.
 
@@ -34,7 +35,7 @@ from . import __version__
 from .corpus import (DEFAULT_MAX_DF_FRACTION, DEFAULT_MIN_DF, DEFAULT_PHRASE_MIN_COUNT,
                      build_corpus, load_corpus, save_corpus)
 from .errors import DataError, StageError, UsageError
-from .fileio import read_csv, read_json, sha256_file, write_csv, write_json
+from .fileio import read_csv, read_json, reading, sha256_file, write_csv, write_json
 from .ingest import (author_activity_table, load_dataset, parse_dump,
                      response_time_table, save_dataset, score_relations)
 from .interaction import (build_graph, compute_user_metrics, load_graph, save_graph,
@@ -115,9 +116,10 @@ def load_config(path: Path, overrides: Optional[Mapping[str, str]] = None
                 ) -> dict[str, Any]:
     """Read a flat config file, apply overrides, check types, resolve paths."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
-    raw = read_json(path)
+    if not path.is_file():
+        raise DataError(f"config file not found or not a file: {path}")
+    with reading(path, "config file"):
+        raw = read_json(path)
     if not isinstance(raw, dict):
         raise UsageError(f"{path}: config must be a flat JSON object")
 
@@ -189,18 +191,56 @@ def _read_manifest(path: Path, echo) -> dict[str, Any]:
     return {"format": _MANIFEST_FORMAT, "stages": {}}
 
 
+def _first_change(recorded: Any, digests: Mapping[str, Optional[str]]) -> Optional[str]:
+    """The first file whose digest in ``digests`` is not the one ``recorded``
+    holds for it (a file only one of them names included), or None when the
+    two are equal."""
+    if recorded == digests:
+        return None
+    if not isinstance(recorded, dict):
+        recorded = {}
+    return next(name for name in {**digests, **recorded}
+                if name not in recorded or name not in digests
+                or recorded[name] != digests[name])
+
+
+def _why_stale(prior: Mapping[str, Any], version: int, params_digest: str,
+               inputs: Mapping[str, str],
+               outputs: Callable[[], Mapping[str, Optional[str]]]) -> Optional[str]:
+    """Why a stage whose last record is ``prior`` runs: ``ran:new``,
+    ``ran:version``, ``ran:params``, ``ran:input:<file>`` or
+    ``ran:output:<file>``, the first part of its skip key that changed; None
+    when it is up to date. ``outputs`` gives the digests of the stage's
+    outputs (None for a missing file), and is called only when the rest of
+    the key matches."""
+    if not prior:
+        return "ran:new"
+    if prior.get("version", 1) != version:
+        return "ran:version"
+    if prior.get("params_sha256") != params_digest:
+        return "ran:params"
+    changed = _first_change(prior.get("inputs"), inputs)
+    if changed is not None:
+        return f"ran:input:{changed}"
+    changed = _first_change(prior.get("outputs"), outputs())
+    return None if changed is None else f"ran:output:{changed}"
+
+
 @dataclass
 class StageContext:
     """What a stage function reads: its files by name, and its params by
     config key. A name missing from ``paths`` is a file under ``out_dir``.
-    ``parsed`` holds the files already parsed, by name; ``record`` takes
-    extra fields for the stage's manifest record."""
+    ``parsed`` holds the files already parsed, by name, and takes the
+    objects the stage writes; ``digests`` holds the files already hashed,
+    by path; ``record`` takes extra fields for the stage's manifest
+    record."""
 
     paths: Mapping[str, Optional[Path]]
     params: Mapping[str, Any] = field(default_factory=dict)
     out_dir: Optional[Path] = None
     echo: Callable[[str], None] = print
     parsed: dict[str, Any] = field(default_factory=dict)
+    digests: dict[Path, str] = field(default_factory=dict)
     record: dict[str, Any] = field(default_factory=dict)
 
     def path(self, name: str) -> Optional[Path]:
@@ -217,6 +257,13 @@ class StageContext:
             self.parsed[name] = parse(self.path(name))
         return self.parsed[name]
 
+    def digest(self, name: str) -> str:
+        """The SHA-256 of ``path(name)``, hashed at most once."""
+        path = self.path(name)
+        if path not in self.digests:
+            self.digests[path] = sha256_file(path)
+        return self.digests[path]
+
 
 @dataclass(frozen=True)
 class Stage:
@@ -229,8 +276,10 @@ class Stage:
     # in format or meaning for the same inputs. A record without one is 1.
     version: int = 1
     # Artifacts whose digests the stage records without parsing them: part of
-    # the skip key, but never handed on parsed from the stage before.
+    # the skip key, but never handed to the stage parsed.
     recorded: tuple[str, ...] = ()
+    # The run holds no parsed file that this stage does not read while it runs.
+    frees_unread: bool = False
 
 
 def ingest_stage(ctx: StageContext):
@@ -278,6 +327,7 @@ def corpus_stage(ctx: StageContext):
                           max_df_fraction=p["corpus.max_df_fraction"],
                           phrase_min_count=p["corpus.phrase_min_count"])
     save_corpus(corpus, ctx.path("corpus"))
+    ctx.parsed["corpus"] = corpus
     return corpus
 
 
@@ -303,6 +353,7 @@ def topics_stage(ctx: StageContext):
         trace_rel_change=(abs(ll[-1] - ll[-2]) / abs(ll[-2])
                           if len(ll) > 1 and ll[-2] != 0 else None))
     save_model(model, ctx.path("model.json"))
+    ctx.parsed["model.json"] = model
     write_csv(ctx.path("skewness_scan.csv"), ("k", "w_k", "selected"),
               ((r.k, r.w_k, 1 if r.k == result.k else 0) for r in result.reports))
     return model
@@ -311,6 +362,7 @@ def topics_stage(ctx: StageContext):
 def dominance_stage(ctx: StageContext):
     assignment = dominant_topics(ctx.load("model.json"))
     save_assignment(ctx.path("dominance.csv"), assignment)
+    ctx.parsed["dominance.csv"] = assignment
     return assignment
 
 
@@ -357,6 +409,7 @@ def graph_stage(ctx: StageContext):
     for name, fmt in (("edges.csv", "csv"), ("graph.graphml", "graphml"),
                       ("graph.dot", "dot")):
         save_graph(ctx.path(name), fmt, graph.nodes, graph.edges)
+    ctx.parsed["edges.csv"] = graph
     classes = user_classes(graph)
     write_json(ctx.path("user_classes.json"), {
         "nodes": classes.nodes,
@@ -409,7 +462,7 @@ def report_stage(ctx: StageContext) -> None:
         },
         "topic_presence": list(ctx.load("dominance.csv").topic_presence),
         "user_classes": classes,
-        "artifacts": {name: sha256_file(ctx.path(name)) for name in _ARTIFACTS},
+        "artifacts": {name: ctx.digest(name) for name in _ARTIFACTS},
     })
 
 
@@ -434,7 +487,9 @@ STAGES: tuple[Stage, ...] = (
           ("lda.k", "lda.k_min", "lda.k_max", "lda.alpha", "lda.beta",
            "lda.iterations", "lda.burn_in", "lda.patience", "seed"),
           _CORPUS, ("model.json", "skewness_scan.csv"), topics_stage,
-          version=2),   # 2: the trace is summed in one fixed order
+          version=2,    # 2: the trace is summed in one fixed order
+          # Holding the dataset across the fit would raise the run's peak.
+          frees_unread=True),
     Stage("dominance", (), ("model.json",), _DOMINANCE, dominance_stage),
     Stage("cooccur", (), _DOMINANCE, ("cooccurrence.csv",), cooccur_stage),
     Stage("timeline", (), _DOMINANCE + ("dataset.json",), ("monthly_topics.csv",),
@@ -494,34 +549,36 @@ def run_pipeline(config_path: Path,
                     config_sha256=_params_digest(config))
 
     status: dict[str, str] = {}
-    parsed: dict[str, Any] = {}
-    for stage in STAGES:
+    # The parsed files each stage reads: an input's name up to its first
+    # "/", so the corpus files are the one parsed "corpus".
+    reads = [{name.split("/")[0] for name in stage.inputs} for stage in STAGES]
+    last_read = {name: i for i, names in enumerate(reads) for name in names}
+    held: dict[str, Any] = {}          # parsed files, by name
+    digests: dict[Path, str] = {}      # hashed files, by path
+    for i, stage in enumerate(STAGES):
         # A config key names an input file; a null one names none.
         paths = {key: Path(config[key]) for key in stage.inputs
                  if key in CONFIG_DEFAULTS and config[key] is not None}
-        # Hand on a file the stage before parsed only if this stage reads it
-        # too, so no parsed file outlives the run of stages that read it.
-        reads = {name.split("/")[0] for name in stage.inputs}
-        parsed = {name: value for name, value in parsed.items() if name in reads}
-        ctx = StageContext(paths, {key: config[key] for key in stage.params},
-                           target, echo, parsed)
+        # Hold a parsed file until the last stage that reads it, and hand a
+        # stage only the files it reads.
+        held = {name: value for name, value in held.items() if last_read[name] >= i
+                and (name in reads[i] or not stage.frees_unread)}
+        ctx = StageContext(paths, {key: config[key] for key in stage.params}, target, echo,
+                           {name: value for name, value in held.items() if name in reads[i]},
+                           digests)
         # An input is keyed by its name: a dump or lexicon file by its config
         # key, so the same bytes reached through another path match.
-        inputs = {name: ctx.path(name) for name in stage.inputs + stage.recorded
-                  if name in paths or name not in CONFIG_DEFAULTS}
+        input_digests = {name: ctx.digest(name) for name in stage.inputs + stage.recorded
+                         if name in paths or name not in CONFIG_DEFAULTS}
         # A param that names an input file is in the skip key by its config
         # key too; the file's bytes are in it through its digest.
         digest = _params_digest({key: key if key in paths else value
                                  for key, value in ctx.params.items()})
-        input_digests = {name: sha256_file(p) for name, p in inputs.items()}
-
-        prior = manifest["stages"].get(stage.name, {})
-        if (prior.get("version", 1) == stage.version
-                and prior.get("params_sha256") == digest
-                and prior.get("inputs") == input_digests
-                and prior.get("outputs") == {
-                    name: sha256_file(target / name) if (target / name).exists() else None
-                    for name in stage.outputs}):
+        reason = _why_stale(
+            manifest["stages"].get(stage.name, {}), stage.version, digest, input_digests,
+            lambda: {name: ctx.digest(name) if ctx.path(name).exists() else None
+                     for name in stage.outputs})
+        if reason is None:
             status[stage.name] = "skipped"
             echo(f"[{stage.name}] up to date, skipped")
             continue
@@ -533,12 +590,16 @@ def run_pipeline(config_path: Path,
         except Exception as exc:
             raise StageError(stage.name, exc) from exc
         wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        held.update(ctx.parsed)
+        for name in stage.outputs:      # rewritten: hashed again below
+            digests.pop(ctx.path(name), None)
         manifest["stages"][stage.name] = {
             "version": stage.version,
+            "reason": reason,
             "params": dict(ctx.params),
             "params_sha256": digest,
             "inputs": input_digests,
-            "outputs": {name: sha256_file(target / name) for name in stage.outputs},
+            "outputs": {name: ctx.digest(name) for name in stage.outputs},
             "started_at": started,
             "finished_at": _utcnow(),
             "wall_s": wall,

@@ -295,6 +295,34 @@ def test_records_without_timings_are_up_to_date(dump, config, capsys):
     assert "all stages up to date" in capsys.readouterr().out
 
 
+def test_records_without_reasons_are_up_to_date(dump, config, capsys):
+    """Why a stage ran is not part of its skip key: a directory whose
+    records lack it, as older code wrote them, is up to date."""
+    assert run_cli("run", "--config", config) == 0
+    manifest = dump / "artifacts" / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    for record in payload["stages"].values():
+        del record["reason"]
+    write_json(manifest, payload)
+    capsys.readouterr()
+    assert run_cli("run", "--config", config) == 0
+    assert "all stages up to date" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b'{"posts": "\xff"}'),
+    lambda path: path.write_text('{"posts": "dump/posts.jsonl" "comments"'),
+], ids=["directory", "not-utf-8", "truncated-json"])
+def test_unreadable_config_file_is_a_data_error(dump, capsys, make):
+    """A config path that names a directory, or a file that is not UTF-8 or
+    not whole JSON, exits 2 with an error naming the file."""
+    make(dump / "bad.json")
+    assert run_cli("run", "--config", dump / "bad.json") == 2
+    err = capsys.readouterr().err
+    assert "bad.json" in err and "internal error" not in err
+
+
 @pytest.mark.parametrize("override", [
     'lda.iterations="abc"', "lda.iterations=abc", "corpus.min_df=0",
     "lda.beta=0", "lda.alpha=-1", "lda.k=1.5", "seed=true", "posts=3",

@@ -161,9 +161,10 @@ def test_edited_input_reruns_every_stage(tmp_path):
 
 
 def test_each_intermediate_parsed_once_while_stages_read_it(tmp_path, monkeypatch):
-    """A run parses each intermediate once while consecutive stages read it,
-    and derives the dominant topics and the reply graph once, in the stages
-    that write them."""
+    """A fresh run parses only ``dataset.json``, once for ``stats`` and
+    ``corpus`` and once after the fit, and is handed every other
+    intermediate by the stage that writes it; it derives the dominant
+    topics and the reply graph once, in the stages that write them."""
     calls = Counter()
     for name in ("load_dataset", "load_model", "load_corpus", "load_assignment",
                  "load_graph", "dominant_topics", "build_graph"):
@@ -173,9 +174,7 @@ def test_each_intermediate_parsed_once_while_stages_read_it(tmp_path, monkeypatc
         monkeypatch.setattr(pipeline, name, counted)
     config = small_config(tmp_path)
     run_pipeline(config, echo=lambda *_: None)
-    assert calls == {"load_dataset": 3, "load_model": 2, "load_corpus": 2,
-                     "load_assignment": 2, "load_graph": 1,
-                     "dominant_topics": 1, "build_graph": 1}
+    assert calls == {"load_dataset": 2, "dominant_topics": 1, "build_graph": 1}
 
     calls.clear()
     again = run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
@@ -232,8 +231,10 @@ def test_same_dump_through_another_path_is_up_to_date(tmp_path):
 
 
 def test_report_is_handed_only_the_assignment(tmp_path, monkeypatch):
-    """``report`` parses model.json itself and is handed only the parsed
-    dominance.csv, not the dataset and graph that ``metrics`` parsed."""
+    """``report`` is handed only what it reads: on a fresh run the
+    assignment and the model their stages wrote, and after a ``metrics``
+    rerun the assignment ``metrics`` parsed, not its dataset and graph;
+    it parses model.json itself then."""
     handed: list[list[str]] = []
 
     def report(ctx, run=STAGES[-1].run):
@@ -246,7 +247,125 @@ def test_report_is_handed_only_the_assignment(tmp_path, monkeypatch):
     config = small_config(tmp_path)
     run_pipeline(config, echo=lambda *_: None)
     run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
-    assert handed == [["dominance.csv"], ["dominance.csv"]]
+    assert handed == [["dominance.csv", "model.json"], ["dominance.csv"]]
+
+
+def assert_same(handed, parsed, where: str) -> None:
+    """``handed`` equals ``parsed`` field by field, of the same types; arrays
+    in dtype, shape, write flag and bytes, floats bit for bit."""
+    assert type(handed) is type(parsed), where
+    if isinstance(handed, np.ndarray):
+        assert (handed.dtype, handed.shape, handed.flags.writeable) \
+            == (parsed.dtype, parsed.shape, parsed.flags.writeable), where
+        assert handed.tobytes() == parsed.tobytes(), where
+    elif dataclasses.is_dataclass(handed):
+        for f in dataclasses.fields(handed):
+            assert_same(getattr(handed, f.name), getattr(parsed, f.name), f"{where}.{f.name}")
+    elif isinstance(handed, (tuple, list)):
+        assert len(handed) == len(parsed), where
+        for i, (a, b) in enumerate(zip(handed, parsed)):
+            assert_same(a, b, f"{where}[{i}]")
+    elif isinstance(handed, dict):
+        assert list(handed) == list(parsed), where
+        for key in handed:
+            assert_same(handed[key], parsed[key], f"{where}[{key!r}]")
+    elif isinstance(handed, float):
+        assert handed.hex() == parsed.hex(), where
+    else:
+        assert handed == parsed, where
+
+
+def test_handed_on_objects_equal_their_files(tmp_path, monkeypatch):
+    """On a fresh run each stage is handed only files it reads, each held
+    from the stage that wrote or parsed it, and every object handed on
+    equals what its file parses to; ``topics`` is handed only the corpus."""
+    handed: dict[str, dict] = {}
+
+    def recording(stage):
+        def run(ctx):
+            handed[stage.name] = dict(ctx.parsed)
+            return stage.run(ctx)
+        return dataclasses.replace(stage, run=run)
+
+    monkeypatch.setattr(pipeline, "STAGES", tuple(map(recording, STAGES)))
+    out = run_pipeline(small_config(tmp_path), echo=lambda *_: None).out_dir
+    assert {name: sorted(objects) for name, objects in handed.items()} == {
+        "ingest": [], "stats": [], "corpus": ["dataset.json"], "topics": ["corpus"],
+        "dominance": ["model.json"], "cooccur": ["dominance.csv"],
+        "timeline": ["dominance.csv"], "lexicon": ["corpus", "dominance.csv"],
+        "graph": ["dataset.json"], "metrics": ["dataset.json", "dominance.csv", "edges.csv"],
+        "report": ["dominance.csv", "model.json"]}
+    parse = {"dataset.json": pipeline.load_dataset, "corpus": pipeline.load_corpus,
+             "model.json": pipeline.load_model, "dominance.csv": pipeline.load_assignment,
+             "edges.csv": pipeline.load_graph}
+    for stage, objects in handed.items():
+        for name, value in objects.items():
+            assert_same(value, parse[name](out / name), f"{stage}: {name}")
+
+
+def test_each_file_hashed_once_per_run(tmp_path, monkeypatch):
+    """A fresh run and a ``graph.top_k`` rerun hash each file at most once,
+    and every stage records for an input the digest its producer recorded
+    for it."""
+    calls = Counter()
+
+    def counted(path, call=pipeline.sha256_file):
+        calls[Path(path)] += 1
+        return call(path)
+
+    monkeypatch.setattr(pipeline, "sha256_file", counted)
+    config = small_config(tmp_path)
+    out = run_pipeline(config, echo=lambda *_: None).out_dir
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    again = run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
+    assert ran(again) == ["metrics", "report"]
+    assert calls and max(calls.values()) == 1
+
+    records = read_json(out / "manifest.json")["stages"]
+    produced = {name: digest for record in records.values()
+                for name, digest in record["outputs"].items()}
+    dumps = load_config(config)
+    for stage in STAGES:
+        for name, digest in records[stage.name]["inputs"].items():
+            assert digest == (sha256_file(dumps[name]) if name in CONFIG_DEFAULTS
+                              else produced[name]), (stage.name, name)
+    assert read_json(out / "report.json")["artifacts"] == {
+        name: produced[name] for stage in STAGES[:-1] for name in stage.outputs}
+
+
+def test_manifest_records_why_each_stage_ran(tmp_path):
+    """Each record a run writes names the first part of the skip key that
+    changed: no record, the version, the params, an input or an output."""
+    config = small_config(tmp_path)
+    manifest_path = tmp_path / "artifacts" / "manifest.json"
+
+    def reasons(result) -> dict[str, str]:
+        records = read_json(manifest_path)["stages"]
+        return {name: records[name]["reason"] for name in ran(result)}
+
+    result = run_pipeline(config, echo=lambda *_: None)
+    assert reasons(result) == {stage.name: "ran:new" for stage in STAGES}
+    result = run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
+    assert reasons(result) == {"metrics": "ran:params",
+                               "report": "ran:input:top_influencers.csv"}
+    (tmp_path / "artifacts" / "graph.dot").unlink()
+    result = run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
+    assert reasons(result) == {"graph": "ran:output:graph.dot"}
+    manifest = read_json(manifest_path)
+    manifest["stages"]["cooccur"]["version"] = 0
+    manifest["stages"]["timeline"]["inputs"] = []      # not an object of digests
+    write_json(manifest_path, manifest)
+    result = run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
+    assert reasons(result) == {"cooccur": "ran:version",
+                               "timeline": "ran:input:dominance.csv"}
+
+    posts = tmp_path / "dump" / "posts.jsonl"
+    posts.write_text("".join(posts.read_text().splitlines(keepends=True)[:-1]),
+                     encoding="utf-8")
+    result = run_pipeline(config, echo=lambda *_: None)
+    assert reasons(result)["ingest"] == "ran:input:posts"
+    assert reasons(result)["stats"] == "ran:input:dataset.json"
 
 
 @pytest.fixture(scope="module")
