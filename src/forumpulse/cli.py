@@ -19,6 +19,9 @@ from .pipeline import (CONFIG_SCHEMA, STAGES, StageContext, check_config, corpus
                        lexicon_stage, metrics_stage, run_pipeline, stats_stage,
                        timeline_stage, topics_stage)
 
+# Exit 2: bad data, or an input path that is missing or names a file where
+# a directory belongs, or the other way round.
+_DATA_ERRORS = (DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
 _DOMINANCE_HELP = "the dominance.csv of `topics dominance`, its two sibling files beside it"
 _OUT_FILE, _OUT_DIR = "output file", "output directory"
 
@@ -300,10 +303,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except StageError as exc:
-        code = 2 if isinstance(exc.cause, (DataError, FileNotFoundError)) else 3
+        code = 2 if isinstance(exc.cause, _DATA_ERRORS) else 3
         print(f"error: {exc}", file=sys.stderr)
         return code
-    except (DataError, FileNotFoundError) as exc:
+    except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ForumPulseError as exc:

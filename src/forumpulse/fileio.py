@@ -5,7 +5,9 @@ runs with identical inputs produce byte-identical files: UTF-8, "\n" line
 endings, sorted JSON keys, and floats rendered with repr (shortest value
 that round-trips). Every file is written whole through ``write_text``, so a
 run killed mid-write leaves the previous file or the new one, never a
-truncated one.
+truncated one. A table's text is one format template filled once, and a
+float array's cells are spelled once per distinct value, so no writer
+makes a Python call per cell.
 """
 
 from __future__ import annotations
@@ -14,18 +16,13 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DataError
-
-
-def fmt_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def write_text(path: Path, text: str) -> None:
@@ -44,10 +41,26 @@ def write_text(path: Path, text: str) -> None:
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]],
               delimiter: str = ",") -> None:
-    lines = [delimiter.join(header)]
-    for row in rows:
-        lines.append(delimiter.join(map(fmt_cell, row)))
-    write_text(path, "\n".join(lines) + "\n")
+    """``header`` and ``rows`` as delimited lines: a cell is its ``str``
+    (for a float, its repr), and a None cell is empty. ValueError when a row
+    is not as wide as the header."""
+    rows = list(rows)
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        raise ValueError(f"{path}: a row is not {width} cells wide")
+    cells = ["" if cell is None else cell for cell in chain.from_iterable(rows)]
+    line = delimiter.replace("%", "%%").join(["%s"] * width) + "\n"
+    write_text(path, delimiter.join(header) + "\n" + (line * len(rows)) % tuple(cells))
+
+
+def float_cells(values: np.ndarray, spell: Callable[[float], str] = repr) -> np.ndarray:
+    """The text of each float of ``values`` by ``spell``, as an object array
+    of the same shape. ``spell`` is called once per distinct bit pattern,
+    so -0.0 and 0.0 are spelled apart."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, index = np.unique(values.reshape(-1).view(np.uint64), return_inverse=True)
+    text = np.array([spell(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[index].reshape(values.shape)
 
 
 def read_csv(path: Path, width: int, delimiter: str = ",") -> Iterator[list[str]]:

@@ -197,19 +197,23 @@ def _scan(stream: Iterable[str], take, tallies: Counter[str]) -> list[tuple]:
     """``take`` of each record of ``stream``, one tuple per record; a line
     that is not blank and is not one JSON object of which ``take`` finds
     every key it asks for, or is nested too deep to decode, is counted in
-    ``tallies``."""
+    ``tallies``. A file that is not UTF-8 is a DataError naming it."""
     rows = []
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record, end = _SCAN(line, 0)
-            if end != len(line) or type(record) is not dict:
-                raise ValueError("not one JSON object")
-            rows.append(take(record))
-        except (StopIteration, ValueError, KeyError, RecursionError):
-            tallies["parse_errors"] += 1
+    try:
+        for line in stream:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record, end = _SCAN(line, 0)
+                if end != len(line) or type(record) is not dict:
+                    raise ValueError("not one JSON object")
+                rows.append(take(record))
+            except (StopIteration, ValueError, KeyError, RecursionError):
+                tallies["parse_errors"] += 1
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{getattr(stream, 'name', 'dump')}: not UTF-8 "
+                        f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from exc
     return rows
 
 

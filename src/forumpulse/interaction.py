@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import log10
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -258,31 +259,36 @@ def _quoteattr(text: str) -> str:
     return '"' + text.replace('"', "&quot;") + '"'
 
 
+def _dot_quote(name: str) -> str:
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _graph_text(head: str, node: str, edge: str, tail: str, quote: Callable[[str], str],
+                nodes: Sequence[str], edges: Sequence[tuple[str, str, int]]) -> str:
+    """``head``, a ``node`` line per node, an ``edge`` line per edge and
+    ``tail``; each name is quoted once, and each template filled once."""
+    cells = list(chain.from_iterable(edges))
+    if len(cells) != 3 * len(edges):
+        raise ValueError("an edge is not (source, target, weight)")
+    sources, targets = cells[0::3], cells[1::3]
+    quoted = {name: quote(name) for name in set(nodes).union(sources, targets)}
+    cells[0::3] = map(quoted.__getitem__, sources)
+    cells[1::3] = map(quoted.__getitem__, targets)
+    return (head + (node * len(nodes)) % tuple(map(quoted.__getitem__, nodes))
+            + (edge * len(edges)) % tuple(cells) + tail)
+
+
 def graphml_text(nodes: Sequence[str], edges: Sequence[tuple[str, str, int]]) -> str:
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="weight" for="edge" attr.name="weight" attr.type="int"/>',
-        '  <graph id="interactions" edgedefault="directed">',
-    ]
-    for node in nodes:
-        lines.append(f"    <node id={_quoteattr(node)}/>")
-    for source, target, weight in edges:
-        lines.append(f"    <edge source={_quoteattr(source)} target={_quoteattr(target)}>"
-                     f"<data key=\"weight\">{weight}</data></edge>")
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    return "\n".join(lines) + "\n"
+    return _graph_text(
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+        '  <key id="weight" for="edge" attr.name="weight" attr.type="int"/>\n'
+        '  <graph id="interactions" edgedefault="directed">\n',
+        "    <node id=%s/>\n",
+        '    <edge source=%s target=%s><data key="weight">%s</data></edge>\n',
+        "  </graph>\n</graphml>\n", _quoteattr, nodes, edges)
 
 
 def dot_text(nodes: Sequence[str], edges: Sequence[tuple[str, str, int]]) -> str:
-    def quote(name: str) -> str:
-        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-    lines = ["digraph interactions {"]
-    for node in nodes:
-        lines.append(f"  {quote(node)};")
-    for source, target, weight in edges:
-        lines.append(f"  {quote(source)} -> {quote(target)} [weight={weight}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _graph_text("digraph interactions {\n", "  %s;\n", "  %s -> %s [weight=%s];\n",
+                       "}\n", _dot_quote, nodes, edges)

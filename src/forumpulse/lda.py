@@ -52,7 +52,7 @@ import numpy as np
 
 from .corpus import Corpus, vocabulary_digest
 from .errors import DataError
-from .fileio import read_json, reading, sha256_file, write_text
+from .fileio import float_cells, read_json, reading, sha256_file, write_text
 
 SNAPSHOT_INTERVAL = 10
 
@@ -484,13 +484,28 @@ def save_model(model: TopicModel, path: Path) -> None:
         },
         "doc_ids": list(model.doc_ids),
         "terms": list(model.terms),
-        "theta": model.theta.tolist(),
-        "phi": model.phi.tolist(),
+        "theta": None,
+        "phi": None,
         "assignments": [list(row) for row in model.assignments],
         "log_likelihood_trace": [float(x) for x in model.log_likelihood_trace],
         "vocabulary_sha256": model.vocabulary_sha256,
     }
-    write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+    text = json.dumps(payload, sort_keys=True)
+    # theta and phi go in as text in place of their nulls. Each null is the
+    # first of its kind: no key sorted before it has its name, and a str
+    # value holds no unescaped quote.
+    for key, matrix in (("phi", model.phi), ("theta", model.theta)):
+        text = text.replace(f'"{key}": null', f'"{key}": {_matrix_json(matrix)}', 1)
+    write_text(path, text + "\n")
+
+
+def _matrix_json(matrix: np.ndarray) -> str:
+    """``json.dumps(matrix.tolist())`` of a 2-D float array, each distinct
+    float spelled once."""
+    n, k = matrix.shape
+    row = "[" + ", ".join(["%s"] * k) + "]"
+    return ("[" + ", ".join([row] * n) + "]") % tuple(
+        float_cells(matrix, json.dumps).reshape(-1).tolist())
 
 
 def load_model(path: Path) -> TopicModel:

@@ -35,7 +35,8 @@ from . import __version__
 from .corpus import (DEFAULT_MAX_DF_FRACTION, DEFAULT_MIN_DF, DEFAULT_PHRASE_MIN_COUNT,
                      build_corpus, load_corpus, save_corpus)
 from .errors import DataError, StageError, UsageError
-from .fileio import read_csv, read_json, reading, sha256_file, write_csv, write_json
+from .fileio import (float_cells, read_csv, read_json, reading, sha256_file, write_csv,
+                     write_json)
 from .ingest import (author_activity_table, load_dataset, parse_dump,
                      response_time_table, save_dataset, score_relations)
 from .interaction import (build_graph, compute_user_metrics, load_graph, save_graph,
@@ -380,12 +381,14 @@ def timeline_stage(ctx: StageContext) -> None:
 
 
 def lexicon_stage(ctx: StageContext):
-    corpus = ctx.load("corpus")
+    # Both inputs are read before the first output is written, so a bad
+    # one fails the stage with nothing written.
+    corpus, assignment = ctx.load("corpus"), ctx.load("dominance.csv")
     lexicon_path = ctx.params["lexicon.path"]
     lex = load_lexicon(Path(lexicon_path)) if lexicon_path is not None else demo_lexicon()
     matrix = categorize(corpus, lex)
     write_csv(ctx.path("category_matrix.csv"), ("post_id",) + matrix.categories,
-              ((doc_id, *row) for doc_id, row in zip(matrix.doc_ids, matrix.rows.tolist())))
+              zip(matrix.doc_ids, *float_cells(matrix.rows).T.tolist()))
     n_comp = min(ctx.params["lexicon.components"],
                  len(matrix.doc_ids), len(matrix.categories))
     result = pca(matrix, n_comp)
@@ -396,7 +399,7 @@ def lexicon_stage(ctx: StageContext):
               ("component", "explained_variance", "negligible"),
               ((i, float(v), 1 if i in result.negligible else 0)
                for i, v in enumerate(result.explained_variance)))
-    profiles = topicwise_profile(result, ctx.load("dominance.csv"))
+    profiles = topicwise_profile(result, assignment)
     write_csv(ctx.path("topic_profiles.csv"),
               ("topic",) + tuple(f"component_{i}" for i in range(n_comp)),
               ((t,) + tuple("" if np.isnan(x) else float(x) for x in row)

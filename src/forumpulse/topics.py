@@ -186,9 +186,10 @@ def save_assignment(path: Path, assignment: DominantTopicAssignment) -> None:
     and topic presence to ``dominance_thresholds.csv`` and
     ``topic_presence.csv`` beside it, where ``load_assignment`` reads them."""
     path = Path(path)
+    # Each distinct topic set spelled once: the posts share a few.
+    cells = {topics: "|".join(map(str, sorted(topics))) for topics in set(assignment.dominant)}
     write_csv(path, ("post_id", "dominant_topics"),
-              ((doc_id, "|".join(str(t) for t in sorted(topics)))
-               for doc_id, topics in zip(assignment.doc_ids, assignment.dominant)))
+              zip(assignment.doc_ids, map(cells.__getitem__, assignment.dominant)))
     write_csv(path.parent / "dominance_thresholds.csv", ("topic", "mu", "sigma"),
               ((t, mu, sigma) for t, (mu, sigma) in enumerate(assignment.thresholds)))
     write_csv(path.parent / "topic_presence.csv", ("topic", "presence_fraction"),

@@ -8,6 +8,7 @@ from dataclasses import fields
 from itertools import chain, count
 from pathlib import Path
 from types import SimpleNamespace
+from xml.sax.saxutils import quoteattr
 
 import numpy as np
 import pytest
@@ -252,3 +253,77 @@ def parse_dump_per_line(post_stream, comment_stream, window=None) -> Dataset:
     comments[5] = [post_rows.get(root, -1) for root in comments[5]]
     return Dataset(Posts(*posts), Comments(*comments),
                    tallies["parse_errors"], tallies["duplicate_ids"])
+
+
+# Oracles for the writers: one Python call per cell, as the writers once
+# were. The package's writers fill one template per file and spell each
+# distinct float once; their text must equal these.
+
+def fmt_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def csv_text_per_cell(header, rows, delimiter: str = ",") -> str:
+    """The text ``write_csv`` writes, one ``fmt_cell`` call per cell."""
+    lines = [delimiter.join(header)]
+    for row in rows:
+        lines.append(delimiter.join(map(fmt_cell, row)))
+    return "\n".join(lines) + "\n"
+
+
+def graphml_text_per_cell(nodes, edges) -> str:
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+        '  <key id="weight" for="edge" attr.name="weight" attr.type="int"/>',
+        '  <graph id="interactions" edgedefault="directed">',
+    ]
+    for node in nodes:
+        lines.append(f"    <node id={quoteattr(node)}/>")
+    for source, target, weight in edges:
+        lines.append(f"    <edge source={quoteattr(source)} target={quoteattr(target)}>"
+                     f"<data key=\"weight\">{weight}</data></edge>")
+    lines.append("  </graph>")
+    lines.append("</graphml>")
+    return "\n".join(lines) + "\n"
+
+
+def dot_text_per_cell(nodes, edges) -> str:
+    def quote(name: str) -> str:
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["digraph interactions {"]
+    for node in nodes:
+        lines.append(f"  {quote(node)};")
+    for source, target, weight in edges:
+        lines.append(f"  {quote(source)} -> {quote(target)} [weight={weight}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def model_text_per_cell(model) -> str:
+    """The text ``save_model`` writes, through one ``json.dumps`` of the
+    model with theta and phi as nested lists of floats."""
+    payload = {
+        "format": "forumpulse-model-v1",
+        "config": {
+            "k": model.config.k,
+            "alpha": model.config.alpha,
+            "beta": model.config.beta,
+            "iterations": model.config.iterations,
+            "burn_in": model.config.burn_in,
+            "seed": model.config.seed,
+        },
+        "doc_ids": list(model.doc_ids),
+        "terms": list(model.terms),
+        "theta": model.theta.tolist(),
+        "phi": model.phi.tolist(),
+        "assignments": [list(row) for row in model.assignments],
+        "log_likelihood_trace": [float(x) for x in model.log_likelihood_trace],
+        "vocabulary_sha256": model.vocabulary_sha256,
+    }
+    return json.dumps(payload, sort_keys=True) + "\n"

@@ -483,6 +483,67 @@ def test_corrupt_intermediate_is_a_data_error(intermediates, tmp_path, monkeypat
     assert name.split("/")[-1] in capsys.readouterr().err
 
 
+# Each intermediate file or directory, by the name a reader's flag gives it,
+# and each subcommand that reads it.
+WRONG_KIND = [(name, command) for name in ("dataset.json", "model.json", "corpus",
+                                           "edges.csv", "dominance.csv")
+              for command in READERS if READS[name] in READERS[command]]
+
+
+@pytest.mark.parametrize("name, command", WRONG_KIND)
+def test_intermediate_of_the_wrong_kind_is_a_data_error(intermediates, tmp_path, monkeypatch,
+                                                        capsys, name, command):
+    """A directory where a subcommand reads a file, or a file where it reads
+    the corpus directory, exits 2 naming the path, and writes nothing."""
+    for part in INTERMEDIATES:
+        src = intermediates / part
+        if src.is_dir():
+            shutil.copytree(src, tmp_path / part)
+        else:
+            shutil.copy(src, tmp_path / part)
+    target = tmp_path / name
+    if target.is_dir():
+        shutil.rmtree(target)
+        target.write_text("{}\n", encoding="utf-8")
+    else:
+        target.unlink()
+        target.mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*READERS[command].split()) == 2
+    err = capsys.readouterr().err
+    assert name in err and "internal error" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _garble(path: Path, at_line: int) -> None:
+    """Put a line holding a byte that is not UTF-8 before line ``at_line``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:at_line]) + b'{"id": "x\xff"}\n'
+                     + b"".join(lines[at_line:]))
+
+
+def test_dump_that_is_not_utf8_fails_ingest_with_a_data_error(dump, config, capsys):
+    """A posts file opening with a UTF-16 byte order mark exits 2 from
+    `run`, naming the file, and leaves no dataset.json."""
+    posts = dump / "dump" / "posts.jsonl"
+    posts.write_bytes(b"\xff\xfe" + posts.read_bytes())
+    assert run_cli("run", "--config", config) == 2
+    err = capsys.readouterr().err
+    assert "stage 'ingest' failed" in err and f"{posts}: not UTF-8" in err
+    assert not (dump / "artifacts" / "dataset.json").exists()
+
+
+def test_dump_line_that_is_not_utf8_is_a_data_error(dump, capsys):
+    """A byte that is not UTF-8 after valid lines exits 2 from `ingest`,
+    naming the file, and writes nothing."""
+    comments = dump / "dump" / "comments.jsonl"
+    _garble(comments, 5)
+    assert run_cli("ingest", "--posts", dump / "dump" / "posts.jsonl",
+                   "--comments", comments, "--out", dump / "out" / "dataset.json") == 2
+    assert f"{comments}: not UTF-8" in capsys.readouterr().err
+    assert not (dump / "out").exists()
+
+
 LEXICONS = {
     "truncated": b'{"a": ["x"',
     "binary": b'\xff\xfe{"a": ["x"]}',

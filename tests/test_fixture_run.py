@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -55,6 +56,58 @@ FIXTURE_DIGESTS = {
 FIXTURE_LISTING = "d91db0dbcde2ad921f3e1bedd90a6a8a504ac5882ef0a32f47e4b1c53aa41677"
 
 
+# sha256 of every file but manifest.json that `forumpulse run` writes on the
+# 2,000-post dump of `perfbench/gen_dump.py` at seed 7, with lda.k 6 and 4
+# sweeps as the benchmark fits: a short fit leaves theta with few distinct
+# values (254 in 12,000 cells), where the fixture's is almost all distinct.
+DUMP_2000_DIGESTS = {
+    "activity_table.csv":
+        "7f7d81dca1a995227233b6db628e3261235c248b25347ce019f411a2481cad88",
+    "category_matrix.csv":
+        "39f6b42c18e5022634dad15fbed7f88f9278c5ee27288cba1cdb4f683368168a",
+    "cooccurrence.csv": "ae971bb84ce7834706c1a7bd5b777c7403d97d1e9201439763706d524a1ec79b",
+    "corpus/docs.csv": "3435bbf7e6829474e78b80dec7d33ccd18267f94746e94c0394badc9863d4863",
+    "corpus/documents.csv":
+        "62fb82f3d69527dc0c28b8e936021132ab4768c111112ef75a232bafdbfec574",
+    "corpus/meta.json": "3ab4d22c80ba982e7b71c438693f9581e438d9f6f2260565b14836fa632097b4",
+    "corpus/vocabulary.tsv":
+        "f4f43398a09eb65babe572e2cc15dd4129370eb1064e818e19e5defc2e466ed9",
+    "dataset.json": "f8e04c9c2cd28ce900a7028372850bb7da8ab32417ce8fbc3a15a949af5ce286",
+    "dominance.csv": "89e158b071d08fe94043a6c6c620598faf2c2dc238b603da59524aae13ff9aaf",
+    "dominance_thresholds.csv":
+        "5d34418636897fa2ad6b8b259281d2d039a7441ebf4ecc5ed4ecdbf24b1c4a49",
+    "edges.csv": "38014c449ec14f86bdc53ce3d6dd75b9618689145f41cbc04e6935cc88fe6a7c",
+    "graph.dot": "1f79fe0a45efd2dba93f369102dfce4638ac2122a1d015ef61a1b9bca50d32a9",
+    "graph.graphml": "8cc91ceb331aa2d1c75740e9d0f4dc6f2fbfb1c0ed895065c898da46519deab4",
+    "influencer_subgraph.graphml":
+        "262f0197aa21ba92fdc31b87f69f9ea945650fb0bdfc587b8012a890f4b24181",
+    "model.json": "8ce90ebf1f34c7267bd6d4bdbfbb5acc0daf3cf24af0d0011d76643fef4110e6",
+    "monthly_topics.csv":
+        "fa101c751e25ed64d6e5975b8843c2139c06da1a980bf8a6d56b8f1fd802c84e",
+    "pca_components.csv":
+        "f8d7cfbd7031d85ee15a83e9dac27fbac98e22c9994b883c5b5f76efe5fa7476",
+    "pca_variance.csv": "50b9110aea24634e69034a3cb76bb207f76e4dbb583f9113d08132d9779e87c8",
+    "report.json": "fa421754262bbfe243d767ee37ea869251e975d6629d342f44cec9a11284d5c7",
+    "response_times.csv":
+        "1a9b92f976c6cb1ea24efbef84df31d83f731e9599f904a1a2bc8c98f9998e21",
+    "score_relations.csv":
+        "96e24dee2b70a82e04e0c874d3b798021e924b3412b9b59e8df8cd1c5de86747",
+    "skewness_scan.csv": "fc08a0028bf70a16ef3d3f60b1287f0dcc240b2a304f59799ff018dd50606042",
+    "spread_influence.csv":
+        "9fea1a17921d40280dc1640ef6666197001ad6b39976689018b9f1812a38c182",
+    "stats_summary.json":
+        "9628b310f0e6d007cd43bab6af43257a5108cb2297869ce8feb2c4be46fd8ee7",
+    "top_influencers.csv":
+        "3ccd06d11c186a101d5db02e80b73cbd90c1b7a2c88a34539208679754d200cc",
+    "topic_presence.csv":
+        "ecd788f623a57584ccf07023765a6bc2fb3c693eeecd7972056b226f2b603172",
+    "topic_profiles.csv":
+        "ac4c0397add9cc62e99b991cf6294e0020b2c8cc2ff488db0f3695c612fa12b8",
+    "user_classes.json": "00617ea634fcebe6c3b176f416a05beecb1bfc1552038234e0f1e0a73814d81b",
+    "user_metrics.csv": "85ef0523ad02c0522b4ac5b49b216ebdde40680fbc5ada3d862008a56eb3b0e2",
+}
+
+
 def artifact_digests(directory: Path) -> dict[str, str]:
     """sha256 of every file under ``directory`` but manifest.json, by path."""
     return {path.relative_to(directory).as_posix(): sha256_file(path)
@@ -68,6 +121,25 @@ def test_fixture_run_writes_the_pinned_bytes(tmp_path):
     assert digests == FIXTURE_DIGESTS
     listing = "".join(f"{digest}  ./{name}\n" for name, digest in sorted(digests.items()))
     assert hashlib.sha256(listing.encode("utf-8")).hexdigest() == FIXTURE_LISTING
+
+
+def gen_dump():
+    """``perfbench/gen_dump.py`` as a module, executed from its source so
+    that nothing is written beside it."""
+    path = FIXTURE_DIR.parents[1] / "perfbench" / "gen_dump.py"
+    module = types.ModuleType("gen_dump")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_generated_dump_run_writes_the_pinned_bytes(tmp_path):
+    gen_dump().write_dump(tmp_path / "dump", seed=7, n_posts=2000, n_users=200, k_true=6)
+    write_json(tmp_path / "dump" / "config.json", {
+        "posts": "posts.jsonl", "comments": "comments.jsonl",
+        "lda.k": 6, "lda.iterations": 4, "lda.burn_in": 2, "graph.top_k": 10})
+    run_pipeline(tmp_path / "dump" / "config.json", out_dir=tmp_path / "out",
+                 echo=lambda *_: None)
+    assert artifact_digests(tmp_path / "out") == DUMP_2000_DIGESTS
 
 
 def test_directory_of_format_1_reruns_ingest_and_its_readers(tmp_path):
