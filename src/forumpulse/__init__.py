@@ -8,9 +8,9 @@ from .ingest import (AuthorCategory, Comments, Dataset, Posts,
                      score_relations)
 from .corpus import Corpus, Vocabulary, build_corpus
 from .lda import LdaConfig, TopicModel, fit, top_words
-from .topics import (CooccurrenceMatrix, DominantTopicAssignment,
-                     SkewnessReport, cooccurrence, count_nonpositive,
-                     dominant_topics, monthly_distribution, select_k, skewness)
+from .topics import (DominantTopicAssignment, SkewnessReport, cooccurrence,
+                     count_nonpositive, dominant_topics, monthly_distribution,
+                     select_k, skewness)
 from .lexicon import (CategoryMatrix, Lexicon, PcaResult, categorize,
                       demo_lexicon, load_lexicon, pca, topicwise_profile)
 from .interaction import (InteractionGraph, UserMetrics, build_graph,

@@ -215,7 +215,7 @@ def _cmd_topics_fit(args) -> int:
 
 def _cmd_topics_dominance(args) -> int:
     assignment = dominance_stage(_context(args, "dominance", {"model.json": args.model}))
-    unassigned = sum(1 for topics in assignment.dominant if not topics)
+    unassigned = int((~assignment.mask.any(axis=1)).sum())
     print(f"dominance written to {args.out} "
           f"({unassigned} posts with no dominant topic)")
     return 0

@@ -130,6 +130,15 @@ class Dataset:
         the dataset (the comment itself is retained)."""
         return int(np.count_nonzero(self.comments.parent < 0))
 
+    def post_rows(self, ids: Sequence[str]) -> np.ndarray:
+        """The row in ``posts`` of each of ``ids``; DataError naming the
+        first that is not a post of the dataset."""
+        row = dict(zip(self.posts.id, range(len(self.posts))))
+        missing = next((i for i in ids if i not in row), None)
+        if missing is not None:
+            raise DataError(f"post {missing!r} not present in dataset")
+        return np.fromiter(map(row.__getitem__, ids), dtype=np.int64, count=len(ids))
+
     @cached_property
     def authors(self) -> list[str]:
         """The authors but the sentinels, ascending."""

@@ -112,17 +112,13 @@ def topic_spread(dataset: Dataset, assignment: DominantTopicAssignment,
 
     Only comments by non-sentinel authors whose root post has at least one
     dominant topic under ``assignment`` count. A user without such a comment
-    is absent, which is distinct from any numeric spread value.
+    is absent, which is distinct from any numeric spread value. DataError
+    when ``assignment`` names a post that is not in ``dataset``.
     """
     n_posts, k = len(dataset.posts), assignment.k
-    row = dict(zip(dataset.posts.id, range(n_posts)))
     # One row per post and a last one, with no topic, for a dangling root (-1).
     dominant = np.zeros((n_posts + 1, k), dtype=bool)
-    cells = [(row[doc_id], t)
-             for doc_id, topics in zip(assignment.doc_ids, assignment.dominant)
-             if doc_id in row for t in topics]
-    if cells:
-        dominant[tuple(zip(*cells))] = True
+    dominant[dataset.post_rows(assignment.doc_ids)] = assignment.mask
     hits = dominant[dataset.comments.root]
     n_topics = hits.sum(axis=1)
     user = dataset.author_index[n_posts:]

@@ -219,36 +219,21 @@ def pca(matrix: CategoryMatrix | np.ndarray, n_comp: int) -> PcaResult:
                      projections=projections, mean=mean, negligible=negligible)
 
 
-@dataclass(frozen=True)
-class TopicProfiles:
-    """Mean component scores over the posts where each topic is dominant.
+def topicwise_profile(pca_result: PcaResult, assignment) -> np.ndarray:
+    """The read-only (k, components) mean component scores over the posts
+    where each topic is dominant; a topic dominant in no post has a NaN row.
 
-    Rows of ``profiles`` align with topic index; topics that are dominant in
-    no post have NaN rows and appear in ``undefined_topics``.
-    """
-
-    profiles: np.ndarray
-    undefined_topics: tuple[int, ...]
-
-
-def topicwise_profile(pca_result: PcaResult, assignment) -> TopicProfiles:
+    Each topic's scores are summed in post order, as a loop over the posts
+    would add them."""
     projections = pca_result.projections
-    if len(assignment.dominant) != projections.shape[0]:
+    if assignment.mask.shape[0] != projections.shape[0]:
         raise ValueError("projections and dominant assignments are misaligned")
-    k = assignment.k
-    n_comp = projections.shape[1]
-    totals = np.zeros((k, n_comp))
-    counts = np.zeros(k, dtype=np.int64)
-    for row, topics in zip(projections, assignment.dominant):
-        for t in topics:
-            totals[t] += row
-            counts[t] += 1
-
-    profiles = np.full((k, n_comp), np.nan)
+    post, topic = np.nonzero(assignment.mask)
+    totals = np.zeros((assignment.k, projections.shape[1]))
+    np.add.at(totals, topic, projections[post])
+    counts = np.bincount(topic, minlength=assignment.k)
+    profiles = np.full_like(totals, np.nan)
     defined = counts > 0
     profiles[defined] = totals[defined] / counts[defined, None]
     profiles.setflags(write=False)
-    return TopicProfiles(
-        profiles=profiles,
-        undefined_topics=tuple(int(t) for t in np.flatnonzero(~defined)),
-    )
+    return profiles

@@ -368,10 +368,10 @@ def dominance_stage(ctx: StageContext):
 
 
 def cooccur_stage(ctx: StageContext) -> None:
-    matrix = cooccurrence(ctx.load("dominance.csv"))
+    counts = cooccurrence(ctx.load("dominance.csv"))
+    i, j = np.triu_indices(len(counts))
     write_csv(ctx.path("cooccurrence.csv"), ("topic_i", "topic_j", "count"),
-              ((i, j, int(matrix.counts[i, j]))
-               for i in range(matrix.k) for j in range(i, matrix.k)))
+              zip(i.tolist(), j.tolist(), counts[i, j].tolist()))
 
 
 def timeline_stage(ctx: StageContext) -> None:
@@ -403,7 +403,7 @@ def lexicon_stage(ctx: StageContext):
     write_csv(ctx.path("topic_profiles.csv"),
               ("topic",) + tuple(f"component_{i}" for i in range(n_comp)),
               ((t,) + tuple("" if np.isnan(x) else float(x) for x in row)
-               for t, row in enumerate(profiles.profiles)))
+               for t, row in enumerate(profiles)))
     return result
 
 
@@ -540,7 +540,10 @@ def run_pipeline(config_path: Path,
             except DataError as exc:
                 raise StageError(stage.name, exc) from exc
     target = Path(out_dir) if out_dir is not None else Path(config["out_dir"])
-    target.mkdir(parents=True, exist_ok=True)
+    # The first file a stage writes makes the directory.
+    nearest = next(p for p in (target, *target.parents) if p.exists())
+    if not nearest.is_dir():
+        raise DataError(f"output directory {target}: {nearest} is not a directory")
     # A run killed inside write_text leaves its temporary file beside the output.
     for name in ("manifest.json",) + tuple(n for stage in STAGES for n in stage.outputs):
         for stale in (target / name).parent.glob(f".{Path(name).name}.*.tmp"):

@@ -10,10 +10,8 @@ coarsest model that leaves the fewest documents topicless.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -125,50 +123,43 @@ def select_k(corpus: Corpus, k_min: int, k_max: int, base: LdaConfig,
     return SelectKResult(k=best[0], model=best[1], reports=tuple(reports))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DominantTopicAssignment:
-    """Per-post dominant topic sets under the mu + sigma threshold rule.
+    """Per-post dominant topics under the mu + sigma threshold rule.
 
     Topic i is dominant for a post when its probability strictly exceeds
     mu_i + sigma_i, computed over that topic's probabilities across all
     posts (population sigma). A post may have any number of dominant
-    topics, including none.
+    topics, including none. ``mask`` is a read-only (posts, k) bool array:
+    row p, column i is True when topic i is dominant in post ``doc_ids[p]``.
     """
 
     doc_ids: tuple[str, ...]
     thresholds: tuple[tuple[float, float], ...]   # per topic (mu, sigma)
-    dominant: tuple[frozenset[int], ...]
-    topic_presence: tuple[float, ...]
+    mask: np.ndarray
+
+    def __post_init__(self):
+        self.mask.setflags(write=False)
 
     @property
     def k(self) -> int:
-        return len(self.thresholds)
+        return self.mask.shape[1]
+
+    @property
+    def topic_presence(self) -> tuple[float, ...]:
+        """Per topic, the fraction of posts where it is dominant."""
+        return tuple((self.mask.sum(axis=0) / len(self.mask)).tolist())
 
 
 def dominant_topics(model: TopicModel) -> DominantTopicAssignment:
     theta = model.theta
     mu = theta.mean(axis=0)
     sigma = np.sqrt(np.mean((theta - mu) ** 2, axis=0))
-    mask = theta > mu + sigma
-    # One set per distinct row of the mask, the rows told apart by their
-    # bits packed into bytes.
-    packed = np.packbits(mask, axis=1)
-    _, first, rows = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
-                               return_index=True, return_inverse=True)
-    sets = [frozenset(np.flatnonzero(mask[i]).tolist()) for i in first.tolist()]
-    dominant = tuple(map(sets.__getitem__, rows.tolist()))
     return DominantTopicAssignment(
         doc_ids=model.doc_ids,
         thresholds=tuple((float(m), float(s)) for m, s in zip(mu, sigma)),
-        dominant=dominant,
-        topic_presence=_presence(dominant, model.k),
+        mask=theta > mu + sigma,
     )
-
-
-def _presence(dominant: Sequence[frozenset[int]], k: int) -> tuple[float, ...]:
-    """Per topic, the fraction of posts where it is dominant."""
-    posts = Counter(chain.from_iterable(dominant))
-    return tuple(posts[t] / len(dominant) for t in range(k))
 
 
 def _topic_table(path: Path, width: int) -> tuple[tuple[float, ...], ...]:
@@ -186,10 +177,15 @@ def save_assignment(path: Path, assignment: DominantTopicAssignment) -> None:
     and topic presence to ``dominance_thresholds.csv`` and
     ``topic_presence.csv`` beside it, where ``load_assignment`` reads them."""
     path = Path(path)
-    # Each distinct topic set spelled once: the posts share a few.
-    cells = {topics: "|".join(map(str, sorted(topics))) for topics in set(assignment.dominant)}
+    # Each distinct row spelled once, the rows told apart by their bits
+    # packed into bytes: the posts share a few.
+    mask = assignment.mask
+    packed = np.packbits(mask, axis=1)
+    _, first, rows = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                               return_index=True, return_inverse=True)
+    cells = ["|".join(map(str, np.flatnonzero(mask[i]).tolist())) for i in first.tolist()]
     write_csv(path, ("post_id", "dominant_topics"),
-              zip(assignment.doc_ids, map(cells.__getitem__, assignment.dominant)))
+              zip(assignment.doc_ids, map(cells.__getitem__, rows.tolist())))
     write_csv(path.parent / "dominance_thresholds.csv", ("topic", "mu", "sigma"),
               ((t, mu, sigma) for t, (mu, sigma) in enumerate(assignment.thresholds)))
     write_csv(path.parent / "topic_presence.csv", ("topic", "presence_fraction"),
@@ -204,59 +200,49 @@ def load_assignment(path: Path) -> DominantTopicAssignment:
     thresholds = _topic_table(path.parent / "dominance_thresholds.csv", 3)
     with reading(path, "dominance file"):
         doc_ids, cells = zip(*read_csv(path, 2))
-        # Each distinct cell parsed once: the posts share a few topic sets.
-        sets = {cell: frozenset(int(t) for t in cell.split("|") if t) for cell in set(cells)}
-        if any(not 0 <= t < len(thresholds) for s in sets.values() for t in s):
-            raise ValueError(f"a topic outside the {len(thresholds)} thresholds")
-        dominant = tuple(map(sets.__getitem__, cells))
-    presence = _presence(dominant, len(thresholds))
-    if presence != tuple(p for (p,) in _topic_table(path.parent / "topic_presence.csv", 2)):
+        if len(set(doc_ids)) != len(doc_ids):
+            raise ValueError("a post id more than once")
+        # Each distinct cell parsed once, into the bytes of its mask row:
+        # the posts share a few topic sets.
+        rows = {}
+        for cell in set(cells):
+            topics = [int(t) for t in cell.split("|") if t]
+            if any(not 0 <= t < len(thresholds) for t in topics):
+                raise ValueError(f"a topic outside the {len(thresholds)} thresholds")
+            rows[cell] = np.isin(np.arange(len(thresholds)), topics).tobytes()
+    mask = np.frombuffer(b"".join(map(rows.__getitem__, cells)), dtype=bool)
+    assignment = DominantTopicAssignment(doc_ids, thresholds,
+                                         mask.reshape(len(cells), len(thresholds)))
+    if assignment.topic_presence != tuple(
+            p for (p,) in _topic_table(path.parent / "topic_presence.csv", 2)):
         raise DataError(f"{path}: dominant topics disagree with topic_presence.csv")
-    return DominantTopicAssignment(doc_ids, thresholds, dominant, presence)
+    return assignment
 
 
-@dataclass(frozen=True)
-class CooccurrenceMatrix:
-    """Symmetric pair counts; the diagonal holds sole-dominant post counts."""
-
-    counts: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.counts.shape[0]
-
-
-def cooccurrence(assignment: DominantTopicAssignment) -> CooccurrenceMatrix:
-    k = assignment.k
-    counts = np.zeros((k, k), dtype=np.int64)
-    for topics in assignment.dominant:
-        if len(topics) == 1:
-            (t,) = topics
-            counts[t, t] += 1
-            continue
-        ordered = sorted(topics)
-        for a in range(len(ordered)):
-            for b in range(a + 1, len(ordered)):
-                counts[ordered[a], ordered[b]] += 1
-                counts[ordered[b], ordered[a]] += 1
+def cooccurrence(assignment: DominantTopicAssignment) -> np.ndarray:
+    """The read-only (k, k) int64 counts of posts where both topics are
+    dominant; the diagonal instead counts the posts where its topic is the
+    only dominant one."""
+    mask = assignment.mask
+    counts = mask.T.astype(np.int64) @ mask
+    np.fill_diagonal(counts, mask[mask.sum(axis=1) == 1].sum(axis=0))
     counts.setflags(write=False)
-    return CooccurrenceMatrix(counts=counts)
+    return counts
 
 
 def monthly_distribution(assignment: DominantTopicAssignment,
                          dataset: Dataset) -> dict[tuple[int, str], int]:
     """Posts per (topic, calendar month), UTC; multi-dominant posts count once
     per dominant topic."""
-    row = dict(zip(dataset.posts.id, range(len(dataset.posts))))
-    missing = next((doc_id for doc_id in assignment.doc_ids if doc_id not in row), None)
-    if missing is not None:
-        raise DataError(f"post {missing!r} not present in dataset")
-    created = dataset.posts.created_at[[row[doc_id] for doc_id in assignment.doc_ids]]
+    created = dataset.posts.created_at[dataset.post_rows(assignment.doc_ids)]
     months = created.astype("datetime64[s]").astype("datetime64[M]").astype(np.int64)
     # Each month named once, from the time of its first post.
-    distinct, first = np.unique(months, return_index=True)
-    names = {month: datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m")
-             for month, t in zip(distinct.tolist(), created[first].tolist())}
-    counts = Counter((t, month) for month, topics in zip(months.tolist(), assignment.dominant)
-                     for t in topics)
-    return {(t, names[month]): n for (t, month), n in counts.items()}
+    _, first, month = np.unique(months, return_index=True, return_inverse=True)
+    names = [datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m")
+             for t in created[first].tolist()]
+    post, topic = np.nonzero(assignment.mask)
+    counts = np.bincount(topic * len(names) + month[post],
+                         minlength=assignment.k * len(names)).reshape(assignment.k, len(names))
+    topics, month = np.nonzero(counts)
+    return {(t, names[m]): n for t, m, n in zip(topics.tolist(), month.tolist(),
+                                                 counts[topics, month].tolist())}

@@ -5,6 +5,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import fields
+from datetime import datetime, timezone
 from itertools import chain, count
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ import pytest
 import forumpulse
 from forumpulse.corpus import Corpus, Vocabulary, build_corpus, default_stopwords
 from forumpulse.ingest import Comments, Dataset, Posts, parse_dump
+from forumpulse.topics import DominantTopicAssignment
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "synthetic-200"
 
@@ -107,6 +109,22 @@ def comment_views(dataset) -> list[SimpleNamespace]:
             for cid, author, root, parent in zip(comments.id, comments.author,
                                                  comments.root.tolist(),
                                                  comments.parent.tolist())]
+
+
+def assignment_of(dominant_sets, k: int, doc_ids=None) -> DominantTopicAssignment:
+    """The assignment whose i-th post, ``doc_ids[i]`` (default ``p<i>``), has
+    the dominant topics ``dominant_sets[i]``, with every threshold (0, 0)."""
+    mask = np.zeros((len(dominant_sets), k), dtype=bool)
+    for row, topics in zip(mask, dominant_sets):
+        row[list(topics)] = True
+    if doc_ids is None:
+        doc_ids = [f"p{i}" for i in range(len(dominant_sets))]
+    return DominantTopicAssignment(tuple(doc_ids), ((0.0, 0.0),) * k, mask)
+
+
+def same_assignment(a: DominantTopicAssignment, b: DominantTopicAssignment) -> bool:
+    """``a`` and ``b`` are equal field by field."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
 @pytest.fixture
@@ -327,3 +345,53 @@ def model_text_per_cell(model) -> str:
         "vocabulary_sha256": model.vocabulary_sha256,
     }
     return json.dumps(payload, sort_keys=True) + "\n"
+
+
+# Oracles that the tests compare the dominance readers' mask code with: a
+# loop over each post's set of dominant topics.
+
+def presence_per_set(sets, k: int) -> tuple[float, ...]:
+    """Per topic, the fraction of ``sets`` that hold it."""
+    posts = Counter(chain.from_iterable(sets))
+    return tuple(posts[t] / len(sets) for t in range(k))
+
+
+def cooccurrence_per_set(sets, k: int) -> np.ndarray:
+    """Pair counts of co-dominant topics; sole-dominant counts on the diagonal."""
+    counts = np.zeros((k, k), dtype=np.int64)
+    for topics in sets:
+        if len(topics) == 1:
+            (t,) = topics
+            counts[t, t] += 1
+            continue
+        ordered = sorted(topics)
+        for a in range(len(ordered)):
+            for b in range(a + 1, len(ordered)):
+                counts[ordered[a], ordered[b]] += 1
+                counts[ordered[b], ordered[a]] += 1
+    return counts
+
+
+def topicwise_profile_per_row(projections: np.ndarray, sets, k: int) -> np.ndarray:
+    """Per topic, the mean of the projection rows of the posts where it is
+    dominant, added one row at a time; NaN where it is dominant in none."""
+    totals = np.zeros((k, projections.shape[1]))
+    counts = np.zeros(k, dtype=np.int64)
+    for row, topics in zip(projections, sets):
+        for t in topics:
+            totals[t] += row
+            counts[t] += 1
+    profiles = np.full((k, projections.shape[1]), np.nan)
+    defined = counts > 0
+    profiles[defined] = totals[defined] / counts[defined, None]
+    return profiles
+
+
+def monthly_tally_per_set(doc_ids, sets, dataset: Dataset) -> dict[tuple[int, str], int]:
+    """Posts per (topic, UTC calendar month), a post counted once per topic
+    in its set."""
+    row = dict(zip(dataset.posts.id, range(len(dataset.posts))))
+    created = dataset.posts.created_at[[row[doc_id] for doc_id in doc_ids]].tolist()
+    return dict(Counter(
+        (t, datetime.fromtimestamp(c, tz=timezone.utc).strftime("%Y-%m"))
+        for c, topics in zip(created, sets) for t in topics))

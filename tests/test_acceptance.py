@@ -25,8 +25,8 @@ from forumpulse.lexicon import pca
 from forumpulse.pipeline import run_pipeline, stage_seed
 from forumpulse.topics import dominant_topics, select_k, skewness
 
-from conftest import (comment_record, comment_views, corpus_from_counts, make_dataset,
-                      post_record)
+from conftest import (assignment_of, comment_record, comment_views, corpus_from_counts,
+                      make_dataset, post_record)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "synthetic-200"
 
@@ -167,7 +167,7 @@ def test_criterion_4_dominance_rule(fixture_scan):
                        f"topic {t}: thresholds diverge"))
         for i, value in enumerate(column):
             expected = value > mu + sigma
-            got = t in assignment.dominant[i]
+            got = bool(assignment.mask[i, t])
             if expected != got:
                 checks.append((False, f"doc {i} topic {t}: rule mismatch"))
     checks.append((True, ""))
@@ -177,9 +177,9 @@ def test_criterion_4_dominance_rule(fixture_scan):
     flat = replace(result.model,
                    theta=np.full((6, result.model.k), 1.0 / result.model.k))
     degenerate = dominant_topics(flat)
-    checks.append((all(s == frozenset() for s in degenerate.dominant),
+    checks.append((not degenerate.mask.any(),
                    "degenerate all-equal theta must yield empty dominant sets"))
-    unassigned = sum(1 for s in assignment.dominant if not s)
+    unassigned = int((~assignment.mask.any(axis=1)).sum())
     _verdict(4, checks,
              f"recomputation exact over {theta.shape[0]} docs x {theta.shape[1]} "
              f"topics; {unassigned} posts with no dominant topic")
@@ -204,13 +204,8 @@ def test_criterion_5_metric_oracle_equivalence():
     dominant_by_post = {p: frozenset(t for t in range(3) if rng.random() < 0.5)
                         for p in dataset.posts.id}
 
-    from forumpulse.topics import DominantTopicAssignment
-    assignment = DominantTopicAssignment(
-        doc_ids=tuple(sorted(dominant_by_post)),
-        thresholds=((0.0, 0.0),) * 3,
-        dominant=tuple(dominant_by_post[i] for i in sorted(dominant_by_post)),
-        topic_presence=(0.0,) * 3,
-    )
+    ids = sorted(dominant_by_post)
+    assignment = assignment_of([dominant_by_post[i] for i in ids], 3, ids)
     graph = build_graph(dataset)
     metrics = compute_user_metrics(dataset, graph, assignment)
 
@@ -247,8 +242,7 @@ def test_criterion_5_metric_oracle_equivalence():
     # Spot values from the stated micro-cases.
     spot1 = make_dataset([post_record("p1", author="oo")],
                          [comment_record("c1", "t3_p1", "p1", author="me")])
-    a1 = DominantTopicAssignment(doc_ids=("p1",), thresholds=((0.0, 0.0),),
-                                 dominant=(frozenset({0}),), topic_presence=(0.0,))
+    a1 = assignment_of([{0}], 1, ["p1"])
     m1 = compute_user_metrics(spot1, build_graph(spot1), a1)
     me1 = {m.user: m for m in m1}["me"]
     checks.append((me1.tau == 1.0, "single-topic commenter must have tau = 1"))
@@ -257,9 +251,7 @@ def test_criterion_5_metric_oracle_equivalence():
         [post_record("p1", author="o1"), post_record("p2", author="o2")],
         [comment_record("c1", "t3_p1", "p1", author="me"),
          comment_record("c2", "t3_p2", "p2", author="me", created=2100)])
-    a2 = DominantTopicAssignment(
-        doc_ids=("p1", "p2"), thresholds=((0.0, 0.0), (0.0, 0.0)),
-        dominant=(frozenset({0}), frozenset({1})), topic_presence=(0.0, 0.0))
+    a2 = assignment_of([{0}, {1}], 2, ["p1", "p2"])
     me2 = {m.user: m for m in
            compute_user_metrics(spot2, build_graph(spot2), a2)}["me"]
     checks.append((me2.tau == 8.0, "even two-way split must have tau = 8"))

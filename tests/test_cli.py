@@ -119,6 +119,17 @@ def test_directory_input_is_data_error(intermediates, dump, config, capsys, comm
     assert not (dump / "artifacts").exists()
 
 
+@pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+def test_out_dir_at_or_under_a_file_is_data_error(dump, config, capsys, out_dir):
+    """An --out-dir that is a regular file, or lies under one, exits 2,
+    named, before any stage runs."""
+    (dump / "afile").write_text("x\n", encoding="utf-8")
+    assert run_cli("run", "--config", config, "--out-dir", dump / out_dir) == 2
+    out, err = capsys.readouterr()
+    assert f"{dump / 'afile'} is not a directory" in err and "[ingest]" not in out
+    assert (dump / "afile").read_text(encoding="utf-8") == "x\n"
+
+
 def test_subcommand_chain(dump, capsys):
     t = dump
     assert run_cli("ingest", "--posts", t / "dump/posts.jsonl",
@@ -411,6 +422,14 @@ def _json_with(data: bytes, name: str, fill) -> bytes:
     return json.dumps(payload).encode()
 
 
+def _with_post_id(data: bytes, line: int, post_id: bytes) -> bytes:
+    """The ``dominance.csv`` bytes ``data`` with the post id of line
+    ``line`` (the header is line 0) replaced by ``post_id``."""
+    lines = data.split(b"\n")
+    lines[line] = post_id + b"," + lines[line].split(b",", 1)[1]
+    return b"\n".join(lines)
+
+
 def _dataset_column(table: str, column: str, change):
     """A corruption that replaces a column of dataset.json with
     ``change(cells, n_posts, n_records)``, where the records are the posts
@@ -447,9 +466,11 @@ CORRUPTIONS = {
                                           lambda cells, *_: [253402300800] + cells[1:]),
     "outside-int64": _dataset_column("comments", "score", lambda cells, *_: [2**63] + cells[1:]),
     "format-1": lambda data, name: json.dumps(as_format_1(json.loads(data))).encode(),
+    "repeated-id": lambda data, name: _with_post_id(data, 2, data.split(b"\n")[1].split(b",")[0]),
 }
 # The files each corruption that does not apply to every file applies to.
 ONLY = {"keys": FORMATS, "short-theta": ("model.json",),
+        "repeated-id": ("dominance.csv",),
         **dict.fromkeys(("yesterday", "short-column", "bool-int", "parent-range", "root-range",
                          "created-zero", "created-after-9999", "outside-int64", "format-1"),
                         ("dataset.json",))}
@@ -515,6 +536,21 @@ def test_intermediate_of_the_wrong_kind_is_a_data_error(intermediates, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["users metrics", "topics timeline"])
+def test_dominance_of_a_post_not_in_the_dataset_is_a_data_error(
+        intermediates, tmp_path, monkeypatch, capsys, command):
+    """A dominance file that names a post the dataset lacks exits 2, naming
+    the post, in both readers that look posts up in the dataset."""
+    for part in INTERMEDIATES:
+        if part != "corpus":
+            shutil.copy(intermediates / part, tmp_path / part)
+    dominance = tmp_path / "dominance.csv"
+    dominance.write_bytes(_with_post_id(dominance.read_bytes(), 1, b"nope"))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*READERS[command].split()) == 2
+    assert "post 'nope' not present in dataset" in capsys.readouterr().err
+
+
 def _garble(path: Path, at_line: int) -> None:
     """Put a line holding a byte that is not UTF-8 before line ``at_line``."""
     lines = path.read_bytes().splitlines(keepends=True)
@@ -530,7 +566,7 @@ def test_dump_that_is_not_utf8_fails_ingest_with_a_data_error(dump, config, caps
     assert run_cli("run", "--config", config) == 2
     err = capsys.readouterr().err
     assert "stage 'ingest' failed" in err and f"{posts}: not UTF-8" in err
-    assert not (dump / "artifacts" / "dataset.json").exists()
+    assert not (dump / "artifacts").exists()
 
 
 def test_dump_line_that_is_not_utf8_is_a_data_error(dump, capsys):

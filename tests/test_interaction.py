@@ -16,19 +16,14 @@ from forumpulse.interaction import (build_graph, compute_user_metrics, dot_text,
                                     graphml_text, load_graph, reach, save_graph,
                                     spread_influence_rows, top_influencers_subgraph,
                                     topic_spread, user_classes)
-from forumpulse.topics import DominantTopicAssignment
 
-from conftest import FIXTURE_DIR, comment_record, comment_views, make_dataset, post_record
+from conftest import (FIXTURE_DIR, assignment_of, comment_record, comment_views, make_dataset,
+                      post_record)
 
 
-def _assignment(pairs: dict[str, set[int]], k: int) -> DominantTopicAssignment:
-    ids = tuple(sorted(pairs))
-    return DominantTopicAssignment(
-        doc_ids=ids,
-        thresholds=tuple((0.0, 0.0) for _ in range(k)),
-        dominant=tuple(frozenset(pairs[i]) for i in ids),
-        topic_presence=tuple(0.0 for _ in range(k)),
-    )
+def _assignment(pairs: dict[str, set[int]], k: int):
+    ids = sorted(pairs)
+    return assignment_of([pairs[i] for i in ids], k, ids)
 
 
 @pytest.mark.parametrize("users", [40, 1])
@@ -377,12 +372,7 @@ def test_fifty_user_fixture_matches_bruteforce():
     k = 3
     dominant_by_post = {p: frozenset(
         t for t in range(k) if rng.random() < 0.4) for p in d.posts.id}
-    assignment = DominantTopicAssignment(
-        doc_ids=tuple(sorted(dominant_by_post)),
-        thresholds=tuple((0.0, 0.0) for _ in range(k)),
-        dominant=tuple(dominant_by_post[i] for i in sorted(dominant_by_post)),
-        topic_presence=(0.0,) * k,
-    )
+    assignment = _assignment(dominant_by_post, k)
 
     graph = build_graph(d)
     metrics = compute_user_metrics(d, graph, assignment)

@@ -8,9 +8,8 @@ import pytest
 from forumpulse.errors import DataError
 from forumpulse.lexicon import (Lexicon, categorize, demo_lexicon,
                                 load_lexicon, pca, topicwise_profile)
-from forumpulse.topics import DominantTopicAssignment
 
-from conftest import corpus_from_tokens
+from conftest import assignment_of, corpus_from_tokens
 
 
 def lex(**categories) -> Lexicon:
@@ -139,31 +138,20 @@ def test_pca_validates_n_comp():
         pca(rows, 0)
 
 
-def _assignment(dominant_sets, k):
-    n = len(dominant_sets)
-    return DominantTopicAssignment(
-        doc_ids=tuple(f"p{i}" for i in range(n)),
-        thresholds=tuple((0.0, 0.0) for _ in range(k)),
-        dominant=tuple(frozenset(s) for s in dominant_sets),
-        topic_presence=tuple(
-            sum(1 for s in dominant_sets if t in s) / n for t in range(k)),
-    )
-
-
 def test_topicwise_profile_single_post():
     rows = np.array([[4.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
     result = pca(rows, 2)
-    a = _assignment([{0}, set(), set()], k=1)
+    a = assignment_of([{0}, set(), set()], k=1)
     profiles = topicwise_profile(result, a)
-    assert np.allclose(profiles.profiles[0], result.projections[0])
+    assert np.allclose(profiles[0], result.projections[0])
 
 
 def test_topicwise_profile_mean_of_two():
     class Stub:
         projections = np.array([[1.0, 0.0], [3.0, 0.0]])
 
-    profiles = topicwise_profile(Stub(), _assignment([{0}, {0}], k=1))
-    assert profiles.profiles.tolist() == [[2.0, 0.0]]
+    profiles = topicwise_profile(Stub(), assignment_of([{0}, {0}], k=1))
+    assert profiles.tolist() == [[2.0, 0.0]]
 
 
 def test_topicwise_profile_matches_bruteforce_groupby():
@@ -178,14 +166,13 @@ def test_topicwise_profile_matches_bruteforce_groupby():
     sets = [set(int(t) for t in rng.choice(4, size=rng.integers(0, 3),
                                            replace=False))
             for _ in range(50)]
-    profiles = topicwise_profile(stub, _assignment(sets, k=4))
+    profiles = topicwise_profile(stub, assignment_of(sets, k=4))
     for t in range(4):
         members = [projections[i] for i, s in enumerate(sets) if t in s]
         if not members:
-            assert t in profiles.undefined_topics
-            assert np.isnan(profiles.profiles[t]).all()
+            assert np.isnan(profiles[t]).all()
         else:
-            assert np.allclose(profiles.profiles[t],
+            assert np.allclose(profiles[t],
                                np.mean(members, axis=0))
 
 
@@ -194,4 +181,4 @@ def test_topicwise_profile_alignment_checked():
         projections = np.zeros((3, 2))
 
     with pytest.raises(ValueError):
-        topicwise_profile(Stub(), _assignment([{0}], k=1))
+        topicwise_profile(Stub(), assignment_of([{0}], k=1))

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import math
 import statistics
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +16,14 @@ from hypothesis import strategies as st
 from forumpulse.errors import DataError
 from forumpulse.lda import LdaConfig, fit
 from forumpulse.pipeline import StageContext, dominance_stage
-from forumpulse.topics import (DominantTopicAssignment, cooccurrence,
-                               count_nonpositive, dominant_topics, load_assignment,
-                               monthly_distribution, select_k, skewness)
+from forumpulse.lexicon import topicwise_profile
+from forumpulse.topics import (cooccurrence, count_nonpositive, dominant_topics,
+                               load_assignment, monthly_distribution, save_assignment,
+                               select_k, skewness)
 
-from conftest import corpus_from_counts, make_dataset, post_record
+from conftest import (assignment_of, cooccurrence_per_set, corpus_from_counts, make_dataset,
+                      monthly_tally_per_set, post_record, presence_per_set, same_assignment,
+                      topicwise_profile_per_row)
 
 
 def naive_skewness(values):
@@ -248,14 +254,14 @@ def test_dominant_topics_hand_column():
     mu0, sigma0 = assignment.thresholds[0]
     assert mu0 == pytest.approx(0.3)
     assert sigma0 == pytest.approx(math.sqrt(0.12), abs=1e-12)
-    assert 0 in assignment.dominant[0]
-    assert all(0 not in assignment.dominant[i] for i in (1, 2, 3))
+    assert assignment.mask[0, 0]
+    assert not assignment.mask[1:, 0].any()
 
 
 def test_dominant_topics_degenerate_equality_gives_empty_sets():
     model = _model_with_theta([[0.4, 0.6]] * 5)
     assignment = dominant_topics(model)
-    assert all(s == frozenset() for s in assignment.dominant)
+    assert not assignment.mask.any()
     assert assignment.topic_presence == (0.0, 0.0)
 
 
@@ -269,25 +275,25 @@ def test_dominant_topics_independent_recomputation():
         mu = statistics.mean(column)
         sigma = statistics.pstdev(column)
         for i, value in enumerate(column):
-            assert (t in assignment.dominant[i]) == (value > mu + sigma)
+            assert assignment.mask[i, t] == (value > mu + sigma)
 
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(2, 19), n=st.integers(1, 30), repeats=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
 def test_dominant_topics_equal_a_row_at_a_time(k, n, repeats, seed):
-    """One set per distinct mask row gives each row the set of its own
-    mask, over k that packs into one byte and into several."""
+    """The mask holds each row's own cut, over k that packs into one byte
+    and into several, and its presence is that of the per-post sets."""
     rows = np.random.default_rng(seed).dirichlet(np.ones(k), size=n)
     model = _model_with_theta(np.repeat(rows, repeats, axis=0).tolist())
     theta = model.theta
     mu = theta.mean(axis=0)
     cutoff = mu + np.sqrt(np.mean((theta - mu) ** 2, axis=0))
     assignment = dominant_topics(model)
-    assert assignment.dominant == tuple(
-        frozenset(int(t) for t in np.flatnonzero(row > cutoff)) for row in theta)
-    assert assignment.topic_presence == tuple(
-        sum(1 for s in assignment.dominant if t in s) / len(theta) for t in range(k))
+    assert np.array_equal(assignment.mask, theta > cutoff)
+    assert not assignment.mask.flags.writeable
+    assert assignment.topic_presence == presence_per_set(
+        [np.flatnonzero(row).tolist() for row in theta > cutoff], k)
 
 
 def test_load_assignment_reads_back_dominant_topics(fixture_corpus, tmp_path):
@@ -298,26 +304,15 @@ def test_load_assignment_reads_back_dominant_topics(fixture_corpus, tmp_path):
         model = fit(fixture_corpus, LdaConfig(k=k, iterations=20, burn_in=5, seed=k))
         written = dominance_stage(StageContext({}, out_dir=tmp_path / str(k),
                                                parsed={"model.json": model}))
-        assert written == dominant_topics(model)
-        assert load_assignment(tmp_path / str(k) / "dominance.csv") == written
-        unassigned += written.dominant.count(frozenset())
+        assert same_assignment(written, dominant_topics(model))
+        assert same_assignment(load_assignment(tmp_path / str(k) / "dominance.csv"), written)
+        unassigned += int((~written.mask.any(axis=1)).sum())
     assert unassigned > 0
 
 
-def _assignment(dominant_sets, k):
-    n = len(dominant_sets)
-    return DominantTopicAssignment(
-        doc_ids=tuple(f"p{i}" for i in range(n)),
-        thresholds=tuple((0.0, 0.0) for _ in range(k)),
-        dominant=tuple(frozenset(s) for s in dominant_sets),
-        topic_presence=tuple(
-            sum(1 for s in dominant_sets if t in s) / n for t in range(k)),
-    )
-
-
 def test_cooccurrence_hand_counts():
-    a = _assignment([{1, 2}, {1}, {2, 3}], k=4)
-    counts = cooccurrence(a).counts
+    a = assignment_of([{1, 2}, {1}, {2, 3}], k=4)
+    counts = cooccurrence(a)
     assert counts[1, 2] == 1 and counts[2, 1] == 1
     assert counts[2, 3] == 1 and counts[3, 2] == 1
     assert counts[1, 1] == 1          # {1} is sole-dominant once
@@ -326,8 +321,8 @@ def test_cooccurrence_hand_counts():
 
 
 def test_cooccurrence_singletons_and_empties():
-    a = _assignment([{0}, {1}, set(), {1}], k=3)
-    counts = cooccurrence(a).counts
+    a = assignment_of([{0}, {1}, set(), {1}], k=3)
+    counts = cooccurrence(a)
     off_diagonal = counts - np.diag(np.diag(counts))
     assert not off_diagonal.any()
     assert counts[0, 0] == 1 and counts[1, 1] == 2
@@ -336,8 +331,8 @@ def test_cooccurrence_singletons_and_empties():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sets(st.integers(0, 4)), min_size=1, max_size=30))
 def test_cooccurrence_symmetry_and_marginal_bounds(sets):
-    a = _assignment(sets, k=5)
-    counts = cooccurrence(a).counts
+    a = assignment_of(sets, k=5)
+    counts = cooccurrence(a)
     assert (counts == counts.T).all()
     presence = [sum(1 for s in sets if t in s) for t in range(5)]
     for i in range(5):
@@ -354,13 +349,60 @@ def test_monthly_distribution_hand_tally():
         post_record("p1", created=jan + 86400),
         post_record("p2", created=feb),
     ], [])
-    a = _assignment([{0}, {0, 1}, set()], k=2)
+    a = assignment_of([{0}, {0, 1}, set()], k=2)
     counts = monthly_distribution(a, d)
     assert counts == {(0, "2021-01"): 2, (1, "2021-01"): 1}
 
 
 def test_monthly_distribution_missing_post_rejected():
     d = make_dataset([post_record("p0")], [])
-    a = _assignment([{0}, {1}], k=2)
+    a = assignment_of([{0}, {1}], k=2)
     with pytest.raises(DataError):
         monthly_distribution(a, d)
+
+
+@st.composite
+def dominance_masks(draw):
+    """A (posts, k) mask at k = 2..19, its rows drawn with repeats from a few
+    distinct rows, the empty and the all-true row among them."""
+    k = draw(st.integers(2, 19))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=k, max_size=k), max_size=5))
+    rows += [[False] * k, [True] * k]
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=40))
+    return np.array([rows[i] for i in picks], dtype=bool).reshape(len(picks), k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mask=dominance_masks(), seed=st.integers(0, 2**32 - 1))
+def test_mask_readers_equal_the_per_set_oracles(mask, seed):
+    """Presence, co-occurrence, the monthly tally and the topic-wise profile
+    of a mask equal, bit for bit, the per-post set loops they replaced; the
+    mask survives its files."""
+    n, k = mask.shape
+    rng = np.random.default_rng(seed)
+    # Posts listed out of dataset order, created over a few years.
+    doc_ids = [f"p{i:02d}" for i in rng.permutation(n)]
+    created = rng.integers(1_500_000_000, 1_600_000_000, size=n).tolist()
+    dataset = make_dataset([post_record(d, created=c) for d, c in zip(doc_ids, created)], [])
+    sets = [frozenset(np.flatnonzero(row).tolist()) for row in mask]
+    a = assignment_of(sets, k, doc_ids)
+    assert np.array_equal(a.mask, mask)
+
+    assert np.array_equal(np.array(a.topic_presence).view(np.uint64),
+                          np.array(presence_per_set(sets, k)).view(np.uint64))
+    counts = cooccurrence(a)
+    assert counts.dtype == np.int64 and not counts.flags.writeable
+    assert np.array_equal(counts, cooccurrence_per_set(sets, k))
+    assert monthly_distribution(a, dataset) == monthly_tally_per_set(doc_ids, sets, dataset)
+
+    # Scores over sixteen orders of magnitude, so that the order of each sum
+    # shows in its last bits.
+    projections = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 9, size=(n, 3))
+    profiles = topicwise_profile(SimpleNamespace(projections=projections), a)
+    assert not profiles.flags.writeable
+    assert np.array_equal(profiles.view(np.uint64),
+                          topicwise_profile_per_row(projections, sets, k).view(np.uint64))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        save_assignment(Path(tmp) / "dominance.csv", a)
+        assert same_assignment(load_assignment(Path(tmp) / "dominance.csv"), a)

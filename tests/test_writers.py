@@ -15,10 +15,10 @@ from hypothesis.extra.numpy import arrays
 from forumpulse.fileio import float_cells, write_csv
 from forumpulse.interaction import dot_text, graphml_text, save_graph
 from forumpulse.lda import LdaConfig, TopicModel, save_model
-from forumpulse.topics import DominantTopicAssignment, save_assignment
+from forumpulse.topics import save_assignment
 
-from conftest import (csv_text_per_cell, dot_text_per_cell, graphml_text_per_cell,
-                      model_text_per_cell)
+from conftest import (assignment_of, csv_text_per_cell, dot_text_per_cell,
+                      graphml_text_per_cell, model_text_per_cell)
 
 EDGE_FLOATS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-05, 1e16, 0.1, 1.0)
 FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
@@ -185,12 +185,10 @@ def test_graph_export_rejects_an_edge_without_a_weight():
 def test_save_assignment_writes_the_per_cell_text(tmp_path):
     dominant = (frozenset({2, 0}), frozenset(), frozenset({1}), frozenset({0, 2}),
                 frozenset({10, 2}))
-    doc_ids = tuple(f"p{i}" for i in range(len(dominant)))
-    assignment = DominantTopicAssignment(doc_ids, ((0.5, -0.0),) * 11, dominant,
-                                         (0.4,) + (0.0,) * 10)
+    assignment = assignment_of(dominant, 11)
     save_assignment(tmp_path / "dominance.csv", assignment)
     assert written(tmp_path / "dominance.csv") == csv_text_per_cell(
-        ("post_id", "dominant_topics"),
-        ((d, "|".join(str(t) for t in sorted(topics))) for d, topics in zip(doc_ids, dominant)))
+        ("post_id", "dominant_topics"), ((d, "|".join(str(t) for t in sorted(topics)))
+                                         for d, topics in zip(assignment.doc_ids, dominant)))
     assert written(tmp_path / "dominance.csv").splitlines()[1:] == [
         "p0,0|2", "p1,", "p2,1", "p3,0|2", "p4,2|10"]
