@@ -69,8 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = tsub.add_parser("fit",
                         help="Fit the topic model at --k, or keep the one minimizing "
-                             "W_k over [--kmin, --kmax] (model.json, and "
-                             "skewness_scan.csv with columns k, w_k, selected)")
+                             "W_k over [--kmin, --kmax] (model.json; "
+                             "skewness_scan.csv with columns k, w_k, selected; "
+                             "top_words.csv with columns topic, rank, term)")
     p.add_argument("--corpus", required=True, type=Path, help="corpus directory")
     _param(p, "--k", "lda.k", "a fixed k: the scan [k, k]")
     _param(p, "--kmin", "lda.k_min")
@@ -209,7 +210,7 @@ def _cmd_corpus_build(args) -> int:
 
 def _cmd_topics_fit(args) -> int:
     model = topics_stage(_context(args, "topics", {"corpus": args.corpus}))
-    print(f"selected k={model.k} over {model.n_documents} documents -> {args.out}")
+    print(f"selected k={model.k} over {len(model.doc_ids)} documents -> {args.out}")
     return 0
 
 
@@ -253,9 +254,10 @@ def _cmd_users_metrics(args) -> int:
 
 def _cmd_graph_build(args) -> int:
     graph, classes = graph_stage(_context(args, "graph", {"dataset.json": args.dataset}))
-    print(f"graph: {classes.nodes} nodes, {len(graph.edges)} edges, "
-          f"{classes.passive} passive ({classes.passive_pct:.2f}%), "
-          f"{classes.unanswered} with in-degree 0 ({classes.unanswered_pct:.2f}%) "
+    print(f"graph: {classes['nodes']} nodes, {len(graph.weight)} edges "
+          f"({int(graph.weight.sum())} replies), "
+          f"{classes['passive']} passive ({classes['passive_pct']:.2f}%), "
+          f"{classes['unanswered']} with in-degree 0 ({classes['unanswered_pct']:.2f}%) "
           f"-> {args.out}")
     return 0
 

@@ -98,18 +98,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.doc_ids)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return (all(np.array_equal(getattr(self, name), getattr(other, name))
-                    for name in _ARRAYS)
-                and (self.doc_ids, self.vocabulary, self.total_tokens,
-                     self.excluded_doc_ids)
-                == (other.doc_ids, other.vocabulary, other.total_tokens,
-                    other.excluded_doc_ids))
-
-    __hash__ = None
-
     @property
     def documents(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Each document's (term_id, count) pairs, as tuples built from the

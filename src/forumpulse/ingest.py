@@ -72,12 +72,6 @@ class _Table:
     def __len__(self) -> int:
         return len(self.id)
 
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and all(
-            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-            for a, b in ((getattr(self, f.name), getattr(other, f.name))
-                         for f in fields(self)))
-
     def columns(self) -> dict[str, list]:
         """Each column as a list, by field name, as ``dataset.json`` holds it."""
         return {f.name: getattr(self, f.name) if f.type != "np.ndarray"
@@ -110,7 +104,7 @@ class Comments(_Table):
     root: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """One dump as columns: row i of ``posts`` is the post with the i-th
     smallest id, and likewise for ``comments``.

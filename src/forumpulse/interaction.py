@@ -16,27 +16,46 @@ posts where topic i is dominant (a post with m dominant topics credits
 
 from __future__ import annotations
 
-from collections import Counter
+import re
 from dataclasses import dataclass
-from itertools import chain
+from itertools import compress
 from math import log10
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .fileio import read_csv, reading, write_csv, write_text
+from .fileio import reading, write_text
 from .ingest import Dataset
 from .topics import DominantTopicAssignment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionGraph:
+    """Edge i runs from ``nodes[source[i]]`` to ``nodes[target[i]]`` with
+    ``weight[i]``; ``nodes`` ascend, and the edges are distinct and ascend
+    by (source, target). The columns are read-only int64 arrays. A node's
+    degree counts its edges, which is its distinct neighbors."""
+
     nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str, int], ...]   # (source, target, weight), sorted
-    out_degree: Mapping[str, int]             # distinct reply targets
-    in_degree: Mapping[str, int]              # distinct responders
+    source: np.ndarray
+    target: np.ndarray
+    weight: np.ndarray
+
+    def __post_init__(self):
+        for name in ("source", "target", "weight"):
+            column = np.asarray(getattr(self, name), dtype=np.int64)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    @property
+    def out_degree(self) -> np.ndarray:
+        return np.bincount(self.source, minlength=len(self.nodes))
+
+    @property
+    def in_degree(self) -> np.ndarray:
+        return np.bincount(self.target, minlength=len(self.nodes))
 
 
 def build_graph(dataset: Dataset) -> InteractionGraph:
@@ -49,61 +68,57 @@ def build_graph(dataset: Dataset) -> InteractionGraph:
     edge = (source >= 0) & (target >= 0) & (source != target)
     # An author's index follows name order, so the keys sort as the edges do.
     keys, weights = np.unique(source[edge] * len(names) + target[edge], return_counts=True)
-    sources, targets = np.divmod(keys, max(len(names), 1))
-    return graph_from_edges(tuple((names[s], names[t], w) for s, t, w in zip(
-        sources.tolist(), targets.tolist(), weights.tolist())))
+    ends = np.concatenate(np.divmod(keys, max(len(names), 1)))
+    used, ends = np.unique(ends, return_inverse=True)
+    return InteractionGraph(tuple(map(names.__getitem__, used.tolist())),
+                            ends[:len(keys)], ends[len(keys):], weights)
 
 
-def graph_from_edges(edges: tuple[tuple[str, str, int], ...]) -> InteractionGraph:
-    """The graph of sorted, distinct ``edges``: its nodes are their endpoints,
-    and a degree counts a node's edges, which is its distinct neighbors."""
-    out_degree = Counter(source for source, _, _ in edges)
-    in_degree = Counter(target for _, target, _ in edges)
-    nodes = tuple(sorted(out_degree.keys() | in_degree.keys()))
-    return InteractionGraph(nodes, edges, {n: out_degree[n] for n in nodes},
-                            {n: in_degree[n] for n in nodes})
+# edges.csv: its header, then one line of source, target and weight per edge.
+# A name may be empty: ingest keeps a record whose author is "".
+_EDGE_LIST = re.compile(r"from,to,weight\n((?:[^,\n\r]*,[^,\n\r]*,[1-9][0-9]{0,17}\n)*)")
 
 
 def load_graph(path: Path) -> InteractionGraph:
     """The graph whose edge list the graph stage wrote to ``path``
     (``edges.csv``); DataError when the file is not complete."""
-    names: dict[str, str] = {}    # one str per user, not one per edge endpoint
     with reading(path, "edge list file"):
-        edges = tuple((names.setdefault(s, s), names.setdefault(t, t), int(w))
-                      for s, t, w in read_csv(path, 3))
-    return graph_from_edges(edges)
+        match = _EDGE_LIST.fullmatch(Path(path).read_text(encoding="utf-8"))
+        if match is None:
+            raise ValueError("not a from,to,weight header and lines of two names and "
+                             "a positive integer weight, each ending in a newline")
+    cells = match[1].replace("\n", ",").split(",")[:-1]
+    nodes = tuple(sorted(set(cells[0::3]).union(cells[1::3])))
+    index = dict(zip(nodes, range(len(nodes))))
+    source, target = (np.fromiter(map(index.__getitem__, cells[i::3]), dtype=np.int64,
+                                  count=len(cells) // 3) for i in (0, 1))
+    key = source * len(nodes) + target
+    if np.any(source == target) or np.any(key[1:] <= key[:-1]):
+        raise DataError(f"{path}: corrupt edge list file (a self-reply, or edges "
+                        f"not distinct and in order)")
+    return InteractionGraph(nodes, source, target, np.array(cells[2::3], dtype=np.int64))
 
 
-def save_graph(path: Path, fmt: str, nodes: Sequence[str],
-               edges: Sequence[tuple[str, str, int]]) -> None:
+def save_graph(path: Path, fmt: str, graph: InteractionGraph) -> None:
     """A reply graph as an edge-list CSV (``edges.csv``, which ``load_graph``
     reads), GraphML or DOT file."""
     if fmt == "csv":
-        write_csv(path, ("from", "to", "weight"), edges)
+        write_text(path, _graph_text("from,to,weight\n", "", "%s,%s,%s\n", "", str, graph))
     else:
-        write_text(path, (graphml_text if fmt == "graphml" else dot_text)(nodes, edges))
+        write_text(path, (graphml_text if fmt == "graphml" else dot_text)(graph))
 
 
-@dataclass(frozen=True)
-class UserClassCounts:
-    passive: int            # out-degree 0: replied to, never replying
-    passive_pct: float
-    unanswered: int         # in-degree 0: never received an explicit reply
-    unanswered_pct: float
-    nodes: int
-
-
-def user_classes(graph: InteractionGraph) -> UserClassCounts:
+def user_classes(graph: InteractionGraph) -> dict[str, float]:
+    """The fields of ``user_classes.json``: the ``nodes``, the ``passive``
+    ones (out-degree 0: replied to, never replying) and the ``unanswered``
+    ones (in-degree 0: never received an explicit reply), the last two also
+    as a percentage of the nodes (``passive_pct``, ``unanswered_pct``)."""
     n = len(graph.nodes)
-    passive = sum(1 for node in graph.nodes if graph.out_degree[node] == 0)
-    unanswered = sum(1 for node in graph.nodes if graph.in_degree[node] == 0)
-    return UserClassCounts(
-        passive=passive,
-        passive_pct=100.0 * passive / n if n else 0.0,
-        unanswered=unanswered,
-        unanswered_pct=100.0 * unanswered / n if n else 0.0,
-        nodes=n,
-    )
+    classes = {"nodes": n}
+    for name, degree in (("passive", graph.out_degree), ("unanswered", graph.in_degree)):
+        count = int(np.count_nonzero(degree == 0))
+        classes.update({name: count, f"{name}_pct": 100.0 * count / n if n else 0.0})
+    return classes
 
 
 def topic_spread(dataset: Dataset, assignment: DominantTopicAssignment,
@@ -174,18 +189,20 @@ def compute_user_metrics(dataset: Dataset, graph: InteractionGraph,
         if a >= 0:
             scores[a] += score
     spreads = topic_spread(dataset, assignment) if assignment is not None else {}
+    out_degrees = dict(zip(graph.nodes, graph.out_degree.tolist()))
+    in_degrees = dict(zip(graph.nodes, graph.in_degree.tolist()))
 
     metrics = []
     for u in np.flatnonzero(counts).tolist():
         user, count = dataset.authors[u], int(counts[u])
-        out_deg = graph.out_degree.get(user, 0)
+        out_deg = out_degrees.get(user, 0)
         user_reach = reach(out_deg, count)
         spread = spreads.get(user)
         metrics.append(UserMetrics(
             user=user,
             comment_count=count,
             out_degree=out_deg,
-            in_degree=graph.in_degree.get(user, 0),
+            in_degree=in_degrees.get(user, 0),
             tau=spread[0] if spread else None,
             topic_fractions=spread[1] if spread else {},
             reach=user_reach,
@@ -210,11 +227,9 @@ def spread_influence_rows(metrics: Sequence[UserMetrics]
     return rows
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    selected: tuple[str, ...]   # the ranked influencers anchoring the egonets
-    nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str, int], ...]
+@dataclass(frozen=True, eq=False)
+class Subgraph(InteractionGraph):
+    selected: tuple[str, ...] = ()   # the ranked influencers anchoring the egonets
 
 
 def top_influencers_subgraph(graph: InteractionGraph,
@@ -223,22 +238,25 @@ def top_influencers_subgraph(graph: InteractionGraph,
     """Induced subgraph around the top_k users by influence.
 
     Ties rank the larger comment count first, then the smaller user id. All
-    direct neighbors (either direction) of the selected users are included.
+    direct neighbors (either direction) of the selected users are included,
+    and the selected users themselves, with or without an edge.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     ranked = sorted(metrics, key=lambda m: (-m.influence, -m.comment_count, m.user))
     selected = tuple(m.user for m in ranked[:top_k])
-    anchor = frozenset(selected)
 
-    keep = set(selected)
-    for source, target, _ in graph.edges:
-        if source in anchor:
-            keep.add(target)
-        if target in anchor:
-            keep.add(source)
-    edges = tuple((s, t, w) for s, t, w in graph.edges if s in keep and t in keep)
-    return Subgraph(selected=selected, nodes=tuple(sorted(keep)), edges=edges)
+    anchor = np.fromiter(map(set(selected).__contains__, graph.nodes), dtype=bool,
+                         count=len(graph.nodes))
+    keep = anchor.copy()
+    keep[graph.target[anchor[graph.source]]] = True
+    keep[graph.source[anchor[graph.target]]] = True
+    nodes = tuple(sorted(set(selected).union(compress(graph.nodes, keep.tolist()))))
+    position = dict(zip(nodes, range(len(nodes))))
+    renumber = np.array([position.get(name, -1) for name in graph.nodes], dtype=np.int64)
+    edge = keep[graph.source] & keep[graph.target]
+    return Subgraph(nodes, renumber[graph.source[edge]], renumber[graph.target[edge]],
+                    graph.weight[edge], selected)
 
 
 def _quoteattr(text: str) -> str:
@@ -260,21 +278,20 @@ def _dot_quote(name: str) -> str:
 
 
 def _graph_text(head: str, node: str, edge: str, tail: str, quote: Callable[[str], str],
-                nodes: Sequence[str], edges: Sequence[tuple[str, str, int]]) -> str:
-    """``head``, a ``node`` line per node, an ``edge`` line per edge and
-    ``tail``; each name is quoted once, and each template filled once."""
-    cells = list(chain.from_iterable(edges))
-    if len(cells) != 3 * len(edges):
-        raise ValueError("an edge is not (source, target, weight)")
-    sources, targets = cells[0::3], cells[1::3]
-    quoted = {name: quote(name) for name in set(nodes).union(sources, targets)}
-    cells[0::3] = map(quoted.__getitem__, sources)
-    cells[1::3] = map(quoted.__getitem__, targets)
-    return (head + (node * len(nodes)) % tuple(map(quoted.__getitem__, nodes))
-            + (edge * len(edges)) % tuple(cells) + tail)
+                graph: InteractionGraph) -> str:
+    """``head``, a ``node`` line per node (none when ``node`` is empty), an
+    ``edge`` line per edge and ``tail``; each name is quoted once, and each
+    template filled once."""
+    quoted = list(map(quote, graph.nodes))
+    cells = [None] * (3 * len(graph.weight))
+    cells[0::3] = map(quoted.__getitem__, graph.source.tolist())
+    cells[1::3] = map(quoted.__getitem__, graph.target.tolist())
+    cells[2::3] = graph.weight.tolist()
+    return (head + ((node * len(quoted)) % tuple(quoted) if node else "")
+            + (edge * len(graph.weight)) % tuple(cells) + tail)
 
 
-def graphml_text(nodes: Sequence[str], edges: Sequence[tuple[str, str, int]]) -> str:
+def graphml_text(graph: InteractionGraph) -> str:
     return _graph_text(
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
@@ -282,9 +299,9 @@ def graphml_text(nodes: Sequence[str], edges: Sequence[tuple[str, str, int]]) ->
         '  <graph id="interactions" edgedefault="directed">\n',
         "    <node id=%s/>\n",
         '    <edge source=%s target=%s><data key="weight">%s</data></edge>\n',
-        "  </graph>\n</graphml>\n", _quoteattr, nodes, edges)
+        "  </graph>\n</graphml>\n", _quoteattr, graph)
 
 
-def dot_text(nodes: Sequence[str], edges: Sequence[tuple[str, str, int]]) -> str:
+def dot_text(graph: InteractionGraph) -> str:
     return _graph_text("digraph interactions {\n", "  %s;\n", "  %s -> %s [weight=%s];\n",
-                       "}\n", _dot_quote, nodes, edges)
+                       "}\n", _dot_quote, graph)

@@ -43,10 +43,10 @@ import random
 import threading
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -96,7 +96,6 @@ class TopicModel:
     terms: tuple[str, ...]
     theta: np.ndarray                       # (D, k) document-topic estimates
     phi: np.ndarray                         # (k, V) topic-word estimates
-    assignments: tuple[tuple[int, ...], ...]  # final-sweep label per token
     log_likelihood_trace: tuple[float, ...]
     vocabulary_sha256: str
 
@@ -104,22 +103,18 @@ class TopicModel:
     def k(self) -> int:
         return self.config.k
 
-    @property
-    def n_documents(self) -> int:
-        return len(self.doc_ids)
 
-
-class GibbsState:
+class GibbsState(NamedTuple):
     """Count tables exposed to the per-sweep hook (read-only use), as int64
-    arrays that the sampler updates in place."""
+    arrays that the sampler updates in place, and the token labels ``z`` as
+    a read-only int32 view: document d's labels follow those of documents
+    0..d-1, ``doc_totals[d]`` of them, one per token in ascending word id."""
 
-    __slots__ = ("doc_topic_counts", "word_topic_counts", "topic_totals", "doc_totals")
-
-    def __init__(self, doc_topic_counts, word_topic_counts, topic_totals, doc_totals):
-        self.doc_topic_counts = doc_topic_counts   # (D, k)
-        self.word_topic_counts = word_topic_counts  # (V, k)
-        self.topic_totals = topic_totals            # (k,)
-        self.doc_totals = doc_totals                # (D,)
+    doc_topic_counts: np.ndarray    # (D, k)
+    word_topic_counts: np.ndarray   # (V, k)
+    topic_totals: np.ndarray        # (k,)
+    doc_totals: np.ndarray          # (D,)
+    z: np.ndarray                   # (tokens,)
 
 
 def _doc_seed(seed: int, doc_id: str) -> int:
@@ -417,7 +412,9 @@ def fit(corpus: Corpus, config: LdaConfig,
     else:
         sweep_once, likelihood = _python_sampler(seeds, tables, alpha, beta, vbeta)
 
-    state = GibbsState(tables.ndt, tables.nwt, tables.nt, doc_totals)
+    labels = tables.z.view()
+    labels.setflags(write=False)
+    state = GibbsState(tables.ndt, tables.nwt, tables.nt, doc_totals, labels)
 
     snapshot_sweeps = {
         s for s in range(config.burn_in + 1, config.iterations + 1)
@@ -445,15 +442,12 @@ def fit(corpus: Corpus, config: LdaConfig,
     theta.setflags(write=False)
     phi.setflags(write=False)
 
-    labels = tables.z.tolist()
-    bounds = tables.offsets.tolist()
     return TopicModel(
         config=config,
         doc_ids=corpus.doc_ids,
         terms=corpus.vocabulary.terms,
         theta=theta,
         phi=phi,
-        assignments=tuple(tuple(labels[a:b]) for a, b in zip(bounds, bounds[1:])),
         log_likelihood_trace=tuple(trace),
         vocabulary_sha256=vocabulary_digest(corpus.vocabulary),
     )
@@ -463,30 +457,21 @@ def top_words(model: TopicModel, topic: int, n: int) -> list[str]:
     """The n highest-probability terms of a topic, ties broken by term id."""
     if not 0 <= topic < model.k:
         raise ValueError(f"topic {topic} out of range for k={model.k}")
-    row = model.phi[topic]
-    ranked = sorted(range(len(model.terms)), key=lambda w: (-row[w], w))
-    return [model.terms[w] for w in ranked[:n]]
+    ranked = np.argsort(-model.phi[topic], kind="stable")[:n]
+    return list(map(model.terms.__getitem__, ranked.tolist()))
 
 
-_MODEL_FORMAT = "forumpulse-model-v1"
+_MODEL_FORMAT = "forumpulse-model-v2"
 
 
 def save_model(model: TopicModel, path: Path) -> None:
     payload = {
         "format": _MODEL_FORMAT,
-        "config": {
-            "k": model.config.k,
-            "alpha": model.config.alpha,
-            "beta": model.config.beta,
-            "iterations": model.config.iterations,
-            "burn_in": model.config.burn_in,
-            "seed": model.config.seed,
-        },
+        "config": asdict(model.config),
         "doc_ids": list(model.doc_ids),
         "terms": list(model.terms),
         "theta": None,
         "phi": None,
-        "assignments": [list(row) for row in model.assignments],
         "log_likelihood_trace": [float(x) for x in model.log_likelihood_trace],
         "vocabulary_sha256": model.vocabulary_sha256,
     }
@@ -514,7 +499,7 @@ def load_model(path: Path) -> TopicModel:
     with reading(path, f"{_MODEL_FORMAT} file"):
         payload = read_json(path)
         if payload.get("format") != _MODEL_FORMAT:
-            raise DataError(f"{path}: not a {_MODEL_FORMAT} file")
+            raise DataError(f"{path}: not a {_MODEL_FORMAT} file (rerun topics)")
         theta = np.asarray(payload["theta"], dtype=np.float64)
         phi = np.asarray(payload["phi"], dtype=np.float64)
         theta.setflags(write=False)
@@ -525,14 +510,11 @@ def load_model(path: Path) -> TopicModel:
             terms=tuple(payload["terms"]),
             theta=theta,
             phi=phi,
-            assignments=tuple(tuple(row) for row in payload["assignments"]),
             log_likelihood_trace=tuple(payload["log_likelihood_trace"]),
             vocabulary_sha256=payload["vocabulary_sha256"],
         )
-    n_docs, k, v_size = model.n_documents, model.k, len(model.terms)
-    if (theta.shape != (n_docs, k) or phi.shape != (k, v_size)
-            or len(model.assignments) != n_docs):
-        raise DataError(f"{path}: theta {theta.shape}, phi {phi.shape} and "
-                        f"{len(model.assignments)} assignment rows do not fit "
+    n_docs, k, v_size = len(model.doc_ids), model.k, len(model.terms)
+    if theta.shape != (n_docs, k) or phi.shape != (k, v_size):
+        raise DataError(f"{path}: theta {theta.shape} and phi {phi.shape} do not fit "
                         f"{n_docs} documents, k={k} and {v_size} terms")
     return model

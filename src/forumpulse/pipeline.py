@@ -49,6 +49,8 @@ from .topics import (cooccurrence, dominant_topics, load_assignment,
                      monthly_distribution, save_assignment, select_k)
 
 _MANIFEST_FORMAT = "forumpulse-manifest-v1"
+# The terms per topic in top_words.csv and report.json.
+TOP_WORDS = 10
 
 # Every config key: its default, the type its value must have, and the
 # bound the value must meet (an int >= the bound, a float > it). A key whose
@@ -357,6 +359,9 @@ def topics_stage(ctx: StageContext):
     ctx.parsed["model.json"] = model
     write_csv(ctx.path("skewness_scan.csv"), ("k", "w_k", "selected"),
               ((r.k, r.w_k, 1 if r.k == result.k else 0) for r in result.reports))
+    write_csv(ctx.path("top_words.csv"), ("topic", "rank", "term"),
+              ((t, rank, term) for t in range(model.k)
+               for rank, term in enumerate(top_words(model, t, TOP_WORDS), 1)))
     return model
 
 
@@ -384,6 +389,9 @@ def lexicon_stage(ctx: StageContext):
     # Both inputs are read before the first output is written, so a bad
     # one fails the stage with nothing written.
     corpus, assignment = ctx.load("corpus"), ctx.load("dominance.csv")
+    if assignment.doc_ids != corpus.doc_ids:    # the profile pairs rows by position
+        raise DataError(f"{ctx.path('dominance.csv')}: its posts are not the corpus's "
+                        f"documents in corpus order")
     lexicon_path = ctx.params["lexicon.path"]
     lex = load_lexicon(Path(lexicon_path)) if lexicon_path is not None else demo_lexicon()
     matrix = categorize(corpus, lex)
@@ -411,16 +419,10 @@ def graph_stage(ctx: StageContext):
     graph = build_graph(ctx.load("dataset.json"))
     for name, fmt in (("edges.csv", "csv"), ("graph.graphml", "graphml"),
                       ("graph.dot", "dot")):
-        save_graph(ctx.path(name), fmt, graph.nodes, graph.edges)
+        save_graph(ctx.path(name), fmt, graph)
     ctx.parsed["edges.csv"] = graph
     classes = user_classes(graph)
-    write_json(ctx.path("user_classes.json"), {
-        "nodes": classes.nodes,
-        "passive": classes.passive,
-        "passive_pct": classes.passive_pct,
-        "unanswered": classes.unanswered,
-        "unanswered_pct": classes.unanswered_pct,
-    })
+    write_json(ctx.path("user_classes.json"), classes)
     return graph, classes
 
 
@@ -444,13 +446,27 @@ def metrics_stage(ctx: StageContext):
     write_csv(ctx.path("top_influencers.csv"), ("rank", "user", "influence", "C"),
               ((i + 1, u, by_user[u].influence, by_user[u].comment_count)
                for i, u in enumerate(subgraph.selected)))
-    save_graph(ctx.path("influencer_subgraph.graphml"), "graphml",
-               subgraph.nodes, subgraph.edges)
+    save_graph(ctx.path("influencer_subgraph.graphml"), "graphml", subgraph)
     return metrics, subgraph
 
 
+def _top_words_table(path: Path, k: int) -> dict[str, list[str]]:
+    """Each of the ``k`` topics' terms in ``top_words.csv``, by rank; DataError
+    unless each topic has one term per rank 1 to n, n <= ``TOP_WORDS``."""
+    with reading(path, "top words file"):
+        rows = list(read_csv(path, 3))
+        n = len(rows) // max(k, 1)
+        if [(t, r) for t, r, _ in rows] != [(str(t), str(r)) for t in range(k)
+                                            for r in range(1, n + 1)] \
+                or not 1 <= n <= TOP_WORDS or not all(term for _, _, term in rows):
+            raise ValueError(f"not 1 to {TOP_WORDS} ranked terms for each of {k} topics")
+    return {str(t): [term for _, _, term in rows[t * n:(t + 1) * n]] for t in range(k)}
+
+
 def report_stage(ctx: StageContext) -> None:
-    model = ctx.load("model.json")
+    """report.json from the small files and the dominance assignment; the
+    digest of every artifact, the unparsed ``model.json`` included."""
+    assignment = ctx.load("dominance.csv")
     w_k = next(int(w_k) for _, w_k, selected in read_csv(ctx.path("skewness_scan.csv"), 3)
                if selected == "1")
     summary = read_json(ctx.path("stats_summary.json"))
@@ -458,12 +474,12 @@ def report_stage(ctx: StageContext) -> None:
     write_json(ctx.path("report.json"), {
         "dataset": {key: summary[key] for key in ("posts", "comments", "authors")},
         "model": {
-            "k": model.k,
+            "k": assignment.k,
             "w_k": w_k,
-            "documents": model.n_documents,
-            "top_words": {str(t): top_words(model, t, 10) for t in range(model.k)},
+            "documents": len(assignment.doc_ids),
+            "top_words": _top_words_table(ctx.path("top_words.csv"), assignment.k),
         },
-        "topic_presence": list(ctx.load("dominance.csv").topic_presence),
+        "topic_presence": list(assignment.topic_presence),
         "user_classes": classes,
         "artifacts": {name: ctx.digest(name) for name in _ARTIFACTS},
     })
@@ -489,8 +505,8 @@ STAGES: tuple[Stage, ...] = (
     Stage("topics",
           ("lda.k", "lda.k_min", "lda.k_max", "lda.alpha", "lda.beta",
            "lda.iterations", "lda.burn_in", "lda.patience", "seed"),
-          _CORPUS, ("model.json", "skewness_scan.csv"), topics_stage,
-          version=2,    # 2: the trace is summed in one fixed order
+          _CORPUS, ("model.json", "skewness_scan.csv", "top_words.csv"), topics_stage,
+          version=3,    # 2: the trace in one fixed order; 3: model v2, top_words.csv
           # Holding the dataset across the fit would raise the run's peak.
           frees_unread=True),
     Stage("dominance", (), ("model.json",), _DOMINANCE, dominance_stage),
@@ -511,7 +527,7 @@ STAGES: tuple[Stage, ...] = (
 # The report records the digest of every artifact above.
 _ARTIFACTS = tuple(name for stage in STAGES for name in stage.outputs)
 STAGES += (Stage("report", (),
-                 ("model.json", "skewness_scan.csv", "stats_summary.json",
+                 ("top_words.csv", "skewness_scan.csv", "stats_summary.json",
                   "user_classes.json") + _DOMINANCE,
                  ("report.json",), report_stage, recorded=_ARTIFACTS),)
 

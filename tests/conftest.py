@@ -4,7 +4,7 @@ import json
 import os
 import re
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from itertools import chain, count
 from pathlib import Path
@@ -16,7 +16,9 @@ import pytest
 
 import forumpulse
 from forumpulse.corpus import Corpus, Vocabulary, build_corpus, default_stopwords
-from forumpulse.ingest import Comments, Dataset, Posts, parse_dump
+from forumpulse.ingest import SENTINEL_AUTHORS, Comments, Dataset, Posts, parse_dump
+from forumpulse.interaction import InteractionGraph
+from forumpulse.lda import fit
 from forumpulse.topics import DominantTopicAssignment
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "synthetic-200"
@@ -122,9 +124,16 @@ def assignment_of(dominant_sets, k: int, doc_ids=None) -> DominantTopicAssignmen
     return DominantTopicAssignment(tuple(doc_ids), ((0.0, 0.0),) * k, mask)
 
 
-def same_assignment(a: DominantTopicAssignment, b: DominantTopicAssignment) -> bool:
-    """``a`` and ``b`` are equal field by field."""
-    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+def same_fields(a, b) -> bool:
+    """``a`` and ``b`` are of one type and equal field by field, arrays by
+    their values and nested dataclasses in turn."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    if is_dataclass(a):
+        return all(same_fields(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return a == b
 
 
 @pytest.fixture
@@ -327,7 +336,7 @@ def model_text_per_cell(model) -> str:
     """The text ``save_model`` writes, through one ``json.dumps`` of the
     model with theta and phi as nested lists of floats."""
     payload = {
-        "format": "forumpulse-model-v1",
+        "format": "forumpulse-model-v2",
         "config": {
             "k": model.config.k,
             "alpha": model.config.alpha,
@@ -340,7 +349,6 @@ def model_text_per_cell(model) -> str:
         "terms": list(model.terms),
         "theta": model.theta.tolist(),
         "phi": model.phi.tolist(),
-        "assignments": [list(row) for row in model.assignments],
         "log_likelihood_trace": [float(x) for x in model.log_likelihood_trace],
         "vocabulary_sha256": model.vocabulary_sha256,
     }
@@ -395,3 +403,74 @@ def monthly_tally_per_set(doc_ids, sets, dataset: Dataset) -> dict[tuple[int, st
     return dict(Counter(
         (t, datetime.fromtimestamp(c, tz=timezone.utc).strftime("%Y-%m"))
         for c, topics in zip(created, sets) for t in topics))
+
+
+def fit_with_labels(corpus, config, fit=fit):
+    """The model ``fit`` gives, and the labels the sampler's hook shows after
+    the last sweep: one tuple per document, one label per token."""
+    seen = {}
+
+    def hook(sweep, state):
+        assert not state.z.flags.writeable
+        if sweep == config.iterations:
+            bounds = np.concatenate(([0], np.cumsum(state.doc_totals))).tolist()
+            z = state.z.tolist()
+            seen["labels"] = tuple(tuple(z[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    return fit(corpus, config, sweep_hook=hook), seen["labels"]
+
+
+# Oracles that the tests compare the graph's index columns with: edges as
+# (source, target, weight) tuples of names, degrees as Counters of them, and
+# the top influencers' egonet found by a loop over the edges.
+
+def edges_per_comment(dataset: Dataset) -> tuple[tuple[str, str, int], ...]:
+    """The sorted (source, target, weight) edges of the replies between
+    non-sentinel users, one comment at a time."""
+    weights = Counter((c.author, c.parent_author) for c in comment_views(dataset)
+                      if c.parent_author is not None and c.author != c.parent_author
+                      and not {c.author, c.parent_author} & SENTINEL_AUTHORS)
+    return tuple((s, t, w) for (s, t), w in sorted(weights.items()))
+
+
+def graph_from_edges(edges):
+    """The nodes and the out- and in-degrees, by name, of sorted distinct
+    ``edges``: the nodes are their endpoints, and a degree counts edges."""
+    out_degree = Counter(source for source, _, _ in edges)
+    in_degree = Counter(target for _, target, _ in edges)
+    nodes = tuple(sorted(out_degree.keys() | in_degree.keys()))
+    return (nodes, {n: out_degree[n] for n in nodes}, {n: in_degree[n] for n in nodes})
+
+
+def subgraph_per_edge(edges, selected):
+    """The nodes and edges of the egonet around ``selected``, one edge at a time."""
+    anchor = frozenset(selected)
+    keep = set(selected)
+    for source, target, _ in edges:
+        if source in anchor:
+            keep.add(target)
+        if target in anchor:
+            keep.add(source)
+    return (tuple(sorted(keep)),
+            tuple((s, t, w) for s, t, w in edges if s in keep and t in keep))
+
+
+def edge_tuples(graph: InteractionGraph) -> tuple[tuple[str, str, int], ...]:
+    """The (source, target, weight) name tuples of ``graph``'s edge columns."""
+    return tuple((graph.nodes[s], graph.nodes[t], w) for s, t, w in zip(
+        graph.source.tolist(), graph.target.tolist(), graph.weight.tolist()))
+
+
+def graph_of(nodes, edges) -> InteractionGraph:
+    """The graph of ``nodes`` and the name tuples ``edges``."""
+    index = {name: i for i, name in enumerate(nodes)}
+    return InteractionGraph(tuple(nodes), [index[s] for s, _, _ in edges],
+                            [index[t] for _, t, _ in edges], [w for _, _, w in edges])
+
+
+def same_graph(a: InteractionGraph, b: InteractionGraph) -> bool:
+    """``a`` and ``b`` hold the same nodes and the same read-only int64 columns."""
+    return a.nodes == b.nodes and all(
+        x.dtype == y.dtype == np.int64 and not (x.flags.writeable or y.flags.writeable)
+        and np.array_equal(x, y)
+        for x, y in ((a.source, b.source), (a.target, b.target), (a.weight, b.weight)))

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from forumpulse.cli import _build_parser, main
-from forumpulse.fileio import sha256_file, write_json
+from forumpulse.fileio import read_json, sha256_file, write_json
 from forumpulse.fixture import generate_fixture
 from forumpulse.pipeline import STAGES
 
@@ -252,7 +252,7 @@ def test_subcommands_write_the_run_artifacts(dump, config, capsys):
         assert run_cli(*argv) == 0, argv
     written = artifact_digests(s)
     outputs = {name for stage in STAGES if stage.name != "report" for name in stage.outputs}
-    assert set(written) == outputs and len(written) == 28
+    assert set(written) == outputs and len(written) == 29
     assert written == {name: sha256_file(a / name) for name in written}
     capsys.readouterr()
 
@@ -411,7 +411,7 @@ READS = {"dataset.json": "--dataset dataset.json", "model.json": "--model model.
                           "topic_presence.csv"), "--dominance dominance.csv")}
 INTERMEDIATES = ("dataset.json", "model.json", "corpus", "edges.csv", "dominance.csv",
                  "dominance_thresholds.csv", "topic_presence.csv")
-FORMATS = {"dataset.json": "forumpulse-dataset-v2", "model.json": "forumpulse-model-v1",
+FORMATS = {"dataset.json": "forumpulse-dataset-v2", "model.json": "forumpulse-model-v2",
            "corpus/meta.json": "forumpulse-corpus-v1"}
 
 
@@ -428,6 +428,16 @@ def _with_post_id(data: bytes, line: int, post_id: bytes) -> bytes:
     lines = data.split(b"\n")
     lines[line] = post_id + b"," + lines[line].split(b",", 1)[1]
     return b"\n".join(lines)
+
+
+def _edge_line(change):
+    """A corruption that replaces the first edge line of ``edges.csv`` (its
+    cells, without the newline) by ``change(line)``."""
+    def corrupt(data: bytes, name: str) -> bytes:
+        lines = data.split(b"\n")
+        lines[1] = change(lines[1])
+        return b"\n".join(lines)
+    return corrupt
 
 
 def _dataset_column(table: str, column: str, change):
@@ -467,10 +477,25 @@ CORRUPTIONS = {
     "outside-int64": _dataset_column("comments", "score", lambda cells, *_: [2**63] + cells[1:]),
     "format-1": lambda data, name: json.dumps(as_format_1(json.loads(data))).encode(),
     "repeated-id": lambda data, name: _with_post_id(data, 2, data.split(b"\n")[1].split(b",")[0]),
+    "model-v1": lambda data, name: json.dumps({
+        **json.loads(data), "format": "forumpulse-model-v1",
+        "assignments": [[0] for _ in json.loads(data)["doc_ids"]]}).encode(),
+    "no-last-newline": lambda data, name: data[:-1],
+    "header": lambda data, name: data.replace(b"from,to,weight", b"source,target,weight", 1),
+    "two-cells": _edge_line(lambda line: line.rsplit(b",", 1)[0]),
+    "four-cells": _edge_line(lambda line: line + b",1"),
+    "float-weight": _edge_line(lambda line: line + b".5"),
+    "empty-weight": _edge_line(lambda line: line.rsplit(b",", 1)[0] + b","),
+    "zero-weight": _edge_line(lambda line: line.rsplit(b",", 1)[0] + b",0"),
+    "self-reply": _edge_line(lambda line: b",".join(line.split(b",")[i] for i in (0, 0, 2))),
+    "edge-order": _edge_line(lambda line: b",".join(line.split(b",")[i] for i in (1, 0, 2))),
 }
 # The files each corruption that does not apply to every file applies to.
-ONLY = {"keys": FORMATS, "short-theta": ("model.json",),
+ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.json",),
         "repeated-id": ("dominance.csv",),
+        **dict.fromkeys(("no-last-newline", "header", "two-cells", "four-cells",
+                         "float-weight", "empty-weight", "zero-weight", "self-reply",
+                         "edge-order"), ("edges.csv",)),
         **dict.fromkeys(("yesterday", "short-column", "bool-int", "parent-range", "root-range",
                          "created-zero", "created-after-9999", "outside-int64", "format-1"),
                         ("dataset.json",))}
@@ -549,6 +574,52 @@ def test_dominance_of_a_post_not_in_the_dataset_is_a_data_error(
     monkeypatch.chdir(tmp_path)
     assert run_cli(*READERS[command].split()) == 2
     assert "post 'nope' not present in dataset" in capsys.readouterr().err
+
+
+def test_dominance_of_posts_in_another_order_than_the_corpus_is_a_data_error(
+        intermediates, tmp_path, monkeypatch, capsys):
+    """`lexicon profile` pairs the corpus's documents with the dominance
+    rows by position, so a dominance file whose post ids are rotated by one
+    row exits 2, naming it, and writes nothing."""
+    shutil.copytree(intermediates / "corpus", tmp_path / "corpus")
+    for part in ("dominance.csv", "dominance_thresholds.csv", "topic_presence.csv"):
+        shutil.copy(intermediates / part, tmp_path / part)
+    header, *lines = (tmp_path / "dominance.csv").read_text().splitlines()
+    ids, cells = zip(*(line.split(",") for line in lines))
+    ids = ids[1:] + ids[:1]
+    (tmp_path / "dominance.csv").write_text(
+        "\n".join([header] + [f"{i},{c}" for i, c in zip(ids, cells)]) + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*READERS["lexicon profile"].split()) == 2
+    assert "dominance.csv: its posts are not the corpus's documents" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+TOP_WORDS_DAMAGE = {
+    "no-last-newline": lambda text: text[:-1],
+    "missing-topic": lambda text: "".join(line for line in text.splitlines(keepends=True)
+                                          if not line.startswith("2,")),
+    "rank-gap": lambda text: text.replace("\n0,2,", "\n0,3,", 1),
+    "empty-term": lambda text: re.sub(r"\n(0,1,)[^\n]*", r"\n\1", text, count=1),
+    "extra-rank": lambda text: text.replace("\n1,1,", "\n0,11,x\n1,1,", 1),
+    "two-cells": lambda text: text.replace("topic,rank,term", "topic,term", 1),
+}
+
+
+@pytest.mark.parametrize("damage", TOP_WORDS_DAMAGE)
+def test_damaged_top_words_fails_the_report_with_a_data_error(dump, config, capsys, damage):
+    """A top_words.csv damaged after `topics` recorded it (its new digest in
+    the manifest) fails `report` with exit 2, naming the file."""
+    assert run_cli("run", "--config", config) == 0
+    path = dump / "artifacts" / "top_words.csv"
+    path.write_text(TOP_WORDS_DAMAGE[damage](path.read_text()))
+    manifest = read_json(dump / "artifacts" / "manifest.json")
+    manifest["stages"]["topics"]["outputs"]["top_words.csv"] = sha256_file(path)
+    write_json(dump / "artifacts" / "manifest.json", manifest)
+    capsys.readouterr()
+    assert run_cli("run", "--config", config) == 2
+    err = capsys.readouterr().err
+    assert "stage 'report' failed" in err and "top_words.csv" in err
 
 
 def _garble(path: Path, at_line: int) -> None:

@@ -36,11 +36,11 @@ FIXTURE_DIGESTS = {
     "graph.graphml": "da7d74b89b80c18b84029af8e981a3cd3894f30d722c7c9fc143a342d5e99c12",
     "influencer_subgraph.graphml":
         "da7d74b89b80c18b84029af8e981a3cd3894f30d722c7c9fc143a342d5e99c12",
-    "model.json": "325e5467dccf173b178fdc205a526d7ce9ef754f24db4613e31b766f6ac3061f",
+    "model.json": "898d2c95af36dc776616e50ec7b780db1db046eb39beee2a6733bf1b3495a355",
     "monthly_topics.csv": "1e7599c461d885df0559071a4e0c12b868bbbe5a792bc49b8bba2d7c28053126",
     "pca_components.csv": "5601f66473bd5ee86e96d65b9338c85f7e5ccda82b4efa7b89245da036adea99",
     "pca_variance.csv": "4cfd062dec0cf2003cbc3497fefc2d48c8930d10edc24442464d5b39747c7dba",
-    "report.json": "4a86ff1dc0bfbebc4dfd3863d5c0a878528a1bd276325bd3ec74b0c74321ee17",
+    "report.json": "10ad0899a33512f5669e56c94689b65b7fbc5cb2c0b1e389750ea3fe96af9d58",
     "response_times.csv": "4f5de0887aecf754a618e82f5900e6702a84eb88edd8e81b5b0a16ccf3e5977c",
     "score_relations.csv": "86fad629568bc2ee87ca67718d57bfdf0ab15172da499081ab2c2acb5bb436b4",
     "skewness_scan.csv": "d3dfd622e49c7252462724473953c8d76d1e8abc3bf959bb03515ddf7ae53b17",
@@ -49,11 +49,12 @@ FIXTURE_DIGESTS = {
     "top_influencers.csv": "79f19c4cf5af4cb8ecd49788e2e67e95faabbe99b5ba90b24760e0362e4c0576",
     "topic_presence.csv": "ab9ac23e8e3d7a9e825919b14c72208fb0ef472a89ce170cd138e82c5ddb3bba",
     "topic_profiles.csv": "a782a2f36ad416c069a065fb17c254f9c7501713a71ed01b8cedbdce66ee9821",
+    "top_words.csv": "542a64f6719537070299cc8ca9966bc3766c700e1ebb6406dded6f1a0d951edb",
     "user_classes.json": "ddf3a5d11e6b3b8ae9b5874b837dc98787bc184a7ef2481030f3e9237db0e79c",
     "user_metrics.csv": "5ec783bf5a965bbc8b790c8f1eb62f211850a0452d73fd50fd9cd7033e8e8495",
 }
 # The listing: sha256 of the `sha256sum` lines of those files, by path.
-FIXTURE_LISTING = "d91db0dbcde2ad921f3e1bedd90a6a8a504ac5882ef0a32f47e4b1c53aa41677"
+FIXTURE_LISTING = "2b3af2eed82a3d1269051cdc817ffe7c910e6339e6ce0d04571107ad414af1cd"
 
 
 # sha256 of every file but manifest.json that `forumpulse run` writes on the
@@ -81,13 +82,13 @@ DUMP_2000_DIGESTS = {
     "graph.graphml": "8cc91ceb331aa2d1c75740e9d0f4dc6f2fbfb1c0ed895065c898da46519deab4",
     "influencer_subgraph.graphml":
         "262f0197aa21ba92fdc31b87f69f9ea945650fb0bdfc587b8012a890f4b24181",
-    "model.json": "8ce90ebf1f34c7267bd6d4bdbfbb5acc0daf3cf24af0d0011d76643fef4110e6",
+    "model.json": "d28ccd9dddad26053aa268ed27445dfb688abb3fea34e7ad368ef9953072fd91",
     "monthly_topics.csv":
         "fa101c751e25ed64d6e5975b8843c2139c06da1a980bf8a6d56b8f1fd802c84e",
     "pca_components.csv":
         "f8d7cfbd7031d85ee15a83e9dac27fbac98e22c9994b883c5b5f76efe5fa7476",
     "pca_variance.csv": "50b9110aea24634e69034a3cb76bb207f76e4dbb583f9113d08132d9779e87c8",
-    "report.json": "fa421754262bbfe243d767ee37ea869251e975d6629d342f44cec9a11284d5c7",
+    "report.json": "06da36c2c75264907f06925bf7d2eca18e08f044edbda0cb29a7dd7f5e495a35",
     "response_times.csv":
         "1a9b92f976c6cb1ea24efbef84df31d83f731e9599f904a1a2bc8c98f9998e21",
     "score_relations.csv":
@@ -103,6 +104,7 @@ DUMP_2000_DIGESTS = {
         "ecd788f623a57584ccf07023765a6bc2fb3c693eeecd7972056b226f2b603172",
     "topic_profiles.csv":
         "ac4c0397add9cc62e99b991cf6294e0020b2c8cc2ff488db0f3695c612fa12b8",
+    "top_words.csv": "55a93b30b7f95c2166415b287d69ec67918701afd69b920e6f7bda23a1037ee1",
     "user_classes.json": "00617ea634fcebe6c3b176f416a05beecb1bfc1552038234e0f1e0a73814d81b",
     "user_metrics.csv": "85ef0523ad02c0522b4ac5b49b216ebdde40680fbc5ada3d862008a56eb3b0e2",
 }
@@ -163,6 +165,35 @@ def test_directory_of_format_1_reruns_ingest_and_its_readers(tmp_path):
     assert [name for name, status in rerun.stage_status.items() if status == "ran"] \
         == ["ingest", "stats", "corpus", "timeline", "graph", "metrics", "report"]
     assert artifact_digests(tmp_path) == FIXTURE_DIGESTS
+
+
+def test_directory_of_model_format_1_reruns_topics_dominance_and_report(tmp_path):
+    """A directory whose ``topics`` record is at version 2, with a format 1
+    model.json holding per-token labels and no top_words.csv, as the
+    version before wrote it, reruns ``topics``, ``dominance`` (to the same
+    bytes) and ``report``, and skips every other stage; the next run skips
+    them all."""
+    run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
+    model = read_json(tmp_path / "model.json")
+    model.update(format="forumpulse-model-v1", assignments=[[0] for _ in model["doc_ids"]])
+    write_json(tmp_path / "model.json", model, indent=None)
+    (tmp_path / "top_words.csv").unlink()
+    format_1 = sha256_file(tmp_path / "model.json")
+    manifest = read_json(tmp_path / "manifest.json")
+    for record in manifest["stages"].values():
+        for files in (record["inputs"], record["outputs"]):
+            files.pop("top_words.csv", None)
+            if "model.json" in files:
+                files["model.json"] = format_1
+    manifest["stages"]["topics"]["version"] = 2
+    write_json(tmp_path / "manifest.json", manifest)
+
+    rerun = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
+    assert [name for name, status in rerun.stage_status.items() if status == "ran"] \
+        == ["topics", "dominance", "report"]
+    assert artifact_digests(tmp_path) == FIXTURE_DIGESTS
+    assert run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path,
+                        echo=lambda *_: None).all_skipped
 
 
 @settings(max_examples=3, deadline=None)

@@ -11,7 +11,8 @@ from forumpulse.ingest import (AuthorCategory, author_activity_table,
                                load_dataset, parse_dump, response_time_table,
                                save_dataset, score_relations)
 
-from conftest import comment_record, jsonl, make_dataset, parse_dump_per_line, post_record
+from conftest import (comment_record, jsonl, make_dataset, parse_dump_per_line, post_record,
+                      same_fields)
 
 
 def test_parse_small_fixture_resolves_chain(two_posts_three_comments):
@@ -102,7 +103,7 @@ def test_sentinel_authors_excluded_from_author_table_but_content_kept():
 def test_parse_is_idempotent():
     posts = jsonl([post_record("p2", created=50), post_record("p1", created=99)])
     comments = jsonl([comment_record("c1", "t3_p1", "p1")])
-    assert parse_dump(posts, comments) == parse_dump(posts, comments)
+    assert same_fields(parse_dump(posts, comments), parse_dump(posts, comments))
 
 
 def test_author_categories():
@@ -226,7 +227,7 @@ def test_score_one_fractions_hand_counted():
 def test_dataset_roundtrip(tmp_path, two_posts_three_comments):
     path = tmp_path / "dataset.json"
     save_dataset(two_posts_three_comments, path)
-    assert load_dataset(path) == two_posts_three_comments
+    assert same_fields(load_dataset(path), two_posts_three_comments)
 
 
 @st.composite
@@ -281,7 +282,7 @@ def test_every_comment_resolved_xor_dangling_and_parse_idempotent(records):
     d = make_dataset(posts, comments)
     assert d.comments.parent.tolist() == _expected_parent_rows(posts, comments)
     assert d.dangling_refs == sum(1 for row in d.comments.parent.tolist() if row < 0)
-    assert make_dataset(posts, comments) == d
+    assert same_fields(make_dataset(posts, comments), d)
     if d.authors:
         rows = author_activity_table(d)
         assert sum(r.authors for r in rows) == len(d.authors)
@@ -325,7 +326,7 @@ def test_save_load_round_trips_the_columns(tmp_path_factory, records):
     d = make_dataset(*records)
     path = tmp_path_factory.mktemp("dataset") / "dataset.json"
     save_dataset(d, path)
-    assert load_dataset(path) == d
+    assert same_fields(load_dataset(path), d)
 
 
 @pytest.mark.parametrize("value", [
@@ -409,4 +410,5 @@ def test_parse_dump_equals_the_per_line_parser(dump):
     """Checking whole columns gives the dataset and the tallies that
     checking one record at a time gives."""
     posts, comments, window = dump
-    assert parse_dump(posts, comments, window) == parse_dump_per_line(posts, comments, window)
+    assert same_fields(parse_dump(posts, comments, window),
+                       parse_dump_per_line(posts, comments, window))

@@ -4,21 +4,23 @@ import random
 from collections import defaultdict
 from xml.sax.saxutils import quoteattr
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumpulse import interaction
 from forumpulse.errors import DataError
 from forumpulse.fixture import generate_fixture
 from forumpulse.ingest import parse_dump
-from forumpulse.interaction import (build_graph, compute_user_metrics, dot_text,
-                                    graphml_text, load_graph, reach, save_graph,
+from forumpulse.interaction import (InteractionGraph, build_graph, compute_user_metrics,
+                                    dot_text, graphml_text, load_graph, reach, save_graph,
                                     spread_influence_rows, top_influencers_subgraph,
                                     topic_spread, user_classes)
 
-from conftest import (FIXTURE_DIR, assignment_of, comment_record, comment_views, make_dataset,
-                      post_record)
+from conftest import (FIXTURE_DIR, assignment_of, comment_record, comment_views,
+                      edge_tuples, edges_per_comment, graph_from_edges, make_dataset,
+                      post_record, same_graph, subgraph_per_edge)
 
 
 def _assignment(pairs: dict[str, set[int]], k: int):
@@ -37,9 +39,9 @@ def test_load_graph_reads_back_build_graph(tmp_path, users):
                                            out_dir=tmp_path)
     with posts.open() as ps, comments.open() as cs:
         graph = build_graph(parse_dump(ps, cs))
-    assert (graph.edges == ()) == (users == 1)
-    save_graph(tmp_path / "edges.csv", "csv", graph.nodes, graph.edges)
-    assert load_graph(tmp_path / "edges.csv") == graph
+    assert (len(graph.weight) == 0) == (users == 1)
+    save_graph(tmp_path / "edges.csv", "csv", graph)
+    assert same_graph(load_graph(tmp_path / "edges.csv"), graph)
 
 
 def hand_fixture():
@@ -64,14 +66,14 @@ def hand_fixture():
 def test_hand_fixture_graph_exact():
     graph = build_graph(hand_fixture())
     assert graph.nodes == ("u1", "u2", "u3", "u4")
-    assert graph.edges == (
+    assert edge_tuples(graph) == (
         ("u1", "u3", 1), ("u2", "u1", 2), ("u3", "u1", 1),
         ("u3", "u2", 1), ("u4", "u1", 1),
     )
-    assert graph.out_degree == {"u1": 1, "u2": 1, "u3": 2, "u4": 1}
-    assert graph.in_degree == {"u1": 3, "u2": 1, "u3": 1, "u4": 0}
+    assert graph.out_degree.tolist() == [1, 1, 2, 1]
+    assert graph.in_degree.tolist() == [3, 1, 1, 0]
     # 7 comments, 1 self-reply: total edge weight equals the other 6.
-    assert sum(w for _, _, w in graph.edges) == 6
+    assert graph.weight.sum() == 6
 
 
 def test_weight_vs_degree_distinction():
@@ -81,15 +83,15 @@ def test_weight_vs_degree_distinction():
          comment_record("c2", "t3_p1", "p1", author="aa")],
     )
     graph = build_graph(d)
-    assert graph.edges == (("aa", "bb", 2),)
-    assert graph.out_degree["aa"] == 1
+    assert edge_tuples(graph) == (("aa", "bb", 2),)
+    assert graph.out_degree.tolist() == [1, 0]
 
 
 def test_self_reply_makes_no_edge():
     d = make_dataset([post_record("p1", author="aa")],
                      [comment_record("c1", "t3_p1", "p1", author="aa")])
     graph = build_graph(d)
-    assert graph.nodes == () and graph.edges == ()
+    assert graph.nodes == () and edge_tuples(graph) == ()
 
 
 def test_dangling_and_sentinel_parents_skipped():
@@ -101,7 +103,7 @@ def test_dangling_and_sentinel_parents_skipped():
          comment_record("c4", "t3_p2", "p2", author="aa")],
     )
     graph = build_graph(d)
-    assert graph.edges == (("aa", "bb", 1),)
+    assert edge_tuples(graph) == (("aa", "bb", 1),)
 
 
 def test_user_classes_star():
@@ -111,11 +113,11 @@ def test_user_classes_star():
          for i in range(3)],
     )
     classes = user_classes(build_graph(d))
-    assert classes.nodes == 4
-    assert classes.passive == 1                 # the hub never replies
-    assert classes.passive_pct == pytest.approx(25.0)
-    assert classes.unanswered == 3              # spokes get no replies
-    assert classes.unanswered_pct == pytest.approx(75.0)
+    assert classes["nodes"] == 4
+    assert classes["passive"] == 1              # the hub never replies
+    assert classes["passive_pct"] == pytest.approx(25.0)
+    assert classes["unanswered"] == 3           # spokes get no replies
+    assert classes["unanswered_pct"] == pytest.approx(75.0)
 
 
 def test_user_classes_everyone_active():
@@ -125,7 +127,7 @@ def test_user_classes_everyone_active():
          comment_record("c2", "t3_p2", "p2", author="aa")],
     )
     classes = user_classes(build_graph(d))
-    assert classes.passive == 0
+    assert classes["passive"] == 0
 
 
 def _comments_on(posts_by_user: list[str]) -> list:
@@ -278,7 +280,7 @@ def test_top_influencers_star_egonet():
     sub = top_influencers_subgraph(graph, metrics, 1)
     assert sub.selected == ("hub",)
     assert set(sub.nodes) == {"hub", "s0", "s1", "s2"}
-    assert set(sub.edges) == set(graph.edges)
+    assert set(edge_tuples(sub)) == set(edge_tuples(graph))
 
 
 def test_top_influencers_k_larger_than_population():
@@ -287,7 +289,7 @@ def test_top_influencers_k_larger_than_population():
     metrics = compute_user_metrics(d, graph)
     sub = top_influencers_subgraph(graph, metrics, 99)
     assert set(sub.selected) == {"u1", "u2", "u3", "u4"}
-    assert sub.edges == graph.edges
+    assert edge_tuples(sub) == edge_tuples(graph)
 
 
 def test_top_influencers_ranking_ties():
@@ -305,12 +307,13 @@ def test_metric_bounds_and_weight_invariant():
     metrics = compute_user_metrics(d, graph)
     resolved_non_self = sum(
         1 for c in comment_views(d) if c.parent_author not in (None, c.author))
-    assert sum(w for _, _, w in graph.edges) == resolved_non_self
+    edges = edge_tuples(graph)
+    assert sum(w for _, _, w in edges) == resolved_non_self
     for m in metrics:
         assert 0.0 <= m.reach <= 1.0
         assert 0.0 < m.alpha <= 1.0
         assert 0.0 <= m.influence <= min(m.alpha, m.reach)
-        assert m.out_degree <= sum(w for s, _, w in graph.edges if s == m.user)
+        assert m.out_degree <= sum(w for s, _, w in edges if s == m.user)
 
 
 def brute_force_metrics(dataset, dominant_by_post):
@@ -396,11 +399,11 @@ def test_fifty_user_fixture_matches_bruteforce():
 
 def test_graphml_and_dot_exports():
     graph = build_graph(hand_fixture())
-    gml = graphml_text(graph.nodes, graph.edges)
+    gml = graphml_text(graph)
     assert gml.startswith('<?xml version="1.0"')
     assert '<node id="u1"/>' in gml
     assert '<edge source="u2" target="u1"><data key="weight">2</data></edge>' in gml
-    dot = dot_text(graph.nodes, graph.edges)
+    dot = dot_text(graph)
     assert dot.splitlines()[0] == "digraph interactions {"
     assert '  "u2" -> "u1" [weight=2];' in dot
     assert dot.rstrip().endswith("}")
@@ -412,5 +415,62 @@ def test_quoteattr_follows_the_standard_library(text):
 
 
 def test_dot_escapes_quotes():
-    text = dot_text(('we"ird',), (('we"ird', 'we"ird', 1),))
+    text = dot_text(InteractionGraph(('we"ird',), [0], [0], [1]))
     assert '\\"' in text
+
+
+# "" too: ingest keeps a record whose author is the empty string.
+_USERS = st.sampled_from(["ann", "bob", "cy", "dee", "[deleted]", "[removed]", "é z", ""])
+
+
+@st.composite
+def reply_dumps(draw):
+    """A dataset of up to 6 posts and 40 comments by a few users, sentinels
+    included, whose comments reply to posts, to earlier or later comments,
+    to themselves or to nothing that is there."""
+    posts = [post_record(f"p{i}", author=draw(_USERS), created=100 + i)
+             for i in range(draw(st.integers(1, 6)))]
+    n = draw(st.integers(0, 40))
+    comments = []
+    for j in range(n):
+        root = draw(st.sampled_from(posts))["id"]
+        parent = draw(st.one_of(st.just(f"t3_{root}"), st.just("t1_gone"),
+                                st.integers(0, max(n - 1, 0)).map(lambda i: f"t1_c{i:02d}")))
+        comments.append(comment_record(f"c{j:02d}", parent, root, author=draw(_USERS),
+                                       created=200 + j))
+    return make_dataset(posts, comments)
+
+
+@settings(max_examples=120, deadline=None)
+@given(dataset=reply_dumps(), top_k=st.integers(1, 8))
+def test_graph_columns_equal_the_per_edge_oracles(tmp_path_factory, dataset, top_k):
+    """build_graph, its edges.csv read back, the degrees, the user classes
+    and the top influencers' subgraph equal the tuple, Counter and per-edge
+    loop code they replaced."""
+    graph = build_graph(dataset)
+    edges = edges_per_comment(dataset)
+    nodes, out_degree, in_degree = graph_from_edges(edges)
+    assert graph.nodes == nodes and edge_tuples(graph) == edges
+    assert dict(zip(nodes, graph.out_degree.tolist())) == out_degree
+    assert dict(zip(nodes, graph.in_degree.tolist())) == in_degree
+    path = tmp_path_factory.mktemp("graph") / "edges.csv"
+    save_graph(path, "csv", graph)
+    assert same_graph(load_graph(path), graph)
+    classes = user_classes(graph)
+    assert (classes["nodes"], classes["passive"], classes["unanswered"]) == (
+        len(nodes), sum(1 for n in nodes if out_degree[n] == 0),
+        sum(1 for n in nodes if in_degree[n] == 0))
+    try:
+        metrics = compute_user_metrics(dataset, graph)
+    except DataError:       # no commenter
+        return
+    assert all((m.out_degree, m.in_degree) == (out_degree.get(m.user, 0),
+                                               in_degree.get(m.user, 0)) for m in metrics)
+    sub = top_influencers_subgraph(graph, metrics, top_k)
+    assert (sub.nodes, edge_tuples(sub)) == subgraph_per_edge(edges, sub.selected)
+
+
+def test_graph_columns_are_read_only():
+    graph = build_graph(hand_fixture())
+    for column in (graph.source, graph.target, graph.weight):
+        assert column.dtype == np.int64 and not column.flags.writeable

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import os
 import shutil
@@ -21,7 +22,7 @@ from forumpulse.errors import DataError
 from forumpulse.lda import LdaConfig, TopicModel, fit, load_model, save_model, top_words
 from forumpulse.pipeline import stage_seed
 
-from conftest import child_env, corpus_from_counts, csr
+from conftest import child_env, corpus_from_counts, csr, fit_with_labels
 
 
 def disjoint_corpus(repeats: int = 20) -> Corpus:
@@ -63,8 +64,8 @@ def test_single_token_theta_matches_count_formula():
     corpus = corpus_from_counts([{"aa": 1}])
     config = LdaConfig(k=2, alpha=0.5, iterations=10, burn_in=0, seed=3)
     with pytest.warns(UserWarning):   # vocabulary smaller than k
-        model = fit(corpus, config)
-    landed = model.assignments[0][0]
+        model, labels = fit_with_labels(corpus, config)
+    landed = labels[0][0]
     alpha = config.effective_alpha
     expected_hot = (1 + alpha) / (1 + 2 * alpha)
     expected_cold = alpha / (1 + 2 * alpha)
@@ -75,19 +76,19 @@ def test_single_token_theta_matches_count_formula():
 def test_same_seed_bit_identical():
     corpus = disjoint_corpus(5)
     config = LdaConfig(k=2, iterations=30, burn_in=10, seed=123)
-    a = fit(corpus, config)
-    b = fit(corpus, config)
+    a, a_labels = fit_with_labels(corpus, config)
+    b, b_labels = fit_with_labels(corpus, config)
     assert a.theta.tobytes() == b.theta.tobytes()
     assert a.phi.tobytes() == b.phi.tobytes()
-    assert a.assignments == b.assignments
+    assert a_labels == b_labels
     assert a.log_likelihood_trace == b.log_likelihood_trace
 
 
 def test_different_seeds_differ():
     corpus = disjoint_corpus(5)
-    a = fit(corpus, LdaConfig(k=2, iterations=30, burn_in=10, seed=1))
-    b = fit(corpus, LdaConfig(k=2, iterations=30, burn_in=10, seed=2))
-    assert a.assignments != b.assignments
+    _, a = fit_with_labels(corpus, LdaConfig(k=2, iterations=30, burn_in=10, seed=1))
+    _, b = fit_with_labels(corpus, LdaConfig(k=2, iterations=30, burn_in=10, seed=2))
+    assert a != b
 
 
 def test_count_conservation_every_sweep():
@@ -124,10 +125,10 @@ def test_document_permutation_only_permutes_rows():
         excluded_doc_ids=(),
     )
     config = LdaConfig(k=2, iterations=20, burn_in=5, seed=11)
-    base = fit(corpus, config)
-    other = fit(permuted, config)
+    base, base_labels = fit_with_labels(corpus, config)
+    other, other_labels = fit_with_labels(permuted, config)
     assert other.theta[::-1].tobytes() == base.theta.tobytes()
-    assert other.assignments == (base.assignments[1], base.assignments[0])
+    assert other_labels == (base_labels[1], base_labels[0])
     assert other.phi.tobytes() == base.phi.tobytes()
 
 
@@ -140,7 +141,6 @@ def test_top_words_order_and_ties():
         terms=("aa", "bb", "cc"),
         theta=model.theta,
         phi=np.array([[0.5, 0.3, 0.2], [0.4, 0.4, 0.2]]),
-        assignments=model.assignments,
         log_likelihood_trace=model.log_likelihood_trace,
         vocabulary_sha256=model.vocabulary_sha256,
     )
@@ -162,8 +162,8 @@ def test_log_likelihood_matches_hand_formula():
         excluded_doc_ids=(),
     )
     config = LdaConfig(k=2, alpha=0.3, beta=0.2, iterations=10, burn_in=0, seed=5)
-    model = fit(corpus, config)
-    hot = model.assignments[0][0]
+    model, labels = fit_with_labels(corpus, config)
+    hot = labels[0][0]
     alpha, beta = 0.3, 0.2
     theta = [alpha / (1 + 2 * alpha)] * 2
     theta[hot] = (1 + alpha) / (1 + 2 * alpha)
@@ -194,10 +194,24 @@ def test_model_roundtrip_bit_identical(tmp_path):
     loaded = load_model(path)
     assert loaded.theta.tobytes() == model.theta.tobytes()
     assert loaded.phi.tobytes() == model.phi.tobytes()
-    assert loaded.assignments == model.assignments
+    assert loaded.log_likelihood_trace == model.log_likelihood_trace
     assert loaded.config == model.config
     assert loaded.terms == model.terms
     assert loaded.vocabulary_sha256 == model.vocabulary_sha256
+
+
+def test_model_of_format_1_asks_for_a_topics_rerun(tmp_path):
+    """A format 1 model.json, which held the per-token labels, is a
+    DataError that says to rerun topics; format 2 has no labels."""
+    model = fit(disjoint_corpus(4), LdaConfig(k=3, iterations=12, burn_in=2, seed=42))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    assert payload["format"] == "forumpulse-model-v2" and "assignments" not in payload
+    payload.update(format="forumpulse-model-v1", assignments=[[0] * 12, [1] * 12])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match=r"not a forumpulse-model-v2 file \(rerun topics\)"):
+        load_model(path)
 
 
 # --- the compiled kernel against the Python sampler -------------------------
@@ -209,14 +223,17 @@ def kernel():
 
 
 def python_fit(corpus, config):
+    """The model and last labels of the Python sampler (``fit_with_labels``)."""
     with mock.patch.object(lda, "_kernel", lambda: None):
-        return fit(corpus, config)
+        return fit_with_labels(corpus, config)
 
 
-def assert_bit_equal(a: TopicModel, b: TopicModel) -> None:
+def assert_bit_equal(a: tuple[TopicModel, tuple], b: tuple[TopicModel, tuple]) -> None:
+    """Two (model, labels) pairs of ``fit_with_labels`` are equal bit for bit."""
+    (a, a_labels), (b, b_labels) = a, b
     assert a.theta.tobytes() == b.theta.tobytes()
     assert a.phi.tobytes() == b.phi.tobytes()
-    assert a.assignments == b.assignments
+    assert a_labels == b_labels
     assert (np.asarray(a.log_likelihood_trace).tobytes()
             == np.asarray(b.log_likelihood_trace).tobytes())
 
@@ -225,7 +242,8 @@ def assert_bit_equal(a: TopicModel, b: TopicModel) -> None:
 def test_kernel_bit_equal_on_fixture(kernel, fixture_corpus, k):
     config = LdaConfig(k=k, iterations=30, burn_in=10,
                        seed=stage_seed(20240704, "lda"))
-    assert_bit_equal(fit(fixture_corpus, config), python_fit(fixture_corpus, config))
+    assert_bit_equal(fit_with_labels(fixture_corpus, config),
+                     python_fit(fixture_corpus, config))
 
 
 def recounting_hook(corpus: Corpus, config: LdaConfig):
@@ -319,7 +337,7 @@ def test_kernel_bit_equal_on_generated_corpora(kernel, docs, k, seed):
     config = LdaConfig(k=k, iterations=12, burn_in=3, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")   # vocabulary smaller than k
-        assert_bit_equal(fit(corpus, config), python_fit(corpus, config))
+        assert_bit_equal(fit_with_labels(corpus, config), python_fit(corpus, config))
 
 
 def test_kernel_bit_equal_with_short_seeds(kernel, fixture_corpus, monkeypatch):
@@ -329,7 +347,8 @@ def test_kernel_bit_equal_with_short_seeds(kernel, fixture_corpus, monkeypatch):
     monkeypatch.setattr(lda, "_doc_seed", lambda seed, doc_id: (
         0 if doc_id == first else long_seed(seed, doc_id) >> 32))
     config = LdaConfig(k=4, iterations=20, burn_in=5, seed=1)
-    assert_bit_equal(fit(fixture_corpus, config), python_fit(fixture_corpus, config))
+    assert_bit_equal(fit_with_labels(fixture_corpus, config),
+                     python_fit(fixture_corpus, config))
 
 
 @pytest.fixture
@@ -347,7 +366,7 @@ def test_missing_compiler_falls_back_to_python(fresh_kernel, monkeypatch):
     expected = python_fit(corpus, config)
     monkeypatch.setattr(lda, "_CC", str(fresh_kernel / "no-such-cc"))
     assert lda.kernel_name() == "python"
-    assert_bit_equal(fit(corpus, config), expected)
+    assert_bit_equal(fit_with_labels(corpus, config), expected)
     assert not lda._kernel_path().exists()
 
 
@@ -362,7 +381,7 @@ def test_truncated_library_is_rebuilt(fresh_kernel):
     config = LdaConfig(k=3, iterations=15, burn_in=5, seed=4)
     expected = python_fit(corpus, config)
     assert lda.kernel_name() == "c"
-    assert_bit_equal(fit(corpus, config), expected)
+    assert_bit_equal(fit_with_labels(corpus, config), expected)
     assert path.stat().st_size == whole
 
 
@@ -381,7 +400,7 @@ def test_concurrent_first_use_builds_once(fresh_kernel, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(fit, corpus, config) for _ in range(6)]
+            futures = [pool.submit(fit_with_labels, corpus, config) for _ in range(6)]
             models = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)

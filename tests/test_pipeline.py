@@ -25,7 +25,7 @@ EXPECTED_FILES = [
     "manifest.json", "dataset.json", "activity_table.csv", "score_relations.csv",
     "response_times.csv", "stats_summary.json", "corpus/vocabulary.tsv",
     "corpus/documents.csv", "corpus/docs.csv", "corpus/meta.json", "model.json",
-    "skewness_scan.csv", "dominance.csv", "dominance_thresholds.csv",
+    "skewness_scan.csv", "top_words.csv", "dominance.csv", "dominance_thresholds.csv",
     "topic_presence.csv", "cooccurrence.csv", "monthly_topics.csv",
     "category_matrix.csv", "pca_components.csv", "pca_variance.csv",
     "topic_profiles.csv", "edges.csv", "graph.graphml", "graph.dot",
@@ -84,7 +84,7 @@ def test_single_user_fixture_yields_edgeless_graph(tmp_path):
         seed=3, n_posts=10, n_users=1, k_true=2, out_dir=tmp_path)
     with posts_path.open() as ps, comments_path.open() as cs:
         graph = build_graph(parse_dump(ps, cs))
-    assert graph.edges == ()
+    assert graph.nodes == () and len(graph.weight) == 0
 
 
 def test_full_run_writes_every_artifact(tmp_path):
@@ -164,7 +164,8 @@ def test_each_intermediate_parsed_once_while_stages_read_it(tmp_path, monkeypatc
     """A fresh run parses only ``dataset.json``, once for ``stats`` and
     ``corpus`` and once after the fit, and is handed every other
     intermediate by the stage that writes it; it derives the dominant
-    topics and the reply graph once, in the stages that write them."""
+    topics and the reply graph once, in the stages that write them. A
+    ``graph.top_k`` rerun parses no model."""
     calls = Counter()
     for name in ("load_dataset", "load_model", "load_corpus", "load_assignment",
                  "load_graph", "dominant_topics", "build_graph"):
@@ -178,8 +179,7 @@ def test_each_intermediate_parsed_once_while_stages_read_it(tmp_path, monkeypatc
 
     calls.clear()
     again = run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
-    assert calls == {"load_dataset": 1, "load_model": 1, "load_assignment": 1,
-                     "load_graph": 1}
+    assert calls == {"load_dataset": 1, "load_assignment": 1, "load_graph": 1}
     assert ran(again) == ["metrics", "report"]
 
 
@@ -232,9 +232,8 @@ def test_same_dump_through_another_path_is_up_to_date(tmp_path):
 
 def test_report_is_handed_only_the_assignment(tmp_path, monkeypatch):
     """``report`` is handed only what it reads: on a fresh run the
-    assignment and the model their stages wrote, and after a ``metrics``
-    rerun the assignment ``metrics`` parsed, not its dataset and graph;
-    it parses model.json itself then."""
+    assignment its stage wrote, not the model, and after a ``metrics``
+    rerun the assignment ``metrics`` parsed, not its dataset and graph."""
     handed: list[list[str]] = []
 
     def report(ctx, run=STAGES[-1].run):
@@ -247,7 +246,7 @@ def test_report_is_handed_only_the_assignment(tmp_path, monkeypatch):
     config = small_config(tmp_path)
     run_pipeline(config, echo=lambda *_: None)
     run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
-    assert handed == [["dominance.csv", "model.json"], ["dominance.csv"]]
+    assert handed == [["dominance.csv"], ["dominance.csv"]]
 
 
 def assert_same(handed, parsed, where: str) -> None:
@@ -294,7 +293,7 @@ def test_handed_on_objects_equal_their_files(tmp_path, monkeypatch):
         "dominance": ["model.json"], "cooccur": ["dominance.csv"],
         "timeline": ["dominance.csv"], "lexicon": ["corpus", "dominance.csv"],
         "graph": ["dataset.json"], "metrics": ["dataset.json", "dominance.csv", "edges.csv"],
-        "report": ["dominance.csv", "model.json"]}
+        "report": ["dominance.csv"]}
     parse = {"dataset.json": pipeline.load_dataset, "corpus": pipeline.load_corpus,
              "model.json": pipeline.load_model, "dominance.csv": pipeline.load_assignment,
              "edges.csv": pipeline.load_graph}
@@ -483,7 +482,7 @@ def test_manifest_records_versions_and_sampler_telemetry(tmp_path):
                           echo=lambda *_: None)
     records = read_json(result.out_dir / "manifest.json")["stages"]
     assert {name: record["version"] for name, record in records.items()} \
-        == {stage.name: {"ingest": 3, "topics": 2}.get(stage.name, 1) for stage in STAGES}
+        == {stage.name: {"ingest": 3, "topics": 3}.get(stage.name, 1) for stage in STAGES}
     peaks = [records[stage.name]["peak_rss_kb"] for stage in STAGES]
     assert peaks == sorted(peaks) and peaks[0] > 0
     for record in records.values():

@@ -22,7 +22,7 @@ from forumpulse.topics import (cooccurrence, count_nonpositive, dominant_topics,
                                select_k, skewness)
 
 from conftest import (assignment_of, cooccurrence_per_set, corpus_from_counts, make_dataset,
-                      monthly_tally_per_set, post_record, presence_per_set, same_assignment,
+                      monthly_tally_per_set, post_record, presence_per_set, same_fields,
                       topicwise_profile_per_row)
 
 
@@ -304,8 +304,8 @@ def test_load_assignment_reads_back_dominant_topics(fixture_corpus, tmp_path):
         model = fit(fixture_corpus, LdaConfig(k=k, iterations=20, burn_in=5, seed=k))
         written = dominance_stage(StageContext({}, out_dir=tmp_path / str(k),
                                                parsed={"model.json": model}))
-        assert same_assignment(written, dominant_topics(model))
-        assert same_assignment(load_assignment(tmp_path / str(k) / "dominance.csv"), written)
+        assert same_fields(written, dominant_topics(model))
+        assert same_fields(load_assignment(tmp_path / str(k) / "dominance.csv"), written)
         unassigned += int((~written.mask.any(axis=1)).sum())
     assert unassigned > 0
 
@@ -405,4 +405,4 @@ def test_mask_readers_equal_the_per_set_oracles(mask, seed):
 
     with tempfile.TemporaryDirectory() as tmp:
         save_assignment(Path(tmp) / "dominance.csv", a)
-        assert same_assignment(load_assignment(Path(tmp) / "dominance.csv"), a)
+        assert same_fields(load_assignment(Path(tmp) / "dominance.csv"), a)

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from forumpulse.fileio import float_cells, write_csv
-from forumpulse.interaction import dot_text, graphml_text, save_graph
+from forumpulse.interaction import InteractionGraph, dot_text, graphml_text, save_graph
 from forumpulse.lda import LdaConfig, TopicModel, save_model
 from forumpulse.topics import save_assignment
 
-from conftest import (assignment_of, csv_text_per_cell, dot_text_per_cell,
+from conftest import (assignment_of, csv_text_per_cell, dot_text_per_cell, graph_of,
                       graphml_text_per_cell, model_text_per_cell)
 
 EDGE_FLOATS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-05, 1e16, 0.1, 1.0)
@@ -127,7 +127,6 @@ def hand_model(theta: np.ndarray, phi: np.ndarray) -> TopicModel:
         doc_ids=tuple(f"d{i}é" for i in range(n_docs)),
         terms=tuple(f'"{("phi", "theta")[j % 2]}": null {j}' for j in range(phi.shape[1])),
         theta=theta, phi=phi,
-        assignments=tuple((0, 1)[:i % 3] for i in range(n_docs)),
         log_likelihood_trace=(-10.5, -0.0, -9.25),
         vocabulary_sha256="0" * 64)
 
@@ -165,21 +164,21 @@ def graphs(draw):
 @given(graph=graphs())
 def test_graph_exports_write_the_per_cell_text(tmp_path_factory, graph):
     nodes, edges = graph
-    assert graphml_text(nodes, edges) == graphml_text_per_cell(nodes, edges)
-    assert dot_text(nodes, edges) == dot_text_per_cell(nodes, edges)
+    assert graphml_text(graph_of(nodes, edges)) == graphml_text_per_cell(nodes, edges)
+    assert dot_text(graph_of(nodes, edges)) == dot_text_per_cell(nodes, edges)
     path = tmp_path_factory.getbasetemp() / "edges.csv"
-    save_graph(path, "csv", nodes, edges)
+    save_graph(path, "csv", graph_of(nodes, edges))
     assert written(path) == csv_text_per_cell(("from", "to", "weight"), edges)
 
 
 def test_empty_graph_exports():
-    assert graphml_text((), ()) == graphml_text_per_cell((), ())
-    assert dot_text((), ()) == "digraph interactions {\n}\n"
+    assert graphml_text(graph_of((), ())) == graphml_text_per_cell((), ())
+    assert dot_text(graph_of((), ())) == "digraph interactions {\n}\n"
 
 
 def test_graph_export_rejects_an_edge_without_a_weight():
     with pytest.raises(ValueError):
-        dot_text(("a", "b"), (("a", "b"),))
+        dot_text(InteractionGraph(("a", "b"), [0], [1], []))
 
 
 def test_save_assignment_writes_the_per_cell_text(tmp_path):
