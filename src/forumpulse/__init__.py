@@ -8,14 +8,13 @@ from .ingest import (AuthorCategory, Comments, Dataset, Posts,
                      score_relations)
 from .corpus import Corpus, Vocabulary, build_corpus
 from .lda import LdaConfig, TopicModel, fit, top_words
-from .topics import (DominantTopicAssignment, SkewnessReport, cooccurrence,
-                     count_nonpositive, dominant_topics, monthly_distribution,
-                     select_k, skewness)
-from .lexicon import (CategoryMatrix, Lexicon, PcaResult, categorize,
-                      demo_lexicon, load_lexicon, pca, topicwise_profile)
+from .topics import (DominantTopicAssignment, cooccurrence, count_nonpositive,
+                     dominant_topics, monthly_distribution, select_k, skewness)
+from .lexicon import (Lexicon, PcaResult, categorize, demo_lexicon, load_lexicon, pca,
+                      topicwise_profile)
 from .interaction import (InteractionGraph, UserMetrics, build_graph,
-                          compute_user_metrics, reach,
-                          top_influencers_subgraph, topic_spread, user_classes)
+                          compute_user_metrics, top_influencers_subgraph, topic_spread,
+                          user_classes)
 from .fixture import generate_fixture
 from .pipeline import run_pipeline
 

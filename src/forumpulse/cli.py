@@ -14,10 +14,10 @@ from pathlib import Path
 from . import __version__
 from .errors import DataError, ForumPulseError, StageError, UsageError
 from .fixture import generate_fixture
-from .pipeline import (CONFIG_SCHEMA, STAGES, StageContext, check_config, corpus_stage,
-                       cooccur_stage, dominance_stage, graph_stage, ingest_stage,
-                       lexicon_stage, metrics_stage, run_pipeline, stats_stage,
-                       timeline_stage, topics_stage)
+from .pipeline import (CONFIG_SCHEMA, STAGES, StageContext, check_config,
+                       check_input_files, corpus_stage, cooccur_stage, dominance_stage,
+                       graph_stage, ingest_stage, lexicon_stage, metrics_stage,
+                       run_pipeline, stats_stage, timeline_stage, topics_stage)
 
 # Exit 2: bad data, or an input path that is missing or names a file where
 # a directory belongs, or the other way round.
@@ -172,20 +172,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _context(args, stage: str, paths) -> StageContext:
     """The ``StageContext`` of the ``STAGES`` entry named ``stage``: its
     params from the flags named by their config keys, and ``--out`` as its
-    output file if it has one, else as its output directory."""
+    output file if it has one, else as its output directory. A dump or
+    lexicon file it reads must be a regular file, and a lexicon must parse."""
     entry = next(s for s in STAGES if s.name == stage)
     params = check_config({key: getattr(args, key) for key in entry.params})
+    check_input_files(entry, {**paths, **params})
     if len(entry.outputs) == 1:
         return StageContext({**paths, entry.outputs[0]: args.out}, params)
     return StageContext(paths, params, args.out)
 
 
 def _cmd_ingest(args) -> int:
-    ctx = _context(args, "ingest", {"posts": args.posts, "comments": args.comments})
-    for path in (args.posts, args.comments):
-        if not path.is_file():
-            raise DataError(f"dump {path} is not a file")
-    dataset = ingest_stage(ctx)
+    dataset = ingest_stage(_context(args, "ingest",
+                                    {"posts": args.posts, "comments": args.comments}))
     print(f"dataset: {len(dataset.posts)} posts, {len(dataset.comments)} comments, "
           f"{len(dataset.authors)} authors "
           f"(parse errors {dataset.parse_errors}, duplicates {dataset.duplicate_ids}, "
@@ -247,7 +246,7 @@ def _cmd_users_metrics(args) -> int:
     metrics, subgraph = metrics_stage(_context(args, "metrics", {
         "dataset.json": args.dataset, "edges.csv": args.edges,
         "dominance.csv": args.dominance}))
-    print(f"metrics for {len(metrics)} commenters; top {len(subgraph.selected)} "
+    print(f"metrics for {len(metrics.users)} commenters; top {len(subgraph.selected)} "
           f"influencers with {len(subgraph.nodes)} egonet users -> {args.out}")
     return 0
 

@@ -127,11 +127,12 @@ class Dataset:
     def post_rows(self, ids: Sequence[str]) -> np.ndarray:
         """The row in ``posts`` of each of ``ids``; DataError naming the
         first that is not a post of the dataset."""
-        row = dict(zip(self.posts.id, range(len(self.posts))))
-        missing = next((i for i in ids if i not in row), None)
-        if missing is not None:
-            raise DataError(f"post {missing!r} not present in dataset")
-        return np.fromiter(map(row.__getitem__, ids), dtype=np.int64, count=len(ids))
+        return _rows(self.posts.id, ids, "post")
+
+    def author_rows(self, names: Sequence[str]) -> np.ndarray:
+        """The index in ``authors`` of each of ``names``; DataError naming
+        the first that is not an author of the dataset."""
+        return _rows(self.authors, names, "author")
 
     @cached_property
     def authors(self) -> list[str]:
@@ -154,6 +155,16 @@ class Dataset:
         index = dict(zip(self.authors, range(len(self.authors))))
         return np.array([index.get(a, -1) for a in
                          chain(self.posts.author, self.comments.author)], dtype=np.int64)
+
+
+def _rows(keys: Sequence[str], wanted: Sequence[str], kind: str) -> np.ndarray:
+    """The index in ``keys`` of each of ``wanted``; DataError naming the
+    first that ``keys`` lacks."""
+    row = dict(zip(keys, range(len(keys))))
+    try:
+        return np.fromiter(map(row.__getitem__, wanted), dtype=np.int64, count=len(wanted))
+    except KeyError as exc:
+        raise DataError(f"{kind} {exc.args[0]!r} not present in dataset") from None
 
 
 def _int64(value) -> int | None:
@@ -184,9 +195,9 @@ def _nonempty_strings(column: Sequence) -> np.ndarray:
                        count=len(column))
 
 
-def _separator_free(ids: Sequence, authors: list[str]) -> np.ndarray:
-    """Where neither ``str`` of an id nor the author holds a CSV separator."""
-    return np.fromiter((_CSV_SEPARATOR.search(str(i) + a) is None
+def _separator_free(ids: Sequence, authors: Sequence) -> np.ndarray:
+    """Where neither ``str`` of an id nor of its author holds a CSV separator."""
+    return np.fromiter((_CSV_SEPARATOR.search(str(i) + str(a)) is None
                         for i, a in zip(ids, authors)), dtype=bool, count=len(ids))
 
 
@@ -225,24 +236,24 @@ def _read_records(stream: Iterable[str], take, width: int, n_strings: int,
                   ) -> list:
     """The ``width`` columns that ``take`` gives of the records of
     ``stream`` (``_scan``) that are valid and created inside ``window``,
-    the first record of each id kept, in ascending id order: ids, authors
-    (as str), ``created_utc`` and ``score`` as int64 arrays, then one list
-    per further field.
+    the first record of each id kept, in ascending id order: ids, authors,
+    ``created_utc`` and ``score`` as int64 arrays, then one list per further
+    field.
 
-    A record is valid when its id and the ``n_strings`` fields after its
-    score are non-empty strs, its id and author hold no CSV separator, its
-    score is an int64 and its ``created_utc`` one within ``_CREATED_AT``;
-    the others, and repeated ids, are counted in ``tallies``.
+    A record is valid when its id, author and the ``n_strings`` fields
+    after its score are non-empty strs, its id and author hold no CSV
+    separator, its score is an int64 and its ``created_utc`` one within
+    ``_CREATED_AT``; the others, and repeated ids, are counted in ``tallies``.
     """
     rows = _scan(stream, take, tallies)
     columns = [list(map(itemgetter(j), rows)) for j in range(width)]
     del rows
-    ids, authors = columns[0], list(map(str, columns[1]))
+    ids, authors = columns[0], columns[1]
     created, valid = _int64_column(columns[2])
     scores, valid_score = _int64_column(columns[3])
     valid &= valid_score & (_CREATED_AT[0] <= created) & (created <= _CREATED_AT[1])
     valid &= _separator_free(ids, authors)
-    for column in [ids] + columns[4:4 + n_strings]:
+    for column in [ids, authors] + columns[4:4 + n_strings]:
         valid &= _nonempty_strings(column)
     tallies["parse_errors"] += len(valid) - int(np.count_nonzero(valid))
 
@@ -297,19 +308,10 @@ def parse_dump(post_stream: Iterable[str], comment_stream: Iterable[str],
                    tallies["parse_errors"], tallies["duplicate_ids"])
 
 
-@dataclass(frozen=True)
-class ActivityRow:
-    category: AuthorCategory
-    authors: int
-    posts: int
-    comments: int
-    authors_pct: float
-    posts_pct: float
-    comments_pct: float
-
-
-def author_activity_table(dataset: Dataset) -> tuple[ActivityRow, ...]:
-    """Per-category share of authors, posts and comments.
+def author_activity_table(dataset: Dataset) -> list[tuple]:
+    """The rows of ``activity_table.csv``: per ``AuthorCategory``, its
+    value, then its authors, posts and comments, each followed by its
+    percentage.
 
     Percentages are taken over activity attributed to non-sentinel authors,
     so each column sums to 100 whenever the corresponding denominator is
@@ -331,16 +333,10 @@ def author_activity_table(dataset: Dataset) -> tuple[ActivityRow, ...]:
         member = category == i
         n_authors = int(member.sum())
         n_posts, n_comments = int(posts[member].sum()), int(comments[member].sum())
-        rows.append(ActivityRow(
-            category=kind,
-            authors=n_authors,
-            posts=n_posts,
-            comments=n_comments,
-            authors_pct=pct(n_authors, n),
-            posts_pct=pct(n_posts, total_posts),
-            comments_pct=pct(n_comments, total_comments),
-        ))
-    return tuple(rows)
+        rows.append((kind.value, n_authors, pct(n_authors, n), n_posts,
+                     pct(n_posts, total_posts), n_comments,
+                     pct(n_comments, total_comments)))
+    return rows
 
 
 def response_time_table(dataset: Dataset) -> tuple[list[tuple[str, int, int]], int]:

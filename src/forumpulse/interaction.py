@@ -19,9 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import compress
-from math import log10
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -75,8 +74,7 @@ def build_graph(dataset: Dataset) -> InteractionGraph:
 
 
 # edges.csv: its header, then one line of source, target and weight per edge.
-# A name may be empty: ingest keeps a record whose author is "".
-_EDGE_LIST = re.compile(r"from,to,weight\n((?:[^,\n\r]*,[^,\n\r]*,[1-9][0-9]{0,17}\n)*)")
+_EDGE_LIST = re.compile(r"from,to,weight\n((?:[^,\n\r]+,[^,\n\r]+,[1-9][0-9]{0,17}\n)*)")
 
 
 def load_graph(path: Path) -> InteractionGraph:
@@ -85,8 +83,8 @@ def load_graph(path: Path) -> InteractionGraph:
     with reading(path, "edge list file"):
         match = _EDGE_LIST.fullmatch(Path(path).read_text(encoding="utf-8"))
         if match is None:
-            raise ValueError("not a from,to,weight header and lines of two names and "
-                             "a positive integer weight, each ending in a newline")
+            raise ValueError("not a from,to,weight header and lines of two non-empty names "
+                             "and a positive integer weight, each ending in a newline")
     cells = match[1].replace("\n", ",").split(",")[:-1]
     nodes = tuple(sorted(set(cells[0::3]).union(cells[1::3])))
     index = dict(zip(nodes, range(len(nodes))))
@@ -121,14 +119,13 @@ def user_classes(graph: InteractionGraph) -> dict[str, float]:
     return classes
 
 
-def topic_spread(dataset: Dataset, assignment: DominantTopicAssignment,
-                 ) -> dict[str, tuple[float, dict[int, float]]]:
-    """(tau, per-topic fractions) of each user, by name.
+def topic_spread(dataset: Dataset, assignment: DominantTopicAssignment) -> np.ndarray:
+    """The tau of each of ``dataset.authors``: NaN for a user without a
+    comment that counts.
 
     Only comments by non-sentinel authors whose root post has at least one
-    dominant topic under ``assignment`` count. A user without such a comment
-    is absent, which is distinct from any numeric spread value. DataError
-    when ``assignment`` names a post that is not in ``dataset``.
+    dominant topic under ``assignment`` count. DataError when
+    ``assignment`` names a post that is not in ``dataset``.
     """
     n_posts, k = len(dataset.posts), assignment.k
     # One row per post and a last one, with no topic, for a dangling root (-1).
@@ -140,100 +137,74 @@ def topic_spread(dataset: Dataset, assignment: DominantTopicAssignment,
     scored = (user >= 0) & (n_topics > 0)
     user, hits, share = user[scored], hits[scored], 1.0 / n_topics[scored]
     n_users = len(dataset.authors)
-    # bincount adds each user's shares in comment order, as a loop over them would.
-    credit = np.stack([np.bincount(user[hits[:, t]], weights=share[hits[:, t]],
-                                   minlength=n_users) for t in range(k)], axis=1)
     counted = np.bincount(user, minlength=n_users)
-    spreads = {}
-    for u in np.flatnonzero(counted).tolist():
-        fractions = {t: c / int(counted[u]) for t, c in enumerate(credit[u].tolist()) if c}
-        tau = sum(1.0 / (s * s) for s in fractions.values() if s > 0)
-        spreads[dataset.authors[u]] = tau, fractions
-    return spreads
+    tau = np.where(counted > 0, 0.0, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(k):
+            # bincount adds each user's shares in comment order, as a loop
+            # over them would; tau adds the topics' terms left to right.
+            s = np.bincount(user[hits[:, t]], weights=share[hits[:, t]],
+                            minlength=n_users) / counted
+            tau += np.where(s > 0, 1.0 / (s * s), 0.0)
+    return tau
 
 
-def reach(out_degree: int, comment_count: int) -> Optional[float]:
-    """Distinct users replied to per comment made; None for non-commenters."""
-    if comment_count <= 0:
-        return None
-    return out_degree / comment_count
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UserMetrics:
-    user: str
-    comment_count: int
-    out_degree: int
-    in_degree: int
-    tau: Optional[float]
-    topic_fractions: dict[int, float]
-    reach: float
-    alpha: float
-    influence: float
-    aggregate_comment_score: int
+    """One row per non-sentinel commenter, in name order: ``users``, the
+    read-only arrays ``comment_count`` (C), ``out_degree``, ``in_degree``,
+    ``tau`` (NaN where undefined), ``reach`` (R), ``alpha`` and
+    ``influence`` (I), and ``aggregate_comment_score`` as Python ints."""
+
+    users: list[str]
+    comment_count: np.ndarray
+    out_degree: np.ndarray
+    in_degree: np.ndarray
+    tau: np.ndarray
+    reach: np.ndarray
+    alpha: np.ndarray
+    influence: np.ndarray
+    aggregate_comment_score: list[int]
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            if isinstance(column, np.ndarray):
+                column.setflags(write=False)
 
 
 def compute_user_metrics(dataset: Dataset, graph: InteractionGraph,
                          assignment: Optional[DominantTopicAssignment] = None,
-                         ) -> list[UserMetrics]:
-    """One complete record per non-sentinel commenter, in user order; tau
-    is None without ``assignment``. DataError when there is no commenter."""
+                         ) -> UserMetrics:
+    """The metrics of every non-sentinel commenter; tau is NaN without
+    ``assignment``. DataError when there is no commenter, or when a node of
+    ``graph`` is not an author of ``dataset``."""
     _, counts = dataset.activity()
     if not counts.any():
         raise DataError("no commenters to score")
-    max_count = int(counts.max())
+    degree = np.zeros((2, len(dataset.authors)), dtype=np.int64)
+    degree[:, dataset.author_rows(graph.nodes)] = graph.out_degree, graph.in_degree
     # Summed as Python ints, which cannot wrap as an int64 sum can.
     scores = [0] * len(dataset.authors)
     for a, score in zip(dataset.author_index[len(dataset.posts):].tolist(),
                         dataset.comments.score.tolist()):
         if a >= 0:
             scores[a] += score
-    spreads = topic_spread(dataset, assignment) if assignment is not None else {}
-    out_degrees = dict(zip(graph.nodes, graph.out_degree.tolist()))
-    in_degrees = dict(zip(graph.nodes, graph.in_degree.tolist()))
-
-    metrics = []
-    for u in np.flatnonzero(counts).tolist():
-        user, count = dataset.authors[u], int(counts[u])
-        out_deg = out_degrees.get(user, 0)
-        user_reach = reach(out_deg, count)
-        spread = spreads.get(user)
-        metrics.append(UserMetrics(
-            user=user,
-            comment_count=count,
-            out_degree=out_deg,
-            in_degree=in_degrees.get(user, 0),
-            tau=spread[0] if spread else None,
-            topic_fractions=spread[1] if spread else {},
-            reach=user_reach,
-            alpha=count / max_count,
-            influence=(count / max_count) * user_reach,
-            aggregate_comment_score=scores[u],
-        ))
-    return metrics
-
-
-def spread_influence_rows(metrics: Sequence[UserMetrics]
-                          ) -> list[tuple[str, Optional[float], float, float, Optional[float]]]:
-    """(user, tau, influence, log10 C, log10 aggregate score) export rows.
-
-    The score logarithm is blank for users whose aggregate comment score is
-    not positive.
-    """
-    rows = []
-    for m in metrics:
-        log_score = log10(m.aggregate_comment_score) if m.aggregate_comment_score > 0 else None
-        rows.append((m.user, m.tau, m.influence, log10(m.comment_count), log_score))
-    return rows
+    tau = (topic_spread(dataset, assignment) if assignment is not None
+           else np.full(len(dataset.authors), np.nan))
+    users = np.flatnonzero(counts)
+    count = counts[users]
+    alpha, reach = count / count.max(), degree[0, users] / count
+    return UserMetrics(list(map(dataset.authors.__getitem__, users.tolist())), count,
+                       degree[0, users], degree[1, users], tau[users], reach, alpha,
+                       alpha * reach, list(map(scores.__getitem__, users.tolist())))
 
 
 @dataclass(frozen=True, eq=False)
 class Subgraph(InteractionGraph):
-    selected: tuple[str, ...] = ()   # the ranked influencers anchoring the egonets
+    selected: np.ndarray    # the ranked influencers anchoring the egonets, by metrics row
 
 
-def top_influencers_subgraph(graph: InteractionGraph,
-                             metrics: Sequence[UserMetrics],
+def top_influencers_subgraph(graph: InteractionGraph, metrics: UserMetrics,
                              top_k: int) -> Subgraph:
     """Induced subgraph around the top_k users by influence.
 
@@ -243,20 +214,22 @@ def top_influencers_subgraph(graph: InteractionGraph,
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    ranked = sorted(metrics, key=lambda m: (-m.influence, -m.comment_count, m.user))
-    selected = tuple(m.user for m in ranked[:top_k])
+    # A stable sort of rows in name order: ties keep the smaller name first.
+    ranked = np.lexsort((-metrics.comment_count, -metrics.influence))[:top_k]
+    ranked.setflags(write=False)
+    selected = set(map(metrics.users.__getitem__, ranked.tolist()))
 
-    anchor = np.fromiter(map(set(selected).__contains__, graph.nodes), dtype=bool,
+    anchor = np.fromiter(map(selected.__contains__, graph.nodes), dtype=bool,
                          count=len(graph.nodes))
     keep = anchor.copy()
     keep[graph.target[anchor[graph.source]]] = True
     keep[graph.source[anchor[graph.target]]] = True
-    nodes = tuple(sorted(set(selected).union(compress(graph.nodes, keep.tolist()))))
+    nodes = tuple(sorted(selected.union(compress(graph.nodes, keep.tolist()))))
     position = dict(zip(nodes, range(len(nodes))))
     renumber = np.array([position.get(name, -1) for name in graph.nodes], dtype=np.int64)
     edge = keep[graph.source] & keep[graph.target]
     return Subgraph(nodes, renumber[graph.source[edge]], renumber[graph.target[edge]],
-                    graph.weight[edge], selected)
+                    graph.weight[edge], ranked)
 
 
 def _quoteattr(text: str) -> str:

@@ -40,8 +40,6 @@ def load_lexicon(path: Path) -> Lexicon:
     Category order follows the file. Duplicate names and empty word lists
     are rejected.
     """
-    if not path.is_file():
-        raise DataError(f"lexicon {path} is not a file")
     with reading(path, "lexicon"):
         payload = read_json(path)
     if not isinstance(payload, dict) or not payload:
@@ -65,17 +63,10 @@ def demo_lexicon() -> Lexicon:
         return load_lexicon(path)
 
 
-@dataclass(frozen=True)
-class CategoryMatrix:
-    """Per-post normalized category scores, columns in lexicon order."""
-
-    rows: np.ndarray            # (n_docs, n_categories), entries in [0, 1]
-    categories: tuple[str, ...]
-    doc_ids: tuple[str, ...]
-
-
-def categorize(corpus: Corpus, lexicon: Lexicon) -> CategoryMatrix:
-    """Score each document of ``corpus`` against every lexicon category.
+def categorize(corpus: Corpus, lexicon: Lexicon) -> np.ndarray:
+    """The read-only (documents, categories) scores of each document of
+    ``corpus`` against every lexicon category, in corpus and lexicon order;
+    each entry is in [0, 1].
 
     A document's hits in a category are an exact integer: the counts of its
     terms that are category words. Its row is those hits times the
@@ -100,8 +91,7 @@ def categorize(corpus: Corpus, lexicon: Lexicon) -> CategoryMatrix:
     inv_totals = np.divide(1.0, totals, out=np.zeros(len(totals)), where=totals > 0)
     rows = hits * inv_totals[:, None]
     rows.setflags(write=False)
-    return CategoryMatrix(rows=rows, categories=lexicon.categories,
-                          doc_ids=corpus.doc_ids)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -165,8 +155,8 @@ def _dominant_eigenpair(cov: np.ndarray, basis: list[np.ndarray],
     return best[1], best[2]
 
 
-def pca(matrix: CategoryMatrix | np.ndarray, n_comp: int) -> PcaResult:
-    """Principal components of the category matrix.
+def pca(rows: np.ndarray, n_comp: int) -> PcaResult:
+    """Principal components of the (documents, categories) matrix ``rows``.
 
     Eigenpairs of the population covariance are extracted largest-first by
     power iteration, deflating the matrix after each one; iteration stops
@@ -176,7 +166,6 @@ def pca(matrix: CategoryMatrix | np.ndarray, n_comp: int) -> PcaResult:
     of the data come back with explained variance ~ 0 and are listed in
     ``negligible``.
     """
-    rows = matrix.rows if isinstance(matrix, CategoryMatrix) else np.asarray(matrix, float)
     n_docs, n_cats = rows.shape
     if not 1 <= n_comp <= min(n_docs, n_cats):
         raise ValueError(

@@ -26,6 +26,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from math import isnan, log10
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
@@ -40,8 +41,7 @@ from .fileio import (float_cells, read_csv, read_json, reading, sha256_file, wri
 from .ingest import (author_activity_table, load_dataset, parse_dump,
                      response_time_table, save_dataset, score_relations)
 from .interaction import (build_graph, compute_user_metrics, load_graph, save_graph,
-                          spread_influence_rows, top_influencers_subgraph,
-                          user_classes)
+                          top_influencers_subgraph, user_classes)
 from .lda import (DEFAULT_BETA, DEFAULT_BURN_IN, DEFAULT_ITERATIONS, LdaConfig,
                   kernel_name, load_model, save_model, top_words)
 from .lexicon import categorize, demo_lexicon, load_lexicon, pca, topicwise_profile
@@ -297,10 +297,7 @@ def stats_stage(ctx: StageContext) -> dict[str, Any]:
     dataset = ctx.load("dataset.json")
     write_csv(ctx.path("activity_table.csv"),
               ("category", "authors", "authors_pct", "posts", "posts_pct",
-               "comments", "comments_pct"),
-              ((r.category.value, r.authors, r.authors_pct, r.posts,
-                r.posts_pct, r.comments, r.comments_pct)
-               for r in author_activity_table(dataset)))
+               "comments", "comments_pct"), author_activity_table(dataset))
     relations = score_relations(dataset)
     write_csv(ctx.path("score_relations.csv"),
               ("post_id", "post_score", "max_comment_score"), relations.pairs)
@@ -344,10 +341,10 @@ def topics_stage(ctx: StageContext):
     base = LdaConfig(k=k_min, alpha=p["lda.alpha"], beta=p["lda.beta"],
                      iterations=p["lda.iterations"], burn_in=p["lda.burn_in"],
                      seed=stage_seed(p["seed"], "lda"))
-    result = select_k(ctx.load("corpus"), k_min, k_max, base, patience=p["lda.patience"],
-                      progress=lambda k, w: ctx.echo(f"[topics] k={k} W_k={w}"))
-    model = result.model
-    sweeps = len(result.reports) * p["lda.iterations"]
+    model, scan = select_k(ctx.load("corpus"), k_min, k_max, base,
+                           patience=p["lda.patience"],
+                           progress=lambda k, w: ctx.echo(f"[topics] k={k} W_k={w}"))
+    sweeps = len(scan) * p["lda.iterations"]
     ll = model.log_likelihood_trace
     ctx.record.update(
         kernel=kernel_name(),
@@ -358,7 +355,7 @@ def topics_stage(ctx: StageContext):
     save_model(model, ctx.path("model.json"))
     ctx.parsed["model.json"] = model
     write_csv(ctx.path("skewness_scan.csv"), ("k", "w_k", "selected"),
-              ((r.k, r.w_k, 1 if r.k == result.k else 0) for r in result.reports))
+              ((k, w_k, 1 if k == model.k else 0) for k, w_k in scan))
     write_csv(ctx.path("top_words.csv"), ("topic", "rank", "term"),
               ((t, rank, term) for t in range(model.k)
                for rank, term in enumerate(top_words(model, t, TOP_WORDS), 1)))
@@ -394,13 +391,12 @@ def lexicon_stage(ctx: StageContext):
                         f"documents in corpus order")
     lexicon_path = ctx.params["lexicon.path"]
     lex = load_lexicon(Path(lexicon_path)) if lexicon_path is not None else demo_lexicon()
-    matrix = categorize(corpus, lex)
-    write_csv(ctx.path("category_matrix.csv"), ("post_id",) + matrix.categories,
-              zip(matrix.doc_ids, *float_cells(matrix.rows).T.tolist()))
-    n_comp = min(ctx.params["lexicon.components"],
-                 len(matrix.doc_ids), len(matrix.categories))
-    result = pca(matrix, n_comp)
-    write_csv(ctx.path("pca_components.csv"), ("component",) + matrix.categories,
+    rows = categorize(corpus, lex)
+    write_csv(ctx.path("category_matrix.csv"), ("post_id",) + lex.categories,
+              zip(corpus.doc_ids, *float_cells(rows).T.tolist()))
+    n_comp = min(ctx.params["lexicon.components"], *rows.shape)
+    result = pca(rows, n_comp)
+    write_csv(ctx.path("pca_components.csv"), ("component",) + lex.categories,
               ((i,) + tuple(float(x) for x in row)
                for i, row in enumerate(result.components)))
     write_csv(ctx.path("pca_variance.csv"),
@@ -432,20 +428,24 @@ def metrics_stage(ctx: StageContext):
     dataset, graph = ctx.load("dataset.json"), ctx.load("edges.csv")
     assignment = ctx.load("dominance.csv") if ctx.path("dominance.csv") is not None else None
     metrics = compute_user_metrics(dataset, graph, assignment)
+    tau, reach, alpha, influence = float_cells(
+        np.stack((metrics.tau, metrics.reach, metrics.alpha, metrics.influence)),
+        lambda x: "" if isnan(x) else repr(x)).tolist()
+    counts, scores = metrics.comment_count.tolist(), metrics.aggregate_comment_score
     write_csv(ctx.path("user_metrics.csv"),
               ("user", "C", "out_degree", "in_degree", "tau", "R",
                "alpha", "I", "agg_score"),
-              ((m.user, m.comment_count, m.out_degree, m.in_degree, m.tau,
-                m.reach, m.alpha, m.influence, m.aggregate_comment_score)
-               for m in metrics))
+              zip(metrics.users, counts, metrics.out_degree.tolist(),
+                  metrics.in_degree.tolist(), tau, reach, alpha, influence, scores))
     write_csv(ctx.path("spread_influence.csv"),
               ("user", "tau", "influence", "log10_comments", "log10_agg_score"),
-              spread_influence_rows(metrics))
+              zip(metrics.users, tau, influence, map(log10, counts),
+                  [log10(s) if s > 0 else None for s in scores]))
     subgraph = top_influencers_subgraph(graph, metrics, ctx.params["graph.top_k"])
-    by_user = {m.user: m for m in metrics}
+    ranked = subgraph.selected.tolist()
     write_csv(ctx.path("top_influencers.csv"), ("rank", "user", "influence", "C"),
-              ((i + 1, u, by_user[u].influence, by_user[u].comment_count)
-               for i, u in enumerate(subgraph.selected)))
+              zip(range(1, len(ranked) + 1), map(metrics.users.__getitem__, ranked),
+                  map(influence.__getitem__, ranked), map(counts.__getitem__, ranked)))
     save_graph(ctx.path("influencer_subgraph.graphml"), "graphml", subgraph)
     return metrics, subgraph
 
@@ -493,9 +493,9 @@ _DOMINANCE = ("dominance.csv", "dominance_thresholds.csv", "topic_presence.csv")
 
 STAGES: tuple[Stage, ...] = (
     # ingest 2: dataset.json holds columns; 3: a created_utc after 9999 is a
-    # parse error.
+    # parse error; 4: so is an author that is not a non-empty str.
     Stage("ingest", ("from", "to"), ("posts", "comments"), ("dataset.json",),
-          ingest_stage, version=3),
+          ingest_stage, version=4),
     Stage("stats", (), ("dataset.json",),
           ("activity_table.csv", "score_relations.csv", "response_times.csv",
            "stats_summary.json"), stats_stage),
@@ -532,6 +532,18 @@ STAGES += (Stage("report", (),
                  ("report.json",), report_stage, recorded=_ARTIFACTS),)
 
 
+def check_input_files(stage: Stage, config: Mapping[str, Any]) -> None:
+    """DataError unless each dump or lexicon file that ``config`` names by
+    a config key among ``stage``'s inputs is a regular file, and such a
+    lexicon parses."""
+    for key in stage.inputs:
+        if key in CONFIG_DEFAULTS and config.get(key) is not None:
+            if not Path(config[key]).is_file():
+                raise DataError(f"config key {key!r}: {config[key]} is not a file")
+            if key == "lexicon.path":
+                load_lexicon(Path(config[key]))
+
+
 def run_pipeline(config_path: Path,
                  overrides: Optional[Mapping[str, str]] = None,
                  out_dir: Optional[Path] = None,
@@ -545,16 +557,10 @@ def run_pipeline(config_path: Path,
     """
     config = load_config(config_path, overrides)
     for stage in STAGES:
-        for key in stage.inputs:
-            if config.get(key) is None:
-                continue
-            try:
-                if not Path(config[key]).is_file():
-                    raise DataError(f"config key {key!r}: {config[key]} is not a file")
-                if key == "lexicon.path":
-                    load_lexicon(Path(config[key]))
-            except DataError as exc:
-                raise StageError(stage.name, exc) from exc
+        try:
+            check_input_files(stage, config)
+        except DataError as exc:
+            raise StageError(stage.name, exc) from exc
     target = Path(out_dir) if out_dir is not None else Path(config["out_dir"])
     # The first file a stage writes makes the directory.
     nearest = next(p for p in (target, *target.parents) if p.exists())

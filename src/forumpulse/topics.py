@@ -51,44 +51,32 @@ def skewness(dist: Sequence[float]) -> Optional[float]:
     return 3.0 * (mean - median) / sigma
 
 
-@dataclass(frozen=True)
-class SkewnessReport:
-    k: int
-    per_doc_skewness: tuple[Optional[float], ...]
-    w_k: int
-
-
-def count_nonpositive(model: TopicModel) -> SkewnessReport:
-    """W_k: documents whose skewness is <= 0 or undefined.
-
-    Computes ``skewness`` of every row of theta at once, with the same
-    operations per row, so each value equals the per-row result."""
-    theta = model.theta
+def row_skewness(theta: np.ndarray) -> np.ndarray:
+    """``skewness`` of every row of ``theta`` at once, NaN where it is
+    undefined. Each row takes the same operations as ``skewness``, so each
+    value equals the per-row result."""
     if theta.ndim != 2 or theta.shape[1] < 2:
         raise ValueError("skewness needs a vector of at least 2 entries")
     if bool(np.any(np.abs(theta.sum(axis=1) - 1.0) > _SUM_TOLERANCE)):
         raise ValueError("entries must sum to 1")
     mean = theta.mean(axis=1)
     sigma = np.sqrt(np.mean((theta - mean[:, None]) ** 2, axis=1))
-    undefined = np.all(theta == theta[:, :1], axis=1) | (sigma == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         skews = 3.0 * (mean - np.median(theta, axis=1)) / sigma
-    per_doc = tuple(None if none else s
-                    for none, s in zip(undefined.tolist(), skews.tolist()))
-    w_k = sum(1 for s in per_doc if s is None or s <= 0)
-    return SkewnessReport(k=model.k, per_doc_skewness=per_doc, w_k=w_k)
+    skews[np.all(theta == theta[:, :1], axis=1) | (sigma == 0.0)] = np.nan
+    return skews
 
 
-@dataclass(frozen=True)
-class SelectKResult:
-    k: int
-    model: TopicModel
-    reports: tuple[SkewnessReport, ...]
+def count_nonpositive(model: TopicModel) -> int:
+    """W_k: documents whose skewness is <= 0 or undefined."""
+    return int(np.count_nonzero(~(row_skewness(model.theta) > 0)))
 
 
 def select_k(corpus: Corpus, k_min: int, k_max: int, base: LdaConfig,
-             patience: Optional[int] = None, progress=None) -> SelectKResult:
-    """Scan k in [k_min, k_max], fit a model per k, keep the minimal-W_k one.
+             patience: Optional[int] = None, progress=None
+             ) -> tuple[TopicModel, list[tuple[int, int]]]:
+    """Scan k in [k_min, k_max], fit a model per k, keep the minimal-W_k one;
+    returns it and the (k, W_k) of each k scanned, in k order.
 
     Every fit reuses the seed policy of ``base`` so only k varies. Ties go
     to the smallest k. With ``patience`` set, the scan stops early after
@@ -101,26 +89,24 @@ def select_k(corpus: Corpus, k_min: int, k_max: int, base: LdaConfig,
     if patience is not None and patience < 1:
         raise ValueError("patience must be >= 1 when set")
 
-    reports: list[SkewnessReport] = []
-    best: tuple[int, TopicModel] | None = None
+    scan: list[tuple[int, int]] = []
+    best: Optional[TopicModel] = None
     best_w = None
     stale = 0
     for k in range(k_min, k_max + 1):
         model = fit(corpus, replace(base, k=k))
-        report = count_nonpositive(model)
-        reports.append(report)
+        w_k = count_nonpositive(model)
+        scan.append((k, w_k))
         if progress is not None:
-            progress(k, report.w_k)
-        if best_w is None or report.w_k < best_w:
-            best_w, best = report.w_k, (k, model)
+            progress(k, w_k)
+        if best_w is None or w_k < best_w:
+            best_w, best = w_k, model
             stale = 0
         else:
             stale += 1
             if patience is not None and stale >= patience:
                 break
-
-    assert best is not None
-    return SelectKResult(k=best[0], model=best[1], reports=tuple(reports))
+    return best, scan
 
 
 @dataclass(frozen=True, eq=False)

@@ -212,9 +212,11 @@ def _coerce_int(value) -> int:
 
 
 def _record_fields(record: dict) -> tuple:
-    record_id, author = record["id"], str(record["author"])
+    record_id, author = record["id"], record["author"]
     if not isinstance(record_id, str) or not record_id:
         raise ValueError("missing id")
+    if not isinstance(author, str) or not author:
+        raise ValueError("missing author")
     if _SEPARATOR.search(record_id + author):
         raise ValueError("id or author holds a CSV separator")
     created = _coerce_int(record["created_utc"])
@@ -453,6 +455,22 @@ def subgraph_per_edge(edges, selected):
             keep.add(source)
     return (tuple(sorted(keep)),
             tuple((s, t, w) for s, t, w in edges if s in keep and t in keep))
+
+
+def metric_rows(metrics) -> dict[str, SimpleNamespace]:
+    """Each commenter's row of the ``UserMetrics`` columns, by name: a
+    record of its ``user`` and one Python value per column, tau None where
+    it is NaN."""
+    columns = {f.name: getattr(metrics, f.name) for f in fields(metrics)
+               if f.name != "users"}
+    columns = {name: c.tolist() if isinstance(c, np.ndarray) else c
+               for name, c in columns.items()}
+    rows = {}
+    for i, user in enumerate(metrics.users):
+        row = SimpleNamespace(user=user, **{name: c[i] for name, c in columns.items()})
+        row.tau = None if row.tau != row.tau else row.tau
+        rows[user] = row
+    return rows
 
 
 def edge_tuples(graph: InteractionGraph) -> tuple[tuple[str, str, int], ...]:

@@ -11,6 +11,7 @@ import random
 import statistics
 import time
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from forumpulse.pipeline import run_pipeline, stage_seed
 from forumpulse.topics import dominant_topics, select_k, skewness
 
 from conftest import (assignment_of, comment_record, comment_views, corpus_from_counts,
-                      edge_tuples, fit_with_labels, make_dataset, post_record)
+                      edge_tuples, fit_with_labels, make_dataset, metric_rows, post_record)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "synthetic-200"
 
@@ -62,8 +63,8 @@ def fixture_scan(shipped_fixture):
     base = LdaConfig(k=2, iterations=150, burn_in=50,
                      seed=stage_seed(20240704, "lda"))
     started = time.perf_counter()
-    result = select_k(corpus, 2, 8, base)
-    return corpus, result, time.perf_counter() - started
+    model, scan = select_k(corpus, 2, 8, base)
+    return corpus, base, model, scan, time.perf_counter() - started
 
 
 def test_criterion_1_skewness_oracle():
@@ -95,27 +96,29 @@ def test_criterion_1_skewness_oracle():
 
 
 def test_criterion_2_model_selection_recovery(fixture_scan):
-    corpus, result, elapsed = fixture_scan
+    corpus, base, model, scan, elapsed = fixture_scan
     checks = []
     n_docs = len(corpus)
     checks.append((n_docs > 0, "corpus is empty"))
-    ws = {r.k: r.w_k for r in result.reports}
+    ws = dict(scan)
     checks.append((sorted(ws) == list(range(2, 9)),
                    f"scan did not cover [2, 8]: {sorted(ws)}"))
     best = min(ws.values())
-    checks.append((ws[result.k] == best,
-                   f"selected k={result.k} has W={ws[result.k]}, min is {best}"))
-    checks.append((result.k == min(k for k, w in ws.items() if w == best),
+    checks.append((ws[model.k] == best,
+                   f"selected k={model.k} has W={ws[model.k]}, min is {best}"))
+    checks.append((model.k == min(k for k, w in ws.items() if w == best),
                    "tie not broken toward the smallest k"))
-    checks.append((ws[result.k] <= 0.05 * n_docs,
-                   f"W_k*={ws[result.k]} above 5% of {n_docs} posts"))
-    # Independent recount of every scanned W_k from the per-document values.
-    for r in result.reports:
-        recount = sum(1 for s in r.per_doc_skewness if s is None or s <= 0)
-        checks.append((recount == r.w_k, f"k={r.k}: W recount {recount} != {r.w_k}"))
+    checks.append((ws[model.k] <= 0.05 * n_docs,
+                   f"W_k*={ws[model.k]} above 5% of {n_docs} posts"))
+    # Independent recount of every scanned W_k from the per-document values
+    # of a fit at that k alone, which is the scan's model at k.
+    for k, w_k in scan:
+        theta = fit(corpus, replace(base, k=k)).theta
+        recount = sum(1 for row in theta if (s := skewness(row)) is None or s <= 0)
+        checks.append((recount == w_k, f"k={k}: W recount {recount} != {w_k}"))
     checks.append((elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds 2 min"))
     _verdict(2, checks,
-             f"k*={result.k}, W={ws[result.k]}/{n_docs}, scan {dict(sorted(ws.items()))}, "
+             f"k*={model.k}, W={ws[model.k]}/{n_docs}, scan {dict(sorted(ws.items()))}, "
              f"{elapsed:.1f}s")
 
 
@@ -154,12 +157,12 @@ def test_criterion_3_gibbs_invariants():
 
 
 def test_criterion_4_dominance_rule(fixture_scan):
-    _, result, _ = fixture_scan
-    theta = result.model.theta
-    assignment = dominant_topics(result.model)
+    _, _, model, _, _ = fixture_scan
+    theta = model.theta
+    assignment = dominant_topics(model)
     checks = []
     # Independent two-pass recomputation with stdlib statistics.
-    for t in range(result.model.k):
+    for t in range(model.k):
         column = [float(x) for x in theta[:, t]]
         mu = statistics.mean(column)
         sigma = statistics.pstdev(column)
@@ -174,9 +177,7 @@ def test_criterion_4_dominance_rule(fixture_scan):
     checks.append((True, ""))
 
     # Degenerate case: identical rows give sigma 0 and empty dominant sets.
-    from dataclasses import replace
-    flat = replace(result.model,
-                   theta=np.full((6, result.model.k), 1.0 / result.model.k))
+    flat = replace(model, theta=np.full((6, model.k), 1.0 / model.k))
     degenerate = dominant_topics(flat)
     checks.append((not degenerate.mask.any(),
                    "degenerate all-equal theta must yield empty dominant sets"))
@@ -215,7 +216,7 @@ def test_criterion_5_metric_oracle_equivalence():
     for c in comment_views(dataset):
         own[c.author].append(c)
     max_c = max(len(v) for v in own.values())
-    for m in metrics:
+    for m in metric_rows(metrics).values():
         mine = own[m.user]
         targets = set()
         for c in mine:
@@ -229,9 +230,13 @@ def test_criterion_5_metric_oracle_equivalence():
                 tops = dominant_by_post[c.root_post_id]
                 for t in tops:
                     credit[t] += 1.0 / len(tops)
-            # tau sums fractions in ascending topic order by definition.
+            # tau adds the fractions' terms left to right in ascending topic
+            # order by definition, one float addition at a time.
             fractions = [v / len(counted) for _, v in sorted(credit.items())]
-            tau = sum(1.0 / (s * s) for s in fractions if s > 0)
+            tau = 0.0
+            for s in fractions:
+                if s > 0:
+                    tau += 1.0 / (s * s)
         agree = (m.comment_count == len(mine)
                  and m.out_degree == len(targets)
                  and m.reach == len(targets) / len(mine)
@@ -244,8 +249,7 @@ def test_criterion_5_metric_oracle_equivalence():
     spot1 = make_dataset([post_record("p1", author="oo")],
                          [comment_record("c1", "t3_p1", "p1", author="me")])
     a1 = assignment_of([{0}], 1, ["p1"])
-    m1 = compute_user_metrics(spot1, build_graph(spot1), a1)
-    me1 = {m.user: m for m in m1}["me"]
+    me1 = metric_rows(compute_user_metrics(spot1, build_graph(spot1), a1))["me"]
     checks.append((me1.tau == 1.0, "single-topic commenter must have tau = 1"))
 
     spot2 = make_dataset(
@@ -253,12 +257,11 @@ def test_criterion_5_metric_oracle_equivalence():
         [comment_record("c1", "t3_p1", "p1", author="me"),
          comment_record("c2", "t3_p2", "p2", author="me", created=2100)])
     a2 = assignment_of([{0}, {1}], 2, ["p1", "p2"])
-    me2 = {m.user: m for m in
-           compute_user_metrics(spot2, build_graph(spot2), a2)}["me"]
+    me2 = metric_rows(compute_user_metrics(spot2, build_graph(spot2), a2))["me"]
     checks.append((me2.tau == 8.0, "even two-way split must have tau = 8"))
     checks.append((me2.reach == 1.0, "all-unique targets must have R = 1"))
 
-    _verdict(5, checks, f"{len(metrics)} commenters match brute force; "
+    _verdict(5, checks, f"{len(metrics.users)} commenters match brute force; "
                         "spot values tau=1, tau=8, R=1 hold")
 
 

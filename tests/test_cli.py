@@ -13,6 +13,8 @@ import pytest
 from forumpulse.cli import _build_parser, main
 from forumpulse.fileio import read_json, sha256_file, write_json
 from forumpulse.fixture import generate_fixture
+from forumpulse.ingest import load_dataset
+from forumpulse.interaction import load_graph
 from forumpulse.pipeline import STAGES
 
 from conftest import as_format_1, child_env
@@ -489,13 +491,14 @@ CORRUPTIONS = {
     "zero-weight": _edge_line(lambda line: line.rsplit(b",", 1)[0] + b",0"),
     "self-reply": _edge_line(lambda line: b",".join(line.split(b",")[i] for i in (0, 0, 2))),
     "edge-order": _edge_line(lambda line: b",".join(line.split(b",")[i] for i in (1, 0, 2))),
+    "empty-name": _edge_line(lambda line: b"," + line.split(b",", 1)[1]),
 }
 # The files each corruption that does not apply to every file applies to.
 ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.json",),
         "repeated-id": ("dominance.csv",),
         **dict.fromkeys(("no-last-newline", "header", "two-cells", "four-cells",
                          "float-weight", "empty-weight", "zero-weight", "self-reply",
-                         "edge-order"), ("edges.csv",)),
+                         "edge-order", "empty-name"), ("edges.csv",)),
         **dict.fromkeys(("yesterday", "short-column", "bool-int", "parent-range", "root-range",
                          "created-zero", "created-after-9999", "outside-int64", "format-1"),
                         ("dataset.json",))}
@@ -574,6 +577,26 @@ def test_dominance_of_a_post_not_in_the_dataset_is_a_data_error(
     monkeypatch.chdir(tmp_path)
     assert run_cli(*READERS[command].split()) == 2
     assert "post 'nope' not present in dataset" in capsys.readouterr().err
+
+
+def test_edges_of_another_dataset_is_a_data_error(intermediates, tmp_path, capsys):
+    """`users metrics` fed the edges.csv of another dump exits 2, naming
+    the first graph node that is not an author, and writes nothing."""
+    other = tmp_path / "other"
+    assert run_cli("fixture", "--seed", 12, "--posts", 30, "--users", 20, "--k-true", 3,
+                   "--out", other) == 0
+    assert run_cli("ingest", "--posts", other / "posts.jsonl", "--comments",
+                   other / "comments.jsonl", "--out", other / "dataset.json") == 0
+    assert run_cli("graph", "build", "--dataset", other / "dataset.json",
+                   "--out", other) == 0
+    authors = set(load_dataset(intermediates / "dataset.json").authors)
+    stranger = next(node for node in load_graph(other / "edges.csv").nodes
+                    if node not in authors)
+    capsys.readouterr()
+    assert run_cli("users", "metrics", "--dataset", intermediates / "dataset.json",
+                   "--edges", other / "edges.csv", "--out", tmp_path / "out") == 2
+    assert f"author {stranger!r} not present in dataset" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_dominance_of_posts_in_another_order_than_the_corpus_is_a_data_error(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,19 @@ def test_csv_separator_in_id_or_author_is_a_parse_error(field, value):
     assert d.posts.id == ["p1"] and d.comments.id == ["c1"]
 
 
+@pytest.mark.parametrize("author", [None, "", 7, ["ann"]])
+def test_author_that_is_not_a_nonempty_str_is_a_parse_error(author):
+    """A null, empty or non-string author would name a user "None", "" or
+    "7" in every user table and in edges.csv."""
+    posts = jsonl([post_record("p1"), {**post_record("p2"), "author": author}])
+    comments = jsonl([comment_record("c1", "t3_p1", "p1"),
+                      {**comment_record("c2", "t3_p1", "p1"), "author": author}])
+    d = parse_dump(posts, comments)
+    assert d.parse_errors == 2
+    assert d.posts.id == ["p1"] and d.comments.id == ["c1"]
+    assert d.authors == ["alice", "bob"]
+
+
 def test_duplicate_ids_first_wins():
     posts = jsonl([
         post_record("p1", title="first"),
@@ -114,7 +128,7 @@ def test_author_categories():
          comment_record("c2", "t3_p1", "p1", author="both1"),
          comment_record("c3", "t3_p2", "p2", author="both2")],
     )
-    rows = {r.category: (r.authors, r.posts, r.comments) for r in author_activity_table(d)}
+    rows = {AuthorCategory(r[0]): (r[1], r[3], r[5]) for r in author_activity_table(d)}
     assert rows == {
         AuthorCategory.ONLY_POSTING: (1, 1, 0),      # poster
         AuthorCategory.ONLY_COMMENTING: (1, 0, 1),   # commenter
@@ -122,12 +136,21 @@ def test_author_categories():
     }
 
 
+def _activity_rows(dataset) -> dict[str, SimpleNamespace]:
+    """The rows of ``author_activity_table``, each by its category, as
+    records named by the columns of ``activity_table.csv``."""
+    names = ("category", "authors", "authors_pct", "posts", "posts_pct", "comments",
+             "comments_pct")
+    return {AuthorCategory(row[0]): SimpleNamespace(**dict(zip(names, row)))
+            for row in author_activity_table(dataset)}
+
+
 def test_activity_table_two_pure_authors():
     d = make_dataset(
         [post_record("p1", author="poster")],
         [comment_record("c1", "t3_p1", "p1", author="commenter")],
     )
-    rows = {r.category: r for r in author_activity_table(d)}
+    rows = _activity_rows(d)
     assert rows[AuthorCategory.ONLY_POSTING].authors_pct == 50.0
     assert rows[AuthorCategory.ONLY_COMMENTING].authors_pct == 50.0
     assert rows[AuthorCategory.ONLY_COMMENTING].posts_pct == 0.0
@@ -143,7 +166,7 @@ def test_activity_table_four_authors_hand_counted():
          comment_record("c2", "t3_p1", "p1", author="b2"),
          comment_record("c3", "t3_p2", "p2", author="co")],
     )
-    rows = {r.category: r for r in author_activity_table(d)}
+    rows = _activity_rows(d)
     assert rows[AuthorCategory.BOTH].authors_pct == 50.0
     assert rows[AuthorCategory.ONLY_POSTING].authors_pct == 25.0
     assert rows[AuthorCategory.ONLY_COMMENTING].authors_pct == 25.0
@@ -284,7 +307,7 @@ def test_every_comment_resolved_xor_dangling_and_parse_idempotent(records):
     assert d.dangling_refs == sum(1 for row in d.comments.parent.tolist() if row < 0)
     assert same_fields(make_dataset(posts, comments), d)
     if d.authors:
-        rows = author_activity_table(d)
+        rows = _activity_rows(d).values()
         assert sum(r.authors for r in rows) == len(d.authors)
         if any(r.posts for r in rows):
             assert sum(r.posts_pct for r in rows) == pytest.approx(100.0, abs=0.01)

@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 from forumpulse import interaction
 from forumpulse.errors import DataError
 from forumpulse.fixture import generate_fixture
-from forumpulse.ingest import parse_dump
+from forumpulse.ingest import SENTINEL_AUTHORS, parse_dump
 from forumpulse.interaction import (InteractionGraph, build_graph, compute_user_metrics,
-                                    dot_text, graphml_text, load_graph, reach, save_graph,
-                                    spread_influence_rows, top_influencers_subgraph,
-                                    topic_spread, user_classes)
+                                    dot_text, graphml_text, load_graph, save_graph,
+                                    top_influencers_subgraph, topic_spread, user_classes)
+from forumpulse.pipeline import StageContext, metrics_stage
 
 from conftest import (FIXTURE_DIR, assignment_of, comment_record, comment_views,
-                      edge_tuples, edges_per_comment, graph_from_edges, make_dataset,
-                      post_record, same_graph, subgraph_per_edge)
+                      edge_tuples, edges_per_comment, graph_from_edges, graph_of,
+                      make_dataset, metric_rows, post_record, same_graph, subgraph_per_edge)
 
 
 def _assignment(pairs: dict[str, set[int]], k: int):
@@ -135,60 +135,57 @@ def _comments_on(posts_by_user: list[str]) -> list:
             for i, p in enumerate(posts_by_user)]
 
 
+def _my_tau(posts_by_user: list[str], pairs: dict[str, set[int]], k: int) -> float:
+    """The tau of "me", who comments on ``posts_by_user`` in turn."""
+    d = make_dataset([post_record(p) for p in sorted(pairs)], _comments_on(posts_by_user))
+    return topic_spread(d, _assignment(pairs, k))[d.authors.index("me")]
+
+
 def test_topic_spread_single_topic_is_one():
-    assignment = _assignment({"p1": {0}, "p2": {0}}, k=2)
-    d = make_dataset([post_record("p1"), post_record("p2")],
-                     _comments_on(["p1", "p2", "p1"]))
-    tau, fractions = topic_spread(d, assignment)["me"]
-    assert tau == 1.0
-    assert fractions == {0: 1.0}
+    assert _my_tau(["p1", "p2", "p1"], {"p1": {0}, "p2": {0}}, k=2) == 1.0
 
 
 def test_topic_spread_even_two_way_split_is_eight():
-    assignment = _assignment({"p1": {0}, "p2": {1}}, k=2)
-    d = make_dataset([post_record("p1"), post_record("p2")],
-                     _comments_on(["p1", "p2", "p1", "p2"]))
-    tau, fractions = topic_spread(d, assignment)["me"]
-    assert tau == 8.0
-    assert fractions == {0: 0.5, 1: 0.5}
+    assert _my_tau(["p1", "p2", "p1", "p2"], {"p1": {0}, "p2": {1}}, k=2) == 8.0
 
 
 def test_topic_spread_three_way_split_is_twenty_seven():
-    assignment = _assignment({"p1": {0}, "p2": {1}, "p3": {2}}, k=3)
-    d = make_dataset([post_record(p) for p in ("p1", "p2", "p3")],
-                     _comments_on(["p1", "p2", "p3"]))
-    tau, _ = topic_spread(d, assignment)["me"]
+    tau = _my_tau(["p1", "p2", "p3"], {"p1": {0}, "p2": {1}, "p3": {2}}, k=3)
     assert tau == pytest.approx(27.0, rel=1e-12)
 
 
 def test_topic_spread_multi_dominant_fractional_credit():
     # One comment on a post with two dominant topics: each gets credit 1/2.
-    assignment = _assignment({"p1": {0, 1}}, k=2)
-    d = make_dataset([post_record("p1")], _comments_on(["p1"]))
-    tau, fractions = topic_spread(d, assignment)["me"]
-    assert fractions == {0: 0.5, 1: 0.5}
-    assert sum(fractions.values()) == 1.0
-    assert tau == 8.0
+    assert _my_tau(["p1"], {"p1": {0, 1}}, k=2) == 8.0
 
 
 def test_topic_spread_undefined_when_no_dominant_roots():
     assignment = _assignment({"p1": set()}, k=2)
     d = make_dataset([post_record("p1")], _comments_on(["p1"]))
-    assert topic_spread(d, assignment) == {}
+    tau = topic_spread(d, assignment)
+    assert len(tau) == len(d.authors) and np.isnan(tau).all()
 
 
 def test_reach_values():
-    assert reach(5, 5) == 1.0
-    assert reach(1, 4) == 0.25
-    assert reach(0, 0) is None
+    """R is the distinct users replied to per comment; a user who never
+    comments has no row."""
+    d = make_dataset(
+        [post_record(f"p{i}", author=f"op{i}", created=50 + i) for i in range(5)],
+        [comment_record(f"a{i}", f"t3_p{i}", f"p{i}", author="all5") for i in range(5)]
+        + [comment_record(f"b{i}", "t3_p0", "p0", author="one") for i in range(4)])
+    metrics = compute_user_metrics(d, build_graph(d))
+    by_user = metric_rows(metrics)
+    assert by_user["all5"].reach == 1.0
+    assert by_user["one"].reach == 0.25
+    assert metrics.users == ["all5", "one"]
 
 
 def test_compute_user_metrics_fills_alpha_and_influence():
     d = hand_fixture()
     graph = build_graph(d)
-    metrics = compute_user_metrics(d, graph)
-    by_user = {m.user: m for m in metrics}
+    by_user = metric_rows(compute_user_metrics(d, graph))
     # C: u1=2 (c4 + self-reply c7), u2=2, u3=2, u4=1; max C = 2.
+    assert all(m.tau is None for m in by_user.values())    # no assignment: NaN
     assert by_user["u1"].comment_count == 2
     assert by_user["u1"].reach == 0.5
     assert by_user["u1"].alpha == 1.0
@@ -218,8 +215,7 @@ def test_half_max_commenter_influence():
          comment_record("c4", "t3_p4", "p4", author="small"),
          comment_record("c5", "t1_gone", "p4", author="small")],
     )
-    metrics = compute_user_metrics(d, build_graph(d))
-    by_user = {m.user: m for m in metrics}
+    by_user = metric_rows(compute_user_metrics(d, build_graph(d)))
     assert by_user["big"].influence == 1.0
     assert by_user["small"].alpha == 0.5
     assert by_user["small"].reach == 0.5
@@ -233,16 +229,21 @@ def test_all_identical_users_all_influence_one():
          comment_record("c2", "t3_p1", "p1", author="x2")],
     )
     metrics = compute_user_metrics(d, build_graph(d))
-    assert all(m.influence == 1.0 for m in metrics)
+    assert all(m.influence == 1.0 for m in metric_rows(metrics).values())
 
 
-def test_spread_influence_rows_contract():
+def test_spread_influence_rows_contract(tmp_path):
+    """spread_influence.csv has a row per commenter in name order, each
+    with its influence and log10 C."""
     d = hand_fixture()
-    metrics = compute_user_metrics(d, build_graph(d))
-    rows = spread_influence_rows(metrics)
+    metrics_stage(StageContext({"dominance.csv": None}, {"graph.top_k": 2}, tmp_path,
+                               parsed={"dataset.json": d, "edges.csv": build_graph(d)}))
+    lines = (tmp_path / "spread_influence.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "user,tau,influence,log10_comments,log10_agg_score"
+    rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == ["u1", "u2", "u3", "u4"]
     for _, tau, influence, log_c, log_score in rows:
-        assert influence is not None and log_c is not None
+        assert influence != "" and log_c != ""
 
 
 def _dataset_with_comment_counts(counts: dict[str, int], factor: int = 1):
@@ -262,8 +263,14 @@ def test_alpha_ranking_invariant_under_comment_scaling():
     tripled = compute_user_metrics(
         d3 := _dataset_with_comment_counts(counts, factor=3), build_graph(d3))
     rank = lambda ms: [m.user for m in
-                       sorted(ms, key=lambda m: (-m.alpha, m.user))]
+                       sorted(metric_rows(ms).values(), key=lambda m: (-m.alpha, m.user))]
     assert rank(base) == rank(tripled)
+
+
+def _selected(metrics, sub) -> tuple[str, ...]:
+    """The names of the ranked influencers of ``sub``."""
+    assert sub.selected.dtype == np.int64 and not sub.selected.flags.writeable
+    return tuple(metrics.users[i] for i in sub.selected.tolist())
 
 
 def test_top_influencers_star_egonet():
@@ -278,7 +285,7 @@ def test_top_influencers_star_egonet():
     graph = build_graph(d)
     metrics = compute_user_metrics(d, graph)
     sub = top_influencers_subgraph(graph, metrics, 1)
-    assert sub.selected == ("hub",)
+    assert _selected(metrics, sub) == ("hub",)
     assert set(sub.nodes) == {"hub", "s0", "s1", "s2"}
     assert set(edge_tuples(sub)) == set(edge_tuples(graph))
 
@@ -288,7 +295,7 @@ def test_top_influencers_k_larger_than_population():
     graph = build_graph(d)
     metrics = compute_user_metrics(d, graph)
     sub = top_influencers_subgraph(graph, metrics, 99)
-    assert set(sub.selected) == {"u1", "u2", "u3", "u4"}
+    assert set(_selected(metrics, sub)) == {"u1", "u2", "u3", "u4"}
     assert edge_tuples(sub) == edge_tuples(graph)
 
 
@@ -298,7 +305,7 @@ def test_top_influencers_ranking_ties():
     metrics = compute_user_metrics(d, graph)
     sub = top_influencers_subgraph(graph, metrics, 2)
     # I: u3=1.0; u1=u4=0.5 tie broken by C (u1 has 2 > 1), then id.
-    assert sub.selected == ("u3", "u1")
+    assert _selected(metrics, sub) == ("u3", "u1")
 
 
 def test_metric_bounds_and_weight_invariant():
@@ -309,7 +316,7 @@ def test_metric_bounds_and_weight_invariant():
         1 for c in comment_views(d) if c.parent_author not in (None, c.author))
     edges = edge_tuples(graph)
     assert sum(w for _, _, w in edges) == resolved_non_self
-    for m in metrics:
+    for m in metric_rows(metrics).values():
         assert 0.0 <= m.reach <= 1.0
         assert 0.0 < m.alpha <= 1.0
         assert 0.0 <= m.influence <= min(m.alpha, m.reach)
@@ -320,6 +327,7 @@ def brute_force_metrics(dataset, dominant_by_post):
     """Naive reference: direct loops, no shared code with the library."""
     comments = [c for c in comment_views(dataset)
                 if c.author not in ("[deleted]", "[removed]")]
+    scores = dict(zip(dataset.comments.id, dataset.comments.score.tolist()))
     users = sorted({c.author for c in comments})
     result = {}
     for user in users:
@@ -332,6 +340,7 @@ def brute_force_metrics(dataset, dominant_by_post):
             if c.parent_author in ("[deleted]", "[removed]") or c.parent_author == user:
                 continue
             targets.add(c.parent_author)
+        repliers = {c.author for c in comments if c.parent_author == user != c.author}
         counted = [c for c in mine if dominant_by_post.get(c.root_post_id)]
         tau = None
         if counted:
@@ -340,10 +349,15 @@ def brute_force_metrics(dataset, dominant_by_post):
                 topics = dominant_by_post[c.root_post_id]
                 for t in topics:
                     share[t] += 1.0 / len(topics)
-            # tau sums fractions in ascending topic order by definition.
+            # tau adds the fractions' terms left to right in ascending topic
+            # order by definition, one float addition at a time.
             fractions = {t: v / len(counted) for t, v in sorted(share.items())}
-            tau = sum(1.0 / (s * s) for s in fractions.values() if s > 0)
-        result[user] = {"C": c_total, "out": len(targets), "tau": tau}
+            tau = 0.0
+            for s in fractions.values():
+                if s > 0:
+                    tau += 1.0 / (s * s)
+        result[user] = {"C": c_total, "out": len(targets), "in": len(repliers), "tau": tau,
+                        "score": sum(scores[c.id] for c in mine)}
     max_c = max(v["C"] for v in result.values())
     for v in result.values():
         v["alpha"] = v["C"] / max_c
@@ -381,8 +395,8 @@ def test_fifty_user_fixture_matches_bruteforce():
     metrics = compute_user_metrics(d, graph, assignment)
     oracle = brute_force_metrics(d, dominant_by_post)
 
-    assert {m.user for m in metrics} == set(oracle)
-    for m in metrics:
+    assert metrics.users == list(oracle)
+    for m in metric_rows(metrics).values():
         want = oracle[m.user]
         assert m.comment_count == want["C"]
         assert m.out_degree == want["out"]
@@ -391,10 +405,8 @@ def test_fifty_user_fixture_matches_bruteforce():
         assert m.influence == want["I"]
         if want["tau"] is None:
             assert m.tau is None
-            assert m.topic_fractions == {}
         else:
             assert m.tau == want["tau"]
-            assert abs(sum(m.topic_fractions.values()) - 1.0) <= 1e-9
 
 
 def test_graphml_and_dot_exports():
@@ -419,7 +431,8 @@ def test_dot_escapes_quotes():
     assert '\\"' in text
 
 
-# "" too: ingest keeps a record whose author is the empty string.
+# "" too: ingest counts a record whose author is the empty string as a
+# parse error.
 _USERS = st.sampled_from(["ann", "bob", "cy", "dee", "[deleted]", "[removed]", "é z", ""])
 
 
@@ -427,7 +440,7 @@ _USERS = st.sampled_from(["ann", "bob", "cy", "dee", "[deleted]", "[removed]", "
 def reply_dumps(draw):
     """A dataset of up to 6 posts and 40 comments by a few users, sentinels
     included, whose comments reply to posts, to earlier or later comments,
-    to themselves or to nothing that is there."""
+    to themselves or to nothing that is there, with scores of either sign."""
     posts = [post_record(f"p{i}", author=draw(_USERS), created=100 + i)
              for i in range(draw(st.integers(1, 6)))]
     n = draw(st.integers(0, 40))
@@ -437,8 +450,38 @@ def reply_dumps(draw):
         parent = draw(st.one_of(st.just(f"t3_{root}"), st.just("t1_gone"),
                                 st.integers(0, max(n - 1, 0)).map(lambda i: f"t1_c{i:02d}")))
         comments.append(comment_record(f"c{j:02d}", parent, root, author=draw(_USERS),
-                                       created=200 + j))
+                                       created=200 + j, score=draw(st.integers(-3, 9))))
     return make_dataset(posts, comments)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dataset=reply_dumps(), k=st.integers(1, 4), data=st.data())
+def test_metric_columns_equal_the_brute_force_oracle(dataset, k, data):
+    """Every column of every commenter's row equals ``brute_force_metrics``
+    to the bit, tau NaN where the oracle has None, with posts of no, one or
+    several dominant topics and a dominance that may leave a post out."""
+    sets = st.frozensets(st.integers(0, k - 1))
+    dominant_by_post = {p: data.draw(sets) for p in dataset.posts.id
+                        if data.draw(st.booleans()) or p == dataset.posts.id[0]}
+    try:
+        metrics = compute_user_metrics(dataset, build_graph(dataset),
+                                       _assignment(dominant_by_post, k))
+    except DataError:       # no commenter
+        assert all(c.author in SENTINEL_AUTHORS for c in comment_views(dataset))
+        return
+    oracle = brute_force_metrics(dataset, dominant_by_post)
+    assert metrics.users == list(oracle)
+    assert [m.tau is None for m in metric_rows(metrics).values()] \
+        == np.isnan(metrics.tau).tolist()
+    for m in metric_rows(metrics).values():
+        want = oracle[m.user]
+        assert (m.comment_count, m.out_degree, m.in_degree, m.aggregate_comment_score) \
+            == (want["C"], want["out"], want["in"], want["score"])
+        assert [repr(x) for x in (m.tau, m.reach, m.alpha, m.influence)] \
+            == [repr(want[key]) for key in ("tau", "R", "alpha", "I")]
+    for name in ("comment_count", "out_degree", "in_degree", "tau", "reach", "alpha",
+                 "influence"):
+        assert not getattr(metrics, name).flags.writeable
 
 
 @settings(max_examples=120, deadline=None)
@@ -465,9 +508,22 @@ def test_graph_columns_equal_the_per_edge_oracles(tmp_path_factory, dataset, top
     except DataError:       # no commenter
         return
     assert all((m.out_degree, m.in_degree) == (out_degree.get(m.user, 0),
-                                               in_degree.get(m.user, 0)) for m in metrics)
+                                               in_degree.get(m.user, 0))
+               for m in metric_rows(metrics).values())
     sub = top_influencers_subgraph(graph, metrics, top_k)
-    assert (sub.nodes, edge_tuples(sub)) == subgraph_per_edge(edges, sub.selected)
+    selected = _selected(metrics, sub)
+    assert (sub.nodes, edge_tuples(sub)) == subgraph_per_edge(edges, selected)
+    ranked = sorted(metric_rows(metrics).values(),
+                    key=lambda m: (-m.influence, -m.comment_count, m.user))
+    assert selected == tuple(m.user for m in ranked[:top_k])
+
+
+def test_graph_of_another_dataset_is_a_data_error():
+    """A graph node that is not an author of the dataset is named."""
+    d = hand_fixture()
+    stranger = graph_of(("u1", "zed"), [("zed", "u1", 1)])
+    with pytest.raises(DataError, match="author 'zed' not present in dataset"):
+        compute_user_metrics(d, stranger)
 
 
 def test_graph_columns_are_read_only():

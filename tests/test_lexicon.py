@@ -18,15 +18,15 @@ def lex(**categories) -> Lexicon:
 
 
 def test_categorize_all_tokens_match():
-    matrix = categorize(corpus_from_tokens([["pay", "debt", "debt"]]),
-                        lex(economics={"pay", "debt"}))
-    assert matrix.rows[0, 0] == 1.0
+    rows = categorize(corpus_from_tokens([["pay", "debt", "debt"]]),
+                      lex(economics={"pay", "debt"}))
+    assert rows[0, 0] == 1.0
 
 
 def test_categorize_no_match_is_zero():
-    matrix = categorize(corpus_from_tokens([["car", "lease"]]),
-                        lex(economics={"pay", "debt"}))
-    assert matrix.rows[0, 0] == 0.0
+    rows = categorize(corpus_from_tokens([["car", "lease"]]),
+                      lex(economics={"pay", "debt"}))
+    assert rows[0, 0] == 0.0
 
 
 def test_categorize_mixed_hand_tally():
@@ -35,14 +35,15 @@ def test_categorize_mixed_hand_tally():
         ["car", "car", "insurance", "pay"],    # economics 1/4, vehicles 3/4
         [],                                    # empty post scores 0
     ]
-    matrix = categorize(corpus_from_tokens(documents),
-                        lex(economics={"pay", "debt", "loan"}, vehicles={"car", "insurance"}))
-    assert matrix.rows.tolist() == [[0.75, 0.25], [0.25, 0.75], [0.0, 0.0]]
+    rows = categorize(corpus_from_tokens(documents),
+                      lex(economics={"pay", "debt", "loan"}, vehicles={"car", "insurance"}))
+    assert rows.tolist() == [[0.75, 0.25], [0.25, 0.75], [0.0, 0.0]]
+    assert rows.dtype == np.float64 and not rows.flags.writeable
 
 
 def test_categorize_rows_bounded_by_one():
-    matrix = categorize(corpus_from_tokens([["pay"] * 7]), lex(a={"pay"}, b={"pay"}))
-    assert (matrix.rows <= 1.0).all() and (matrix.rows >= 0.0).all()
+    rows = categorize(corpus_from_tokens([["pay"] * 7]), lex(a={"pay"}, b={"pay"}))
+    assert (rows <= 1.0).all() and (rows >= 0.0).all()
 
 
 def test_categorize_empty_lexicon_rejected():

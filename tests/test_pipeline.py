@@ -459,18 +459,22 @@ def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch)
 
 
 def test_directory_at_ingest_version_2_reruns_only_ingest(tmp_path):
-    """A directory whose ingest record is at version 2 reruns ingest, which
-    writes the same ``dataset.json`` from a dump without a time after 9999,
-    so every later stage is skipped."""
+    """A directory whose ingest record is at version 2 or 3 reruns ingest,
+    which writes the same ``dataset.json`` from a dump without a time after
+    9999 or an author that is not a non-empty str, so every later stage is
+    skipped."""
     config = small_config(tmp_path)
     run_pipeline(config, echo=lambda *_: None)
     manifest_path = tmp_path / "artifacts" / "manifest.json"
-    manifest = read_json(manifest_path)
-    manifest["stages"]["ingest"]["version"] = 2
-    write_json(manifest_path, manifest)
-    rerun = run_pipeline(config, echo=lambda *_: None)
-    assert [name for name, status in rerun.stage_status.items() if status == "ran"] \
-        == ["ingest"]
+    dataset = (tmp_path / "artifacts" / "dataset.json").read_bytes()
+    for version in (2, 3):
+        manifest = read_json(manifest_path)
+        manifest["stages"]["ingest"]["version"] = version
+        write_json(manifest_path, manifest)
+        rerun = run_pipeline(config, echo=lambda *_: None)
+        assert [name for name, status in rerun.stage_status.items() if status == "ran"] \
+            == ["ingest"]
+        assert (tmp_path / "artifacts" / "dataset.json").read_bytes() == dataset
 
 
 def test_manifest_records_versions_and_sampler_telemetry(tmp_path):
@@ -482,7 +486,7 @@ def test_manifest_records_versions_and_sampler_telemetry(tmp_path):
                           echo=lambda *_: None)
     records = read_json(result.out_dir / "manifest.json")["stages"]
     assert {name: record["version"] for name, record in records.items()} \
-        == {stage.name: {"ingest": 3, "topics": 3}.get(stage.name, 1) for stage in STAGES}
+        == {stage.name: {"ingest": 4, "topics": 3}.get(stage.name, 1) for stage in STAGES}
     peaks = [records[stage.name]["peak_rss_kb"] for stage in STAGES]
     assert peaks == sorted(peaks) and peaks[0] > 0
     for record in records.values():

@@ -18,8 +18,8 @@ from forumpulse.lda import LdaConfig, fit
 from forumpulse.pipeline import StageContext, dominance_stage
 from forumpulse.lexicon import topicwise_profile
 from forumpulse.topics import (cooccurrence, count_nonpositive, dominant_topics,
-                               load_assignment, monthly_distribution, save_assignment,
-                               select_k, skewness)
+                               load_assignment, monthly_distribution, row_skewness,
+                               save_assignment, select_k, skewness)
 
 from conftest import (assignment_of, cooccurrence_per_set, corpus_from_counts, make_dataset,
                       monthly_tally_per_set, post_record, presence_per_set, same_fields,
@@ -114,21 +114,22 @@ def test_count_nonpositive_mixed_rows():
         [0.25, 0.25, 0.25, 0.25],   # uniform: undefined
         [0.1, 0.2, 0.3, 0.4],       # symmetric: zero
     ])
-    report = count_nonpositive(model)
-    assert report.w_k == 2
-    assert report.per_doc_skewness[0] > 0
-    assert report.per_doc_skewness[1] is None
-    assert report.per_doc_skewness[2] == 0.0
+    assert count_nonpositive(model) == 2
+    skews = row_skewness(model.theta)
+    assert skews[0] > 0
+    assert math.isnan(skews[1])
+    assert skews[2] == 0.0
 
 
 def assert_matches_row_oracle(model) -> None:
     """W_k and every per-document value equal ``skewness`` row by row, to
-    the bit (repr tells -0.0 from 0.0)."""
-    report = count_nonpositive(model)
+    the bit (repr tells -0.0 from 0.0), NaN where it is None."""
+    skews = row_skewness(model.theta)
     oracle = [skewness(row) for row in model.theta]
-    assert [repr(s) for s in report.per_doc_skewness] == [repr(s) for s in oracle]
-    assert all(s is None or type(s) is float for s in report.per_doc_skewness)
-    assert report.w_k == sum(1 for s in oracle if s is None or s <= 0)
+    assert [repr(None if math.isnan(s) else s) for s in skews.tolist()] \
+        == [repr(s) for s in oracle]
+    assert skews.dtype == np.float64 and skews.shape == (len(model.theta),)
+    assert count_nonpositive(model) == sum(1 for s in oracle if s is None or s <= 0)
 
 
 def test_count_nonpositive_matches_row_oracle_on_fixture_models(fixture_corpus):
@@ -161,10 +162,9 @@ def test_w_k_matches_brute_recount():
     rng = np.random.default_rng(4)
     rows = rng.dirichlet(np.ones(5), size=40).tolist()
     model = _model_with_theta(rows)
-    report = count_nonpositive(model)
     recount = sum(1 for row in rows
                   if (naive_skewness(row) is None or naive_skewness(row) <= 0))
-    assert report.w_k == recount
+    assert count_nonpositive(model) == recount
 
 
 def three_topic_corpus():
@@ -178,41 +178,41 @@ def three_topic_corpus():
 
 def test_select_k_returns_scanned_minimum():
     base = LdaConfig(k=2, alpha=0.2, iterations=40, burn_in=20, seed=13)
-    result = select_k(three_topic_corpus(), 2, 5, base)
-    assert [r.k for r in result.reports] == [2, 3, 4, 5]
-    best = min(r.w_k for r in result.reports)
-    assert result.reports[[r.w_k for r in result.reports].index(best)].k == result.k
-    for r in result.reports:
-        assert result.k <= r.k or r.w_k > best  # ties break to the smallest k
+    model, scan = select_k(three_topic_corpus(), 2, 5, base)
+    assert [k for k, _ in scan] == [2, 3, 4, 5]
+    best = min(w for _, w in scan)
+    assert scan[[w for _, w in scan].index(best)][0] == model.k
+    for k, w in scan:
+        assert model.k <= k or w > best  # ties break to the smallest k
 
 
 def test_select_k_single_point_scan():
     base = LdaConfig(k=2, iterations=10, burn_in=0, seed=1)
-    result = select_k(three_topic_corpus(), 3, 3, base)
-    assert result.k == 3
-    assert len(result.reports) == 1
+    model, scan = select_k(three_topic_corpus(), 3, 3, base)
+    assert model.k == 3
+    assert len(scan) == 1
 
 
 def test_select_k_scan_invariance_against_reversed_manual_scan():
     corpus = three_topic_corpus()
     base = LdaConfig(k=2, iterations=20, burn_in=5, seed=3)
-    result = select_k(corpus, 2, 4, base)
+    selected, scan = select_k(corpus, 2, 4, base)
     by_k = {}
     for k in (4, 3, 2):   # fit in reverse order; same seed policy per k
         model = fit(corpus, replace(base, k=k))
-        by_k[k] = count_nonpositive(model).w_k
-    assert {r.k: r.w_k for r in result.reports} == by_k
+        by_k[k] = count_nonpositive(model)
+    assert dict(scan) == by_k
     best = min(by_k.values())
-    assert result.k == min(k for k, w in by_k.items() if w == best)
+    assert selected.k == min(k for k, w in by_k.items() if w == best)
 
 
 def test_select_k_patience_stops_early():
     base = LdaConfig(k=2, iterations=10, burn_in=0, seed=5)
-    full = select_k(three_topic_corpus(), 2, 6, base)
-    patient = select_k(three_topic_corpus(), 2, 6, base, patience=1)
-    assert len(patient.reports) <= len(full.reports)
+    _, full = select_k(three_topic_corpus(), 2, 6, base)
+    _, patient = select_k(three_topic_corpus(), 2, 6, base, patience=1)
+    assert len(patient) <= len(full)
     # The scan stops one step after the first non-improvement.
-    ws = [r.w_k for r in full.reports]
+    ws = [w for _, w in full]
     best_so_far = ws[0]
     expected_len = 1
     for w in ws[1:]:
@@ -221,15 +221,15 @@ def test_select_k_patience_stops_early():
             best_so_far = w
         else:
             break
-    assert len(patient.reports) == expected_len
+    assert len(patient) == expected_len
 
 
 def test_select_k_reports_progress_in_k_order():
     base = LdaConfig(k=2, alpha=0.2, iterations=20, burn_in=5, seed=7)
     seen = []
-    result = select_k(three_topic_corpus(), 2, 4, base,
-                      progress=lambda k, w: seen.append((k, w)))
-    assert seen == [(r.k, r.w_k) for r in result.reports]
+    _, scan = select_k(three_topic_corpus(), 2, 4, base,
+                       progress=lambda k, w: seen.append((k, w)))
+    assert seen == scan
     assert [k for k, _ in seen] == [2, 3, 4]
 
 
