@@ -173,13 +173,14 @@ def _context(args, stage: str, paths) -> StageContext:
     """The ``StageContext`` of the ``STAGES`` entry named ``stage``: its
     params from the flags named by their config keys, and ``--out`` as its
     output file if it has one, else as its output directory. A dump or
-    lexicon file it reads must be a regular file, and a lexicon must parse."""
+    lexicon file it reads must be a regular file, and a lexicon must parse;
+    the context holds the parsed lexicon."""
     entry = next(s for s in STAGES if s.name == stage)
     params = check_config({key: getattr(args, key) for key in entry.params})
-    check_input_files(entry, {**paths, **params})
+    parsed = check_input_files(entry, {**paths, **params})
     if len(entry.outputs) == 1:
-        return StageContext({**paths, entry.outputs[0]: args.out}, params)
-    return StageContext(paths, params, args.out)
+        return StageContext({**paths, entry.outputs[0]: args.out}, params, parsed=parsed)
+    return StageContext(paths, params, args.out, parsed=parsed)
 
 
 def _cmd_ingest(args) -> int:
@@ -235,18 +236,18 @@ def _cmd_topics_timeline(args) -> int:
 
 
 def _cmd_lexicon_profile(args) -> int:
-    result = lexicon_stage(_context(args, "lexicon", {"corpus": args.corpus,
-                                                      "dominance.csv": args.dominance}))
-    n_comp, n_cat = result.components.shape
+    components = lexicon_stage(_context(args, "lexicon", {"corpus": args.corpus,
+                                                          "dominance.csv": args.dominance}))
+    n_comp, n_cat = components.shape
     print(f"lexicon profile ({n_cat} categories, {n_comp} components) -> {args.out}")
     return 0
 
 
 def _cmd_users_metrics(args) -> int:
-    metrics, subgraph = metrics_stage(_context(args, "metrics", {
+    metrics, subgraph, ranked = metrics_stage(_context(args, "metrics", {
         "dataset.json": args.dataset, "edges.csv": args.edges,
         "dominance.csv": args.dominance}))
-    print(f"metrics for {len(metrics.users)} commenters; top {len(subgraph.selected)} "
+    print(f"metrics for {len(metrics.users)} commenters; top {len(ranked)} "
           f"influencers with {len(subgraph.nodes)} egonet users -> {args.out}")
     return 0
 
@@ -284,11 +285,7 @@ def _cmd_run(args) -> int:
             raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key] = value
-    result = run_pipeline(args.config, overrides=overrides, out_dir=args.out_dir)
-    if result.all_skipped:
-        print(f"all stages up to date in {result.out_dir}")
-    else:
-        print(f"pipeline complete: {result.out_dir}")
+    run_pipeline(args.config, overrides=overrides, out_dir=args.out_dir)
     return 0
 
 

@@ -33,6 +33,8 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _TRIPLETS_BODY_RE = re.compile(r"[0-9,\-\n]*")
 
 _CORPUS_META_FORMAT = "forumpulse-corpus-v1"
+# The files of a corpus directory, as save_corpus writes them.
+CORPUS_FILES = ("vocabulary.tsv", "documents.csv", "docs.csv", "meta.json")
 _TRIPLETS_HEADER = "doc_idx,term_id,count"
 
 
@@ -107,8 +109,7 @@ class Corpus:
         return tuple(pairs[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
-def _token_ids(dataset: Dataset, stopwords: frozenset[str]
-               ) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _token_ids(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Every distinct run of [a-z0-9] in the posts' lowercased titles and
     bodies with URLs removed, in first-occurrence order, and the tokens of
     the posts as indices into them, each with its post row, in post and
@@ -125,6 +126,7 @@ def _token_ids(dataset: Dataset, stopwords: frozenset[str]
         ids.extend(map(number.__getitem__, tokens))
         lengths.append(len(tokens))
     terms = list(number)
+    stopwords = default_stopwords()
     kept = np.fromiter((len(t) > 1 and t not in stopwords and not t.isdigit() for t in terms),
                        dtype=bool, count=len(terms))
     ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
@@ -184,8 +186,7 @@ def _merge_phrases(terms: list[str], ids: np.ndarray, posts: np.ndarray, min_cou
 def build_corpus(dataset: Dataset,
                  min_df: int = DEFAULT_MIN_DF,
                  max_df_fraction: float = DEFAULT_MAX_DF_FRACTION,
-                 phrase_min_count: int = DEFAULT_PHRASE_MIN_COUNT,
-                 stopwords: frozenset[str] | None = None) -> Corpus:
+                 phrase_min_count: int = DEFAULT_PHRASE_MIN_COUNT) -> Corpus:
     """Build the corpus from post text, the phrase pass applied.
 
     A term enters the vocabulary when it appears in at least ``min_df``
@@ -200,10 +201,8 @@ def build_corpus(dataset: Dataset,
         raise ValueError("max_df_fraction must be in (0, 1]")
     if phrase_min_count < 1:
         raise ValueError("phrase_min_count must be >= 1")
-    if stopwords is None:
-        stopwords = default_stopwords()
 
-    terms, tokens, posts = _merge_phrases(*_token_ids(dataset, stopwords), phrase_min_count)
+    terms, tokens, posts = _merge_phrases(*_token_ids(dataset), phrase_min_count)
     n_posts = len(dataset.posts)
     n_all = len(terms)
     # One (post, term) key per token: their distinct keys are the posts'
@@ -251,18 +250,18 @@ def save_corpus(corpus: Corpus, directory: Path) -> None:
     maps doc_idx to post id; meta.json carries totals and the excluded post
     ids.
     """
-    directory = Path(directory)
-    write_csv(directory / "vocabulary.tsv", ("id", "term", "df"),
+    vocabulary_path, documents_path, docs_path, meta_path = (
+        Path(directory) / name for name in CORPUS_FILES)
+    write_csv(vocabulary_path, ("id", "term", "df"),
               ((i, t, d) for i, (t, d) in
                enumerate(zip(corpus.vocabulary.terms, corpus.vocabulary.document_frequency))),
               delimiter="\t")
     doc_idx = np.repeat(np.arange(len(corpus)), np.diff(corpus.offsets))
     triplets = np.column_stack((doc_idx, corpus.term_ids, corpus.counts))
-    write_text(directory / "documents.csv", f"{_TRIPLETS_HEADER}\n"
+    write_text(documents_path, f"{_TRIPLETS_HEADER}\n"
                + "%d,%d,%d\n" * len(triplets) % tuple(triplets.ravel().tolist()))
-    write_csv(directory / "docs.csv", ("doc_idx", "post_id"),
-              enumerate(corpus.doc_ids))
-    write_json(directory / "meta.json", {
+    write_csv(docs_path, ("doc_idx", "post_id"), enumerate(corpus.doc_ids))
+    write_json(meta_path, {
         "format": _CORPUS_META_FORMAT,
         "total_tokens": corpus.total_tokens,
         "n_documents": len(corpus),
@@ -310,9 +309,10 @@ def _read_triplets(path: Path, n_documents: int, vocabulary_size: int) -> np.nda
 def load_corpus(directory: Path) -> Corpus:
     """The corpus saved under ``directory``; DataError when a file is not
     complete or the files do not agree with ``meta.json``."""
-    directory = Path(directory)
-    with reading(directory / "meta.json", f"{_CORPUS_META_FORMAT} meta file"):
-        meta = read_json(directory / "meta.json")
+    vocabulary_path, documents_path, docs_path, meta_path = (
+        Path(directory) / name for name in CORPUS_FILES)
+    with reading(meta_path, f"{_CORPUS_META_FORMAT} meta file"):
+        meta = read_json(meta_path)
         if meta.get("format") != _CORPUS_META_FORMAT:
             raise DataError(f"{directory}: not a {_CORPUS_META_FORMAT} directory")
         total_tokens = int(meta["total_tokens"])
@@ -322,29 +322,27 @@ def load_corpus(directory: Path) -> Corpus:
 
     terms: list[str] = []
     freq: list[int] = []
-    path = directory / "vocabulary.tsv"
-    with reading(path, "vocabulary file"):
-        for _, term, df in read_csv(path, 3, "\t"):
+    with reading(vocabulary_path, "vocabulary file"):
+        for _, term, df in read_csv(vocabulary_path, 3, "\t"):
             terms.append(term)
             freq.append(int(df))
 
-    triplets = _read_triplets(directory / "documents.csv", n_documents, vocabulary_size)
+    triplets = _read_triplets(documents_path, n_documents, vocabulary_size)
 
     doc_ids: list[str] = []
-    path = directory / "docs.csv"
-    with reading(path, "document id file"):
-        for idx, post_id in read_csv(path, 2):
+    with reading(docs_path, "document id file"):
+        for idx, post_id in read_csv(docs_path, 2):
             if int(idx) != len(doc_ids):
-                raise DataError(f"{path}: doc_idx {idx} where "
+                raise DataError(f"{docs_path}: doc_idx {idx} where "
                                 f"{len(doc_ids)} was expected")
             doc_ids.append(post_id)
 
-    for name, what, found, recorded in (
-            ("vocabulary.tsv", "terms", len(terms), vocabulary_size),
-            ("docs.csv", "documents", len(doc_ids), n_documents),
-            ("documents.csv", "tokens", int(triplets[:, 2].sum()), total_tokens)):
+    for path, what, found, recorded in (
+            (vocabulary_path, "terms", len(terms), vocabulary_size),
+            (docs_path, "documents", len(doc_ids), n_documents),
+            (documents_path, "tokens", int(triplets[:, 2].sum()), total_tokens)):
         if found != recorded:
-            raise DataError(f"{directory / name}: {found} {what} where meta.json "
+            raise DataError(f"{path}: {found} {what} where meta.json "
                             f"records {recorded}")
     return Corpus(
         offsets=np.concatenate(

@@ -55,9 +55,9 @@ def _pool(topic: int) -> tuple[str, ...]:
 
 
 def generate_fixture(seed: int, n_posts: int, n_users: int, k_true: int,
-                     out_dir: Path, comments_per_post: float = 3.0,
-                     ) -> tuple[Path, Path]:
-    """Write posts.jsonl and comments.jsonl under out_dir; return the paths."""
+                     out_dir: Path) -> tuple[Path, Path]:
+    """Write posts.jsonl and comments.jsonl under out_dir, three comments
+    per post; return the paths."""
     if min(n_posts, n_users, k_true) < 1:
         raise ValueError("n_posts, n_users and k_true must be positive")
     rng = random.Random(seed)
@@ -79,7 +79,7 @@ def generate_fixture(seed: int, n_posts: int, n_users: int, k_true: int,
             "selftext": " ".join(words[6:]),
         })
 
-    n_comments = round(n_posts * comments_per_post)
+    n_comments = 3 * n_posts
     threads: dict[str, list[dict]] = {p["id"]: [] for p in posts}
     comments = []
     for j in range(n_comments):

@@ -16,7 +16,6 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields
-from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import is_not, itemgetter, ne
@@ -47,10 +46,9 @@ _take_comment = itemgetter(*_RECORD_KEYS, "parent_id", "link_id")
 _take_record = itemgetter(*_RECORD_KEYS)
 
 
-class AuthorCategory(str, Enum):
-    ONLY_POSTING = "OnlyPosting"
-    ONLY_COMMENTING = "OnlyCommenting"
-    BOTH = "Both"
+# The rows of activity_table.csv, in order: authors with posts only, with
+# comments only, and with both.
+AUTHOR_CATEGORIES = ("OnlyPosting", "OnlyCommenting", "Both")
 
 
 class _Table:
@@ -309,8 +307,8 @@ def parse_dump(post_stream: Iterable[str], comment_stream: Iterable[str],
 
 
 def author_activity_table(dataset: Dataset) -> list[tuple]:
-    """The rows of ``activity_table.csv``: per ``AuthorCategory``, its
-    value, then its authors, posts and comments, each followed by its
+    """The rows of ``activity_table.csv``: per ``AUTHOR_CATEGORIES`` entry,
+    its name, then its authors, posts and comments, each followed by its
     percentage.
 
     Percentages are taken over activity attributed to non-sentinel authors,
@@ -321,7 +319,7 @@ def author_activity_table(dataset: Dataset) -> list[tuple]:
         raise DataError("dataset has no attributable authors")
     n = len(dataset.authors)
     posts, comments = dataset.activity()
-    # Each author's category by its place in AuthorCategory.
+    # Each author's category by its place in AUTHOR_CATEGORIES.
     category = np.where(posts > 0, np.where(comments > 0, 2, 0), 1)
     total_posts, total_comments = int(posts.sum()), int(comments.sum())
 
@@ -329,11 +327,11 @@ def author_activity_table(dataset: Dataset) -> list[tuple]:
         return 100.0 * part / whole if whole else 0.0
 
     rows = []
-    for i, kind in enumerate(AuthorCategory):
+    for i, kind in enumerate(AUTHOR_CATEGORIES):
         member = category == i
         n_authors = int(member.sum())
         n_posts, n_comments = int(posts[member].sum()), int(comments[member].sum())
-        rows.append((kind.value, n_authors, pct(n_authors, n), n_posts,
+        rows.append((kind, n_authors, pct(n_authors, n), n_posts,
                      pct(n_posts, total_posts), n_comments,
                      pct(n_comments, total_comments)))
     return rows
@@ -357,16 +355,11 @@ def response_time_table(dataset: Dataset) -> tuple[list[tuple[str, int, int]], i
     return rows, len(resolved) - len(rows)
 
 
-@dataclass(frozen=True)
-class ScoreRelations:
-    pairs: tuple[tuple[str, int, int], ...]   # (post_id, post_score, max comment score)
-    no_comment_posts: int
-    post_score_one_fraction: float
-    comment_score_one_fraction: float
-
-
-def score_relations(dataset: Dataset) -> ScoreRelations:
-    """Post score vs. best comment score per thread, plus score-1 shares.
+def score_relations(dataset: Dataset) -> tuple[list[tuple[str, int, int]], dict[str, float]]:
+    """(post_id, post_score, max_comment_score) rows, one per post with a
+    comment, plus the ``stats_summary.json`` fields
+    ``posts_without_comments``, ``post_score_one_fraction`` and
+    ``comment_score_one_fraction``.
 
     A comment belongs to the thread of its root post regardless of how deep
     it sits in the reply chain. Posts without any comment are only tallied.
@@ -379,15 +372,15 @@ def score_relations(dataset: Dataset) -> ScoreRelations:
     threads = np.flatnonzero(np.bincount(roots, minlength=len(posts)))
 
     n_posts, n_comments = len(posts), len(comments)
-    return ScoreRelations(
-        pairs=tuple(zip([posts.id[i] for i in threads.tolist()],
-                        posts.score[threads].tolist(), best[threads].tolist())),
-        no_comment_posts=n_posts - len(threads),
-        post_score_one_fraction=(
+    rows = list(zip([posts.id[i] for i in threads.tolist()],
+                    posts.score[threads].tolist(), best[threads].tolist()))
+    return rows, {
+        "posts_without_comments": n_posts - len(threads),
+        "post_score_one_fraction": (
             int(np.count_nonzero(posts.score == 1)) / n_posts if n_posts else 0.0),
-        comment_score_one_fraction=(
+        "comment_score_one_fraction": (
             int(np.count_nonzero(comments.score == 1)) / n_comments if n_comments else 0.0),
-    )
+    }
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -403,8 +396,9 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def _table(cls, columns: dict, path, **bounds: tuple[int, int]):
     """A ``cls`` of ``columns``, if each is a list as long as the ids whose
-    items are all of its field's type, str or int, and whose ints are within
-    its inclusive ``bounds`` (int64 when not given); else DataError."""
+    items are all of its field's type, str or int, whose ints are within
+    its inclusive ``bounds`` (int64 when not given), and whose ids and
+    authors are non-empty and free of CSV separators; else DataError."""
     n = len(columns["id"])
     checked = {}
     for f in fields(cls):
@@ -415,6 +409,10 @@ def _table(cls, columns: dict, path, **bounds: tuple[int, int]):
         # By exact type, so that a bool is not taken for an int.
         if set(map(type, column)) - {kind}:
             raise DataError(f"{where} holds a value that is not of type {kind.__name__}")
+        # Ingest's rules for ids and authors, so that their CSV cells read back.
+        if f.name in ("id", "author") and ("" in column
+                                          or _CSV_SEPARATOR.search("".join(column))):
+            raise DataError(f"{where} holds an empty value or a comma or line break")
         if kind is int and n:
             lo, hi = bounds.get(f.name, _INT64)
             try:

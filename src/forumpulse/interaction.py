@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DataError
-from .fileio import reading, write_text
+from .fileio import reading
 from .ingest import Dataset
 from .topics import DominantTopicAssignment
 
@@ -95,15 +95,6 @@ def load_graph(path: Path) -> InteractionGraph:
         raise DataError(f"{path}: corrupt edge list file (a self-reply, or edges "
                         f"not distinct and in order)")
     return InteractionGraph(nodes, source, target, np.array(cells[2::3], dtype=np.int64))
-
-
-def save_graph(path: Path, fmt: str, graph: InteractionGraph) -> None:
-    """A reply graph as an edge-list CSV (``edges.csv``, which ``load_graph``
-    reads), GraphML or DOT file."""
-    if fmt == "csv":
-        write_text(path, _graph_text("from,to,weight\n", "", "%s,%s,%s\n", "", str, graph))
-    else:
-        write_text(path, (graphml_text if fmt == "graphml" else dot_text)(graph))
 
 
 def user_classes(graph: InteractionGraph) -> dict[str, float]:
@@ -199,14 +190,10 @@ def compute_user_metrics(dataset: Dataset, graph: InteractionGraph,
                        alpha * reach, list(map(scores.__getitem__, users.tolist())))
 
 
-@dataclass(frozen=True, eq=False)
-class Subgraph(InteractionGraph):
-    selected: np.ndarray    # the ranked influencers anchoring the egonets, by metrics row
-
-
 def top_influencers_subgraph(graph: InteractionGraph, metrics: UserMetrics,
-                             top_k: int) -> Subgraph:
-    """Induced subgraph around the top_k users by influence.
+                             top_k: int) -> tuple[InteractionGraph, np.ndarray]:
+    """Induced subgraph around the top_k users by influence, and the
+    read-only rows of ``metrics`` of those users, ranked.
 
     Ties rank the larger comment count first, then the smaller user id. All
     direct neighbors (either direction) of the selected users are included,
@@ -228,8 +215,8 @@ def top_influencers_subgraph(graph: InteractionGraph, metrics: UserMetrics,
     position = dict(zip(nodes, range(len(nodes))))
     renumber = np.array([position.get(name, -1) for name in graph.nodes], dtype=np.int64)
     edge = keep[graph.source] & keep[graph.target]
-    return Subgraph(nodes, renumber[graph.source[edge]], renumber[graph.target[edge]],
-                    graph.weight[edge], ranked)
+    return InteractionGraph(nodes, renumber[graph.source[edge]],
+                            renumber[graph.target[edge]], graph.weight[edge]), ranked
 
 
 def _quoteattr(text: str) -> str:
@@ -262,6 +249,11 @@ def _graph_text(head: str, node: str, edge: str, tail: str, quote: Callable[[str
     cells[2::3] = graph.weight.tolist()
     return (head + ((node * len(quoted)) % tuple(quoted) if node else "")
             + (edge * len(graph.weight)) % tuple(cells) + tail)
+
+
+def edges_text(graph: InteractionGraph) -> str:
+    """``edges.csv``, which ``load_graph`` reads."""
+    return _graph_text("from,to,weight\n", "", "%s,%s,%s\n", "", str, graph)
 
 
 def graphml_text(graph: InteractionGraph) -> str:

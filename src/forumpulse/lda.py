@@ -117,8 +117,9 @@ class GibbsState(NamedTuple):
     z: np.ndarray                   # (tokens,)
 
 
-def _doc_seed(seed: int, doc_id: str) -> int:
-    digest = hashlib.sha256(f"{seed}\x1f{doc_id}".encode("utf-8")).digest()
+def derive_seed(seed: int, name: str) -> int:
+    """The seed of stage or document ``name`` under ``seed``, from SHA-256."""
+    digest = hashlib.sha256(f"{seed}\x1f{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -405,7 +406,7 @@ def fit(corpus: Corpus, config: LdaConfig,
         trip_words=w_idx,
         trip_counts=counts.astype(np.float64),
     )
-    seeds = [_doc_seed(config.seed, doc_id) for doc_id in corpus.doc_ids]
+    seeds = [derive_seed(config.seed, doc_id) for doc_id in corpus.doc_ids]
     lib = _kernel()
     if lib is not None:
         sweep_once, likelihood = _compiled_sampler(lib, seeds, tables, alpha, beta, vbeta)

@@ -9,7 +9,6 @@ time by power iteration with deflation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -25,45 +24,34 @@ _PCA_SEED = 20_240_601
 _NEGLIGIBLE_VARIANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    categories: tuple[str, ...]
-    words: tuple[frozenset[str], ...]
+def load_lexicon(path: Path) -> dict[str, frozenset[str]]:
+    """Load a JSON lexicon mapping category name -> word array: each
+    category's lowercased words, by name, in file order.
 
-    def __len__(self) -> int:
-        return len(self.categories)
-
-
-def load_lexicon(path: Path) -> Lexicon:
-    """Load a JSON lexicon mapping category name -> word array.
-
-    Category order follows the file. Duplicate names and empty word lists
-    are rejected.
+    Duplicate names and empty word lists are rejected.
     """
     with reading(path, "lexicon"):
         payload = read_json(path)
     if not isinstance(payload, dict) or not payload:
         raise DataError(f"{path}: lexicon must be a non-empty JSON object")
-    categories = []
-    words = []
+    lexicon = {}
     for name, wordlist in payload.items():
-        if name in categories:
+        if name in lexicon:
             raise DataError(f"{path}: duplicate category {name!r}")
         if not isinstance(wordlist, list) or not wordlist:
             raise DataError(f"{path}: category {name!r} has no words")
-        categories.append(name)
-        words.append(frozenset(str(w).lower() for w in wordlist))
-    return Lexicon(categories=tuple(categories), words=tuple(words))
+        lexicon[name] = frozenset(str(w).lower() for w in wordlist)
+    return lexicon
 
 
-def demo_lexicon() -> Lexicon:
+def demo_lexicon() -> dict[str, frozenset[str]]:
     """The small general-purpose lexicon shipped with the package."""
     with resources.as_file(
             resources.files("forumpulse").joinpath("data/demo_lexicon.json")) as path:
         return load_lexicon(path)
 
 
-def categorize(corpus: Corpus, lexicon: Lexicon) -> np.ndarray:
+def categorize(corpus: Corpus, lexicon: dict[str, frozenset[str]]) -> np.ndarray:
     """The read-only (documents, categories) scores of each document of
     ``corpus`` against every lexicon category, in corpus and lexicon order;
     each entry is in [0, 1].
@@ -83,7 +71,7 @@ def categorize(corpus: Corpus, lexicon: Lexicon) -> np.ndarray:
 
     index = {term: i for i, term in enumerate(corpus.vocabulary.terms)}
     hits = np.zeros((len(corpus), len(lexicon)), dtype=np.int64)
-    for j, wordset in enumerate(lexicon.words):
+    for j, wordset in enumerate(lexicon.values()):
         member = np.zeros(len(index), dtype=bool)
         member[[index[w] for w in wordset if w in index]] = True
         hits[:, j] = per_document(np.where(member[corpus.term_ids], corpus.counts, 0))
@@ -92,15 +80,6 @@ def categorize(corpus: Corpus, lexicon: Lexicon) -> np.ndarray:
     rows = hits * inv_totals[:, None]
     rows.setflags(write=False)
     return rows
-
-
-@dataclass(frozen=True)
-class PcaResult:
-    components: np.ndarray           # (n_comp, n_categories), orthonormal rows
-    explained_variance: np.ndarray   # non-negative, non-increasing
-    projections: np.ndarray          # (n_docs, n_comp)
-    mean: np.ndarray                 # per-category mean of the input rows
-    negligible: tuple[int, ...]      # components flagged as beyond-rank noise
 
 
 def _orthogonalize(vector: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
@@ -155,24 +134,28 @@ def _dominant_eigenpair(cov: np.ndarray, basis: list[np.ndarray],
     return best[1], best[2]
 
 
-def pca(rows: np.ndarray, n_comp: int) -> PcaResult:
-    """Principal components of the (documents, categories) matrix ``rows``.
+def pca(rows: np.ndarray, n_comp: int
+        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Principal components of the (documents, categories) matrix ``rows``:
+    the read-only (n_comp, categories) orthonormal components, their
+    explained variances (non-negative, non-increasing), the (documents,
+    n_comp) projections of the centered rows, and the components flagged as
+    beyond-rank noise.
 
     Eigenpairs of the population covariance are extracted largest-first by
     power iteration, deflating the matrix after each one; iteration stops
     when the eigen-residual drops below PCA_RESIDUAL_TOL (scaled by total
     variance). The sign of each component is fixed by making its
     largest-magnitude entry positive. Components asked for beyond the rank
-    of the data come back with explained variance ~ 0 and are listed in
-    ``negligible``.
+    of the data come back with explained variance ~ 0 and are listed in the
+    last item.
     """
     n_docs, n_cats = rows.shape
     if not 1 <= n_comp <= min(n_docs, n_cats):
         raise ValueError(
             f"n_comp must be in [1, min(n_docs={n_docs}, n_categories={n_cats})]")
 
-    mean = rows.mean(axis=0)
-    centered = rows - mean
+    centered = rows - rows.mean(axis=0)
     cov = centered.T @ centered / n_docs
     scale = max(float(np.trace(cov)), 1.0)
 
@@ -204,17 +187,16 @@ def pca(rows: np.ndarray, n_comp: int) -> PcaResult:
     components.setflags(write=False)
     variance.setflags(write=False)
     projections.setflags(write=False)
-    return PcaResult(components=components, explained_variance=variance,
-                     projections=projections, mean=mean, negligible=negligible)
+    return components, variance, projections, negligible
 
 
-def topicwise_profile(pca_result: PcaResult, assignment) -> np.ndarray:
-    """The read-only (k, components) mean component scores over the posts
-    where each topic is dominant; a topic dominant in no post has a NaN row.
+def topicwise_profile(projections: np.ndarray, assignment) -> np.ndarray:
+    """The read-only (k, components) mean of the PCA ``projections`` over the
+    posts where each topic is dominant; a topic dominant in no post has a
+    NaN row.
 
     Each topic's scores are summed in post order, as a loop over the posts
     would add them."""
-    projections = pca_result.projections
     if assignment.mask.shape[0] != projections.shape[0]:
         raise ValueError("projections and dominant assignments are misaligned")
     post, topic = np.nonzero(assignment.mask)

@@ -33,19 +33,19 @@ from typing import Any, Callable, Mapping, Optional
 import numpy as np
 
 from . import __version__
-from .corpus import (DEFAULT_MAX_DF_FRACTION, DEFAULT_MIN_DF, DEFAULT_PHRASE_MIN_COUNT,
-                     build_corpus, load_corpus, save_corpus)
+from .corpus import (CORPUS_FILES, DEFAULT_MAX_DF_FRACTION, DEFAULT_MIN_DF,
+                     DEFAULT_PHRASE_MIN_COUNT, build_corpus, load_corpus, save_corpus)
 from .errors import DataError, StageError, UsageError
 from .fileio import (float_cells, read_csv, read_json, reading, sha256_file, write_csv,
-                     write_json)
+                     write_json, write_text)
 from .ingest import (author_activity_table, load_dataset, parse_dump,
                      response_time_table, save_dataset, score_relations)
-from .interaction import (build_graph, compute_user_metrics, load_graph, save_graph,
-                          top_influencers_subgraph, user_classes)
+from .interaction import (build_graph, compute_user_metrics, dot_text, edges_text,
+                          graphml_text, load_graph, top_influencers_subgraph, user_classes)
 from .lda import (DEFAULT_BETA, DEFAULT_BURN_IN, DEFAULT_ITERATIONS, LdaConfig,
-                  kernel_name, load_model, save_model, top_words)
+                  derive_seed as stage_seed, kernel_name, load_model, save_model, top_words)
 from .lexicon import categorize, demo_lexicon, load_lexicon, pca, topicwise_profile
-from .topics import (cooccurrence, dominant_topics, load_assignment,
+from .topics import (DOMINANCE_FILES, cooccurrence, dominant_topics, load_assignment,
                      monthly_distribution, save_assignment, select_k)
 
 _MANIFEST_FORMAT = "forumpulse-manifest-v1"
@@ -86,11 +86,6 @@ _CONFIG_RULES = (
     (("lda.k_min", "lda.k_max"), lambda lo, hi: lo <= hi, "k_min <= k_max"),
     (("corpus.max_df_fraction",), lambda f: f <= 1, "max_df_fraction <= 1"),
 )
-
-
-def stage_seed(seed: int, stage: str) -> int:
-    digest = hashlib.sha256(f"{seed}\x1f{stage}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def check_config(config: Mapping[str, Any]) -> Mapping[str, Any]:
@@ -163,16 +158,6 @@ def _peak_rss_kb() -> int:
     """The peak resident set size of this process so far, in KiB (Linux)."""
     import resource     # here, so that starting the command line does not load it
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-
-@dataclass
-class RunResult:
-    out_dir: Path
-    stage_status: dict[str, str]   # stage -> "ran" | "skipped"
-
-    @property
-    def all_skipped(self) -> bool:
-        return all(s == "skipped" for s in self.stage_status.values())
 
 
 def _read_manifest(path: Path, echo) -> dict[str, Any]:
@@ -251,12 +236,12 @@ class StageContext:
 
     def load(self, name: str) -> Any:
         """The parsed ``dataset.json``, ``corpus``, ``model.json``,
-        ``dominance.csv`` (with its two siblings) or ``edges.csv``, read from
-        ``path(name)`` at most once."""
+        ``dominance.csv`` (with its two siblings), ``edges.csv`` or
+        ``lexicon.path``, read from ``path(name)`` at most once."""
         if name not in self.parsed:
             parse = {"dataset.json": load_dataset, "corpus": load_corpus,
                      "model.json": load_model, "dominance.csv": load_assignment,
-                     "edges.csv": load_graph}[name]
+                     "edges.csv": load_graph, "lexicon.path": load_lexicon}[name]
             self.parsed[name] = parse(self.path(name))
         return self.parsed[name]
 
@@ -298,9 +283,9 @@ def stats_stage(ctx: StageContext) -> dict[str, Any]:
     write_csv(ctx.path("activity_table.csv"),
               ("category", "authors", "authors_pct", "posts", "posts_pct",
                "comments", "comments_pct"), author_activity_table(dataset))
-    relations = score_relations(dataset)
+    pairs, relations = score_relations(dataset)
     write_csv(ctx.path("score_relations.csv"),
-              ("post_id", "post_score", "max_comment_score"), relations.pairs)
+              ("post_id", "post_score", "max_comment_score"), pairs)
     lapse_rows, anomalies = response_time_table(dataset)
     write_csv(ctx.path("response_times.csv"),
               ("comment_id", "response_time_s", "comment_score"), lapse_rows)
@@ -311,9 +296,7 @@ def stats_stage(ctx: StageContext) -> dict[str, Any]:
         "dangling_refs": dataset.dangling_refs,
         "parse_errors": dataset.parse_errors,
         "duplicate_ids": dataset.duplicate_ids,
-        "posts_without_comments": relations.no_comment_posts,
-        "post_score_one_fraction": relations.post_score_one_fraction,
-        "comment_score_one_fraction": relations.comment_score_one_fraction,
+        **relations,
         "response_time_anomalies": anomalies,
     }
     write_json(ctx.path("stats_summary.json"), summary)
@@ -382,40 +365,39 @@ def timeline_stage(ctx: StageContext) -> None:
               ((t, month, n) for (t, month), n in sorted(counts.items())))
 
 
-def lexicon_stage(ctx: StageContext):
+def lexicon_stage(ctx: StageContext) -> np.ndarray:
+    """The PCA components; the demo lexicon stands in when ``lexicon.path`` is None."""
     # Both inputs are read before the first output is written, so a bad
     # one fails the stage with nothing written.
     corpus, assignment = ctx.load("corpus"), ctx.load("dominance.csv")
     if assignment.doc_ids != corpus.doc_ids:    # the profile pairs rows by position
         raise DataError(f"{ctx.path('dominance.csv')}: its posts are not the corpus's "
                         f"documents in corpus order")
-    lexicon_path = ctx.params["lexicon.path"]
-    lex = load_lexicon(Path(lexicon_path)) if lexicon_path is not None else demo_lexicon()
-    rows = categorize(corpus, lex)
-    write_csv(ctx.path("category_matrix.csv"), ("post_id",) + lex.categories,
+    lexicon = (ctx.load("lexicon.path") if ctx.params["lexicon.path"] is not None
+               else demo_lexicon())
+    rows = categorize(corpus, lexicon)
+    write_csv(ctx.path("category_matrix.csv"), ("post_id", *lexicon),
               zip(corpus.doc_ids, *float_cells(rows).T.tolist()))
     n_comp = min(ctx.params["lexicon.components"], *rows.shape)
-    result = pca(rows, n_comp)
-    write_csv(ctx.path("pca_components.csv"), ("component",) + lex.categories,
-              ((i,) + tuple(float(x) for x in row)
-               for i, row in enumerate(result.components)))
+    components, variance, projections, negligible = pca(rows, n_comp)
+    write_csv(ctx.path("pca_components.csv"), ("component", *lexicon),
+              ((i,) + tuple(float(x) for x in row) for i, row in enumerate(components)))
     write_csv(ctx.path("pca_variance.csv"),
               ("component", "explained_variance", "negligible"),
-              ((i, float(v), 1 if i in result.negligible else 0)
-               for i, v in enumerate(result.explained_variance)))
-    profiles = topicwise_profile(result, assignment)
+              ((i, float(v), 1 if i in negligible else 0) for i, v in enumerate(variance)))
+    profiles = topicwise_profile(projections, assignment)
     write_csv(ctx.path("topic_profiles.csv"),
               ("topic",) + tuple(f"component_{i}" for i in range(n_comp)),
               ((t,) + tuple("" if np.isnan(x) else float(x) for x in row)
                for t, row in enumerate(profiles)))
-    return result
+    return components
 
 
 def graph_stage(ctx: StageContext):
     graph = build_graph(ctx.load("dataset.json"))
-    for name, fmt in (("edges.csv", "csv"), ("graph.graphml", "graphml"),
-                      ("graph.dot", "dot")):
-        save_graph(ctx.path(name), fmt, graph)
+    for name, text in (("edges.csv", edges_text), ("graph.graphml", graphml_text),
+                       ("graph.dot", dot_text)):
+        write_text(ctx.path(name), text(graph))
     ctx.parsed["edges.csv"] = graph
     classes = user_classes(graph)
     write_json(ctx.path("user_classes.json"), classes)
@@ -441,13 +423,13 @@ def metrics_stage(ctx: StageContext):
               ("user", "tau", "influence", "log10_comments", "log10_agg_score"),
               zip(metrics.users, tau, influence, map(log10, counts),
                   [log10(s) if s > 0 else None for s in scores]))
-    subgraph = top_influencers_subgraph(graph, metrics, ctx.params["graph.top_k"])
-    ranked = subgraph.selected.tolist()
+    subgraph, ranked = top_influencers_subgraph(graph, metrics, ctx.params["graph.top_k"])
+    ranked = ranked.tolist()
     write_csv(ctx.path("top_influencers.csv"), ("rank", "user", "influence", "C"),
               zip(range(1, len(ranked) + 1), map(metrics.users.__getitem__, ranked),
                   map(influence.__getitem__, ranked), map(counts.__getitem__, ranked)))
-    save_graph(ctx.path("influencer_subgraph.graphml"), "graphml", subgraph)
-    return metrics, subgraph
+    write_text(ctx.path("influencer_subgraph.graphml"), graphml_text(subgraph))
+    return metrics, subgraph, ranked
 
 
 def _top_words_table(path: Path, k: int) -> dict[str, list[str]]:
@@ -486,10 +468,7 @@ def report_stage(ctx: StageContext) -> None:
 
 
 # save_corpus writes these into the directory named "corpus".
-_CORPUS = tuple(f"corpus/{n}" for n in
-                ("vocabulary.tsv", "documents.csv", "docs.csv", "meta.json"))
-# load_assignment reads all three.
-_DOMINANCE = ("dominance.csv", "dominance_thresholds.csv", "topic_presence.csv")
+_CORPUS = tuple(f"corpus/{n}" for n in CORPUS_FILES)
 
 STAGES: tuple[Stage, ...] = (
     # ingest 2: dataset.json holds columns; 3: a created_utc after 9999 is a
@@ -509,18 +488,18 @@ STAGES: tuple[Stage, ...] = (
           version=3,    # 2: the trace in one fixed order; 3: model v2, top_words.csv
           # Holding the dataset across the fit would raise the run's peak.
           frees_unread=True),
-    Stage("dominance", (), ("model.json",), _DOMINANCE, dominance_stage),
-    Stage("cooccur", (), _DOMINANCE, ("cooccurrence.csv",), cooccur_stage),
-    Stage("timeline", (), _DOMINANCE + ("dataset.json",), ("monthly_topics.csv",),
+    Stage("dominance", (), ("model.json",), DOMINANCE_FILES, dominance_stage),
+    Stage("cooccur", (), DOMINANCE_FILES, ("cooccurrence.csv",), cooccur_stage),
+    Stage("timeline", (), DOMINANCE_FILES + ("dataset.json",), ("monthly_topics.csv",),
           timeline_stage),
     Stage("lexicon", ("lexicon.path", "lexicon.components"),
-          _CORPUS + _DOMINANCE + ("lexicon.path",),
+          _CORPUS + DOMINANCE_FILES + ("lexicon.path",),
           ("category_matrix.csv", "pca_components.csv", "pca_variance.csv",
            "topic_profiles.csv"), lexicon_stage),
     Stage("graph", (), ("dataset.json",),
           ("edges.csv", "graph.graphml", "graph.dot", "user_classes.json"),
           graph_stage),
-    Stage("metrics", ("graph.top_k",), ("dataset.json", "edges.csv") + _DOMINANCE,
+    Stage("metrics", ("graph.top_k",), ("dataset.json", "edges.csv") + DOMINANCE_FILES,
           ("user_metrics.csv", "spread_influence.csv", "top_influencers.csv",
            "influencer_subgraph.graphml"), metrics_stage),
 )
@@ -528,27 +507,32 @@ STAGES: tuple[Stage, ...] = (
 _ARTIFACTS = tuple(name for stage in STAGES for name in stage.outputs)
 STAGES += (Stage("report", (),
                  ("top_words.csv", "skewness_scan.csv", "stats_summary.json",
-                  "user_classes.json") + _DOMINANCE,
+                  "user_classes.json") + DOMINANCE_FILES,
                  ("report.json",), report_stage, recorded=_ARTIFACTS),)
 
 
-def check_input_files(stage: Stage, config: Mapping[str, Any]) -> None:
-    """DataError unless each dump or lexicon file that ``config`` names by
-    a config key among ``stage``'s inputs is a regular file, and such a
-    lexicon parses."""
+def check_input_files(stage: Stage, config: Mapping[str, Any]) -> dict[str, Any]:
+    """The parsed lexicon, by its config key, if ``config`` names one among
+    ``stage``'s inputs; DataError unless each dump or lexicon file that
+    ``config`` names by a config key among them is a regular file, and such
+    a lexicon parses."""
+    parsed = {}
     for key in stage.inputs:
         if key in CONFIG_DEFAULTS and config.get(key) is not None:
             if not Path(config[key]).is_file():
                 raise DataError(f"config key {key!r}: {config[key]} is not a file")
             if key == "lexicon.path":
-                load_lexicon(Path(config[key]))
+                parsed[key] = load_lexicon(Path(config[key]))
+    return parsed
 
 
 def run_pipeline(config_path: Path,
                  overrides: Optional[Mapping[str, str]] = None,
                  out_dir: Optional[Path] = None,
-                 echo=print) -> RunResult:
-    """Execute every stage; returns the artifacts directory and statuses.
+                 echo=print) -> dict[str, str]:
+    """Execute every stage, and echo ``pipeline complete: <dir>``, or ``all
+    stages up to date in <dir>`` when none ran; returns each stage's status,
+    "ran" or "skipped".
 
     Raises StageError (wrapping the cause) when a stage fails; artifacts
     written by earlier stages stay intact. A dump or lexicon file the config
@@ -556,9 +540,10 @@ def run_pipeline(config_path: Path,
     its stage before any stage runs.
     """
     config = load_config(config_path, overrides)
+    checked: dict[str, Any] = {}       # the input files parsed by the check
     for stage in STAGES:
         try:
-            check_input_files(stage, config)
+            checked.update(check_input_files(stage, config))
         except DataError as exc:
             raise StageError(stage.name, exc) from exc
     target = Path(out_dir) if out_dir is not None else Path(config["out_dir"])
@@ -592,8 +577,8 @@ def run_pipeline(config_path: Path,
         held = {name: value for name, value in held.items() if last_read[name] >= i
                 and (name in reads[i] or not stage.frees_unread)}
         ctx = StageContext(paths, {key: config[key] for key in stage.params}, target, echo,
-                           {name: value for name, value in held.items() if name in reads[i]},
-                           digests)
+                           {name: value for name, value in {**checked, **held}.items()
+                            if name in reads[i]}, digests)
         # An input is keyed by its name: a dump or lexicon file by its config
         # key, so the same bytes reached through another path match.
         input_digests = {name: ctx.digest(name) for name in stage.inputs + stage.recorded
@@ -639,4 +624,6 @@ def run_pipeline(config_path: Path,
         status[stage.name] = "ran"
         echo(f"[{stage.name}] done: {', '.join(sorted(stage.outputs))}")
 
-    return RunResult(out_dir=target, stage_status=status)
+    echo(f"pipeline complete: {target}" if "ran" in status.values()
+         else f"all stages up to date in {target}")
+    return status

@@ -24,6 +24,8 @@ from .ingest import Dataset
 from .lda import LdaConfig, TopicModel, fit
 
 _SUM_TOLERANCE = 1e-6
+# The files of an assignment, side by side: the mask, thresholds and presence.
+DOMINANCE_FILES = ("dominance.csv", "dominance_thresholds.csv", "topic_presence.csv")
 
 
 def skewness(dist: Sequence[float]) -> Optional[float]:
@@ -160,9 +162,10 @@ def _topic_table(path: Path, width: int) -> tuple[tuple[float, ...], ...]:
 
 def save_assignment(path: Path, assignment: DominantTopicAssignment) -> None:
     """Write ``assignment`` to ``path`` (``dominance.csv``) and its thresholds
-    and topic presence to ``dominance_thresholds.csv`` and
-    ``topic_presence.csv`` beside it, where ``load_assignment`` reads them."""
+    and topic presence to the other ``DOMINANCE_FILES`` beside it, where
+    ``load_assignment`` reads them."""
     path = Path(path)
+    thresholds_path, presence_path = (path.parent / name for name in DOMINANCE_FILES[1:])
     # Each distinct row spelled once, the rows told apart by their bits
     # packed into bytes: the posts share a few.
     mask = assignment.mask
@@ -172,18 +175,19 @@ def save_assignment(path: Path, assignment: DominantTopicAssignment) -> None:
     cells = ["|".join(map(str, np.flatnonzero(mask[i]).tolist())) for i in first.tolist()]
     write_csv(path, ("post_id", "dominant_topics"),
               zip(assignment.doc_ids, map(cells.__getitem__, rows.tolist())))
-    write_csv(path.parent / "dominance_thresholds.csv", ("topic", "mu", "sigma"),
+    write_csv(thresholds_path, ("topic", "mu", "sigma"),
               ((t, mu, sigma) for t, (mu, sigma) in enumerate(assignment.thresholds)))
-    write_csv(path.parent / "topic_presence.csv", ("topic", "presence_fraction"),
+    write_csv(presence_path, ("topic", "presence_fraction"),
               enumerate(assignment.topic_presence))
 
 
 def load_assignment(path: Path) -> DominantTopicAssignment:
     """The assignment the dominance stage wrote to ``path`` (``dominance.csv``)
-    and to ``dominance_thresholds.csv`` and ``topic_presence.csv`` beside it;
-    DataError when a file is not complete or the three do not agree."""
+    and to the other ``DOMINANCE_FILES`` beside it; DataError when a file is
+    not complete or the three do not agree."""
     path = Path(path)
-    thresholds = _topic_table(path.parent / "dominance_thresholds.csv", 3)
+    thresholds_path, presence_path = (path.parent / name for name in DOMINANCE_FILES[1:])
+    thresholds = _topic_table(thresholds_path, 3)
     with reading(path, "dominance file"):
         doc_ids, cells = zip(*read_csv(path, 2))
         if len(set(doc_ids)) != len(doc_ids):
@@ -199,8 +203,7 @@ def load_assignment(path: Path) -> DominantTopicAssignment:
     mask = np.frombuffer(b"".join(map(rows.__getitem__, cells)), dtype=bool)
     assignment = DominantTopicAssignment(doc_ids, thresholds,
                                          mask.reshape(len(cells), len(thresholds)))
-    if assignment.topic_presence != tuple(
-            p for (p,) in _topic_table(path.parent / "topic_presence.csv", 2)):
+    if assignment.topic_presence != tuple(p for (p,) in _topic_table(presence_path, 2)):
         raise DataError(f"{path}: dominant topics disagree with topic_presence.csv")
     return assignment
 

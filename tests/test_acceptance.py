@@ -300,24 +300,23 @@ def test_criterion_6_graph_fidelity():
 def test_criterion_7_pca_checks():
     checks = []
     t = np.linspace(-3.0, 3.0, 60)
-    collinear = pca(np.stack([t, t], axis=1), 2)
-    checks.append((collinear.explained_variance[1] < 1e-10,
-                   f"second variance {collinear.explained_variance[1]:.2e}"))
+    first, variance = pca(np.stack([t, t], axis=1), 2)[:2]
+    checks.append((variance[1] < 1e-10, f"second variance {variance[1]:.2e}"))
     target = np.array([1.0, 1.0]) / math.sqrt(2)
-    checks.append((bool(np.max(np.abs(collinear.components[0] - target)) <= 1e-8),
-                   f"first component {collinear.components[0]}"))
+    checks.append((bool(np.max(np.abs(first[0] - target)) <= 1e-8),
+                   f"first component {first[0]}"))
 
     rng = np.random.default_rng(7070)
     rows = rng.random((200, 20))
-    result = pca(rows, 20)
+    components, variance, projections, _ = pca(rows, 20)
     centered = rows - rows.mean(axis=0)
     cov = centered.T @ centered / rows.shape[0]
     worst = 0.0
-    for v, lam in zip(result.components, result.explained_variance):
+    for v, lam in zip(components, variance):
         worst = max(worst, float(np.linalg.norm(cov @ v - lam * v)))
     checks.append((worst <= 1e-8, f"max eigen-residual {worst:.2e}"))
 
-    reconstructed = result.projections @ result.components
+    reconstructed = projections @ components
     err = float(np.max(np.abs(reconstructed - centered)))
     checks.append((err <= 1e-8, f"reconstruction error {err:.2e}"))
     _verdict(7, checks,
@@ -327,23 +326,20 @@ def test_criterion_7_pca_checks():
 def test_criterion_8_pipeline_reproducibility(tmp_path):
     checks = []
     started = time.perf_counter()
-    a = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path / "a",
-                     echo=lambda *_: None)
-    b = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path / "b",
-                     echo=lambda *_: None)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out_dir in (a, b):
+        run_pipeline(FIXTURE_DIR / "config.json", out_dir=out_dir, echo=lambda *_: None)
     elapsed = time.perf_counter() - started
 
-    files_a = sorted(p.relative_to(a.out_dir) for p in a.out_dir.rglob("*")
-                     if p.is_file())
-    files_b = sorted(p.relative_to(b.out_dir) for p in b.out_dir.rglob("*")
-                     if p.is_file())
+    files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
     checks.append((files_a == files_b, "artifact inventories differ"))
     mismatched = [str(rel) for rel in files_a
                   if rel.name != "manifest.json"
-                  and (a.out_dir / rel).read_bytes() != (b.out_dir / rel).read_bytes()]
+                  and (a / rel).read_bytes() != (b / rel).read_bytes()]
     checks.append((not mismatched, f"byte mismatch in {mismatched}"))
-    ma = read_json(a.out_dir / "manifest.json")
-    mb = read_json(b.out_dir / "manifest.json")
+    ma = read_json(a / "manifest.json")
+    mb = read_json(b / "manifest.json")
     checks.append(({s: r["outputs"] for s, r in ma["stages"].items()} ==
                    {s: r["outputs"] for s, r in mb["stages"].items()},
                    "manifest output digests differ"))

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forumpulse.cli import _build_parser, main
 from forumpulse.fileio import read_json, sha256_file, write_json
@@ -477,6 +479,11 @@ CORRUPTIONS = {
     "created-after-9999": _dataset_column("comments", "created_at",
                                           lambda cells, *_: [253402300800] + cells[1:]),
     "outside-int64": _dataset_column("comments", "score", lambda cells, *_: [2**63] + cells[1:]),
+    # The ids and authors that ingest rejects, written as the CSV cells they are.
+    "empty-author": _dataset_column("comments", "author", lambda cells, *_: [""] + cells[1:]),
+    "comma-author": _dataset_column("comments", "author", lambda cells, *_: ["a,b"] + cells[1:]),
+    "line-break-id": _dataset_column("posts", "id", lambda cells, *_: [cells[0] + "\r"]
+                                     + cells[1:]),
     "format-1": lambda data, name: json.dumps(as_format_1(json.loads(data))).encode(),
     "repeated-id": lambda data, name: _with_post_id(data, 2, data.split(b"\n")[1].split(b",")[0]),
     "model-v1": lambda data, name: json.dumps({
@@ -500,7 +507,8 @@ ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.jso
                          "float-weight", "empty-weight", "zero-weight", "self-reply",
                          "edge-order", "empty-name"), ("edges.csv",)),
         **dict.fromkeys(("yesterday", "short-column", "bool-int", "parent-range", "root-range",
-                         "created-zero", "created-after-9999", "outside-int64", "format-1"),
+                         "created-zero", "created-after-9999", "outside-int64", "format-1",
+                         "empty-author", "comma-author", "line-break-id"),
                         ("dataset.json",))}
 CASES = [
     (name, corruption, command)
@@ -698,6 +706,63 @@ def test_corrupt_lexicon_is_a_data_error(intermediates, dump, config, tmp_path,
     err = capsys.readouterr().err
     assert "stage 'lexicon' failed" in err and "lexicon.json" in err
     assert not (dump / "artifacts" / "dataset.json").exists()
+
+
+def _unlink_then(make):
+    def damage(path: Path, data: bytes, where: float) -> None:
+        path.unlink()
+        make(path)
+    return damage
+
+
+def _cut(data: bytes, where: float) -> int:
+    """An offset strictly inside the text of ``data`` but its trailing
+    newline, ``where`` of the way along."""
+    return 1 + int(where * (len(data.rstrip()) - 2))
+
+
+# Each way an input file goes bad: ``damage(path, data, where)`` rewrites
+# the file at ``path``, whose bytes are ``data``; ``where`` (0 to 1) places
+# the cut or the bad byte. A truncated dump ends inside a character: a dump
+# cut between characters ends in a partial line, which ingest tallies as a
+# parse error and reads on.
+BAD_INPUTS = {
+    "missing": lambda path, data, where: path.unlink(),
+    "directory": _unlink_then(Path.mkdir),
+    "dangling-symlink": _unlink_then(lambda path: path.symlink_to(path.with_name("gone"))),
+    "empty": lambda path, data, where: path.write_bytes(b""),
+    "truncated": lambda path, data, where: path.write_bytes(
+        data[:_cut(data, where)] if path.suffix == ".json"
+        else data + '{"id": "\u00e9'.encode()[:-1]),
+    "not-utf8": lambda path, data, where: path.write_bytes(
+        data[:_cut(data, where)] + b"\xff" + data[_cut(data, where):]),
+}
+BAD_INPUT_FILES = {"posts": "dump/posts.jsonl", "comments": "dump/comments.jsonl",
+                   "lexicon.path": "lexicon.json"}
+
+
+@settings(max_examples=40, deadline=None)
+# An empty dump is a dump without records, which a later stage rejects.
+@given(case=st.sampled_from([(key, bad) for key in BAD_INPUT_FILES for bad in BAD_INPUTS
+                             if bad != "empty" or key == "lexicon.path"]),
+       where=st.floats(0, 1))
+def test_bad_input_file_fails_the_run_before_it_writes(tmp_path_factory, case, where):
+    """A dump or lexicon file that is missing, a directory, a dangling
+    symlink, empty (a lexicon), truncated or not UTF-8 makes `run` exit 1
+    or 2, and leaves the output directory as it was: no dataset.json."""
+    key, bad = case
+    base = tmp_path_factory.mktemp("bad-input")
+    generate_fixture(seed=11, n_posts=30, n_users=8, k_true=3, out_dir=base / "dump")
+    write_json(base / "lexicon.json", {"money": ["loan", "debt"], "cars": ["car"]})
+    write_json(base / "config.json", {**RUN_CONFIG, "lexicon.path": "lexicon.json"})
+    out = base / "artifacts"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    path = base / BAD_INPUT_FILES[key]
+    BAD_INPUTS[bad](path, path.read_bytes(), where)
+    assert run_cli("run", "--config", base / "config.json") in (1, 2)
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text(encoding="utf-8") == "kept\n"
 
 
 def test_run_stage_failure_exit_codes(dump):

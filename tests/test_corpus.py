@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from forumpulse.corpus import build_corpus, default_stopwords, load_corpus, save_corpus
 from forumpulse.errors import DataError
 from forumpulse.lda import LdaConfig
-from forumpulse.lexicon import Lexicon, categorize
+from forumpulse.lexicon import categorize
 
 from conftest import (corpus_from_counts, fit_with_labels, make_dataset, merge_phrases,
                       post_record, same_fields, tokenize)
@@ -314,7 +314,7 @@ def _token_tally(corpus, lexicon):
         if not doc:
             continue
         inv_total = 1.0 / len(doc)
-        for j, wordset in enumerate(lexicon.words):
+        for j, wordset in enumerate(lexicon.values()):
             hits = sum(1 for token in doc if token in wordset)
             if hits:
                 rows[i, j] = hits * inv_total
@@ -331,8 +331,7 @@ _TERMS = [f"w{i}" for i in range(12)]
                          min_size=1, max_size=5))
 def test_categorize_equals_the_token_tally(docs, wordsets):
     corpus = corpus_from_counts(docs)
-    lexicon = Lexicon(categories=tuple(f"c{j}" for j in range(len(wordsets))),
-                      words=tuple(frozenset(w) for w in wordsets))
+    lexicon = {f"c{j}": frozenset(w) for j, w in enumerate(wordsets)}
     rows = categorize(corpus, lexicon)
     assert rows.tobytes() == _token_tally(corpus, lexicon).tobytes()
     assert rows.shape == (len(corpus.doc_ids), len(lexicon))

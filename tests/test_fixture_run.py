@@ -162,7 +162,7 @@ def test_directory_of_format_1_reruns_ingest_and_its_readers(tmp_path):
     write_json(tmp_path / "manifest.json", manifest)
 
     rerun = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
-    assert [name for name, status in rerun.stage_status.items() if status == "ran"] \
+    assert [name for name, status in rerun.items() if status == "ran"] \
         == ["ingest", "stats", "corpus", "timeline", "graph", "metrics", "report"]
     assert artifact_digests(tmp_path) == FIXTURE_DIGESTS
 
@@ -189,11 +189,11 @@ def test_directory_of_model_format_1_reruns_topics_dominance_and_report(tmp_path
     write_json(tmp_path / "manifest.json", manifest)
 
     rerun = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
-    assert [name for name, status in rerun.stage_status.items() if status == "ran"] \
+    assert [name for name, status in rerun.items() if status == "ran"] \
         == ["topics", "dominance", "report"]
     assert artifact_digests(tmp_path) == FIXTURE_DIGESTS
-    assert run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path,
-                        echo=lambda *_: None).all_skipped
+    assert set(run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path,
+                            echo=lambda *_: None).values()) == {"skipped"}
 
 
 @settings(max_examples=3, deadline=None)
@@ -221,6 +221,6 @@ def test_run_killed_after_a_stage_resumes_to_the_same_bytes(tmp_path_factory, st
 
     rerun = run_pipeline(FIXTURE_DIR / "config.json", out_dir=out_dir, echo=lambda *_: None)
     names = [s.name for s in STAGES]
-    assert all(rerun.stage_status[name] == "skipped"
+    assert all(rerun[name] == "skipped"
                for name in names[:names.index(stage) + 1])
     assert artifact_digests(out_dir) == FIXTURE_DIGESTS

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumpulse.errors import DataError
-from forumpulse.ingest import (AuthorCategory, author_activity_table,
+from forumpulse.ingest import (AUTHOR_CATEGORIES, author_activity_table,
                                load_dataset, parse_dump, response_time_table,
                                save_dataset, score_relations)
 
@@ -128,12 +128,13 @@ def test_author_categories():
          comment_record("c2", "t3_p1", "p1", author="both1"),
          comment_record("c3", "t3_p2", "p2", author="both2")],
     )
-    rows = {AuthorCategory(r[0]): (r[1], r[3], r[5]) for r in author_activity_table(d)}
+    rows = {r[0]: (r[1], r[3], r[5]) for r in author_activity_table(d)}
     assert rows == {
-        AuthorCategory.ONLY_POSTING: (1, 1, 0),      # poster
-        AuthorCategory.ONLY_COMMENTING: (1, 0, 1),   # commenter
-        AuthorCategory.BOTH: (2, 2, 2),              # both1, both2
+        "OnlyPosting": (1, 1, 0),      # poster
+        "OnlyCommenting": (1, 0, 1),   # commenter
+        "Both": (2, 2, 2),             # both1, both2
     }
+    assert tuple(rows) == AUTHOR_CATEGORIES
 
 
 def _activity_rows(dataset) -> dict[str, SimpleNamespace]:
@@ -141,7 +142,7 @@ def _activity_rows(dataset) -> dict[str, SimpleNamespace]:
     records named by the columns of ``activity_table.csv``."""
     names = ("category", "authors", "authors_pct", "posts", "posts_pct", "comments",
              "comments_pct")
-    return {AuthorCategory(row[0]): SimpleNamespace(**dict(zip(names, row)))
+    return {row[0]: SimpleNamespace(**dict(zip(names, row)))
             for row in author_activity_table(dataset)}
 
 
@@ -151,10 +152,10 @@ def test_activity_table_two_pure_authors():
         [comment_record("c1", "t3_p1", "p1", author="commenter")],
     )
     rows = _activity_rows(d)
-    assert rows[AuthorCategory.ONLY_POSTING].authors_pct == 50.0
-    assert rows[AuthorCategory.ONLY_COMMENTING].authors_pct == 50.0
-    assert rows[AuthorCategory.ONLY_COMMENTING].posts_pct == 0.0
-    assert rows[AuthorCategory.ONLY_POSTING].comments_pct == 0.0
+    assert rows["OnlyPosting"].authors_pct == 50.0
+    assert rows["OnlyCommenting"].authors_pct == 50.0
+    assert rows["OnlyCommenting"].posts_pct == 0.0
+    assert rows["OnlyPosting"].comments_pct == 0.0
 
 
 def test_activity_table_four_authors_hand_counted():
@@ -167,9 +168,9 @@ def test_activity_table_four_authors_hand_counted():
          comment_record("c3", "t3_p2", "p2", author="co")],
     )
     rows = _activity_rows(d)
-    assert rows[AuthorCategory.BOTH].authors_pct == 50.0
-    assert rows[AuthorCategory.ONLY_POSTING].authors_pct == 25.0
-    assert rows[AuthorCategory.ONLY_COMMENTING].authors_pct == 25.0
+    assert rows["Both"].authors_pct == 50.0
+    assert rows["OnlyPosting"].authors_pct == 25.0
+    assert rows["OnlyCommenting"].authors_pct == 25.0
     assert sum(r.authors_pct for r in rows.values()) == pytest.approx(100.0)
     assert sum(r.posts_pct for r in rows.values()) == pytest.approx(100.0)
     assert sum(r.comments_pct for r in rows.values()) == pytest.approx(100.0)
@@ -222,16 +223,16 @@ def test_score_relations_max_comment_score():
          comment_record("c2", "t3_p1", "p1", score=40),
          comment_record("c3", "t1_c1", "p1", score=2)],
     )
-    rel = score_relations(d)
-    assert rel.pairs == (("p1", 3, 40),)
-    assert rel.no_comment_posts == 0
+    pairs, fields = score_relations(d)
+    assert pairs == [("p1", 3, 40)]
+    assert fields["posts_without_comments"] == 0
 
 
 def test_score_relations_no_comment_post_only_tallied():
     d = make_dataset([post_record("p1", score=5)], [])
-    rel = score_relations(d)
-    assert rel.pairs == ()
-    assert rel.no_comment_posts == 1
+    pairs, fields = score_relations(d)
+    assert pairs == []
+    assert fields["posts_without_comments"] == 1
 
 
 def test_score_one_fractions_hand_counted():
@@ -242,9 +243,9 @@ def test_score_one_fractions_hand_counted():
          comment_record("c2", "t3_p2", "p2", score=1),
          comment_record("c3", "t3_p3", "p3", score=1)],
     )
-    rel = score_relations(d)
-    assert rel.post_score_one_fraction == pytest.approx(2 / 3)
-    assert rel.comment_score_one_fraction == 1.0
+    _, fields = score_relations(d)
+    assert fields["post_score_one_fraction"] == pytest.approx(2 / 3)
+    assert fields["comment_score_one_fraction"] == 1.0
 
 
 def test_dataset_roundtrip(tmp_path, two_posts_three_comments):
@@ -338,8 +339,8 @@ def test_stats_tables_match_a_loop_over_the_records(records):
         if root in kept_posts:
             best[root] = max(best.get(root, c["score"]), c["score"])
     assert response_time_table(d) == (rows, anomalies)
-    assert score_relations(d).pairs == tuple(
-        (i, kept_posts[i]["score"], best[i]) for i in sorted(kept_posts) if i in best)
+    assert score_relations(d)[0] == [
+        (i, kept_posts[i]["score"], best[i]) for i in sorted(kept_posts) if i in best]
 
 
 @settings(max_examples=40, deadline=None)

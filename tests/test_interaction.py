@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from forumpulse import interaction
 from forumpulse.errors import DataError
+from forumpulse.fileio import write_text
 from forumpulse.fixture import generate_fixture
 from forumpulse.ingest import SENTINEL_AUTHORS, parse_dump
 from forumpulse.interaction import (InteractionGraph, build_graph, compute_user_metrics,
-                                    dot_text, graphml_text, load_graph, save_graph,
+                                    dot_text, edges_text, graphml_text, load_graph,
                                     top_influencers_subgraph, topic_spread, user_classes)
 from forumpulse.pipeline import StageContext, metrics_stage
 
@@ -40,7 +41,7 @@ def test_load_graph_reads_back_build_graph(tmp_path, users):
     with posts.open() as ps, comments.open() as cs:
         graph = build_graph(parse_dump(ps, cs))
     assert (len(graph.weight) == 0) == (users == 1)
-    save_graph(tmp_path / "edges.csv", "csv", graph)
+    write_text(tmp_path / "edges.csv", edges_text(graph))
     assert same_graph(load_graph(tmp_path / "edges.csv"), graph)
 
 
@@ -267,10 +268,10 @@ def test_alpha_ranking_invariant_under_comment_scaling():
     assert rank(base) == rank(tripled)
 
 
-def _selected(metrics, sub) -> tuple[str, ...]:
-    """The names of the ranked influencers of ``sub``."""
-    assert sub.selected.dtype == np.int64 and not sub.selected.flags.writeable
-    return tuple(metrics.users[i] for i in sub.selected.tolist())
+def _selected(metrics, ranked) -> tuple[str, ...]:
+    """The names of the ``ranked`` rows of ``metrics``."""
+    assert ranked.dtype == np.int64 and not ranked.flags.writeable
+    return tuple(metrics.users[i] for i in ranked.tolist())
 
 
 def test_top_influencers_star_egonet():
@@ -284,8 +285,8 @@ def test_top_influencers_star_egonet():
     )
     graph = build_graph(d)
     metrics = compute_user_metrics(d, graph)
-    sub = top_influencers_subgraph(graph, metrics, 1)
-    assert _selected(metrics, sub) == ("hub",)
+    sub, ranked = top_influencers_subgraph(graph, metrics, 1)
+    assert _selected(metrics, ranked) == ("hub",)
     assert set(sub.nodes) == {"hub", "s0", "s1", "s2"}
     assert set(edge_tuples(sub)) == set(edge_tuples(graph))
 
@@ -294,8 +295,8 @@ def test_top_influencers_k_larger_than_population():
     d = hand_fixture()
     graph = build_graph(d)
     metrics = compute_user_metrics(d, graph)
-    sub = top_influencers_subgraph(graph, metrics, 99)
-    assert set(_selected(metrics, sub)) == {"u1", "u2", "u3", "u4"}
+    sub, ranked = top_influencers_subgraph(graph, metrics, 99)
+    assert set(_selected(metrics, ranked)) == {"u1", "u2", "u3", "u4"}
     assert edge_tuples(sub) == edge_tuples(graph)
 
 
@@ -303,9 +304,9 @@ def test_top_influencers_ranking_ties():
     d = hand_fixture()
     graph = build_graph(d)
     metrics = compute_user_metrics(d, graph)
-    sub = top_influencers_subgraph(graph, metrics, 2)
+    ranked = top_influencers_subgraph(graph, metrics, 2)[1]
     # I: u3=1.0; u1=u4=0.5 tie broken by C (u1 has 2 > 1), then id.
-    assert _selected(metrics, sub) == ("u3", "u1")
+    assert _selected(metrics, ranked) == ("u3", "u1")
 
 
 def test_metric_bounds_and_weight_invariant():
@@ -497,7 +498,7 @@ def test_graph_columns_equal_the_per_edge_oracles(tmp_path_factory, dataset, top
     assert dict(zip(nodes, graph.out_degree.tolist())) == out_degree
     assert dict(zip(nodes, graph.in_degree.tolist())) == in_degree
     path = tmp_path_factory.mktemp("graph") / "edges.csv"
-    save_graph(path, "csv", graph)
+    write_text(path, edges_text(graph))
     assert same_graph(load_graph(path), graph)
     classes = user_classes(graph)
     assert (classes["nodes"], classes["passive"], classes["unanswered"]) == (
@@ -510,8 +511,8 @@ def test_graph_columns_equal_the_per_edge_oracles(tmp_path_factory, dataset, top
     assert all((m.out_degree, m.in_degree) == (out_degree.get(m.user, 0),
                                                in_degree.get(m.user, 0))
                for m in metric_rows(metrics).values())
-    sub = top_influencers_subgraph(graph, metrics, top_k)
-    selected = _selected(metrics, sub)
+    sub, ranked = top_influencers_subgraph(graph, metrics, top_k)
+    selected = _selected(metrics, ranked)
     assert (sub.nodes, edge_tuples(sub)) == subgraph_per_edge(edges, selected)
     ranked = sorted(metric_rows(metrics).values(),
                     key=lambda m: (-m.influence, -m.comment_count, m.user))

@@ -343,8 +343,8 @@ def test_kernel_bit_equal_on_generated_corpora(kernel, docs, k, seed):
 def test_kernel_bit_equal_with_short_seeds(kernel, fixture_corpus, monkeypatch):
     """Seeds below 2**32, 0 included, seed the generator from one word."""
     first = fixture_corpus.doc_ids[0]
-    long_seed = lda._doc_seed
-    monkeypatch.setattr(lda, "_doc_seed", lambda seed, doc_id: (
+    long_seed = lda.derive_seed
+    monkeypatch.setattr(lda, "derive_seed", lambda seed, doc_id: (
         0 if doc_id == first else long_seed(seed, doc_id) >> 32))
     config = LdaConfig(k=4, iterations=20, burn_in=5, seed=1)
     assert_bit_equal(fit_with_labels(fixture_corpus, config),

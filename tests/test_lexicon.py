@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from forumpulse.errors import DataError
-from forumpulse.lexicon import (Lexicon, categorize, demo_lexicon,
-                                load_lexicon, pca, topicwise_profile)
+from forumpulse.lexicon import categorize, demo_lexicon, load_lexicon, pca, topicwise_profile
 
 from conftest import assignment_of, corpus_from_tokens
 
 
-def lex(**categories) -> Lexicon:
-    return Lexicon(categories=tuple(categories),
-                   words=tuple(frozenset(v) for v in categories.values()))
+def lex(**categories) -> dict[str, frozenset[str]]:
+    return {name: frozenset(words) for name, words in categories.items()}
 
 
 def test_categorize_all_tokens_match():
@@ -48,7 +46,7 @@ def test_categorize_rows_bounded_by_one():
 
 def test_categorize_empty_lexicon_rejected():
     with pytest.raises(DataError):
-        categorize(corpus_from_tokens([["pay"]]), Lexicon(categories=(), words=()))
+        categorize(corpus_from_tokens([["pay"]]), {})
 
 
 def test_load_lexicon_roundtrip_and_validation(tmp_path):
@@ -56,8 +54,8 @@ def test_load_lexicon_roundtrip_and_validation(tmp_path):
     path.write_text(json.dumps({"money": ["Pay", "DEBT"], "cars": ["car"]}),
                     encoding="utf-8")
     loaded = load_lexicon(path)
-    assert loaded.categories == ("money", "cars")
-    assert loaded.words[0] == frozenset({"pay", "debt"})
+    assert loaded == {"money": frozenset({"pay", "debt"}), "cars": frozenset({"car"})}
+    assert list(loaded) == ["money", "cars"]
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"money": []}), encoding="utf-8")
@@ -68,66 +66,63 @@ def test_load_lexicon_roundtrip_and_validation(tmp_path):
 def test_demo_lexicon_loads():
     demo = demo_lexicon()
     assert len(demo) == 20
-    assert all(words for words in demo.words)
+    assert all(words for words in demo.values())
 
 
 def test_pca_collinear_points():
     t = np.linspace(-2.0, 2.0, 41)
     rows = np.stack([t, t], axis=1)          # all points on the line y = x
-    result = pca(rows, 2)
-    assert result.explained_variance[1] < 1e-10
-    first = result.components[0]
-    assert np.allclose(first, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-8)
-    assert result.negligible == (1,)
+    components, variance, _, negligible = pca(rows, 2)
+    assert variance[1] < 1e-10
+    assert np.allclose(components[0], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-8)
+    assert negligible == (1,)
 
 
 def test_pca_isotropic_variances_close():
     rng = np.random.default_rng(99)
     rows = rng.standard_normal((10_000, 2))
-    result = pca(rows, 2)
-    ev = result.explained_variance
+    _, ev, _, _ = pca(rows, 2)
     assert abs(ev[0] - ev[1]) / ev[0] < 0.05
 
 
 def test_pca_full_rank_reconstruction():
     rng = np.random.default_rng(5)
     rows = rng.random((30, 6))
-    result = pca(rows, 6)
-    centered = rows - result.mean
-    reconstructed = result.projections @ result.components
+    components, _, projections, _ = pca(rows, 6)
+    centered = rows - rows.mean(axis=0)
+    reconstructed = projections @ components
     assert np.max(np.abs(reconstructed - centered)) <= 1e-8
 
 
 def test_pca_orthonormal_components_and_residuals():
     rng = np.random.default_rng(17)
     rows = rng.random((60, 12))
-    result = pca(rows, 8)
-    gram = result.components @ result.components.T
+    components, variance, _, _ = pca(rows, 8)
+    gram = components @ components.T
     assert np.max(np.abs(gram - np.eye(8))) <= 1e-8
     centered = rows - rows.mean(axis=0)
     cov = centered.T @ centered / rows.shape[0]
-    for v, lam in zip(result.components, result.explained_variance):
+    for v, lam in zip(components, variance):
         assert np.linalg.norm(cov @ v - lam * v) <= 1e-8
 
 
 def test_pca_variance_sums_to_total_at_full_rank():
     rng = np.random.default_rng(23)
     rows = rng.random((40, 5))
-    result = pca(rows, 5)
+    _, variance, _, _ = pca(rows, 5)
     centered = rows - rows.mean(axis=0)
     total = float(np.trace(centered.T @ centered / rows.shape[0]))
-    assert sum(result.explained_variance) == pytest.approx(total, rel=1e-6)
-    assert all(a >= b for a, b in zip(result.explained_variance,
-                                      result.explained_variance[1:]))
+    assert sum(variance) == pytest.approx(total, rel=1e-6)
+    assert all(a >= b for a, b in zip(variance, variance[1:]))
 
 
 def test_pca_sign_convention_deterministic():
     rng = np.random.default_rng(3)
     rows = rng.random((25, 4))
-    a = pca(rows, 3)
-    b = pca(rows.copy(), 3)
-    assert a.components.tobytes() == b.components.tobytes()
-    for row in a.components:
+    a = pca(rows, 3)[0]
+    b = pca(rows.copy(), 3)[0]
+    assert a.tobytes() == b.tobytes()
+    for row in a:
         assert row[int(np.argmax(np.abs(row)))] > 0
 
 
@@ -141,33 +136,25 @@ def test_pca_validates_n_comp():
 
 def test_topicwise_profile_single_post():
     rows = np.array([[4.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
-    result = pca(rows, 2)
+    projections = pca(rows, 2)[2]
     a = assignment_of([{0}, set(), set()], k=1)
-    profiles = topicwise_profile(result, a)
-    assert np.allclose(profiles[0], result.projections[0])
+    profiles = topicwise_profile(projections, a)
+    assert np.allclose(profiles[0], projections[0])
 
 
 def test_topicwise_profile_mean_of_two():
-    class Stub:
-        projections = np.array([[1.0, 0.0], [3.0, 0.0]])
-
-    profiles = topicwise_profile(Stub(), assignment_of([{0}, {0}], k=1))
+    profiles = topicwise_profile(np.array([[1.0, 0.0], [3.0, 0.0]]),
+                                 assignment_of([{0}, {0}], k=1))
     assert profiles.tolist() == [[2.0, 0.0]]
 
 
 def test_topicwise_profile_matches_bruteforce_groupby():
     rng = np.random.default_rng(8)
     projections = rng.random((50, 3))
-
-    class Stub:
-        pass
-
-    stub = Stub()
-    stub.projections = projections
     sets = [set(int(t) for t in rng.choice(4, size=rng.integers(0, 3),
                                            replace=False))
             for _ in range(50)]
-    profiles = topicwise_profile(stub, assignment_of(sets, k=4))
+    profiles = topicwise_profile(projections, assignment_of(sets, k=4))
     for t in range(4):
         members = [projections[i] for i, s in enumerate(sets) if t in s]
         if not members:
@@ -178,8 +165,5 @@ def test_topicwise_profile_matches_bruteforce_groupby():
 
 
 def test_topicwise_profile_alignment_checked():
-    class Stub:
-        projections = np.zeros((3, 2))
-
     with pytest.raises(ValueError):
-        topicwise_profile(Stub(), assignment_of([{0}], k=1))
+        topicwise_profile(np.zeros((3, 2)), assignment_of([{0}], k=1))

@@ -89,11 +89,12 @@ def test_single_user_fixture_yields_edgeless_graph(tmp_path):
 
 def test_full_run_writes_every_artifact(tmp_path):
     config = small_config(tmp_path)
-    result = run_pipeline(config, echo=lambda *_: None)
-    assert result.out_dir == tmp_path / "artifacts"
+    lines: list[str] = []
+    status = run_pipeline(config, echo=lines.append)
+    assert lines[-1] == f"pipeline complete: {tmp_path / 'artifacts'}"
     for name in EXPECTED_FILES:
-        assert (result.out_dir / name).exists(), name
-    assert all(status == "ran" for status in result.stage_status.values())
+        assert (tmp_path / "artifacts" / name).exists(), name
+    assert all(s == "ran" for s in status.values())
 
 
 def test_stage_table_declares_every_artifact():
@@ -107,8 +108,10 @@ def test_stage_table_declares_every_artifact():
 def test_rerun_skips_all_stages(tmp_path):
     config = small_config(tmp_path)
     run_pipeline(config, echo=lambda *_: None)
-    again = run_pipeline(config, echo=lambda *_: None)
-    assert again.all_skipped
+    lines: list[str] = []
+    again = run_pipeline(config, echo=lines.append)
+    assert not ran(again)
+    assert lines[-1] == f"all stages up to date in {tmp_path / 'artifacts'}"
 
 
 def test_fixed_k_bypasses_scan_and_stale_stage_reruns(tmp_path):
@@ -121,13 +124,13 @@ def test_fixed_k_bypasses_scan_and_stale_stage_reruns(tmp_path):
     # Changing one stage parameter reruns that stage and its dependents only.
     again = run_pipeline(config, overrides={"graph.top_k": "2"},
                          echo=lambda *_: None)
-    assert again.stage_status["metrics"] == "ran"
-    assert again.stage_status["topics"] == "skipped"
-    assert again.stage_status["ingest"] == "skipped"
+    assert again["metrics"] == "ran"
+    assert again["topics"] == "skipped"
+    assert again["ingest"] == "skipped"
 
 
-def ran(result) -> list[str]:
-    return [name for name, status in result.stage_status.items() if status == "ran"]
+def ran(statuses) -> list[str]:
+    return [name for name, status in statuses.items() if status == "ran"]
 
 
 def test_interrupted_outputs_recomputed(tmp_path):
@@ -137,7 +140,7 @@ def test_interrupted_outputs_recomputed(tmp_path):
     before = sha256_file(target)
     target.write_text("tampered\n", encoding="utf-8")
     result = run_pipeline(config, echo=lambda *_: None)
-    assert result.stage_status["cooccur"] == "ran"
+    assert result["cooccur"] == "ran"
     assert sha256_file(target) == before
 
     # A deleted output reruns only its stage; the stage writes the same
@@ -162,24 +165,30 @@ def test_edited_input_reruns_every_stage(tmp_path):
 
 def test_each_intermediate_parsed_once_while_stages_read_it(tmp_path, monkeypatch):
     """A fresh run parses only ``dataset.json``, once for ``stats`` and
-    ``corpus`` and once after the fit, and is handed every other
-    intermediate by the stage that writes it; it derives the dominant
-    topics and the reply graph once, in the stages that write them. A
-    ``graph.top_k`` rerun parses no model."""
+    ``corpus`` and once after the fit, and its lexicon, once for the check
+    before any stage runs, and is handed every other intermediate by the
+    stage that writes it; it derives the dominant topics and the reply
+    graph once, in the stages that write them. A ``graph.top_k`` rerun
+    parses no model."""
     calls = Counter()
     for name in ("load_dataset", "load_model", "load_corpus", "load_assignment",
-                 "load_graph", "dominant_topics", "build_graph"):
+                 "load_graph", "load_lexicon", "dominant_topics", "build_graph"):
         def counted(arg, call=getattr(pipeline, name), name=name):
             calls[name] += 1
             return call(arg)
         monkeypatch.setattr(pipeline, name, counted)
-    config = small_config(tmp_path)
+    write_json(tmp_path / "lexicon.json", {"money": ["loan", "debt"], "cars": ["car"]})
+    config = small_config(tmp_path, **{"lexicon.path": "lexicon.json"})
     run_pipeline(config, echo=lambda *_: None)
-    assert calls == {"load_dataset": 2, "dominant_topics": 1, "build_graph": 1}
+    assert calls == {"load_dataset": 2, "load_lexicon": 1, "dominant_topics": 1,
+                     "build_graph": 1}
+    assert (tmp_path / "artifacts" / "pca_components.csv").read_text(
+        encoding="utf-8").startswith("component,cars,money\n")
 
     calls.clear()
     again = run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
-    assert calls == {"load_dataset": 1, "load_assignment": 1, "load_graph": 1}
+    assert calls == {"load_dataset": 1, "load_assignment": 1, "load_graph": 1,
+                     "load_lexicon": 1}
     assert ran(again) == ["metrics", "report"]
 
 
@@ -195,7 +204,7 @@ def test_next_run_removes_the_temporary_files_of_a_killed_write(tmp_path):
     for path in stale:
         path.write_text("")
     (out / ".notes.tmp").write_text("not ours")
-    assert run_pipeline(config, out_dir=out, echo=lambda *_: None).all_skipped
+    assert not ran(run_pipeline(config, out_dir=out, echo=lambda *_: None))
     assert not any(path.exists() for path in stale)
     assert (out / ".notes.tmp").read_text() == "not ours"
 
@@ -212,7 +221,7 @@ def test_same_dump_through_another_path_is_up_to_date(tmp_path):
     lines: list[str] = []
     again = run_pipeline(tmp_path / "b" / "config.json", out_dir=tmp_path / "artifacts",
                          echo=lines.append)
-    assert again.all_skipped
+    assert not ran(again)
     assert lines[0] == "[ingest] up to date, skipped"
 
     manifest_path = tmp_path / "artifacts" / "manifest.json"
@@ -287,7 +296,8 @@ def test_handed_on_objects_equal_their_files(tmp_path, monkeypatch):
         return dataclasses.replace(stage, run=run)
 
     monkeypatch.setattr(pipeline, "STAGES", tuple(map(recording, STAGES)))
-    out = run_pipeline(small_config(tmp_path), echo=lambda *_: None).out_dir
+    run_pipeline(small_config(tmp_path), echo=lambda *_: None)
+    out = tmp_path / "artifacts"
     assert {name: sorted(objects) for name, objects in handed.items()} == {
         "ingest": [], "stats": [], "corpus": ["dataset.json"], "topics": ["corpus"],
         "dominance": ["model.json"], "cooccur": ["dominance.csv"],
@@ -314,7 +324,8 @@ def test_each_file_hashed_once_per_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "sha256_file", counted)
     config = small_config(tmp_path)
-    out = run_pipeline(config, echo=lambda *_: None).out_dir
+    run_pipeline(config, echo=lambda *_: None)
+    out = tmp_path / "artifacts"
     assert calls and max(calls.values()) == 1
     calls.clear()
     again = run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
@@ -372,7 +383,8 @@ def full_run(tmp_path_factory):
     """The config and artifacts directory of one complete small run."""
     base = tmp_path_factory.mktemp("full")
     config = small_config(base)
-    return load_config(config), run_pipeline(config, echo=lambda *_: None).out_dir
+    run_pipeline(config, echo=lambda *_: None)
+    return load_config(config), base / "artifacts"
 
 
 @pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage.name)
@@ -395,12 +407,13 @@ def test_stage_reads_only_its_declared_inputs(full_run, tmp_path, stage):
 
 def test_two_fresh_runs_byte_identical(tmp_path):
     config = small_config(tmp_path)
-    a = run_pipeline(config, out_dir=tmp_path / "a", echo=lambda *_: None)
-    b = run_pipeline(config, out_dir=tmp_path / "b", echo=lambda *_: None)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out_dir in (a, b):
+        run_pipeline(config, out_dir=out_dir, echo=lambda *_: None)
     names = [n for n in EXPECTED_FILES if n != "manifest.json"]
     for name in names:
-        assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes(), name
-    ma, mb = read_json(a.out_dir / "manifest.json"), read_json(b.out_dir / "manifest.json")
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    ma, mb = read_json(a / "manifest.json"), read_json(b / "manifest.json")
     assert {s: r["outputs"] for s, r in ma["stages"].items()} == \
         {s: r["outputs"] for s, r in mb["stages"].items()}
 
@@ -410,18 +423,18 @@ def test_both_kernels_write_the_same_bytes_and_are_named(tmp_path, monkeypatch):
     writes, and each run's topics record names its kernel; a directory
     written with one kernel is up to date for the other."""
     config = small_config(tmp_path)
-    compiled = run_pipeline(config, out_dir=tmp_path / "a", echo=lambda *_: None)
+    compiled, python = tmp_path / "a", tmp_path / "b"
+    run_pipeline(config, out_dir=compiled, echo=lambda *_: None)
     monkeypatch.setattr(lda, "_kernel", lambda: None)
-    python = run_pipeline(config, out_dir=tmp_path / "b", echo=lambda *_: None)
+    run_pipeline(config, out_dir=python, echo=lambda *_: None)
     for name in EXPECTED_FILES[1:]:
-        assert ((compiled.out_dir / name).read_bytes()
-                == (python.out_dir / name).read_bytes()), name
-    assert read_json(python.out_dir / "manifest.json")["stages"]["topics"]["kernel"] \
+        assert (compiled / name).read_bytes() == (python / name).read_bytes(), name
+    assert read_json(python / "manifest.json")["stages"]["topics"]["kernel"] \
         == "python"
     monkeypatch.undo()
-    assert read_json(compiled.out_dir / "manifest.json")["stages"]["topics"]["kernel"] \
+    assert read_json(compiled / "manifest.json")["stages"]["topics"]["kernel"] \
         == lda.kernel_name()
-    assert run_pipeline(config, out_dir=tmp_path / "b", echo=lambda *_: None).all_skipped
+    assert not ran(run_pipeline(config, out_dir=python, echo=lambda *_: None))
 
 
 def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch):
@@ -431,7 +444,8 @@ def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch)
     then holds what a fresh run writes; a record without a version counts
     as version 1."""
     config = small_config(tmp_path)
-    fresh = run_pipeline(config, out_dir=tmp_path / "fresh", echo=lambda *_: None)
+    fresh = tmp_path / "fresh"
+    run_pipeline(config, out_dir=fresh, echo=lambda *_: None)
     fit = topics.fit
 
     def older_fit(corpus, lda_config):   # the same model, the trace off by one ulp
@@ -448,14 +462,13 @@ def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch)
         del record["version"]
     write_json(manifest_path, manifest)
     assert (tmp_path / "old" / "model.json").read_bytes() \
-        != (fresh.out_dir / "model.json").read_bytes()
+        != (fresh / "model.json").read_bytes()
 
     rerun = run_pipeline(config, out_dir=tmp_path / "old", echo=lambda *_: None)
-    assert [name for name, status in rerun.stage_status.items() if status == "ran"] \
-        == ["ingest", "topics", "dominance", "report"]
+    assert ran(rerun) == ["ingest", "topics", "dominance", "report"]
     for name in EXPECTED_FILES[1:]:
         assert ((tmp_path / "old" / name).read_bytes()
-                == (fresh.out_dir / name).read_bytes()), name
+                == (fresh / name).read_bytes()), name
 
 
 def test_directory_at_ingest_version_2_reruns_only_ingest(tmp_path):
@@ -472,8 +485,7 @@ def test_directory_at_ingest_version_2_reruns_only_ingest(tmp_path):
         manifest["stages"]["ingest"]["version"] = version
         write_json(manifest_path, manifest)
         rerun = run_pipeline(config, echo=lambda *_: None)
-        assert [name for name, status in rerun.stage_status.items() if status == "ran"] \
-            == ["ingest"]
+        assert ran(rerun) == ["ingest"]
         assert (tmp_path / "artifacts" / "dataset.json").read_bytes() == dataset
 
 
@@ -482,9 +494,9 @@ def test_manifest_records_versions_and_sampler_telemetry(tmp_path):
     its wall time, CPU time and the peak RSS so far, and the topics record
     the sweeps of the whole scan, their rate and the last relative change
     of the selected model's trace."""
-    result = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path / "fixture",
-                          echo=lambda *_: None)
-    records = read_json(result.out_dir / "manifest.json")["stages"]
+    run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path / "fixture",
+                 echo=lambda *_: None)
+    records = read_json(tmp_path / "fixture" / "manifest.json")["stages"]
     assert {name: record["version"] for name, record in records.items()} \
         == {stage.name: {"ingest": 4, "topics": 3}.get(stage.name, 1) for stage in STAGES}
     peaks = [records[stage.name]["peak_rss_kb"] for stage in STAGES]
@@ -496,13 +508,13 @@ def test_manifest_records_versions_and_sampler_telemetry(tmp_path):
     assert record["sweeps"] == (config["lda.k_max"] - config["lda.k_min"] + 1) \
         * config["lda.iterations"]
     assert math.isfinite(record["sweeps_per_s"]) and record["sweeps_per_s"] > 0
-    trace = read_json(result.out_dir / "model.json")["log_likelihood_trace"]
+    trace = read_json(tmp_path / "fixture" / "model.json")["log_likelihood_trace"]
     assert record["trace_rel_change"] == abs(trace[-1] - trace[-2]) / abs(trace[-2])
     assert 0 <= record["trace_rel_change"] < 0.01
 
     one_sweep = small_config(tmp_path, **{"lda.iterations": 1, "lda.burn_in": 0})
-    result = run_pipeline(one_sweep, echo=lambda *_: None)
-    record = read_json(result.out_dir / "manifest.json")["stages"]["topics"]
+    run_pipeline(one_sweep, echo=lambda *_: None)
+    record = read_json(tmp_path / "artifacts" / "manifest.json")["stages"]["topics"]
     assert record["sweeps"] == 1 and record["trace_rel_change"] is None
 
 

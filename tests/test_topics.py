@@ -6,7 +6,6 @@ import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -398,7 +397,7 @@ def test_mask_readers_equal_the_per_set_oracles(mask, seed):
     # Scores over sixteen orders of magnitude, so that the order of each sum
     # shows in its last bits.
     projections = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 9, size=(n, 3))
-    profiles = topicwise_profile(SimpleNamespace(projections=projections), a)
+    profiles = topicwise_profile(projections, a)
     assert not profiles.flags.writeable
     assert np.array_equal(profiles.view(np.uint64),
                           topicwise_profile_per_row(projections, sets, k).view(np.uint64))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from forumpulse.fileio import float_cells, write_csv
-from forumpulse.interaction import InteractionGraph, dot_text, graphml_text, save_graph
+from forumpulse.interaction import InteractionGraph, dot_text, edges_text, graphml_text
 from forumpulse.lda import LdaConfig, TopicModel, save_model
 from forumpulse.topics import save_assignment
 
@@ -162,13 +162,12 @@ def graphs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(graph=graphs())
-def test_graph_exports_write_the_per_cell_text(tmp_path_factory, graph):
+def test_graph_exports_write_the_per_cell_text(graph):
     nodes, edges = graph
     assert graphml_text(graph_of(nodes, edges)) == graphml_text_per_cell(nodes, edges)
     assert dot_text(graph_of(nodes, edges)) == dot_text_per_cell(nodes, edges)
-    path = tmp_path_factory.getbasetemp() / "edges.csv"
-    save_graph(path, "csv", graph_of(nodes, edges))
-    assert written(path) == csv_text_per_cell(("from", "to", "weight"), edges)
+    assert edges_text(graph_of(nodes, edges)) == csv_text_per_cell(("from", "to", "weight"),
+                                                                  edges)
 
 
 def test_empty_graph_exports():
