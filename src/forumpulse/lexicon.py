@@ -1,14 +1,15 @@
-"""Lexical category profiling and a small dependency-free PCA.
+"""Lexical category profiling and its PCA.
 
 Category scoring is plain normalized matching: the score of category c for
 a post is the fraction of the post's tokens found in c's word set. The
 resulting matrix is at most a few hundred columns wide, so the PCA works
-on the category-space covariance directly, extracting one eigenpair at a
-time by power iteration with deflation.
+on the category-space covariance directly: one symmetric eigendecomposition
+(``np.linalg.eigh``) gives every component at once.
 """
 
 from __future__ import annotations
 
+import json
 from importlib import resources
 from pathlib import Path
 
@@ -16,11 +17,8 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import DataError
-from .fileio import read_json, reading
+from .fileio import reading
 
-PCA_RESIDUAL_TOL = 1e-10
-PCA_MAX_ITER = 10_000
-_PCA_SEED = 20_240_601
 _NEGLIGIBLE_VARIANCE = 1e-12
 
 
@@ -30,12 +28,14 @@ def load_lexicon(path: Path) -> dict[str, frozenset[str]]:
 
     Duplicate names and empty word lists are rejected.
     """
-    with reading(path, "lexicon"):
-        payload = read_json(path)
-    if not isinstance(payload, dict) or not payload:
+    # Each JSON object parses to the tuple of its (name, value) pairs in
+    # file order, so a repeated name is still there to be rejected.
+    with reading(path, "lexicon"), Path(path).open("r", encoding="utf-8") as fh:
+        pairs = json.load(fh, object_pairs_hook=tuple)
+    if not isinstance(pairs, tuple) or not pairs:
         raise DataError(f"{path}: lexicon must be a non-empty JSON object")
     lexicon = {}
-    for name, wordlist in payload.items():
+    for name, wordlist in pairs:
         if name in lexicon:
             raise DataError(f"{path}: duplicate category {name!r}")
         if not isinstance(wordlist, list) or not wordlist:
@@ -82,58 +82,6 @@ def categorize(corpus: Corpus, lexicon: dict[str, frozenset[str]]) -> np.ndarray
     return rows
 
 
-def _orthogonalize(vector: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    for b in basis:
-        vector = vector - (vector @ b) * b
-    return vector
-
-
-def _completion_vector(basis: list[np.ndarray], n: int) -> np.ndarray:
-    # Deterministic unit vector orthogonal to the basis, for zero-variance
-    # directions: first standard basis vector with a usable residual.
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        e = _orthogonalize(e, basis)
-        norm = float(np.linalg.norm(e))
-        if norm > 0.5:
-            return e / norm
-    raise AssertionError("no orthogonal completion found")
-
-
-def _dominant_eigenpair(cov: np.ndarray, basis: list[np.ndarray],
-                        scale: float, rng: np.random.Generator
-                        ) -> tuple[np.ndarray, float]:
-    # Up to 3 restarts share the PCA_MAX_ITER budget for this component.
-    n = cov.shape[0]
-    tol = PCA_RESIDUAL_TOL * scale
-    budget = PCA_MAX_ITER
-    best: tuple[float, np.ndarray, float] | None = None
-    for _ in range(3):
-        v = _orthogonalize(rng.standard_normal(n), basis)
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-12:
-            continue
-        v /= norm
-        while budget > 0:
-            budget -= 1
-            w = _orthogonalize(cov @ v, basis)
-            norm = float(np.linalg.norm(w))
-            if norm < tol:
-                return _completion_vector(basis, n), 0.0
-            v = w / norm
-            lam = float(v @ cov @ v)
-            residual = float(np.linalg.norm(cov @ v - lam * v))
-            if residual <= tol:
-                return v, lam
-        if best is None or residual < best[0]:
-            best = (residual, v, lam)
-        if budget <= 0:
-            break
-    assert best is not None
-    return best[1], best[2]
-
-
 def pca(rows: np.ndarray, n_comp: int
         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Principal components of the (documents, categories) matrix ``rows``:
@@ -142,13 +90,11 @@ def pca(rows: np.ndarray, n_comp: int
     n_comp) projections of the centered rows, and the components flagged as
     beyond-rank noise.
 
-    Eigenpairs of the population covariance are extracted largest-first by
-    power iteration, deflating the matrix after each one; iteration stops
-    when the eigen-residual drops below PCA_RESIDUAL_TOL (scaled by total
-    variance). The sign of each component is fixed by making its
-    largest-magnitude entry positive. Components asked for beyond the rank
-    of the data come back with explained variance ~ 0 and are listed in the
-    last item.
+    The components are the eigenvectors of the population covariance with
+    the ``n_comp`` largest eigenvalues, from one ``np.linalg.eigh``. The sign
+    of each component is fixed by making its largest-magnitude entry
+    positive. Components asked for beyond the rank of the data come back
+    with explained variance ~ 0 and are listed in the last item.
     """
     n_docs, n_cats = rows.shape
     if not 1 <= n_comp <= min(n_docs, n_cats):
@@ -158,30 +104,13 @@ def pca(rows: np.ndarray, n_comp: int
     centered = rows - rows.mean(axis=0)
     cov = centered.T @ centered / n_docs
     scale = max(float(np.trace(cov)), 1.0)
-
-    rng = np.random.default_rng(_PCA_SEED)
-    basis: list[np.ndarray] = []
-    eigenvalues: list[float] = []
-    deflated = cov.copy()
-    for _ in range(n_comp):
-        v, lam = _dominant_eigenpair(deflated, basis, scale, rng)
-        basis.append(v)
-        eigenvalues.append(max(lam, 0.0))
-        deflated = deflated - lam * np.outer(v, v)
-
-    # Deflation returns eigenpairs largest-first up to numerics; enforce the
-    # ordering, then fix signs.
-    order = sorted(range(n_comp), key=lambda i: -eigenvalues[i])
-    components = np.vstack([basis[i] for i in order])
-    variance = np.asarray([eigenvalues[i] for i in order])
-    for row in components:
-        pivot = int(np.argmax(np.abs(row)))
-        if row[pivot] < 0:
-            row *= -1.0
-
-    negligible = tuple(
-        int(i) for i in range(n_comp)
-        if variance[i] <= _NEGLIGIBLE_VARIANCE * scale)
+    # eigh returns the eigenvalues ascending, with the eigenvectors as columns.
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    variance = np.maximum(eigenvalues[::-1][:n_comp], 0.0)
+    components = eigenvectors.T[::-1][:n_comp].copy()
+    pivots = np.argmax(np.abs(components), axis=1)
+    components *= np.sign(components[np.arange(n_comp), pivots])[:, None]
+    negligible = tuple(np.flatnonzero(variance <= _NEGLIGIBLE_VARIANCE * scale).tolist())
 
     projections = centered @ components.T
     components.setflags(write=False)

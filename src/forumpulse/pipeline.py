@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -112,7 +113,9 @@ def check_config(config: Mapping[str, Any]) -> Mapping[str, Any]:
 
 def load_config(path: Path, overrides: Optional[Mapping[str, str]] = None
                 ) -> dict[str, Any]:
-    """Read a flat config file, apply overrides, check types, resolve paths."""
+    """Read a flat config file, apply overrides, check types, and make each
+    path absolute, against the config file's directory, without following
+    symbolic links."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"config file not found or not a file: {path}")
@@ -141,7 +144,7 @@ def load_config(path: Path, overrides: Optional[Mapping[str, str]] = None
     base = path.parent
     for key in ("posts", "comments", "out_dir", "lexicon.path"):
         if config[key] is not None:
-            config[key] = str((base / str(config[key])).resolve())
+            config[key] = os.path.abspath(base / str(config[key]))
     return config
 
 
@@ -495,7 +498,8 @@ STAGES: tuple[Stage, ...] = (
     Stage("lexicon", ("lexicon.path", "lexicon.components"),
           _CORPUS + DOMINANCE_FILES + ("lexicon.path",),
           ("category_matrix.csv", "pca_components.csv", "pca_variance.csv",
-           "topic_profiles.csv"), lexicon_stage),
+           "topic_profiles.csv"), lexicon_stage,
+          version=2),   # 2: the PCA by one eigh, not power iteration
     Stage("graph", (), ("dataset.json",),
           ("edges.csv", "graph.graphml", "graph.dot", "user_classes.json"),
           graph_stage),
@@ -514,15 +518,23 @@ STAGES += (Stage("report", (),
 def check_input_files(stage: Stage, config: Mapping[str, Any]) -> dict[str, Any]:
     """The parsed lexicon, by its config key, if ``config`` names one among
     ``stage``'s inputs; DataError unless each dump or lexicon file that
-    ``config`` names by a config key among them is a regular file, and such
-    a lexicon parses."""
+    ``config`` names by a config key among them is a regular file, such a
+    lexicon parses, and such a dump has a line that is not blank."""
     parsed = {}
     for key in stage.inputs:
         if key in CONFIG_DEFAULTS and config.get(key) is not None:
-            if not Path(config[key]).is_file():
-                raise DataError(f"config key {key!r}: {config[key]} is not a file")
+            path = Path(config[key])
+            if not path.is_file():
+                raise DataError(f"config key {key!r}: {path} is not a file")
             if key == "lexicon.path":
-                parsed[key] = load_lexicon(Path(config[key]))
+                parsed[key] = load_lexicon(path)
+                continue
+            # Read a dump only up to its first block that is not all
+            # whitespace to ``str.strip``, ingest's test of a blank line; a
+            # byte that is not UTF-8 is ingest's to report.
+            with path.open("r", encoding="utf-8", errors="replace") as fh:
+                if not any(map(str.strip, iter(lambda: fh.read(1 << 16), ""))):
+                    raise DataError(f"config key {key!r}: {path} is empty or blank")
     return parsed
 
 
@@ -536,8 +548,8 @@ def run_pipeline(config_path: Path,
 
     Raises StageError (wrapping the cause) when a stage fails; artifacts
     written by earlier stages stay intact. A dump or lexicon file the config
-    names that is not a regular file, or a lexicon that does not parse, fails
-    its stage before any stage runs.
+    names that is not a regular file, a dump with no line that is not blank,
+    or a lexicon that does not parse, fails its stage before any stage runs.
     """
     config = load_config(config_path, overrides)
     checked: dict[str, Any] = {}       # the input files parsed by the check

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import re
 import shutil
@@ -687,15 +689,16 @@ LEXICONS = {
     "binary": b'\xff\xfe{"a": ["x"]}',
     "not-json": b"money: pay, debt\n",
     "empty": b"",
+    "duplicate": b'{"a": ["x"], "a": ["y"]}',
 }
 
 
 @pytest.mark.parametrize("lexicon", LEXICONS)
 def test_corrupt_lexicon_is_a_data_error(intermediates, dump, config, tmp_path,
                                          capsys, lexicon):
-    """A lexicon file that is not UTF-8 JSON exits 2 and is named, from
-    `lexicon profile`, and from `run` for its `lexicon` stage before any
-    stage runs."""
+    """A lexicon file that is not UTF-8 JSON, or that names a category
+    twice, exits 2 and is named, from `lexicon profile`, and from `run` for
+    its `lexicon` stage before any stage runs."""
     path = tmp_path / "lexicon.json"
     path.write_bytes(LEXICONS[lexicon])
     assert run_cli("lexicon", "profile", "--corpus", intermediates / "corpus",
@@ -731,6 +734,8 @@ BAD_INPUTS = {
     "directory": _unlink_then(Path.mkdir),
     "dangling-symlink": _unlink_then(lambda path: path.symlink_to(path.with_name("gone"))),
     "empty": lambda path, data, where: path.write_bytes(b""),
+    "blank-lines": lambda path, data, where: path.write_bytes(
+        "\n \n\t\r\n\u00a0\n".encode()),
     "truncated": lambda path, data, where: path.write_bytes(
         data[:_cut(data, where)] if path.suffix == ".json"
         else data + '{"id": "\u00e9'.encode()[:-1]),
@@ -742,14 +747,13 @@ BAD_INPUT_FILES = {"posts": "dump/posts.jsonl", "comments": "dump/comments.jsonl
 
 
 @settings(max_examples=40, deadline=None)
-# An empty dump is a dump without records, which a later stage rejects.
-@given(case=st.sampled_from([(key, bad) for key in BAD_INPUT_FILES for bad in BAD_INPUTS
-                             if bad != "empty" or key == "lexicon.path"]),
+@given(case=st.sampled_from([(key, bad) for key in BAD_INPUT_FILES for bad in BAD_INPUTS]),
        where=st.floats(0, 1))
 def test_bad_input_file_fails_the_run_before_it_writes(tmp_path_factory, case, where):
     """A dump or lexicon file that is missing, a directory, a dangling
-    symlink, empty (a lexicon), truncated or not UTF-8 makes `run` exit 1
-    or 2, and leaves the output directory as it was: no dataset.json."""
+    symlink, empty, blank lines only, truncated or not UTF-8 makes `run`
+    exit 1 or 2, and leaves the output directory as it was: no
+    dataset.json. A dangling symlink is named by the path the config gives."""
     key, bad = case
     base = tmp_path_factory.mktemp("bad-input")
     generate_fixture(seed=11, n_posts=30, n_users=8, k_true=3, out_dir=base / "dump")
@@ -760,7 +764,11 @@ def test_bad_input_file_fails_the_run_before_it_writes(tmp_path_factory, case, w
     (out / "notes.txt").write_text("kept\n", encoding="utf-8")
     path = base / BAD_INPUT_FILES[key]
     BAD_INPUTS[bad](path, path.read_bytes(), where)
-    assert run_cli("run", "--config", base / "config.json") in (1, 2)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run_cli("run", "--config", base / "config.json") in (1, 2)
+    if bad == "dangling-symlink":
+        assert f"{path} is not a file" in err.getvalue()
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
     assert (out / "notes.txt").read_text(encoding="utf-8") == "kept\n"
 

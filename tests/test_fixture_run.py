@@ -9,10 +9,13 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import forumpulse.pipeline as pipeline
 from forumpulse.fileio import read_json, sha256_file, write_json
+from forumpulse.lexicon import pca
 from forumpulse.pipeline import STAGES, run_pipeline
 
 from conftest import FIXTURE_DIR, as_format_1, child_env
@@ -38,9 +41,9 @@ FIXTURE_DIGESTS = {
         "da7d74b89b80c18b84029af8e981a3cd3894f30d722c7c9fc143a342d5e99c12",
     "model.json": "898d2c95af36dc776616e50ec7b780db1db046eb39beee2a6733bf1b3495a355",
     "monthly_topics.csv": "1e7599c461d885df0559071a4e0c12b868bbbe5a792bc49b8bba2d7c28053126",
-    "pca_components.csv": "5601f66473bd5ee86e96d65b9338c85f7e5ccda82b4efa7b89245da036adea99",
-    "pca_variance.csv": "4cfd062dec0cf2003cbc3497fefc2d48c8930d10edc24442464d5b39747c7dba",
-    "report.json": "10ad0899a33512f5669e56c94689b65b7fbc5cb2c0b1e389750ea3fe96af9d58",
+    "pca_components.csv": "45f60fa1be38e1347d1a400cdf3ed2d343e45086590300f372f95b89f738af93",
+    "pca_variance.csv": "0009befe1946a2ffe700c6be4efad2987c3d09ed8ccf5a0f75b4ababde50010b",
+    "report.json": "ae56313c9ca187776127404b88db5e41c357ac283f1c4c0997544b31a7f304ff",
     "response_times.csv": "4f5de0887aecf754a618e82f5900e6702a84eb88edd8e81b5b0a16ccf3e5977c",
     "score_relations.csv": "86fad629568bc2ee87ca67718d57bfdf0ab15172da499081ab2c2acb5bb436b4",
     "skewness_scan.csv": "d3dfd622e49c7252462724473953c8d76d1e8abc3bf959bb03515ddf7ae53b17",
@@ -48,13 +51,13 @@ FIXTURE_DIGESTS = {
     "stats_summary.json": "28d6bf99d062132183b8f874dbaae1282149f2cd28898cf36b0cd7c99fc0efbe",
     "top_influencers.csv": "79f19c4cf5af4cb8ecd49788e2e67e95faabbe99b5ba90b24760e0362e4c0576",
     "topic_presence.csv": "ab9ac23e8e3d7a9e825919b14c72208fb0ef472a89ce170cd138e82c5ddb3bba",
-    "topic_profiles.csv": "a782a2f36ad416c069a065fb17c254f9c7501713a71ed01b8cedbdce66ee9821",
+    "topic_profiles.csv": "30d711d9c6d3809ceb5983f149136fc222c40799b1828babfc548ced5b112ec0",
     "top_words.csv": "542a64f6719537070299cc8ca9966bc3766c700e1ebb6406dded6f1a0d951edb",
     "user_classes.json": "ddf3a5d11e6b3b8ae9b5874b837dc98787bc184a7ef2481030f3e9237db0e79c",
     "user_metrics.csv": "5ec783bf5a965bbc8b790c8f1eb62f211850a0452d73fd50fd9cd7033e8e8495",
 }
 # The listing: sha256 of the `sha256sum` lines of those files, by path.
-FIXTURE_LISTING = "2b3af2eed82a3d1269051cdc817ffe7c910e6339e6ce0d04571107ad414af1cd"
+FIXTURE_LISTING = "55811e73dd43b51d3baf4c0502c7464f0da9fcce7d0fc449dd4183ae5098c01f"
 
 
 # sha256 of every file but manifest.json that `forumpulse run` writes on the
@@ -86,9 +89,9 @@ DUMP_2000_DIGESTS = {
     "monthly_topics.csv":
         "fa101c751e25ed64d6e5975b8843c2139c06da1a980bf8a6d56b8f1fd802c84e",
     "pca_components.csv":
-        "f8d7cfbd7031d85ee15a83e9dac27fbac98e22c9994b883c5b5f76efe5fa7476",
-    "pca_variance.csv": "50b9110aea24634e69034a3cb76bb207f76e4dbb583f9113d08132d9779e87c8",
-    "report.json": "06da36c2c75264907f06925bf7d2eca18e08f044edbda0cb29a7dd7f5e495a35",
+        "3fbf0aa309fa04707625e76562ba044031b09b089eb2ca4c2b67fee608a6b468",
+    "pca_variance.csv": "86ad4482d36bc4a3b31fc5b99d7c5aa35074f447e180800f6ec4df08847f904a",
+    "report.json": "538474033f17de514f0da81aa9e9eb6c595e9658dad2962180a46fc8c8b5e444",
     "response_times.csv":
         "1a9b92f976c6cb1ea24efbef84df31d83f731e9599f904a1a2bc8c98f9998e21",
     "score_relations.csv":
@@ -103,7 +106,7 @@ DUMP_2000_DIGESTS = {
     "topic_presence.csv":
         "ecd788f623a57584ccf07023765a6bc2fb3c693eeecd7972056b226f2b603172",
     "topic_profiles.csv":
-        "ac4c0397add9cc62e99b991cf6294e0020b2c8cc2ff488db0f3695c612fa12b8",
+        "57ac3ecea581289b683d6d975bafbb6719ed24e46dc1b355a88b0f943c5f9080",
     "top_words.csv": "55a93b30b7f95c2166415b287d69ec67918701afd69b920e6f7bda23a1037ee1",
     "user_classes.json": "00617ea634fcebe6c3b176f416a05beecb1bfc1552038234e0f1e0a73814d81b",
     "user_metrics.csv": "85ef0523ad02c0522b4ac5b49b216ebdde40680fbc5ada3d862008a56eb3b0e2",
@@ -191,6 +194,32 @@ def test_directory_of_model_format_1_reruns_topics_dominance_and_report(tmp_path
     rerun = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
     assert [name for name, status in rerun.items() if status == "ran"] \
         == ["topics", "dominance", "report"]
+    assert artifact_digests(tmp_path) == FIXTURE_DIGESTS
+    assert set(run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path,
+                            echo=lambda *_: None).values()) == {"skipped"}
+
+
+def test_directory_at_lexicon_version_1_reruns_lexicon_and_report(tmp_path, monkeypatch):
+    """A directory whose ``lexicon`` record is at version 1, with the PCA
+    components the power iteration of that version wrote (here: each an ulp
+    off), reruns ``lexicon`` and ``report`` only, and ends with the pinned
+    bytes; the next run skips every stage."""
+    def older_pca(rows, n_comp):
+        components, variance, projections, negligible = pca(rows, n_comp)
+        return np.nextafter(components, 0), variance, projections, negligible
+
+    monkeypatch.setattr(pipeline, "pca", older_pca)
+    run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
+    monkeypatch.undo()
+    assert sha256_file(tmp_path / "pca_components.csv") \
+        != FIXTURE_DIGESTS["pca_components.csv"]
+    manifest = read_json(tmp_path / "manifest.json")
+    manifest["stages"]["lexicon"]["version"] = 1
+    write_json(tmp_path / "manifest.json", manifest)
+
+    rerun = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
+    assert [name for name, status in rerun.items() if status == "ran"] \
+        == ["lexicon", "report"]
     assert artifact_digests(tmp_path) == FIXTURE_DIGESTS
     assert set(run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path,
                             echo=lambda *_: None).values()) == {"skipped"}

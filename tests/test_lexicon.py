@@ -1,14 +1,20 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from forumpulse.errors import DataError
 from forumpulse.lexicon import categorize, demo_lexicon, load_lexicon, pca, topicwise_profile
 
-from conftest import assignment_of, corpus_from_tokens
+from conftest import assignment_of, child_env, corpus_from_tokens
 
 
 def lex(**categories) -> dict[str, frozenset[str]]:
@@ -124,6 +130,60 @@ def test_pca_sign_convention_deterministic():
     assert a.tobytes() == b.tobytes()
     for row in a:
         assert row[int(np.argmax(np.abs(row)))] > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 8)),
+                   elements=st.floats(0, 1)),
+       factor=st.sampled_from([1.0, 1e-3]), data=st.data())
+def test_pca_matches_the_svd_of_the_centred_rows(rows, factor, data):
+    """Against ``np.linalg.svd`` of the centred rows (singular values s,
+    right singular vectors V): the variances are s**2 / n, each component
+    whose eigenvalue is apart from every other by more than 1e-4 of the
+    trace is a row of V up to sign, and every eigen-residual is within
+    1e-12 of the scale."""
+    rows = rows * factor
+    n_docs, n_cats = rows.shape
+    n_comp = data.draw(st.integers(1, min(n_docs, n_cats)))
+    components, variance, _, _ = pca(rows, n_comp)
+    centered = rows - rows.mean(axis=0)
+    cov = centered.T @ centered / n_docs
+    trace = float(np.trace(cov))
+    scale = max(trace, 1.0)
+    _, s, vt = np.linalg.svd(centered)
+    eigenvalues = np.zeros(n_cats)
+    eigenvalues[:len(s)] = s ** 2 / n_docs
+    assert np.max(np.abs(variance - eigenvalues[:n_comp])) <= 1e-12 * scale
+    for i in range(n_comp):
+        gap = np.min(np.abs(np.delete(eigenvalues, i) - eigenvalues[i]), initial=np.inf)
+        if gap > 1e-4 * trace > 0:
+            sign = np.sign(components[i] @ vt[i])
+            assert np.max(np.abs(components[i] - sign * vt[i])) <= 1e-8
+        assert np.linalg.norm(cov @ components[i] - variance[i] * components[i]) \
+            <= 1e-12 * scale
+
+
+_PCA_CHILD = """
+import hashlib, sys
+import numpy as np
+from forumpulse.lexicon import pca
+rows = np.random.default_rng(3).random((20_000, 20)) ** 4
+digest = hashlib.sha256()
+for array in pca(rows, 20)[:3]:
+    digest.update(array.tobytes())
+sys.stdout.write(digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="the process may use fewer than 2 CPUs")
+def test_pca_does_not_depend_on_the_blas_thread_count():
+    digests = [subprocess.run([sys.executable, "-c", _PCA_CHILD], capture_output=True,
+                              text=True, check=True,
+                              env=child_env(OPENBLAS_NUM_THREADS=threads)).stdout
+               for threads in ("1", "2")]
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_pca_validates_n_comp():

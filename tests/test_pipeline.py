@@ -439,10 +439,10 @@ def test_both_kernels_write_the_same_bytes_and_are_named(tmp_path, monkeypatch):
 
 def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch):
     """A directory written before stages had versions, when the trace was
-    summed in another order, reruns exactly ``ingest`` and ``topics``, whose
-    versions are above 1, and the stages whose inputs that changes, and
-    then holds what a fresh run writes; a record without a version counts
-    as version 1."""
+    summed in another order, reruns exactly ``ingest``, ``topics`` and
+    ``lexicon``, whose versions are above 1, and the stages whose inputs
+    that changes, and then holds what a fresh run writes; a record without
+    a version counts as version 1."""
     config = small_config(tmp_path)
     fresh = tmp_path / "fresh"
     run_pipeline(config, out_dir=fresh, echo=lambda *_: None)
@@ -465,7 +465,7 @@ def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch)
         != (fresh / "model.json").read_bytes()
 
     rerun = run_pipeline(config, out_dir=tmp_path / "old", echo=lambda *_: None)
-    assert ran(rerun) == ["ingest", "topics", "dominance", "report"]
+    assert ran(rerun) == ["ingest", "topics", "dominance", "lexicon", "report"]
     for name in EXPECTED_FILES[1:]:
         assert ((tmp_path / "old" / name).read_bytes()
                 == (fresh / name).read_bytes()), name
@@ -498,7 +498,8 @@ def test_manifest_records_versions_and_sampler_telemetry(tmp_path):
                  echo=lambda *_: None)
     records = read_json(tmp_path / "fixture" / "manifest.json")["stages"]
     assert {name: record["version"] for name, record in records.items()} \
-        == {stage.name: {"ingest": 4, "topics": 3}.get(stage.name, 1) for stage in STAGES}
+        == {stage.name: {"ingest": 4, "topics": 3, "lexicon": 2}.get(stage.name, 1)
+            for stage in STAGES}
     peaks = [records[stage.name]["peak_rss_kb"] for stage in STAGES]
     assert peaks == sorted(peaks) and peaks[0] > 0
     for record in records.values():
@@ -536,8 +537,25 @@ def test_prior_artifacts_survive_a_failing_stage(tmp_path):
 
 
 def test_dump_without_commenters_is_a_data_error(tmp_path):
+    """An empty comments dump fails ``ingest`` before any stage runs."""
     config = small_config(tmp_path)
     (tmp_path / "dump" / "comments.jsonl").write_text("", encoding="utf-8")
+    with pytest.raises(StageError) as err:
+        run_pipeline(config, echo=lambda *_: None)
+    assert err.value.stage == "ingest"
+    assert isinstance(err.value.cause, DataError)
+    assert "comments.jsonl is empty or blank" in str(err.value)
+    assert not (tmp_path / "artifacts").exists()
+
+
+def test_dump_whose_commenters_are_all_deleted_is_a_data_error(tmp_path):
+    """Comments that are all by ``[deleted]`` leave no commenter to score:
+    ``metrics`` fails."""
+    config = small_config(tmp_path)
+    comments = tmp_path / "dump" / "comments.jsonl"
+    records = [json.loads(line) for line in comments.read_text(encoding="utf-8").splitlines()]
+    comments.write_text("".join(json.dumps({**record, "author": "[deleted]"}) + "\n"
+                                for record in records), encoding="utf-8")
     with pytest.raises(StageError) as err:
         run_pipeline(config, echo=lambda *_: None)
     assert err.value.stage == "metrics"
