@@ -14,14 +14,13 @@ from pathlib import Path
 from . import __version__
 from .errors import DataError, ForumPulseError, StageError, UsageError
 from .fixture import generate_fixture
-from .pipeline import (CONFIG_SCHEMA, STAGES, StageContext, check_config,
-                       check_input_files, corpus_stage, cooccur_stage, dominance_stage,
-                       graph_stage, ingest_stage, lexicon_stage, metrics_stage,
-                       run_pipeline, stats_stage, timeline_stage, topics_stage)
+from .fileio import StageContext
+from .pipeline import CONFIG_SCHEMA, STAGES, check_config, check_input_files, run_pipeline
 
 # Exit 2: bad data, or an input path that is missing or names a file where
 # a directory belongs, or the other way round.
-_DATA_ERRORS = (DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
+_DATA_ERRORS = (DataError, FileExistsError, FileNotFoundError, IsADirectoryError,
+                NotADirectoryError)
 _DOMINANCE_HELP = "the dominance.csv of `topics dominance`, its two sibling files beside it"
 _OUT_FILE, _OUT_DIR = "output file", "output directory"
 
@@ -169,23 +168,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _context(args, stage: str, paths) -> StageContext:
-    """The ``StageContext`` of the ``STAGES`` entry named ``stage``: its
-    params from the flags named by their config keys, and ``--out`` as its
-    output file if it has one, else as its output directory. A dump or
-    lexicon file it reads must be a regular file, and a lexicon must parse;
-    the context holds the parsed lexicon."""
+def _run_stage(args, stage: str, paths):
+    """Run the ``STAGES`` entry named ``stage`` and return what it returns:
+    its params come from the flags named by their config keys, ``--out`` is
+    its output file if it has one, else its output directory, and its dump
+    and lexicon files are checked, and a lexicon parsed, as ``run`` does."""
     entry = next(s for s in STAGES if s.name == stage)
     params = check_config({key: getattr(args, key) for key in entry.params})
     parsed = check_input_files(entry, {**paths, **params})
     if len(entry.outputs) == 1:
-        return StageContext({**paths, entry.outputs[0]: args.out}, params, parsed=parsed)
-    return StageContext(paths, params, args.out, parsed=parsed)
+        paths = {**paths, entry.outputs[0]: args.out}
+    return entry.run(StageContext(paths, params, args.out, parsed=parsed))
 
 
 def _cmd_ingest(args) -> int:
-    dataset = ingest_stage(_context(args, "ingest",
-                                    {"posts": args.posts, "comments": args.comments}))
+    dataset = _run_stage(args, "ingest", {"posts": args.posts, "comments": args.comments})
     print(f"dataset: {len(dataset.posts)} posts, {len(dataset.comments)} comments, "
           f"{len(dataset.authors)} authors "
           f"(parse errors {dataset.parse_errors}, duplicates {dataset.duplicate_ids}, "
@@ -194,28 +191,27 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    summary = stats_stage(_context(args, "stats", {"dataset.json": args.dataset}))
+    summary = _run_stage(args, "stats", {"dataset.json": args.dataset})
     print(f"stats written to {args.out} "
           f"(response-time anomalies: {summary['response_time_anomalies']})")
     return 0
 
 
 def _cmd_corpus_build(args) -> int:
-    corpus = corpus_stage(_context(args, "corpus",
-                                   {"dataset.json": args.dataset, "corpus": args.out}))
+    corpus = _run_stage(args, "corpus", {"dataset.json": args.dataset, "corpus": args.out})
     print(f"corpus: {len(corpus)} documents, {len(corpus.vocabulary)} terms, "
           f"{corpus.total_tokens} tokens -> {args.out}")
     return 0
 
 
 def _cmd_topics_fit(args) -> int:
-    model = topics_stage(_context(args, "topics", {"corpus": args.corpus}))
+    model = _run_stage(args, "topics", {"corpus": args.corpus})
     print(f"selected k={model.k} over {len(model.doc_ids)} documents -> {args.out}")
     return 0
 
 
 def _cmd_topics_dominance(args) -> int:
-    assignment = dominance_stage(_context(args, "dominance", {"model.json": args.model}))
+    assignment = _run_stage(args, "dominance", {"model.json": args.model})
     unassigned = int((~assignment.mask.any(axis=1)).sum())
     print(f"dominance written to {args.out} "
           f"({unassigned} posts with no dominant topic)")
@@ -223,37 +219,37 @@ def _cmd_topics_dominance(args) -> int:
 
 
 def _cmd_topics_cooccur(args) -> int:
-    cooccur_stage(_context(args, "cooccur", {"dominance.csv": args.dominance}))
+    _run_stage(args, "cooccur", {"dominance.csv": args.dominance})
     print(f"co-occurrence counts -> {args.out}")
     return 0
 
 
 def _cmd_topics_timeline(args) -> int:
-    timeline_stage(_context(args, "timeline", {"dominance.csv": args.dominance,
-                                               "dataset.json": args.dataset}))
+    _run_stage(args, "timeline", {"dominance.csv": args.dominance,
+                                   "dataset.json": args.dataset})
     print(f"monthly topic counts -> {args.out}")
     return 0
 
 
 def _cmd_lexicon_profile(args) -> int:
-    components = lexicon_stage(_context(args, "lexicon", {"corpus": args.corpus,
-                                                          "dominance.csv": args.dominance}))
+    components = _run_stage(args, "lexicon", {"corpus": args.corpus,
+                                               "dominance.csv": args.dominance})
     n_comp, n_cat = components.shape
     print(f"lexicon profile ({n_cat} categories, {n_comp} components) -> {args.out}")
     return 0
 
 
 def _cmd_users_metrics(args) -> int:
-    metrics, subgraph, ranked = metrics_stage(_context(args, "metrics", {
+    metrics, subgraph, ranked = _run_stage(args, "metrics", {
         "dataset.json": args.dataset, "edges.csv": args.edges,
-        "dominance.csv": args.dominance}))
+        "dominance.csv": args.dominance})
     print(f"metrics for {len(metrics.users)} commenters; top {len(ranked)} "
           f"influencers with {len(subgraph.nodes)} egonet users -> {args.out}")
     return 0
 
 
 def _cmd_graph_build(args) -> int:
-    graph, classes = graph_stage(_context(args, "graph", {"dataset.json": args.dataset}))
+    graph, classes = _run_stage(args, "graph", {"dataset.json": args.dataset})
     print(f"graph: {classes['nodes']} nodes, {len(graph.weight)} edges "
           f"({int(graph.weight.sum())} replies), "
           f"{classes['passive']} passive ({classes['passive_pct']:.2f}%), "

@@ -15,14 +15,14 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .fileio import read_csv, read_json, reading, write_csv, write_json, write_text
-from .ingest import Dataset
+from .fileio import (StageContext, read_csv, read_json, reading, write_csv, write_json,
+                     write_text)
+from .ingest import Dataset, load_dataset
 
 DEFAULT_MIN_DF = 5
 DEFAULT_MAX_DF_FRACTION = 0.5
@@ -41,7 +41,7 @@ _TRIPLETS_HEADER = "doc_idx,term_id,count"
 @lru_cache(maxsize=1)
 def default_stopwords() -> frozenset[str]:
     """The English stopword list shipped with the package."""
-    text = resources.files("forumpulse").joinpath("data/stopwords.txt").read_text("utf-8")
+    text = Path(__file__).with_name("data").joinpath("stopwords.txt").read_text("utf-8")
     words = set()
     for line in text.splitlines():
         line = line.strip()
@@ -354,3 +354,14 @@ def load_corpus(directory: Path) -> Corpus:
         total_tokens=total_tokens,
         excluded_doc_ids=excluded,
     )
+
+
+def corpus_stage(ctx: StageContext) -> Corpus:
+    p = ctx.params
+    corpus = build_corpus(ctx.load("dataset.json", load_dataset),
+                          min_df=p["corpus.min_df"],
+                          max_df_fraction=p["corpus.max_df_fraction"],
+                          phrase_min_count=p["corpus.phrase_min_count"])
+    save_corpus(corpus, ctx.path("corpus"))
+    ctx.parsed["corpus"] = corpus
+    return corpus

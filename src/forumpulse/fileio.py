@@ -16,9 +16,10 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -105,3 +106,36 @@ def sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+@dataclass
+class StageContext:
+    """What a stage function reads: its files by name, and its params by
+    config key. A name missing from ``paths`` is a file under ``out_dir``.
+    ``parsed`` holds the files already parsed, by name, and takes the objects
+    the stage writes; ``digests`` holds the files already hashed, by path;
+    ``record`` takes extra fields for the stage's manifest record."""
+
+    paths: Mapping[str, Optional[Path]]
+    params: Mapping[str, Any] = field(default_factory=dict)
+    out_dir: Optional[Path] = None
+    echo: Callable[[str], None] = print
+    parsed: dict[str, Any] = field(default_factory=dict)
+    digests: dict[Path, str] = field(default_factory=dict)
+    record: dict[str, Any] = field(default_factory=dict)
+
+    def path(self, name: str) -> Optional[Path]:
+        return self.paths[name] if name in self.paths else self.out_dir / name
+
+    def load(self, name: str, parse: Callable[[Path], Any]) -> Any:
+        """``path(name)`` parsed by ``parse``, at most once."""
+        if name not in self.parsed:
+            self.parsed[name] = parse(self.path(name))
+        return self.parsed[name]
+
+    def digest(self, name: str) -> str:
+        """The SHA-256 of ``path(name)``, hashed at most once."""
+        path = self.path(name)
+        if path not in self.digests:
+            self.digests[path] = sha256_file(path)
+        return self.digests[path]

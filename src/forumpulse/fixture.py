@@ -13,6 +13,7 @@ import json
 import random
 from pathlib import Path
 
+from .errors import UsageError
 from .fileio import write_text
 
 # Disjoint word pools; overlap with the demo lexicon is intentional so the
@@ -59,7 +60,7 @@ def generate_fixture(seed: int, n_posts: int, n_users: int, k_true: int,
     """Write posts.jsonl and comments.jsonl under out_dir, three comments
     per post; return the paths."""
     if min(n_posts, n_users, k_true) < 1:
-        raise ValueError("n_posts, n_users and k_true must be positive")
+        raise UsageError("n_posts, n_users and k_true must be positive")
     rng = random.Random(seed)
     users = [f"user{i:04d}" for i in range(n_users)]
 

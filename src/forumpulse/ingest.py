@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .fileio import read_json, reading, write_json
+from .fileio import StageContext, read_json, reading, write_csv, write_json
 
 SENTINEL_AUTHORS = frozenset({"[deleted]", "[removed]"})
 POST_PREFIX = "t3_"
@@ -442,3 +442,36 @@ def load_dataset(path) -> Dataset:
         if any(type(n) is not int or n < 0 for n in tallies):
             raise DataError(f"{path}: parse_errors and duplicate_ids must be counts")
         return Dataset(posts, comments, *tallies)
+
+
+def ingest_stage(ctx: StageContext) -> Dataset:
+    with ctx.path("posts").open("r", encoding="utf-8") as ps, \
+            ctx.path("comments").open("r", encoding="utf-8") as cs:
+        dataset = parse_dump(ps, cs, (ctx.params["from"], ctx.params["to"]))
+    save_dataset(dataset, ctx.path("dataset.json"))
+    return dataset
+
+
+def stats_stage(ctx: StageContext) -> dict:
+    dataset = ctx.load("dataset.json", load_dataset)
+    write_csv(ctx.path("activity_table.csv"),
+              ("category", "authors", "authors_pct", "posts", "posts_pct",
+               "comments", "comments_pct"), author_activity_table(dataset))
+    pairs, relations = score_relations(dataset)
+    write_csv(ctx.path("score_relations.csv"),
+              ("post_id", "post_score", "max_comment_score"), pairs)
+    lapse_rows, anomalies = response_time_table(dataset)
+    write_csv(ctx.path("response_times.csv"),
+              ("comment_id", "response_time_s", "comment_score"), lapse_rows)
+    summary = {
+        "posts": len(dataset.posts),
+        "comments": len(dataset.comments),
+        "authors": len(dataset.authors),
+        "dangling_refs": dataset.dangling_refs,
+        "parse_errors": dataset.parse_errors,
+        "duplicate_ids": dataset.duplicate_ids,
+        **relations,
+        "response_time_anomalies": anomalies,
+    }
+    write_json(ctx.path("stats_summary.json"), summary)
+    return summary

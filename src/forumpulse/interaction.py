@@ -19,15 +19,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import compress
+from math import isnan, log10
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DataError
-from .fileio import reading
-from .ingest import Dataset
-from .topics import DominantTopicAssignment
+from .fileio import StageContext, float_cells, reading, write_csv, write_json, write_text
+from .ingest import Dataset, load_dataset
+from .topics import DominantTopicAssignment, load_assignment
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,3 +271,43 @@ def graphml_text(graph: InteractionGraph) -> str:
 def dot_text(graph: InteractionGraph) -> str:
     return _graph_text("digraph interactions {\n", "  %s;\n", "  %s -> %s [weight=%s];\n",
                        "}\n", _dot_quote, graph)
+
+
+def graph_stage(ctx: StageContext) -> tuple[InteractionGraph, dict[str, float]]:
+    graph = build_graph(ctx.load("dataset.json", load_dataset))
+    for name, text in (("edges.csv", edges_text), ("graph.graphml", graphml_text),
+                       ("graph.dot", dot_text)):
+        write_text(ctx.path(name), text(graph))
+    ctx.parsed["edges.csv"] = graph
+    classes = user_classes(graph)
+    write_json(ctx.path("user_classes.json"), classes)
+    return graph, classes
+
+
+def metrics_stage(ctx: StageContext):
+    """Every commenter's metrics and the top influencers' egonet subgraph;
+    tau is blank when the ``dominance.csv`` path is None."""
+    dataset, graph = ctx.load("dataset.json", load_dataset), ctx.load("edges.csv", load_graph)
+    assignment = (ctx.load("dominance.csv", load_assignment)
+                  if ctx.path("dominance.csv") is not None else None)
+    metrics = compute_user_metrics(dataset, graph, assignment)
+    tau, reach, alpha, influence = float_cells(
+        np.stack((metrics.tau, metrics.reach, metrics.alpha, metrics.influence)),
+        lambda x: "" if isnan(x) else repr(x)).tolist()
+    counts, scores = metrics.comment_count.tolist(), metrics.aggregate_comment_score
+    write_csv(ctx.path("user_metrics.csv"),
+              ("user", "C", "out_degree", "in_degree", "tau", "R",
+               "alpha", "I", "agg_score"),
+              zip(metrics.users, counts, metrics.out_degree.tolist(),
+                  metrics.in_degree.tolist(), tau, reach, alpha, influence, scores))
+    write_csv(ctx.path("spread_influence.csv"),
+              ("user", "tau", "influence", "log10_comments", "log10_agg_score"),
+              zip(metrics.users, tau, influence, map(log10, counts),
+                  [log10(s) if s > 0 else None for s in scores]))
+    subgraph, ranked = top_influencers_subgraph(graph, metrics, ctx.params["graph.top_k"])
+    ranked = ranked.tolist()
+    write_csv(ctx.path("top_influencers.csv"), ("rank", "user", "influence", "C"),
+              zip(range(1, len(ranked) + 1), map(metrics.users.__getitem__, ranked),
+                  map(influence.__getitem__, ranked), map(counts.__getitem__, ranked)))
+    write_text(ctx.path("influencer_subgraph.graphml"), graphml_text(subgraph))
+    return metrics, subgraph, ranked

@@ -10,14 +10,14 @@ on the category-space covariance directly: one symmetric eigendecomposition
 from __future__ import annotations
 
 import json
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, load_corpus
 from .errors import DataError
-from .fileio import reading
+from .fileio import StageContext, float_cells, reading, write_csv
+from .topics import load_assignment
 
 _NEGLIGIBLE_VARIANCE = 1e-12
 
@@ -46,9 +46,7 @@ def load_lexicon(path: Path) -> dict[str, frozenset[str]]:
 
 def demo_lexicon() -> dict[str, frozenset[str]]:
     """The small general-purpose lexicon shipped with the package."""
-    with resources.as_file(
-            resources.files("forumpulse").joinpath("data/demo_lexicon.json")) as path:
-        return load_lexicon(path)
+    return load_lexicon(Path(__file__).with_name("data") / "demo_lexicon.json")
 
 
 def categorize(corpus: Corpus, lexicon: dict[str, frozenset[str]]) -> np.ndarray:
@@ -137,3 +135,32 @@ def topicwise_profile(projections: np.ndarray, assignment) -> np.ndarray:
     profiles[defined] = totals[defined] / counts[defined, None]
     profiles.setflags(write=False)
     return profiles
+
+
+def lexicon_stage(ctx: StageContext) -> np.ndarray:
+    """The PCA components; the demo lexicon stands in when ``lexicon.path`` is None."""
+    # Both inputs are read before the first output is written, so a bad
+    # one fails the stage with nothing written.
+    corpus = ctx.load("corpus", load_corpus)
+    assignment = ctx.load("dominance.csv", load_assignment)
+    if assignment.doc_ids != corpus.doc_ids:    # the profile pairs rows by position
+        raise DataError(f"{ctx.path('dominance.csv')}: its posts are not the corpus's "
+                        f"documents in corpus order")
+    lexicon = (ctx.load("lexicon.path", load_lexicon)
+               if ctx.params["lexicon.path"] is not None else demo_lexicon())
+    rows = categorize(corpus, lexicon)
+    write_csv(ctx.path("category_matrix.csv"), ("post_id", *lexicon),
+              zip(corpus.doc_ids, *float_cells(rows).T.tolist()))
+    n_comp = min(ctx.params["lexicon.components"], *rows.shape)
+    components, variance, projections, negligible = pca(rows, n_comp)
+    write_csv(ctx.path("pca_components.csv"), ("component", *lexicon),
+              ((i,) + tuple(float(x) for x in row) for i, row in enumerate(components)))
+    write_csv(ctx.path("pca_variance.csv"),
+              ("component", "explained_variance", "negligible"),
+              ((i, float(v), 1 if i in negligible else 0) for i, v in enumerate(variance)))
+    profiles = topicwise_profile(projections, assignment)
+    write_csv(ctx.path("topic_profiles.csv"),
+              ("topic",) + tuple(f"component_{i}" for i in range(n_comp)),
+              ((t,) + tuple("" if np.isnan(x) else float(x) for x in row)
+               for t, row in enumerate(profiles)))
+    return components

@@ -6,13 +6,14 @@ stages are the entries of ``STAGES``, executed in table order. Each reads
 only its declared inputs (files written by earlier stages, or dump and
 lexicon files named by the config) and only its declared params, and
 records the digests of its inputs and outputs in ``manifest.json``. A
-stage whose version, parameters, input digests and recorded outputs all
-match the manifest is skipped, which makes interrupted or repeated runs
-cheap and every artifact reproducible from the manifest plus the original
-dumps. A run hands each stage the parsed files it reads that an earlier
-stage parsed or wrote, and hashes each file once. Each stage but the report also has one standalone subcommand,
-which runs the stage's function through a ``StageContext`` and so writes
-every output of the stage.
+stage whose code (the package files it names), parameters, input digests
+and recorded outputs all match the manifest is skipped, which makes
+interrupted or repeated runs cheap and every artifact reproducible from
+the manifest plus the original dumps. A run hands each stage the parsed
+files it reads that an earlier stage parsed or wrote, and hashes each file
+once. Each stage function lives beside the code it drives; each but the
+report also has one standalone subcommand, which runs the stage's
+``STAGES`` entry and so writes every output of the stage.
 
 All randomness flows from the top-level ``seed``: the topic-model stage
 derives its sampler seed as SHA-256(seed, "lda"), and nothing else draws
@@ -25,33 +26,25 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from math import isnan, log10
+from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
 
-import numpy as np
-
 from . import __version__
 from .corpus import (CORPUS_FILES, DEFAULT_MAX_DF_FRACTION, DEFAULT_MIN_DF,
-                     DEFAULT_PHRASE_MIN_COUNT, build_corpus, load_corpus, save_corpus)
+                     DEFAULT_PHRASE_MIN_COUNT, corpus_stage)
 from .errors import DataError, StageError, UsageError
-from .fileio import (float_cells, read_csv, read_json, reading, sha256_file, write_csv,
-                     write_json, write_text)
-from .ingest import (author_activity_table, load_dataset, parse_dump,
-                     response_time_table, save_dataset, score_relations)
-from .interaction import (build_graph, compute_user_metrics, dot_text, edges_text,
-                          graphml_text, load_graph, top_influencers_subgraph, user_classes)
-from .lda import (DEFAULT_BETA, DEFAULT_BURN_IN, DEFAULT_ITERATIONS, LdaConfig,
-                  derive_seed as stage_seed, kernel_name, load_model, save_model, top_words)
-from .lexicon import categorize, demo_lexicon, load_lexicon, pca, topicwise_profile
-from .topics import (DOMINANCE_FILES, cooccurrence, dominant_topics, load_assignment,
-                     monthly_distribution, save_assignment, select_k)
+from .fileio import StageContext, read_csv, read_json, reading, write_json
+from .ingest import ingest_stage, stats_stage
+from .interaction import graph_stage, metrics_stage
+from .lda import DEFAULT_BETA, DEFAULT_BURN_IN, DEFAULT_ITERATIONS, derive_seed as stage_seed
+from .lexicon import lexicon_stage, load_lexicon
+from .topics import (DOMINANCE_FILES, TOP_WORDS, cooccur_stage, dominance_stage,
+                     load_assignment, timeline_stage, topics_stage)
 
 _MANIFEST_FORMAT = "forumpulse-manifest-v1"
-# The terms per topic in top_words.csv and report.json.
-TOP_WORDS = 10
 
 # Every config key: its default, the type its value must have, and the
 # bound the value must meet (an int >= the bound, a float > it). A key whose
@@ -195,19 +188,20 @@ def _first_change(recorded: Any, digests: Mapping[str, Optional[str]]) -> Option
                 or recorded[name] != digests[name])
 
 
-def _why_stale(prior: Mapping[str, Any], version: int, params_digest: str,
+def _why_stale(prior: Mapping[str, Any], code: Mapping[str, str], params_digest: str,
                inputs: Mapping[str, str],
                outputs: Callable[[], Mapping[str, Optional[str]]]) -> Optional[str]:
     """Why a stage whose last record is ``prior`` runs: ``ran:new``,
-    ``ran:version``, ``ran:params``, ``ran:input:<file>`` or
+    ``ran:code:<file>``, ``ran:params``, ``ran:input:<file>`` or
     ``ran:output:<file>``, the first part of its skip key that changed; None
     when it is up to date. ``outputs`` gives the digests of the stage's
     outputs (None for a missing file), and is called only when the rest of
     the key matches."""
     if not prior:
         return "ran:new"
-    if prior.get("version", 1) != version:
-        return "ran:version"
+    changed = _first_change(prior.get("code"), code)
+    if changed is not None:
+        return f"ran:code:{changed}"
     if prior.get("params_sha256") != params_digest:
         return "ran:params"
     changed = _first_change(prior.get("inputs"), inputs)
@@ -217,45 +211,6 @@ def _why_stale(prior: Mapping[str, Any], version: int, params_digest: str,
     return None if changed is None else f"ran:output:{changed}"
 
 
-@dataclass
-class StageContext:
-    """What a stage function reads: its files by name, and its params by
-    config key. A name missing from ``paths`` is a file under ``out_dir``.
-    ``parsed`` holds the files already parsed, by name, and takes the
-    objects the stage writes; ``digests`` holds the files already hashed,
-    by path; ``record`` takes extra fields for the stage's manifest
-    record."""
-
-    paths: Mapping[str, Optional[Path]]
-    params: Mapping[str, Any] = field(default_factory=dict)
-    out_dir: Optional[Path] = None
-    echo: Callable[[str], None] = print
-    parsed: dict[str, Any] = field(default_factory=dict)
-    digests: dict[Path, str] = field(default_factory=dict)
-    record: dict[str, Any] = field(default_factory=dict)
-
-    def path(self, name: str) -> Optional[Path]:
-        return self.paths[name] if name in self.paths else self.out_dir / name
-
-    def load(self, name: str) -> Any:
-        """The parsed ``dataset.json``, ``corpus``, ``model.json``,
-        ``dominance.csv`` (with its two siblings), ``edges.csv`` or
-        ``lexicon.path``, read from ``path(name)`` at most once."""
-        if name not in self.parsed:
-            parse = {"dataset.json": load_dataset, "corpus": load_corpus,
-                     "model.json": load_model, "dominance.csv": load_assignment,
-                     "edges.csv": load_graph, "lexicon.path": load_lexicon}[name]
-            self.parsed[name] = parse(self.path(name))
-        return self.parsed[name]
-
-    def digest(self, name: str) -> str:
-        """The SHA-256 of ``path(name)``, hashed at most once."""
-        path = self.path(name)
-        if path not in self.digests:
-            self.digests[path] = sha256_file(path)
-        return self.digests[path]
-
-
 @dataclass(frozen=True)
 class Stage:
     name: str
@@ -263,9 +218,7 @@ class Stage:
     inputs: tuple[str, ...]    # artifact names, or config keys naming a file
     outputs: tuple[str, ...]   # artifact names under the run directory
     run: Callable[[StageContext], Any]
-    # Part of the skip key: raised by hand whenever the stage's outputs change
-    # in format or meaning for the same inputs. A record without one is 1.
-    version: int = 1
+    code: tuple[str, ...]      # package files `run` executes: in the skip key
     # Artifacts whose digests the stage records without parsing them: part of
     # the skip key, but never handed to the stage parsed.
     recorded: tuple[str, ...] = ()
@@ -273,166 +226,10 @@ class Stage:
     frees_unread: bool = False
 
 
-def ingest_stage(ctx: StageContext):
-    with ctx.path("posts").open("r", encoding="utf-8") as ps, \
-            ctx.path("comments").open("r", encoding="utf-8") as cs:
-        dataset = parse_dump(ps, cs, (ctx.params["from"], ctx.params["to"]))
-    save_dataset(dataset, ctx.path("dataset.json"))
-    return dataset
-
-
-def stats_stage(ctx: StageContext) -> dict[str, Any]:
-    dataset = ctx.load("dataset.json")
-    write_csv(ctx.path("activity_table.csv"),
-              ("category", "authors", "authors_pct", "posts", "posts_pct",
-               "comments", "comments_pct"), author_activity_table(dataset))
-    pairs, relations = score_relations(dataset)
-    write_csv(ctx.path("score_relations.csv"),
-              ("post_id", "post_score", "max_comment_score"), pairs)
-    lapse_rows, anomalies = response_time_table(dataset)
-    write_csv(ctx.path("response_times.csv"),
-              ("comment_id", "response_time_s", "comment_score"), lapse_rows)
-    summary = {
-        "posts": len(dataset.posts),
-        "comments": len(dataset.comments),
-        "authors": len(dataset.authors),
-        "dangling_refs": dataset.dangling_refs,
-        "parse_errors": dataset.parse_errors,
-        "duplicate_ids": dataset.duplicate_ids,
-        **relations,
-        "response_time_anomalies": anomalies,
-    }
-    write_json(ctx.path("stats_summary.json"), summary)
-    return summary
-
-
-def corpus_stage(ctx: StageContext):
-    p = ctx.params
-    corpus = build_corpus(ctx.load("dataset.json"),
-                          min_df=p["corpus.min_df"],
-                          max_df_fraction=p["corpus.max_df_fraction"],
-                          phrase_min_count=p["corpus.phrase_min_count"])
-    save_corpus(corpus, ctx.path("corpus"))
-    ctx.parsed["corpus"] = corpus
-    return corpus
-
-
-def topics_stage(ctx: StageContext):
-    """The W_k-minimal model over [k_min, k_max], and the scan's rows; a
-    fixed ``lda.k`` is the scan [k, k]."""
-    started = time.perf_counter()
-    p = ctx.params
-    k_min = p["lda.k"] if p["lda.k"] is not None else p["lda.k_min"]
-    k_max = p["lda.k"] if p["lda.k"] is not None else p["lda.k_max"]
-    base = LdaConfig(k=k_min, alpha=p["lda.alpha"], beta=p["lda.beta"],
-                     iterations=p["lda.iterations"], burn_in=p["lda.burn_in"],
-                     seed=stage_seed(p["seed"], "lda"))
-    model, scan = select_k(ctx.load("corpus"), k_min, k_max, base,
-                           patience=p["lda.patience"],
-                           progress=lambda k, w: ctx.echo(f"[topics] k={k} W_k={w}"))
-    sweeps = len(scan) * p["lda.iterations"]
-    ll = model.log_likelihood_trace
-    ctx.record.update(
-        kernel=kernel_name(),
-        sweeps=sweeps,
-        sweeps_per_s=sweeps / (time.perf_counter() - started),
-        trace_rel_change=(abs(ll[-1] - ll[-2]) / abs(ll[-2])
-                          if len(ll) > 1 and ll[-2] != 0 else None))
-    save_model(model, ctx.path("model.json"))
-    ctx.parsed["model.json"] = model
-    write_csv(ctx.path("skewness_scan.csv"), ("k", "w_k", "selected"),
-              ((k, w_k, 1 if k == model.k else 0) for k, w_k in scan))
-    write_csv(ctx.path("top_words.csv"), ("topic", "rank", "term"),
-              ((t, rank, term) for t in range(model.k)
-               for rank, term in enumerate(top_words(model, t, TOP_WORDS), 1)))
-    return model
-
-
-def dominance_stage(ctx: StageContext):
-    assignment = dominant_topics(ctx.load("model.json"))
-    save_assignment(ctx.path("dominance.csv"), assignment)
-    ctx.parsed["dominance.csv"] = assignment
-    return assignment
-
-
-def cooccur_stage(ctx: StageContext) -> None:
-    counts = cooccurrence(ctx.load("dominance.csv"))
-    i, j = np.triu_indices(len(counts))
-    write_csv(ctx.path("cooccurrence.csv"), ("topic_i", "topic_j", "count"),
-              zip(i.tolist(), j.tolist(), counts[i, j].tolist()))
-
-
-def timeline_stage(ctx: StageContext) -> None:
-    counts = monthly_distribution(ctx.load("dominance.csv"), ctx.load("dataset.json"))
-    write_csv(ctx.path("monthly_topics.csv"), ("topic", "month", "count"),
-              ((t, month, n) for (t, month), n in sorted(counts.items())))
-
-
-def lexicon_stage(ctx: StageContext) -> np.ndarray:
-    """The PCA components; the demo lexicon stands in when ``lexicon.path`` is None."""
-    # Both inputs are read before the first output is written, so a bad
-    # one fails the stage with nothing written.
-    corpus, assignment = ctx.load("corpus"), ctx.load("dominance.csv")
-    if assignment.doc_ids != corpus.doc_ids:    # the profile pairs rows by position
-        raise DataError(f"{ctx.path('dominance.csv')}: its posts are not the corpus's "
-                        f"documents in corpus order")
-    lexicon = (ctx.load("lexicon.path") if ctx.params["lexicon.path"] is not None
-               else demo_lexicon())
-    rows = categorize(corpus, lexicon)
-    write_csv(ctx.path("category_matrix.csv"), ("post_id", *lexicon),
-              zip(corpus.doc_ids, *float_cells(rows).T.tolist()))
-    n_comp = min(ctx.params["lexicon.components"], *rows.shape)
-    components, variance, projections, negligible = pca(rows, n_comp)
-    write_csv(ctx.path("pca_components.csv"), ("component", *lexicon),
-              ((i,) + tuple(float(x) for x in row) for i, row in enumerate(components)))
-    write_csv(ctx.path("pca_variance.csv"),
-              ("component", "explained_variance", "negligible"),
-              ((i, float(v), 1 if i in negligible else 0) for i, v in enumerate(variance)))
-    profiles = topicwise_profile(projections, assignment)
-    write_csv(ctx.path("topic_profiles.csv"),
-              ("topic",) + tuple(f"component_{i}" for i in range(n_comp)),
-              ((t,) + tuple("" if np.isnan(x) else float(x) for x in row)
-               for t, row in enumerate(profiles)))
-    return components
-
-
-def graph_stage(ctx: StageContext):
-    graph = build_graph(ctx.load("dataset.json"))
-    for name, text in (("edges.csv", edges_text), ("graph.graphml", graphml_text),
-                       ("graph.dot", dot_text)):
-        write_text(ctx.path(name), text(graph))
-    ctx.parsed["edges.csv"] = graph
-    classes = user_classes(graph)
-    write_json(ctx.path("user_classes.json"), classes)
-    return graph, classes
-
-
-def metrics_stage(ctx: StageContext):
-    """Every commenter's metrics and the top influencers' egonet subgraph;
-    tau is blank when the ``dominance.csv`` path is None."""
-    dataset, graph = ctx.load("dataset.json"), ctx.load("edges.csv")
-    assignment = ctx.load("dominance.csv") if ctx.path("dominance.csv") is not None else None
-    metrics = compute_user_metrics(dataset, graph, assignment)
-    tau, reach, alpha, influence = float_cells(
-        np.stack((metrics.tau, metrics.reach, metrics.alpha, metrics.influence)),
-        lambda x: "" if isnan(x) else repr(x)).tolist()
-    counts, scores = metrics.comment_count.tolist(), metrics.aggregate_comment_score
-    write_csv(ctx.path("user_metrics.csv"),
-              ("user", "C", "out_degree", "in_degree", "tau", "R",
-               "alpha", "I", "agg_score"),
-              zip(metrics.users, counts, metrics.out_degree.tolist(),
-                  metrics.in_degree.tolist(), tau, reach, alpha, influence, scores))
-    write_csv(ctx.path("spread_influence.csv"),
-              ("user", "tau", "influence", "log10_comments", "log10_agg_score"),
-              zip(metrics.users, tau, influence, map(log10, counts),
-                  [log10(s) if s > 0 else None for s in scores]))
-    subgraph, ranked = top_influencers_subgraph(graph, metrics, ctx.params["graph.top_k"])
-    ranked = ranked.tolist()
-    write_csv(ctx.path("top_influencers.csv"), ("rank", "user", "influence", "C"),
-              zip(range(1, len(ranked) + 1), map(metrics.users.__getitem__, ranked),
-                  map(influence.__getitem__, ranked), map(counts.__getitem__, ranked)))
-    write_text(ctx.path("influencer_subgraph.graphml"), graphml_text(subgraph))
-    return metrics, subgraph, ranked
+@cache
+def _code_digest(name: str) -> str:
+    """The SHA-256 of the package file ``name``, read once per process."""
+    return hashlib.sha256((Path(__file__).parent / name).read_bytes()).hexdigest()
 
 
 def _top_words_table(path: Path, k: int) -> dict[str, list[str]]:
@@ -451,7 +248,7 @@ def _top_words_table(path: Path, k: int) -> dict[str, list[str]]:
 def report_stage(ctx: StageContext) -> None:
     """report.json from the small files and the dominance assignment; the
     digest of every artifact, the unparsed ``model.json`` included."""
-    assignment = ctx.load("dominance.csv")
+    assignment = ctx.load("dominance.csv", load_assignment)
     w_k = next(int(w_k) for _, w_k, selected in read_csv(ctx.path("skewness_scan.csv"), 3)
                if selected == "1")
     summary = read_json(ctx.path("stats_summary.json"))
@@ -474,45 +271,48 @@ def report_stage(ctx: StageContext) -> None:
 _CORPUS = tuple(f"corpus/{n}" for n in CORPUS_FILES)
 
 STAGES: tuple[Stage, ...] = (
-    # ingest 2: dataset.json holds columns; 3: a created_utc after 9999 is a
-    # parse error; 4: so is an author that is not a non-empty str.
     Stage("ingest", ("from", "to"), ("posts", "comments"), ("dataset.json",),
-          ingest_stage, version=4),
+          ingest_stage, ("ingest.py", "fileio.py")),
     Stage("stats", (), ("dataset.json",),
           ("activity_table.csv", "score_relations.csv", "response_times.csv",
-           "stats_summary.json"), stats_stage),
+           "stats_summary.json"), stats_stage, ("ingest.py", "fileio.py")),
     Stage("corpus",
           ("corpus.min_df", "corpus.max_df_fraction", "corpus.phrase_min_count"),
-          ("dataset.json",), _CORPUS, corpus_stage),
+          ("dataset.json",), _CORPUS, corpus_stage,
+          ("corpus.py", "data/stopwords.txt", "ingest.py", "fileio.py")),
     Stage("topics",
           ("lda.k", "lda.k_min", "lda.k_max", "lda.alpha", "lda.beta",
            "lda.iterations", "lda.burn_in", "lda.patience", "seed"),
           _CORPUS, ("model.json", "skewness_scan.csv", "top_words.csv"), topics_stage,
-          version=3,    # 2: the trace in one fixed order; 3: model v2, top_words.csv
+          ("topics.py", "lda.py", "gibbs.c", "corpus.py", "fileio.py"),
           # Holding the dataset across the fit would raise the run's peak.
           frees_unread=True),
-    Stage("dominance", (), ("model.json",), DOMINANCE_FILES, dominance_stage),
-    Stage("cooccur", (), DOMINANCE_FILES, ("cooccurrence.csv",), cooccur_stage),
+    Stage("dominance", (), ("model.json",), DOMINANCE_FILES, dominance_stage,
+          ("topics.py", "lda.py", "fileio.py")),
+    Stage("cooccur", (), DOMINANCE_FILES, ("cooccurrence.csv",), cooccur_stage,
+          ("topics.py", "fileio.py")),
     Stage("timeline", (), DOMINANCE_FILES + ("dataset.json",), ("monthly_topics.csv",),
-          timeline_stage),
+          timeline_stage, ("topics.py", "ingest.py", "fileio.py")),
     Stage("lexicon", ("lexicon.path", "lexicon.components"),
           _CORPUS + DOMINANCE_FILES + ("lexicon.path",),
           ("category_matrix.csv", "pca_components.csv", "pca_variance.csv",
            "topic_profiles.csv"), lexicon_stage,
-          version=2),   # 2: the PCA by one eigh, not power iteration
+          ("lexicon.py", "data/demo_lexicon.json", "corpus.py", "topics.py", "fileio.py")),
     Stage("graph", (), ("dataset.json",),
           ("edges.csv", "graph.graphml", "graph.dot", "user_classes.json"),
-          graph_stage),
+          graph_stage, ("interaction.py", "ingest.py", "fileio.py")),
     Stage("metrics", ("graph.top_k",), ("dataset.json", "edges.csv") + DOMINANCE_FILES,
           ("user_metrics.csv", "spread_influence.csv", "top_influencers.csv",
-           "influencer_subgraph.graphml"), metrics_stage),
+           "influencer_subgraph.graphml"), metrics_stage,
+          ("interaction.py", "ingest.py", "topics.py", "fileio.py")),
 )
 # The report records the digest of every artifact above.
 _ARTIFACTS = tuple(name for stage in STAGES for name in stage.outputs)
 STAGES += (Stage("report", (),
                  ("top_words.csv", "skewness_scan.csv", "stats_summary.json",
                   "user_classes.json") + DOMINANCE_FILES,
-                 ("report.json",), report_stage, recorded=_ARTIFACTS),)
+                 ("report.json",), report_stage, ("pipeline.py", "topics.py", "fileio.py"),
+                 recorded=_ARTIFACTS),)
 
 
 def check_input_files(stage: Stage, config: Mapping[str, Any]) -> dict[str, Any]:
@@ -599,8 +399,9 @@ def run_pipeline(config_path: Path,
         # key too; the file's bytes are in it through its digest.
         digest = _params_digest({key: key if key in paths else value
                                  for key, value in ctx.params.items()})
+        code = {name: _code_digest(name) for name in stage.code}
         reason = _why_stale(
-            manifest["stages"].get(stage.name, {}), stage.version, digest, input_digests,
+            manifest["stages"].get(stage.name, {}), code, digest, input_digests,
             lambda: {name: ctx.digest(name) if ctx.path(name).exists() else None
                      for name in stage.outputs})
         if reason is None:
@@ -619,7 +420,7 @@ def run_pipeline(config_path: Path,
         for name in stage.outputs:      # rewritten: hashed again below
             digests.pop(ctx.path(name), None)
         manifest["stages"][stage.name] = {
-            "version": stage.version,
+            "code": code,
             "reason": reason,
             "params": dict(ctx.params),
             "params_sha256": digest,

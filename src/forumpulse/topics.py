@@ -10,6 +10,7 @@ coarsest model that leaves the fewest documents topicless.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -17,13 +18,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, load_corpus
 from .errors import DataError
-from .fileio import read_csv, reading, write_csv
-from .ingest import Dataset
-from .lda import LdaConfig, TopicModel, fit
+from .fileio import StageContext, read_csv, reading, write_csv
+from .ingest import Dataset, load_dataset
+from .lda import (LdaConfig, TopicModel, derive_seed, fit, kernel_name, load_model,
+                  save_model, top_words)
 
 _SUM_TOLERANCE = 1e-6
+# The terms per topic in top_words.csv and report.json.
+TOP_WORDS = 10
 # The files of an assignment, side by side: the mask, thresholds and presence.
 DOMINANCE_FILES = ("dominance.csv", "dominance_thresholds.csv", "topic_presence.csv")
 
@@ -235,3 +239,55 @@ def monthly_distribution(assignment: DominantTopicAssignment,
     topics, month = np.nonzero(counts)
     return {(t, names[m]): n for t, m, n in zip(topics.tolist(), month.tolist(),
                                                  counts[topics, month].tolist())}
+
+
+def topics_stage(ctx: StageContext) -> TopicModel:
+    """The W_k-minimal model over [k_min, k_max], and the scan's rows; a
+    fixed ``lda.k`` is the scan [k, k]."""
+    started = time.perf_counter()
+    p = ctx.params
+    k_min = p["lda.k"] if p["lda.k"] is not None else p["lda.k_min"]
+    k_max = p["lda.k"] if p["lda.k"] is not None else p["lda.k_max"]
+    base = LdaConfig(k=k_min, alpha=p["lda.alpha"], beta=p["lda.beta"],
+                     iterations=p["lda.iterations"], burn_in=p["lda.burn_in"],
+                     seed=derive_seed(p["seed"], "lda"))
+    model, scan = select_k(ctx.load("corpus", load_corpus), k_min, k_max, base,
+                           patience=p["lda.patience"],
+                           progress=lambda k, w: ctx.echo(f"[topics] k={k} W_k={w}"))
+    sweeps = len(scan) * p["lda.iterations"]
+    ll = model.log_likelihood_trace
+    ctx.record.update(
+        kernel=kernel_name(),
+        sweeps=sweeps,
+        sweeps_per_s=sweeps / (time.perf_counter() - started),
+        trace_rel_change=(abs(ll[-1] - ll[-2]) / abs(ll[-2])
+                          if len(ll) > 1 and ll[-2] != 0 else None))
+    save_model(model, ctx.path("model.json"))
+    ctx.parsed["model.json"] = model
+    write_csv(ctx.path("skewness_scan.csv"), ("k", "w_k", "selected"),
+              ((k, w_k, 1 if k == model.k else 0) for k, w_k in scan))
+    write_csv(ctx.path("top_words.csv"), ("topic", "rank", "term"),
+              ((t, rank, term) for t in range(model.k)
+               for rank, term in enumerate(top_words(model, t, TOP_WORDS), 1)))
+    return model
+
+
+def dominance_stage(ctx: StageContext) -> DominantTopicAssignment:
+    assignment = dominant_topics(ctx.load("model.json", load_model))
+    save_assignment(ctx.path("dominance.csv"), assignment)
+    ctx.parsed["dominance.csv"] = assignment
+    return assignment
+
+
+def cooccur_stage(ctx: StageContext) -> None:
+    counts = cooccurrence(ctx.load("dominance.csv", load_assignment))
+    i, j = np.triu_indices(len(counts))
+    write_csv(ctx.path("cooccurrence.csv"), ("topic_i", "topic_j", "count"),
+              zip(i.tolist(), j.tolist(), counts[i, j].tolist()))
+
+
+def timeline_stage(ctx: StageContext) -> None:
+    counts = monthly_distribution(ctx.load("dominance.csv", load_assignment),
+                                  ctx.load("dataset.json", load_dataset))
+    write_csv(ctx.path("monthly_topics.csv"), ("topic", "month", "count"),
+              ((t, month, n) for (t, month), n in sorted(counts.items())))

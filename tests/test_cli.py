@@ -136,6 +136,25 @@ def test_out_dir_at_or_under_a_file_is_data_error(dump, config, capsys, out_dir)
     assert (dump / "afile").read_text(encoding="utf-8") == "x\n"
 
 
+@pytest.mark.parametrize("command", [
+    "stats --dataset {a}/dataset.json --out {t}/afile",
+    "corpus build --dataset {a}/dataset.json --out {t}/afile",
+    "run --config {t}/config.json --out-dir {t}/holder",
+])
+def test_file_where_an_output_directory_belongs_is_data_error(intermediates, dump, config,
+                                                              capsys, command):
+    """A regular file where a command writes a directory, the ``--out`` of
+    ``stats`` or ``corpus build`` or the ``corpus`` of a run, exits 2 and
+    keeps the file."""
+    files = (dump / "afile", dump / "holder" / "corpus")
+    for path in files:
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("x\n", encoding="utf-8")
+    assert run_cli(*command.format(t=dump, a=intermediates).split()) == 2
+    assert "File exists" in capsys.readouterr().err
+    assert all(path.read_text(encoding="utf-8") == "x\n" for path in files)
+
+
 def test_subcommand_chain(dump, capsys):
     t = dump
     assert run_cli("ingest", "--posts", t / "dump/posts.jsonl",
@@ -811,6 +830,15 @@ def test_fixture_command_deterministic(tmp_path):
                    "--k-true", 2, "--out", tmp_path / "f2") == 0
     assert (tmp_path / "f1/posts.jsonl").read_bytes() == \
         (tmp_path / "f2/posts.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("posts, users, k_true", [(0, 5, 2), (10, 0, 2), (10, 5, 0),
+                                                   (-3, 5, 2)])
+def test_fixture_count_below_one_exits_one(tmp_path, capsys, posts, users, k_true):
+    assert run_cli("fixture", "--seed", 1, "--posts", posts, "--users", users,
+                   "--k-true", k_true, "--out", tmp_path / "f") == 1
+    assert "must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
 
 
 def test_version_flag(capsys):

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import forumpulse.pipeline as pipeline
+import forumpulse.lexicon as lexicon
 from forumpulse.fileio import read_json, sha256_file, write_json
 from forumpulse.lexicon import pca
 from forumpulse.pipeline import STAGES, run_pipeline
@@ -148,10 +148,10 @@ def test_generated_dump_run_writes_the_pinned_bytes(tmp_path):
 
 
 def test_directory_of_format_1_reruns_ingest_and_its_readers(tmp_path):
-    """A directory whose ``ingest`` record is at version 1 and whose
-    dataset.json holds one object per record, as format 1 did, reruns
-    ``ingest`` and every stage that reads the dataset, and ends with the
-    pinned bytes."""
+    """A directory whose ``ingest`` record holds another digest of
+    ``ingest.py`` and whose dataset.json holds one object per record, as
+    format 1 did, reruns ``ingest`` and every stage that reads the dataset,
+    and ends with the pinned bytes."""
     run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
     write_json(tmp_path / "dataset.json", as_format_1(read_json(tmp_path / "dataset.json")),
                indent=None)
@@ -161,7 +161,7 @@ def test_directory_of_format_1_reruns_ingest_and_its_readers(tmp_path):
         for files in (record["inputs"], record["outputs"]):
             if "dataset.json" in files:
                 files["dataset.json"] = format_1
-    manifest["stages"]["ingest"]["version"] = 1
+    manifest["stages"]["ingest"]["code"]["ingest.py"] = "0" * 64
     write_json(tmp_path / "manifest.json", manifest)
 
     rerun = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
@@ -171,11 +171,11 @@ def test_directory_of_format_1_reruns_ingest_and_its_readers(tmp_path):
 
 
 def test_directory_of_model_format_1_reruns_topics_dominance_and_report(tmp_path):
-    """A directory whose ``topics`` record is at version 2, with a format 1
-    model.json holding per-token labels and no top_words.csv, as the
-    version before wrote it, reruns ``topics``, ``dominance`` (to the same
-    bytes) and ``report``, and skips every other stage; the next run skips
-    them all."""
+    """A directory whose ``topics`` record holds another digest of
+    ``lda.py``, with a format 1 model.json holding per-token labels and no
+    top_words.csv, as older code wrote it, reruns ``topics``, ``dominance``
+    (to the same bytes) and ``report``, and skips every other stage; the
+    next run skips them all."""
     run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
     model = read_json(tmp_path / "model.json")
     model.update(format="forumpulse-model-v1", assignments=[[0] for _ in model["doc_ids"]])
@@ -188,7 +188,7 @@ def test_directory_of_model_format_1_reruns_topics_dominance_and_report(tmp_path
             files.pop("top_words.csv", None)
             if "model.json" in files:
                 files["model.json"] = format_1
-    manifest["stages"]["topics"]["version"] = 2
+    manifest["stages"]["topics"]["code"]["lda.py"] = "0" * 64
     write_json(tmp_path / "manifest.json", manifest)
 
     rerun = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
@@ -199,22 +199,22 @@ def test_directory_of_model_format_1_reruns_topics_dominance_and_report(tmp_path
                             echo=lambda *_: None).values()) == {"skipped"}
 
 
-def test_directory_at_lexicon_version_1_reruns_lexicon_and_report(tmp_path, monkeypatch):
-    """A directory whose ``lexicon`` record is at version 1, with the PCA
-    components the power iteration of that version wrote (here: each an ulp
-    off), reruns ``lexicon`` and ``report`` only, and ends with the pinned
-    bytes; the next run skips every stage."""
+def test_directory_of_older_lexicon_code_reruns_lexicon_and_report(tmp_path, monkeypatch):
+    """A directory whose ``lexicon`` record holds another digest of
+    ``lexicon.py``, with the PCA components an older PCA wrote (here: each
+    an ulp off), reruns ``lexicon`` and ``report`` only, and ends with the
+    pinned bytes; the next run skips every stage."""
     def older_pca(rows, n_comp):
         components, variance, projections, negligible = pca(rows, n_comp)
         return np.nextafter(components, 0), variance, projections, negligible
 
-    monkeypatch.setattr(pipeline, "pca", older_pca)
+    monkeypatch.setattr(lexicon, "pca", older_pca)
     run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
     monkeypatch.undo()
     assert sha256_file(tmp_path / "pca_components.csv") \
         != FIXTURE_DIGESTS["pca_components.csv"]
     manifest = read_json(tmp_path / "manifest.json")
-    manifest["stages"]["lexicon"]["version"] = 1
+    manifest["stages"]["lexicon"]["code"]["lexicon.py"] = "0" * 64
     write_json(tmp_path / "manifest.json", manifest)
 
     rerun = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)

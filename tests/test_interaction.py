@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from forumpulse import interaction
 from forumpulse.errors import DataError
-from forumpulse.fileio import write_text
+from forumpulse.fileio import StageContext, write_text
 from forumpulse.fixture import generate_fixture
 from forumpulse.ingest import SENTINEL_AUTHORS, parse_dump
 from forumpulse.interaction import (InteractionGraph, build_graph, compute_user_metrics,
                                     dot_text, edges_text, graphml_text, load_graph,
-                                    top_influencers_subgraph, topic_spread, user_classes)
-from forumpulse.pipeline import StageContext, metrics_stage
+                                    metrics_stage, top_influencers_subgraph, topic_spread,
+                                    user_classes)
 
 from conftest import (FIXTURE_DIR, assignment_of, comment_record, comment_views,
                       edge_tuples, edges_per_comment, graph_from_edges, graph_of,

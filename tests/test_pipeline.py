@@ -3,21 +3,31 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import forumpulse
+import forumpulse.fileio as fileio
 import forumpulse.lda as lda
 import forumpulse.pipeline as pipeline
 import forumpulse.topics as topics
+from forumpulse.corpus import load_corpus
 from forumpulse.errors import DataError, StageError, UsageError
-from forumpulse.fileio import read_json, sha256_file, write_json
+from forumpulse.fileio import StageContext, read_json, sha256_file, write_json
 from forumpulse.fixture import TOPIC_WORD_POOLS, generate_fixture
-from forumpulse.pipeline import (CONFIG_DEFAULTS, CONFIG_SCHEMA, STAGES, StageContext,
-                                 load_config, run_pipeline, stage_seed)
+from forumpulse.ingest import load_dataset
+from forumpulse.interaction import load_graph
+from forumpulse.lda import load_model
+from forumpulse.pipeline import (CONFIG_DEFAULTS, CONFIG_SCHEMA, STAGES, load_config,
+                                 run_pipeline, stage_seed)
+from forumpulse.topics import load_assignment
 
 from conftest import FIXTURE_DIR
 
@@ -173,10 +183,15 @@ def test_each_intermediate_parsed_once_while_stages_read_it(tmp_path, monkeypatc
     calls = Counter()
     for name in ("load_dataset", "load_model", "load_corpus", "load_assignment",
                  "load_graph", "load_lexicon", "dominant_topics", "build_graph"):
-        def counted(arg, call=getattr(pipeline, name), name=name):
+        # Replaced in every module that holds it: a stage looks it up in its own.
+        modules = [m for key, m in list(sys.modules.items())
+                   if key.split(".")[0] == "forumpulse" and name in vars(m)]
+
+        def counted(arg, call=getattr(modules[0], name), name=name):
             calls[name] += 1
             return call(arg)
-        monkeypatch.setattr(pipeline, name, counted)
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
     write_json(tmp_path / "lexicon.json", {"money": ["loan", "debt"], "cars": ["car"]})
     config = small_config(tmp_path, **{"lexicon.path": "lexicon.json"})
     run_pipeline(config, echo=lambda *_: None)
@@ -304,9 +319,8 @@ def test_handed_on_objects_equal_their_files(tmp_path, monkeypatch):
         "timeline": ["dominance.csv"], "lexicon": ["corpus", "dominance.csv"],
         "graph": ["dataset.json"], "metrics": ["dataset.json", "dominance.csv", "edges.csv"],
         "report": ["dominance.csv"]}
-    parse = {"dataset.json": pipeline.load_dataset, "corpus": pipeline.load_corpus,
-             "model.json": pipeline.load_model, "dominance.csv": pipeline.load_assignment,
-             "edges.csv": pipeline.load_graph}
+    parse = {"dataset.json": load_dataset, "corpus": load_corpus, "model.json": load_model,
+             "dominance.csv": load_assignment, "edges.csv": load_graph}
     for stage, objects in handed.items():
         for name, value in objects.items():
             assert_same(value, parse[name](out / name), f"{stage}: {name}")
@@ -318,11 +332,11 @@ def test_each_file_hashed_once_per_run(tmp_path, monkeypatch):
     for it."""
     calls = Counter()
 
-    def counted(path, call=pipeline.sha256_file):
+    def counted(path, call=fileio.sha256_file):
         calls[Path(path)] += 1
         return call(path)
 
-    monkeypatch.setattr(pipeline, "sha256_file", counted)
+    monkeypatch.setattr(fileio, "sha256_file", counted)
     config = small_config(tmp_path)
     run_pipeline(config, echo=lambda *_: None)
     out = tmp_path / "artifacts"
@@ -346,7 +360,7 @@ def test_each_file_hashed_once_per_run(tmp_path, monkeypatch):
 
 def test_manifest_records_why_each_stage_ran(tmp_path):
     """Each record a run writes names the first part of the skip key that
-    changed: no record, the version, the params, an input or an output."""
+    changed: no record, a code file, the params, an input or an output."""
     config = small_config(tmp_path)
     manifest_path = tmp_path / "artifacts" / "manifest.json"
 
@@ -363,11 +377,11 @@ def test_manifest_records_why_each_stage_ran(tmp_path):
     result = run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
     assert reasons(result) == {"graph": "ran:output:graph.dot"}
     manifest = read_json(manifest_path)
-    manifest["stages"]["cooccur"]["version"] = 0
+    manifest["stages"]["cooccur"]["code"]["topics.py"] = "0" * 64
     manifest["stages"]["timeline"]["inputs"] = []      # not an object of digests
     write_json(manifest_path, manifest)
     result = run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
-    assert reasons(result) == {"cooccur": "ran:version",
+    assert reasons(result) == {"cooccur": "ran:code:topics.py",
                                "timeline": "ran:input:dominance.csv"}
 
     posts = tmp_path / "dump" / "posts.jsonl"
@@ -390,8 +404,10 @@ def full_run(tmp_path_factory):
 @pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage.name)
 def test_stage_reads_only_its_declared_inputs(full_run, tmp_path, stage):
     """Given only its declared inputs, copied into an empty directory, a
-    stage writes the bytes the full run wrote: a stage that read an
-    undeclared file would escape its skip key."""
+    stage writes the bytes the full run wrote, and runs no package module
+    that it does not declare among its code files, each a file of the
+    package: a stage that read an undeclared file or ran undeclared code
+    would escape its skip key."""
     config, run_dir = full_run
     for name in stage.inputs + stage.recorded:
         if name not in CONFIG_DEFAULTS:
@@ -399,10 +415,65 @@ def test_stage_reads_only_its_declared_inputs(full_run, tmp_path, stage):
             shutil.copy(run_dir / name, tmp_path / name)
     paths = {key: Path(config[key]) for key in stage.inputs
              if key in CONFIG_DEFAULTS and config[key] is not None}
-    stage.run(StageContext(paths, {key: config[key] for key in stage.params},
-                           tmp_path, echo=lambda *_: None))
+    executed = set()
+
+    def profile(frame, event, _):
+        if event == "call":
+            executed.add(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        stage.run(StageContext(paths, {key: config[key] for key in stage.params},
+                               tmp_path, echo=lambda *_: None))
+    finally:
+        sys.setprofile(None)
     for name in stage.outputs:
         assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
+    package = Path(forumpulse.__file__).resolve().parent
+    modules = {path.name for path in map(Path, executed) if path.resolve().parent == package}
+    assert modules and modules <= set(stage.code)
+    assert all((package / name).is_file() for name in stage.code)
+
+
+def test_edited_code_file_reruns_the_stages_that_run_it(tmp_path):
+    """On a copy of the package: a comment appended to ``lexicon.py``
+    reruns exactly ``lexicon``, which writes the same bytes, and ``card``
+    appended to the stopwords reruns ``corpus`` and each stage whose inputs
+    that changes. After each edit, the next run finds every stage up to
+    date."""
+    package = tmp_path / "src" / "forumpulse"
+    shutil.copytree(Path(forumpulse.__file__).parent, package)
+    config = small_config(tmp_path)
+    out = tmp_path / "artifacts"
+
+    def run() -> tuple[list[str], str]:
+        """The stages the run reports done, and its last line."""
+        lines = subprocess.run(
+            [sys.executable, "-m", "forumpulse.cli", "run", "--config", str(config)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(package.parent)}).stdout.splitlines()
+        return [line[1:line.index("]")] for line in lines if "] done:" in line], lines[-1]
+
+    def inputs() -> dict[str, dict]:
+        return {name: record["inputs"]
+                for name, record in read_json(out / "manifest.json")["stages"].items()}
+
+    assert len(run()[0]) == len(STAGES)
+    with (package / "lexicon.py").open("a", encoding="utf-8") as fh:
+        fh.write("# an edit\n")
+    assert run()[0] == ["lexicon"]
+    assert run() == ([], f"all stages up to date in {out}")
+
+    before = inputs()
+    assert "card\t" in (out / "corpus" / "vocabulary.tsv").read_text(encoding="utf-8")
+    with (package / "data" / "stopwords.txt").open("a", encoding="utf-8") as fh:
+        fh.write("card\n")
+    rerun, after = run()[0], inputs()
+    assert rerun == [stage.name for stage in STAGES
+                     if stage.name == "corpus" or after[stage.name] != before[stage.name]]
+    assert "topics" in rerun and "graph" not in rerun
+    assert "card\t" not in (out / "corpus" / "vocabulary.tsv").read_text(encoding="utf-8")
+    assert run() == ([], f"all stages up to date in {out}")
 
 
 def test_two_fresh_runs_byte_identical(tmp_path):
@@ -438,11 +509,10 @@ def test_both_kernels_write_the_same_bytes_and_are_named(tmp_path, monkeypatch):
 
 
 def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch):
-    """A directory written before stages had versions, when the trace was
-    summed in another order, reruns exactly ``ingest``, ``topics`` and
-    ``lexicon``, whose versions are above 1, and the stages whose inputs
-    that changes, and then holds what a fresh run writes; a record without
-    a version counts as version 1."""
+    """A directory written when the trace was summed in another order, whose
+    ``topics`` record holds another digest of ``lda.py``, reruns exactly
+    ``topics`` and the stages whose inputs that changes, and then holds what
+    a fresh run writes."""
     config = small_config(tmp_path)
     fresh = tmp_path / "fresh"
     run_pipeline(config, out_dir=fresh, echo=lambda *_: None)
@@ -458,47 +528,50 @@ def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch)
     monkeypatch.undo()
     manifest_path = tmp_path / "old" / "manifest.json"
     manifest = read_json(manifest_path)
-    for record in manifest["stages"].values():
-        del record["version"]
+    manifest["stages"]["topics"]["code"]["lda.py"] = "0" * 64
     write_json(manifest_path, manifest)
     assert (tmp_path / "old" / "model.json").read_bytes() \
         != (fresh / "model.json").read_bytes()
 
     rerun = run_pipeline(config, out_dir=tmp_path / "old", echo=lambda *_: None)
-    assert ran(rerun) == ["ingest", "topics", "dominance", "lexicon", "report"]
+    assert ran(rerun) == ["topics", "dominance", "report"]
     for name in EXPECTED_FILES[1:]:
         assert ((tmp_path / "old" / name).read_bytes()
                 == (fresh / name).read_bytes()), name
 
 
-def test_directory_at_ingest_version_2_reruns_only_ingest(tmp_path):
-    """A directory whose ingest record is at version 2 or 3 reruns ingest,
-    which writes the same ``dataset.json`` from a dump without a time after
-    9999 or an author that is not a non-empty str, so every later stage is
-    skipped."""
+def test_directory_without_code_records_reruns_every_stage_once(tmp_path):
+    """A directory whose records hold no code digests, as older code wrote
+    them, reruns every stage once, each for its first code file, to the
+    same bytes; the next run skips every stage."""
     config = small_config(tmp_path)
     run_pipeline(config, echo=lambda *_: None)
-    manifest_path = tmp_path / "artifacts" / "manifest.json"
-    dataset = (tmp_path / "artifacts" / "dataset.json").read_bytes()
-    for version in (2, 3):
-        manifest = read_json(manifest_path)
-        manifest["stages"]["ingest"]["version"] = version
-        write_json(manifest_path, manifest)
-        rerun = run_pipeline(config, echo=lambda *_: None)
-        assert ran(rerun) == ["ingest"]
-        assert (tmp_path / "artifacts" / "dataset.json").read_bytes() == dataset
+    out = tmp_path / "artifacts"
+    written = {name: (out / name).read_bytes() for name in EXPECTED_FILES[1:]}
+    manifest = read_json(out / "manifest.json")
+    for record in manifest["stages"].values():
+        del record["code"]
+    write_json(out / "manifest.json", manifest)
+
+    assert len(ran(run_pipeline(config, echo=lambda *_: None))) == len(STAGES)
+    assert {name: record["reason"] for name, record
+            in read_json(out / "manifest.json")["stages"].items()} \
+        == {stage.name: f"ran:code:{stage.code[0]}" for stage in STAGES}
+    assert {name: (out / name).read_bytes() for name in EXPECTED_FILES[1:]} == written
+    assert not ran(run_pipeline(config, echo=lambda *_: None))
 
 
-def test_manifest_records_versions_and_sampler_telemetry(tmp_path):
-    """On the shipped fixture, every record names its stage's version and
-    its wall time, CPU time and the peak RSS so far, and the topics record
-    the sweeps of the whole scan, their rate and the last relative change
-    of the selected model's trace."""
+def test_manifest_records_code_and_sampler_telemetry(tmp_path):
+    """On the shipped fixture, every record names the digest of each of its
+    stage's code files and its wall time, CPU time and the peak RSS so far,
+    and the topics record the sweeps of the whole scan, their rate and the
+    last relative change of the selected model's trace."""
     run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path / "fixture",
                  echo=lambda *_: None)
     records = read_json(tmp_path / "fixture" / "manifest.json")["stages"]
-    assert {name: record["version"] for name, record in records.items()} \
-        == {stage.name: {"ingest": 4, "topics": 3, "lexicon": 2}.get(stage.name, 1)
+    package = Path(forumpulse.__file__).parent
+    assert {name: record["code"] for name, record in records.items()} \
+        == {stage.name: {name: sha256_file(package / name) for name in stage.code}
             for stage in STAGES}
     peaks = [records[stage.name]["peak_rss_kb"] for stage in STAGES]
     assert peaks == sorted(peaks) and peaks[0] > 0

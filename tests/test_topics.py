@@ -13,12 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from forumpulse.errors import DataError
+from forumpulse.fileio import StageContext
 from forumpulse.lda import LdaConfig, fit
-from forumpulse.pipeline import StageContext, dominance_stage
 from forumpulse.lexicon import topicwise_profile
-from forumpulse.topics import (cooccurrence, count_nonpositive, dominant_topics,
-                               load_assignment, monthly_distribution, row_skewness,
-                               save_assignment, select_k, skewness)
+from forumpulse.topics import (cooccurrence, count_nonpositive, dominance_stage,
+                               dominant_topics, load_assignment, monthly_distribution,
+                               row_skewness, save_assignment, select_k, skewness)
 
 from conftest import (assignment_of, cooccurrence_per_set, corpus_from_counts, make_dataset,
                       monthly_tally_per_set, post_record, presence_per_set, same_fields,
