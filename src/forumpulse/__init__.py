@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .errors import DataError, ForumPulseError, StageError, UsageError
 from .ingest import (Comments, Dataset, Posts, author_activity_table, parse_dump,
                      response_time_table, score_relations)
-from .corpus import Corpus, Vocabulary, build_corpus
+from .corpus import Corpus, build_corpus
 from .lda import LdaConfig, TopicModel, fit, top_words
 from .topics import (DominantTopicAssignment, cooccurrence, count_nonpositive,
                      dominant_topics, monthly_distribution, select_k, skewness)

@@ -199,7 +199,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_corpus_build(args) -> int:
     corpus = _run_stage(args, "corpus", {"dataset.json": args.dataset, "corpus": args.out})
-    print(f"corpus: {len(corpus)} documents, {len(corpus.vocabulary)} terms, "
+    print(f"corpus: {len(corpus)} documents, {len(corpus.terms)} terms, "
           f"{corpus.total_tokens} tokens -> {args.out}")
     return 0
 

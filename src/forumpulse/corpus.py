@@ -50,27 +50,14 @@ def default_stopwords() -> frozenset[str]:
     return frozenset(words)
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    terms: tuple[str, ...]
-    document_frequency: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.terms) != len(set(self.terms)):
-            raise ValueError("vocabulary terms must be distinct")
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
 _ARRAYS = ("offsets", "term_ids", "counts")
 
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """Sparse term-count vectors over a fixed vocabulary, in CSR form.
+    """Sparse term-count vectors over the distinct ``terms``, in CSR form.
 
-    Document i, aligned with ``doc_ids[i]``, holds the terms
+    Document i, aligned with ``doc_ids[i]``, holds the term ids
     ``term_ids[offsets[i]:offsets[i + 1]]``, ascending, with their counts at
     the same positions of ``counts``. The three arrays are read-only int64.
     Posts whose vector came out empty are not documents; their ids are kept
@@ -81,8 +68,7 @@ class Corpus:
     term_ids: np.ndarray
     counts: np.ndarray
     doc_ids: tuple[str, ...]
-    vocabulary: Vocabulary
-    total_tokens: int
+    terms: tuple[str, ...]
     excluded_doc_ids: tuple[str, ...]
 
     def __post_init__(self):
@@ -96,9 +82,15 @@ class Corpus:
             raise ValueError(f"offsets of length {len(self.offsets)} do not fit "
                              f"{len(self.doc_ids)} documents and {len(self.term_ids)} "
                              f"term ids with {len(self.counts)} counts")
+        if len(self.terms) != len(set(self.terms)):
+            raise ValueError("vocabulary terms must be distinct")
 
     def __len__(self) -> int:
         return len(self.doc_ids)
+
+    @property
+    def total_tokens(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def documents(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -228,34 +220,31 @@ def build_corpus(dataset: Dataset,
         term_ids=(np.cumsum(keep) - 1)[tokens[kept]],
         counts=counts,
         doc_ids=tuple(i for i, d in zip(post_ids, nonempty) if d),
-        vocabulary=Vocabulary(
-            terms=tuple(t for t, k in zip(terms, keep.tolist()) if k),
-            document_frequency=tuple(df[keep].tolist())),
-        total_tokens=int(counts.sum()),
+        terms=tuple(t for t, k in zip(terms, keep.tolist()) if k),
         excluded_doc_ids=tuple(i for i, d in zip(post_ids, nonempty) if not d),
     )
 
 
-def vocabulary_digest(vocabulary: Vocabulary) -> str:
+def vocabulary_digest(terms: tuple[str, ...]) -> str:
     """Stable hash of the term list, used to tie models to their corpus."""
     import hashlib
-    return hashlib.sha256("\x1f".join(vocabulary.terms).encode("utf-8")).hexdigest()
+    return hashlib.sha256("\x1f".join(terms).encode("utf-8")).hexdigest()
 
 
 def save_corpus(corpus: Corpus, directory: Path) -> None:
     """Write the documented on-disk layout.
 
-    vocabulary.tsv holds (id, term, df); documents.csv holds sparse triplets
+    vocabulary.tsv holds (id, term, df), df the number of documents that
+    hold the term; documents.csv holds sparse triplets
     (doc_idx, term_id, count), in doc_idx and then term id order; docs.csv
     maps doc_idx to post id; meta.json carries totals and the excluded post
     ids.
     """
     vocabulary_path, documents_path, docs_path, meta_path = (
         Path(directory) / name for name in CORPUS_FILES)
+    df = np.bincount(corpus.term_ids, minlength=len(corpus.terms)).tolist()
     write_csv(vocabulary_path, ("id", "term", "df"),
-              ((i, t, d) for i, (t, d) in
-               enumerate(zip(corpus.vocabulary.terms, corpus.vocabulary.document_frequency))),
-              delimiter="\t")
+              zip(range(len(df)), corpus.terms, df), delimiter="\t")
     doc_idx = np.repeat(np.arange(len(corpus)), np.diff(corpus.offsets))
     triplets = np.column_stack((doc_idx, corpus.term_ids, corpus.counts))
     write_text(documents_path, f"{_TRIPLETS_HEADER}\n"
@@ -265,9 +254,9 @@ def save_corpus(corpus: Corpus, directory: Path) -> None:
         "format": _CORPUS_META_FORMAT,
         "total_tokens": corpus.total_tokens,
         "n_documents": len(corpus),
-        "vocabulary_size": len(corpus.vocabulary),
+        "vocabulary_size": len(corpus.terms),
         "excluded_doc_ids": list(corpus.excluded_doc_ids),
-        "vocabulary_sha256": vocabulary_digest(corpus.vocabulary),
+        "vocabulary_sha256": vocabulary_digest(corpus.terms),
     })
 
 
@@ -308,7 +297,7 @@ def _read_triplets(path: Path, n_documents: int, vocabulary_size: int) -> np.nda
 
 def load_corpus(directory: Path) -> Corpus:
     """The corpus saved under ``directory``; DataError when a file is not
-    complete or the files do not agree with ``meta.json``."""
+    complete or the files do not agree with ``meta.json`` or each other."""
     vocabulary_path, documents_path, docs_path, meta_path = (
         Path(directory) / name for name in CORPUS_FILES)
     with reading(meta_path, f"{_CORPUS_META_FORMAT} meta file"):
@@ -344,16 +333,18 @@ def load_corpus(directory: Path) -> Corpus:
         if found != recorded:
             raise DataError(f"{path}: {found} {what} where meta.json "
                             f"records {recorded}")
-    return Corpus(
-        offsets=np.concatenate(
-            ([0], np.cumsum(np.bincount(triplets[:, 0], minlength=n_documents)))),
-        term_ids=triplets[:, 1],
-        counts=triplets[:, 2],
-        doc_ids=tuple(doc_ids),
-        vocabulary=Vocabulary(terms=tuple(terms), document_frequency=tuple(freq)),
-        total_tokens=total_tokens,
-        excluded_doc_ids=excluded,
-    )
+    with reading(vocabulary_path, "vocabulary file"):
+        if freq != np.bincount(triplets[:, 1], minlength=vocabulary_size).tolist():
+            raise ValueError("a df is not the number of documents that hold the term")
+        return Corpus(      # ValueError on a repeated term
+            offsets=np.concatenate(
+                ([0], np.cumsum(np.bincount(triplets[:, 0], minlength=n_documents)))),
+            term_ids=triplets[:, 1],
+            counts=triplets[:, 2],
+            doc_ids=tuple(doc_ids),
+            terms=tuple(terms),
+            excluded_doc_ids=excluded,
+        )
 
 
 def corpus_stage(ctx: StageContext) -> Corpus:

@@ -108,6 +108,32 @@ def sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+@contextmanager
+def locked(target: Path):
+    """Hold an exclusive lock on the directory ``target``, made if it is
+    missing, for the block; DataError when another process holds it. The
+    directories made here are removed again if the block fails while they
+    are empty, so a run that fails before its first write leaves none."""
+    import fcntl        # here, so that starting the command line does not load it
+    made = [p for p in (target, *target.parents) if not p.exists()]
+    target.mkdir(parents=True, exist_ok=True)
+    fd = os.open(target, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise DataError(f"output directory {target} is in use by another run") from None
+        yield
+    except BaseException:
+        for path in made:
+            if any(path.iterdir()):
+                break
+            path.rmdir()
+        raise
+    finally:
+        os.close(fd)
+
+
 @dataclass
 class StageContext:
     """What a stage function reads: its files by name, and its params by

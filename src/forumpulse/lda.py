@@ -97,7 +97,6 @@ class TopicModel:
     theta: np.ndarray                       # (D, k) document-topic estimates
     phi: np.ndarray                         # (k, V) topic-word estimates
     log_likelihood_trace: tuple[float, ...]
-    vocabulary_sha256: str
 
     @property
     def k(self) -> int:
@@ -371,7 +370,7 @@ def fit(corpus: Corpus, config: LdaConfig,
     if n_docs == 0:
         raise DataError("cannot fit a topic model on an empty corpus")
     k = config.k
-    v_size = len(corpus.vocabulary)
+    v_size = len(corpus.terms)
 
     alpha = config.effective_alpha
     beta = config.beta
@@ -446,11 +445,10 @@ def fit(corpus: Corpus, config: LdaConfig,
     return TopicModel(
         config=config,
         doc_ids=corpus.doc_ids,
-        terms=corpus.vocabulary.terms,
+        terms=corpus.terms,
         theta=theta,
         phi=phi,
         log_likelihood_trace=tuple(trace),
-        vocabulary_sha256=vocabulary_digest(corpus.vocabulary),
     )
 
 
@@ -474,7 +472,7 @@ def save_model(model: TopicModel, path: Path) -> None:
         "theta": None,
         "phi": None,
         "log_likelihood_trace": [float(x) for x in model.log_likelihood_trace],
-        "vocabulary_sha256": model.vocabulary_sha256,
+        "vocabulary_sha256": vocabulary_digest(model.terms),
     }
     text = json.dumps(payload, sort_keys=True)
     # theta and phi go in as text in place of their nulls. Each null is the
@@ -496,7 +494,7 @@ def _matrix_json(matrix: np.ndarray) -> str:
 
 def load_model(path: Path) -> TopicModel:
     """The model saved at ``path``; DataError when it is not a complete,
-    consistent model file."""
+    consistent model file, its vocabulary digest that of its terms."""
     with reading(path, f"{_MODEL_FORMAT} file"):
         payload = read_json(path)
         if payload.get("format") != _MODEL_FORMAT:
@@ -512,8 +510,9 @@ def load_model(path: Path) -> TopicModel:
             theta=theta,
             phi=phi,
             log_likelihood_trace=tuple(payload["log_likelihood_trace"]),
-            vocabulary_sha256=payload["vocabulary_sha256"],
         )
+        if payload["vocabulary_sha256"] != vocabulary_digest(model.terms):
+            raise ValueError("vocabulary_sha256 is not the digest of its terms")
     n_docs, k, v_size = len(model.doc_ids), model.k, len(model.terms)
     if theta.shape != (n_docs, k) or phi.shape != (k, v_size):
         raise DataError(f"{path}: theta {theta.shape} and phi {phi.shape} do not fit "

@@ -67,7 +67,7 @@ def categorize(corpus: Corpus, lexicon: dict[str, frozenset[str]]) -> np.ndarray
         np.cumsum(values, out=running[1:])
         return np.diff(running[corpus.offsets])
 
-    index = {term: i for i, term in enumerate(corpus.vocabulary.terms)}
+    index = {term: i for i, term in enumerate(corpus.terms)}
     hits = np.zeros((len(corpus), len(lexicon)), dtype=np.int64)
     for j, wordset in enumerate(lexicon.values()):
         member = np.zeros(len(index), dtype=bool)

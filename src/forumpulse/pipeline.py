@@ -36,13 +36,13 @@ from . import __version__
 from .corpus import (CORPUS_FILES, DEFAULT_MAX_DF_FRACTION, DEFAULT_MIN_DF,
                      DEFAULT_PHRASE_MIN_COUNT, corpus_stage)
 from .errors import DataError, StageError, UsageError
-from .fileio import StageContext, read_csv, read_json, reading, write_json
+from .fileio import StageContext, locked, read_json, reading, write_json
 from .ingest import ingest_stage, stats_stage
 from .interaction import graph_stage, metrics_stage
 from .lda import DEFAULT_BETA, DEFAULT_BURN_IN, DEFAULT_ITERATIONS, derive_seed as stage_seed
 from .lexicon import lexicon_stage, load_lexicon
-from .topics import (DOMINANCE_FILES, TOP_WORDS, cooccur_stage, dominance_stage,
-                     load_assignment, timeline_stage, topics_stage)
+from .topics import (DOMINANCE_FILES, cooccur_stage, dominance_stage, load_assignment,
+                     load_selected_w_k, load_top_words, timeline_stage, topics_stage)
 
 _MANIFEST_FORMAT = "forumpulse-manifest-v1"
 
@@ -232,34 +232,24 @@ def _code_digest(name: str) -> str:
     return hashlib.sha256((Path(__file__).parent / name).read_bytes()).hexdigest()
 
 
-def _top_words_table(path: Path, k: int) -> dict[str, list[str]]:
-    """Each of the ``k`` topics' terms in ``top_words.csv``, by rank; DataError
-    unless each topic has one term per rank 1 to n, n <= ``TOP_WORDS``."""
-    with reading(path, "top words file"):
-        rows = list(read_csv(path, 3))
-        n = len(rows) // max(k, 1)
-        if [(t, r) for t, r, _ in rows] != [(str(t), str(r)) for t in range(k)
-                                            for r in range(1, n + 1)] \
-                or not 1 <= n <= TOP_WORDS or not all(term for _, _, term in rows):
-            raise ValueError(f"not 1 to {TOP_WORDS} ranked terms for each of {k} topics")
-    return {str(t): [term for _, _, term in rows[t * n:(t + 1) * n]] for t in range(k)}
-
-
 def report_stage(ctx: StageContext) -> None:
     """report.json from the small files and the dominance assignment; the
     digest of every artifact, the unparsed ``model.json`` included."""
     assignment = ctx.load("dominance.csv", load_assignment)
-    w_k = next(int(w_k) for _, w_k, selected in read_csv(ctx.path("skewness_scan.csv"), 3)
-               if selected == "1")
-    summary = read_json(ctx.path("stats_summary.json"))
-    classes = read_json(ctx.path("user_classes.json"))
+    path = ctx.path("stats_summary.json")
+    with reading(path, "stats summary file"):
+        summary = read_json(path)
+        dataset = {key: summary[key] for key in ("posts", "comments", "authors")}
+    path = ctx.path("user_classes.json")
+    with reading(path, "user classes file"):
+        classes = read_json(path)
     write_json(ctx.path("report.json"), {
-        "dataset": {key: summary[key] for key in ("posts", "comments", "authors")},
+        "dataset": dataset,
         "model": {
             "k": assignment.k,
-            "w_k": w_k,
+            "w_k": load_selected_w_k(ctx.path("skewness_scan.csv")),
             "documents": len(assignment.doc_ids),
-            "top_words": _top_words_table(ctx.path("top_words.csv"), assignment.k),
+            "top_words": load_top_words(ctx.path("top_words.csv"), assignment.k),
         },
         "topic_presence": list(assignment.topic_presence),
         "user_classes": classes,
@@ -288,7 +278,7 @@ STAGES: tuple[Stage, ...] = (
           # Holding the dataset across the fit would raise the run's peak.
           frees_unread=True),
     Stage("dominance", (), ("model.json",), DOMINANCE_FILES, dominance_stage,
-          ("topics.py", "lda.py", "fileio.py")),
+          ("topics.py", "lda.py", "corpus.py", "fileio.py")),
     Stage("cooccur", (), DOMINANCE_FILES, ("cooccurrence.csv",), cooccur_stage,
           ("topics.py", "fileio.py")),
     Stage("timeline", (), DOMINANCE_FILES + ("dataset.json",), ("monthly_topics.csv",),
@@ -350,6 +340,8 @@ def run_pipeline(config_path: Path,
     written by earlier stages stay intact. A dump or lexicon file the config
     names that is not a regular file, a dump with no line that is not blank,
     or a lexicon that does not parse, fails its stage before any stage runs.
+    The run holds the output directory locked, and is a DataError, writing
+    nothing, when another run holds it.
     """
     config = load_config(config_path, overrides)
     checked: dict[str, Any] = {}       # the input files parsed by the check
@@ -359,84 +351,84 @@ def run_pipeline(config_path: Path,
         except DataError as exc:
             raise StageError(stage.name, exc) from exc
     target = Path(out_dir) if out_dir is not None else Path(config["out_dir"])
-    # The first file a stage writes makes the directory.
     nearest = next(p for p in (target, *target.parents) if p.exists())
     if not nearest.is_dir():
         raise DataError(f"output directory {target}: {nearest} is not a directory")
-    # A run killed inside write_text leaves its temporary file beside the output.
-    for name in ("manifest.json",) + tuple(n for stage in STAGES for n in stage.outputs):
-        for stale in (target / name).parent.glob(f".{Path(name).name}.*.tmp"):
-            stale.unlink()
+    with locked(target):
+        # A run killed inside write_text leaves its temporary file beside the output.
+        for name in ("manifest.json",) + tuple(n for stage in STAGES for n in stage.outputs):
+            for stale in (target / name).parent.glob(f".{Path(name).name}.*.tmp"):
+                stale.unlink()
 
-    manifest_path = target / "manifest.json"
-    manifest = _read_manifest(manifest_path, echo)
-    manifest.update(tool_version=__version__, seed=config["seed"], config=dict(config),
-                    config_sha256=_params_digest(config))
+        manifest_path = target / "manifest.json"
+        manifest = _read_manifest(manifest_path, echo)
+        manifest.update(tool_version=__version__, seed=config["seed"], config=dict(config),
+                        config_sha256=_params_digest(config))
 
-    status: dict[str, str] = {}
-    # The parsed files each stage reads: an input's name up to its first
-    # "/", so the corpus files are the one parsed "corpus".
-    reads = [{name.split("/")[0] for name in stage.inputs} for stage in STAGES]
-    last_read = {name: i for i, names in enumerate(reads) for name in names}
-    held: dict[str, Any] = {}          # parsed files, by name
-    digests: dict[Path, str] = {}      # hashed files, by path
-    for i, stage in enumerate(STAGES):
-        # A config key names an input file; a null one names none.
-        paths = {key: Path(config[key]) for key in stage.inputs
-                 if key in CONFIG_DEFAULTS and config[key] is not None}
-        # Hold a parsed file until the last stage that reads it, and hand a
-        # stage only the files it reads.
-        held = {name: value for name, value in held.items() if last_read[name] >= i
-                and (name in reads[i] or not stage.frees_unread)}
-        ctx = StageContext(paths, {key: config[key] for key in stage.params}, target, echo,
-                           {name: value for name, value in {**checked, **held}.items()
-                            if name in reads[i]}, digests)
-        # An input is keyed by its name: a dump or lexicon file by its config
-        # key, so the same bytes reached through another path match.
-        input_digests = {name: ctx.digest(name) for name in stage.inputs + stage.recorded
-                         if name in paths or name not in CONFIG_DEFAULTS}
-        # A param that names an input file is in the skip key by its config
-        # key too; the file's bytes are in it through its digest.
-        digest = _params_digest({key: key if key in paths else value
-                                 for key, value in ctx.params.items()})
-        code = {name: _code_digest(name) for name in stage.code}
-        reason = _why_stale(
-            manifest["stages"].get(stage.name, {}), code, digest, input_digests,
-            lambda: {name: ctx.digest(name) if ctx.path(name).exists() else None
-                     for name in stage.outputs})
-        if reason is None:
-            status[stage.name] = "skipped"
-            echo(f"[{stage.name}] up to date, skipped")
-            continue
+        status: dict[str, str] = {}
+        # The parsed files each stage reads: an input's name up to its first
+        # "/", so the corpus files are the one parsed "corpus".
+        reads = [{name.split("/")[0] for name in stage.inputs} for stage in STAGES]
+        last_read = {name: i for i, names in enumerate(reads) for name in names}
+        held: dict[str, Any] = {}          # parsed files, by name
+        digests: dict[Path, str] = {}      # hashed files, by path
+        for i, stage in enumerate(STAGES):
+            # A config key names an input file; a null one names none.
+            paths = {key: Path(config[key]) for key in stage.inputs
+                     if key in CONFIG_DEFAULTS and config[key] is not None}
+            # Hold a parsed file until the last stage that reads it, and hand a
+            # stage only the files it reads.
+            held = {name: value for name, value in held.items() if last_read[name] >= i
+                    and (name in reads[i] or not stage.frees_unread)}
+            ctx = StageContext(paths, {key: config[key] for key in stage.params}, target, echo,
+                               {name: value for name, value in {**checked, **held}.items()
+                                if name in reads[i]}, digests)
+            # An input is keyed by its name: a dump or lexicon file by its config
+            # key, so the same bytes reached through another path match.
+            input_digests = {name: ctx.digest(name) for name in stage.inputs + stage.recorded
+                             if name in paths or name not in CONFIG_DEFAULTS}
+            # A param that names an input file is in the skip key by its config
+            # key too; the file's bytes are in it through its digest.
+            digest = _params_digest({key: key if key in paths else value
+                                     for key, value in ctx.params.items()})
+            code = {name: _code_digest(name) for name in stage.code}
+            reason = _why_stale(
+                manifest["stages"].get(stage.name, {}), code, digest, input_digests,
+                lambda: {name: ctx.digest(name) if ctx.path(name).exists() else None
+                         for name in stage.outputs})
+            if reason is None:
+                status[stage.name] = "skipped"
+                echo(f"[{stage.name}] up to date, skipped")
+                continue
 
-        started = _utcnow()
-        wall, cpu = time.perf_counter(), time.process_time()
-        try:
-            stage.run(ctx)
-        except Exception as exc:
-            raise StageError(stage.name, exc) from exc
-        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-        held.update(ctx.parsed)
-        for name in stage.outputs:      # rewritten: hashed again below
-            digests.pop(ctx.path(name), None)
-        manifest["stages"][stage.name] = {
-            "code": code,
-            "reason": reason,
-            "params": dict(ctx.params),
-            "params_sha256": digest,
-            "inputs": input_digests,
-            "outputs": {name: ctx.digest(name) for name in stage.outputs},
-            "started_at": started,
-            "finished_at": _utcnow(),
-            "wall_s": wall,
-            "cpu_s": cpu,
-            "peak_rss_kb": _peak_rss_kb(),
-            **ctx.record,
-        }
-        write_json(manifest_path, manifest)
-        status[stage.name] = "ran"
-        echo(f"[{stage.name}] done: {', '.join(sorted(stage.outputs))}")
+            started = _utcnow()
+            wall, cpu = time.perf_counter(), time.process_time()
+            try:
+                stage.run(ctx)
+            except Exception as exc:
+                raise StageError(stage.name, exc) from exc
+            wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+            held.update(ctx.parsed)
+            for name in stage.outputs:      # rewritten: hashed again below
+                digests.pop(ctx.path(name), None)
+            manifest["stages"][stage.name] = {
+                "code": code,
+                "reason": reason,
+                "params": dict(ctx.params),
+                "params_sha256": digest,
+                "inputs": input_digests,
+                "outputs": {name: ctx.digest(name) for name in stage.outputs},
+                "started_at": started,
+                "finished_at": _utcnow(),
+                "wall_s": wall,
+                "cpu_s": cpu,
+                "peak_rss_kb": _peak_rss_kb(),
+                **ctx.record,
+            }
+            write_json(manifest_path, manifest)
+            status[stage.name] = "ran"
+            echo(f"[{stage.name}] done: {', '.join(sorted(stage.outputs))}")
 
-    echo(f"pipeline complete: {target}" if "ran" in status.values()
-         else f"all stages up to date in {target}")
-    return status
+        echo(f"pipeline complete: {target}" if "ran" in status.values()
+             else f"all stages up to date in {target}")
+        return status

@@ -272,6 +272,29 @@ def topics_stage(ctx: StageContext) -> TopicModel:
     return model
 
 
+def load_selected_w_k(path: Path) -> int:
+    """W_k of the k that ``skewness_scan.csv`` marks selected; DataError
+    unless exactly one row is."""
+    with reading(path, "skewness scan file"):
+        selected = [int(w_k) for _, w_k, chosen in read_csv(path, 3) if chosen == "1"]
+        if len(selected) != 1:
+            raise ValueError(f"{len(selected)} selected rows where one was expected")
+    return selected[0]
+
+
+def load_top_words(path: Path, k: int) -> dict[str, list[str]]:
+    """Each of the ``k`` topics' terms in ``top_words.csv``, by rank; DataError
+    unless each topic has one term per rank 1 to n, n <= ``TOP_WORDS``."""
+    with reading(path, "top words file"):
+        rows = list(read_csv(path, 3))
+        n = len(rows) // max(k, 1)
+        if [(t, r) for t, r, _ in rows] != [(str(t), str(r)) for t in range(k)
+                                            for r in range(1, n + 1)] \
+                or not 1 <= n <= TOP_WORDS or not all(term for _, _, term in rows):
+            raise ValueError(f"not 1 to {TOP_WORDS} ranked terms for each of {k} topics")
+    return {str(t): [term for _, _, term in rows[t * n:(t + 1) * n]] for t in range(k)}
+
+
 def dominance_stage(ctx: StageContext) -> DominantTopicAssignment:
     assignment = dominant_topics(ctx.load("model.json", load_model))
     save_assignment(ctx.path("dominance.csv"), assignment)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import forumpulse
-from forumpulse.corpus import Corpus, Vocabulary, build_corpus, default_stopwords
+from forumpulse.corpus import Corpus, build_corpus, default_stopwords, vocabulary_digest
 from forumpulse.ingest import SENTINEL_AUTHORS, Comments, Dataset, Posts, parse_dump
 from forumpulse.interaction import InteractionGraph
 from forumpulse.lda import fit
@@ -49,17 +49,12 @@ def corpus_from_counts(docs: list[dict[str, int]], doc_ids=None) -> Corpus:
             if term not in terms:
                 terms.append(term)
     index = {t: i for i, t in enumerate(terms)}
-    df = Counter()
-    for doc in docs:
-        df.update(doc.keys())
     if doc_ids is None:
         doc_ids = [f"d{i:03d}" for i in range(len(docs))]
     return Corpus(
         **csr([sorted((index[t], n) for t, n in doc.items()) for doc in docs]),
         doc_ids=tuple(doc_ids),
-        vocabulary=Vocabulary(terms=tuple(terms),
-                              document_frequency=tuple(df[t] for t in terms)),
-        total_tokens=sum(n for doc in docs for n in doc.values()),
+        terms=tuple(terms),
         excluded_doc_ids=(),
     )
 
@@ -352,7 +347,7 @@ def model_text_per_cell(model) -> str:
         "theta": model.theta.tolist(),
         "phi": model.phi.tolist(),
         "log_likelihood_trace": [float(x) for x in model.log_likelihood_trace],
-        "vocabulary_sha256": model.vocabulary_sha256,
+        "vocabulary_sha256": vocabulary_digest(model.terms),
     }
     return json.dumps(payload, sort_keys=True) + "\n"
 

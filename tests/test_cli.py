@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -478,6 +480,17 @@ def _dataset_column(table: str, column: str, change):
     return corrupt
 
 
+def _vocabulary_rows(change):
+    """A corruption that replaces the first two term rows of
+    ``vocabulary.tsv`` by ``change(first, second)``, each row a list of its
+    cells."""
+    def corrupt(data: bytes, name: str) -> bytes:
+        lines = data.split(b"\n")
+        lines[1:3] = map(b"\t".join, change(*(line.split(b"\t") for line in lines[1:3])))
+        return b"\n".join(lines)
+    return corrupt
+
+
 CORRUPTIONS = {
     "half": lambda data, name: data[:len(data) // 2],
     "empty": lambda data, name: b"",
@@ -520,10 +533,15 @@ CORRUPTIONS = {
     "self-reply": _edge_line(lambda line: b",".join(line.split(b",")[i] for i in (0, 0, 2))),
     "edge-order": _edge_line(lambda line: b",".join(line.split(b",")[i] for i in (1, 0, 2))),
     "empty-name": _edge_line(lambda line: b"," + line.split(b",", 1)[1]),
+    "repeated-term": _vocabulary_rows(lambda first, second: (first, [second[0], first[1],
+                                                                     second[2]])),
+    "df-mismatch": _vocabulary_rows(lambda first, second: (
+        [first[0], first[1], b"%d" % (int(first[2]) + 1)], second)),
 }
 # The files each corruption that does not apply to every file applies to.
 ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.json",),
         "repeated-id": ("dominance.csv",),
+        **dict.fromkeys(("repeated-term", "df-mismatch"), ("corpus/vocabulary.tsv",)),
         **dict.fromkeys(("no-last-newline", "header", "two-cells", "four-cells",
                          "float-weight", "empty-weight", "zero-weight", "self-reply",
                          "edge-order", "empty-name"), ("edges.csv",)),
@@ -647,31 +665,70 @@ def test_dominance_of_posts_in_another_order_than_the_corpus_is_a_data_error(
     assert not (tmp_path / "out").exists()
 
 
-TOP_WORDS_DAMAGE = {
-    "no-last-newline": lambda text: text[:-1],
-    "missing-topic": lambda text: "".join(line for line in text.splitlines(keepends=True)
-                                          if not line.startswith("2,")),
-    "rank-gap": lambda text: text.replace("\n0,2,", "\n0,3,", 1),
-    "empty-term": lambda text: re.sub(r"\n(0,1,)[^\n]*", r"\n\1", text, count=1),
-    "extra-rank": lambda text: text.replace("\n1,1,", "\n0,11,x\n1,1,", 1),
-    "two-cells": lambda text: text.replace("topic,rank,term", "topic,term", 1),
+# Each damage to a small file that only `report` reads: the file, and the
+# change to its text.
+REPORT_INPUT_DAMAGE = {
+    "no-last-newline": ("top_words.csv", lambda text: text[:-1]),
+    "missing-topic": ("top_words.csv", lambda text: "".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith("2,"))),
+    "rank-gap": ("top_words.csv", lambda text: text.replace("\n0,2,", "\n0,3,", 1)),
+    "empty-term": ("top_words.csv",
+                   lambda text: re.sub(r"\n(0,1,)[^\n]*", r"\n\1", text, count=1)),
+    "extra-rank": ("top_words.csv",
+                   lambda text: text.replace("\n1,1,", "\n0,11,x\n1,1,", 1)),
+    "two-cells": ("top_words.csv",
+                  lambda text: text.replace("topic,rank,term", "topic,term", 1)),
+    "no-selected-row": ("skewness_scan.csv", lambda text: text.replace(",1\n", ",0\n")),
+    "w_k-abc": ("skewness_scan.csv",
+                lambda text: re.sub(r"(?m)^(\d+),\d+,1$", r"\1,abc,1", text)),
+    "summary-truncated": ("stats_summary.json", lambda text: text[:len(text) // 2]),
+    "summary-no-authors": ("stats_summary.json", lambda text: json.dumps(
+        {key: value for key, value in json.loads(text).items() if key != "authors"})),
+    "classes-truncated": ("user_classes.json", lambda text: text[:len(text) // 2]),
 }
 
 
-@pytest.mark.parametrize("damage", TOP_WORDS_DAMAGE)
+@pytest.mark.parametrize("damage", REPORT_INPUT_DAMAGE)
 def test_damaged_top_words_fails_the_report_with_a_data_error(dump, config, capsys, damage):
-    """A top_words.csv damaged after `topics` recorded it (its new digest in
-    the manifest) fails `report` with exit 2, naming the file."""
+    """A small file that only `report` reads (top_words.csv, skewness_scan.csv,
+    stats_summary.json or user_classes.json), damaged after its stage
+    recorded it (its new digest in the manifest), fails `report` with exit
+    2, naming the file."""
+    name, change = REPORT_INPUT_DAMAGE[damage]
     assert run_cli("run", "--config", config) == 0
-    path = dump / "artifacts" / "top_words.csv"
-    path.write_text(TOP_WORDS_DAMAGE[damage](path.read_text()))
+    path = dump / "artifacts" / name
+    damaged = change(path.read_text())
+    assert damaged != path.read_text()
+    path.write_text(damaged)
+    producer = next(stage.name for stage in STAGES if name in stage.outputs)
     manifest = read_json(dump / "artifacts" / "manifest.json")
-    manifest["stages"]["topics"]["outputs"]["top_words.csv"] = sha256_file(path)
+    manifest["stages"][producer]["outputs"][name] = sha256_file(path)
     write_json(dump / "artifacts" / "manifest.json", manifest)
     capsys.readouterr()
     assert run_cli("run", "--config", config) == 2
     err = capsys.readouterr().err
-    assert "stage 'report' failed" in err and "top_words.csv" in err
+    assert "stage 'report' failed" in err and name in err
+
+
+def test_directory_another_run_holds_is_a_data_error(dump, config, capsys):
+    """`run` on an output directory locked by another process exits 2,
+    naming the directory, and leaves its files and manifest as they were;
+    once the lock is released the same run goes ahead."""
+    assert run_cli("run", "--config", config) == 0
+    out = dump / "artifacts"
+    files, manifest = artifact_digests(out), (out / "manifest.json").read_bytes()
+    fd = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        capsys.readouterr()
+        assert run_cli("run", "--config", config, "--set", "graph.top_k=2") == 2
+    finally:
+        os.close(fd)
+    assert f"output directory {out} is in use by another run" in capsys.readouterr().err
+    assert artifact_digests(out) == files
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert run_cli("run", "--config", config, "--set", "graph.top_k=2") == 0
+    assert artifact_digests(out) != files
 
 
 def _garble(path: Path, at_line: int) -> None:

@@ -29,7 +29,7 @@ def _corpus_of(*titles: str, phrase_min_count: int = 99):
 
 def test_tokenize_normalization():
     corpus = _corpus_of("Pay my Credit CARD bill!")
-    assert corpus.vocabulary.terms == ("pay", "credit", "card", "bill")
+    assert corpus.terms == ("pay", "credit", "card", "bill")
 
 
 def test_tokenize_empty():
@@ -39,23 +39,23 @@ def test_tokenize_empty():
 
 def test_tokenize_strips_urls_short_tokens_and_numbers():
     text = "Go to https://example.com/offers?q=1 now, I owe $12 at 3.5% APR in 2021"
-    assert _corpus_of(text).vocabulary.terms == ("owe", "apr")
+    assert _corpus_of(text).terms == ("owe", "apr")
 
 
 def test_phrase_merge_triggers_at_threshold():
     # (credit, card) occurs exactly 6 times across the corpus.
     merged = _corpus_of(*["credit card credit card"] * 3, phrase_min_count=6)
-    assert merged.vocabulary.terms == ("credit_card",)
+    assert merged.terms == ("credit_card",)
     assert merged.documents == (((0, 2),),) * 3
     not_merged = _corpus_of(*["credit card credit card"] * 3, phrase_min_count=7)
-    assert not_merged.vocabulary.terms == ("credit", "card")
+    assert not_merged.terms == ("credit", "card")
     assert not_merged.documents == (((0, 2), (1, 2)),) * 3
 
 
 def test_phrase_merge_is_non_overlapping():
     # "pay pay pay" has the pair (pay, pay) twice; greedy scan merges once.
     merged = _corpus_of(*["pay pay pay"] * 10, phrase_min_count=20)
-    assert merged.vocabulary.terms == ("pay_pay", "pay")
+    assert merged.terms == ("pay_pay", "pay")
     assert merged.documents == (((0, 1), (1, 1)),) * 10
 
 
@@ -69,10 +69,10 @@ def test_phrase_pass_end_to_end_through_build_corpus():
     ]
     d = make_dataset(posts, [])
     merged = build_corpus(d, min_df=1, max_df_fraction=1.0, phrase_min_count=3)
-    assert "credit_card" in merged.vocabulary.terms
-    assert "credit" in merged.vocabulary.terms    # survives via p3
+    assert "credit_card" in merged.terms
+    assert "credit" in merged.terms    # survives via p3
     split = build_corpus(d, min_df=1, max_df_fraction=1.0, phrase_min_count=4)
-    assert "credit_card" not in split.vocabulary.terms
+    assert "credit_card" not in split.terms
 
 
 def test_min_df_includes_and_excludes():
@@ -82,8 +82,8 @@ def test_min_df_includes_and_excludes():
         post_record("p3", title="loan unique123"),
     ], [])
     corpus = build_corpus(d, min_df=2, max_df_fraction=1.0, phrase_min_count=99)
-    assert "loan" in corpus.vocabulary.terms
-    assert "unique123" not in corpus.vocabulary.terms
+    assert "loan" in corpus.terms
+    assert "unique123" not in corpus.terms
 
 
 def test_max_df_fraction_excludes_ubiquitous_word():
@@ -94,8 +94,8 @@ def test_max_df_fraction_excludes_ubiquitous_word():
         post_record("p4", title="loan beta"),
     ], [])
     corpus = build_corpus(d, min_df=1, max_df_fraction=0.5, phrase_min_count=99)
-    assert "loan" not in corpus.vocabulary.terms     # df 4 > 0.5 * 4
-    assert set(corpus.vocabulary.terms) == {"alpha", "beta"}  # df 2 == 0.5 * 4
+    assert "loan" not in corpus.terms     # df 4 > 0.5 * 4
+    assert set(corpus.terms) == {"alpha", "beta"}  # df 2 == 0.5 * 4
 
 
 def _five_post_dataset():
@@ -113,10 +113,10 @@ def test_five_post_fixture_hand_tokenized():
     # Hand tally: 12 distinct terms, ids by first occurrence in post-id order.
     corpus = build_corpus(_five_post_dataset(), min_df=1, max_df_fraction=1.0,
                           phrase_min_count=99)
-    assert corpus.vocabulary.terms == (
+    assert corpus.terms == (
         "loan", "advice", "payment", "month", "credit", "card", "bill", "pay",
         "refinance", "budget", "plan", "rent")
-    assert corpus.vocabulary.document_frequency == (2, 3, 2, 2, 1, 1, 1, 2, 1, 2, 2, 2)
+    assert np.bincount(corpus.term_ids).tolist() == [2, 3, 2, 2, 1, 1, 1, 2, 1, 2, 2, 2]
     assert corpus.doc_ids == ("pa", "pb", "pc", "pd", "pe")
     assert corpus.documents == (
         ((0, 2), (1, 1), (2, 1), (3, 1)),
@@ -165,27 +165,6 @@ def test_build_corpus_is_deterministic():
     assert same_fields(a, b)
 
 
-def test_document_frequency_rebuilds_from_documents():
-    corpus = build_corpus(_five_post_dataset(), min_df=1, max_df_fraction=1.0,
-                          phrase_min_count=99)
-    rebuilt = Counter()
-    for vector in corpus.documents:
-        for term_id, _ in vector:
-            rebuilt[term_id] += 1
-    assert tuple(rebuilt[i] for i in range(len(corpus.vocabulary))) == \
-        corpus.vocabulary.document_frequency
-
-
-def test_total_tokens_matches_vectors_and_ids_in_range():
-    corpus = build_corpus(_five_post_dataset(), min_df=1, max_df_fraction=1.0,
-                          phrase_min_count=2)
-    v = len(corpus.vocabulary)
-    assert corpus.total_tokens == sum(
-        count for vector in corpus.documents for _, count in vector)
-    assert all(0 <= term_id < v
-               for vector in corpus.documents for term_id, _ in vector)
-
-
 def test_corpus_roundtrip(tmp_path):
     corpus = build_corpus(_five_post_dataset(), min_df=1, max_df_fraction=1.0,
                           phrase_min_count=2)
@@ -210,7 +189,7 @@ def test_load_corpus_rejects_a_gap_in_doc_indices(tmp_path):
 def test_tokenize_output_properties(text):
     stop = default_stopwords()
     try:
-        terms = _corpus_of(text).vocabulary.terms
+        terms = _corpus_of(text).terms
     except DataError:       # no token at all
         terms = ()
     assert terms == tuple(dict.fromkeys(tokenize(text)))
@@ -262,11 +241,12 @@ def test_build_save_load_round_trips_the_arrays(posts, min_df, max_df, phrase_mi
             build_corpus(dataset, min_df, max_df, phrase_min_count)
         return
     corpus = build_corpus(dataset, min_df, max_df, phrase_min_count)
-    assert (corpus.vocabulary.terms, corpus.vocabulary.document_frequency,
-            corpus.documents) == (terms, df, vectors)
+    assert (corpus.terms, corpus.documents) == (terms, vectors)
     with tempfile.TemporaryDirectory() as tmp:
         save_corpus(corpus, Path(tmp))
+        rows = (Path(tmp) / "vocabulary.tsv").read_text(encoding="utf-8").splitlines()[1:]
         loaded = load_corpus(Path(tmp))
+    assert tuple(int(row.split("\t")[2]) for row in rows) == df
     assert same_fields(loaded, corpus)
     for array in (loaded.offsets, loaded.term_ids, loaded.counts):
         assert array.dtype == np.int64 and not array.flags.writeable
@@ -292,14 +272,13 @@ def test_build_corpus_equals_the_string_oracle(texts, min_df, max_df, phrase_min
                             for i, (title, body) in enumerate(texts)], [])
     token_docs = merge_phrases([tokenize(title + " " + body) for title, body in texts],
                                phrase_min_count)
-    terms, df, vectors = _reference_vectors(token_docs, min_df, max_df)
+    terms, _, vectors = _reference_vectors(token_docs, min_df, max_df)
     if not terms:
         with pytest.raises(DataError):
             build_corpus(dataset, min_df, max_df, phrase_min_count)
         return
     corpus = build_corpus(dataset, min_df, max_df, phrase_min_count)
-    assert (corpus.vocabulary.terms, corpus.vocabulary.document_frequency,
-            corpus.documents) == (terms, df, vectors)
+    assert (corpus.terms, corpus.documents) == (terms, vectors)
     assert corpus.doc_ids == tuple(f"p{i:02d}" for i, doc in enumerate(token_docs)
                                    if set(doc) & set(terms))
     assert corpus.total_tokens == sum(n for vector in vectors for _, n in vector)
@@ -307,7 +286,7 @@ def test_build_corpus_equals_the_string_oracle(texts, min_df, max_df, phrase_min
 
 def _token_tally(corpus, lexicon):
     """Category rows counted over each document's tokens, one at a time."""
-    terms = corpus.vocabulary.terms
+    terms = corpus.terms
     rows = np.zeros((len(corpus), len(lexicon)))
     for i, vector in enumerate(corpus.documents):
         doc = [terms[term_id] for term_id, count in vector for _ in range(count)]

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumpulse import lda
-from forumpulse.corpus import Corpus
+from forumpulse.corpus import Corpus, vocabulary_digest
 from forumpulse.errors import DataError
 from forumpulse.lda import LdaConfig, TopicModel, fit, load_model, save_model, top_words
 from forumpulse.pipeline import stage_seed
@@ -120,8 +120,7 @@ def test_document_permutation_only_permutes_rows():
     permuted = Corpus(
         **csr((corpus.documents[1], corpus.documents[0])),
         doc_ids=(corpus.doc_ids[1], corpus.doc_ids[0]),
-        vocabulary=corpus.vocabulary,
-        total_tokens=corpus.total_tokens,
+        terms=corpus.terms,
         excluded_doc_ids=(),
     )
     config = LdaConfig(k=2, iterations=20, burn_in=5, seed=11)
@@ -142,7 +141,6 @@ def test_top_words_order_and_ties():
         theta=model.theta,
         phi=np.array([[0.5, 0.3, 0.2], [0.4, 0.4, 0.2]]),
         log_likelihood_trace=model.log_likelihood_trace,
-        vocabulary_sha256=model.vocabulary_sha256,
     )
     assert top_words(fake, 0, 2) == ["aa", "bb"]
     assert top_words(fake, 1, 1) == ["aa"]          # tie: lower term id wins
@@ -157,8 +155,7 @@ def test_log_likelihood_matches_hand_formula():
     corpus = Corpus(
         **csr([[(0, 1)]]),
         doc_ids=corpus.doc_ids,
-        vocabulary=corpus.vocabulary,
-        total_tokens=1,
+        terms=corpus.terms,
         excluded_doc_ids=(),
     )
     config = LdaConfig(k=2, alpha=0.3, beta=0.2, iterations=10, burn_in=0, seed=5)
@@ -197,7 +194,17 @@ def test_model_roundtrip_bit_identical(tmp_path):
     assert loaded.log_likelihood_trace == model.log_likelihood_trace
     assert loaded.config == model.config
     assert loaded.terms == model.terms
-    assert loaded.vocabulary_sha256 == model.vocabulary_sha256
+
+
+def test_model_whose_digest_is_not_its_terms_is_a_data_error(tmp_path):
+    model = fit(disjoint_corpus(4), LdaConfig(k=3, iterations=12, burn_in=2, seed=42))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    assert payload["vocabulary_sha256"] == vocabulary_digest(model.terms)
+    path.write_text(json.dumps({**payload, "terms": payload["terms"][::-1]}))
+    with pytest.raises(DataError, match="model.json.*vocabulary_sha256"):
+        load_model(path)
 
 
 def test_model_of_format_1_asks_for_a_topics_rerun(tmp_path):
@@ -252,7 +259,7 @@ def recounting_hook(corpus: Corpus, config: LdaConfig):
     counts, p summed over the topics in turn, and count * log(p) added left
     to right over the (doc, word) triplets in corpus order."""
     k, alpha, beta = config.k, config.effective_alpha, config.beta
-    vbeta = len(corpus.vocabulary) * beta
+    vbeta = len(corpus.terms) * beta
     recounted: list[float] = []
 
     def hook(sweep, state):
@@ -290,7 +297,7 @@ def test_trace_equals_a_pure_python_recount(request, fixture_corpus, k, python):
 _TRACE_CHILD = """
 import random, sys
 from array import array
-from forumpulse.corpus import Corpus, Vocabulary
+from forumpulse.corpus import Corpus, vocabulary_digest
 from forumpulse.lda import LdaConfig, fit
 rng = random.Random(5)
 n_docs, v_size = 2500, 3000
@@ -300,9 +307,7 @@ corpus = Corpus(offsets=range(0, 20 * n_docs + 1, 20),
                 term_ids=[w for doc in docs for w, _ in doc],
                 counts=[c for doc in docs for _, c in doc],
                 doc_ids=tuple(f"d{i:05d}" for i in range(n_docs)),
-                vocabulary=Vocabulary(terms=tuple(f"t{w}" for w in range(v_size)),
-                                      document_frequency=(1,) * v_size),
-                total_tokens=sum(c for doc in docs for _, c in doc), excluded_doc_ids=())
+                terms=tuple(f"t{w}" for w in range(v_size)), excluded_doc_ids=())
 model = fit(corpus, LdaConfig(k=6, iterations=2, burn_in=0, seed=1))
 sys.stdout.write(array("d", model.log_likelihood_trace).tobytes().hex())
 """
@@ -433,6 +438,6 @@ def test_corpus_without_tokens_rejected():
 def test_term_id_outside_vocabulary_rejected():
     corpus = disjoint_corpus(2)
     broken = Corpus(**csr([[(0, 1), (99, 1)]]), doc_ids=("d000",),
-                    vocabulary=corpus.vocabulary, total_tokens=2, excluded_doc_ids=())
+                    terms=corpus.terms, excluded_doc_ids=())
     with pytest.raises(DataError):
         fit(broken, LdaConfig(k=2, iterations=2, burn_in=0))
