@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -16,19 +17,119 @@ from .errors import DataError, ForumPulseError, StageError, UsageError
 from .fixture import generate_fixture
 from .fileio import StageContext
 from .pipeline import CONFIG_SCHEMA, STAGES, check_config, check_input_files, run_pipeline
+from .topics import DOMINANCE_FILES
 
 # Exit 2: bad data, or an input path that is missing or names a file where
 # a directory belongs, or the other way round.
 _DATA_ERRORS = (DataError, FileExistsError, FileNotFoundError, IsADirectoryError,
                 NotADirectoryError)
-_DOMINANCE_HELP = "the dominance.csv of `topics dominance`, its two sibling files beside it"
-_OUT_FILE, _OUT_DIR = "output file", "output directory"
+# The flag through which a subcommand reads each stage input, by the
+# input's name up to its first "/" (so the corpus files are "corpus"), with
+# its help; a stage input that is also a param is set by its param's flag.
+_INPUT_FLAGS = {
+    "posts": ("--posts", "posts JSONL dump"),
+    "comments": ("--comments", "comments JSONL dump"),
+    "dataset.json": ("--dataset", None),
+    "corpus": ("--corpus", "corpus directory"),
+    "model.json": ("--model", None),
+    "edges.csv": ("--edges", "the edges.csv that `graph build` wrote"),
+    "dominance.csv": ("--dominance", "the dominance.csv of `topics dominance`, "
+                                     "its two sibling files beside it"),
+}
+# The one input a subcommand may go without, by its stage, with what that costs.
+_OPTIONAL_INPUTS = {("metrics", "dominance.csv"): "; tau is blank without it"}
+# The flag that sets each config key that is a stage param, with its help.
+_PARAM_FLAGS = {
+    "from": ("--from", "drop records created before this epoch second"),
+    "to": ("--to", "drop records created after this epoch second"),
+    "corpus.min_df": ("--min-df", None),
+    "corpus.max_df_fraction": ("--max-df-fraction", None),
+    "corpus.phrase_min_count": ("--phrase-min-count", None),
+    "lda.k": ("--k", "a fixed k: the scan [k, k]"),
+    "lda.k_min": ("--kmin", None),
+    "lda.k_max": ("--kmax", None),
+    "lda.alpha": ("--alpha", "default 50/k"),
+    "lda.beta": ("--beta", None),
+    "lda.iterations": ("--iters", None),
+    "lda.burn_in": ("--burn-in", None),
+    "lda.patience": ("--patience", "stop after this many non-improving k values"),
+    "seed": ("--seed", "the run seed; the sampler seed is derived from it"),
+    "lexicon.path": ("--lexicon", "JSON category->words file; bundled demo lexicon by default"),
+    "lexicon.components": ("--components", None),
+    "graph.top_k": ("--k", "top influencers to rank"),
+}
+# The help of each command that groups stage subcommands.
+_GROUPS = {"corpus": "Corpus construction commands", "topics": "Topic modeling commands",
+           "lexicon": "Lexical category profiling", "users": "Per-user interaction metrics",
+           "graph": "Interaction graph commands"}
+# The subcommand that runs each stage: its help, and the line it prints
+# from what the stage returns and its --out.
+_SUBCOMMANDS = {
+    "ingest": ("ingest", "Parse post/comment dumps into a dataset file",
+               lambda d, out: f"dataset: {len(d.posts)} posts, {len(d.comments)} comments, "
+               f"{len(d.authors)} authors (parse errors {d.parse_errors}, duplicates "
+               f"{d.duplicate_ids}, dangling refs {d.dangling_refs}) -> {out}"),
+    "stats": ("stats", "Activity table, score relations, response times",
+              lambda summary, out: f"stats written to {out} (response-time anomalies: "
+              f"{summary['response_time_anomalies']})"),
+    "corpus build": ("corpus", "Tokenize posts into a corpus directory",
+                     lambda corpus, out: f"corpus: {len(corpus)} documents, "
+                     f"{len(corpus.terms)} terms, {corpus.total_tokens} tokens -> {out}"),
+    "topics fit": ("topics", "Fit the topic model at --k, or keep the one minimizing W_k "
+                   "over [--kmin, --kmax] (model.json; skewness_scan.csv with columns k, "
+                   "w_k, selected; top_words.csv with columns topic, rank, term)",
+                   lambda model, out: f"selected k={model.k} over {len(model.doc_ids)} "
+                   f"documents -> {out}"),
+    "topics dominance": ("dominance", "Dominant topics per post (columns: post_id, "
+                         "dominant_topics pipe-joined)",
+                         lambda a, out: f"dominance written to {out} "
+                         f"({int((~a.mask.any(axis=1)).sum())} posts with no dominant topic)"),
+    "topics cooccur": ("cooccur", "Dominant-topic co-occurrence counts (columns: topic_i, "
+                       "topic_j, count; diagonal = sole-dominant posts)",
+                       lambda _, out: f"co-occurrence counts -> {out}"),
+    "topics timeline": ("timeline", "Dominant posts per topic per month "
+                        "(columns: topic, month, count)",
+                        lambda _, out: f"monthly topic counts -> {out}"),
+    "lexicon profile": ("lexicon", "Category matrix, PCA components and topicwise profile",
+                        lambda c, out: f"lexicon profile ({c.shape[1]} categories, "
+                        f"{c.shape[0]} components) -> {out}"),
+    "users metrics": ("metrics", "Metrics CSV (user, C, out_degree, in_degree, tau, R, "
+                      "alpha, I, agg_score), spread/influence export, top influencers "
+                      "and their egonet subgraph",
+                      lambda r, out: f"metrics for {len(r[0].users)} commenters; top "
+                      f"{len(r[2])} influencers with {len(r[1].nodes)} egonet users -> {out}"),
+    "graph build": ("graph", "Reply graph as edges.csv (from, to, weight), graph.graphml "
+                    "and graph.dot, with user_classes.json",
+                    lambda r, out: f"graph: {r[1]['nodes']} nodes, {len(r[0].weight)} edges "
+                    f"({int(r[0].weight.sum())} replies), {r[1]['passive']} passive "
+                    f"({r[1]['passive_pct']:.2f}%), {r[1]['unanswered']} with in-degree 0 "
+                    f"({r[1]['unanswered_pct']:.2f}%) -> {out}"),
+}
 
 
-def _param(p: argparse.ArgumentParser, flag: str, key: str, help=None) -> None:
-    """A flag that sets the config key ``key``, with that key's type and default."""
-    default, kind, _ = CONFIG_SCHEMA[key]
-    p.add_argument(flag, dest=key, type=kind, default=default, help=help)
+def _add_stage_parser(sub, command: str, entry, help: str, summary) -> None:
+    p = sub.add_parser(command, help=help)
+    # A flag per input, by its name up to the first "/", but for a param,
+    # which has its own flag, and the files read from beside dominance.csv.
+    reads = [name for name in dict.fromkeys(n.split("/")[0] for n in entry.inputs)
+             if name not in entry.params + DOMINANCE_FILES[1:]]
+    for name in reads:
+        flag, text = _INPUT_FLAGS[name]
+        note = _OPTIONAL_INPUTS.get((entry.name, name))
+        p.add_argument(flag, dest=name, required=note is None, type=Path,
+                       metavar=flag[2:].upper(), help=text if note is None else text + note)
+    for key in entry.params:
+        flag, text = _PARAM_FLAGS[key]
+        default, kind, _ = CONFIG_SCHEMA[key]
+        p.add_argument(flag, dest=key, type=kind, default=default, help=text)
+    # --out is the stage's one output, a file or the corpus directory, or
+    # else the directory of its outputs.
+    written = {n.split("/")[0] for n in entry.outputs}
+    out = written.pop() if len(written) == 1 else None
+    p.add_argument("--out", required=True, type=Path,
+                   metavar="FILE" if out in entry.outputs else "DIR",
+                   help=f"output {out}" if out else "output directory")
+    p.set_defaults(func=partial(_run_stage, entry, reads, out, summary))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,112 +140,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"forumpulse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="Parse post/comment dumps into a dataset file")
-    p.add_argument("--posts", required=True, type=Path, help="posts JSONL dump")
-    p.add_argument("--comments", required=True, type=Path, help="comments JSONL dump")
-    _param(p, "--from", "from", "drop records created before this epoch second")
-    _param(p, "--to", "to", "drop records created after this epoch second")
-    p.add_argument("--out", required=True, type=Path, help="output dataset.json")
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("stats", help="Activity table, score relations, response times")
-    p.add_argument("--dataset", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path, help=_OUT_DIR)
-    p.set_defaults(func=_cmd_stats)
-
-    corpus_cmd = sub.add_parser("corpus", help="Corpus construction commands")
-    csub = corpus_cmd.add_subparsers(dest="subcommand", required=True)
-
-    p = csub.add_parser("build", help="Tokenize posts into a corpus directory")
-    p.add_argument("--dataset", required=True, type=Path)
-    _param(p, "--min-df", "corpus.min_df")
-    _param(p, "--max-df-fraction", "corpus.max_df_fraction")
-    _param(p, "--phrase-min-count", "corpus.phrase_min_count")
-    p.add_argument("--out", required=True, type=Path, help="output corpus directory")
-    p.set_defaults(func=_cmd_corpus_build)
-
-    topics = sub.add_parser("topics", help="Topic modeling commands")
-    tsub = topics.add_subparsers(dest="subcommand", required=True)
-
-    p = tsub.add_parser("fit",
-                        help="Fit the topic model at --k, or keep the one minimizing "
-                             "W_k over [--kmin, --kmax] (model.json; "
-                             "skewness_scan.csv with columns k, w_k, selected; "
-                             "top_words.csv with columns topic, rank, term)")
-    p.add_argument("--corpus", required=True, type=Path, help="corpus directory")
-    _param(p, "--k", "lda.k", "a fixed k: the scan [k, k]")
-    _param(p, "--kmin", "lda.k_min")
-    _param(p, "--kmax", "lda.k_max")
-    _param(p, "--patience", "lda.patience",
-           "stop after this many non-improving k values")
-    _param(p, "--seed", "seed", "the run seed; the sampler seed is derived from it")
-    _param(p, "--iters", "lda.iterations")
-    _param(p, "--burn-in", "lda.burn_in")
-    _param(p, "--alpha", "lda.alpha", "default 50/k")
-    _param(p, "--beta", "lda.beta")
-    p.add_argument("--out", required=True, type=Path, help=_OUT_DIR)
-    p.set_defaults(func=_cmd_topics_fit)
-
-    p = tsub.add_parser("dominance",
-                        help="Dominant topics per post (columns: post_id, "
-                             "dominant_topics pipe-joined)")
-    p.add_argument("--model", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path, help=_OUT_DIR)
-    p.set_defaults(func=_cmd_topics_dominance)
-
-    p = tsub.add_parser("cooccur",
-                        help="Dominant-topic co-occurrence counts "
-                             "(columns: topic_i, topic_j, count; "
-                             "diagonal = sole-dominant posts)")
-    p.add_argument("--dominance", required=True, type=Path, help=_DOMINANCE_HELP)
-    p.add_argument("--out", required=True, type=Path, help=_OUT_FILE)
-    p.set_defaults(func=_cmd_topics_cooccur)
-
-    p = tsub.add_parser("timeline",
-                        help="Dominant posts per topic per month "
-                             "(columns: topic, month, count)")
-    p.add_argument("--dominance", required=True, type=Path, help=_DOMINANCE_HELP)
-    p.add_argument("--dataset", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path, help=_OUT_FILE)
-    p.set_defaults(func=_cmd_topics_timeline)
-
-    lexicon = sub.add_parser("lexicon", help="Lexical category profiling")
-    lsub = lexicon.add_subparsers(dest="subcommand", required=True)
-
-    p = lsub.add_parser("profile",
-                        help="Category matrix, PCA components and topicwise profile")
-    p.add_argument("--corpus", required=True, type=Path)
-    p.add_argument("--dominance", required=True, type=Path, help=_DOMINANCE_HELP)
-    _param(p, "--lexicon", "lexicon.path",
-           "JSON category->words file; bundled demo lexicon by default")
-    _param(p, "--components", "lexicon.components")
-    p.add_argument("--out", required=True, type=Path, help=_OUT_DIR)
-    p.set_defaults(func=_cmd_lexicon_profile)
-
-    users = sub.add_parser("users", help="Per-user interaction metrics")
-    usub = users.add_subparsers(dest="subcommand", required=True)
-
-    p = usub.add_parser("metrics",
-                        help="Metrics CSV (user, C, out_degree, in_degree, tau, "
-                             "R, alpha, I, agg_score), spread/influence export, "
-                             "top influencers and their egonet subgraph")
-    p.add_argument("--dataset", required=True, type=Path)
-    p.add_argument("--edges", required=True, type=Path,
-                   help="the edges.csv that `graph build` wrote")
-    p.add_argument("--dominance", type=Path, default=None,
-                   help=_DOMINANCE_HELP + "; tau is blank without it")
-    _param(p, "--k", "graph.top_k", "top influencers to rank")
-    p.add_argument("--out", required=True, type=Path, help=_OUT_DIR)
-    p.set_defaults(func=_cmd_users_metrics)
-
-    graph = sub.add_parser("graph", help="Interaction graph commands")
-    gsub = graph.add_subparsers(dest="subcommand", required=True)
-
-    p = gsub.add_parser("build", help="Reply graph as edges.csv (from, to, weight), "
-                                      "graph.graphml and graph.dot, with user_classes.json")
-    p.add_argument("--dataset", required=True, type=Path)
-    p.add_argument("--out", required=True, type=Path, help=_OUT_DIR)
-    p.set_defaults(func=_cmd_graph_build)
+    groups = {}
+    for command, (stage, help, summary) in _SUBCOMMANDS.items():
+        group, _, name = command.partition(" ")
+        if name and group not in groups:
+            groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                dest="subcommand", required=True)
+        _add_stage_parser(groups.get(group, sub), name or group,
+                          next(s for s in STAGES if s.name == stage), help, summary)
 
     p = sub.add_parser("report", help="Summarize a pipeline artifacts directory")
     p.add_argument("--artifacts", required=True, type=Path)
@@ -168,93 +171,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_stage(args, stage: str, paths):
-    """Run the ``STAGES`` entry named ``stage`` and return what it returns:
-    its params come from the flags named by their config keys, ``--out`` is
-    its output file if it has one, else its output directory, and its dump
-    and lexicon files are checked, and a lexicon parsed, as ``run`` does."""
-    entry = next(s for s in STAGES if s.name == stage)
-    params = check_config({key: getattr(args, key) for key in entry.params})
-    parsed = check_input_files(entry, {**paths, **params})
-    if len(entry.outputs) == 1:
-        paths = {**paths, entry.outputs[0]: args.out}
-    return entry.run(StageContext(paths, params, args.out, parsed=parsed))
-
-
-def _cmd_ingest(args) -> int:
-    dataset = _run_stage(args, "ingest", {"posts": args.posts, "comments": args.comments})
-    print(f"dataset: {len(dataset.posts)} posts, {len(dataset.comments)} comments, "
-          f"{len(dataset.authors)} authors "
-          f"(parse errors {dataset.parse_errors}, duplicates {dataset.duplicate_ids}, "
-          f"dangling refs {dataset.dangling_refs}) -> {args.out}")
-    return 0
-
-
-def _cmd_stats(args) -> int:
-    summary = _run_stage(args, "stats", {"dataset.json": args.dataset})
-    print(f"stats written to {args.out} "
-          f"(response-time anomalies: {summary['response_time_anomalies']})")
-    return 0
-
-
-def _cmd_corpus_build(args) -> int:
-    corpus = _run_stage(args, "corpus", {"dataset.json": args.dataset, "corpus": args.out})
-    print(f"corpus: {len(corpus)} documents, {len(corpus.terms)} terms, "
-          f"{corpus.total_tokens} tokens -> {args.out}")
-    return 0
-
-
-def _cmd_topics_fit(args) -> int:
-    model = _run_stage(args, "topics", {"corpus": args.corpus})
-    print(f"selected k={model.k} over {len(model.doc_ids)} documents -> {args.out}")
-    return 0
-
-
-def _cmd_topics_dominance(args) -> int:
-    assignment = _run_stage(args, "dominance", {"model.json": args.model})
-    unassigned = int((~assignment.mask.any(axis=1)).sum())
-    print(f"dominance written to {args.out} "
-          f"({unassigned} posts with no dominant topic)")
-    return 0
-
-
-def _cmd_topics_cooccur(args) -> int:
-    _run_stage(args, "cooccur", {"dominance.csv": args.dominance})
-    print(f"co-occurrence counts -> {args.out}")
-    return 0
-
-
-def _cmd_topics_timeline(args) -> int:
-    _run_stage(args, "timeline", {"dominance.csv": args.dominance,
-                                   "dataset.json": args.dataset})
-    print(f"monthly topic counts -> {args.out}")
-    return 0
-
-
-def _cmd_lexicon_profile(args) -> int:
-    components = _run_stage(args, "lexicon", {"corpus": args.corpus,
-                                               "dominance.csv": args.dominance})
-    n_comp, n_cat = components.shape
-    print(f"lexicon profile ({n_cat} categories, {n_comp} components) -> {args.out}")
-    return 0
-
-
-def _cmd_users_metrics(args) -> int:
-    metrics, subgraph, ranked = _run_stage(args, "metrics", {
-        "dataset.json": args.dataset, "edges.csv": args.edges,
-        "dominance.csv": args.dominance})
-    print(f"metrics for {len(metrics.users)} commenters; top {len(ranked)} "
-          f"influencers with {len(subgraph.nodes)} egonet users -> {args.out}")
-    return 0
-
-
-def _cmd_graph_build(args) -> int:
-    graph, classes = _run_stage(args, "graph", {"dataset.json": args.dataset})
-    print(f"graph: {classes['nodes']} nodes, {len(graph.weight)} edges "
-          f"({int(graph.weight.sum())} replies), "
-          f"{classes['passive']} passive ({classes['passive_pct']:.2f}%), "
-          f"{classes['unanswered']} with in-degree 0 ({classes['unanswered_pct']:.2f}%) "
-          f"-> {args.out}")
+def _run_stage(entry, reads: list[str], out, summary, args) -> int:
+    """Run the ``STAGES`` entry ``entry`` on the files its flags name, its
+    params, dump and lexicon files checked and a lexicon parsed as ``run``
+    does, and print ``summary`` of what it returns."""
+    flags = vars(args)
+    params = check_config({key: flags[key] for key in entry.params})
+    parsed = check_input_files(entry, flags)
+    paths = {name: flags[name] for name in reads}
+    if out is not None:
+        paths[out] = args.out
+    print(summary(entry.run(StageContext(paths, params, args.out, parsed=parsed)), args.out))
     return 0
 
 
@@ -286,11 +213,14 @@ def _cmd_run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return 0 if exc.code == 0 else 1
+    # The parser is cyclic garbage now (each flag refers back to its parser):
+    # free it before the command allocates, which then reuses its memory.
+    import gc           # here, so that starting the command line does not load it
+    gc.collect()
     try:
         return args.func(args)
     except UsageError as exc:

@@ -308,6 +308,7 @@ def load_corpus(directory: Path) -> Corpus:
         n_documents = int(meta["n_documents"])
         vocabulary_size = int(meta["vocabulary_size"])
         excluded = tuple(meta["excluded_doc_ids"])
+        digest = meta["vocabulary_sha256"]
 
     terms: list[str] = []
     freq: list[int] = []
@@ -333,6 +334,9 @@ def load_corpus(directory: Path) -> Corpus:
         if found != recorded:
             raise DataError(f"{path}: {found} {what} where meta.json "
                             f"records {recorded}")
+    if digest != vocabulary_digest(tuple(terms)):
+        raise DataError(f"{meta_path}: vocabulary_sha256 is not the digest of the terms "
+                        f"of {vocabulary_path.name}")
     with reading(vocabulary_path, "vocabulary file"):
         if freq != np.bincount(triplets[:, 1], minlength=vocabulary_size).tolist():
             raise ValueError("a df is not the number of documents that hold the term")

@@ -75,10 +75,10 @@ class LdaConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
+        if self.alpha is not None and not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and > 0")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and > 0")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not 0 <= self.burn_in < self.iterations:

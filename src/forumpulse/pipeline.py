@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -47,8 +48,8 @@ from .topics import (DOMINANCE_FILES, cooccur_stage, dominance_stage, load_assig
 _MANIFEST_FORMAT = "forumpulse-manifest-v1"
 
 # Every config key: its default, the type its value must have, and the
-# bound the value must meet (an int >= the bound, a float > it). A key whose
-# default is None may also be null.
+# bound the value must meet (an int >= the bound, a finite float > it). A
+# key whose default is None may also be null.
 CONFIG_SCHEMA: dict[str, tuple[Any, type, Optional[int]]] = {
     "posts": (None, str, None),
     "comments": (None, str, None),
@@ -93,6 +94,8 @@ def check_config(config: Mapping[str, Any]) -> Mapping[str, Any]:
         allowed = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise UsageError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise UsageError(f"config key {key!r} must be finite, got {value!r}")
         if bound is not None and not (value >= bound if kind is int else value > bound):
             raise UsageError(f"config key {key!r} must be "
                              f"{'>=' if kind is int else '>'} {bound}, got {value!r}")

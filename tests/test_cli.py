@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
+import functools
 import io
 import json
 import os
@@ -21,7 +22,8 @@ from forumpulse.fileio import read_json, sha256_file, write_json
 from forumpulse.fixture import generate_fixture
 from forumpulse.ingest import load_dataset
 from forumpulse.interaction import load_graph
-from forumpulse.pipeline import STAGES
+from forumpulse.pipeline import CONFIG_SCHEMA, STAGES
+from forumpulse.topics import DOMINANCE_FILES
 
 from conftest import as_format_1, child_env
 
@@ -79,14 +81,20 @@ def test_import_pulls_in_no_network_modules():
     assert child.stdout.strip() == "[]"
 
 
-def _subcommands(parser, prefix=()):
-    """Each command path the parser runs, such as ``topics fit``."""
+def _parsers(parser, prefix=()):
+    """Each command path the parser runs, such as ``topics fit``, and the
+    parser of its flags."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, child in action.choices.items():
-                yield from _subcommands(child, prefix + (name,))
+                yield from _parsers(child, prefix + (name,))
             return
-    yield " ".join(prefix)
+    yield " ".join(prefix), parser
+
+
+def _subcommands(parser):
+    """Each command path the parser runs."""
+    return (command for command, _ in _parsers(parser))
 
 
 def test_readme_lists_the_parsers_subcommands():
@@ -97,6 +105,38 @@ def test_readme_lists_the_parsers_subcommands():
     assert sorted(name for name, _ in rows) == sorted(_subcommands(_build_parser()))
     stages = [stage.strip("`") for _, stage in rows if stage.startswith("`")]
     assert sorted(stages) == sorted(s.name for s in STAGES if s.name != "report")
+
+
+def test_stage_subcommands_are_the_stage_table():
+    """Each stage but the report is run by exactly one subcommand, whose
+    flags are --out, one per input it reads (the corpus files through their
+    directory, the dominance files through dominance.csv) and one per
+    param, whose dest is its config key and whose type and default are the
+    schema's; `users metrics --dominance` is the only optional input."""
+    runs = {}
+    for command, parser in _parsers(_build_parser()):
+        func = parser.get_default("func")
+        if isinstance(func, functools.partial):
+            runs.setdefault(func.args[0].name, []).append((command, parser))
+    stages = [stage for stage in STAGES if stage.name != "report"]
+    assert sorted(runs) == sorted(stage.name for stage in stages)
+    optional = []
+    for stage in stages:
+        [(command, parser)] = runs[stage.name]
+        flags = {action.dest: action for action in parser._actions if action.dest != "help"}
+        reads = ({name.split("/")[0] for name in stage.inputs}
+                 - set(stage.params) - set(DOMINANCE_FILES[1:]))
+        assert set(flags) == {"out"} | reads | set(stage.params), command
+        assert flags["out"].required and flags["out"].option_strings == ["--out"]
+        for key in stage.params:
+            default, kind, _ = CONFIG_SCHEMA[key]
+            assert (flags[key].type, flags[key].default, flags[key].required) == (
+                kind, default, False), (command, key)
+        for name in reads:
+            assert flags[name].type is Path and flags[name].default is None
+            if not flags[name].required:
+                optional.append(f"{command} {flags[name].option_strings[0]}")
+    assert optional == ["users metrics --dominance"]
 
 
 def test_usage_error_exits_one(capsys):
@@ -365,7 +405,7 @@ def test_unreadable_config_file_is_a_data_error(dump, capsys, make):
     'lda.iterations="abc"', "lda.iterations=abc", "corpus.min_df=0",
     "lda.beta=0", "lda.alpha=-1", "lda.k=1.5", "seed=true", "posts=3",
     "out_dir=null", "lda.burn_in=50", "lda.k_min=11", "corpus.max_df_fraction=1.5",
-    "from=2000000000 to=1000", "threads=2",
+    "from=2000000000 to=1000", "threads=2", "lda.alpha=Infinity", "lda.beta=Infinity",
 ])
 def test_bad_config_value_exits_one_before_ingest(dump, config, override):
     sets = [arg for item in override.split() for arg in ("--set", item)]
@@ -381,6 +421,7 @@ def test_bad_config_value_exits_one_before_ingest(dump, config, override):
     ("topics fit --corpus {a}/corpus --k 3 --iters 10 --burn-in 20", "lda.burn_in"),
     ("topics fit --corpus {a}/corpus --kmin 1 --kmax 3", "lda.k_min"),
     ("topics fit --corpus {a}/corpus --k 3 --threads 0", "--threads"),
+    ("topics fit --corpus {a}/corpus --k 3 --alpha inf", "lda.alpha"),
     ("users metrics --dataset {a}/dataset.json --edges {a}/edges.csv --k 0",
      "graph.top_k"),
     ("lexicon profile --corpus {a}/corpus --dominance {a}/dominance.csv --components 0",
@@ -537,10 +578,12 @@ CORRUPTIONS = {
                                                                      second[2]])),
     "df-mismatch": _vocabulary_rows(lambda first, second: (
         [first[0], first[1], b"%d" % (int(first[2]) + 1)], second)),
+    "wrong-digest": lambda data, name: _json_with(
+        data, name, lambda key, value: "0" * 64 if key == "vocabulary_sha256" else value),
 }
 # The files each corruption that does not apply to every file applies to.
 ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.json",),
-        "repeated-id": ("dominance.csv",),
+        "repeated-id": ("dominance.csv",), "wrong-digest": ("corpus/meta.json",),
         **dict.fromkeys(("repeated-term", "df-mismatch"), ("corpus/vocabulary.tsv",)),
         **dict.fromkeys(("no-last-newline", "header", "two-cells", "four-cells",
                          "float-weight", "empty-weight", "zero-weight", "self-reply",

@@ -41,6 +41,10 @@ def test_config_validation():
         LdaConfig(k=2, beta=-1.0)
     with pytest.raises(ValueError):
         LdaConfig(k=2, iterations=10, burn_in=10)
+    for field in ("alpha", "beta"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                LdaConfig(k=2, **{field: value})
     assert LdaConfig(k=4).effective_alpha == pytest.approx(12.5)
 
 
