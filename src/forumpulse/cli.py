@@ -217,10 +217,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return 0 if exc.code == 0 else 1
-    # The parser is cyclic garbage now (each flag refers back to its parser):
-    # free it before the command allocates, which then reuses its memory.
-    import gc           # here, so that starting the command line does not load it
-    gc.collect()
     try:
         return args.func(args)
     except UsageError as exc:

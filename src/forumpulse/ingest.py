@@ -7,6 +7,10 @@ Field mapping follows the Pushshift export conventions: posts carry
 ``t3_<id>`` points at a post, ``t1_<id>`` at a comment. Records that cannot
 be mapped are skipped and tallied, never fatal; duplicate ids keep the
 first valid record seen.
+
+The column rules live in the types, which refuse a column that breaks them;
+``parse_dump`` drops and counts the records that break them by the same
+column tests, ``_ints`` and ``_cells``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from operator import is_not, itemgetter, ne
+from operator import itemgetter, ne
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,19 +57,29 @@ AUTHOR_CATEGORIES = ("OnlyPosting", "OnlyCommenting", "Both")
 
 class _Table:
     """Columns of one length: each ``np.ndarray`` field a read-only int64
-    array, each other field a list of str, the authors interned."""
+    array, each other field a list of str, the authors interned. ValueError
+    for a column that is not a list as long as ``id`` of items of exactly
+    its field's type (a bool is not an int), an id or author that is empty
+    or holds a CSV separator, or an int outside its field's bounds:
+    ``_CREATED_AT`` for ``created_at``, int64 otherwise."""
 
     def __post_init__(self):
         for f in fields(self):
             column = getattr(self, f.name)
-            if f.type == "np.ndarray":
-                column = np.asarray(column, dtype=np.int64)
+            if not isinstance(column, (list, np.ndarray)) or len(column) != len(self.id):
+                valid = False
+            elif f.type == "np.ndarray":
+                column, valid = _ints(column, *(_CREATED_AT if f.name == "created_at" else _INT64))
                 column.setflags(write=False)
-            elif f.name == "author":
+            else:
+                valid = (_cells(column, csv=True) if f.name in ("id", "author")
+                         else not set(map(type, column)) - {str})
+            if not np.all(valid):
+                raise ValueError(f"{type(self).__name__.lower()} column {f.name!r} is not a "
+                                 "list as long as the ids of values that its field takes")
+            if f.name == "author":
                 column = list(map(sys.intern, column))
             object.__setattr__(self, f.name, column)
-        if len({len(getattr(self, f.name)) for f in fields(self)}) > 1:
-            raise ValueError(f"{type(self).__name__} columns differ in length")
 
     def __len__(self) -> int:
         return len(self.id)
@@ -115,6 +129,16 @@ class Dataset:
     comments: Comments
     parse_errors: int
     duplicate_ids: int
+
+    def __post_init__(self):
+        """ValueError unless each ``parent`` is -1 or a record's row, each
+        ``root`` -1 or a post's row, and both tallies counts."""
+        n_posts = len(self.posts)
+        for name, hi in (("parent", n_posts + len(self.comments) - 1), ("root", n_posts - 1)):
+            if not _ints(getattr(self.comments, name), -1, hi)[1].all():
+                raise ValueError(f"comments column {name!r} holds a value outside [-1, {hi}]")
+        if any(type(n) is not int or n < 0 for n in (self.parse_errors, self.duplicate_ids)):
+            raise ValueError("parse_errors and duplicate_ids must be counts")
 
     @property
     def dangling_refs(self) -> int:
@@ -179,24 +203,32 @@ def _int64(value) -> int | None:
     return value if type(value) is int and _INT64[0] <= value <= _INT64[1] else None
 
 
-def _int64_column(values: list) -> tuple[np.ndarray, np.ndarray]:
-    """``_int64`` of each item of ``values`` as int64, and where it is not
-    None. An item that is not an int64 reads 0."""
-    values = list(map(_int64, values))
-    return (np.array([v or 0 for v in values], dtype=np.int64),
-            np.fromiter(map(is_not, values, repeat(None)), dtype=bool, count=len(values)))
+def _ints(column: Sequence, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """``column`` as int64, and where its item is an int within [lo, hi]
+    (a bool is not an int); an item that is not reads 0. The whole column
+    is tested first, item by item only when that fails."""
+    items = column.tolist() if isinstance(column, np.ndarray) else column
+    if set(map(type, items)) <= {int}:
+        try:
+            values = np.asarray(column, dtype=np.int64)
+            if not len(values) or lo <= values.min() <= values.max() <= hi:
+                return values, np.ones(len(values), dtype=bool)
+        except OverflowError:       # an int outside int64
+            pass
+    valid = [type(v) is int and lo <= v <= hi for v in items]
+    return (np.array([v if ok else 0 for v, ok in zip(items, valid)], dtype=np.int64),
+            np.array(valid, dtype=bool))
 
 
-def _nonempty_strings(column: Sequence) -> np.ndarray:
-    """Where ``column`` holds a str that is not empty."""
-    return np.fromiter((type(x) is str and x != "" for x in column), dtype=bool,
-                       count=len(column))
-
-
-def _separator_free(ids: Sequence, authors: Sequence) -> np.ndarray:
-    """Where neither ``str`` of an id nor of its author holds a CSV separator."""
-    return np.fromiter((_CSV_SEPARATOR.search(str(i) + str(a)) is None
-                        for i, a in zip(ids, authors)), dtype=bool, count=len(ids))
+def _cells(column: Sequence, csv: bool) -> np.ndarray:
+    """Where ``column`` holds a non-empty str, and if ``csv`` one without a
+    CSV separator. The whole column is tested first, item by item only when
+    that fails."""
+    if (not set(map(type, column)) - {str} and all(column)
+            and not (csv and _CSV_SEPARATOR.search("".join(column)))):
+        return np.ones(len(column), dtype=bool)
+    return np.fromiter((type(x) is str and x != "" and not (csv and _CSV_SEPARATOR.search(x))
+                        for x in column), dtype=bool, count=len(column))
 
 
 def _take_post(record: dict) -> tuple:
@@ -246,20 +278,23 @@ def _read_records(stream: Iterable[str], take, width: int, n_strings: int,
     rows = _scan(stream, take, tallies)
     columns = [list(map(itemgetter(j), rows)) for j in range(width)]
     del rows
-    ids, authors = columns[0], columns[1]
-    created, valid = _int64_column(columns[2])
-    scores, valid_score = _int64_column(columns[3])
-    valid &= valid_score & (_CREATED_AT[0] <= created) & (created <= _CREATED_AT[1])
-    valid &= _separator_free(ids, authors)
-    for column in [ids, authors] + columns[4:4 + n_strings]:
-        valid &= _nonempty_strings(column)
+    ids = columns[0]
+    valid = _cells(ids, csv=True) & _cells(columns[1], csv=True)
+    for column in columns[4:4 + n_strings]:
+        valid &= _cells(column, csv=False)
+    for j, bounds in ((2, _CREATED_AT), (3, _INT64)):
+        values, holds = _ints(columns[j], *bounds)
+        if not holds.all():     # a column that is not all ints in bounds
+            values, holds = _ints(list(map(_int64, columns[j])), *bounds)
+        columns[j] = values
+        valid &= holds
     tallies["parse_errors"] += len(valid) - int(np.count_nonzero(valid))
 
     # A valid time lies in _CREATED_AT, so a bound moved to just outside it
     # selects the same records, and fits int64.
     for bound, holds in zip(window or (None, None), (np.greater_equal, np.less_equal)):
         if bound is not None:
-            valid &= holds(created, min(max(bound, _CREATED_AT[0] - 1), _CREATED_AT[1] + 1))
+            valid &= holds(columns[2], min(max(bound, _CREATED_AT[0] - 1), _CREATED_AT[1] + 1))
     # Sorted by id, the records of an id in the order read (the sort is
     # stable): each but the first of an id is a repeat.
     kept = sorted(np.flatnonzero(valid).tolist(), key=ids.__getitem__)
@@ -268,9 +303,8 @@ def _read_records(stream: Iterable[str], take, width: int, n_strings: int,
     tallies["duplicate_ids"] += first.count(False)
     kept = list(compress(kept, first))
     rows = np.array(kept, dtype=np.int64)
-    return [list(map(column.__getitem__, kept)) for column in (ids, authors)] \
-        + [created[rows], scores[rows]] \
-        + [list(map(column.__getitem__, kept)) for column in columns[4:]]
+    return [column[rows] if j in (2, 3) else list(map(column.__getitem__, kept))
+            for j, column in enumerate(columns)]
 
 
 def parse_dump(post_stream: Iterable[str], comment_stream: Iterable[str],
@@ -394,54 +428,15 @@ def save_dataset(dataset: Dataset, path) -> None:
     }, indent=None)
 
 
-def _table(cls, columns: dict, path, **bounds: tuple[int, int]):
-    """A ``cls`` of ``columns``, if each is a list as long as the ids whose
-    items are all of its field's type, str or int, whose ints are within
-    its inclusive ``bounds`` (int64 when not given), and whose ids and
-    authors are non-empty and free of CSV separators; else DataError."""
-    n = len(columns["id"])
-    checked = {}
-    for f in fields(cls):
-        column, kind = columns[f.name], int if f.type == "np.ndarray" else str
-        where = f"{path}: {cls.__name__.lower()} column {f.name!r}"
-        if type(column) is not list or len(column) != n:
-            raise DataError(f"{where} is not a list of {n} values")
-        # By exact type, so that a bool is not taken for an int.
-        if set(map(type, column)) - {kind}:
-            raise DataError(f"{where} holds a value that is not of type {kind.__name__}")
-        # Ingest's rules for ids and authors, so that their CSV cells read back.
-        if f.name in ("id", "author") and ("" in column
-                                          or _CSV_SEPARATOR.search("".join(column))):
-            raise DataError(f"{where} holds an empty value or a comma or line break")
-        if kind is int and n:
-            lo, hi = bounds.get(f.name, _INT64)
-            try:
-                column = np.asarray(column, dtype=np.int64)
-                inside = lo <= column.min() <= column.max() <= hi
-            except OverflowError:      # an int outside int64
-                inside = False
-            if not inside:
-                raise DataError(f"{where} holds a value outside [{lo}, {hi}]")
-        checked[f.name] = column
-    return cls(**checked)
-
-
 def load_dataset(path) -> Dataset:
     """The dataset saved at ``path``; DataError when it is not a complete
-    dataset file of this format, or a column is of the wrong type, length
-    or range."""
+    dataset file of this format, or the dataset's types refuse a column."""
     with reading(path, f"{_DATASET_FORMAT} file"):
         payload = read_json(path)
         if payload.get("format") != _DATASET_FORMAT:
             raise DataError(f"{path}: not a {_DATASET_FORMAT} file (rerun ingest)")
-        posts = _table(Posts, payload["posts"], path, created_at=_CREATED_AT)
-        n_records = len(posts) + len(payload["comments"]["id"])
-        comments = _table(Comments, payload["comments"], path, created_at=_CREATED_AT,
-                          parent=(-1, n_records - 1), root=(-1, len(posts) - 1))
-        tallies = [payload[key] for key in ("parse_errors", "duplicate_ids")]
-        if any(type(n) is not int or n < 0 for n in tallies):
-            raise DataError(f"{path}: parse_errors and duplicate_ids must be counts")
-        return Dataset(posts, comments, *tallies)
+        return Dataset(Posts(**payload["posts"]), Comments(**payload["comments"]),
+                       payload["parse_errors"], payload["duplicate_ids"])
 
 
 def ingest_stage(ctx: StageContext) -> Dataset:

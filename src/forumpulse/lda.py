@@ -75,8 +75,8 @@ class LdaConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.alpha is not None and not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be finite and > 0")
+        if self.alpha is not None and not 0 < self.k * self.alpha < math.inf:
+            raise ValueError("alpha must be finite and > 0, and so must k * alpha")
         if not 0 < self.beta < math.inf:
             raise ValueError("beta must be finite and > 0")
         if self.iterations < 1:

@@ -75,17 +75,22 @@ CONFIG_SCHEMA: dict[str, tuple[Any, type, Optional[int]]] = {
 CONFIG_DEFAULTS: dict[str, Any] = {
     key: default for key, (default, _, _) in CONFIG_SCHEMA.items()}
 # Rules between keys, and maxima: the keys, a test of their values, the rule.
+# A rule holds when its first key is null; a later key may be null.
 _CONFIG_RULES = (
-    (("from", "to"), lambda lo, hi: lo <= hi, "from <= to"),
+    (("from", "to"), lambda lo, hi: hi is None or lo <= hi, "from <= to"),
     (("lda.burn_in", "lda.iterations"), lambda b, n: b < n, "burn_in < iterations"),
     (("lda.k_min", "lda.k_max"), lambda lo, hi: lo <= hi, "k_min <= k_max"),
     (("corpus.max_df_fraction",), lambda f: f <= 1, "max_df_fraction <= 1"),
+    # Theta divides by k * alpha, at the largest k fitted: lda.k, else lda.k_max.
+    (("lda.alpha", "lda.k", "lda.k_max"),
+     lambda alpha, k, k_max: math.isfinite(alpha * (k or k_max)),
+     "alpha * k finite, k being lda.k, else lda.k_max"),
 )
 
 
 def check_config(config: Mapping[str, Any]) -> Mapping[str, Any]:
     """``config`` itself, if each given key's value has its schema type and
-    bound and every rule whose keys are all given and not null holds; else
+    bound and every rule whose first key is given and not null holds; else
     UsageError."""
     for key, value in config.items():
         default, kind, bound = CONFIG_SCHEMA[key]
@@ -101,9 +106,9 @@ def check_config(config: Mapping[str, Any]) -> Mapping[str, Any]:
                              f"{'>=' if kind is int else '>'} {bound}, got {value!r}")
     for keys, holds, rule in _CONFIG_RULES:
         values = [config.get(key) for key in keys]
-        if None not in values and not holds(*values):
+        if values[0] is not None and not holds(*values):
             raise UsageError(f"config must satisfy {rule}, got "
-                             + ", ".join(f"{k}={config[k]!r}" for k in keys))
+                             + ", ".join(f"{k}={v!r}" for k, v in zip(keys, values)))
     return config
 
 

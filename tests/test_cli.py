@@ -406,6 +406,7 @@ def test_unreadable_config_file_is_a_data_error(dump, capsys, make):
     "lda.beta=0", "lda.alpha=-1", "lda.k=1.5", "seed=true", "posts=3",
     "out_dir=null", "lda.burn_in=50", "lda.k_min=11", "corpus.max_df_fraction=1.5",
     "from=2000000000 to=1000", "threads=2", "lda.alpha=Infinity", "lda.beta=Infinity",
+    "lda.alpha=1e308", "lda.k=4 lda.alpha=1e308",
 ])
 def test_bad_config_value_exits_one_before_ingest(dump, config, override):
     sets = [arg for item in override.split() for arg in ("--set", item)]
@@ -422,6 +423,8 @@ def test_bad_config_value_exits_one_before_ingest(dump, config, override):
     ("topics fit --corpus {a}/corpus --kmin 1 --kmax 3", "lda.k_min"),
     ("topics fit --corpus {a}/corpus --k 3 --threads 0", "--threads"),
     ("topics fit --corpus {a}/corpus --k 3 --alpha inf", "lda.alpha"),
+    ("topics fit --corpus {a}/corpus --alpha 1e308", "lda.alpha"),
+    ("topics fit --corpus {a}/corpus --k 4 --alpha 1e308", "lda.alpha"),
     ("users metrics --dataset {a}/dataset.json --edges {a}/edges.csv --k 0",
      "graph.top_k"),
     ("lexicon profile --corpus {a}/corpus --dominance {a}/dominance.csv --components 0",
@@ -559,6 +562,12 @@ CORRUPTIONS = {
     "comma-author": _dataset_column("comments", "author", lambda cells, *_: ["a,b"] + cells[1:]),
     "line-break-id": _dataset_column("posts", "id", lambda cells, *_: [cells[0] + "\r"]
                                      + cells[1:]),
+    "added-column": lambda data, name: _json_with(
+        data, name, lambda key, value: {**value, "extra": value["id"]} if key == "posts"
+        else value),
+    "removed-column": lambda data, name: _json_with(
+        data, name, lambda key, value: {k: v for k, v in value.items() if k != "root"}
+        if key == "comments" else value),
     "format-1": lambda data, name: json.dumps(as_format_1(json.loads(data))).encode(),
     "repeated-id": lambda data, name: _with_post_id(data, 2, data.split(b"\n")[1].split(b",")[0]),
     "model-v1": lambda data, name: json.dumps({
@@ -590,7 +599,8 @@ ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.jso
                          "edge-order", "empty-name"), ("edges.csv",)),
         **dict.fromkeys(("yesterday", "short-column", "bool-int", "parent-range", "root-range",
                          "created-zero", "created-after-9999", "outside-int64", "format-1",
-                         "empty-author", "comma-author", "line-break-id"),
+                         "empty-author", "comma-author", "line-break-id", "added-column",
+                         "removed-column"),
                         ("dataset.json",))}
 CASES = [
     (name, corruption, command)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumpulse.errors import DataError
-from forumpulse.ingest import (AUTHOR_CATEGORIES, author_activity_table,
-                               load_dataset, parse_dump, response_time_table,
-                               save_dataset, score_relations)
+from forumpulse.ingest import (AUTHOR_CATEGORIES, Comments, Dataset, Posts,
+                               author_activity_table, load_dataset, parse_dump,
+                               response_time_table, save_dataset, score_relations)
 
 from conftest import (comment_record, jsonl, make_dataset, parse_dump_per_line, post_record,
                       same_fields)
@@ -436,3 +436,69 @@ def test_parse_dump_equals_the_per_line_parser(dump):
     posts, comments, window = dump
     assert same_fields(parse_dump(posts, comments, window),
                        parse_dump_per_line(posts, comments, window))
+
+
+# Two posts and two comments, as the columns of a valid dataset: comment
+# c0 replies to post p0, c1 to comment c0, in the thread of p0.
+_COLUMNS = {
+    "posts": {"id": ["p0", "p1"], "author": ["a", "[deleted]"], "created_at": [1, 2],
+              "score": [0, -5], "title": ["t", ""], "body": ["", "b"]},
+    "comments": {"id": ["c0", "c1"], "author": ["a", "b"], "created_at": [3, 253402300799],
+                 "score": [1, 2**63 - 1], "parent": [0, 2], "root": [0, 0]},
+}
+
+
+def _takes(column: str, value) -> bool:
+    """Whether the dataset's rules take ``value`` as an item of ``column`` of
+    ``_COLUMNS``, in the dataset of two posts and four records."""
+    if column in ("title", "body"):
+        return type(value) is str
+    if column in ("id", "author"):
+        return type(value) is str and value != "" and not set(value) & set(",\n\r")
+    lo, hi = {"created_at": (1, 253402300799), "parent": (-1, 3),
+              "root": (-1, 1)}.get(column, (-2**63, 2**63 - 1))
+    return type(value) is int and lo <= value <= hi
+
+
+def _build(columns: dict, parse_errors=0, duplicate_ids=0) -> Dataset:
+    return Dataset(Posts(**columns["posts"]), Comments(**columns["comments"]),
+                   parse_errors, duplicate_ids)
+
+
+@pytest.mark.parametrize("table, column", [(table, column) for table in _COLUMNS
+                                           for column in _COLUMNS[table]])
+def test_the_types_refuse_exactly_what_the_column_rules_refuse(table, column):
+    """Each odd value, and each row next to the ends of the parent and root
+    ranges, put in each column, is a ValueError exactly where the column's
+    rule refuses it; a value it takes builds the dataset."""
+    for value in _ODD_VALUES + [-2, -1, 1, 2, 3, 4]:
+        columns = {t: {c: list(cells) for c, cells in table_columns.items()}
+                   for t, table_columns in _COLUMNS.items()}
+        columns[table][column][0] = value
+        if _takes(column, value):
+            built = getattr(getattr(_build(columns), table), column)
+            assert list(built) == columns[table][column], value
+        else:
+            with pytest.raises(ValueError):
+                _build(columns)
+
+
+@pytest.mark.parametrize("table, column", [(table, column) for table in _COLUMNS
+                                           for column in _COLUMNS[table]])
+@pytest.mark.parametrize("cells", [lambda c: c[:1], lambda c: c + c[:1], tuple, lambda c: None,
+                                   lambda c: dict.fromkeys(c)],
+                         ids=["short", "long", "tuple", "null", "object"])
+def test_the_types_refuse_a_column_that_is_not_a_list_as_long_as_the_ids(table, column, cells):
+    columns = {**_COLUMNS, table: {**_COLUMNS[table], column: cells(_COLUMNS[table][column])}}
+    with pytest.raises(ValueError):
+        _build(columns)
+
+
+@pytest.mark.parametrize("tally", ["parse_errors", "duplicate_ids"])
+def test_the_dataset_refuses_a_tally_that_is_not_a_count(tally):
+    for value in _ODD_VALUES:
+        if type(value) is int and value >= 0:
+            assert getattr(_build(_COLUMNS, **{tally: value}), tally) == value
+        else:
+            with pytest.raises(ValueError):
+                _build(_COLUMNS, **{tally: value})

@@ -45,6 +45,9 @@ def test_config_validation():
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 LdaConfig(k=2, **{field: value})
+    with pytest.raises(ValueError, match="k \\* alpha"):      # theta divides by k * alpha
+        LdaConfig(k=4, alpha=1e308)
+    assert LdaConfig(k=4, alpha=1e307).alpha == 1e307
     assert LdaConfig(k=4).effective_alpha == pytest.approx(12.5)
 
 

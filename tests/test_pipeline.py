@@ -25,8 +25,8 @@ from forumpulse.fixture import TOPIC_WORD_POOLS, generate_fixture
 from forumpulse.ingest import load_dataset
 from forumpulse.interaction import load_graph
 from forumpulse.lda import load_model
-from forumpulse.pipeline import (CONFIG_DEFAULTS, CONFIG_SCHEMA, STAGES, load_config,
-                                 run_pipeline, stage_seed)
+from forumpulse.pipeline import (CONFIG_DEFAULTS, CONFIG_SCHEMA, STAGES, check_config,
+                                 load_config, run_pipeline, stage_seed)
 from forumpulse.topics import load_assignment
 
 from conftest import FIXTURE_DIR
@@ -71,6 +71,19 @@ def test_topic_word_pools_are_pairwise_disjoint():
     for pool in TOPIC_WORD_POOLS:
         assert not (seen & set(pool))
         seen.update(pool)
+
+
+@pytest.mark.parametrize("k, k_max, finite", [(4, 100, True), (None, 4, True), (5, 4, False),
+                                               (None, 5, False)])
+def test_alpha_times_the_largest_k_fitted_must_be_finite(k, k_max, finite):
+    """The largest k fitted is lda.k when it is set, else lda.k_max; 4e307
+    times 5 overflows a float, times 4 does not."""
+    config = {**CONFIG_DEFAULTS, "lda.alpha": 4e307, "lda.k": k, "lda.k_max": k_max}
+    if finite:
+        assert check_config(config) is config
+    else:
+        with pytest.raises(UsageError, match="alpha \\* k finite"):
+            check_config(config)
 
 
 def test_fixture_is_deterministic(tmp_path):
