@@ -22,15 +22,16 @@ only permutes the rows of the result. The sweeps run in a compiled kernel
 (gibbs.c) when one can be built and loaded, else in Python; both draw the
 same numbers in the same order and give bit-identical models.
 
-The log-likelihood trace holds one value per sweep,
+A sweep hook can ask for the log-likelihood of the current counts'
+estimates, ``GibbsState.likelihood()``,
 
     sum over (d, w) of count(d, w) * log(sum over t of theta[d][t] * phi[t][w])
 
-of the current counts' estimates, summed in one fixed order: p over the
-topics in turn, then the terms left to right over the (doc, word) pairs in
-corpus order, with the C library's log. Both kernels sum it that way, so
-the trace depends on neither BLAS nor the number of CPUs. The estimates
-themselves are taken only at the snapshot sweeps.
+summed in one fixed order: p over the topics in turn, then the terms left
+to right over the (doc, word) pairs in corpus order, with the C library's
+log. Both kernels sum it that way, so it depends on neither BLAS nor the
+number of CPUs; ``fit`` itself never computes it. The estimates themselves
+are taken only at the snapshot sweeps.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ class TopicModel:
     terms: tuple[str, ...]
     theta: np.ndarray                       # (D, k) document-topic estimates
     phi: np.ndarray                         # (k, V) topic-word estimates
-    log_likelihood_trace: tuple[float, ...]
 
     @property
     def k(self) -> int:
@@ -105,15 +105,17 @@ class TopicModel:
 
 class GibbsState(NamedTuple):
     """Count tables exposed to the per-sweep hook (read-only use), as int64
-    arrays that the sampler updates in place, and the token labels ``z`` as
-    a read-only int32 view: document d's labels follow those of documents
-    0..d-1, ``doc_totals[d]`` of them, one per token in ascending word id."""
+    arrays that the sampler updates in place, the token labels ``z`` as a
+    read-only int32 view: document d's labels follow those of documents
+    0..d-1, ``doc_totals[d]`` of them, one per token in ascending word id;
+    and ``likelihood``, which computes the current counts' log-likelihood."""
 
     doc_topic_counts: np.ndarray    # (D, k)
     word_topic_counts: np.ndarray   # (V, k)
     topic_totals: np.ndarray        # (k,)
     doc_totals: np.ndarray          # (D,)
     z: np.ndarray                   # (tokens,)
+    likelihood: Callable[[], float]
 
 
 def derive_seed(seed: int, name: str) -> int:
@@ -248,15 +250,15 @@ def _address(array: np.ndarray, dtype) -> "ctypes.c_void_p":
     return array.ctypes.data_as(ctypes.c_void_p)
 
 
-# One sweep, and the log-likelihood trace value of the current counts.
+# One sweep, and the log-likelihood of the current counts.
 _Sampler = tuple[Callable[[], None], Callable[[], float]]
 
 
 def _compiled_sampler(lib, seeds: list[int], tables: _Tables, alpha: float,
                       beta: float, vbeta: float) -> _Sampler:
     """Seed the streams and draw the initial labels in C. The sweep and the
-    trace run on the tables and on scratch this call allocates, so fits in
-    several threads share no memory."""
+    likelihood run on the tables and on scratch this call allocates, so
+    fits in several threads share no memory."""
     n_docs, k = tables.ndt.shape
     n_words = len(tables.nwt)
     order, offsets, ndt, nwt, nt, totals, trip_offsets, trip_words = (
@@ -356,8 +358,9 @@ def fit(corpus: Corpus, config: LdaConfig,
         sweep_hook: Optional[Callable[[int, GibbsState], None]] = None) -> TopicModel:
     """Run the collapsed Gibbs sampler and return the fitted model.
 
-    The sweeps and the likelihood trace run in the compiled kernel when it
-    can be built and loaded, else in Python; both give bit-identical models.
+    The sweeps run in the compiled kernel when it can be built and loaded,
+    else in Python; both give bit-identical models. Only a hook calling
+    ``state.likelihood`` computes a likelihood.
 
     Args:
         corpus: non-empty corpus to fit.
@@ -376,8 +379,7 @@ def fit(corpus: Corpus, config: LdaConfig,
     beta = config.beta
     vbeta = v_size * beta
 
-    # The corpus's (doc, word, count) triplets give the tokens and the
-    # per-sweep likelihood trace.
+    # The corpus's (doc, word, count) triplets give the tokens and the likelihood.
     w_idx, counts = corpus.term_ids, corpus.counts
     if not counts.sum():
         raise DataError("cannot fit a topic model on a corpus without tokens")
@@ -414,7 +416,7 @@ def fit(corpus: Corpus, config: LdaConfig,
 
     labels = tables.z.view()
     labels.setflags(write=False)
-    state = GibbsState(tables.ndt, tables.nwt, tables.nt, doc_totals, labels)
+    state = GibbsState(tables.ndt, tables.nwt, tables.nt, doc_totals, labels, likelihood)
 
     snapshot_sweeps = {
         s for s in range(config.burn_in + 1, config.iterations + 1)
@@ -424,11 +426,9 @@ def fit(corpus: Corpus, config: LdaConfig,
     theta_acc = np.zeros((n_docs, k))
     phi_acc = np.zeros((k, v_size))
     n_snapshots = 0
-    trace: list[float] = []
 
     for sweep in range(1, config.iterations + 1):
         sweep_once()
-        trace.append(likelihood())
         if sweep in snapshot_sweeps:
             theta_now, phi_now = _estimates(tables, alpha, beta, vbeta)
             theta_acc += theta_now
@@ -442,14 +442,8 @@ def fit(corpus: Corpus, config: LdaConfig,
     theta.setflags(write=False)
     phi.setflags(write=False)
 
-    return TopicModel(
-        config=config,
-        doc_ids=corpus.doc_ids,
-        terms=corpus.terms,
-        theta=theta,
-        phi=phi,
-        log_likelihood_trace=tuple(trace),
-    )
+    return TopicModel(config=config, doc_ids=corpus.doc_ids, terms=corpus.terms,
+                      theta=theta, phi=phi)
 
 
 def top_words(model: TopicModel, topic: int, n: int) -> list[str]:
@@ -460,7 +454,7 @@ def top_words(model: TopicModel, topic: int, n: int) -> list[str]:
     return list(map(model.terms.__getitem__, ranked.tolist()))
 
 
-_MODEL_FORMAT = "forumpulse-model-v2"
+_MODEL_FORMAT = "forumpulse-model-v3"
 
 
 def save_model(model: TopicModel, path: Path) -> None:
@@ -471,7 +465,6 @@ def save_model(model: TopicModel, path: Path) -> None:
         "terms": list(model.terms),
         "theta": None,
         "phi": None,
-        "log_likelihood_trace": [float(x) for x in model.log_likelihood_trace],
         "vocabulary_sha256": vocabulary_digest(model.terms),
     }
     text = json.dumps(payload, sort_keys=True)
@@ -503,14 +496,9 @@ def load_model(path: Path) -> TopicModel:
         phi = np.asarray(payload["phi"], dtype=np.float64)
         theta.setflags(write=False)
         phi.setflags(write=False)
-        model = TopicModel(
-            config=LdaConfig(**payload["config"]),
-            doc_ids=tuple(payload["doc_ids"]),
-            terms=tuple(payload["terms"]),
-            theta=theta,
-            phi=phi,
-            log_likelihood_trace=tuple(payload["log_likelihood_trace"]),
-        )
+        model = TopicModel(config=LdaConfig(**payload["config"]),
+                           doc_ids=tuple(payload["doc_ids"]), terms=tuple(payload["terms"]),
+                           theta=theta, phi=phi)
         if payload["vocabulary_sha256"] != vocabulary_digest(model.terms):
             raise ValueError("vocabulary_sha256 is not the digest of its terms")
     n_docs, k, v_size = len(model.doc_ids), model.k, len(model.terms)

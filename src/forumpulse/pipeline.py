@@ -99,14 +99,22 @@ def check_config(config: Mapping[str, Any]) -> Mapping[str, Any]:
         allowed = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise UsageError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
-        if kind is float and not math.isfinite(value):
+        try:
+            finite = kind is not float or math.isfinite(value)
+        except OverflowError:       # an int too large for a float
+            finite = False
+        if not finite:
             raise UsageError(f"config key {key!r} must be finite, got {value!r}")
         if bound is not None and not (value >= bound if kind is int else value > bound):
             raise UsageError(f"config key {key!r} must be "
                              f"{'>=' if kind is int else '>'} {bound}, got {value!r}")
     for keys, holds, rule in _CONFIG_RULES:
         values = [config.get(key) for key in keys]
-        if values[0] is not None and not holds(*values):
+        try:
+            held = values[0] is None or holds(*values)
+        except OverflowError:       # a test that overflows a float fails
+            held = False
+        if not held:
             raise UsageError(f"config must satisfy {rule}, got "
                              + ", ".join(f"{k}={v!r}" for k, v in zip(keys, values)))
     return config

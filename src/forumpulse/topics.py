@@ -79,14 +79,15 @@ def count_nonpositive(model: TopicModel) -> int:
 
 
 def select_k(corpus: Corpus, k_min: int, k_max: int, base: LdaConfig,
-             patience: Optional[int] = None, progress=None
+             patience: Optional[int] = None, progress=None, sweep_hook=None
              ) -> tuple[TopicModel, list[tuple[int, int]]]:
     """Scan k in [k_min, k_max], fit a model per k, keep the minimal-W_k one;
     returns it and the (k, W_k) of each k scanned, in k order.
 
     Every fit reuses the seed policy of ``base`` so only k varies. Ties go
     to the smallest k. With ``patience`` set, the scan stops early after
-    that many consecutive k values without improvement.
+    that many consecutive k values without improvement. Each fit gets
+    ``sweep_hook``.
     """
     if k_min < 2:
         raise ValueError("k_min must be >= 2")
@@ -100,7 +101,7 @@ def select_k(corpus: Corpus, k_min: int, k_max: int, base: LdaConfig,
     best_w = None
     stale = 0
     for k in range(k_min, k_max + 1):
-        model = fit(corpus, replace(base, k=k))
+        model = fit(corpus, replace(base, k=k), sweep_hook)
         w_k = count_nonpositive(model)
         scan.append((k, w_k))
         if progress is not None:
@@ -251,11 +252,18 @@ def topics_stage(ctx: StageContext) -> TopicModel:
     base = LdaConfig(k=k_min, alpha=p["lda.alpha"], beta=p["lda.beta"],
                      iterations=p["lda.iterations"], burn_in=p["lda.burn_in"],
                      seed=derive_seed(p["seed"], "lda"))
+    last_two: dict[int, list[float]] = {}   # per k, its last two sweeps' likelihoods
+
+    def hook(sweep, state):
+        if sweep >= base.iterations - 1:
+            last_two.setdefault(len(state.topic_totals), []).append(state.likelihood())
+
     model, scan = select_k(ctx.load("corpus", load_corpus), k_min, k_max, base,
                            patience=p["lda.patience"],
-                           progress=lambda k, w: ctx.echo(f"[topics] k={k} W_k={w}"))
+                           progress=lambda k, w: ctx.echo(f"[topics] k={k} W_k={w}"),
+                           sweep_hook=hook)
     sweeps = len(scan) * p["lda.iterations"]
-    ll = model.log_likelihood_trace
+    ll = last_two[model.k]
     ctx.record.update(
         kernel=kernel_name(),
         sweeps=sweeps,

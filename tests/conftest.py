@@ -333,7 +333,7 @@ def model_text_per_cell(model) -> str:
     """The text ``save_model`` writes, through one ``json.dumps`` of the
     model with theta and phi as nested lists of floats."""
     payload = {
-        "format": "forumpulse-model-v2",
+        "format": "forumpulse-model-v3",
         "config": {
             "k": model.config.k,
             "alpha": model.config.alpha,
@@ -346,7 +346,6 @@ def model_text_per_cell(model) -> str:
         "terms": list(model.terms),
         "theta": model.theta.tolist(),
         "phi": model.phi.tolist(),
-        "log_likelihood_trace": [float(x) for x in model.log_likelihood_trace],
         "vocabulary_sha256": vocabulary_digest(model.terms),
     }
     return json.dumps(payload, sort_keys=True) + "\n"
@@ -403,18 +402,21 @@ def monthly_tally_per_set(doc_ids, sets, dataset: Dataset) -> dict[tuple[int, st
 
 
 def fit_with_labels(corpus, config, fit=fit):
-    """The model ``fit`` gives, and the labels the sampler's hook shows after
-    the last sweep: one tuple per document, one label per token."""
+    """The model ``fit`` gives, the labels the sampler's hook shows after
+    the last sweep (one tuple per document, one label per token), and the
+    likelihood ``state.likelihood()`` gives after every sweep, as a tuple."""
     seen = {}
+    trace = []
 
     def hook(sweep, state):
         assert not state.z.flags.writeable
+        trace.append(state.likelihood())
         if sweep == config.iterations:
             bounds = np.concatenate(([0], np.cumsum(state.doc_totals))).tolist()
             z = state.z.tolist()
             seen["labels"] = tuple(tuple(z[a:b]) for a, b in zip(bounds, bounds[1:]))
 
-    return fit(corpus, config, sweep_hook=hook), seen["labels"]
+    return fit(corpus, config, sweep_hook=hook), seen["labels"], tuple(trace)
 
 
 # Oracles that the tests compare the graph's index columns with: edges as

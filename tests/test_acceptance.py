@@ -148,7 +148,7 @@ def test_criterion_3_gibbs_invariants():
                        f"corpus {ci}: theta rows do not sum to 1"))
         checks.append((bool(np.all(np.abs(model.phi.sum(axis=1) - 1) <= 1e-9)),
                        f"corpus {ci}: phi rows do not sum to 1"))
-        twin, twin_labels = fit_with_labels(corpus, config)
+        twin, twin_labels, _ = fit_with_labels(corpus, config)
         checks.append((twin.theta.tobytes() == model.theta.tobytes()
                        and twin.phi.tobytes() == model.phi.tobytes()
                        and [t for row in twin_labels for t in row] == labels,

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import forumpulse.lda as lda
 from forumpulse.cli import _build_parser, main
 from forumpulse.fileio import read_json, sha256_file, write_json
 from forumpulse.fixture import generate_fixture
@@ -401,17 +402,38 @@ def test_unreadable_config_file_is_a_data_error(dump, capsys, make):
     assert "bad.json" in err and "internal error" not in err
 
 
+# An int too large for a float.
+HUGE_INT = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("override", [
     'lda.iterations="abc"', "lda.iterations=abc", "corpus.min_df=0",
     "lda.beta=0", "lda.alpha=-1", "lda.k=1.5", "seed=true", "posts=3",
     "out_dir=null", "lda.burn_in=50", "lda.k_min=11", "corpus.max_df_fraction=1.5",
     "from=2000000000 to=1000", "threads=2", "lda.alpha=Infinity", "lda.beta=Infinity",
     "lda.alpha=1e308", "lda.k=4 lda.alpha=1e308",
+    *(pytest.param(f"{key}={HUGE_INT}", id=f"{key}=huge-int")
+      for key in ("lda.alpha", "lda.beta", "corpus.max_df_fraction")),
+    pytest.param(f"lda.k={HUGE_INT} lda.alpha=1", id="lda.k=huge-int lda.alpha=1"),
 ])
 def test_bad_config_value_exits_one_before_ingest(dump, config, override):
     sets = [arg for item in override.split() for arg in ("--set", item)]
     assert run_cli("run", "--config", config, *sets) == 1
-    assert not (dump / "artifacts" / "dataset.json").exists()
+    assert not (dump / "artifacts").exists()
+
+
+def test_huge_int_float_key_in_the_config_file_exits_one(dump, config, capsys):
+    """An int too large for a float, given in the file for a float key, is
+    a usage error, as it is through ``--set``."""
+    write_json(config, {**RUN_CONFIG, "lda.beta": int(HUGE_INT)})
+    assert run_cli("run", "--config", config) == 1
+    assert "'lda.beta' must be finite" in capsys.readouterr().err
+    assert not (dump / "artifacts").exists()
+
+
+def test_huge_seed_runs(dump, config):
+    """``seed`` is only hashed, so any int is a seed."""
+    assert run_cli("run", "--config", config, "--set", "seed=" + "9" * 41) == 0
 
 
 @pytest.mark.parametrize("command, key", [
@@ -450,6 +472,31 @@ def intermediates(tmp_path_factory):
     return base / "artifacts"
 
 
+@pytest.mark.parametrize("iterations", [2, 3, 25])
+def test_k_scan_computes_two_likelihoods_per_k(intermediates, tmp_path, monkeypatch,
+                                               iterations):
+    """A ``topics fit`` scan over k = 2..4 computes the likelihood of each
+    fit's last two sweeps and of no other, however many sweeps it runs."""
+    calls = []      # per fit, its likelihood evaluations
+
+    def counting(sampler, *args):
+        sweep, likelihood = sampler(*args)
+        fit = len(calls)
+        calls.append(0)
+
+        def counted():
+            calls[fit] += 1
+            return likelihood()
+        return sweep, counted
+
+    for name in ("_compiled_sampler", "_python_sampler"):
+        monkeypatch.setattr(lda, name, functools.partial(counting, getattr(lda, name)))
+    assert run_cli("topics", "fit", "--corpus", intermediates / "corpus", "--kmin", 2,
+                   "--kmax", 4, "--iters", iterations, "--burn-in", 1,
+                   "--out", tmp_path / "out") == 0
+    assert calls == [2, 2, 2]
+
+
 # Each subcommand that reads an intermediate, with paths relative to a
 # directory holding the intermediates, keyed by case: `topics select-k` is
 # the k scan of `topics fit`, `users top` ranks the top influencers of
@@ -482,7 +529,7 @@ READS = {"dataset.json": "--dataset dataset.json", "model.json": "--model model.
                           "topic_presence.csv"), "--dominance dominance.csv")}
 INTERMEDIATES = ("dataset.json", "model.json", "corpus", "edges.csv", "dominance.csv",
                  "dominance_thresholds.csv", "topic_presence.csv")
-FORMATS = {"dataset.json": "forumpulse-dataset-v2", "model.json": "forumpulse-model-v2",
+FORMATS = {"dataset.json": "forumpulse-dataset-v2", "model.json": "forumpulse-model-v3",
            "corpus/meta.json": "forumpulse-corpus-v1"}
 
 
@@ -573,6 +620,9 @@ CORRUPTIONS = {
     "model-v1": lambda data, name: json.dumps({
         **json.loads(data), "format": "forumpulse-model-v1",
         "assignments": [[0] for _ in json.loads(data)["doc_ids"]]}).encode(),
+    "model-v2": lambda data, name: json.dumps({
+        **json.loads(data), "format": "forumpulse-model-v2",
+        "log_likelihood_trace": [-80.5, -79.25]}).encode(),
     "no-last-newline": lambda data, name: data[:-1],
     "header": lambda data, name: data.replace(b"from,to,weight", b"source,target,weight", 1),
     "two-cells": _edge_line(lambda line: line.rsplit(b",", 1)[0]),
@@ -592,6 +642,7 @@ CORRUPTIONS = {
 }
 # The files each corruption that does not apply to every file applies to.
 ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.json",),
+        "model-v2": ("model.json",),
         "repeated-id": ("dominance.csv",), "wrong-digest": ("corpus/meta.json",),
         **dict.fromkeys(("repeated-term", "df-mismatch"), ("corpus/vocabulary.tsv",)),
         **dict.fromkeys(("no-last-newline", "header", "two-cells", "four-cells",

@@ -332,13 +332,12 @@ def test_fit_on_a_loaded_corpus_equals_fit_on_the_built_one(posts, k, seed):
     config = LdaConfig(k=k, iterations=6, burn_in=2, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)    # vocabulary smaller than k
-        (built, built_labels), (again, again_labels) = (
+        (built, built_labels, built_trace), (again, again_labels, again_trace) = (
             fit_with_labels(corpus, config), fit_with_labels(loaded, config))
     assert built.theta.tobytes() == again.theta.tobytes()
     assert built.phi.tobytes() == again.phi.tobytes()
     assert built_labels == again_labels
-    assert np.array(built.log_likelihood_trace).tobytes() \
-        == np.array(again.log_likelihood_trace).tobytes()
+    assert np.array(built_trace).tobytes() == np.array(again_trace).tobytes()
 
 
 # documents.csv of the five-post corpus (min_df=1, max_df_fraction=1.0,

@@ -39,11 +39,11 @@ FIXTURE_DIGESTS = {
     "graph.graphml": "da7d74b89b80c18b84029af8e981a3cd3894f30d722c7c9fc143a342d5e99c12",
     "influencer_subgraph.graphml":
         "da7d74b89b80c18b84029af8e981a3cd3894f30d722c7c9fc143a342d5e99c12",
-    "model.json": "898d2c95af36dc776616e50ec7b780db1db046eb39beee2a6733bf1b3495a355",
+    "model.json": "e2e283f5398ddcc53bdf3b66cea763d5a330288f9d7336365b6df9525136edf7",
     "monthly_topics.csv": "1e7599c461d885df0559071a4e0c12b868bbbe5a792bc49b8bba2d7c28053126",
     "pca_components.csv": "45f60fa1be38e1347d1a400cdf3ed2d343e45086590300f372f95b89f738af93",
     "pca_variance.csv": "0009befe1946a2ffe700c6be4efad2987c3d09ed8ccf5a0f75b4ababde50010b",
-    "report.json": "ae56313c9ca187776127404b88db5e41c357ac283f1c4c0997544b31a7f304ff",
+    "report.json": "286a0b453cdf0ff54a4581e2a19944bcde80bf5a0b701d57e7ae9b7db8484c53",
     "response_times.csv": "4f5de0887aecf754a618e82f5900e6702a84eb88edd8e81b5b0a16ccf3e5977c",
     "score_relations.csv": "86fad629568bc2ee87ca67718d57bfdf0ab15172da499081ab2c2acb5bb436b4",
     "skewness_scan.csv": "d3dfd622e49c7252462724473953c8d76d1e8abc3bf959bb03515ddf7ae53b17",
@@ -57,7 +57,7 @@ FIXTURE_DIGESTS = {
     "user_metrics.csv": "5ec783bf5a965bbc8b790c8f1eb62f211850a0452d73fd50fd9cd7033e8e8495",
 }
 # The listing: sha256 of the `sha256sum` lines of those files, by path.
-FIXTURE_LISTING = "55811e73dd43b51d3baf4c0502c7464f0da9fcce7d0fc449dd4183ae5098c01f"
+FIXTURE_LISTING = "929e801ca60e7c851661d717a2389a047fa94cb68acb20db3e8d37b38fb21305"
 
 
 # sha256 of every file but manifest.json that `forumpulse run` writes on the
@@ -85,13 +85,13 @@ DUMP_2000_DIGESTS = {
     "graph.graphml": "8cc91ceb331aa2d1c75740e9d0f4dc6f2fbfb1c0ed895065c898da46519deab4",
     "influencer_subgraph.graphml":
         "262f0197aa21ba92fdc31b87f69f9ea945650fb0bdfc587b8012a890f4b24181",
-    "model.json": "d28ccd9dddad26053aa268ed27445dfb688abb3fea34e7ad368ef9953072fd91",
+    "model.json": "7bcc03debf2ba146cf6ce9a8226603b383f2712347f18fc27fbc3afb3c064950",
     "monthly_topics.csv":
         "fa101c751e25ed64d6e5975b8843c2139c06da1a980bf8a6d56b8f1fd802c84e",
     "pca_components.csv":
         "3fbf0aa309fa04707625e76562ba044031b09b089eb2ca4c2b67fee608a6b468",
     "pca_variance.csv": "86ad4482d36bc4a3b31fc5b99d7c5aa35074f447e180800f6ec4df08847f904a",
-    "report.json": "538474033f17de514f0da81aa9e9eb6c595e9658dad2962180a46fc8c8b5e444",
+    "report.json": "2178746a30eb10eb258f69025706e254c6cb90d207e62e39113919a99a88ce12",
     "response_times.csv":
         "1a9b92f976c6cb1ea24efbef84df31d83f731e9599f904a1a2bc8c98f9998e21",
     "score_relations.csv":

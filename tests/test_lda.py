@@ -9,6 +9,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -71,7 +72,7 @@ def test_single_token_theta_matches_count_formula():
     corpus = corpus_from_counts([{"aa": 1}])
     config = LdaConfig(k=2, alpha=0.5, iterations=10, burn_in=0, seed=3)
     with pytest.warns(UserWarning):   # vocabulary smaller than k
-        model, labels = fit_with_labels(corpus, config)
+        model, labels, _ = fit_with_labels(corpus, config)
     landed = labels[0][0]
     alpha = config.effective_alpha
     expected_hot = (1 + alpha) / (1 + 2 * alpha)
@@ -83,18 +84,18 @@ def test_single_token_theta_matches_count_formula():
 def test_same_seed_bit_identical():
     corpus = disjoint_corpus(5)
     config = LdaConfig(k=2, iterations=30, burn_in=10, seed=123)
-    a, a_labels = fit_with_labels(corpus, config)
-    b, b_labels = fit_with_labels(corpus, config)
+    a, a_labels, a_trace = fit_with_labels(corpus, config)
+    b, b_labels, b_trace = fit_with_labels(corpus, config)
     assert a.theta.tobytes() == b.theta.tobytes()
     assert a.phi.tobytes() == b.phi.tobytes()
     assert a_labels == b_labels
-    assert a.log_likelihood_trace == b.log_likelihood_trace
+    assert a_trace == b_trace
 
 
 def test_different_seeds_differ():
     corpus = disjoint_corpus(5)
-    _, a = fit_with_labels(corpus, LdaConfig(k=2, iterations=30, burn_in=10, seed=1))
-    _, b = fit_with_labels(corpus, LdaConfig(k=2, iterations=30, burn_in=10, seed=2))
+    _, a, _ = fit_with_labels(corpus, LdaConfig(k=2, iterations=30, burn_in=10, seed=1))
+    _, b, _ = fit_with_labels(corpus, LdaConfig(k=2, iterations=30, burn_in=10, seed=2))
     assert a != b
 
 
@@ -131,8 +132,8 @@ def test_document_permutation_only_permutes_rows():
         excluded_doc_ids=(),
     )
     config = LdaConfig(k=2, iterations=20, burn_in=5, seed=11)
-    base, base_labels = fit_with_labels(corpus, config)
-    other, other_labels = fit_with_labels(permuted, config)
+    base, base_labels, _ = fit_with_labels(corpus, config)
+    other, other_labels, _ = fit_with_labels(permuted, config)
     assert other.theta[::-1].tobytes() == base.theta.tobytes()
     assert other_labels == (base_labels[1], base_labels[0])
     assert other.phi.tobytes() == base.phi.tobytes()
@@ -147,7 +148,6 @@ def test_top_words_order_and_ties():
         terms=("aa", "bb", "cc"),
         theta=model.theta,
         phi=np.array([[0.5, 0.3, 0.2], [0.4, 0.4, 0.2]]),
-        log_likelihood_trace=model.log_likelihood_trace,
     )
     assert top_words(fake, 0, 2) == ["aa", "bb"]
     assert top_words(fake, 1, 1) == ["aa"]          # tie: lower term id wins
@@ -166,7 +166,7 @@ def test_log_likelihood_matches_hand_formula():
         excluded_doc_ids=(),
     )
     config = LdaConfig(k=2, alpha=0.3, beta=0.2, iterations=10, burn_in=0, seed=5)
-    model, labels = fit_with_labels(corpus, config)
+    _, labels, trace = fit_with_labels(corpus, config)
     hot = labels[0][0]
     alpha, beta = 0.3, 0.2
     theta = [alpha / (1 + 2 * alpha)] * 2
@@ -174,21 +174,16 @@ def test_log_likelihood_matches_hand_formula():
     phi_hot = (1 + beta) / (1 + 2 * beta)
     phi_cold = beta / (2 * beta)
     expected = math.log(theta[hot] * phi_hot + theta[1 - hot] * phi_cold)
-    assert model.log_likelihood_trace[-1] == pytest.approx(expected, abs=1e-12)
-
-
-def test_trace_length_equals_iterations():
-    model = fit(disjoint_corpus(3), LdaConfig(k=2, iterations=17, burn_in=4, seed=1))
-    assert len(model.log_likelihood_trace) == 17
+    assert trace[-1] == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_doubling_iterations_never_lowers_trace_max(seed):
     corpus = disjoint_corpus(4)
-    short = fit(corpus, LdaConfig(k=2, iterations=15, burn_in=5, seed=seed))
-    long = fit(corpus, LdaConfig(k=2, iterations=30, burn_in=5, seed=seed))
-    assert long.log_likelihood_trace[:15] == short.log_likelihood_trace
-    assert max(long.log_likelihood_trace) >= max(short.log_likelihood_trace)
+    *_, short = fit_with_labels(corpus, LdaConfig(k=2, iterations=15, burn_in=5, seed=seed))
+    *_, long = fit_with_labels(corpus, LdaConfig(k=2, iterations=30, burn_in=5, seed=seed))
+    assert long[:15] == short
+    assert max(long) >= max(short)
 
 
 def test_model_roundtrip_bit_identical(tmp_path):
@@ -198,7 +193,6 @@ def test_model_roundtrip_bit_identical(tmp_path):
     loaded = load_model(path)
     assert loaded.theta.tobytes() == model.theta.tobytes()
     assert loaded.phi.tobytes() == model.phi.tobytes()
-    assert loaded.log_likelihood_trace == model.log_likelihood_trace
     assert loaded.config == model.config
     assert loaded.terms == model.terms
 
@@ -214,17 +208,22 @@ def test_model_whose_digest_is_not_its_terms_is_a_data_error(tmp_path):
         load_model(path)
 
 
-def test_model_of_format_1_asks_for_a_topics_rerun(tmp_path):
-    """A format 1 model.json, which held the per-token labels, is a
-    DataError that says to rerun topics; format 2 has no labels."""
+@pytest.mark.parametrize("older", [
+    {"format": "forumpulse-model-v1", "assignments": [[0] * 12, [1] * 12]},
+    {"format": "forumpulse-model-v2", "log_likelihood_trace": [-80.5, -79.25]},
+], ids=["format-1", "format-2"])
+def test_model_of_an_older_format_asks_for_a_topics_rerun(tmp_path, older):
+    """A format 1 model.json, which held the per-token labels, and a format
+    2 one, which held the per-sweep likelihood trace, are each a DataError
+    that says to rerun topics; format 3 holds neither."""
     model = fit(disjoint_corpus(4), LdaConfig(k=3, iterations=12, burn_in=2, seed=42))
     path = tmp_path / "model.json"
     save_model(model, path)
     payload = json.loads(path.read_text())
-    assert payload["format"] == "forumpulse-model-v2" and "assignments" not in payload
-    payload.update(format="forumpulse-model-v1", assignments=[[0] * 12, [1] * 12])
-    path.write_text(json.dumps(payload))
-    with pytest.raises(DataError, match=r"not a forumpulse-model-v2 file \(rerun topics\)"):
+    assert payload["format"] == "forumpulse-model-v3"
+    assert not payload.keys() & {"assignments", "log_likelihood_trace"}
+    path.write_text(json.dumps({**payload, **older}))
+    with pytest.raises(DataError, match=r"not a forumpulse-model-v3 file \(rerun topics\)"):
         load_model(path)
 
 
@@ -237,19 +236,21 @@ def kernel():
 
 
 def python_fit(corpus, config):
-    """The model and last labels of the Python sampler (``fit_with_labels``)."""
+    """The model, last labels and likelihoods of the Python sampler
+    (``fit_with_labels``)."""
     with mock.patch.object(lda, "_kernel", lambda: None):
         return fit_with_labels(corpus, config)
 
 
-def assert_bit_equal(a: tuple[TopicModel, tuple], b: tuple[TopicModel, tuple]) -> None:
-    """Two (model, labels) pairs of ``fit_with_labels`` are equal bit for bit."""
-    (a, a_labels), (b, b_labels) = a, b
+def assert_bit_equal(a: tuple[TopicModel, tuple, tuple],
+                     b: tuple[TopicModel, tuple, tuple]) -> None:
+    """Two (model, labels, likelihoods) triples of ``fit_with_labels`` are
+    equal bit for bit."""
+    (a, a_labels, a_trace), (b, b_labels, b_trace) = a, b
     assert a.theta.tobytes() == b.theta.tobytes()
     assert a.phi.tobytes() == b.phi.tobytes()
     assert a_labels == b_labels
-    assert (np.asarray(a.log_likelihood_trace).tobytes()
-            == np.asarray(b.log_likelihood_trace).tobytes())
+    assert np.asarray(a_trace).tobytes() == np.asarray(b_trace).tobytes()
 
 
 @pytest.mark.parametrize("k", [2, 4, 8, 16])
@@ -292,20 +293,49 @@ def test_trace_equals_a_pure_python_recount(request, fixture_corpus, k, python):
     if not python:
         request.getfixturevalue("kernel")
     config = LdaConfig(k=k, iterations=20, burn_in=5, seed=stage_seed(20240704, "lda"))
-    hook, recounted = recounting_hook(fixture_corpus, config)
+    recount, recounted = recounting_hook(fixture_corpus, config)
+
+    def fit_recounting(corpus, config, sweep_hook):
+        return fit(corpus, config, sweep_hook=lambda sweep, state: (
+            sweep_hook(sweep, state), recount(sweep, state)))
+
     with mock.patch.object(lda, "_kernel", lambda: None) if python else nullcontext():
-        model = fit(fixture_corpus, config, sweep_hook=hook)
-    assert list(model.log_likelihood_trace) == recounted
+        *_, trace = fit_with_labels(fixture_corpus, config, fit=fit_recounting)
+    assert list(trace) == recounted
+
+
+@pytest.mark.parametrize("python", [False, True], ids=["c", "python"])
+def test_asking_for_the_likelihood_leaves_the_model_and_labels_alone(request, fixture_corpus,
+                                                                    python):
+    """A fit whose hook asks for the likelihood after every sweep gives the
+    theta, phi and last labels of fits whose hooks never ask for it."""
+    if not python:
+        request.getfixturevalue("kernel")
+    config = LdaConfig(k=4, iterations=20, burn_in=5, seed=stage_seed(20240704, "lda"))
+    seen = []
+
+    def labels_only(sweep, state):
+        if sweep == config.iterations:
+            seen.append(state.z.tobytes())
+
+    with mock.patch.object(lda, "_kernel", lambda: None) if python else nullcontext():
+        asked, labels, _ = fit_with_labels(fixture_corpus, config)
+        plain = fit(fixture_corpus, config)
+        fit(fixture_corpus, config, sweep_hook=labels_only)
+    assert asked.theta.tobytes() == plain.theta.tobytes()
+    assert asked.phi.tobytes() == plain.phi.tobytes()
+    assert seen == [np.array([t for row in labels for t in row], dtype=np.int32).tobytes()]
 
 
 # Fits a corpus of 50,000 (doc, word, count) triplets, past the length at
 # which OpenBLAS splits a dot product across its threads, and prints the
-# trace's bytes.
+# bytes of the likelihoods after each sweep. Runs in the tests' directory.
 _TRACE_CHILD = """
 import random, sys
 from array import array
+from conftest import fit_with_labels
 from forumpulse.corpus import Corpus, vocabulary_digest
-from forumpulse.lda import LdaConfig, fit
+from forumpulse.lda import LdaConfig
 rng = random.Random(5)
 n_docs, v_size = 2500, 3000
 docs = [sorted((w, rng.randint(1, 3)) for w in rng.sample(range(v_size), 20))
@@ -315,8 +345,8 @@ corpus = Corpus(offsets=range(0, 20 * n_docs + 1, 20),
                 counts=[c for doc in docs for _, c in doc],
                 doc_ids=tuple(f"d{i:05d}" for i in range(n_docs)),
                 terms=tuple(f"t{w}" for w in range(v_size)), excluded_doc_ids=())
-model = fit(corpus, LdaConfig(k=6, iterations=2, burn_in=0, seed=1))
-sys.stdout.write(array("d", model.log_likelihood_trace).tobytes().hex())
+*_, trace = fit_with_labels(corpus, LdaConfig(k=6, iterations=2, burn_in=0, seed=1))
+sys.stdout.write(array("d", trace).tobytes().hex())
 """
 
 
@@ -324,7 +354,7 @@ sys.stdout.write(array("d", model.log_likelihood_trace).tobytes().hex())
                     reason="the process may use fewer than 2 CPUs")
 def test_trace_does_not_depend_on_the_blas_thread_count():
     traces = [subprocess.run([sys.executable, "-c", _TRACE_CHILD], capture_output=True,
-                             text=True, check=True,
+                             text=True, check=True, cwd=Path(__file__).parent,
                              env=child_env(OPENBLAS_NUM_THREADS=threads)).stdout
               for threads in ("1", "2")]
     assert len(traces[0]) == 2 * 16

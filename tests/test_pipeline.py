@@ -29,7 +29,7 @@ from forumpulse.pipeline import (CONFIG_DEFAULTS, CONFIG_SCHEMA, STAGES, check_c
                                  load_config, run_pipeline, stage_seed)
 from forumpulse.topics import load_assignment
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, fit_with_labels
 
 EXPECTED_FILES = [
     "manifest.json", "dataset.json", "activity_table.csv", "score_relations.csv",
@@ -504,8 +504,9 @@ def test_two_fresh_runs_byte_identical(tmp_path):
 
 def test_both_kernels_write_the_same_bytes_and_are_named(tmp_path, monkeypatch):
     """A run on the Python sampler writes what a run on the compiled one
-    writes, and each run's topics record names its kernel; a directory
-    written with one kernel is up to date for the other."""
+    writes, and each run's topics record names its kernel and holds the
+    same ``trace_rel_change``; a directory written with one kernel is up to
+    date for the other."""
     config = small_config(tmp_path)
     compiled, python = tmp_path / "a", tmp_path / "b"
     run_pipeline(config, out_dir=compiled, echo=lambda *_: None)
@@ -513,30 +514,31 @@ def test_both_kernels_write_the_same_bytes_and_are_named(tmp_path, monkeypatch):
     run_pipeline(config, out_dir=python, echo=lambda *_: None)
     for name in EXPECTED_FILES[1:]:
         assert (compiled / name).read_bytes() == (python / name).read_bytes(), name
-    assert read_json(python / "manifest.json")["stages"]["topics"]["kernel"] \
-        == "python"
     monkeypatch.undo()
-    assert read_json(compiled / "manifest.json")["stages"]["topics"]["kernel"] \
-        == lda.kernel_name()
+    compiled_record, python_record = (read_json(out / "manifest.json")["stages"]["topics"]
+                                      for out in (compiled, python))
+    assert python_record["kernel"] == "python"
+    assert compiled_record["kernel"] == lda.kernel_name()
+    assert python_record["trace_rel_change"] == compiled_record["trace_rel_change"]
     assert not ran(run_pipeline(config, out_dir=python, echo=lambda *_: None))
 
 
 def test_directory_of_older_code_reruns_the_changed_stage(tmp_path, monkeypatch):
-    """A directory written when the trace was summed in another order, whose
-    ``topics`` record holds another digest of ``lda.py``, reruns exactly
-    ``topics`` and the stages whose inputs that changes, and then holds what
-    a fresh run writes."""
+    """A directory written when model.json was format 2, which held a
+    likelihood trace, whose ``topics`` record holds another digest of
+    ``lda.py``, reruns exactly ``topics`` and the stages whose inputs that
+    changes, and then holds what a fresh run writes."""
     config = small_config(tmp_path)
     fresh = tmp_path / "fresh"
     run_pipeline(config, out_dir=fresh, echo=lambda *_: None)
-    fit = topics.fit
+    save_model = topics.save_model
 
-    def older_fit(corpus, lda_config):   # the same model, the trace off by one ulp
-        model = fit(corpus, lda_config)
-        return dataclasses.replace(model, log_likelihood_trace=tuple(
-            np.nextafter(model.log_likelihood_trace, 0).tolist()))
+    def older_save_model(model, path):
+        save_model(model, path)
+        write_json(path, {**read_json(path), "format": "forumpulse-model-v2",
+                          "log_likelihood_trace": [-80.5, -79.25]}, indent=None)
 
-    monkeypatch.setattr(topics, "fit", older_fit)
+    monkeypatch.setattr(topics, "save_model", older_save_model)
     run_pipeline(config, out_dir=tmp_path / "old", echo=lambda *_: None)
     monkeypatch.undo()
     manifest_path = tmp_path / "old" / "manifest.json"
@@ -578,7 +580,8 @@ def test_manifest_records_code_and_sampler_telemetry(tmp_path):
     """On the shipped fixture, every record names the digest of each of its
     stage's code files and its wall time, CPU time and the peak RSS so far,
     and the topics record the sweeps of the whole scan, their rate and the
-    last relative change of the selected model's trace."""
+    relative change of the selected model's likelihood over its last
+    sweep."""
     run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path / "fixture",
                  echo=lambda *_: None)
     records = read_json(tmp_path / "fixture" / "manifest.json")["stages"]
@@ -595,9 +598,11 @@ def test_manifest_records_code_and_sampler_telemetry(tmp_path):
     assert record["sweeps"] == (config["lda.k_max"] - config["lda.k_min"] + 1) \
         * config["lda.iterations"]
     assert math.isfinite(record["sweeps_per_s"]) and record["sweeps_per_s"] > 0
-    trace = read_json(tmp_path / "fixture" / "model.json")["log_likelihood_trace"]
+    *_, trace = fit_with_labels(load_corpus(tmp_path / "fixture" / "corpus"),
+                                load_model(tmp_path / "fixture" / "model.json").config)
     assert record["trace_rel_change"] == abs(trace[-1] - trace[-2]) / abs(trace[-2])
     assert 0 <= record["trace_rel_change"] < 0.01
+    assert record["trace_rel_change"] == 5.0751106177823846e-05   # the fixture's, bit for bit
 
     one_sweep = small_config(tmp_path, **{"lda.iterations": 1, "lda.burn_in": 0})
     run_pipeline(one_sweep, echo=lambda *_: None)

@@ -126,8 +126,7 @@ def hand_model(theta: np.ndarray, phi: np.ndarray) -> TopicModel:
         config=LdaConfig(k=max(k, 2), iterations=3, burn_in=1, seed=5),
         doc_ids=tuple(f"d{i}é" for i in range(n_docs)),
         terms=tuple(f'"{("phi", "theta")[j % 2]}": null {j}' for j in range(phi.shape[1])),
-        theta=theta, phi=phi,
-        log_likelihood_trace=(-10.5, -0.0, -9.25))
+        theta=theta, phi=phi)
 
 
 def test_model_with_negative_zero_and_repeated_values(tmp_path):
