@@ -15,6 +15,8 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from operator import lt
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +63,9 @@ class Corpus:
     ``term_ids[offsets[i]:offsets[i + 1]]``, ascending, with their counts at
     the same positions of ``counts``. The three arrays are read-only int64.
     Posts whose vector came out empty are not documents; their ids are kept
-    in ``excluded_doc_ids``.
+    in ``excluded_doc_ids``. ValueError for offsets that do not fit the
+    arrays, repeated terms, or ``doc_ids`` that are not strictly ascending
+    in ``str`` order, the order of a Dataset's posts.
     """
 
     offsets: np.ndarray      # (n_docs + 1,), offsets[0] == 0
@@ -84,6 +88,8 @@ class Corpus:
                              f"term ids with {len(self.counts)} counts")
         if len(self.terms) != len(set(self.terms)):
             raise ValueError("vocabulary terms must be distinct")
+        if not all(map(lt, self.doc_ids, islice(self.doc_ids, 1, None))):
+            raise ValueError("doc ids must be strictly ascending")
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -297,7 +303,9 @@ def _read_triplets(path: Path, n_documents: int, vocabulary_size: int) -> np.nda
 
 def load_corpus(directory: Path) -> Corpus:
     """The corpus saved under ``directory``; DataError when a file is not
-    complete or the files do not agree with ``meta.json`` or each other."""
+    complete, an id of ``vocabulary.tsv`` or ``docs.csv`` is not its row
+    number, the files do not agree with ``meta.json`` or each other, or the
+    Corpus refuses them."""
     vocabulary_path, documents_path, docs_path, meta_path = (
         Path(directory) / name for name in CORPUS_FILES)
     with reading(meta_path, f"{_CORPUS_META_FORMAT} meta file"):
@@ -313,7 +321,10 @@ def load_corpus(directory: Path) -> Corpus:
     terms: list[str] = []
     freq: list[int] = []
     with reading(vocabulary_path, "vocabulary file"):
-        for _, term, df in read_csv(vocabulary_path, 3, "\t"):
+        for idx, term, df in read_csv(vocabulary_path, 3, "\t"):
+            if int(idx) != len(terms):
+                raise DataError(f"{vocabulary_path}: id {idx} where "
+                                f"{len(terms)} was expected")
             terms.append(term)
             freq.append(int(df))
 
@@ -340,7 +351,10 @@ def load_corpus(directory: Path) -> Corpus:
     with reading(vocabulary_path, "vocabulary file"):
         if freq != np.bincount(triplets[:, 1], minlength=vocabulary_size).tolist():
             raise ValueError("a df is not the number of documents that hold the term")
-        return Corpus(      # ValueError on a repeated term
+    # ValueError on doc ids out of order or repeated (a repeated term fails
+    # the digest check above unless meta.json was written for it).
+    with reading(docs_path, "document id file"):
+        return Corpus(
             offsets=np.concatenate(
                 ([0], np.cumsum(np.bincount(triplets[:, 0], minlength=n_documents)))),
             term_ids=triplets[:, 1],

@@ -105,14 +105,13 @@ void fp_gibbs_init(int64_t n_docs, int64_t k, const uint64_t *seeds,
     }
 }
 
-/* One sweep over the documents in `order`, resampling every token's label. */
-void fp_gibbs_sweep(int64_t n_docs, int64_t k, const int64_t *order,
-                    const int64_t *offsets, const int32_t *words, int32_t *z,
-                    int64_t *ndt, int64_t *nwt, int64_t *nt, rng_t *rngs,
-                    double alpha, double beta, double vbeta, double *cum)
+/* One sweep over the documents as stored, resampling every token's label. */
+void fp_gibbs_sweep(int64_t n_docs, int64_t k, const int64_t *offsets,
+                    const int32_t *words, int32_t *z, int64_t *ndt, int64_t *nwt,
+                    int64_t *nt, rng_t *rngs, double alpha, double beta, double vbeta,
+                    double *cum)
 {
-    for (int64_t i = 0; i < n_docs; i++) {
-        int64_t d = order[i];
+    for (int64_t d = 0; d < n_docs; d++) {
         int64_t *drow = ndt + d * k;
         for (int64_t j = offsets[d]; j < offsets[d + 1]; j++) {
             int64_t *wrow = nwt + (int64_t)words[j] * k;

@@ -10,7 +10,8 @@ first valid record seen.
 
 The column rules live in the types, which refuse a column that breaks them;
 ``parse_dump`` drops and counts the records that break them by the same
-column tests, ``_ints`` and ``_cells``.
+column tests, ``_ints`` and ``_cells``, and sorts the records it keeps by id,
+the one order the types take.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, compress, count, repeat
-from operator import itemgetter, ne
+from itertools import chain, compress, count, islice, repeat
+from operator import itemgetter, lt, ne
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,8 +61,9 @@ class _Table:
     array, each other field a list of str, the authors interned. ValueError
     for a column that is not a list as long as ``id`` of items of exactly
     its field's type (a bool is not an int), an id or author that is empty
-    or holds a CSV separator, or an int outside its field's bounds:
-    ``_CREATED_AT`` for ``created_at``, int64 otherwise."""
+    or holds a CSV separator, an int outside its field's bounds:
+    ``_CREATED_AT`` for ``created_at``, int64 otherwise, or ids that are not
+    strictly ascending in ``str`` order."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -77,6 +79,9 @@ class _Table:
             if not np.all(valid):
                 raise ValueError(f"{type(self).__name__.lower()} column {f.name!r} is not a "
                                  "list as long as the ids of values that its field takes")
+            if f.name == "id" and not all(map(lt, column, islice(column, 1, None))):
+                raise ValueError(f"{type(self).__name__.lower()} column 'id' is not "
+                                 "strictly ascending")
             if f.name == "author":
                 column = list(map(sys.intern, column))
             object.__setattr__(self, f.name, column)
@@ -119,7 +124,8 @@ class Comments(_Table):
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """One dump as columns: row i of ``posts`` is the post with the i-th
-    smallest id, and likewise for ``comments``.
+    smallest id, and likewise for ``comments``; ``Posts`` and ``Comments``
+    refuse ids in any other order, or repeated.
 
     ``parse_errors`` and ``duplicate_ids`` tally records dropped during
     parsing.

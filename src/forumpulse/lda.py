@@ -15,10 +15,10 @@ and are averaged over count snapshots taken every SNAPSHOT_INTERVAL sweeps
 after burn-in (the final sweep when no snapshot falls in that range).
 
 Determinism contract: every document owns a private pseudo-random stream, a
-Mersenne Twister seeded from SHA-256 of (seed, doc_id), and sweeps always
-visit documents in doc-id order. The same corpus and config therefore
-produce bit-identical models on any platform, and permuting document order
-only permutes the rows of the result. The sweeps run in a compiled kernel
+Mersenne Twister seeded from SHA-256 of (seed, doc_id), and sweeps visit the
+documents as the corpus stores them, in ascending doc-id order, the only
+order a Corpus takes. The same corpus and config therefore produce
+bit-identical models on any platform. The sweeps run in a compiled kernel
 (gibbs.c) when one can be built and loaded, else in Python; both draw the
 same numbers in the same order and give bit-identical models.
 
@@ -76,7 +76,11 @@ class LdaConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.alpha is not None and not 0 < self.k * self.alpha < math.inf:
+        try:
+            finite = 0 < self.k * self.effective_alpha < math.inf
+        except OverflowError:       # a k too large for a float
+            finite = False
+        if not finite:
             raise ValueError("alpha must be finite and > 0, and so must k * alpha")
         if not 0 < self.beta < math.inf:
             raise ValueError("beta must be finite and > 0")
@@ -195,7 +199,7 @@ def _kernel():
         return None
     i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     lib.fp_gibbs_init.argtypes = [i64, i64] + [ptr] * 8
-    lib.fp_gibbs_sweep.argtypes = [i64, i64] + [ptr] * 8 + [dbl] * 3 + [ptr]
+    lib.fp_gibbs_sweep.argtypes = [i64, i64] + [ptr] * 7 + [dbl] * 3 + [ptr]
     lib.fp_gibbs_trace.argtypes = [i64] * 3 + [ptr] * 7 + [dbl] * 4 + [ptr] * 2
     lib.fp_gibbs_init.restype = lib.fp_gibbs_sweep.restype = None
     lib.fp_gibbs_trace.restype = dbl
@@ -215,7 +219,6 @@ class _Tables:
     its (word, count) pairs, in corpus order, are ``trip_words`` and
     ``trip_counts[trip_offsets[d]:trip_offsets[d + 1]]``."""
 
-    order: np.ndarray          # documents in the order sweeps visit them
     offsets: np.ndarray
     words: np.ndarray          # int32
     z: np.ndarray              # int32
@@ -261,9 +264,9 @@ def _compiled_sampler(lib, seeds: list[int], tables: _Tables, alpha: float,
     fits in several threads share no memory."""
     n_docs, k = tables.ndt.shape
     n_words = len(tables.nwt)
-    order, offsets, ndt, nwt, nt, totals, trip_offsets, trip_words = (
+    offsets, ndt, nwt, nt, totals, trip_offsets, trip_words = (
         _address(a, np.int64) for a in (
-            tables.order, tables.offsets, tables.ndt, tables.nwt, tables.nt,
+            tables.offsets, tables.ndt, tables.nwt, tables.nt,
             tables.doc_totals, tables.trip_offsets, tables.trip_words))
     words, z = (_address(a, np.int32) for a in (tables.words, tables.z))
     trip_counts, cum, phi, theta = (
@@ -272,7 +275,7 @@ def _compiled_sampler(lib, seeds: list[int], tables: _Tables, alpha: float,
     rngs = _address(np.empty((n_docs, 625), dtype=np.uint32), np.uint32)  # MT19937 + index
     lib.fp_gibbs_init(n_docs, k, _address(np.asarray(seeds, dtype=np.uint64), np.uint64),
                       offsets, words, z, ndt, nwt, nt, rngs)
-    return (partial(lib.fp_gibbs_sweep, n_docs, k, order, offsets, words, z,
+    return (partial(lib.fp_gibbs_sweep, n_docs, k, offsets, words, z,
                     ndt, nwt, nt, rngs, alpha, beta, vbeta, cum),
             partial(lib.fp_gibbs_trace, n_docs, k, n_words, trip_offsets, trip_words,
                     trip_counts, ndt, nwt, nt, totals, alpha, beta, k * alpha, vbeta,
@@ -284,11 +287,10 @@ def _python_sampler(seeds: list[int], tables: _Tables, alpha: float,
     """The pure-Python sampler: the fallback when the kernel is unavailable
     and the oracle it is tested against. Works on lists and copies them
     into the tables after the initial draws and after every sweep."""
-    order, offsets, words, z = tables.order, tables.offsets, tables.words, tables.z
-    ndt, nwt, nt = tables.ndt, tables.nwt, tables.nt
+    z, ndt, nwt, nt = tables.z, tables.ndt, tables.nwt, tables.nt
     n_docs, k = ndt.shape
-    bounds = offsets.tolist()
-    tokens = [words[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+    bounds = tables.offsets.tolist()
+    tokens = [tables.words[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
     rngs = [random.Random(s) for s in seeds]
     zl = [[rng.randrange(k) for _ in doc] for rng, doc in zip(rngs, tokens)]
     ndt_l = [[0] * k for _ in range(n_docs)]
@@ -310,7 +312,7 @@ def _python_sampler(seeds: list[int], tables: _Tables, alpha: float,
     cum = [0.0] * k
 
     def sweep() -> None:
-        for d in order.tolist():
+        for d in range(n_docs):
             rnd = rngs[d].random
             drow = ndt_l[d]
             zrow = zl[d]
@@ -358,9 +360,9 @@ def fit(corpus: Corpus, config: LdaConfig,
         sweep_hook: Optional[Callable[[int, GibbsState], None]] = None) -> TopicModel:
     """Run the collapsed Gibbs sampler and return the fitted model.
 
-    The sweeps run in the compiled kernel when it can be built and loaded,
-    else in Python; both give bit-identical models. Only a hook calling
-    ``state.likelihood`` computes a likelihood.
+    Sweeps visit the documents as stored, in the compiled kernel when it can
+    be built and loaded, else in Python; both give bit-identical models.
+    Only a hook calling ``state.likelihood`` computes a likelihood.
 
     Args:
         corpus: non-empty corpus to fit.
@@ -393,9 +395,6 @@ def fit(corpus: Corpus, config: LdaConfig,
     offsets = np.concatenate(([0], np.cumsum(counts)))[corpus.offsets]
     doc_totals = np.diff(offsets)
     tables = _Tables(
-        # Sweeps visit documents in doc-id order regardless of presentation order.
-        order=np.asarray(sorted(range(n_docs), key=lambda i: corpus.doc_ids[i]),
-                         dtype=np.int64),
         offsets=offsets,
         words=words,
         z=np.zeros(len(words), dtype=np.int32),

@@ -81,10 +81,12 @@ _CONFIG_RULES = (
     (("lda.burn_in", "lda.iterations"), lambda b, n: b < n, "burn_in < iterations"),
     (("lda.k_min", "lda.k_max"), lambda lo, hi: lo <= hi, "k_min <= k_max"),
     (("corpus.max_df_fraction",), lambda f: f <= 1, "max_df_fraction <= 1"),
-    # Theta divides by k * alpha, at the largest k fitted: lda.k, else lda.k_max.
-    (("lda.alpha", "lda.k", "lda.k_max"),
-     lambda alpha, k, k_max: math.isfinite(alpha * (k or k_max)),
-     "alpha * k finite, k being lda.k, else lda.k_max"),
+    # Theta divides by k * alpha, at the largest k fitted: lda.k, else lda.k_max;
+    # alpha is lda.alpha, else the default 50 / k (LdaConfig.effective_alpha).
+    (("lda.k_max", "lda.k", "lda.alpha"),
+     lambda k_max, k, alpha: math.isfinite(
+         (50.0 / (k or k_max) if alpha is None else alpha) * (k or k_max)),
+     "alpha * k finite, k being lda.k, else lda.k_max, and alpha lda.alpha, else 50 / k"),
 )
 
 

@@ -415,6 +415,9 @@ HUGE_INT = "1" + "0" * 400
     *(pytest.param(f"{key}={HUGE_INT}", id=f"{key}=huge-int")
       for key in ("lda.alpha", "lda.beta", "corpus.max_df_fraction")),
     pytest.param(f"lda.k={HUGE_INT} lda.alpha=1", id="lda.k=huge-int lda.alpha=1"),
+    # Without lda.alpha, the default alpha 50 / k divides by k.
+    pytest.param(f"lda.k={HUGE_INT}", id="lda.k=huge-int"),
+    pytest.param(f"lda.k=null lda.k_max={HUGE_INT}", id="lda.k_max=huge-int"),
 ])
 def test_bad_config_value_exits_one_before_ingest(dump, config, override):
     sets = [arg for item in override.split() for arg in ("--set", item)]
@@ -447,6 +450,9 @@ def test_huge_seed_runs(dump, config):
     ("topics fit --corpus {a}/corpus --k 3 --alpha inf", "lda.alpha"),
     ("topics fit --corpus {a}/corpus --alpha 1e308", "lda.alpha"),
     ("topics fit --corpus {a}/corpus --k 4 --alpha 1e308", "lda.alpha"),
+    *(pytest.param(f"topics fit --corpus {{a}}/corpus {flag} {HUGE_INT}", key,
+                   id=f"topics fit {flag} huge-int")
+      for flag, key in (("--k", "lda.k"), ("--kmax", "lda.k_max"))),
     ("users metrics --dataset {a}/dataset.json --edges {a}/edges.csv --k 0",
      "graph.top_k"),
     ("lexicon profile --corpus {a}/corpus --dominance {a}/dominance.csv --components 0",
@@ -571,15 +577,26 @@ def _dataset_column(table: str, column: str, change):
     return corrupt
 
 
-def _vocabulary_rows(change):
-    """A corruption that replaces the first two term rows of
-    ``vocabulary.tsv`` by ``change(first, second)``, each row a list of its
+def _first_rows(change):
+    """A corruption that replaces the first two rows of ``vocabulary.tsv``
+    or ``docs.csv`` by ``change(first, second)``, each row a list of its
     cells."""
     def corrupt(data: bytes, name: str) -> bytes:
         lines = data.split(b"\n")
-        lines[1:3] = map(b"\t".join, change(*(line.split(b"\t") for line in lines[1:3])))
+        sep = b"\t" if name.endswith(".tsv") else b","
+        lines[1:3] = map(sep.join, change(*(line.split(sep) for line in lines[1:3])))
         return b"\n".join(lines)
     return corrupt
+
+
+def _swapped(cells: list, *_) -> list:
+    """A dataset column with its first two cells swapped."""
+    return cells[1::-1] + cells[2:]
+
+
+def _repeated(cells: list, *_) -> list:
+    """A dataset column with its second cell replaced by its first."""
+    return cells[:1] * 2 + cells[2:]
 
 
 CORRUPTIONS = {
@@ -633,25 +650,38 @@ CORRUPTIONS = {
     "self-reply": _edge_line(lambda line: b",".join(line.split(b",")[i] for i in (0, 0, 2))),
     "edge-order": _edge_line(lambda line: b",".join(line.split(b",")[i] for i in (1, 0, 2))),
     "empty-name": _edge_line(lambda line: b"," + line.split(b",", 1)[1]),
-    "repeated-term": _vocabulary_rows(lambda first, second: (first, [second[0], first[1],
-                                                                     second[2]])),
-    "df-mismatch": _vocabulary_rows(lambda first, second: (
+    "repeated-term": _first_rows(lambda first, second: (first, [second[0], first[1],
+                                                                second[2]])),
+    "df-mismatch": _first_rows(lambda first, second: (
         [first[0], first[1], b"%d" % (int(first[2]) + 1)], second)),
     "wrong-digest": lambda data, name: _json_with(
         data, name, lambda key, value: "0" * 64 if key == "vocabulary_sha256" else value),
+    "vocab-id": _first_rows(lambda first, second: ([second[0], *first[1:]],
+                                                   [first[0], *second[1:]])),
+    # Ids out of order, or repeated, where the types take only ascending ids.
+    "swapped-posts-id": _dataset_column("posts", "id", _swapped),
+    "repeated-posts-id": _dataset_column("posts", "id", _repeated),
+    "swapped-comments-id": _dataset_column("comments", "id", _swapped),
+    "repeated-comments-id": _dataset_column("comments", "id", _repeated),
+    "swapped-doc-id": _first_rows(lambda first, second: ([first[0], second[1]],
+                                                         [second[0], first[1]])),
+    "repeated-doc-id": _first_rows(lambda first, second: (first, [second[0], first[1]])),
 }
 # The files each corruption that does not apply to every file applies to.
 ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.json",),
         "model-v2": ("model.json",),
         "repeated-id": ("dominance.csv",), "wrong-digest": ("corpus/meta.json",),
-        **dict.fromkeys(("repeated-term", "df-mismatch"), ("corpus/vocabulary.tsv",)),
+        **dict.fromkeys(("repeated-term", "df-mismatch", "vocab-id"),
+                        ("corpus/vocabulary.tsv",)),
+        **dict.fromkeys(("swapped-doc-id", "repeated-doc-id"), ("corpus/docs.csv",)),
         **dict.fromkeys(("no-last-newline", "header", "two-cells", "four-cells",
                          "float-weight", "empty-weight", "zero-weight", "self-reply",
                          "edge-order", "empty-name"), ("edges.csv",)),
         **dict.fromkeys(("yesterday", "short-column", "bool-int", "parent-range", "root-range",
                          "created-zero", "created-after-9999", "outside-int64", "format-1",
                          "empty-author", "comma-author", "line-break-id", "added-column",
-                         "removed-column"),
+                         "removed-column", "swapped-posts-id", "repeated-posts-id",
+                         "swapped-comments-id", "repeated-comments-id"),
                         ("dataset.json",))}
 CASES = [
     (name, corruption, command)

@@ -184,6 +184,22 @@ def test_load_corpus_rejects_a_gap_in_doc_indices(tmp_path):
         load_corpus(tmp_path / "corpus")
 
 
+@pytest.mark.parametrize("doc_ids, taken", [
+    (("d000", "d001", "d002"), True), (("d001", "d000", "d002"), False),
+    (("d000", "d000", "d002"), False), (("d10", "d11", "d9"), True),
+    (("d9", "d10", "d11"), False)],
+    ids=["ascending", "swapped", "repeated", "str-order", "number-order"])
+def test_corpus_refuses_doc_ids_out_of_order_or_repeated(doc_ids, taken):
+    """Doc ids must be strictly ascending in str order, the order of a
+    dataset's posts, in which "d10" sorts before "d9"."""
+    docs = [{"aa": 1}, {"bb": 2}, {"aa": 1, "bb": 1}]
+    if taken:
+        assert corpus_from_counts(docs, doc_ids).doc_ids == doc_ids
+    else:
+        with pytest.raises(ValueError, match="doc ids must be strictly ascending"):
+            corpus_from_counts(docs, doc_ids)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.text(max_size=200))
 def test_tokenize_output_properties(text):
