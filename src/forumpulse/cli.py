@@ -33,11 +33,12 @@ _INPUT_FLAGS = {
     "corpus": ("--corpus", "corpus directory"),
     "model.json": ("--model", None),
     "edges.csv": ("--edges", "the edges.csv that `graph build` wrote"),
+    "user_metrics.csv": ("--user-metrics", "the user_metrics.csv that `graph build` wrote"),
     "dominance.csv": ("--dominance", "the dominance.csv of `topics dominance`, "
                                      "its two sibling files beside it"),
 }
 # The one input a subcommand may go without, by its stage, with what that costs.
-_OPTIONAL_INPUTS = {("metrics", "dominance.csv"): "; tau is blank without it"}
+_OPTIONAL_INPUTS = {("graph", "dominance.csv"): "; tau is blank without it"}
 # The flag that sets each config key that is a stage param, with its help.
 _PARAM_FLAGS = {
     "from": ("--from", "drop records created before this epoch second"),
@@ -93,17 +94,21 @@ _SUBCOMMANDS = {
     "lexicon profile": ("lexicon", "Category matrix, PCA components and topicwise profile",
                         lambda c, out: f"lexicon profile ({c.shape[1]} categories, "
                         f"{c.shape[0]} components) -> {out}"),
-    "users metrics": ("metrics", "Metrics CSV (user, C, out_degree, in_degree, tau, R, "
-                      "alpha, I, agg_score), spread/influence export, top influencers "
-                      "and their egonet subgraph",
-                      lambda r, out: f"metrics for {len(r[0].users)} commenters; top "
-                      f"{len(r[2])} influencers with {len(r[1].nodes)} egonet users -> {out}"),
+    "users metrics": ("metrics", "Top influencers by I, ranked from the user_metrics.csv "
+                      "and edges.csv of `graph build` (top_influencers.csv with columns "
+                      "rank, user, influence, C), and their egonet subgraph "
+                      "(influencer_subgraph.graphml)",
+                      lambda r, out: f"top {len(r[2])} of {len(r[0].users)} commenters, "
+                      f"with {len(r[1].nodes)} egonet users -> {out}"),
     "graph build": ("graph", "Reply graph as edges.csv (from, to, weight), graph.graphml "
-                    "and graph.dot, with user_classes.json",
+                    "and graph.dot, with user_classes.json, and per-user metrics "
+                    "(user_metrics.csv with columns user, C, out_degree, in_degree, tau, "
+                    "R, alpha, I, agg_score; spread_influence.csv)",
                     lambda r, out: f"graph: {r[1]['nodes']} nodes, {len(r[0].weight)} edges "
                     f"({int(r[0].weight.sum())} replies), {r[1]['passive']} passive "
                     f"({r[1]['passive_pct']:.2f}%), {r[1]['unanswered']} with in-degree 0 "
-                    f"({r[1]['unanswered_pct']:.2f}%) -> {out}"),
+                    f"({r[1]['unanswered_pct']:.2f}%); metrics for {len(r[2].users)} "
+                    f"commenters -> {out}"),
 }
 
 

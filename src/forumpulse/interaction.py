@@ -11,14 +11,17 @@ comment total C. Metrics per commenter:
 
 where s_i is the fraction of the user's dominant-topic comments landing on
 posts where topic i is dominant (a post with m dominant topics credits
-1/m to each, so the fractions sum to 1).
+1/m to each, so the fractions sum to 1). The graph stage writes the graph
+and these metrics; the metrics stage ranks the top influencers from the
+two files it wrote, so a new number of influencers reads neither the
+dataset nor the dominant topics.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from math import isnan, log10
 from pathlib import Path
 from typing import Callable, Optional
@@ -191,6 +194,68 @@ def compute_user_metrics(dataset: Dataset, graph: InteractionGraph,
                        alpha * reach, list(map(scores.__getitem__, users.tolist())))
 
 
+# user_metrics.csv: its columns, and the header then one line per commenter
+# of a name, C >= 1, the two degrees, tau (empty where undefined), R, alpha,
+# I and the aggregate comment score.
+_METRIC_COLUMNS = ("user", "C", "out_degree", "in_degree", "tau", "R", "alpha", "I",
+                   "agg_score")
+_COUNT, _FLOAT = "(?:0|[1-9][0-9]{0,17})", "[-+.0-9a-z]+"
+_METRIC_TABLE = re.compile(
+    ",".join(_METRIC_COLUMNS)
+    + rf"\n((?:[^,\n\r]+,[1-9][0-9]{{0,17}},{_COUNT},{_COUNT},(?:{_FLOAT})?,{_FLOAT},{_FLOAT},"
+    rf"{_FLOAT},-?(?:0|[1-9][0-9]*)\n)+)")
+
+
+def load_user_metrics(path: Path) -> UserMetrics:
+    """The metrics the graph stage wrote to ``path`` (``user_metrics.csv``);
+    DataError when the file is not complete, its users do not ascend, or
+    its R, alpha and I are not the ones its C and out-degrees give."""
+    with reading(path, "user metrics file"):
+        match = _METRIC_TABLE.fullmatch(Path(path).read_text(encoding="utf-8"))
+        if match is None:
+            raise ValueError(f"not a {','.join(_METRIC_COLUMNS)} header and lines of a "
+                             "name, three counts, four floats and a score, each ending "
+                             "in a newline")
+        cells = match[1].replace("\n", ",").split(",")[:-1]
+        users, n = cells[0::9], len(cells) // 9
+        if not all(map(str.__lt__, users, islice(users, 1, None))):
+            raise ValueError("users not strictly ascending")
+        count, out_degree, in_degree = (np.array(cells[i::9], dtype=np.int64)
+                                        for i in (1, 2, 3))
+        tau, reach, alpha, influence = (
+            np.fromiter((float(x) if x else np.nan for x in cells[i::9]), dtype=np.float64,
+                        count=n) for i in (4, 5, 6, 7))
+        # The operations of compute_user_metrics, so equal values are equal bits.
+        if not (np.array_equal(alpha, count / count.max())
+                and np.array_equal(reach, out_degree / count)
+                and np.array_equal(influence, alpha * reach)):
+            raise ValueError("R, alpha or I is not the one C and out_degree give")
+        scores = list(map(int, cells[8::9]))
+    return UserMetrics(users, count, out_degree, in_degree, tau, reach, alpha, influence,
+                       scores)
+
+
+def _degree_mismatch(metrics: UserMetrics, graph: InteractionGraph) -> Optional[str]:
+    """The first source of an edge of ``graph`` that ``metrics`` does not
+    list, or else the first user of ``metrics`` whose degrees are not its
+    degrees in ``graph``, described; None when there is neither."""
+    row = dict(zip(metrics.users, range(len(metrics.users))))
+    rows = np.array([row.get(name, -1) for name in graph.nodes], dtype=np.int64)
+    listed = rows >= 0
+    unlisted = np.flatnonzero(~listed & (graph.out_degree > 0))
+    if len(unlisted):
+        return f"edge source {graph.nodes[unlisted[0]]!r} is not a listed user"
+    degree = np.zeros((2, len(metrics.users)), dtype=np.int64)
+    degree[:, rows[listed]] = graph.out_degree[listed], graph.in_degree[listed]
+    wrong = np.flatnonzero((degree[0] != metrics.out_degree)
+                           | (degree[1] != metrics.in_degree))
+    if len(wrong):
+        i = wrong[0]
+        return (f"user {metrics.users[i]!r} has degrees {metrics.out_degree[i]} out and "
+                f"{metrics.in_degree[i]} in, the edges {degree[0, i]} and {degree[1, i]}")
+    return None
+
+
 def top_influencers_subgraph(graph: InteractionGraph, metrics: UserMetrics,
                              top_k: int) -> tuple[InteractionGraph, np.ndarray]:
     """Induced subgraph around the top_k users by influence, and the
@@ -273,41 +338,51 @@ def dot_text(graph: InteractionGraph) -> str:
                        "}\n", _dot_quote, graph)
 
 
-def graph_stage(ctx: StageContext) -> tuple[InteractionGraph, dict[str, float]]:
-    graph = build_graph(ctx.load("dataset.json", load_dataset))
-    for name, text in (("edges.csv", edges_text), ("graph.graphml", graphml_text),
-                       ("graph.dot", dot_text)):
-        write_text(ctx.path(name), text(graph))
-    ctx.parsed["edges.csv"] = graph
+def graph_stage(ctx: StageContext
+                ) -> tuple[InteractionGraph, dict[str, float], UserMetrics]:
+    """The reply graph with its exports and user classes, and every
+    commenter's metrics; tau is blank when the ``dominance.csv`` path is
+    None."""
+    dataset = ctx.load("dataset.json", load_dataset)
+    graph = build_graph(dataset)
     classes = user_classes(graph)
-    write_json(ctx.path("user_classes.json"), classes)
-    return graph, classes
-
-
-def metrics_stage(ctx: StageContext):
-    """Every commenter's metrics and the top influencers' egonet subgraph;
-    tau is blank when the ``dominance.csv`` path is None."""
-    dataset, graph = ctx.load("dataset.json", load_dataset), ctx.load("edges.csv", load_graph)
     assignment = (ctx.load("dominance.csv", load_assignment)
                   if ctx.path("dominance.csv") is not None else None)
     metrics = compute_user_metrics(dataset, graph, assignment)
+    for name, text in (("edges.csv", edges_text), ("graph.graphml", graphml_text),
+                       ("graph.dot", dot_text)):
+        write_text(ctx.path(name), text(graph))
+    write_json(ctx.path("user_classes.json"), classes)
     tau, reach, alpha, influence = float_cells(
         np.stack((metrics.tau, metrics.reach, metrics.alpha, metrics.influence)),
         lambda x: "" if isnan(x) else repr(x)).tolist()
     counts, scores = metrics.comment_count.tolist(), metrics.aggregate_comment_score
-    write_csv(ctx.path("user_metrics.csv"),
-              ("user", "C", "out_degree", "in_degree", "tau", "R",
-               "alpha", "I", "agg_score"),
+    write_csv(ctx.path("user_metrics.csv"), _METRIC_COLUMNS,
               zip(metrics.users, counts, metrics.out_degree.tolist(),
                   metrics.in_degree.tolist(), tau, reach, alpha, influence, scores))
     write_csv(ctx.path("spread_influence.csv"),
               ("user", "tau", "influence", "log10_comments", "log10_agg_score"),
               zip(metrics.users, tau, influence, map(log10, counts),
                   [log10(s) if s > 0 else None for s in scores]))
+    ctx.parsed["edges.csv"], ctx.parsed["user_metrics.csv"] = graph, metrics
+    return graph, classes, metrics
+
+
+def metrics_stage(ctx: StageContext) -> tuple[UserMetrics, InteractionGraph, list[int]]:
+    """The top influencers and their egonet subgraph, ranked from the
+    metrics and the edges the graph stage wrote; DataError when the two
+    files are not of one graph."""
+    metrics = ctx.load("user_metrics.csv", load_user_metrics)
+    graph = ctx.load("edges.csv", load_graph)
+    mismatch = _degree_mismatch(metrics, graph)
+    if mismatch is not None:
+        raise DataError(f"{ctx.path('user_metrics.csv')} and {ctx.path('edges.csv')} "
+                        f"are not of one graph: {mismatch}")
     subgraph, ranked = top_influencers_subgraph(graph, metrics, ctx.params["graph.top_k"])
     ranked = ranked.tolist()
     write_csv(ctx.path("top_influencers.csv"), ("rank", "user", "influence", "C"),
               zip(range(1, len(ranked) + 1), map(metrics.users.__getitem__, ranked),
-                  map(influence.__getitem__, ranked), map(counts.__getitem__, ranked)))
+                  metrics.influence[ranked].tolist(),
+                  metrics.comment_count[ranked].tolist()))
     write_text(ctx.path("influencer_subgraph.graphml"), graphml_text(subgraph))
     return metrics, subgraph, ranked

@@ -74,9 +74,18 @@ CONFIG_SCHEMA: dict[str, tuple[Any, type, Optional[int]]] = {
 }
 CONFIG_DEFAULTS: dict[str, Any] = {
     key: default for key, (default, _, _) in CONFIG_SCHEMA.items()}
+# The largest lda.k or lda.k_max, checked before any stage runs. A fit holds
+# a D x k count table and a D x k accumulator, 16 * k bytes per document: at
+# most 4 KB at 256, beside the 2.5 KB of sampler stream state each document
+# holds at any k, so no k allowed makes a fit hold three times what the
+# k = 2 fit holds per document. The default scan is 2..10, the shipped
+# fixture's 2..6.
+MAX_K = 256
 # Rules between keys, and maxima: the keys, a test of their values, the rule.
 # A rule holds when its first key is null; a later key may be null.
 _CONFIG_RULES = (
+    (("lda.k",), lambda k: k <= MAX_K, f"lda.k <= {MAX_K}"),
+    (("lda.k_max",), lambda k: k <= MAX_K, f"lda.k_max <= {MAX_K}"),
     (("from", "to"), lambda lo, hi: hi is None or lo <= hi, "from <= to"),
     (("lda.burn_in", "lda.iterations"), lambda b, n: b < n, "burn_in < iterations"),
     (("lda.k_min", "lda.k_max"), lambda lo, hi: lo <= hi, "k_min <= k_max"),
@@ -306,13 +315,15 @@ STAGES: tuple[Stage, ...] = (
           ("category_matrix.csv", "pca_components.csv", "pca_variance.csv",
            "topic_profiles.csv"), lexicon_stage,
           ("lexicon.py", "data/demo_lexicon.json", "corpus.py", "topics.py", "fileio.py")),
-    Stage("graph", (), ("dataset.json",),
-          ("edges.csv", "graph.graphml", "graph.dot", "user_classes.json"),
-          graph_stage, ("interaction.py", "ingest.py", "fileio.py")),
-    Stage("metrics", ("graph.top_k",), ("dataset.json", "edges.csv") + DOMINANCE_FILES,
-          ("user_metrics.csv", "spread_influence.csv", "top_influencers.csv",
-           "influencer_subgraph.graphml"), metrics_stage,
-          ("interaction.py", "ingest.py", "topics.py", "fileio.py")),
+    Stage("graph", (), ("dataset.json",) + DOMINANCE_FILES,
+          ("edges.csv", "graph.graphml", "graph.dot", "user_classes.json",
+           "user_metrics.csv", "spread_influence.csv"),
+          graph_stage, ("interaction.py", "ingest.py", "topics.py", "fileio.py")),
+    # Ranks from two files of the graph stage alone, so a new graph.top_k reruns
+    # only this stage and the report.
+    Stage("metrics", ("graph.top_k",), ("user_metrics.csv", "edges.csv"),
+          ("top_influencers.csv", "influencer_subgraph.graphml"), metrics_stage,
+          ("interaction.py", "fileio.py")),
 )
 # The report records the digest of every artifact above.
 _ARTIFACTS = tuple(name for stage in STAGES for name in stage.outputs)
@@ -373,10 +384,20 @@ def run_pipeline(config_path: Path,
     if not nearest.is_dir():
         raise DataError(f"output directory {target}: {nearest} is not a directory")
     with locked(target):
-        # A run killed inside write_text leaves its temporary file beside the output.
+        # A run killed inside write_text leaves its temporary file beside the
+        # output, .<name>.<anything>.tmp: one listing of each output directory.
+        written: dict[Path, list[str]] = {}
         for name in ("manifest.json",) + tuple(n for stage in STAGES for n in stage.outputs):
-            for stale in (target / name).parent.glob(f".{Path(name).name}.*.tmp"):
-                stale.unlink()
+            path = target / name
+            written.setdefault(path.parent, []).append(f".{path.name}.")
+        for directory, prefixes in written.items():
+            if directory.is_dir():
+                with os.scandir(directory) as entries:
+                    for entry in entries:
+                        if entry.name.endswith(".tmp") and any(
+                                entry.name.startswith(p) and len(entry.name) >= len(p) + 4
+                                for p in prefixes):
+                            os.unlink(entry.path)
 
         manifest_path = target / "manifest.json"
         manifest = _read_manifest(manifest_path, echo)

@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forumpulse.lda as lda
+import forumpulse.topics as topics
 from forumpulse.cli import _build_parser, main
 from forumpulse.fileio import read_json, sha256_file, write_json
 from forumpulse.fixture import generate_fixture
-from forumpulse.ingest import load_dataset
-from forumpulse.interaction import load_graph
+from forumpulse.interaction import load_graph, load_user_metrics
 from forumpulse.pipeline import CONFIG_SCHEMA, STAGES
 from forumpulse.topics import DOMINANCE_FILES
 
@@ -113,7 +113,7 @@ def test_stage_subcommands_are_the_stage_table():
     flags are --out, one per input it reads (the corpus files through their
     directory, the dominance files through dominance.csv) and one per
     param, whose dest is its config key and whose type and default are the
-    schema's; `users metrics --dominance` is the only optional input."""
+    schema's; `graph build --dominance` is the only optional input."""
     runs = {}
     for command, parser in _parsers(_build_parser()):
         func = parser.get_default("func")
@@ -137,7 +137,7 @@ def test_stage_subcommands_are_the_stage_table():
             assert flags[name].type is Path and flags[name].default is None
             if not flags[name].required:
                 optional.append(f"{command} {flags[name].option_strings[0]}")
-    assert optional == ["users metrics --dominance"]
+    assert optional == ["graph build --dominance"]
 
 
 def test_usage_error_exits_one(capsys):
@@ -241,18 +241,14 @@ def test_subcommand_chain(dump, capsys):
     assert (t / "lex/topic_profiles.csv").exists()
 
     assert run_cli("graph", "build", "--dataset", t / "dataset.json",
-                   "--out", t / "graph") == 0
+                   "--dominance", t / "dom/dominance.csv", "--out", t / "graph") == 0
     assert (t / "graph/edges.csv").read_text().splitlines()[0] == "from,to,weight"
-    for name in ("graph.graphml", "graph.dot", "user_classes.json"):
+    for name in ("graph.graphml", "graph.dot", "user_classes.json", "spread_influence.csv"):
         assert (t / "graph" / name).exists()
-
-    assert run_cli("users", "metrics", "--dataset", t / "dataset.json",
-                   "--edges", t / "graph/edges.csv",
-                   "--dominance", t / "dom/dominance.csv", "--out", t / "users") == 0
-    header = (t / "users/user_metrics.csv").read_text().splitlines()[0]
+    header = (t / "graph/user_metrics.csv").read_text().splitlines()[0]
     assert header == "user,C,out_degree,in_degree,tau,R,alpha,I,agg_score"
 
-    assert run_cli("users", "metrics", "--dataset", t / "dataset.json",
+    assert run_cli("users", "metrics", "--user-metrics", t / "graph/user_metrics.csv",
                    "--edges", t / "graph/edges.csv", "--k", 3, "--out", t / "top") == 0
     assert len((t / "top/top_influencers.csv").read_text().splitlines()) <= 4
     assert (t / "top/influencer_subgraph.graphml").exists()
@@ -312,9 +308,9 @@ def test_subcommands_write_the_run_artifacts(dump, config, capsys):
          "--out", s / "monthly_topics.csv"),
         ("lexicon", "profile", "--corpus", a / "corpus", "--dominance", dominance,
          "--components", 5, "--out", s),
-        ("graph", "build", "--dataset", dataset, "--out", s),
-        ("users", "metrics", "--dataset", dataset, "--edges", edges,
-         "--dominance", dominance, "--k", 3, "--out", s),
+        ("graph", "build", "--dataset", dataset, "--dominance", dominance, "--out", s),
+        ("users", "metrics", "--user-metrics", a / "user_metrics.csv", "--edges", edges,
+         "--k", 3, "--out", s),
     ]
     for argv in commands:
         assert run_cli(*argv) == 0, argv
@@ -425,6 +421,23 @@ def test_bad_config_value_exits_one_before_ingest(dump, config, override):
     assert not (dump / "artifacts").exists()
 
 
+@pytest.mark.parametrize("override", ["lda.k=1000000000", "lda.k=257",
+                                      "lda.k=null lda.k_max=1000000000"])
+def test_k_above_the_ceiling_exits_one_before_any_stage(dump, config, monkeypatch, capsys,
+                                                        override):
+    """A k that converts to a float but lies above the ceiling exits 1 and
+    writes no directory. The fit is replaced by one that fails, so a k that
+    passed the check would exit 3 rather than allocate its tables."""
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit was started")
+
+    monkeypatch.setattr(topics, "fit", no_fit)
+    sets = [arg for item in override.split() for arg in ("--set", item)]
+    assert run_cli("run", "--config", config, *sets) == 1
+    assert " <= 256" in capsys.readouterr().err
+    assert not (dump / "artifacts").exists()
+
+
 def test_huge_int_float_key_in_the_config_file_exits_one(dump, config, capsys):
     """An int too large for a float, given in the file for a float key, is
     a usage error, as it is through ``--set``."""
@@ -453,8 +466,11 @@ def test_huge_seed_runs(dump, config):
     *(pytest.param(f"topics fit --corpus {{a}}/corpus {flag} {HUGE_INT}", key,
                    id=f"topics fit {flag} huge-int")
       for flag, key in (("--k", "lda.k"), ("--kmax", "lda.k_max"))),
-    ("users metrics --dataset {a}/dataset.json --edges {a}/edges.csv --k 0",
+    ("users metrics --user-metrics {a}/user_metrics.csv --edges {a}/edges.csv --k 0",
      "graph.top_k"),
+    *(pytest.param(f"topics fit --corpus {{a}}/corpus {flag} 1000000000", key,
+                   id=f"topics fit {flag} 10**9")
+      for flag, key in (("--k", "lda.k"), ("--kmax", "lda.k_max"))),
     ("lexicon profile --corpus {a}/corpus --dominance {a}/dominance.csv --components 0",
      "lexicon.components"),
 ])
@@ -507,7 +523,7 @@ def test_k_scan_computes_two_likelihoods_per_k(intermediates, tmp_path, monkeypa
 # directory holding the intermediates, keyed by case: `topics select-k` is
 # the k scan of `topics fit`, `users top` ranks the top influencers of
 # `users metrics` at a given `--k`, and `graph export` writes the graph
-# files of `graph build` into a nested directory.
+# files of `graph build` into a nested directory, without tau.
 READERS = {
     "stats": "stats --dataset dataset.json --out out",
     "corpus build": "corpus build --dataset dataset.json --out out",
@@ -520,21 +536,22 @@ READERS = {
                        "--out out/t.csv",
     "lexicon profile": "lexicon profile --corpus corpus --dominance dominance.csv "
                        "--out out",
-    "users metrics": "users metrics --dataset dataset.json --edges edges.csv "
-                     "--dominance dominance.csv --out out",
-    "users top": "users metrics --dataset dataset.json --edges edges.csv "
-                 "--dominance dominance.csv --k 3 --out out",
-    "graph build": "graph build --dataset dataset.json --out out",
+    "users metrics": "users metrics --user-metrics user_metrics.csv --edges edges.csv "
+                     "--out out",
+    "users top": "users metrics --user-metrics user_metrics.csv --edges edges.csv "
+                 "--k 3 --out out",
+    "graph build": "graph build --dataset dataset.json --dominance dominance.csv --out out",
     "graph export": "graph build --dataset dataset.json --out out/graph",
 }
 # The flag through which a command reads each intermediate; load_assignment
 # reads the two dominance siblings from beside dominance.csv.
 READS = {"dataset.json": "--dataset dataset.json", "model.json": "--model model.json",
          "corpus": "--corpus corpus", "edges.csv": "--edges edges.csv",
+         "user_metrics.csv": "--user-metrics user_metrics.csv",
          **dict.fromkeys(("dominance.csv", "dominance_thresholds.csv",
                           "topic_presence.csv"), "--dominance dominance.csv")}
-INTERMEDIATES = ("dataset.json", "model.json", "corpus", "edges.csv", "dominance.csv",
-                 "dominance_thresholds.csv", "topic_presence.csv")
+INTERMEDIATES = ("dataset.json", "model.json", "corpus", "edges.csv", "user_metrics.csv",
+                 "dominance.csv", "dominance_thresholds.csv", "topic_presence.csv")
 FORMATS = {"dataset.json": "forumpulse-dataset-v2", "model.json": "forumpulse-model-v3",
            "corpus/meta.json": "forumpulse-corpus-v1"}
 
@@ -578,9 +595,9 @@ def _dataset_column(table: str, column: str, change):
 
 
 def _first_rows(change):
-    """A corruption that replaces the first two rows of ``vocabulary.tsv``
-    or ``docs.csv`` by ``change(first, second)``, each row a list of its
-    cells."""
+    """A corruption that replaces the first two rows of a TSV or CSV file
+    (``vocabulary.tsv``, ``docs.csv``, ``user_metrics.csv``) by
+    ``change(first, second)``, each row a list of its cells."""
     def corrupt(data: bytes, name: str) -> bytes:
         lines = data.split(b"\n")
         sep = b"\t" if name.endswith(".tsv") else b","
@@ -641,7 +658,8 @@ CORRUPTIONS = {
         **json.loads(data), "format": "forumpulse-model-v2",
         "log_likelihood_trace": [-80.5, -79.25]}).encode(),
     "no-last-newline": lambda data, name: data[:-1],
-    "header": lambda data, name: data.replace(b"from,to,weight", b"source,target,weight", 1),
+    "header": lambda data, name: data.replace(b"from,to,weight", b"source,target,weight", 1)
+    .replace(b"user,C,", b"name,C,", 1),
     "two-cells": _edge_line(lambda line: line.rsplit(b",", 1)[0]),
     "four-cells": _edge_line(lambda line: line + b",1"),
     "float-weight": _edge_line(lambda line: line + b".5"),
@@ -666,6 +684,24 @@ CORRUPTIONS = {
     "swapped-doc-id": _first_rows(lambda first, second: ([first[0], second[1]],
                                                          [second[0], first[1]])),
     "repeated-doc-id": _first_rows(lambda first, second: (first, [second[0], first[1]])),
+    # A user_metrics.csv row of cells its writer never writes, users that do
+    # not ascend, an I that is not alpha * R, or no row.
+    "zero-comments": _first_rows(lambda first, second: ([first[0], b"0", *first[2:]], second)),
+    "long-count": _first_rows(lambda first, second: ([first[0], b"1" + b"0" * 18, *first[2:]],
+                                                      second)),
+    "negative-degree": _first_rows(lambda first, second: ([*first[:2], b"-1", *first[3:]],
+                                                           second)),
+    "word-tau": _first_rows(lambda first, second: ([*first[:4], b"abc", *first[5:]], second)),
+    "blank-alpha": _first_rows(lambda first, second: ([*first[:6], b"", *first[7:]], second)),
+    "nan-influence": _first_rows(lambda first, second: ([*first[:7], b"nan", first[8]],
+                                                         second)),
+    "float-score": _first_rows(lambda first, second: ([*first[:8], b"1.5"], second)),
+    "empty-user": _first_rows(lambda first, second: ([b"", *first[1:]], second)),
+    "repeated-user": _first_rows(lambda first, second: (first, [first[0], *second[1:]])),
+    "swapped-users": _first_rows(lambda first, second: (second, first)),
+    "edited-influence": _first_rows(lambda first, second: (
+        first[:7] + [repr(float(first[7]) * 2 + 1).encode()] + first[8:], second)),
+    "no-rows": lambda data, name: data.split(b"\n", 1)[0] + b"\n",
 }
 # The files each corruption that does not apply to every file applies to.
 ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.json",),
@@ -674,9 +710,14 @@ ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.jso
         **dict.fromkeys(("repeated-term", "df-mismatch", "vocab-id"),
                         ("corpus/vocabulary.tsv",)),
         **dict.fromkeys(("swapped-doc-id", "repeated-doc-id"), ("corpus/docs.csv",)),
-        **dict.fromkeys(("no-last-newline", "header", "two-cells", "four-cells",
-                         "float-weight", "empty-weight", "zero-weight", "self-reply",
-                         "edge-order", "empty-name"), ("edges.csv",)),
+        **dict.fromkeys(("no-last-newline", "header"), ("edges.csv", "user_metrics.csv")),
+        **dict.fromkeys(("two-cells", "four-cells", "float-weight", "empty-weight",
+                         "zero-weight", "self-reply", "edge-order", "empty-name"),
+                        ("edges.csv",)),
+        **dict.fromkeys(("zero-comments", "long-count", "negative-degree", "word-tau",
+                         "blank-alpha", "nan-influence", "float-score", "empty-user",
+                         "repeated-user", "swapped-users", "edited-influence", "no-rows"),
+                        ("user_metrics.csv",)),
         **dict.fromkeys(("yesterday", "short-column", "bool-int", "parent-range", "root-range",
                          "created-zero", "created-after-9999", "outside-int64", "format-1",
                          "empty-author", "comma-author", "line-break-id", "added-column",
@@ -688,7 +729,7 @@ CASES = [
     for name in ("dataset.json", "model.json", "corpus/meta.json",
                  "corpus/vocabulary.tsv", "corpus/documents.csv", "corpus/docs.csv",
                  "dominance.csv", "dominance_thresholds.csv", "topic_presence.csv",
-                 "edges.csv")
+                 "edges.csv", "user_metrics.csv")
     for corruption in CORRUPTIONS
     if name in ONLY.get(corruption, (name,))
     for command in READERS
@@ -716,7 +757,7 @@ def test_corrupt_intermediate_is_a_data_error(intermediates, tmp_path, monkeypat
 # Each intermediate file or directory, by the name a reader's flag gives it,
 # and each subcommand that reads it.
 WRONG_KIND = [(name, command) for name in ("dataset.json", "model.json", "corpus",
-                                           "edges.csv", "dominance.csv")
+                                           "edges.csv", "user_metrics.csv", "dominance.csv")
               for command in READERS if READS[name] in READERS[command]]
 
 
@@ -745,7 +786,7 @@ def test_intermediate_of_the_wrong_kind_is_a_data_error(intermediates, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["users metrics", "topics timeline"])
+@pytest.mark.parametrize("command", ["graph build", "topics timeline"])
 def test_dominance_of_a_post_not_in_the_dataset_is_a_data_error(
         intermediates, tmp_path, monkeypatch, capsys, command):
     """A dominance file that names a post the dataset lacks exits 2, naming
@@ -760,9 +801,27 @@ def test_dominance_of_a_post_not_in_the_dataset_is_a_data_error(
     assert "post 'nope' not present in dataset" in capsys.readouterr().err
 
 
-def test_edges_of_another_dataset_is_a_data_error(intermediates, tmp_path, capsys):
-    """`users metrics` fed the edges.csv of another dump exits 2, naming
-    the first graph node that is not an author, and writes nothing."""
+def test_graph_build_without_dominance_leaves_only_tau_blank(intermediates, tmp_path):
+    """`graph build` without its optional `--dominance` writes the run's
+    graph files, and its metrics but with every tau blank."""
+    assert run_cli("graph", "build", "--dataset", intermediates / "dataset.json",
+                   "--out", tmp_path) == 0
+    for name in ("edges.csv", "graph.graphml", "graph.dot", "user_classes.json"):
+        assert (tmp_path / name).read_bytes() == (intermediates / name).read_bytes(), name
+    for name, tau in (("user_metrics.csv", 4), ("spread_influence.csv", 1)):
+        ours, run = ([line.split(",") for line in (d / name).read_text().splitlines()]
+                     for d in (tmp_path, intermediates))
+        assert any(row[tau] for row in run[1:]) and not any(row[tau] for row in ours[1:])
+        assert [row[:tau] + row[tau + 1:] for row in ours] \
+            == [row[:tau] + row[tau + 1:] for row in run], name
+
+
+@pytest.mark.parametrize("foreign", ["edges.csv", "user_metrics.csv"])
+def test_metrics_and_edges_of_two_dumps_are_a_data_error(intermediates, tmp_path, capsys,
+                                                         foreign):
+    """`users metrics` fed a user_metrics.csv and an edges.csv of two
+    different dumps, either way round, exits 2 naming both files, and
+    writes nothing."""
     other = tmp_path / "other"
     assert run_cli("fixture", "--seed", 12, "--posts", 30, "--users", 20, "--k-true", 3,
                    "--out", other) == 0
@@ -770,13 +829,46 @@ def test_edges_of_another_dataset_is_a_data_error(intermediates, tmp_path, capsy
                    other / "comments.jsonl", "--out", other / "dataset.json") == 0
     assert run_cli("graph", "build", "--dataset", other / "dataset.json",
                    "--out", other) == 0
-    authors = set(load_dataset(intermediates / "dataset.json").authors)
-    stranger = next(node for node in load_graph(other / "edges.csv").nodes
-                    if node not in authors)
+    files = {name: (other if name == foreign else intermediates) / name
+             for name in ("user_metrics.csv", "edges.csv")}
+    assert load_user_metrics(files["user_metrics.csv"]).users \
+        != list(load_graph(files["edges.csv"]).nodes)
     capsys.readouterr()
-    assert run_cli("users", "metrics", "--dataset", intermediates / "dataset.json",
-                   "--edges", other / "edges.csv", "--out", tmp_path / "out") == 2
-    assert f"author {stranger!r} not present in dataset" in capsys.readouterr().err
+    assert run_cli("users", "metrics", "--user-metrics", files["user_metrics.csv"],
+                   "--edges", files["edges.csv"], "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert (f"{files['user_metrics.csv']} and {files['edges.csv']} are not of one graph"
+            in err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("change, problem", [
+    (lambda rows: [rows[0]] + [[r[0], r[1], str(int(r[2]) + 1), *r[3:]] for r in rows[1:2]]
+     + rows[2:], "has degrees"),
+    (lambda rows: [rows[0], *rows[2:]], "is not a listed user"),
+])
+def test_metrics_whose_degrees_are_not_the_edges_are_a_data_error(intermediates, tmp_path,
+                                                                  capsys, change, problem):
+    """A user whose degrees are not its degrees in edges.csv, or an edge
+    source that user_metrics.csv does not list, exits 2 naming both files."""
+    rows = [line.split(",") for line in
+            (intermediates / "user_metrics.csv").read_text(encoding="utf-8").splitlines()]
+    assert int(rows[1][2]) > 0          # the first user replied: an edge source
+    rows = change(rows)
+    # R, alpha and I as the file's C and out_degree give them.
+    count = [int(r[1]) for r in rows[1:]]
+    for r in rows[1:]:
+        alpha, reach = int(r[1]) / max(count), int(r[2]) / int(r[1])
+        r[5:8] = map(repr, (reach, alpha, alpha * reach))
+    metrics = tmp_path / "user_metrics.csv"
+    metrics.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+    load_user_metrics(metrics)
+    capsys.readouterr()
+    assert run_cli("users", "metrics", "--user-metrics", metrics, "--edges",
+                   intermediates / "edges.csv", "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"{metrics} and {intermediates / 'edges.csv'} are not of one graph" in err
+    assert problem in err
     assert not (tmp_path / "out").exists()
 
 

@@ -166,7 +166,7 @@ def test_directory_of_format_1_reruns_ingest_and_its_readers(tmp_path):
 
     rerun = run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
     assert [name for name, status in rerun.items() if status == "ran"] \
-        == ["ingest", "stats", "corpus", "timeline", "graph", "metrics", "report"]
+        == ["ingest", "stats", "corpus", "timeline", "graph", "report"]
     assert artifact_digests(tmp_path) == FIXTURE_DIGESTS
 
 

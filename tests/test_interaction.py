@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import defaultdict
 from xml.sax.saxutils import quoteattr
@@ -15,9 +16,9 @@ from forumpulse.fileio import StageContext, write_text
 from forumpulse.fixture import generate_fixture
 from forumpulse.ingest import SENTINEL_AUTHORS, parse_dump
 from forumpulse.interaction import (InteractionGraph, build_graph, compute_user_metrics,
-                                    dot_text, edges_text, graphml_text, load_graph,
-                                    metrics_stage, top_influencers_subgraph, topic_spread,
-                                    user_classes)
+                                    dot_text, edges_text, graph_stage, graphml_text,
+                                    load_graph, load_user_metrics, metrics_stage,
+                                    top_influencers_subgraph, topic_spread, user_classes)
 
 from conftest import (FIXTURE_DIR, assignment_of, comment_record, comment_views,
                       edge_tuples, edges_per_comment, graph_from_edges, graph_of,
@@ -237,8 +238,8 @@ def test_spread_influence_rows_contract(tmp_path):
     """spread_influence.csv has a row per commenter in name order, each
     with its influence and log10 C."""
     d = hand_fixture()
-    metrics_stage(StageContext({"dominance.csv": None}, {"graph.top_k": 2}, tmp_path,
-                               parsed={"dataset.json": d, "edges.csv": build_graph(d)}))
+    graph_stage(StageContext({"dominance.csv": None}, {}, tmp_path,
+                             parsed={"dataset.json": d}))
     lines = (tmp_path / "spread_influence.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "user,tau,influence,log10_comments,log10_agg_score"
     rows = [line.split(",") for line in lines[1:]]
@@ -483,6 +484,40 @@ def test_metric_columns_equal_the_brute_force_oracle(dataset, k, data):
     for name in ("comment_count", "out_degree", "in_degree", "tau", "reach", "alpha",
                  "influence"):
         assert not getattr(metrics, name).flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(dataset=reply_dumps(), k=st.integers(1, 4), top_k=st.integers(1, 8), data=st.data())
+def test_metrics_stage_ranks_the_graph_stage_files_as_its_objects(tmp_path_factory, dataset,
+                                                                   k, top_k, data):
+    """The user_metrics.csv and edges.csv that graph_stage writes load back
+    to the objects it hands on, column for column and bit for bit, and
+    metrics_stage writes the same bytes from the files as from the objects."""
+    sets = st.frozensets(st.integers(0, k - 1))
+    assignment = _assignment({p: data.draw(sets) for p in dataset.posts.id}, k)
+    out = tmp_path_factory.mktemp("stages")
+    ctx = StageContext({}, {}, out, parsed={"dataset.json": dataset, "dominance.csv": assignment})
+    try:
+        graph_stage(ctx)
+    except DataError:       # no commenter
+        assert all(c.author in SENTINEL_AUTHORS for c in comment_views(dataset))
+        return
+    metrics = ctx.parsed["user_metrics.csv"]
+    loaded = load_user_metrics(out / "user_metrics.csv")
+    for f in dataclasses.fields(metrics):
+        handed, read = getattr(metrics, f.name), getattr(loaded, f.name)
+        if isinstance(handed, np.ndarray):
+            assert (read.dtype, read.flags.writeable, read.tobytes()) \
+                == (handed.dtype, False, handed.tobytes()), f.name
+        else:
+            assert type(read) is type(handed) and read == handed, f.name
+    assert same_graph(load_graph(out / "edges.csv"), ctx.parsed["edges.csv"])
+    files = {name: out / name for name in ("user_metrics.csv", "edges.csv")}
+    metrics_stage(StageContext({}, {"graph.top_k": top_k}, out / "objects",
+                               parsed={name: ctx.parsed[name] for name in files}))
+    metrics_stage(StageContext(files, {"graph.top_k": top_k}, out / "files"))
+    for name in ("top_influencers.csv", "influencer_subgraph.graphml"):
+        assert (out / "objects" / name).read_bytes() == (out / "files" / name).read_bytes()
 
 
 @settings(max_examples=120, deadline=None)

@@ -23,7 +23,7 @@ from forumpulse.errors import DataError, StageError, UsageError
 from forumpulse.fileio import StageContext, read_json, sha256_file, write_json
 from forumpulse.fixture import TOPIC_WORD_POOLS, generate_fixture
 from forumpulse.ingest import load_dataset
-from forumpulse.interaction import load_graph
+from forumpulse.interaction import load_graph, load_user_metrics
 from forumpulse.lda import load_model
 from forumpulse.pipeline import (CONFIG_DEFAULTS, CONFIG_SCHEMA, STAGES, check_config,
                                  load_config, run_pipeline, stage_seed)
@@ -84,6 +84,16 @@ def test_alpha_times_the_largest_k_fitted_must_be_finite(k, k_max, finite):
     else:
         with pytest.raises(UsageError, match="alpha \\* k finite"):
             check_config(config)
+
+
+@pytest.mark.parametrize("key", ["lda.k", "lda.k_max"])
+def test_k_is_at_most_the_ceiling(key):
+    """``lda.k`` and ``lda.k_max`` may reach 256 and no further."""
+    config = {**CONFIG_DEFAULTS, key: 256}
+    assert check_config(config) is config
+    for value in (257, 10**9):
+        with pytest.raises(UsageError, match=f"{key} <= 256"):
+            check_config({**CONFIG_DEFAULTS, key: value})
 
 
 def test_fixture_is_deterministic(tmp_path):
@@ -192,32 +202,51 @@ def test_each_intermediate_parsed_once_while_stages_read_it(tmp_path, monkeypatc
     before any stage runs, and is handed every other intermediate by the
     stage that writes it; it derives the dominant topics and the reply
     graph once, in the stages that write them. A ``graph.top_k`` rerun
-    parses no model."""
+    parses neither the model nor the dataset: only the two files it ranks
+    from and the assignment the report reads."""
     calls = Counter()
     for name in ("load_dataset", "load_model", "load_corpus", "load_assignment",
-                 "load_graph", "load_lexicon", "dominant_topics", "build_graph"):
+                 "load_graph", "load_user_metrics", "load_lexicon", "dominant_topics",
+                 "build_graph", "compute_user_metrics"):
         # Replaced in every module that holds it: a stage looks it up in its own.
         modules = [m for key, m in list(sys.modules.items())
                    if key.split(".")[0] == "forumpulse" and name in vars(m)]
 
-        def counted(arg, call=getattr(modules[0], name), name=name):
+        def counted(*args, call=getattr(modules[0], name), name=name):
             calls[name] += 1
-            return call(arg)
+            return call(*args)
         for module in modules:
             monkeypatch.setattr(module, name, counted)
     write_json(tmp_path / "lexicon.json", {"money": ["loan", "debt"], "cars": ["car"]})
     config = small_config(tmp_path, **{"lexicon.path": "lexicon.json"})
     run_pipeline(config, echo=lambda *_: None)
     assert calls == {"load_dataset": 2, "load_lexicon": 1, "dominant_topics": 1,
-                     "build_graph": 1}
+                     "build_graph": 1, "compute_user_metrics": 1}
     assert (tmp_path / "artifacts" / "pca_components.csv").read_text(
         encoding="utf-8").startswith("component,cars,money\n")
 
     calls.clear()
     again = run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
-    assert calls == {"load_dataset": 1, "load_assignment": 1, "load_graph": 1,
+    assert calls == {"load_user_metrics": 1, "load_assignment": 1, "load_graph": 1,
                      "load_lexicon": 1}
     assert ran(again) == ["metrics", "report"]
+
+
+def test_a_new_assignment_reruns_graph_with_the_same_graph_files(tmp_path):
+    """``graph`` writes tau from the dominance files, so a rerun whose
+    ``dominance.csv`` changed reruns it; the reply graph does not depend on
+    them, so its three files keep their bytes."""
+    config = small_config(tmp_path)
+    run_pipeline(config, echo=lambda *_: None)
+    out = tmp_path / "artifacts"
+    graph_files = ("edges.csv", "graph.graphml", "graph.dot")
+    before = {name: sha256_file(out / name) for name in graph_files + ("dominance.csv",)}
+    again = run_pipeline(config, overrides={"seed": "6"}, echo=lambda *_: None)
+    assert sha256_file(out / "dominance.csv") != before.pop("dominance.csv")
+    assert again["graph"] == "ran"
+    assert read_json(out / "manifest.json")["stages"]["graph"]["reason"] \
+        == "ran:input:dominance.csv"
+    assert {name: sha256_file(out / name) for name in graph_files} == before
 
 
 def test_next_run_removes_the_temporary_files_of_a_killed_write(tmp_path):
@@ -235,6 +264,32 @@ def test_next_run_removes_the_temporary_files_of_a_killed_write(tmp_path):
     assert not ran(run_pipeline(config, out_dir=out, echo=lambda *_: None))
     assert not any(path.exists() for path in stale)
     assert (out / ".notes.tmp").read_text() == "not ours"
+
+
+@pytest.mark.parametrize("name, removed", [
+    (".activity_table.csv.4242.tmp", True),
+    ("corpus/.meta.json.17.tmp", True),
+    (".manifest.json.99.tmp", True),
+    (".report.json..tmp", True),            # the part between may be empty
+    (".edges.csv.1.2.tmp", True),           # or hold a dot
+    (".notes.tmp", False),                  # no output is named notes
+    (".edges.csv.tmp", False),              # no dot-separated part between
+    (".edges.csv.1.tmp.old", False),
+    ("edges.csv.1.tmp", False),             # not hidden
+    (".meta.json.5.tmp", False),            # meta.json lies in corpus/
+    ("corpus/.edges.csv.3.tmp", False),     # edges.csv does not
+])
+def test_a_run_removes_the_temporary_names_of_its_outputs(full_run, tmp_path, name, removed):
+    """The next run removes a file named as ``write_text`` names its
+    temporary file, ``.<output>.<anything>.tmp`` in the output's own
+    directory, and keeps any other, though every stage is up to date."""
+    _, run_dir = full_run
+    out = tmp_path / "artifacts"
+    shutil.copytree(run_dir, out)
+    (out / name).write_text("")
+    assert not ran(run_pipeline(run_dir.parent / "config.json", out_dir=out,
+                                echo=lambda *_: None))
+    assert (out / name).exists() is not removed
 
 
 def test_same_dump_through_another_path_is_up_to_date(tmp_path):
@@ -270,7 +325,8 @@ def test_same_dump_through_another_path_is_up_to_date(tmp_path):
 def test_report_is_handed_only_the_assignment(tmp_path, monkeypatch):
     """``report`` is handed only what it reads: on a fresh run the
     assignment its stage wrote, not the model, and after a ``metrics``
-    rerun the assignment ``metrics`` parsed, not its dataset and graph."""
+    rerun nothing, since ``metrics`` parses neither the assignment nor the
+    dataset."""
     handed: list[list[str]] = []
 
     def report(ctx, run=STAGES[-1].run):
@@ -283,7 +339,7 @@ def test_report_is_handed_only_the_assignment(tmp_path, monkeypatch):
     config = small_config(tmp_path)
     run_pipeline(config, echo=lambda *_: None)
     run_pipeline(config, overrides={"graph.top_k": "2"}, echo=lambda *_: None)
-    assert handed == [["dominance.csv"], ["dominance.csv"]]
+    assert handed == [["dominance.csv"], []]
 
 
 def assert_same(handed, parsed, where: str) -> None:
@@ -330,10 +386,11 @@ def test_handed_on_objects_equal_their_files(tmp_path, monkeypatch):
         "ingest": [], "stats": [], "corpus": ["dataset.json"], "topics": ["corpus"],
         "dominance": ["model.json"], "cooccur": ["dominance.csv"],
         "timeline": ["dominance.csv"], "lexicon": ["corpus", "dominance.csv"],
-        "graph": ["dataset.json"], "metrics": ["dataset.json", "dominance.csv", "edges.csv"],
+        "graph": ["dataset.json", "dominance.csv"], "metrics": ["edges.csv", "user_metrics.csv"],
         "report": ["dominance.csv"]}
     parse = {"dataset.json": load_dataset, "corpus": load_corpus, "model.json": load_model,
-             "dominance.csv": load_assignment, "edges.csv": load_graph}
+             "dominance.csv": load_assignment, "edges.csv": load_graph,
+             "user_metrics.csv": load_user_metrics}
     for stage, objects in handed.items():
         for name, value in objects.items():
             assert_same(value, parse[name](out / name), f"{stage}: {name}")
@@ -484,7 +541,7 @@ def test_edited_code_file_reruns_the_stages_that_run_it(tmp_path):
     rerun, after = run()[0], inputs()
     assert rerun == [stage.name for stage in STAGES
                      if stage.name == "corpus" or after[stage.name] != before[stage.name]]
-    assert "topics" in rerun and "graph" not in rerun
+    assert "topics" in rerun and "stats" not in rerun
     assert "card\t" not in (out / "corpus" / "vocabulary.tsv").read_text(encoding="utf-8")
     assert run() == ([], f"all stages up to date in {out}")
 
@@ -641,7 +698,7 @@ def test_dump_without_commenters_is_a_data_error(tmp_path):
 
 def test_dump_whose_commenters_are_all_deleted_is_a_data_error(tmp_path):
     """Comments that are all by ``[deleted]`` leave no commenter to score:
-    ``metrics`` fails."""
+    ``graph`` fails."""
     config = small_config(tmp_path)
     comments = tmp_path / "dump" / "comments.jsonl"
     records = [json.loads(line) for line in comments.read_text(encoding="utf-8").splitlines()]
@@ -649,7 +706,7 @@ def test_dump_whose_commenters_are_all_deleted_is_a_data_error(tmp_path):
                                 for record in records), encoding="utf-8")
     with pytest.raises(StageError) as err:
         run_pipeline(config, echo=lambda *_: None)
-    assert err.value.stage == "metrics"
+    assert err.value.stage == "graph"
     assert isinstance(err.value.cause, DataError)
     assert "no commenters" in str(err.value)
 
