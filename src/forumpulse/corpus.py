@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .fileio import (StageContext, read_csv, read_json, reading, write_csv, write_json,
-                     write_text)
+from .fileio import (COUNT, NAME, StageContext, read_json, read_table, reading, write_csv,
+                     write_json, write_text)
 from .ingest import Dataset, load_dataset
 
 DEFAULT_MIN_DF = 5
@@ -44,12 +44,8 @@ _TRIPLETS_HEADER = "doc_idx,term_id,count"
 def default_stopwords() -> frozenset[str]:
     """The English stopword list shipped with the package."""
     text = Path(__file__).with_name("data").joinpath("stopwords.txt").read_text("utf-8")
-    words = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(line)
-    return frozenset(words)
+    return frozenset(line for line in map(str.strip, text.splitlines())
+                     if line and not line.startswith("#"))
 
 
 _ARRAYS = ("offsets", "term_ids", "counts")
@@ -318,25 +314,16 @@ def load_corpus(directory: Path) -> Corpus:
         excluded = tuple(meta["excluded_doc_ids"])
         digest = meta["vocabulary_sha256"]
 
-    terms: list[str] = []
-    freq: list[int] = []
     with reading(vocabulary_path, "vocabulary file"):
-        for idx, term, df in read_csv(vocabulary_path, 3, "\t"):
-            if int(idx) != len(terms):
-                raise DataError(f"{vocabulary_path}: id {idx} where "
-                                f"{len(terms)} was expected")
-            terms.append(term)
-            freq.append(int(df))
-
-    triplets = _read_triplets(documents_path, n_documents, vocabulary_size)
-
-    doc_ids: list[str] = []
+        ids, terms, freq = read_table(vocabulary_path, ("id", "term", "df"),
+                                      (COUNT, "[^\t\n\r]+", COUNT), "\t")
     with reading(docs_path, "document id file"):
-        for idx, post_id in read_csv(docs_path, 2):
-            if int(idx) != len(doc_ids):
-                raise DataError(f"{docs_path}: doc_idx {idx} where "
-                                f"{len(doc_ids)} was expected")
-            doc_ids.append(post_id)
+        doc_idx, doc_ids = read_table(docs_path, ("doc_idx", "post_id"), (COUNT, NAME))
+    for path, name, cells in ((vocabulary_path, "id", ids), (docs_path, "doc_idx", doc_idx)):
+        n = next((n for n, cell in enumerate(cells) if cell != str(n)), None)
+        if n is not None:
+            raise DataError(f"{path}: {name} {cells[n]} where {n} was expected")
+    triplets = _read_triplets(documents_path, n_documents, vocabulary_size)
 
     for path, what, found, recorded in (
             (vocabulary_path, "terms", len(terms), vocabulary_size),
@@ -348,9 +335,8 @@ def load_corpus(directory: Path) -> Corpus:
     if digest != vocabulary_digest(tuple(terms)):
         raise DataError(f"{meta_path}: vocabulary_sha256 is not the digest of the terms "
                         f"of {vocabulary_path.name}")
-    with reading(vocabulary_path, "vocabulary file"):
-        if freq != np.bincount(triplets[:, 1], minlength=vocabulary_size).tolist():
-            raise ValueError("a df is not the number of documents that hold the term")
+    if freq != list(map(str, np.bincount(triplets[:, 1], minlength=vocabulary_size).tolist())):
+        raise DataError(f"{vocabulary_path}: a df is not its term's number of documents")
     # ValueError on doc ids out of order or repeated (a repeated term fails
     # the digest check above unless meta.json was written for it).
     with reading(docs_path, "document id file"):

@@ -15,11 +15,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -64,20 +65,26 @@ def float_cells(values: np.ndarray, spell: Callable[[float], str] = repr) -> np.
     return text[index].reshape(values.shape)
 
 
-def read_csv(path: Path, width: int, delimiter: str = ",") -> Iterator[list[str]]:
-    """The rows after the header of a file ``write_csv`` wrote, as lists of
-    ``width`` cells; ValueError on an empty file, a line of any other width
-    or a last line without its newline (a truncated file)."""
-    n = 0
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            cells = line[:-1].split(delimiter)
-            if line[-1] != "\n" or len(cells) != width:
-                raise ValueError(f"line {n} is not {width} cells and a newline: {line!r}")
-            if n > 1:
-                yield cells
-    if not n:
-        raise ValueError("empty file, no header")
+# read_table's cells: a count of at most 18 digits, a float's repr, a name.
+COUNT, FLOAT, NAME = "(?:0|[1-9][0-9]{0,17})", "[-+.0-9a-z]+", "[^,\n\r]+"
+
+
+def read_table(path: Path, header: Sequence[str], cells: Sequence[str],
+               delimiter: str = ",") -> list[list[str]]:
+    """The columns of a file ``write_csv`` wrote with ``header``, as lists of
+    str; ValueError naming its first line (1 for the header) that is not
+    ``header``, or not one cell fully matching each of ``cells`` (patterns
+    that match neither ``delimiter`` nor a line break), and a newline."""
+    text = Path(path).read_bytes().decode("utf-8")
+    head = delimiter.join(header) + "\n"
+    row = re.escape(delimiter).join(f"(?:{cell})" for cell in cells)
+    end = re.match(f"(?:{re.escape(head)}(?:{row}\n)*)?", text).end()
+    if not end or end != len(text):
+        n, line = text.count("\n", 0, end) + 1, text[end:].partition("\n")[0]
+        what = f"{len(cells)} cells of its columns" if end else f"the header {head[:-1]!r}"
+        raise ValueError(f"line {n} is not {what} and a newline: {line!r}")
+    values = text[len(head):].replace("\n", delimiter).split(delimiter)[:-1]
+    return [values[i::len(cells)] for i in range(len(cells))]
 
 
 def write_json(path: Path, payload: Any, indent: int | None = 2) -> None:

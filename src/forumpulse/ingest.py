@@ -40,9 +40,10 @@ _INT64 = (-2**63, 2**63 - 1)
 # A record's created_utc: from one second after the epoch to
 # 9999-12-31T23:59:59Z, the last second whose month a datetime can name.
 _CREATED_AT = (1, 253402300799)
-# write_csv joins cells unquoted, so an id or author holding a comma or a
-# line break would write rows that cannot be read back.
-_CSV_SEPARATOR = re.compile("[,\n\r]")
+# write_csv joins cells unquoted, so an id or author holding a comma or a line
+# break would write rows that cannot be read back; and UTF-8 cannot encode a
+# lone surrogate, which a JSON escape can spell, in any str the dataset keeps.
+_NOT_IN_A_CELL, _SURROGATE = re.compile("[,\n\r\ud800-\udfff]"), re.compile("[\ud800-\udfff]")
 _SCAN = json.JSONDecoder().scan_once
 _RECORD_KEYS = ("id", "author", "created_utc", "score")
 # A comment's fields as a record line holds them, in the order of Comments;
@@ -61,9 +62,9 @@ class _Table:
     array, each other field a list of str, the authors interned. ValueError
     for a column that is not a list as long as ``id`` of items of exactly
     its field's type (a bool is not an int), an id or author that is empty
-    or holds a CSV separator, an int outside its field's bounds:
-    ``_CREATED_AT`` for ``created_at``, int64 otherwise, or ids that are not
-    strictly ascending in ``str`` order."""
+    or holds a CSV separator, a str that holds a lone surrogate, an int
+    outside its field's bounds: ``_CREATED_AT`` for ``created_at``, int64
+    otherwise, or ids that are not strictly ascending in ``str`` order."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -75,7 +76,7 @@ class _Table:
                 column.setflags(write=False)
             else:
                 valid = (_cells(column, csv=True) if f.name in ("id", "author")
-                         else not set(map(type, column)) - {str})
+                         else not set(map(type, column)) - {str} and _encodable(column).all())
             if not np.all(valid):
                 raise ValueError(f"{type(self).__name__.lower()} column {f.name!r} is not a "
                                  "list as long as the ids of values that its field takes")
@@ -228,19 +229,30 @@ def _ints(column: Sequence, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _cells(column: Sequence, csv: bool) -> np.ndarray:
     """Where ``column`` holds a non-empty str, and if ``csv`` one without a
-    CSV separator. The whole column is tested first, item by item only when
-    that fails."""
+    CSV separator or a lone surrogate. The whole column is tested first,
+    item by item only when that fails."""
     if (not set(map(type, column)) - {str} and all(column)
-            and not (csv and _CSV_SEPARATOR.search("".join(column)))):
+            and not (csv and _NOT_IN_A_CELL.search("".join(column)))):
         return np.ones(len(column), dtype=bool)
-    return np.fromiter((type(x) is str and x != "" and not (csv and _CSV_SEPARATOR.search(x))
+    return np.fromiter((type(x) is str and x != "" and not (csv and _NOT_IN_A_CELL.search(x))
                         for x in column), dtype=bool, count=len(column))
+
+
+def _encodable(column: Sequence[str]) -> np.ndarray:
+    """Where a str of ``column`` holds no lone surrogate, tested as ``_cells`` tests."""
+    try:
+        "".join(column).encode("utf-8")     # a few times faster than a search
+    except UnicodeEncodeError:
+        return np.fromiter((not _SURROGATE.search(x) for x in column), dtype=bool,
+                           count=len(column))
+    return np.ones(len(column), dtype=bool)
 
 
 def _take_post(record: dict) -> tuple:
     """A post's fields as a record line holds them, in the order of Posts:
-    None for a missing title or selftext, KeyError for any other."""
-    return _take_record(record) + (record.get("title"), record.get("selftext"))
+    the title and selftext as ``str(value or "")``, KeyError for any other."""
+    return _take_record(record) + (str(record.get("title") or ""),
+                                   str(record.get("selftext") or ""))
 
 
 def _scan(stream: Iterable[str], take, tallies: Counter[str]) -> list[tuple]:
@@ -278,7 +290,8 @@ def _read_records(stream: Iterable[str], take, width: int, n_strings: int,
 
     A record is valid when its id, author and the ``n_strings`` fields
     after its score are non-empty strs, its id and author hold no CSV
-    separator, its score is an int64 and its ``created_utc`` one within
+    separator or lone surrogate, no str field after those holds a lone
+    surrogate, its score is an int64 and its ``created_utc`` one within
     ``_CREATED_AT``; the others, and repeated ids, are counted in ``tallies``.
     """
     rows = _scan(stream, take, tallies)
@@ -288,6 +301,8 @@ def _read_records(stream: Iterable[str], take, width: int, n_strings: int,
     valid = _cells(ids, csv=True) & _cells(columns[1], csv=True)
     for column in columns[4:4 + n_strings]:
         valid &= _cells(column, csv=False)
+    for column in columns[4 + n_strings:]:
+        valid &= _encodable(column)
     for j, bounds in ((2, _CREATED_AT), (3, _INT64)):
         values, holds = _ints(columns[j], *bounds)
         if not holds.all():     # a column that is not all ints in bounds
@@ -325,7 +340,6 @@ def parse_dump(post_stream: Iterable[str], comment_stream: Iterable[str],
     """
     tallies: Counter[str] = Counter()
     posts = _read_records(post_stream, _take_post, len(fields(Posts)), 0, window, tallies)
-    posts[4:] = [[str(text or "") for text in column] for column in posts[4:]]
     comments = _read_records(comment_stream, _take_comment, len(fields(Comments)), 2,
                              window, tallies)
     # The row of each record by its prefixed id. An unknown prefix keeps

@@ -19,7 +19,6 @@ dataset nor the dominant topics.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import compress, islice
 from math import isnan, log10
@@ -29,7 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DataError
-from .fileio import StageContext, float_cells, reading, write_csv, write_json, write_text
+from .fileio import (COUNT, FLOAT, NAME, StageContext, float_cells, read_table, reading,
+                     write_csv, write_json, write_text)
 from .ingest import Dataset, load_dataset
 from .topics import DominantTopicAssignment, load_assignment
 
@@ -77,28 +77,24 @@ def build_graph(dataset: Dataset) -> InteractionGraph:
                             ends[:len(keys)], ends[len(keys):], weights)
 
 
-# edges.csv: its header, then one line of source, target and weight per edge.
-_EDGE_LIST = re.compile(r"from,to,weight\n((?:[^,\n\r]+,[^,\n\r]+,[1-9][0-9]{0,17}\n)*)")
+# A count of at least 1: an edge's weight, a commenter's C.
+_POSITIVE = "[1-9][0-9]{0,17}"
 
 
 def load_graph(path: Path) -> InteractionGraph:
     """The graph whose edge list the graph stage wrote to ``path``
     (``edges.csv``); DataError when the file is not complete."""
     with reading(path, "edge list file"):
-        match = _EDGE_LIST.fullmatch(Path(path).read_text(encoding="utf-8"))
-        if match is None:
-            raise ValueError("not a from,to,weight header and lines of two non-empty names "
-                             "and a positive integer weight, each ending in a newline")
-    cells = match[1].replace("\n", ",").split(",")[:-1]
-    nodes = tuple(sorted(set(cells[0::3]).union(cells[1::3])))
+        *ends, weights = read_table(path, ("from", "to", "weight"), (NAME, NAME, _POSITIVE))
+    nodes = tuple(sorted(set(ends[0]).union(ends[1])))
     index = dict(zip(nodes, range(len(nodes))))
-    source, target = (np.fromiter(map(index.__getitem__, cells[i::3]), dtype=np.int64,
-                                  count=len(cells) // 3) for i in (0, 1))
+    source, target = (np.fromiter(map(index.__getitem__, names), dtype=np.int64,
+                                  count=len(names)) for names in ends)
     key = source * len(nodes) + target
     if np.any(source == target) or np.any(key[1:] <= key[:-1]):
         raise DataError(f"{path}: corrupt edge list file (a self-reply, or edges "
                         f"not distinct and in order)")
-    return InteractionGraph(nodes, source, target, np.array(cells[2::3], dtype=np.int64))
+    return InteractionGraph(nodes, source, target, np.array(weights, dtype=np.int64))
 
 
 def user_classes(graph: InteractionGraph) -> dict[str, float]:
@@ -194,45 +190,33 @@ def compute_user_metrics(dataset: Dataset, graph: InteractionGraph,
                        alpha * reach, list(map(scores.__getitem__, users.tolist())))
 
 
-# user_metrics.csv: its columns, and the header then one line per commenter
-# of a name, C >= 1, the two degrees, tau (empty where undefined), R, alpha,
-# I and the aggregate comment score.
+# user_metrics.csv: its columns, and one line per commenter of a name,
+# C >= 1, the two degrees, tau (empty where undefined), R, alpha, I and the
+# aggregate comment score.
 _METRIC_COLUMNS = ("user", "C", "out_degree", "in_degree", "tau", "R", "alpha", "I",
                    "agg_score")
-_COUNT, _FLOAT = "(?:0|[1-9][0-9]{0,17})", "[-+.0-9a-z]+"
-_METRIC_TABLE = re.compile(
-    ",".join(_METRIC_COLUMNS)
-    + rf"\n((?:[^,\n\r]+,[1-9][0-9]{{0,17}},{_COUNT},{_COUNT},(?:{_FLOAT})?,{_FLOAT},{_FLOAT},"
-    rf"{_FLOAT},-?(?:0|[1-9][0-9]*)\n)+)")
+_METRIC_CELLS = (NAME, _POSITIVE, COUNT, COUNT, f"(?:{FLOAT})?", FLOAT, FLOAT, FLOAT,
+                 "-?(?:0|[1-9][0-9]*)")
 
 
 def load_user_metrics(path: Path) -> UserMetrics:
     """The metrics the graph stage wrote to ``path`` (``user_metrics.csv``);
-    DataError when the file is not complete, its users do not ascend, or
-    its R, alpha and I are not the ones its C and out-degrees give."""
+    DataError when the file is not complete, its users are none or do not
+    ascend, or its R, alpha and I are not the ones its C and out-degrees give."""
     with reading(path, "user metrics file"):
-        match = _METRIC_TABLE.fullmatch(Path(path).read_text(encoding="utf-8"))
-        if match is None:
-            raise ValueError(f"not a {','.join(_METRIC_COLUMNS)} header and lines of a "
-                             "name, three counts, four floats and a score, each ending "
-                             "in a newline")
-        cells = match[1].replace("\n", ",").split(",")[:-1]
-        users, n = cells[0::9], len(cells) // 9
-        if not all(map(str.__lt__, users, islice(users, 1, None))):
-            raise ValueError("users not strictly ascending")
-        count, out_degree, in_degree = (np.array(cells[i::9], dtype=np.int64)
-                                        for i in (1, 2, 3))
-        tau, reach, alpha, influence = (
-            np.fromiter((float(x) if x else np.nan for x in cells[i::9]), dtype=np.float64,
-                        count=n) for i in (4, 5, 6, 7))
+        users, *columns = read_table(path, _METRIC_COLUMNS, _METRIC_CELLS)
+        if not users or not all(map(str.__lt__, users, islice(users, 1, None))):
+            raise ValueError("no users, or users not strictly ascending")
+        count, out_degree, in_degree = (np.array(c, dtype=np.int64) for c in columns[:3])
+        tau, reach, alpha, influence = (np.array([float(x) if x else np.nan for x in c])
+                                        for c in columns[3:7])
         # The operations of compute_user_metrics, so equal values are equal bits.
         if not (np.array_equal(alpha, count / count.max())
                 and np.array_equal(reach, out_degree / count)
                 and np.array_equal(influence, alpha * reach)):
             raise ValueError("R, alpha or I is not the one C and out_degree give")
-        scores = list(map(int, cells[8::9]))
     return UserMetrics(users, count, out_degree, in_degree, tau, reach, alpha, influence,
-                       scores)
+                       list(map(int, columns[7])))
 
 
 def _degree_mismatch(metrics: UserMetrics, graph: InteractionGraph) -> Optional[str]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Corpus, load_corpus
 from .errors import DataError
-from .fileio import StageContext, read_csv, reading, write_csv
+from .fileio import COUNT, FLOAT, NAME, StageContext, read_table, reading, write_csv
 from .ingest import Dataset, load_dataset
 from .lda import (LdaConfig, TopicModel, derive_seed, fit, kernel_name, load_model,
                   save_model, top_words)
@@ -30,6 +30,7 @@ _SUM_TOLERANCE = 1e-6
 TOP_WORDS = 10
 # The files of an assignment, side by side: the mask, thresholds and presence.
 DOMINANCE_FILES = ("dominance.csv", "dominance_thresholds.csv", "topic_presence.csv")
+_TOPIC_SET = f"(?:{COUNT}(?:[|]{COUNT})*)?"     # a dominance.csv cell: topics joined by "|"
 
 
 def skewness(dist: Sequence[float]) -> Optional[float]:
@@ -67,8 +68,11 @@ def row_skewness(theta: np.ndarray) -> np.ndarray:
         raise ValueError("entries must sum to 1")
     mean = theta.mean(axis=1)
     sigma = np.sqrt(np.mean((theta - mean[:, None]) ** 2, axis=1))
+    # np.median's operations: the mean of the middle two sorted values (the
+    # middle one twice for an odd k), without its NaN check, which loads numpy.ma.
+    ordered, k = np.sort(theta, axis=1), theta.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        skews = 3.0 * (mean - np.median(theta, axis=1)) / sigma
+        skews = 3.0 * (mean - (ordered[:, (k - 1) // 2] + ordered[:, k // 2]) / 2) / sigma
     skews[np.all(theta == theta[:, :1], axis=1) | (sigma == 0.0)] = np.nan
     return skews
 
@@ -155,14 +159,14 @@ def dominant_topics(model: TopicModel) -> DominantTopicAssignment:
     )
 
 
-def _topic_table(path: Path, width: int) -> tuple[tuple[float, ...], ...]:
+def _topic_table(path: Path, header: Sequence[str]) -> tuple[tuple[float, ...], ...]:
     """The float cells after the topic column of each row of a per-topic
-    CSV; its topics must be numbered 0, 1, ... in order."""
+    CSV headed ``header``; its topics must be numbered 0, 1, ... in order."""
     with reading(path, "per-topic file"):
-        rows = list(read_csv(path, width))
-        if [int(row[0]) for row in rows] != list(range(len(rows))):
+        topics, *columns = read_table(path, header, (COUNT,) + (FLOAT,) * (len(header) - 1))
+        if topics != list(map(str, range(len(topics)))):
             raise ValueError("topics are not numbered 0, 1, ...")
-        return tuple(tuple(float(x) for x in row[1:]) for row in rows)
+        return tuple(zip(*([float(x) for x in column] for column in columns)))
 
 
 def save_assignment(path: Path, assignment: DominantTopicAssignment) -> None:
@@ -192,23 +196,26 @@ def load_assignment(path: Path) -> DominantTopicAssignment:
     not complete or the three do not agree."""
     path = Path(path)
     thresholds_path, presence_path = (path.parent / name for name in DOMINANCE_FILES[1:])
-    thresholds = _topic_table(thresholds_path, 3)
+    thresholds = _topic_table(thresholds_path, ("topic", "mu", "sigma"))
     with reading(path, "dominance file"):
-        doc_ids, cells = zip(*read_csv(path, 2))
+        doc_ids, cells = read_table(path, ("post_id", "dominant_topics"), (NAME, _TOPIC_SET))
+        if not doc_ids:
+            raise ValueError("no post")
         if len(set(doc_ids)) != len(doc_ids):
             raise ValueError("a post id more than once")
         # Each distinct cell parsed once, into the bytes of its mask row:
         # the posts share a few topic sets.
         rows = {}
         for cell in set(cells):
-            topics = [int(t) for t in cell.split("|") if t]
+            topics = [int(t) for t in cell.split("|")] if cell else []
             if any(not 0 <= t < len(thresholds) for t in topics):
                 raise ValueError(f"a topic outside the {len(thresholds)} thresholds")
             rows[cell] = np.isin(np.arange(len(thresholds)), topics).tobytes()
     mask = np.frombuffer(b"".join(map(rows.__getitem__, cells)), dtype=bool)
-    assignment = DominantTopicAssignment(doc_ids, thresholds,
+    assignment = DominantTopicAssignment(tuple(doc_ids), thresholds,
                                          mask.reshape(len(cells), len(thresholds)))
-    if assignment.topic_presence != tuple(p for (p,) in _topic_table(presence_path, 2)):
+    presence = _topic_table(presence_path, ("topic", "presence_fraction"))
+    if assignment.topic_presence != tuple(p for (p,) in presence):
         raise DataError(f"{path}: dominant topics disagree with topic_presence.csv")
     return assignment
 
@@ -284,7 +291,8 @@ def load_selected_w_k(path: Path) -> int:
     """W_k of the k that ``skewness_scan.csv`` marks selected; DataError
     unless exactly one row is."""
     with reading(path, "skewness scan file"):
-        selected = [int(w_k) for _, w_k, chosen in read_csv(path, 3) if chosen == "1"]
+        _, w_k, chosen = read_table(path, ("k", "w_k", "selected"), (COUNT, COUNT, "[01]"))
+        selected = [int(w) for w, c in zip(w_k, chosen) if c == "1"]
         if len(selected) != 1:
             raise ValueError(f"{len(selected)} selected rows where one was expected")
     return selected[0]
@@ -294,13 +302,13 @@ def load_top_words(path: Path, k: int) -> dict[str, list[str]]:
     """Each of the ``k`` topics' terms in ``top_words.csv``, by rank; DataError
     unless each topic has one term per rank 1 to n, n <= ``TOP_WORDS``."""
     with reading(path, "top words file"):
-        rows = list(read_csv(path, 3))
-        n = len(rows) // max(k, 1)
-        if [(t, r) for t, r, _ in rows] != [(str(t), str(r)) for t in range(k)
-                                            for r in range(1, n + 1)] \
-                or not 1 <= n <= TOP_WORDS or not all(term for _, _, term in rows):
+        topics, ranks, terms = read_table(path, ("topic", "rank", "term"),
+                                          (COUNT, COUNT, NAME))
+        n = len(terms) // max(k, 1)
+        ranked = [(str(t), str(r)) for t in range(k) for r in range(1, n + 1)]
+        if list(zip(topics, ranks)) != ranked or not 1 <= n <= TOP_WORDS:
             raise ValueError(f"not 1 to {TOP_WORDS} ranked terms for each of {k} topics")
-    return {str(t): [term for _, _, term in rows[t * n:(t + 1) * n]] for t in range(k)}
+    return {str(t): terms[t * n:(t + 1) * n] for t in range(k)}
 
 
 def dominance_stage(ctx: StageContext) -> DominantTopicAssignment:

@@ -193,6 +193,7 @@ def merge_phrases(documents, min_count: int) -> list[list[str]]:
 
 
 _SEPARATOR = re.compile("[,\n\r]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _LAST_SECOND = 253402300799      # 9999-12-31T23:59:59Z
 
 
@@ -214,6 +215,8 @@ def _record_fields(record: dict) -> tuple:
         raise ValueError("missing author")
     if _SEPARATOR.search(record_id + author):
         raise ValueError("id or author holds a CSV separator")
+    if _SURROGATE.search(record_id + author):
+        raise ValueError("id or author holds a lone surrogate")
     created = _coerce_int(record["created_utc"])
     if not 1 <= created <= _LAST_SECOND:
         raise ValueError("created_utc out of range")
@@ -221,8 +224,10 @@ def _record_fields(record: dict) -> tuple:
 
 
 def _post_fields(record: dict) -> tuple:
-    return _record_fields(record) + (str(record.get("title") or ""),
-                                     str(record.get("selftext") or ""))
+    texts = (str(record.get("title") or ""), str(record.get("selftext") or ""))
+    if _SURROGATE.search("".join(texts)):
+        raise ValueError("title or selftext holds a lone surrogate")
+    return _record_fields(record) + texts
 
 
 def _comment_fields(record: dict) -> tuple:

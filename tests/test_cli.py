@@ -658,8 +658,13 @@ CORRUPTIONS = {
         **json.loads(data), "format": "forumpulse-model-v2",
         "log_likelihood_trace": [-80.5, -79.25]}).encode(),
     "no-last-newline": lambda data, name: data[:-1],
-    "header": lambda data, name: data.replace(b"from,to,weight", b"source,target,weight", 1)
-    .replace(b"user,C,", b"name,C,", 1),
+    # A table whose first header cell is renamed.
+    "header": lambda data, name: b"renamed" + data[data.index(b"\t" if name.endswith(".tsv")
+                                                              else b","):],
+    # Lone surrogates, which no UTF-8 file can hold, as JSON escapes spell them.
+    "surrogate-title": _dataset_column("posts", "title", lambda cells, *_: ["\ud800"] + cells[1:]),
+    "surrogate-author": _dataset_column("comments", "author",
+                                        lambda cells, *_: ["\udc80" + cells[0]] + cells[1:]),
     "two-cells": _edge_line(lambda line: line.rsplit(b",", 1)[0]),
     "four-cells": _edge_line(lambda line: line + b",1"),
     "float-weight": _edge_line(lambda line: line + b".5"),
@@ -703,6 +708,9 @@ CORRUPTIONS = {
         first[:7] + [repr(float(first[7]) * 2 + 1).encode()] + first[8:], second)),
     "no-rows": lambda data, name: data.split(b"\n", 1)[0] + b"\n",
 }
+# The CSV and TSV intermediates, each a header line and rows.
+TABLES = ("corpus/vocabulary.tsv", "corpus/documents.csv", "corpus/docs.csv", "dominance.csv",
+          "dominance_thresholds.csv", "topic_presence.csv", "edges.csv", "user_metrics.csv")
 # The files each corruption that does not apply to every file applies to.
 ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.json",),
         "model-v2": ("model.json",),
@@ -710,7 +718,7 @@ ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.jso
         **dict.fromkeys(("repeated-term", "df-mismatch", "vocab-id"),
                         ("corpus/vocabulary.tsv",)),
         **dict.fromkeys(("swapped-doc-id", "repeated-doc-id"), ("corpus/docs.csv",)),
-        **dict.fromkeys(("no-last-newline", "header"), ("edges.csv", "user_metrics.csv")),
+        **dict.fromkeys(("no-last-newline", "header"), TABLES),
         **dict.fromkeys(("two-cells", "four-cells", "float-weight", "empty-weight",
                          "zero-weight", "self-reply", "edge-order", "empty-name"),
                         ("edges.csv",)),
@@ -722,14 +730,12 @@ ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.jso
                          "created-zero", "created-after-9999", "outside-int64", "format-1",
                          "empty-author", "comma-author", "line-break-id", "added-column",
                          "removed-column", "swapped-posts-id", "repeated-posts-id",
-                         "swapped-comments-id", "repeated-comments-id"),
+                         "swapped-comments-id", "repeated-comments-id", "surrogate-title",
+                         "surrogate-author"),
                         ("dataset.json",))}
 CASES = [
     (name, corruption, command)
-    for name in ("dataset.json", "model.json", "corpus/meta.json",
-                 "corpus/vocabulary.tsv", "corpus/documents.csv", "corpus/docs.csv",
-                 "dominance.csv", "dominance_thresholds.csv", "topic_presence.csv",
-                 "edges.csv", "user_metrics.csv")
+    for name in ("dataset.json", "model.json", "corpus/meta.json") + TABLES
     for corruption in CORRUPTIONS
     if name in ONLY.get(corruption, (name,))
     for command in READERS
@@ -904,6 +910,10 @@ REPORT_INPUT_DAMAGE = {
                    lambda text: text.replace("\n1,1,", "\n0,11,x\n1,1,", 1)),
     "two-cells": ("top_words.csv",
                   lambda text: text.replace("topic,rank,term", "topic,term", 1)),
+    "words-header": ("top_words.csv",
+                     lambda text: text.replace("topic,rank,term", "topic,rank,word", 1)),
+    "scan-header": ("skewness_scan.csv",
+                    lambda text: text.replace("k,w_k,selected", "k,w_k,chosen", 1)),
     "no-selected-row": ("skewness_scan.csv", lambda text: text.replace(",1\n", ",0\n")),
     "w_k-abc": ("skewness_scan.csv",
                 lambda text: re.sub(r"(?m)^(\d+),\d+,1$", r"\1,abc,1", text)),
@@ -962,6 +972,23 @@ def _garble(path: Path, at_line: int) -> None:
     lines = path.read_bytes().splitlines(keepends=True)
     path.write_bytes(b"".join(lines[:at_line]) + b'{"id": "x\xff"}\n'
                      + b"".join(lines[at_line:]))
+
+
+@pytest.mark.parametrize("kind, key", [("posts", "id"), ("posts", "author"), ("posts", "title"),
+                                       ("posts", "selftext"), ("comments", "id"),
+                                       ("comments", "author")])
+def test_lone_surrogate_in_a_kept_field_is_a_parse_error(dump, config, kind, key):
+    """A record whose id, author, title or selftext holds a lone surrogate,
+    a valid JSON escape that UTF-8 cannot encode, is skipped and counted in
+    parse_errors, and `run` exits 0."""
+    path = dump / "dump" / f"{kind}.jsonl"
+    first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(first)
+    record[key] = (record.get(key) or "") + "\ud800"
+    path.write_text(json.dumps(record) + "\n" + "".join(rest), encoding="utf-8")
+    assert "\\ud800" in path.read_text(encoding="utf-8")
+    assert run_cli("run", "--config", config) == 0
+    assert read_json(dump / "artifacts" / "stats_summary.json")["parse_errors"] == 1
 
 
 def test_dump_that_is_not_utf8_fails_ingest_with_a_data_error(dump, config, capsys):

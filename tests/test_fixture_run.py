@@ -10,6 +10,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +127,27 @@ def test_fixture_run_writes_the_pinned_bytes(tmp_path):
     assert digests == FIXTURE_DIGESTS
     listing = "".join(f"{digest}  ./{name}\n" for name, digest in sorted(digests.items()))
     assert hashlib.sha256(listing.encode("utf-8")).hexdigest() == FIXTURE_LISTING
+
+
+def test_topics_rerun_does_not_import_numpy_ma(tmp_path):
+    """A rerun of the fixture pipeline from ``topics`` on loads no
+    ``numpy.ma``, which ``np.median`` imports on first use. (A fresh run
+    still loads it: ``build_corpus`` counts posts with ``np.unique``, which
+    calls ``np.ma.is_masked``.)"""
+    bare = subprocess.run([sys.executable, "-c", "import sys, numpy; "
+                           "print('numpy.ma' in sys.modules)"],
+                          capture_output=True, text=True, check=True, env=child_env())
+    if bare.stdout.split() == ["True"]:
+        pytest.skip("importing numpy loads numpy.ma (numpy 1.x)")
+    run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
+    script = ("import sys; from forumpulse.cli import main; "
+              f"code = main(['run', '--config', {str(FIXTURE_DIR / 'config.json')!r}, "
+              f"'--out-dir', {str(tmp_path)!r}, '--set', 'lda.k=3']); "
+              "print(code, 'numpy.ma' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env=child_env())
+    assert "[topics] done" in child.stdout
+    assert child.stdout.splitlines()[-1] == "0 False"
 
 
 def gen_dump():

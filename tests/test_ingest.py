@@ -63,16 +63,25 @@ def test_malformed_lines_skipped_and_counted():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("id", "p,2"), ("author", "ma,lory"), ("author", "ma\nlory"), ("id", "p\r2")])
+    ("id", "p,2"), ("author", "ma,lory"), ("author", "ma\nlory"), ("id", "p\r2"),
+    ("id", "p\ud8002"), ("author", "\udc80lory")])
 def test_csv_separator_in_id_or_author_is_a_parse_error(field, value):
     """write_csv joins cells unquoted, so such a record would write rows
-    that cannot be read back."""
+    that cannot be read back; and no UTF-8 file holds a lone surrogate."""
     posts = jsonl([post_record("p1"), {**post_record("p2"), field: value}])
     comments = jsonl([comment_record("c1", "t3_p1", "p1"),
                       {**comment_record("c2", "t3_p1", "p1"), field: value}])
     d = parse_dump(posts, comments)
     assert d.parse_errors == 2
     assert d.posts.id == ["p1"] and d.comments.id == ["c1"]
+
+
+@pytest.mark.parametrize("field", ["title", "selftext"])
+def test_lone_surrogate_in_a_post_text_is_a_parse_error(field):
+    """A title or selftext is kept, and UTF-8 cannot encode a lone
+    surrogate, which a JSON escape can spell."""
+    d = parse_dump(jsonl([post_record("p1"), {**post_record("p2"), field: "a\ud800b"}]), [])
+    assert d.parse_errors == 1 and d.posts.id == ["p1"]
 
 
 @pytest.mark.parametrize("author", [None, "", 7, ["ann"]])
@@ -388,7 +397,7 @@ _ODD_VALUES = [True, False, None, [], {}, "", "abc", 1.5, "1.5", float("inf"),
                float("-inf"), float("nan"), 2**63, -2**63 - 1, "9223372036854775808",
                1e19, 0, -3, 7.0, "7", "7.0", " 7", "1_000", 2**63 - 1, -2**63,
                253402300799, 253402300800, 10**12, "a,b", "x\ny", "t3_p0", "t1_c0",
-               "t9_p1", "t3_", "p0", "[deleted]"]
+               "t9_p1", "t3_", "p0", "[deleted]", "p\ud800", "\udfff"]
 _BAD_LINES = ["{not json", '{"id": "p9"', "[1, 2]", '"text"', "42", "null", "NaN",
               '{"id": "x"} trailing', '{"id": "x"}{"id": "y"}', "\ufeff{}", "{}",
               "[" * 100_000]     # nested deeper than the interpreter's recursion limit
@@ -448,14 +457,18 @@ _COLUMNS = {
 }
 
 
+_SURROGATES = set(map(chr, range(0xD800, 0xE000)))
+
+
 def _takes(table: str, column: str, value) -> bool:
     """Whether the dataset's rules take ``value`` as the first item of
     ``column`` of ``table`` in ``_COLUMNS``, in the dataset of two posts and
     four records: a first id must also sort before the second."""
     if column in ("title", "body"):
-        return type(value) is str
+        return type(value) is str and not _SURROGATES & set(value)
     if column in ("id", "author"):
         return (type(value) is str and value != "" and not set(value) & set(",\n\r")
+                and not _SURROGATES & set(value)
                 and (column == "author" or value < _COLUMNS[table]["id"][1]))
     lo, hi = {"created_at": (1, 253402300799), "parent": (-1, 3),
               "root": (-1, 1)}.get(column, (-2**63, 2**63 - 1))
