@@ -95,10 +95,12 @@ def write_json(path: Path, payload: Any, indent: int | None = 2) -> None:
 @contextmanager
 def reading(path: Path, kind: str):
     """Report a file that fails to parse inside the block (truncated,
-    garbled, or missing a key) as a DataError naming the file and its kind."""
+    garbled, missing a key, or holding a number too large for its type) as a
+    DataError naming the file and its kind."""
     try:
         yield
-    except (ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError,
+            OverflowError) as exc:
         raise DataError(f"{path}: corrupt {kind} ({type(exc).__name__}: {exc})") from exc
 
 

@@ -1,13 +1,16 @@
-/* Collapsed Gibbs sweep for forumpulse.lda, bit-identical to its Python loop.
+/* Collapsed Gibbs sweep for forumpulse.lda, bit-identical to its Python loop,
+ * and the log-likelihood of a fit's point estimates.
  *
  * Each document owns a Mersenne Twister that reproduces CPython's
  * random.Random: the same seeding (init_by_array over the 32-bit words of
  * the seed, least significant first), the same genrand_uint32, randrange(k)
  * as getrandbits(k.bit_length()) redrawn while >= k, and random() in its
- * 53-bit form. The sweep and the likelihood trace keep the Python operation
- * order, so they must be compiled without floating-point contraction
- * (-ffp-contract=off), and the trace's log must be the C library's, which
- * Python's math.log calls too (link with -lm after this file).
+ * 53-bit form. The sweep and the likelihood keep the operation order of
+ * forumpulse.lda's Python loops, so they must be compiled without
+ * floating-point contraction (-ffp-contract=off), and the likelihood's log
+ * must be the C library's, which Python's math.log calls too (link with
+ * -lm after this file). The likelihood takes the point estimates as
+ * forumpulse.lda computes them; nothing here derives them.
  */
 #include <math.h>
 #include <stddef.h>
@@ -133,35 +136,24 @@ void fp_gibbs_sweep(int64_t n_docs, int64_t k, const int64_t *offsets,
     }
 }
 
-/* The log-likelihood of the corpus under the point estimates of the current
- * counts, in one fixed order: phi for every topic (into phi, laid out
- * word-major), then for each document its theta row (into theta) and, over
- * its (word, count) triplets trip_words/trip_counts[trip_offsets[d]:
- * trip_offsets[d+1]] in corpus order, count * log(p) added left to right,
- * where p sums theta[t] * phi[t][w] over the topics in turn. Each estimate
- * takes numpy's operations in fit's `_estimates` (the count sums are exact
- * in doubles), so the Python fallback gets the same bits. */
-double fp_gibbs_trace(int64_t n_docs, int64_t k, int64_t n_words,
-                      const int64_t *trip_offsets, const int64_t *trip_words,
-                      const double *trip_counts, const int64_t *ndt,
-                      const int64_t *nwt, const int64_t *nt,
-                      const int64_t *doc_totals, double alpha, double beta,
-                      double kalpha, double vbeta, double *phi, double *theta)
+/* The log-likelihood of the corpus under the point estimates theta (n_docs
+ * by k) and phi (word-major: one row of k per word): over each document's
+ * (word, count) pairs words/counts[offsets[d]:offsets[d+1]], in corpus
+ * order, count * log(p) added left to right, where p sums theta[d][t] *
+ * phi[w][t] over the topics in turn. */
+double fp_log_likelihood(int64_t n_docs, int64_t k, const int64_t *offsets,
+                         const int64_t *words, const int64_t *counts,
+                         const double *theta, const double *phi)
 {
     double total = 0.0;
-    for (int64_t w = 0; w < n_words; w++)
-        for (int64_t t = 0; t < k; t++)
-            phi[w * k + t] = ((double)nwt[w * k + t] + beta) / ((double)nt[t] + vbeta);
     for (int64_t d = 0; d < n_docs; d++) {
-        double denom = (double)doc_totals[d] + kalpha;
-        for (int64_t t = 0; t < k; t++)
-            theta[t] = ((double)ndt[d * k + t] + alpha) / denom;
-        for (int64_t j = trip_offsets[d]; j < trip_offsets[d + 1]; j++) {
-            const double *prow = phi + trip_words[j] * k;
+        const double *trow = theta + d * k;
+        for (int64_t j = offsets[d]; j < offsets[d + 1]; j++) {
+            const double *prow = phi + words[j] * k;
             double p = 0.0;
             for (int64_t t = 0; t < k; t++)
-                p += theta[t] * prow[t];
-            total += trip_counts[j] * log(p);
+                p += trow[t] * prow[t];
+            total += (double)counts[j] * log(p);
         }
     }
     return total;

@@ -27,11 +27,11 @@ estimates, ``GibbsState.likelihood()``,
 
     sum over (d, w) of count(d, w) * log(sum over t of theta[d][t] * phi[t][w])
 
-summed in one fixed order: p over the topics in turn, then the terms left
-to right over the (doc, word) pairs in corpus order, with the C library's
-log. Both kernels sum it that way, so it depends on neither BLAS nor the
-number of CPUs; ``fit`` itself never computes it. The estimates themselves
-are taken only at the snapshot sweeps.
+with theta and phi computed as at a snapshot, summed in one fixed order: p
+over the topics in turn, then the terms left to right over the (doc, word)
+pairs in corpus order, with the C library's log. The kernel's pair sum and
+its Python fallback sum it that way, so it depends on neither BLAS nor the
+number of CPUs; ``fit`` itself never computes it.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ from .errors import DataError
 from .fileio import float_cells, read_json, reading, sha256_file, write_text
 
 SNAPSHOT_INTERVAL = 10
+# How far from 1 the sum of a row of theta or phi may be.
+SUM_TOLERANCE = 1e-6
 
 DEFAULT_BETA = 0.01
 DEFAULT_ITERATIONS = 1000
@@ -200,9 +202,9 @@ def _kernel():
     i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     lib.fp_gibbs_init.argtypes = [i64, i64] + [ptr] * 8
     lib.fp_gibbs_sweep.argtypes = [i64, i64] + [ptr] * 7 + [dbl] * 3 + [ptr]
-    lib.fp_gibbs_trace.argtypes = [i64] * 3 + [ptr] * 7 + [dbl] * 4 + [ptr] * 2
+    lib.fp_log_likelihood.argtypes = [i64, i64] + [ptr] * 5
     lib.fp_gibbs_init.restype = lib.fp_gibbs_sweep.restype = None
-    lib.fp_gibbs_trace.restype = dbl
+    lib.fp_log_likelihood.restype = dbl
     return lib
 
 
@@ -215,9 +217,7 @@ def kernel_name() -> str:
 class _Tables:
     """Sampler state shared by both kernels. Document d's tokens are
     ``words[offsets[d]:offsets[d + 1]]``, word ids repeated by count in
-    ascending word id, with their labels at the same positions of ``z``;
-    its (word, count) pairs, in corpus order, are ``trip_words`` and
-    ``trip_counts[trip_offsets[d]:trip_offsets[d + 1]]``."""
+    ascending word id, with their labels at the same positions of ``z``."""
 
     offsets: np.ndarray
     words: np.ndarray          # int32
@@ -225,10 +225,6 @@ class _Tables:
     ndt: np.ndarray            # (D, k) document-topic counts
     nwt: np.ndarray            # (V, k) word-topic counts
     nt: np.ndarray             # (k,) tokens per topic
-    doc_totals: np.ndarray     # (D,) tokens per document
-    trip_offsets: np.ndarray
-    trip_words: np.ndarray
-    trip_counts: np.ndarray    # float64
 
 
 def _estimates(tables: _Tables, alpha: float, beta: float,
@@ -253,40 +249,29 @@ def _address(array: np.ndarray, dtype) -> "ctypes.c_void_p":
     return array.ctypes.data_as(ctypes.c_void_p)
 
 
-# One sweep, and the log-likelihood of the current counts.
-_Sampler = tuple[Callable[[], None], Callable[[], float]]
-
-
 def _compiled_sampler(lib, seeds: list[int], tables: _Tables, alpha: float,
-                      beta: float, vbeta: float) -> _Sampler:
-    """Seed the streams and draw the initial labels in C. The sweep and the
-    likelihood run on the tables and on scratch this call allocates, so
+                      beta: float, vbeta: float) -> Callable[[], None]:
+    """Seed the streams and draw the initial labels in C; returns one sweep.
+    The sweep runs on the tables and on scratch this call allocates, so
     fits in several threads share no memory."""
     n_docs, k = tables.ndt.shape
-    n_words = len(tables.nwt)
-    offsets, ndt, nwt, nt, totals, trip_offsets, trip_words = (
-        _address(a, np.int64) for a in (
-            tables.offsets, tables.ndt, tables.nwt, tables.nt,
-            tables.doc_totals, tables.trip_offsets, tables.trip_words))
+    offsets, ndt, nwt, nt = (_address(a, np.int64)
+                             for a in (tables.offsets, tables.ndt, tables.nwt, tables.nt))
     words, z = (_address(a, np.int32) for a in (tables.words, tables.z))
-    trip_counts, cum, phi, theta = (
-        _address(a, np.float64)
-        for a in (tables.trip_counts, np.empty(k), np.empty((n_words, k)), np.empty(k)))
+    cum = _address(np.empty(k), np.float64)
     rngs = _address(np.empty((n_docs, 625), dtype=np.uint32), np.uint32)  # MT19937 + index
     lib.fp_gibbs_init(n_docs, k, _address(np.asarray(seeds, dtype=np.uint64), np.uint64),
                       offsets, words, z, ndt, nwt, nt, rngs)
-    return (partial(lib.fp_gibbs_sweep, n_docs, k, offsets, words, z,
-                    ndt, nwt, nt, rngs, alpha, beta, vbeta, cum),
-            partial(lib.fp_gibbs_trace, n_docs, k, n_words, trip_offsets, trip_words,
-                    trip_counts, ndt, nwt, nt, totals, alpha, beta, k * alpha, vbeta,
-                    phi, theta))
+    return partial(lib.fp_gibbs_sweep, n_docs, k, offsets, words, z,
+                   ndt, nwt, nt, rngs, alpha, beta, vbeta, cum)
 
 
 def _python_sampler(seeds: list[int], tables: _Tables, alpha: float,
-                    beta: float, vbeta: float) -> _Sampler:
+                    beta: float, vbeta: float) -> Callable[[], None]:
     """The pure-Python sampler: the fallback when the kernel is unavailable
-    and the oracle it is tested against. Works on lists and copies them
-    into the tables after the initial draws and after every sweep."""
+    and the oracle it is tested against; returns one sweep. Works on lists
+    and copies them into the tables after the initial draws and after every
+    sweep."""
     z, ndt, nwt, nt = tables.z, tables.ndt, tables.nwt, tables.nt
     n_docs, k = ndt.shape
     bounds = tables.offsets.tolist()
@@ -335,25 +320,31 @@ def _python_sampler(seeds: list[int], tables: _Tables, alpha: float,
                 nt_l[t] += 1
         publish()
 
-    trip_docs = np.repeat(np.arange(n_docs), np.diff(tables.trip_offsets))
-    trip_words = tables.trip_words
-    trip_counts = tables.trip_counts.tolist()
-
-    def trace() -> float:
-        # gibbs.c's order: p over the topics in turn, then count * log(p)
-        # added left to right; sum() would differ, as it compensates on 3.12.
-        theta, phi = _estimates(tables, alpha, beta, vbeta)
-        p = theta[trip_docs, 0] * phi[0, trip_words]
-        for t in range(1, k):
-            p += theta[trip_docs, t] * phi[t, trip_words]
-        log = math.log
-        total = 0.0
-        for count, pv in zip(trip_counts, p.tolist()):
-            total += count * log(pv)
-        return total
-
     publish()
-    return sweep, trace
+    return sweep
+
+
+def _log_likelihood(lib, corpus: Corpus, theta: np.ndarray, phi: np.ndarray) -> float:
+    """The log-likelihood of ``corpus`` under ``theta`` (D, k) and ``phi``
+    (k, V), summed in the order the module docstring gives: by the kernel
+    ``lib``, else in Python."""
+    if lib is not None:
+        return lib.fp_log_likelihood(
+            len(theta), theta.shape[1],
+            *(_address(a, np.int64) for a in (corpus.offsets, corpus.term_ids, corpus.counts)),
+            _address(theta, np.float64), _address(np.ascontiguousarray(phi.T), np.float64))
+    # gibbs.c's order: p over the topics in turn, then count * log(p)
+    # added left to right; sum() would differ, as it compensates on 3.12.
+    docs = np.repeat(np.arange(len(theta)), np.diff(corpus.offsets))
+    words = corpus.term_ids
+    p = theta[docs, 0] * phi[0, words]
+    for t in range(1, theta.shape[1]):
+        p += theta[docs, t] * phi[t, words]
+    log = math.log
+    total = 0.0
+    for count, pv in zip(corpus.counts.tolist(), p.tolist()):
+        total += count * log(pv)
+    return total
 
 
 def fit(corpus: Corpus, config: LdaConfig,
@@ -381,7 +372,7 @@ def fit(corpus: Corpus, config: LdaConfig,
     beta = config.beta
     vbeta = v_size * beta
 
-    # The corpus's (doc, word, count) triplets give the tokens and the likelihood.
+    # The corpus's (doc, word, count) triplets give the tokens.
     w_idx, counts = corpus.term_ids, corpus.counts
     if not counts.sum():
         raise DataError("cannot fit a topic model on a corpus without tokens")
@@ -393,7 +384,6 @@ def fit(corpus: Corpus, config: LdaConfig,
 
     words = np.repeat(w_idx, counts).astype(np.int32)
     offsets = np.concatenate(([0], np.cumsum(counts)))[corpus.offsets]
-    doc_totals = np.diff(offsets)
     tables = _Tables(
         offsets=offsets,
         words=words,
@@ -401,21 +391,21 @@ def fit(corpus: Corpus, config: LdaConfig,
         ndt=np.zeros((n_docs, k), dtype=np.int64),
         nwt=np.zeros((v_size, k), dtype=np.int64),
         nt=np.zeros(k, dtype=np.int64),
-        doc_totals=doc_totals,
-        trip_offsets=corpus.offsets,
-        trip_words=w_idx,
-        trip_counts=counts.astype(np.float64),
     )
     seeds = [derive_seed(config.seed, doc_id) for doc_id in corpus.doc_ids]
     lib = _kernel()
     if lib is not None:
-        sweep_once, likelihood = _compiled_sampler(lib, seeds, tables, alpha, beta, vbeta)
+        sweep_once = _compiled_sampler(lib, seeds, tables, alpha, beta, vbeta)
     else:
-        sweep_once, likelihood = _python_sampler(seeds, tables, alpha, beta, vbeta)
+        sweep_once = _python_sampler(seeds, tables, alpha, beta, vbeta)
+
+    def likelihood() -> float:
+        return _log_likelihood(lib, corpus, *_estimates(tables, alpha, beta, vbeta))
 
     labels = tables.z.view()
     labels.setflags(write=False)
-    state = GibbsState(tables.ndt, tables.nwt, tables.nt, doc_totals, labels, likelihood)
+    state = GibbsState(tables.ndt, tables.nwt, tables.nt, np.diff(offsets), labels,
+                       likelihood)
 
     snapshot_sweeps = {
         s for s in range(config.burn_in + 1, config.iterations + 1)
@@ -486,7 +476,9 @@ def _matrix_json(matrix: np.ndarray) -> str:
 
 def load_model(path: Path) -> TopicModel:
     """The model saved at ``path``; DataError when it is not a complete,
-    consistent model file, its vocabulary digest that of its terms."""
+    consistent model file, its vocabulary digest that of its terms and each
+    row of theta and phi a probability row: entries in [0, 1] (a tiny
+    alpha or beta can round one to 0) summing to 1 within SUM_TOLERANCE."""
     with reading(path, f"{_MODEL_FORMAT} file"):
         payload = read_json(path)
         if payload.get("format") != _MODEL_FORMAT:
@@ -504,4 +496,9 @@ def load_model(path: Path) -> TopicModel:
     if theta.shape != (n_docs, k) or phi.shape != (k, v_size):
         raise DataError(f"{path}: theta {theta.shape} and phi {phi.shape} do not fit "
                         f"{n_docs} documents, k={k} and {v_size} terms")
+    for name, matrix in (("theta", theta), ("phi", phi)):
+        if not (np.all((0 <= matrix) & (matrix <= 1))
+                and np.all(np.abs(matrix.sum(axis=1) - 1.0) <= SUM_TOLERANCE)):
+            raise DataError(f"{path}: a row of {name} is not entries in [0, 1] "
+                            f"summing to 1 (rerun topics)")
     return model

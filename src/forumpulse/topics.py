@@ -22,10 +22,9 @@ from .corpus import Corpus, load_corpus
 from .errors import DataError
 from .fileio import COUNT, FLOAT, NAME, StageContext, read_table, reading, write_csv
 from .ingest import Dataset, load_dataset
-from .lda import (LdaConfig, TopicModel, derive_seed, fit, kernel_name, load_model,
-                  save_model, top_words)
+from .lda import (SUM_TOLERANCE, LdaConfig, TopicModel, derive_seed, fit, kernel_name,
+                  load_model, save_model, top_words)
 
-_SUM_TOLERANCE = 1e-6
 # The terms per topic in top_words.csv and report.json.
 TOP_WORDS = 10
 # The files of an assignment, side by side: the mask, thresholds and presence.
@@ -34,37 +33,23 @@ _TOPIC_SET = f"(?:{COUNT}(?:[|]{COUNT})*)?"     # a dominance.csv cell: topics j
 
 
 def skewness(dist: Sequence[float]) -> Optional[float]:
-    """Pearson second-coefficient skewness, 3*(mean - median)/sigma.
-
-    ``sigma`` is the population standard deviation. Returns None (undefined)
-    for constant distributions, where sigma is zero; callers treat that as
-    "no topic stands out".
-    """
-    values = np.asarray(dist, dtype=np.float64)
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError("skewness needs a vector of at least 2 entries")
-    if abs(float(values.sum()) - 1.0) > _SUM_TOLERANCE:
-        raise ValueError("entries must sum to 1")
-    # sigma is zero exactly when the vector is constant; testing that
-    # directly avoids rounding noise in the mean turning an exactly uniform
-    # distribution into a huge spurious skew.
-    if bool(np.all(values == values[0])):
-        return None
-    mean = float(values.mean())
-    sigma = float(np.sqrt(np.mean((values - mean) ** 2)))
-    if sigma == 0.0:
-        return None
-    median = float(np.median(values))
-    return 3.0 * (mean - median) / sigma
+    """Pearson second-coefficient skewness, 3*(mean - median)/sigma, of one
+    distribution: its ``row_skewness`` as a single row, None where that is
+    NaN (undefined); callers treat that as "no topic stands out"."""
+    skew = float(row_skewness(np.asarray(dist, dtype=np.float64)[None])[0])
+    return None if np.isnan(skew) else skew
 
 
 def row_skewness(theta: np.ndarray) -> np.ndarray:
-    """``skewness`` of every row of ``theta`` at once, NaN where it is
-    undefined. Each row takes the same operations as ``skewness``, so each
-    value equals the per-row result."""
+    """Pearson second-coefficient skewness, 3*(mean - median)/sigma, of
+    every row of ``theta`` at once, ``sigma`` the population standard
+    deviation. NaN (undefined) for a constant row, where sigma is zero:
+    testing that directly keeps rounding noise in the mean from turning an
+    exactly uniform row into a huge spurious skew. ValueError unless each
+    row has at least 2 entries summing to 1."""
     if theta.ndim != 2 or theta.shape[1] < 2:
         raise ValueError("skewness needs a vector of at least 2 entries")
-    if bool(np.any(np.abs(theta.sum(axis=1) - 1.0) > _SUM_TOLERANCE)):
+    if bool(np.any(np.abs(theta.sum(axis=1) - 1.0) > SUM_TOLERANCE)):
         raise ValueError("entries must sum to 1")
     mean = theta.mean(axis=1)
     sigma = np.sqrt(np.mean((theta - mean[:, None]) ** 2, axis=1))

@@ -499,24 +499,18 @@ def test_k_scan_computes_two_likelihoods_per_k(intermediates, tmp_path, monkeypa
                                                iterations):
     """A ``topics fit`` scan over k = 2..4 computes the likelihood of each
     fit's last two sweeps and of no other, however many sweeps it runs."""
-    calls = []      # per fit, its likelihood evaluations
+    calls = {}      # per k, its fit's likelihood evaluations
 
-    def counting(sampler, *args):
-        sweep, likelihood = sampler(*args)
-        fit = len(calls)
-        calls.append(0)
+    def counting(likelihood, lib, corpus, theta, phi):
+        calls[theta.shape[1]] = calls.get(theta.shape[1], 0) + 1
+        return likelihood(lib, corpus, theta, phi)
 
-        def counted():
-            calls[fit] += 1
-            return likelihood()
-        return sweep, counted
-
-    for name in ("_compiled_sampler", "_python_sampler"):
-        monkeypatch.setattr(lda, name, functools.partial(counting, getattr(lda, name)))
+    monkeypatch.setattr(lda, "_log_likelihood",
+                        functools.partial(counting, lda._log_likelihood))
     assert run_cli("topics", "fit", "--corpus", intermediates / "corpus", "--kmin", 2,
                    "--kmax", 4, "--iters", iterations, "--burn-in", 1,
                    "--out", tmp_path / "out") == 0
-    assert calls == [2, 2, 2]
+    assert calls == {2: 2, 3: 2, 4: 2}
 
 
 # Each subcommand that reads an intermediate, with paths relative to a
@@ -604,6 +598,13 @@ def _first_rows(change):
         lines[1:3] = map(sep.join, change(*(line.split(sep) for line in lines[1:3])))
         return b"\n".join(lines)
     return corrupt
+
+
+def _theta_cell(cell):
+    """A corruption that sets ``theta[0][0]`` of ``model.json`` to ``cell``."""
+    return lambda data, name: _json_with(
+        data, name, lambda key, value: [[cell, *value[0][1:]], *value[1:]] if key == "theta"
+        else value)
 
 
 def _swapped(cells: list, *_) -> list:
@@ -707,13 +708,24 @@ CORRUPTIONS = {
     "edited-influence": _first_rows(lambda first, second: (
         first[:7] + [repr(float(first[7]) * 2 + 1).encode()] + first[8:], second)),
     "no-rows": lambda data, name: data.split(b"\n", 1)[0] + b"\n",
+    # Numbers too large for a float: a 401-digit integer, and 1e400, which
+    # parses to infinity.
+    "huge-theta": _theta_cell(10**400),
+    "huge-total": lambda data, name: re.sub(rb'"total_tokens": [0-9]+',
+                                            b'"total_tokens": 1e400', data),
+    # A theta row that is not a probability row.
+    "nan-theta": _theta_cell(float("nan")),
+    "negative-theta": _theta_cell(-0.5),
+    "above-one-theta": _theta_cell(7.0),
 }
 # The CSV and TSV intermediates, each a header line and rows.
 TABLES = ("corpus/vocabulary.tsv", "corpus/documents.csv", "corpus/docs.csv", "dominance.csv",
           "dominance_thresholds.csv", "topic_presence.csv", "edges.csv", "user_metrics.csv")
 # The files each corruption that does not apply to every file applies to.
 ONLY = {"keys": FORMATS, "short-theta": ("model.json",), "model-v1": ("model.json",),
-        "model-v2": ("model.json",),
+        "model-v2": ("model.json",), "huge-total": ("corpus/meta.json",),
+        **dict.fromkeys(("huge-theta", "nan-theta", "negative-theta", "above-one-theta"),
+                        ("model.json",)),
         "repeated-id": ("dominance.csv",), "wrong-digest": ("corpus/meta.json",),
         **dict.fromkeys(("repeated-term", "df-mismatch", "vocab-id"),
                         ("corpus/vocabulary.tsv",)),

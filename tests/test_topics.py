@@ -22,7 +22,7 @@ from forumpulse.topics import (cooccurrence, count_nonpositive, dominance_stage,
 
 from conftest import (assignment_of, cooccurrence_per_set, corpus_from_counts, make_dataset,
                       monthly_tally_per_set, post_record, presence_per_set, same_fields,
-                      topicwise_profile_per_row)
+                      skewness_per_vector, topicwise_profile_per_row)
 
 
 def naive_skewness(values):
@@ -121,10 +121,10 @@ def test_count_nonpositive_mixed_rows():
 
 
 def assert_matches_row_oracle(model) -> None:
-    """W_k and every per-document value equal ``skewness`` row by row, to
-    the bit (repr tells -0.0 from 0.0), NaN where it is None."""
+    """W_k and every per-document value equal ``skewness_per_vector`` row
+    by row, to the bit (repr tells -0.0 from 0.0), NaN where it is None."""
     skews = row_skewness(model.theta)
-    oracle = [skewness(row) for row in model.theta]
+    oracle = [skewness_per_vector(row) for row in model.theta]
     assert [repr(None if math.isnan(s) else s) for s in skews.tolist()] \
         == [repr(s) for s in oracle]
     assert skews.dtype == np.float64 and skews.shape == (len(model.theta),)
