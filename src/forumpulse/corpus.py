@@ -31,7 +31,11 @@ DEFAULT_MAX_DF_FRACTION = 0.5
 DEFAULT_PHRASE_MIN_COUNT = 20
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Maps each byte but [a-z0-9] to a space. UTF-8 encodes a character that is
+# not ASCII in bytes >= 0x80 only, so the runs of [a-z0-9] in a str are the
+# runs in its encoding.
+_TOKEN_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789"
+_SEPARATORS = bytes(c if c in _TOKEN_BYTES else 32 for c in range(256))
 _TRIPLETS_BODY_RE = re.compile(r"[0-9,\-\n]*")
 
 _CORPUS_META_FORMAT = "forumpulse-corpus-v1"
@@ -109,17 +113,19 @@ def _token_ids(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
     the posts as indices into them, each with its post row, in post and
     then text order. A run shorter than two characters, a stopword or a
     run of digits is not a token: bare numbers are noise, "401k"
-    survives."""
+    survives. Lowercasing comes first, as it can make ASCII of a character
+    that is not: U+212A KELVIN SIGN becomes "k"."""
     # Each token is numbered as its post is read, so that only one post's
     # token strings are alive at a time.
     number = defaultdict()
     number.default_factory = number.__len__
     ids, lengths = [], []
     for title, body in zip(dataset.posts.title, dataset.posts.body):
-        tokens = _TOKEN_RE.findall(_URL_RE.sub(" ", (title + " " + body).lower()))
+        text = _URL_RE.sub(" ", (title + " " + body).lower())
+        tokens = text.encode("utf-8").translate(_SEPARATORS).split()
         ids.extend(map(number.__getitem__, tokens))
         lengths.append(len(tokens))
-    terms = list(number)
+    terms = [term.decode("ascii") for term in number]
     stopwords = default_stopwords()
     kept = np.fromiter((len(t) > 1 and t not in stopwords and not t.isdigit() for t in terms),
                        dtype=bool, count=len(terms))
@@ -203,7 +209,7 @@ def build_corpus(dataset: Dataset,
     # sparse vectors, sorted by post and then by term.
     keys, counts = np.unique(posts * n_all + tokens, return_counts=True)
     posts, tokens = np.divmod(keys, n_all)
-    n_docs = len(np.unique(posts))
+    n_docs = np.count_nonzero(np.bincount(posts))
     df = np.bincount(tokens, minlength=n_all)
     keep = (min_df <= df) & (df <= max_df_fraction * n_docs)
     if not keep.any():

@@ -464,6 +464,7 @@ def ingest_stage(ctx: StageContext) -> Dataset:
             ctx.path("comments").open("r", encoding="utf-8") as cs:
         dataset = parse_dump(ps, cs, (ctx.params["from"], ctx.params["to"]))
     save_dataset(dataset, ctx.path("dataset.json"))
+    ctx.parsed["dataset.json"] = dataset
     return dataset
 
 

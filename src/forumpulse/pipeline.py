@@ -183,6 +183,29 @@ def _peak_rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
+def _rss_kb(statm: str = "/proc/self/statm") -> dict[str, int]:
+    """``rss_kb``, the resident set size of this process now in KiB, read
+    from ``statm`` (Linux); nothing where that file cannot be read."""
+    try:
+        with open(statm, "rb") as fh:
+            pages = int(fh.read().split()[1])
+    except OSError:
+        return {}
+    return {"rss_kb": pages * os.sysconf("SC_PAGE_SIZE") // 1024}
+
+
+@cache
+def _malloc_trim() -> Callable[[int], int]:
+    """glibc's ``malloc_trim``, which hands the heap's free pages back to the
+    system; a function that does nothing where the C library has none."""
+    import ctypes       # numpy has loaded it already
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is None:
+        return lambda pad: 0
+    trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    return trim
+
+
 def _read_manifest(path: Path, echo) -> dict[str, Any]:
     """The manifest at ``path``; an empty one if there is none, or if it
     cannot be read or its ``stages`` is not an object of records, which is
@@ -440,6 +463,9 @@ def run_pipeline(config_path: Path,
                 echo(f"[{stage.name}] up to date, skipped")
                 continue
 
+            # glibc keeps the pages of what earlier stages freed, and a
+            # stage's own blocks would land on top of them: return them first.
+            _malloc_trim()(0)
             started = _utcnow()
             wall, cpu = time.perf_counter(), time.process_time()
             try:
@@ -462,6 +488,7 @@ def run_pipeline(config_path: Path,
                 "wall_s": wall,
                 "cpu_s": cpu,
                 "peak_rss_kb": _peak_rss_kb(),
+                **_rss_kb(),
                 **ctx.record,
             }
             write_json(manifest_path, manifest)

@@ -159,15 +159,39 @@ def fixture_corpus():
 # a tokenizer and phrase pass on strings, and a dump parser that checks one
 # line and one record at a time.
 
-def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
+_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_URL_RE = re.compile(r"(?:https?://|www\.)\S+")
+
+
+def raw_tokens(text: str) -> list[str]:
+    """The runs of [a-z0-9] in ``text`` lowercased with URLs removed."""
+    return _TOKEN_RE.findall(_URL_RE.sub(" ", text.lower()))
+
+
+def keeps(token: str) -> bool:
+    """Whether a raw token is a token: two characters or more, not a
+    stopword and not all digits."""
+    return len(token) > 1 and token not in default_stopwords() and not token.isdigit()
+
+
+def tokenize(text: str) -> list[str]:
     """Normalize one text into unigram tokens (no phrase merging here)."""
-    if not text:
-        return []
-    if stopwords is None:
-        stopwords = default_stopwords()
-    return [token for token in
-            re.findall(r"[a-z0-9]+", re.sub(r"(?:https?://|www\.)\S+", " ", text.lower()))
-            if len(token) > 1 and token not in stopwords and not token.isdigit()]
+    return list(filter(keeps, raw_tokens(text)))
+
+
+def token_ids(texts) -> tuple[list[str], list[int], list[int]]:
+    """What ``corpus._token_ids`` gives for posts of these texts, title and
+    body joined by a space: the distinct raw tokens in first-occurrence
+    order, and each token's index into them and its post row."""
+    terms: dict[str, int] = {}
+    ids, posts = [], []
+    for row, text in enumerate(texts):
+        for token in raw_tokens(text):
+            term = terms.setdefault(token, len(terms))
+            if keeps(token):
+                ids.append(term)
+                posts.append(row)
+    return list(terms), ids, posts
 
 
 def merge_phrases(documents, min_count: int) -> list[list[str]]:

@@ -356,13 +356,13 @@ def test_manifest_without_stage_records_reruns_every_stage(dump, config, capsys,
 
 
 def test_records_without_timings_are_up_to_date(dump, config, capsys):
-    """The wall time, CPU time and peak RSS of a stage are not part of its
-    skip key: a directory whose records lack them is up to date."""
+    """The wall time, CPU time, peak RSS and RSS of a stage are not part of
+    its skip key: a directory whose records lack them is up to date."""
     assert run_cli("run", "--config", config) == 0
     manifest = dump / "artifacts" / "manifest.json"
     payload = json.loads(manifest.read_text())
     for record in payload["stages"].values():
-        for key in ("wall_s", "cpu_s", "peak_rss_kb"):
+        for key in ("wall_s", "cpu_s", "peak_rss_kb", "rss_kb"):
             del record[key]
     write_json(manifest, payload)
     capsys.readouterr()

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumpulse.corpus import build_corpus, default_stopwords, load_corpus, save_corpus
+from forumpulse.corpus import (_token_ids, build_corpus, default_stopwords, load_corpus,
+                               save_corpus)
 from forumpulse.errors import DataError
 from forumpulse.lda import LdaConfig
 from forumpulse.lexicon import categorize
 
 from conftest import (corpus_from_counts, fit_with_labels, make_dataset, merge_phrases,
-                      post_record, same_fields, tokenize)
+                      post_record, same_fields, token_ids, tokenize)
 
 
 def _corpus_of(*titles: str, phrase_min_count: int = 99):
@@ -214,6 +215,35 @@ def test_tokenize_output_properties(text):
         assert len(token) >= 2
         assert token not in stop
         assert any(ch.isalpha() for ch in token)
+
+
+def _token_ids_of(texts):
+    """``_token_ids`` of posts with these (title, body) pairs, as lists."""
+    dataset = make_dataset([post_record(f"p{i:02d}", title=title, selftext=body)
+                            for i, (title, body) in enumerate(texts)], [])
+    terms, ids, posts = _token_ids(dataset)
+    return terms, ids.tolist(), posts.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.text(), st.text()), min_size=1, max_size=6))
+def test_token_ids_equal_the_regex_tokenizer(texts):
+    """The bytes tokenizer finds the runs that the regex finds, on any
+    Unicode text."""
+    assert _token_ids_of(texts) == token_ids(title + " " + body for title, body in texts)
+
+
+@pytest.mark.parametrize("title, body, terms, tokens", [
+    ("\u212aelvin", "", ["kelvin"], ["kelvin"]),            # KELVIN SIGN lowercases to "k"
+    ("\u0130stanbul", "", ["i", "stanbul"], ["stanbul"]),   # U+0130 to "i" and U+0307
+    ("\uff14\uff10\uff11k loan", "", ["k", "loan"], ["loan"]),   # fullwidth digits split
+    ("loan\x00debt", "", ["loan", "debt"], ["loan", "debt"]),
+    ("loan", "see https://bank.example/loan?q=1", ["loan", "see"], ["loan"]),
+], ids=["kelvin-sign", "dotted-capital-i", "fullwidth-digits", "nul", "url-at-end"])
+def test_token_ids_of_characters_that_are_not_ascii(title, body, terms, tokens):
+    found, ids, _ = _token_ids_of([(title, body)])
+    assert (found, [found[i] for i in ids]) == (terms, tokens)
+    assert (found, ids) == token_ids([title + " " + body])[:2]
 
 
 def _reference_vectors(token_docs, min_df, max_df_fraction):

@@ -129,25 +129,42 @@ def test_fixture_run_writes_the_pinned_bytes(tmp_path):
     assert hashlib.sha256(listing.encode("utf-8")).hexdigest() == FIXTURE_LISTING
 
 
-def test_topics_rerun_does_not_import_numpy_ma(tmp_path):
-    """A rerun of the fixture pipeline from ``topics`` on loads no
-    ``numpy.ma``, which ``np.median`` imports on first use. (A fresh run
-    still loads it: ``build_corpus`` counts posts with ``np.unique``, which
-    calls ``np.ma.is_masked``.)"""
+def _run_loads_numpy_ma(out_dir: Path, *overrides: str) -> tuple[str, bool]:
+    """The stdout of a fixture run into ``out_dir`` in a child process, and
+    whether the run loaded ``numpy.ma``; skips where importing numpy alone
+    loads it."""
     bare = subprocess.run([sys.executable, "-c", "import sys, numpy; "
                            "print('numpy.ma' in sys.modules)"],
                           capture_output=True, text=True, check=True, env=child_env())
     if bare.stdout.split() == ["True"]:
         pytest.skip("importing numpy loads numpy.ma (numpy 1.x)")
-    run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
     script = ("import sys; from forumpulse.cli import main; "
               f"code = main(['run', '--config', {str(FIXTURE_DIR / 'config.json')!r}, "
-              f"'--out-dir', {str(tmp_path)!r}, '--set', 'lda.k=3']); "
+              f"'--out-dir', {str(out_dir)!r}, *{overrides!r}]); "
               "print(code, 'numpy.ma' in sys.modules)")
     child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                            check=True, env=child_env())
-    assert "[topics] done" in child.stdout
-    assert child.stdout.splitlines()[-1] == "0 False"
+    *lines, last = child.stdout.splitlines()
+    assert last.split()[0] == "0"
+    return "\n".join(lines), last.split()[1] == "True"
+
+
+def test_fresh_run_does_not_import_numpy_ma(tmp_path):
+    """A fresh run of the fixture pipeline loads no ``numpy.ma``, which the
+    hash path of ``np.unique`` on an integer array and ``np.median`` import
+    on first use."""
+    stdout, loaded = _run_loads_numpy_ma(tmp_path)
+    assert "[corpus] done" in stdout and "[topics] done" in stdout
+    assert not loaded
+
+
+def test_topics_rerun_does_not_import_numpy_ma(tmp_path):
+    """A rerun of the fixture pipeline from ``topics`` on loads no
+    ``numpy.ma`` either."""
+    run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path, echo=lambda *_: None)
+    stdout, loaded = _run_loads_numpy_ma(tmp_path, "--set", "lda.k=3")
+    assert "[corpus] up to date, skipped" in stdout and "[topics] done" in stdout
+    assert not loaded
 
 
 def gen_dump():

@@ -355,12 +355,16 @@ _DOCUMENTS = st.one_of(
 )
 
 
+# The kernel seeds the streams eight documents at a time: a corpus of 1 or 7
+# documents is one short group, 8 one full group, 9 and 17 end in a group of
+# one after full ones.
+@pytest.mark.parametrize("n_docs", [1, 7, 8, 9, 17])
 @settings(max_examples=40, deadline=None)
-@given(docs=st.lists(_DOCUMENTS, min_size=1, max_size=8).filter(any), k=st.integers(2, 9),
-       seed=st.integers(0, 2**64 - 1))
-def test_kernel_bit_equal_on_generated_corpora(kernel, docs, k, seed):
+@given(data=st.data(), k=st.integers(2, 9), seed=st.integers(0, 2**64 - 1))
+def test_kernel_bit_equal_on_generated_corpora(kernel, n_docs, data, k, seed):
     """Includes k above the vocabulary size, one-token documents, documents
     of one repeated word and documents with no tokens."""
+    docs = data.draw(st.lists(_DOCUMENTS, min_size=n_docs, max_size=n_docs).filter(any))
     corpus = corpus_from_counts(docs)
     config = LdaConfig(k=k, iterations=12, burn_in=3, seed=seed)
     with warnings.catch_warnings():
@@ -368,12 +372,18 @@ def test_kernel_bit_equal_on_generated_corpora(kernel, docs, k, seed):
         assert_bit_equal(fit_with_labels(corpus, config), python_fit(corpus, config))
 
 
-def test_kernel_bit_equal_with_short_seeds(kernel, fixture_corpus, monkeypatch):
-    """Seeds below 2**32, 0 included, seed the generator from one word."""
-    first = fixture_corpus.doc_ids[0]
+@pytest.mark.parametrize("short", [range(200), (0, 11, 23)],
+                         ids=["every-document", "first-middle-last-slot"])
+def test_kernel_bit_equal_with_short_seeds(kernel, fixture_corpus, monkeypatch, short):
+    """Seeds below 2**32, 0 included, seed the generator from one word: in
+    every document, or in the documents ``short`` names by row, which fall
+    at the first, a middle and the last slot of the groups of eight that
+    the kernel seeds together."""
+    rows = {doc_id: row for row, doc_id in enumerate(fixture_corpus.doc_ids)}
     long_seed = lda.derive_seed
     monkeypatch.setattr(lda, "derive_seed", lambda seed, doc_id: (
-        0 if doc_id == first else long_seed(seed, doc_id) >> 32))
+        long_seed(seed, doc_id) if rows[doc_id] not in short
+        else 0 if rows[doc_id] == 0 else long_seed(seed, doc_id) >> 32))
     config = LdaConfig(k=4, iterations=20, burn_in=5, seed=1)
     assert_bit_equal(fit_with_labels(fixture_corpus, config),
                      python_fit(fixture_corpus, config))

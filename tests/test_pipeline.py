@@ -197,11 +197,11 @@ def test_edited_input_reruns_every_stage(tmp_path):
 
 
 def test_each_intermediate_parsed_once_while_stages_read_it(tmp_path, monkeypatch):
-    """A fresh run parses only ``dataset.json``, once for ``stats`` and
-    ``corpus`` and once after the fit, and its lexicon, once for the check
-    before any stage runs, and is handed every other intermediate by the
-    stage that writes it; it derives the dominant topics and the reply
-    graph once, in the stages that write them. A ``graph.top_k`` rerun
+    """A fresh run parses only ``dataset.json``, once after the fit (``ingest``
+    hands its dataset to ``stats`` and ``corpus``), and its lexicon, once
+    for the check before any stage runs, and is handed every other
+    intermediate by the stage that writes it; it derives the dominant
+    topics and the reply graph once, in the stages that write them. A ``graph.top_k`` rerun
     parses neither the model nor the dataset: only the two files it ranks
     from and the assignment the report reads."""
     calls = Counter()
@@ -220,7 +220,7 @@ def test_each_intermediate_parsed_once_while_stages_read_it(tmp_path, monkeypatc
     write_json(tmp_path / "lexicon.json", {"money": ["loan", "debt"], "cars": ["car"]})
     config = small_config(tmp_path, **{"lexicon.path": "lexicon.json"})
     run_pipeline(config, echo=lambda *_: None)
-    assert calls == {"load_dataset": 2, "load_lexicon": 1, "dominant_topics": 1,
+    assert calls == {"load_dataset": 1, "load_lexicon": 1, "dominant_topics": 1,
                      "build_graph": 1, "compute_user_metrics": 1}
     assert (tmp_path / "artifacts" / "pca_components.csv").read_text(
         encoding="utf-8").startswith("component,cars,money\n")
@@ -383,7 +383,7 @@ def test_handed_on_objects_equal_their_files(tmp_path, monkeypatch):
     run_pipeline(small_config(tmp_path), echo=lambda *_: None)
     out = tmp_path / "artifacts"
     assert {name: sorted(objects) for name, objects in handed.items()} == {
-        "ingest": [], "stats": [], "corpus": ["dataset.json"], "topics": ["corpus"],
+        "ingest": [], "stats": ["dataset.json"], "corpus": ["dataset.json"], "topics": ["corpus"],
         "dominance": ["model.json"], "cooccur": ["dominance.csv"],
         "timeline": ["dominance.csv"], "lexicon": ["corpus", "dominance.csv"],
         "graph": ["dataset.json", "dominance.csv"], "metrics": ["edges.csv", "user_metrics.csv"],
@@ -635,10 +635,10 @@ def test_directory_without_code_records_reruns_every_stage_once(tmp_path):
 
 def test_manifest_records_code_and_sampler_telemetry(tmp_path):
     """On the shipped fixture, every record names the digest of each of its
-    stage's code files and its wall time, CPU time and the peak RSS so far,
-    and the topics record the sweeps of the whole scan, their rate and the
-    relative change of the selected model's likelihood over its last
-    sweep."""
+    stage's code files and its wall time, CPU time, the RSS at its end and
+    the peak RSS so far, and the topics record the sweeps of the whole scan,
+    their rate and the relative change of the selected model's likelihood
+    over its last sweep."""
     run_pipeline(FIXTURE_DIR / "config.json", out_dir=tmp_path / "fixture",
                  echo=lambda *_: None)
     records = read_json(tmp_path / "fixture" / "manifest.json")["stages"]
@@ -650,6 +650,7 @@ def test_manifest_records_code_and_sampler_telemetry(tmp_path):
     assert peaks == sorted(peaks) and peaks[0] > 0
     for record in records.values():
         assert record["wall_s"] > 0 and record["cpu_s"] >= 0
+        assert record["rss_kb"] > 0
     record = records["topics"]
     config = read_json(FIXTURE_DIR / "config.json")
     assert record["sweeps"] == (config["lda.k_max"] - config["lda.k_min"] + 1) \
@@ -665,6 +666,25 @@ def test_manifest_records_code_and_sampler_telemetry(tmp_path):
     run_pipeline(one_sweep, echo=lambda *_: None)
     record = read_json(tmp_path / "artifacts" / "manifest.json")["stages"]["topics"]
     assert record["sweeps"] == 1 and record["trace_rel_change"] is None
+
+
+def test_memory_probes_do_nothing_where_the_system_lacks_them(tmp_path, monkeypatch):
+    """Without a statm file a record has no ``rss_kb``, and without a C
+    library ``malloc_trim`` the run trims nothing."""
+    assert pipeline._rss_kb(str(tmp_path / "no-statm")) == {}
+
+    class NoTrim:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr("ctypes.CDLL", NoTrim)
+    pipeline._malloc_trim.cache_clear()
+    try:
+        assert pipeline._malloc_trim()(0) == 0
+        assert ran(run_pipeline(small_config(tmp_path), echo=lambda *_: None)) \
+            == [stage.name for stage in STAGES]
+    finally:
+        pipeline._malloc_trim.cache_clear()
 
 
 def test_missing_input_fails_with_stage_name(tmp_path):
