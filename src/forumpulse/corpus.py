@@ -15,7 +15,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from operator import lt
 from pathlib import Path
 
@@ -42,6 +42,8 @@ _CORPUS_META_FORMAT = "forumpulse-corpus-v1"
 # The files of a corpus directory, as save_corpus writes them.
 CORPUS_FILES = ("vocabulary.tsv", "documents.csv", "docs.csv", "meta.json")
 _TRIPLETS_HEADER = "doc_idx,term_id,count"
+# Rows of documents.csv that save_corpus formats at a time.
+_TRIPLETS_BLOCK = 4096
 
 
 @lru_cache(maxsize=1)
@@ -110,29 +112,42 @@ class Corpus:
 def _token_ids(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Every distinct run of [a-z0-9] in the posts' lowercased titles and
     bodies with URLs removed, in first-occurrence order, and the tokens of
-    the posts as indices into them, each with its post row, in post and
-    then text order. A run shorter than two characters, a stopword or a
-    run of digits is not a token: bare numbers are noise, "401k"
-    survives. Lowercasing comes first, as it can make ASCII of a character
-    that is not: U+212A KELVIN SIGN becomes "k"."""
+    the posts as int32 indices into them, each with its int32 post row, in
+    post and then text order. A run shorter than two characters, a
+    stopword or a run of digits is not a token: bare numbers are noise,
+    "401k" survives. Lowercasing comes first, as it can make ASCII of a
+    character that is not: U+212A KELVIN SIGN becomes "k"."""
     # Each token is numbered as its post is read, so that only one post's
-    # token strings are alive at a time.
+    # token strings are alive at a time, and the numbers go straight into
+    # the array, never into a list of them.
     number = defaultdict()
     number.default_factory = number.__len__
-    ids, lengths = [], []
-    for title, body in zip(dataset.posts.title, dataset.posts.body):
-        text = _URL_RE.sub(" ", (title + " " + body).lower())
-        tokens = text.encode("utf-8").translate(_SEPARATORS).split()
-        ids.extend(map(number.__getitem__, tokens))
-        lengths.append(len(tokens))
+    lengths = []
+
+    def numbered():
+        for title, body in zip(dataset.posts.title, dataset.posts.body):
+            text = _URL_RE.sub(" ", (title + " " + body).lower())
+            tokens = text.encode("utf-8").translate(_SEPARATORS).split()
+            lengths.append(len(tokens))
+            yield map(number.__getitem__, tokens)
+
+    ids = np.fromiter(chain.from_iterable(numbered()), dtype=np.int32)
     terms = [term.decode("ascii") for term in number]
     stopwords = default_stopwords()
     kept = np.fromiter((len(t) > 1 and t not in stopwords and not t.isdigit() for t in terms),
                        dtype=bool, count=len(terms))
-    ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
-    posts = np.repeat(np.arange(len(lengths)), lengths)
     keep = kept[ids]
-    return terms, ids[keep], posts[keep]
+    posts = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)[keep]
+    return terms, ids[keep], posts
+
+
+def _pair_keys(a: np.ndarray, n: int, b: np.ndarray) -> np.ndarray:
+    """The int64 key ``a * n + b`` of each pair of ``a`` and ``b``. numpy
+    keeps an int32 array times a Python int in int32, so a key formed from
+    int32 columns would wrap silently past 2**31."""
+    keys = np.multiply(a, n, dtype=np.int64)
+    keys += b
+    return keys
 
 
 def _after(mask: np.ndarray) -> np.ndarray:
@@ -155,32 +170,49 @@ def _merge_phrases(terms: list[str], ids: np.ndarray, posts: np.ndarray, min_cou
     longer phrases.
     """
     n = len(terms)
-    # Pair i, of tokens i and i + 1 with ids a and b, is keyed a * n + b;
-    # it counts when the two are of one post.
-    keys = ids * n
-    keys[:-1] += ids[1:]
-    within = np.zeros(len(ids), dtype=bool)
-    within[:-1] = posts[1:] == posts[:-1]
-    pairs, counts = np.unique(keys[within], return_counts=True)
+    # The pair of tokens i and i + 1, with ids a and b, counts when the two
+    # are of one post: it is keyed a * n + b, and its slot is the index of
+    # its key among the distinct ones.
+    within = posts[1:] == posts[:-1]
+    keys = _pair_keys(ids[:-1][within], n, ids[1:][within])
+    pairs, counts = np.unique(keys, return_counts=True)
+    slots = np.searchsorted(pairs, keys).astype(np.int32)
     frequent = np.zeros(len(ids), dtype=bool)
-    frequent[within] = counts[np.searchsorted(pairs, keys[within])] >= min_count
-    position = np.arange(len(ids))
+    frequent[:-1][within] = (counts >= min_count)[slots]
+    del keys, counts
+    position = np.arange(len(ids), dtype=np.int32)
     starts = frequent & ~_after(frequent)
     run_start = np.maximum.accumulate(np.where(starts, position, 0))
     merged = frequent & ((position - run_start) % 2 == 0)
-    # A term's code: a token's id, or n + the key of a merged pair.
-    codes = np.where(merged, n + keys, ids)
+    del position, starts, run_start, frequent
+    # A term's code: a token's id, or n + the slot of a merged pair, in
+    # int32 while there are fewer than 2**30 tokens.
+    codes = ids.copy()
+    codes[:-1][merged[:-1]] = slots[merged[:-1][within]] + n
+    del within, slots
     kept = ~_after(merged)
     codes, posts = codes[kept], posts[kept]
+    del merged, kept
     # The codes ranked by their first occurrence: the codes at those
     # positions, in order, are the distinct codes in rank order.
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     is_first = np.zeros(len(codes), dtype=bool)
     is_first[first] = True
-    rank = np.cumsum(is_first)[first] - 1
-    names = [terms[c] if c < n else "_".join(map(terms.__getitem__, divmod(c - n, n)))
+    rank = np.cumsum(is_first, dtype=np.int32)[first] - 1
+    names = [terms[c] if c < n
+             else "_".join(map(terms.__getitem__, divmod(int(pairs[c - n]), n)))
              for c in codes[is_first].tolist()]
     return names, rank[inverse], posts
+
+
+def _vectors(posts: np.ndarray, tokens: np.ndarray, n_all: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (post, term) pairs of the tokens, sorted by post and
+    then by term, and the number of tokens of each: the posts' sparse
+    vectors over ``n_all`` terms."""
+    keys, counts = np.unique(_pair_keys(posts, n_all, tokens), return_counts=True)
+    posts, tokens = np.divmod(keys, n_all)
+    return posts, tokens, counts
 
 
 def build_corpus(dataset: Dataset,
@@ -205,10 +237,7 @@ def build_corpus(dataset: Dataset,
     terms, tokens, posts = _merge_phrases(*_token_ids(dataset), phrase_min_count)
     n_posts = len(dataset.posts)
     n_all = len(terms)
-    # One (post, term) key per token: their distinct keys are the posts'
-    # sparse vectors, sorted by post and then by term.
-    keys, counts = np.unique(posts * n_all + tokens, return_counts=True)
-    posts, tokens = np.divmod(keys, n_all)
+    posts, tokens, counts = _vectors(posts, tokens, n_all)
     n_docs = np.count_nonzero(np.bincount(posts))
     df = np.bincount(tokens, minlength=n_all)
     keep = (min_df <= df) & (df <= max_df_fraction * n_docs)
@@ -227,10 +256,20 @@ def build_corpus(dataset: Dataset,
         offsets=np.concatenate(([0], np.cumsum(per_post[per_post > 0]))),
         term_ids=(np.cumsum(keep) - 1)[tokens[kept]],
         counts=counts,
-        doc_ids=tuple(i for i, d in zip(post_ids, nonempty) if d),
+        doc_ids=_copies([i for i, d in zip(post_ids, nonempty) if d]),
         terms=tuple(t for t, k in zip(terms, keep.tolist()) if k),
-        excluded_doc_ids=tuple(i for i, d in zip(post_ids, nonempty) if not d),
+        excluded_doc_ids=_copies([i for i, d in zip(post_ids, nonempty) if not d]),
     )
+
+
+def _copies(ids: list[str]) -> tuple[str, ...]:
+    """New str objects equal to ``ids``, post ids, which hold no newline.
+    A parsed dataset's ids sit among the parse's freed blocks; a corpus that
+    held them would keep those pymalloc arenas alive after the dataset is
+    gone."""
+    # split copies each cell out of the joined text; a lone id would come
+    # back as itself but for the empty cell after it.
+    return tuple("\n".join([*ids, ""]).split("\n")[:-1])
 
 
 def vocabulary_digest(terms: tuple[str, ...]) -> str:
@@ -253,10 +292,15 @@ def save_corpus(corpus: Corpus, directory: Path) -> None:
     df = np.bincount(corpus.term_ids, minlength=len(corpus.terms)).tolist()
     write_csv(vocabulary_path, ("id", "term", "df"),
               zip(range(len(df)), corpus.terms, df), delimiter="\t")
-    doc_idx = np.repeat(np.arange(len(corpus)), np.diff(corpus.offsets))
-    triplets = np.column_stack((doc_idx, corpus.term_ids, corpus.counts))
-    write_text(documents_path, f"{_TRIPLETS_HEADER}\n"
-               + "%d,%d,%d\n" * len(triplets) % tuple(triplets.ravel().tolist()))
+    # One template over every triplet would hold three int objects per row
+    # at once; a block of rows at a time holds a block's.
+    columns = (np.repeat(np.arange(len(corpus)), np.diff(corpus.offsets)),
+               corpus.term_ids, corpus.counts)
+    blocks = [f"{_TRIPLETS_HEADER}\n"]
+    for start in range(0, len(corpus.term_ids), _TRIPLETS_BLOCK):
+        rows = np.column_stack([c[start:start + _TRIPLETS_BLOCK] for c in columns])
+        blocks.append("%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist()))
+    write_text(documents_path, "".join(blocks))
     write_csv(docs_path, ("doc_idx", "post_id"), enumerate(corpus.doc_ids))
     write_json(meta_path, {
         "format": _CORPUS_META_FORMAT,

@@ -466,6 +466,7 @@ def run_pipeline(config_path: Path,
             # glibc keeps the pages of what earlier stages freed, and a
             # stage's own blocks would land on top of them: return them first.
             _malloc_trim()(0)
+            peak = _peak_rss_kb()
             started = _utcnow()
             wall, cpu = time.perf_counter(), time.process_time()
             try:
@@ -473,6 +474,7 @@ def run_pipeline(config_path: Path,
             except Exception as exc:
                 raise StageError(stage.name, exc) from exc
             wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+            after = _peak_rss_kb()
             held.update(ctx.parsed)
             for name in stage.outputs:      # rewritten: hashed again below
                 digests.pop(ctx.path(name), None)
@@ -487,7 +489,10 @@ def run_pipeline(config_path: Path,
                 "finished_at": _utcnow(),
                 "wall_s": wall,
                 "cpu_s": cpu,
-                "peak_rss_kb": _peak_rss_kb(),
+                # The high-water mark is the process's: a stage records it
+                # only when it raised it, so the manifest names the stage
+                # that set it.
+                **({"peak_rss_kb": after} if after > peak else {}),
                 **_rss_kb(),
                 **ctx.record,
             }

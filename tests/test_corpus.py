@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumpulse.corpus import (_token_ids, build_corpus, default_stopwords, load_corpus,
-                               save_corpus)
+from forumpulse.corpus import (_TRIPLETS_BLOCK, Corpus, _merge_phrases, _token_ids, _vectors,
+                               build_corpus, default_stopwords, load_corpus, save_corpus)
 from forumpulse.errors import DataError
 from forumpulse.lda import LdaConfig
 from forumpulse.lexicon import categorize
 
-from conftest import (corpus_from_counts, fit_with_labels, make_dataset, merge_phrases,
-                      post_record, same_fields, token_ids, tokenize)
+from conftest import (corpus_from_counts, csv_text_per_cell, fit_with_labels, make_dataset,
+                      merge_phrases, post_record, same_fields, token_ids, tokenize)
 
 
 def _corpus_of(*titles: str, phrase_min_count: int = 99):
@@ -244,6 +244,63 @@ def test_token_ids_of_characters_that_are_not_ascii(title, body, terms, tokens):
     found, ids, _ = _token_ids_of([(title, body)])
     assert (found, [found[i] for i in ids]) == (terms, tokens)
     assert (found, ids) == token_ids([title + " " + body])[:2]
+
+
+# 46,340 * 46,341 + 46,339 is 2,147,488,279, past 2**31 - 1: a key of
+# the last two ids formed in int32 would wrap.
+_N_WIDE = 46_341
+
+
+def test_phrase_pair_keys_past_int32_do_not_wrap():
+    """A pair of two int32 ids whose key ``a * n + b`` exceeds 2**31 - 1
+    merges, and no other pair does."""
+    terms = [f"t{i}" for i in range(_N_WIDE)]
+    a, b = _N_WIDE - 1, _N_WIDE - 2
+    ids = np.array([a, b, 0, a, b, 1, a, b, 2], dtype=np.int32)
+    posts = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.int32)
+    names, tokens, rows = _merge_phrases(terms, ids, posts, min_count=3)
+    assert names == [f"t{a}_t{b}", "t0", "t1", "t2"]
+    assert tokens.tolist() == [0, 1, 0, 2, 0, 3]
+    assert rows.tolist() == [0, 0, 1, 1, 2, 2]
+
+
+def test_post_term_keys_past_int32_do_not_wrap():
+    """A (post, term) pair of int32 columns whose key ``post * n_all +
+    term`` exceeds 2**31 - 1 keeps its place and its count."""
+    posts = np.array([0, _N_WIDE - 1, _N_WIDE - 1], dtype=np.int32)
+    tokens = np.array([_N_WIDE - 1, _N_WIDE - 2, _N_WIDE - 2], dtype=np.int32)
+    rows, terms, counts = _vectors(posts, tokens, _N_WIDE)
+    assert (rows.tolist(), terms.tolist(), counts.tolist()) \
+        == ([0, _N_WIDE - 1], [_N_WIDE - 1, _N_WIDE - 2], [1, 2])
+
+
+@pytest.mark.parametrize("n_triplets", [_TRIPLETS_BLOCK - 1, _TRIPLETS_BLOCK,
+                                        _TRIPLETS_BLOCK + 1],
+                         ids=["block-less-one", "block", "block-plus-one"])
+def test_documents_csv_across_a_block_boundary(tmp_path, n_triplets):
+    """``documents.csv``, formatted a block of rows at a time, is the text
+    of one template over every triplet."""
+    term_ids = np.arange(n_triplets) % 3
+    offsets = np.append(np.arange(0, n_triplets, 3), n_triplets)
+    corpus = Corpus(offsets=offsets, term_ids=term_ids, counts=np.arange(n_triplets) % 7 + 1,
+                    doc_ids=tuple(f"d{i:05d}" for i in range(len(offsets) - 1)),
+                    terms=("a", "b", "c"), excluded_doc_ids=())
+    save_corpus(corpus, tmp_path)
+    doc_idx = np.repeat(np.arange(len(corpus)), np.diff(offsets))
+    assert (tmp_path / "documents.csv").read_text(encoding="utf-8") == csv_text_per_cell(
+        ("doc_idx", "term_id", "count"),
+        zip(doc_idx.tolist(), term_ids.tolist(), corpus.counts.tolist()))
+
+
+def test_doc_ids_are_not_the_datasets_strings():
+    """The corpus's ids equal its posts' ids but are new objects, so that a
+    corpus keeps no string of a parsed dataset alive."""
+    dataset = make_dataset([post_record(f"p{i}", title=title)
+                            for i, title in enumerate(["", "loan", "debt"])], [])
+    corpus = build_corpus(dataset, min_df=1, max_df_fraction=1.0)
+    ids = corpus.doc_ids + corpus.excluded_doc_ids
+    assert ids == ("p1", "p2", "p0")
+    assert not set(map(id, ids)) & set(map(id, dataset.posts.id))
 
 
 def _reference_vectors(token_docs, min_df, max_df_fraction):
