@@ -18,6 +18,7 @@ from functools import lru_cache
 from itertools import chain, islice
 from operator import lt
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -278,6 +279,20 @@ def vocabulary_digest(terms: tuple[str, ...]) -> str:
     return hashlib.sha256("\x1f".join(terms).encode("utf-8")).hexdigest()
 
 
+def _triplet_blocks(corpus: Corpus) -> Iterator[str]:
+    """The text of documents.csv, a block of rows at a time: one template
+    over every triplet would hold three int objects per row at once, and a
+    doc_idx column as long as the triplets beside them."""
+    yield f"{_TRIPLETS_HEADER}\n"
+    n_triplets = len(corpus.term_ids)
+    for start in range(0, n_triplets, _TRIPLETS_BLOCK):
+        stop = min(start + _TRIPLETS_BLOCK, n_triplets)
+        # A triplet's document is the last whose offset is at most its row.
+        doc_idx = np.searchsorted(corpus.offsets, np.arange(start, stop), side="right") - 1
+        rows = np.column_stack((doc_idx, corpus.term_ids[start:stop], corpus.counts[start:stop]))
+        yield "%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist())
+
+
 def save_corpus(corpus: Corpus, directory: Path) -> None:
     """Write the documented on-disk layout.
 
@@ -289,18 +304,13 @@ def save_corpus(corpus: Corpus, directory: Path) -> None:
     """
     vocabulary_path, documents_path, docs_path, meta_path = (
         Path(directory) / name for name in CORPUS_FILES)
-    df = np.bincount(corpus.term_ids, minlength=len(corpus.terms)).tolist()
+    # np.bincount would copy the read-only term ids first; np.add.at does not.
+    df = np.zeros(len(corpus.terms), dtype=np.int64)
+    np.add.at(df, corpus.term_ids, 1)
+    df = df.tolist()
     write_csv(vocabulary_path, ("id", "term", "df"),
               zip(range(len(df)), corpus.terms, df), delimiter="\t")
-    # One template over every triplet would hold three int objects per row
-    # at once; a block of rows at a time holds a block's.
-    columns = (np.repeat(np.arange(len(corpus)), np.diff(corpus.offsets)),
-               corpus.term_ids, corpus.counts)
-    blocks = [f"{_TRIPLETS_HEADER}\n"]
-    for start in range(0, len(corpus.term_ids), _TRIPLETS_BLOCK):
-        rows = np.column_stack([c[start:start + _TRIPLETS_BLOCK] for c in columns])
-        blocks.append("%d,%d,%d\n" * len(rows) % tuple(rows.ravel().tolist()))
-    write_text(documents_path, "".join(blocks))
+    write_text(documents_path, _triplet_blocks(corpus))
     write_csv(docs_path, ("doc_idx", "post_id"), enumerate(corpus.doc_ids))
     write_json(meta_path, {
         "format": _CORPUS_META_FORMAT,

@@ -27,15 +27,16 @@ import numpy as np
 from .errors import DataError
 
 
-def write_text(path: Path, text: str) -> None:
-    """Write ``text`` as UTF-8 to a temporary file beside ``path``, then
-    move it over ``path`` with ``os.replace``."""
+def write_text(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a str or the strs of an iterable in turn, as UTF-8 to
+    a temporary file beside ``path``, then move it over ``path`` with
+    ``os.replace``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

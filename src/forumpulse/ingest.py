@@ -21,21 +21,24 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter, lt, ne
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .fileio import StageContext, read_json, reading, write_csv, write_json
+from .fileio import StageContext, read_json, reading, write_csv, write_json, write_text
 
 SENTINEL_AUTHORS = frozenset({"[deleted]", "[removed]"})
 POST_PREFIX = "t3_"
 COMMENT_PREFIX = "t1_"
 
 _DATASET_FORMAT = "forumpulse-dataset-v2"
+# Items of a column that save_dataset spells at a time.
+_DATASET_BLOCK = 4096
+_dump = partial(json.dumps, ensure_ascii=False)
 _INT64 = (-2**63, 2**63 - 1)
 # A record's created_utc: from one second after the epoch to
 # 9999-12-31T23:59:59Z, the last second whose month a datetime can name.
@@ -89,11 +92,6 @@ class _Table:
 
     def __len__(self) -> int:
         return len(self.id)
-
-    def columns(self) -> dict[str, list]:
-        """Each column as a list, by field name, as ``dataset.json`` holds it."""
-        return {f.name: getattr(self, f.name) if f.type != "np.ndarray"
-                else getattr(self, f.name).tolist() for f in fields(self)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,15 +435,41 @@ def score_relations(dataset: Dataset) -> tuple[list[tuple[str, int, int]], dict[
     }
 
 
+def _json_blocks(value) -> Iterator[str]:
+    """The text of ``json.dumps(value, sort_keys=True, indent=None,
+    ensure_ascii=False)`` in pieces, ``value`` a str or an int, a list or an
+    int array of them, or a dict of such by str: a list or an array
+    ``_DATASET_BLOCK`` items at a time."""
+    if isinstance(value, dict):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield f"{', ' if i else ''}{_dump(key)}: "
+            yield from _json_blocks(value[key])
+        yield "}"
+    elif isinstance(value, (list, np.ndarray)):
+        yield "["
+        for start in range(0, len(value), _DATASET_BLOCK):
+            if start:
+                yield ", "
+            block = value[start:start + _DATASET_BLOCK]
+            yield _dump(block if isinstance(block, list) else block.tolist())[1:-1]
+        yield "]"
+    else:
+        yield _dump(value)
+
+
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write ``dataset`` to ``path`` as one JSON list per column."""
-    write_json(path, {
+    """Write ``dataset`` to ``path`` as one JSON list per column: the text
+    of one ``write_json(..., indent=None)`` of it, written a block of a
+    column at a time, so that no copy of the dataset as text or as Python
+    ints is held."""
+    write_text(path, chain(_json_blocks({
         "format": _DATASET_FORMAT,
-        "posts": dataset.posts.columns(),
-        "comments": dataset.comments.columns(),
+        "posts": {f.name: getattr(dataset.posts, f.name) for f in fields(Posts)},
+        "comments": {f.name: getattr(dataset.comments, f.name) for f in fields(Comments)},
         "parse_errors": dataset.parse_errors,
         "duplicate_ids": dataset.duplicate_ids,
-    }, indent=None)
+    }), ["\n"]))
 
 
 def load_dataset(path) -> Dataset:

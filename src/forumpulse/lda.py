@@ -227,15 +227,23 @@ class _Tables:
     nt: np.ndarray             # (k,) tokens per topic
 
 
+def _smoothed(counts: np.ndarray, prior: float, row_prior: float) -> np.ndarray:
+    """``(counts + prior) / (row totals of counts + row_prior)``, computed in
+    one float array: the same operations in the same order, without the
+    temporaries."""
+    rows = counts.astype(np.float64)
+    totals = rows.sum(axis=1, keepdims=True)
+    totals += row_prior
+    rows += prior
+    rows /= totals
+    return rows
+
+
 def _estimates(tables: _Tables, alpha: float, beta: float,
                vbeta: float) -> tuple[np.ndarray, np.ndarray]:
     """theta (D, k) and phi (k, V) of the current counts."""
     k = tables.ndt.shape[1]
-    ndt_arr = tables.ndt.astype(np.float64)
-    theta = (ndt_arr + alpha) / (ndt_arr.sum(axis=1, keepdims=True) + k * alpha)
-    nwt_arr = tables.nwt.astype(np.float64).T
-    phi = (nwt_arr + beta) / (nwt_arr.sum(axis=1, keepdims=True) + vbeta)
-    return theta, phi
+    return _smoothed(tables.ndt, alpha, k * alpha), _smoothed(tables.nwt.T, beta, vbeta)
 
 
 def _address(array: np.ndarray, dtype) -> "ctypes.c_void_p":
@@ -249,7 +257,7 @@ def _address(array: np.ndarray, dtype) -> "ctypes.c_void_p":
     return array.ctypes.data_as(ctypes.c_void_p)
 
 
-def _compiled_sampler(lib, seeds: list[int], tables: _Tables, alpha: float,
+def _compiled_sampler(lib, seeds: np.ndarray, tables: _Tables, alpha: float,
                       beta: float, vbeta: float) -> Callable[[], None]:
     """Seed the streams and draw the initial labels in C; returns one sweep.
     The sweep runs on the tables and on scratch this call allocates, so
@@ -260,13 +268,13 @@ def _compiled_sampler(lib, seeds: list[int], tables: _Tables, alpha: float,
     words, z = (_address(a, np.int32) for a in (tables.words, tables.z))
     cum = _address(np.empty(k), np.float64)
     rngs = _address(np.empty((n_docs, 625), dtype=np.uint32), np.uint32)  # MT19937 + index
-    lib.fp_gibbs_init(n_docs, k, _address(np.asarray(seeds, dtype=np.uint64), np.uint64),
+    lib.fp_gibbs_init(n_docs, k, _address(seeds, np.uint64),
                       offsets, words, z, ndt, nwt, nt, rngs)
     return partial(lib.fp_gibbs_sweep, n_docs, k, offsets, words, z,
                    ndt, nwt, nt, rngs, alpha, beta, vbeta, cum)
 
 
-def _python_sampler(seeds: list[int], tables: _Tables, alpha: float,
+def _python_sampler(seeds: np.ndarray, tables: _Tables, alpha: float,
                     beta: float, vbeta: float) -> Callable[[], None]:
     """The pure-Python sampler: the fallback when the kernel is unavailable
     and the oracle it is tested against; returns one sweep. Works on lists
@@ -276,7 +284,7 @@ def _python_sampler(seeds: list[int], tables: _Tables, alpha: float,
     n_docs, k = ndt.shape
     bounds = tables.offsets.tolist()
     tokens = [tables.words[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
-    rngs = [random.Random(s) for s in seeds]
+    rngs = [random.Random(s) for s in seeds.tolist()]    # it refuses a numpy int
     zl = [[rng.randrange(k) for _ in doc] for rng, doc in zip(rngs, tokens)]
     ndt_l = [[0] * k for _ in range(n_docs)]
     nwt_l = [[0] * k for _ in range(len(nwt))]
@@ -382,7 +390,7 @@ def fit(corpus: Corpus, config: LdaConfig,
         warnings.warn(f"vocabulary size {v_size} is smaller than k={k}",
                       stacklevel=2)
 
-    words = np.repeat(w_idx, counts).astype(np.int32)
+    words = np.repeat(w_idx.astype(np.int32), counts)
     offsets = np.concatenate(([0], np.cumsum(counts)))[corpus.offsets]
     tables = _Tables(
         offsets=offsets,
@@ -392,7 +400,8 @@ def fit(corpus: Corpus, config: LdaConfig,
         nwt=np.zeros((v_size, k), dtype=np.int64),
         nt=np.zeros(k, dtype=np.int64),
     )
-    seeds = [derive_seed(config.seed, doc_id) for doc_id in corpus.doc_ids]
+    seeds = np.fromiter((derive_seed(config.seed, doc_id) for doc_id in corpus.doc_ids),
+                        dtype=np.uint64, count=n_docs)
     lib = _kernel()
     if lib is not None:
         sweep_once = _compiled_sampler(lib, seeds, tables, alpha, beta, vbeta)

@@ -22,6 +22,7 @@ random numbers.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -465,6 +466,11 @@ def run_pipeline(config_path: Path,
 
             # glibc keeps the pages of what earlier stages freed, and a
             # stage's own blocks would land on top of them: return them first.
+            # Before a stage that frees what it does not read, a full
+            # collection first empties the free lists, whose tuples from the
+            # parse and the writers pin memory arenas.
+            if stage.frees_unread:
+                gc.collect()
             _malloc_trim()(0)
             peak = _peak_rss_kb()
             started = _utcnow()

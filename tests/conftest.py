@@ -93,6 +93,18 @@ def as_format_1(payload: dict) -> dict:
             "posts": records(payload["posts"]), "comments": records(payload["comments"])}
 
 
+def dataset_text_one_shot(dataset: Dataset) -> str:
+    """The text ``save_dataset`` writes, through one ``json.dumps`` of the
+    whole dataset with each column as a list."""
+    columns = lambda table: {f.name: getattr(table, f.name).tolist()
+                             if f.type == "np.ndarray" else getattr(table, f.name)
+                             for f in fields(table)}
+    payload = {"format": "forumpulse-dataset-v2", "posts": columns(dataset.posts),
+               "comments": columns(dataset.comments), "parse_errors": dataset.parse_errors,
+               "duplicate_ids": dataset.duplicate_ids}
+    return json.dumps(payload, sort_keys=True, indent=None, ensure_ascii=False) + "\n"
+
+
 def comment_views(dataset) -> list[SimpleNamespace]:
     """Each comment of ``dataset`` as a record: its ``id`` and ``author``,
     its ``root_post_id`` (None when the root post is not in the dataset) and

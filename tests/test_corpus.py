@@ -292,6 +292,22 @@ def test_documents_csv_across_a_block_boundary(tmp_path, n_triplets):
         zip(doc_idx.tolist(), term_ids.tolist(), corpus.counts.tolist()))
 
 
+def test_documents_csv_skips_empty_documents(tmp_path):
+    """A document without triplets has no row, and each row keeps its own
+    document's doc_idx, on both sides of a block boundary."""
+    n_triplets = _TRIPLETS_BLOCK + 5
+    offsets = np.array([0, 0, 3, 3, _TRIPLETS_BLOCK, _TRIPLETS_BLOCK, n_triplets, n_triplets])
+    doc_idx = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    term_ids = np.arange(n_triplets) - offsets[doc_idx]
+    corpus = Corpus(offsets=offsets, term_ids=term_ids, counts=np.ones(n_triplets),
+                    doc_ids=tuple(f"d{i}" for i in range(len(offsets) - 1)),
+                    terms=tuple(f"t{i}" for i in range(n_triplets)), excluded_doc_ids=())
+    save_corpus(corpus, tmp_path)
+    assert (tmp_path / "documents.csv").read_text(encoding="utf-8") == csv_text_per_cell(
+        ("doc_idx", "term_id", "count"),
+        zip(doc_idx.tolist(), term_ids.tolist(), [1] * n_triplets))
+
+
 def test_doc_ids_are_not_the_datasets_strings():
     """The corpus's ids equal its posts' ids but are new objects, so that a
     corpus keeps no string of a parsed dataset alive."""

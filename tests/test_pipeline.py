@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -684,6 +685,30 @@ def test_a_record_holds_the_peak_only_where_its_stage_raised_it(tmp_path, monkey
     assert {name: record["peak_rss_kb"] for name, record in records.items()
             if "peak_rss_kb" in record} == {"corpus": 250, "topics": 400}
     assert next(marks, None) is None
+
+
+def test_a_full_collection_runs_before_each_stage_that_frees_what_it_does_not_read(
+        tmp_path, monkeypatch):
+    """``gc.collect`` empties the free lists, whose tuples from the parse and
+    the writers pin memory arenas, before each ``frees_unread`` stage that
+    runs, and before no other stage."""
+    events = []
+    collect = gc.collect
+    monkeypatch.setattr(gc, "collect", lambda *args: events.append("collect") or collect(*args))
+
+    def note(line: str) -> None:        # "[<stage>] done: ..." or "[<stage>] up to date, ..."
+        stage, _, rest = line[1:].partition("] ")
+        if rest.startswith(("done: ", "up to date")):
+            events.append(stage)
+
+    config = small_config(tmp_path)
+    run_pipeline(config, echo=note)
+    assert any(stage.frees_unread for stage in STAGES)
+    assert events == [event for stage in STAGES
+                      for event in ("collect",) * stage.frees_unread + (stage.name,)]
+    events.clear()
+    run_pipeline(config, echo=note)     # every stage up to date
+    assert events == [stage.name for stage in STAGES]
 
 
 def test_memory_probes_do_nothing_where_the_system_lacks_them(tmp_path, monkeypatch):

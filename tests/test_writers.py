@@ -1,10 +1,13 @@
 """The writers fill one template per file and spell each distinct float
-once; their text equals that of the per-cell oracles in conftest.py."""
+once; their text equals that of the per-cell oracles in conftest.py. The
+block writers of ``dataset.json`` and ``documents.csv`` write the text of
+one template or ``json.dumps`` a block at a time, holding a block's."""
 
 from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from forumpulse.corpus import _TRIPLETS_BLOCK, Corpus, save_corpus
 from forumpulse.fileio import float_cells, write_csv
+from forumpulse.ingest import _DATASET_BLOCK, Comments, Dataset, Posts, save_dataset
 from forumpulse.interaction import InteractionGraph, dot_text, edges_text, graphml_text
 from forumpulse.lda import LdaConfig, TopicModel, save_model
 from forumpulse.topics import save_assignment
 
-from conftest import (assignment_of, csv_text_per_cell, dot_text_per_cell, graph_of,
-                      graphml_text_per_cell, model_text_per_cell)
+from conftest import (assignment_of, csv_text_per_cell, dataset_text_one_shot,
+                      dot_text_per_cell, graph_of, graphml_text_per_cell, model_text_per_cell)
 
 EDGE_FLOATS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-05, 1e16, 0.1, 1.0)
 FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
@@ -188,3 +193,96 @@ def test_save_assignment_writes_the_per_cell_text(tmp_path):
                                          for d, topics in zip(assignment.doc_ids, dominant)))
     assert written(tmp_path / "dominance.csv").splitlines()[1:] == [
         "p0,0|2", "p1,", "p2,1", "p3,0|2", "p4,2|10"]
+
+
+# Text a dataset column may hold: quotes, backslashes, control characters and
+# characters that are not ASCII, but no lone surrogate; an id or author holds
+# no comma or line break and is not empty.
+_SPECIAL = '"\\\x00\x08\x1f\x7f\u2028\xe9\u20ac\U0001f600'
+TEXT = st.text(st.sampled_from(_SPECIAL + "\t\n\r") | st.characters(exclude_categories=("Cs",)),
+               max_size=6)
+NAME = st.text(st.sampled_from(_SPECIAL)
+               | st.characters(exclude_categories=("Cs",), exclude_characters=",\n\r"),
+               min_size=1, max_size=4)
+BLOCK_ROWS = st.sampled_from([0, _DATASET_BLOCK - 1, _DATASET_BLOCK, _DATASET_BLOCK + 1])
+
+
+def cycled(values: list, n: int) -> list:
+    """``n`` items: ``values`` over and over."""
+    return [values[i % len(values)] for i in range(n)]
+
+
+@st.composite
+def block_datasets(draw):
+    """Tables of 0 rows, or of one block less one row, one block, or one
+    block and one row, their columns a few drawn values over and over."""
+    n_posts, n_comments = draw(BLOCK_ROWS), draw(BLOCK_ROWS)
+    texts = draw(st.lists(TEXT, min_size=1, max_size=4))
+    names = draw(st.lists(NAME, min_size=1, max_size=3))
+    ints = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=3))
+    times = draw(st.lists(st.integers(1, 253402300799), min_size=1, max_size=3))
+    table = lambda prefix, n: dict(
+        id=[f"{prefix}{i:05d}" for i in range(n)], author=cycled(names, n),
+        created_at=np.array(cycled(times, n), dtype=np.int64),
+        score=np.array(cycled(ints, n), dtype=np.int64))
+    rows = np.arange(n_comments)
+    return Dataset(
+        Posts(**table("p", n_posts), title=cycled(texts, n_posts),
+              body=cycled(texts[::-1], n_posts)),
+        Comments(**table("c", n_comments), parent=rows % (n_posts + n_comments + 1) - 1,
+                 root=rows % (n_posts + 1) - 1),
+        draw(st.integers(0, 2**63)), draw(st.integers(0, 2**63)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dataset=block_datasets())
+def test_save_dataset_writes_the_json_dumps_text(tmp_path_factory, dataset):
+    """``dataset.json``, written a block of a column at a time, is the text
+    of one ``json.dumps`` of the whole dataset, across a block boundary and
+    for every kind of character a str may hold."""
+    path = tmp_path_factory.getbasetemp() / "dataset.json"
+    save_dataset(dataset, path)
+    assert written(path) == dataset_text_one_shot(dataset)
+
+
+def traced_peak(write) -> int:
+    """The most memory that ``write()`` held at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_dataset_holds_a_block_not_the_file(tmp_path):
+    """Writing a dataset of ten blocks per column never holds a quarter of
+    its text: not the whole text, nor its columns as Python ints. The peak
+    is a few blocks' text, which ``json.dumps`` of a block holds at once."""
+    n = 10 * _DATASET_BLOCK
+    rows = np.arange(n)
+    dataset = Dataset(
+        Posts(id=[f"p{i:06d}" for i in range(n)], author=[f"u{i % 997}" for i in range(n)],
+              created_at=rows + 10**9, score=rows % 41 - 3,
+              title=[f"title {i}" for i in range(n)], body=[f"body é {i}" * 3 for i in range(n)]),
+        Comments(id=[f"c{i:06d}" for i in range(n)], author=[f"v{i % 991}" for i in range(n)],
+                 created_at=rows + 2 * 10**9, score=rows % 7, parent=rows - 1, root=rows % n),
+        0, 0)
+    path = tmp_path / "dataset.json"
+    peak = traced_peak(lambda: save_dataset(dataset, path))
+    assert peak < path.stat().st_size / 4, (peak, path.stat().st_size)
+
+
+def test_save_corpus_holds_a_block_not_the_file(tmp_path):
+    """Writing a corpus of a hundred blocks of triplets never holds a
+    quarter of ``documents.csv``: not its text, nor a column as long as the
+    triplets. The peak is a block's cells as Python ints, about 600 KB."""
+    n_triplets = 100 * _TRIPLETS_BLOCK
+    offsets = np.append(np.arange(0, n_triplets, 100), n_triplets)
+    corpus = Corpus(offsets=offsets, term_ids=np.arange(n_triplets) % 100 * 7,
+                    counts=np.arange(n_triplets) % 13 + 1,
+                    doc_ids=tuple(f"d{i:05d}" for i in range(len(offsets) - 1)),
+                    terms=tuple(f"t{i}" for i in range(700)), excluded_doc_ids=())
+    peak = traced_peak(lambda: save_corpus(corpus, tmp_path))
+    size = (tmp_path / "documents.csv").stat().st_size
+    assert peak < size / 4, (peak, size)
